@@ -27,6 +27,9 @@ from .analysis import (
 )
 from .detectors import CompensationSet
 from .experiments import (
+    MAX_SEED,
+    MIN_SEED,
+    MIN_TRIALS,
     ExperimentError,
     ExperimentSpec,
     load_experiment,
@@ -111,63 +114,75 @@ def _sweep_systems(spec: ExperimentSpec):
                    SyncErrors.zeros(co.m_tx, co.n_rx), None)
 
 
-def _analytic_rows(spec: ExperimentSpec):
+def _analytic_pairs(spec: ExperimentSpec):
+    """Per (sweep point, system): (scenario, errors, compensation, rows),
+    where rows holds one (CSV row, operating point) per detector.  The
+    operating point is None on error rows, and the first three entries are
+    None when the whole pair is in error."""
     for value, system, sc, err, bad in _sweep_systems(spec):
         base = {
             "sweep_variable": spec.sweep_variable, "sweep_value": value,
             "sweep_value_si": sweep_value_si(spec.sweep_variable, value,
                                             spec.pulse_s),
             "system": system, "pfa_target": spec.pfa_target}
+        if bad is None:
+            try:
+                comp = CompensationSet.from_scenario(sc, err)
+            except ValueError as exc:
+                bad = str(exc)
         if bad is not None:
-            for det in spec.detectors:
-                yield dict(base, detector=det.value, error=bad), None, None
+            yield None, None, None, [
+                (dict(base, detector=det.value, error=bad), None)
+                for det in spec.detectors]
             continue
-        comp = CompensationSet.from_scenario(sc, err)
+        rows = []
         for det in spec.detectors:
             row = dict(base, detector=det.value)
             try:
                 pt = analyze_detector(det, sc, err, comp, spec.pfa_target)
             except ValueError as exc:
-                yield dict(row, error=str(exc)), None, None
+                rows.append((dict(row, error=str(exc)), None))
                 continue
             row.update(gamma=pt.gamma, pd_analytic=float(pt.pd),
                        varsigma=pt.varsigma)
             row["lambda"] = pt.lam
-            yield row, sc, (err, comp, pt)
-    return
+            rows.append((row, pt))
+        yield sc, err, comp, rows
 
 
 def cmd_analyze(args) -> int:
     spec = _load(args.experiment)
-    rows = [row for row, _, _ in _analytic_rows(spec)]
+    rows = [row for *_, pair_rows in _analytic_pairs(spec)
+            for row, _ in pair_rows]
     _write_rows(args.out, _ANALYZE_COLUMNS, rows)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    """Every detector of one (sweep point, system) pair is evaluated on
+    the same Monte Carlo stream, keyed by seed plus the pair's index."""
     spec = _load(args.experiment)
     trials = args.trials if args.trials is not None else spec.trials
     seed = args.seed if args.seed is not None else spec.seed
     rows = []
     gate_failed = False
-    point = 0
-    for row, sc, extra in _analytic_rows(spec):
-        point += 1
-        row = dict(row, trials=trials, seed=seed)
-        if extra is None:
+    for index, (sc, err, comp, pair_rows) in enumerate(_analytic_pairs(spec)):
+        gammas = {pt.detector: pt.gamma for _, pt in pair_rows
+                  if pt is not None}
+        if gammas:
+            cfg = TrialConfig(trials=trials, seed=seed + index,
+                              hypothesis="H1", target_draw=sc.target)
+            results = run_trials(sc, err, comp, list(gammas), gammas, cfg)
+        for row, pt in pair_rows:
+            row = dict(row, trials=trials, seed=seed)
+            if pt is not None:
+                res = results[pt.detector]
+                row.update(pd_empirical=float(res.p_hat),
+                           ci_halfwidth=res.ci_halfwidth)
+                half = max(res.ci_halfwidth, 3.0 / trials)
+                if abs(res.p_hat - pt.pd) > half:
+                    gate_failed = True
             rows.append(row)
-            continue
-        err, comp, pt = extra
-        cfg = TrialConfig(trials=trials, seed=seed + point, hypothesis="H1",
-                          target_draw=sc.target)
-        det = DetectorKind(row["detector"])
-        res = run_trials(sc, err, comp, [det], {det: pt.gamma}, cfg)[det]
-        row.update(pd_empirical=float(res.p_hat),
-                   ci_halfwidth=res.ci_halfwidth)
-        half = max(res.ci_halfwidth, 3.0 / trials)
-        if abs(res.p_hat - pt.pd) > half:
-            gate_failed = True
-        rows.append(row)
     _write_rows(args.out, _SIMULATE_COLUMNS, rows)
     if gate_failed:
         print("warning: empirical results deviate from analysis beyond "
@@ -185,6 +200,19 @@ def cmd_threshold(args) -> int:
         raise SystemExit(f"error: {exc}")
     print(_fmt(gamma))
     return 0
+
+
+def _bounded_int(minimum, maximum=None):
+    """argparse type: an integer within the JSON schema's bounds."""
+    def parse(text):
+        v = int(text)
+        if v < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        if maximum is not None and v > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}")
+        return v
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the sweep with Monte Carlo confirmation")
     p.add_argument("--experiment", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
+    p.add_argument("--trials", type=_bounded_int(MIN_TRIALS), default=None)
+    p.add_argument("--seed", type=_bounded_int(MIN_SEED, MAX_SEED),
+                   default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("threshold", help="print one detection threshold")

@@ -16,7 +16,7 @@ what the Monte Carlo engine uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,10 +66,11 @@ class CompensationSet:
         the error-free model evaluated at the estimated parameters, so the
         same scene builders are reused on a shifted scenario.
         """
-        from dataclasses import replace
-
+        tau_hat = sc.tau_s + err.dt
+        if np.any(tau_hat < 0) or np.any(tau_hat >= sc.pri_s):
+            raise ValueError("estimated delays tau + dt must lie in [0, PRI)")
         est = replace(sc,
-                      tau_s=sc.tau_s + err.dt,
+                      tau_s=tau_hat,
                       doppler_hz=sc.doppler_hz + err.df,
                       psi_rad=sc.psi_rad + err.dp)
         M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
@@ -123,11 +124,13 @@ def acd_statistic(y, theta_hat) -> np.ndarray | float:
     return out[()] if out.ndim == 0 else out
 
 
-def cd_statistic(y, comp: CompensationSet) -> np.ndarray | float:
+def cd_statistic(y, comp: CompensationSet,
+                 templates=None) -> np.ndarray | float:
     """Matched correlation against the compensation templates, coherently
-    summed over every path."""
+    summed over every path.  ``templates`` may pass ``comp.templates``
+    already built, so repeated calls skip rebuilding it."""
     y = _check_cube(y)
-    v = comp.templates
+    v = comp.templates if templates is None else templates
     if v.shape != y.shape[-3:]:
         raise ValueError("compensation set dimensions must match the measurement")
     out = np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
@@ -156,11 +159,13 @@ def doppler_projectors(S_hat) -> np.ndarray:
     return qs
 
 
-def hd_statistic(y, S_hat) -> np.ndarray | float:
+def hd_statistic(y, S_hat, basis=None) -> np.ndarray | float:
     """Energy of each path's projection onto its Doppler steering subspace,
-    summed non-coherently over paths."""
+    summed non-coherently over paths.  ``basis`` may pass
+    ``doppler_projectors(S_hat)`` already built, so repeated calls skip the
+    SVD and QR."""
     y = _check_cube(y)
-    q = doppler_projectors(S_hat)
+    q = doppler_projectors(S_hat) if basis is None else basis
     # coeffs: (..., M, N, M') inner products with the orthonormal basis
     coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(q), y)
     out = np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))

@@ -23,6 +23,9 @@ __all__ = [
     "ExperimentError",
     "ExperimentSpec",
     "SWEEP_VARIABLES",
+    "MIN_TRIALS",
+    "MIN_SEED",
+    "MAX_SEED",
     "load_experiment",
     "parse_experiment",
     "scenario_at",
@@ -37,6 +40,13 @@ SWEEP_VARIABLES = (
     "snr_db",          # common SNR of every path, dB
 )
 _TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
+
+# Bounds shared by the JSON fields and the CLI flags.  The Monte Carlo
+# stream of each sweep point is keyed by seed plus a small index, which
+# must fit the unsigned 64-bit Philox key.
+MIN_TRIALS = 1
+MIN_SEED = 0
+MAX_SEED = 2**63 - 1
 
 
 class ExperimentError(ValueError):
@@ -89,7 +99,7 @@ def _number(doc, path, field, default=None, minimum=None, positive=False):
     return float(v)
 
 
-def _integer(doc, path, field, default=None, minimum=None):
+def _integer(doc, path, field, default=None, minimum=None, maximum=None):
     if field not in doc:
         if default is None:
             raise ExperimentError(f"{path}.{field}: required field missing")
@@ -99,6 +109,8 @@ def _integer(doc, path, field, default=None, minimum=None):
         raise ExperimentError(f"{path}.{field}: expected an integer")
     if minimum is not None and v < minimum:
         raise ExperimentError(f"{path}.{field}: must be at least {minimum}")
+    if maximum is not None and v > maximum:
+        raise ExperimentError(f"{path}.{field}: must be at most {maximum}")
     return v
 
 
@@ -254,8 +266,8 @@ def parse_experiment(doc) -> ExperimentSpec:
     pfa = _number(doc, "$", "pfa_target", 1e-4, positive=True)
     if not pfa < 1.0:
         raise ExperimentError("$.pfa_target: must lie strictly in (0, 1)")
-    trials = _integer(doc, "$", "trials", 100000, minimum=1)
-    seed = _integer(doc, "$", "seed", 0, minimum=0)
+    trials = _integer(doc, "$", "trials", 100000, minimum=MIN_TRIALS)
+    seed = _integer(doc, "$", "seed", 0, minimum=MIN_SEED, maximum=MAX_SEED)
     colocated = doc.get("colocated_benchmark", False)
     if not isinstance(colocated, bool):
         raise ExperimentError("$.colocated_benchmark: expected true or false")

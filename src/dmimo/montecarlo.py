@@ -3,12 +3,14 @@
 Trials are generated in fixed-size blocks.  Block ``j`` of a run draws
 from a fresh Philox generator keyed by ``(seed, j)``, so any block can be
 produced independently of the others: results are bit-identical across
-worker counts and across runs, and the first ``B`` trials of a long run
-equal the first ``B`` trials of a short one.  Aggregation is plain
-counting, which is associative, so block order never matters.
+runs, and the first ``B`` trials of a long run equal the first ``B``
+trials of a short one.  Aggregation is plain counting, which is
+associative, so block order never matters.
 
 Per trial the target amplitude is drawn once and held for the whole CPI,
-while the noise is independent across every matched filter output.
+while the noise is independent across every matched filter output.  Every
+detector of one ``run_trials`` call sees the same measurement blocks
+(common random numbers).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .detectors import (
     CompensationSet,
     acd_statistic,
     cd_statistic,
+    doppler_projectors,
     hd_statistic,
     ncd_statistic,
 )
@@ -114,9 +117,9 @@ def draw_noise(stream: np.random.Generator, k_pulses: int,
 
     Returns an array of shape ``shape + (k_pulses,)``.
     """
-    full = tuple(shape) + (k_pulses, 2)
-    z = stream.normal(scale=np.sqrt(sigma2 / 2.0), size=full)
-    return z[..., 0] + 1j * z[..., 1]
+    z = stream.standard_normal(size=tuple(shape) + (k_pulses, 2))
+    z *= np.sqrt(sigma2 / 2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def draw_swerling1_alpha(stream: np.random.Generator, rho_bar: float,
@@ -149,20 +152,23 @@ def _iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
         else:
             alpha = np.zeros(nb, dtype=complex)
         w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
-        if cfg.hypothesis == "H0":
-            yield w
-        else:
-            yield alpha[:, None, None, None] * x_unit + w
+        if cfg.hypothesis == "H1":
+            w += alpha[:, None, None, None] * x_unit
+        yield w
 
 
-def _evaluate(det: DetectorKind, y: np.ndarray, comp: CompensationSet):
+def _statistic(det: DetectorKind, comp: CompensationSet):
+    """The detector's statistic as a function of a measurement batch.  The
+    CD templates and HD projectors are built here, once, not per block."""
     if det is DetectorKind.NCD:
-        return ncd_statistic(y)
+        return ncd_statistic
     if det is DetectorKind.ACD:
-        return acd_statistic(y, comp.theta_hat)
+        return lambda y: acd_statistic(y, comp.theta_hat)
     if det is DetectorKind.CD:
-        return cd_statistic(y, comp)
-    return hd_statistic(y, comp.S_hat)
+        v = comp.templates
+        return lambda y: cd_statistic(y, comp, templates=v)
+    q = doppler_projectors(comp.S_hat)
+    return lambda y: hd_statistic(y, comp.S_hat, basis=q)
 
 
 def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
@@ -176,11 +182,11 @@ def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
     missing = [d for d in dets if d not in gammas]
     if missing:
         raise ValueError(f"no threshold supplied for {missing[0].value}")
+    stats_of = {d: _statistic(d, comp) for d in dets}
     counts = {d: 0 for d in dets}
     for y in _iter_measurement_blocks(sc, err, cfg):
         for d in dets:
-            stat = _evaluate(d, y, comp)
-            counts[d] += int(np.count_nonzero(stat > gammas[d]))
+            counts[d] += int(np.count_nonzero(stats_of[d](y) > gammas[d]))
     return {d: EmpiricalResult.from_counts(d, counts[d], cfg.trials)
             for d in dets}
 
@@ -191,8 +197,9 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
     """KS distance between the empirical H0 statistic and its theoretical
     central chi-square law."""
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
+    statistic = _statistic(det, comp)
     vals = np.concatenate([
-        np.atleast_1d(_evaluate(det, y, comp))
+        np.atleast_1d(statistic(y))
         for y in _iter_measurement_blocks(sc, SyncErrors.zeros(sc.m_tx, sc.n_rx),
                                          cfg)])
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx

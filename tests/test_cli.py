@@ -31,6 +31,14 @@ def base_doc(**over):
     return doc
 
 
+def negative_delay_estimate_doc():
+    # tau_2 is 0.10 pulse widths (1 us); dt = -2 us puts tau_2 + dt below 0
+    doc = base_doc(detectors=["NCD", "CD"], trials=100)
+    doc["sweep"]["points"] = 2
+    doc["errors"] = {"dt_s": [[0.0], [-2e-6]]}
+    return doc
+
+
 class TestThresholdCommand:
     def test_acd_closed_form(self, capsys):
         rc = main(["threshold", "--detector", "ACD", "--pfa", "1e-4",
@@ -145,6 +153,15 @@ class TestAnalyzeCommand:
         main(["analyze", "--experiment", exp, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_delay_estimate_gives_error_rows(self, tmp_path):
+        exp = write_doc(tmp_path, negative_delay_estimate_doc())
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--experiment", exp, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2 * 2
+        assert all("tau + dt" in r["error"] and r["gamma"] == ""
+                   for r in rows)
+
     def test_schema_error_exits_nonzero(self, tmp_path):
         exp = write_doc(tmp_path, base_doc(bogus=1))
         with pytest.raises(SystemExit):
@@ -183,3 +200,52 @@ class TestSimulateCommand:
         main(["simulate", "--experiment", exp, "--out", str(a), "--seed", "9"])
         main(["simulate", "--experiment", exp, "--out", str(b), "--seed", "9"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_detectors_share_one_stream(self, tmp_path):
+        # common random numbers: a detector's empirical Pd does not depend
+        # on which other detectors run on the same sweep point
+        out = {}
+        for tag, dets in (("one", ["NCD"]), ("all", ["NCD", "ACD", "CD",
+                                                      "HD"])):
+            doc = base_doc(detectors=dets, trials=3000, seed=4)
+            doc["sweep"]["points"] = 2
+            exp = write_doc(tmp_path, doc, f"{tag}.json")
+            path = tmp_path / f"{tag}.csv"
+            main(["simulate", "--experiment", exp, "--out", str(path)])
+            out[tag] = [r["pd_empirical"] for r in read_csv(path)
+                        if r["detector"] == "NCD"]
+        assert len(out["one"]) == 2
+        assert out["one"] == out["all"]
+
+    def test_negative_delay_estimate_gives_error_rows(self, tmp_path):
+        exp = write_doc(tmp_path, negative_delay_estimate_doc())
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--experiment", exp, "--out",
+                     str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2 * 2
+        assert all("tau + dt" in r["error"] and r["pd_empirical"] == ""
+                   for r in rows)
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "0"], ["--trials", "many"], ["--seed", "-1"],
+        ["--seed", str(2**63)], ["--format", "csv"]])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags):
+        exp = write_doc(tmp_path, base_doc(detectors=["NCD"]))
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--experiment", exp, "--out", str(out)]
+                 + flags)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: " in last and flags[0] in last
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        doc = base_doc(detectors=["NCD"], trials=10)
+        doc["sweep"]["points"] = 2
+        exp = write_doc(tmp_path, doc)
+        out = tmp_path / "s.csv"
+        main(["simulate", "--experiment", exp, "--out", str(out),
+              "--seed", str(2**63 - 1)])
+        assert [r["seed"] for r in read_csv(out)] == [str(2**63 - 1)] * 2

@@ -109,6 +109,12 @@ class TestRejections:
         with pytest.raises(ExperimentError, match="sweep.stop"):
             parse_experiment(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 0), ("seed", -1), ("seed", 2**63)])
+    def test_trials_and_seed_bounds(self, field, value):
+        with pytest.raises(ExperimentError, match=f"\\$.{field}"):
+            parse_experiment(minimal_doc(**{field: value}))
+
     def test_pfa_bounds(self):
         with pytest.raises(ExperimentError, match="pfa_target"):
             parse_experiment(minimal_doc(pfa_target=1.0))

@@ -40,6 +40,16 @@ class TestDraws:
         b = draw_noise(_block_rng(3, 1), 8, shape=(4,))
         assert np.array_equal(a, b)
 
+    def test_noise_matches_componentwise_assembly(self):
+        # oracle: the per-component normal draw, assembled as re + 1j*im
+        shape, k, sigma2 = (5, 2, 1), 12, 2.5
+        z = _block_rng(17, 3).normal(scale=np.sqrt(sigma2 / 2.0),
+                                     size=shape + (k, 2))
+        oracle = z[..., 0] + 1j * z[..., 1]
+        got = draw_noise(_block_rng(17, 3), k, sigma2, shape)
+        assert got.shape == oracle.shape
+        assert got.tobytes() == oracle.tobytes()
+
     def test_alpha_moment(self):
         rng = _block_rng(11, 0)
         a = draw_swerling1_alpha(rng, 1.7, (100000,))
