@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import CompensationSet, doppler_projectors
-from .scene import Scenario, SyncErrors, noise_free_mf_output
+from .scene import Scenario, Swerling1, SyncErrors, noise_free_mf_output
 from .specfun import (
     Probability,
     inv_reg_upper_gamma,
@@ -190,8 +190,6 @@ def analyze_detector(det: DetectorKind, sc: Scenario, err: SyncErrors,
     """Operating point at a target false-alarm rate: threshold, per-target
     noncentrality, and detection probability under the scenario's target
     model (Swerling I average or fixed amplitude)."""
-    from .scene import Swerling1
-
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
     lam_prime, varsigma = noncentrality(det, sc, err, comp, 1.0)
     gamma = threshold(det, pfa_target, K, M, N, sc.sigma2, varsigma)

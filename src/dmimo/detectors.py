@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scene import (
-    Scenario,
-    SyncErrors,
-    af_matrix,
-    channel_vector,
-    doppler_steering,
-)
+from .scene import Scenario, SyncErrors, _model_factors, _model_output
 
 __all__ = [
     "CompensationSet",
@@ -47,7 +41,7 @@ class CompensationSet:
     """Receiver-side compensation quantities built from parameter estimates.
 
     S_hat      (N, K, M) Doppler steering matrices
-    X_hat      (M, N, M, M) diagonal ambiguity matrices
+    X_hat      (M, N, M) ambiguity diagonals
     h_hat      (M, N, M) channel vectors
     theta_hat  (M, N, K) per-sample compensation phases
     """
@@ -64,7 +58,7 @@ class CompensationSet:
 
         The hatted steering/ambiguity/channel expressions coincide with
         the error-free model evaluated at the estimated parameters, so the
-        same scene builders are reused on a shifted scenario.
+        scene's model builder is reused on a shifted scenario.
         """
         tau_hat = sc.tau_s + err.dt
         if np.any(tau_hat < 0) or np.any(tau_hat >= sc.pri_s):
@@ -73,15 +67,9 @@ class CompensationSet:
                       tau_s=tau_hat,
                       doppler_hz=sc.doppler_hz + err.df,
                       psi_rad=sc.psi_rad + err.dp)
-        M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
-        zero = SyncErrors.zeros(M, N)
-        S_hat = np.stack([doppler_steering(est.doppler_hz[:, n], K, sc.pri_s)
-                          for n in range(N)])
-        X_hat = np.stack([[af_matrix(est, zero, m, n) for n in range(N)]
-                          for m in range(M)])
-        h_hat = np.stack([[channel_vector(est, zero, m, n) for n in range(N)]
-                          for m in range(M)])
-        k = np.arange(K)
+        S_hat, X_hat, h_hat = _model_factors(
+            est, SyncErrors.zeros(sc.m_tx, sc.n_rx))
+        k = np.arange(sc.k_pulses)
         theta_hat = (est.psi_rad[:, :, None]
                      - 2.0 * math.pi * sc.carrier_hz * est.tau_s[:, :, None]
                      + 2.0 * math.pi * sc.pri_s * est.doppler_hz[:, :, None]
@@ -91,13 +79,7 @@ class CompensationSet:
     @property
     def templates(self) -> np.ndarray:
         """(M, N, K) stack of S_hat X_hat h_hat template vectors."""
-        M, N = self.X_hat.shape[:2]
-        K = self.S_hat.shape[1]
-        v = np.empty((M, N, K), dtype=complex)
-        for m in range(M):
-            for n in range(N):
-                v[m, n] = self.S_hat[n] @ (self.X_hat[m, n] @ self.h_hat[m, n])
-        return v
+        return _model_output(self.S_hat, self.X_hat, self.h_hat)
 
 
 def _check_cube(y):

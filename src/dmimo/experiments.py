@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import presets
 from .analysis import DetectorKind
 from .scene import NonFluctuating, Scenario, Swerling1, SyncErrors, xi_from_snr
 from .waveforms import pulse_set
@@ -162,6 +163,14 @@ def _parse_target(doc, path):
         f"{path}.target.model: expected 'swerling1' or 'fixed'")
 
 
+def _reference_paths(per_tx, M, N, scale=1.0):
+    # Default (M, N) path parameters: the two-TX reference geometry, the
+    # same at every RX; any other M starts from zeros.
+    if M != 2:
+        return np.zeros((M, N))
+    return np.tile(np.array(per_tx)[:, None] * scale, (1, N))
+
+
 def _parse_scenario(doc):
     path = "scenario"
     doc = _require_mapping(doc, path)
@@ -173,23 +182,20 @@ def _parse_scenario(doc):
     M = _integer(doc, path, "m_tx", 2, minimum=1)
     N = _integer(doc, path, "n_rx", 1, minimum=1)
     K = _integer(doc, path, "k_pulses", 12, minimum=1)
-    pri_s = _number(doc, path, "pri_s", 2e-3, positive=True)
-    carrier = _number(doc, path, "carrier_hz", 3e9, positive=True)
-    tp = _number(doc, path, "pulse_s", 1e-5, positive=True)
-    beta = _number(doc, path, "bandwidth_hz", 400e3, positive=True)
+    pri_s = _number(doc, path, "pri_s", presets.PRI_S, positive=True)
+    carrier = _number(doc, path, "carrier_hz", presets.CARRIER_HZ, positive=True)
+    tp = _number(doc, path, "pulse_s", presets.PULSE_S, positive=True)
+    beta = _number(doc, path, "bandwidth_hz", presets.BANDWIDTH_HZ, positive=True)
     eta = _number(doc, path, "eta", 3.0, positive=True)
     kappa = _number(doc, path, "kappa", 3.0, positive=True)
     target, rho_mean = _parse_target(doc, path)
 
-    default_tau = (np.tile(np.array([[0.61], [0.10]]) * tp, (1, N))
-                   if M == 2 else np.zeros((M, N)))
-    tau = _matrix(doc, path, "tau_s", (M, N), default_tau)
-    default_f = (np.tile(np.array([[200.0], [190.0]]), (1, N))
-                 if M == 2 else np.zeros((M, N)))
-    f = _matrix(doc, path, "doppler_hz", (M, N), default_f)
-    default_psi = (np.tile(np.array([[0.1], [0.3]]) * math.pi, (1, N))
-                   if M == 2 else np.zeros((M, N)))
-    psi = _matrix(doc, path, "psi_rad", (M, N), default_psi)
+    tau = _matrix(doc, path, "tau_s", (M, N),
+                  _reference_paths(presets.TAU_OVER_TP, M, N, tp))
+    f = _matrix(doc, path, "doppler_hz", (M, N),
+                _reference_paths(presets.DOPPLER_HZ, M, N))
+    psi = _matrix(doc, path, "psi_rad", (M, N),
+                  _reference_paths(presets.PSI_OVER_PI, M, N, math.pi))
     b = _matrix(doc, path, "b", (M,), np.ones(M))
     snr = _matrix(doc, path, "snr_db", (M,), np.zeros(M))
     sigma2 = _number(doc, path, "sigma2", 1.0, positive=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .analysis import DetectorKind, _order, _scale
 from .detectors import (
@@ -196,6 +195,9 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
                                     seed: int) -> DistributionCheck:
     """KS distance between the empirical H0 statistic and its theoretical
     central chi-square law."""
+    # imported here to keep scipy (about half a second) off the CLI's start-up
+    from scipy import stats
+
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
     statistic = _statistic(det, comp)
     vals = np.concatenate([

@@ -14,12 +14,17 @@ import numpy as np
 from .scene import Scenario, Swerling1, xi_from_snr
 from .waveforms import pulse_set
 
-__all__ = ["reference_scenario", "PULSE_S", "BANDWIDTH_HZ", "PRI_S"]
+__all__ = ["reference_scenario", "PULSE_S", "BANDWIDTH_HZ", "PRI_S",
+           "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ", "PSI_OVER_PI"]
 
 PULSE_S = 1e-5
 BANDWIDTH_HZ = 400e3
 PRI_S = 1.0 / 500.0
 CARRIER_HZ = 3e9
+# per-TX (tau / T_p, Doppler in Hz, psi / pi) of the two reference paths
+TAU_OVER_TP = (0.61, 0.10)
+DOPPLER_HZ = (200.0, 190.0)
+PSI_OVER_PI = (0.1, 0.3)
 
 
 def reference_scenario(waveform_set: str = "multi_band",
@@ -27,9 +32,9 @@ def reference_scenario(waveform_set: str = "multi_band",
                        k_pulses: int = 12,
                        sigma2: float = 1.0,
                        rho_bar: float = 1.0,
-                       tau_over_tp: tuple[float, float] = (0.61, 0.10),
-                       doppler_hz: tuple[float, float] = (200.0, 190.0),
-                       psi_over_pi: tuple[float, float] = (0.1, 0.3)) -> Scenario:
+                       tau_over_tp: tuple[float, float] = TAU_OVER_TP,
+                       doppler_hz: tuple[float, float] = DOPPLER_HZ,
+                       psi_over_pi: tuple[float, float] = PSI_OVER_PI) -> Scenario:
     """Build the two-path reference scenario with per-path SNRs in dB."""
     pulses = pulse_set(waveform_set, 2, BANDWIDTH_HZ, PULSE_S)
     xi = np.array([[xi_from_snr(snr_db[0], 1.0, sigma2, rho_bar)],

@@ -7,9 +7,12 @@ For each TX-RX path (m, n) the K slow-time samples factor as
 
 with S_n the K x M Doppler steering matrix, X_mn a diagonal matrix of
 cross-ambiguity samples, and h_mn the channel vector carrying amplitudes
-and carrier/propagation phases.  A direct scalar evaluation of the same
-samples (auto term plus M-1 cross terms) is provided as an independent
-oracle for the factorized form.
+and carrier/propagation phases.  One builder evaluates S (N, K, M), the
+diagonals X (M, N, M) and h (M, N, M) for every path at once; the same
+builder, run at the estimated parameters, gives the receiver's
+compensation templates.  An independent scalar evaluation of the samples
+(auto term plus M-1 cross terms) lives with the tests as the oracle for
+the factorized form.
 
 Timing/frequency/phase sync errors enter through `SyncErrors`; the
 all-zeros instance reproduces the error-free model exactly.
@@ -17,7 +20,6 @@ all-zeros instance reproduces the error-free model exactly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -30,13 +32,8 @@ __all__ = [
     "Swerling1",
     "Scenario",
     "SyncErrors",
-    "PathModel",
     "doppler_steering",
-    "af_matrix",
-    "channel_vector",
-    "path_model",
     "noise_free_mf_output",
-    "slow_time_sample",
     "colocated_scenario",
     "link_budget_xi",
     "xi_from_snr",
@@ -154,117 +151,56 @@ class SyncErrors:
                     or self.dc_rx.any())
 
 
-@dataclass(frozen=True)
-class PathModel:
-    """(S_n, X_mn, h_mn) factorization of one path's noise-free output."""
-
-    S: np.ndarray   # (K, M)
-    X: np.ndarray   # (M, M) diagonal
-    h: np.ndarray   # (M,)
-
-    def output(self, alpha: complex) -> np.ndarray:
-        return alpha * (self.S @ (self.X @ self.h))
-
-
-def doppler_steering(f_col, k_pulses: int, pri_s: float) -> np.ndarray:
-    """K x M Doppler steering matrix; column m is the unit-modulus geometric
-    sequence exp(j 2 pi k T_s f_m), k = 0..K-1."""
+def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
+    """Doppler steering matrices: for Dopplers f of shape (..., M), an
+    array (..., K, M) whose column m is the unit-modulus geometric sequence
+    exp(j 2 pi k T_s f_m), k = 0..K-1."""
     if k_pulses < 1:
         raise ValueError("K must be >= 1")
-    f_col = np.atleast_1d(np.asarray(f_col, dtype=float))
+    f = np.atleast_1d(np.asarray(f, dtype=float))
     k = np.arange(k_pulses)[:, None]
-    return np.exp(2j * math.pi * pri_s * k * f_col[None, :])
+    return np.exp(2j * math.pi * pri_s * k * f[..., None, :])
 
 
-def af_matrix(sc: Scenario, err: SyncErrors, m: int, n: int,
-              caf_engine=caf) -> np.ndarray:
-    """M x M diagonal ambiguity-function matrix for MF m at RX n."""
-    M = sc.m_tx
-    diag = np.zeros(M, dtype=complex)
-    if sc.force_orthogonal:
-        diag[m] = caf_engine(sc.pulses[m], sc.pulses[m], 0.0, 0.0)
-        return np.diag(diag)
-    for mb in range(M):
-        nu = sc.tau_s[m, n] + err.dt[m, n] - sc.tau_s[mb, n]
-        f = sc.doppler_hz[mb, n] - sc.doppler_hz[m, n] - err.df[m, n]
-        diag[mb] = caf_engine(sc.pulses[m], sc.pulses[mb], nu, f)
-    return np.diag(diag)
+def _model_factors(sc: Scenario, err: SyncErrors):
+    """(S, X, h) factors of every path's noise-free output.
+
+    S  (N, K, M) Doppler steering matrices S_n
+    X  (M, N, M) ambiguity diagonals: X[m, n, mb] is the response of MF m
+       at RX n to the pulse of TX mb (force_orthogonal keeps only the auto
+       entries, chi_mm(0, 0))
+    h  (M, N, M) channel vectors h_mn
+    """
+    S = doppler_steering(sc.doppler_hz.T, sc.k_pulses, sc.pri_s)
+    # axes [m, n, mb]: MF m at RX n, sampling at its own path's delay and
+    # Doppler plus the sync errors, against the return of TX mb
+    nu = (sc.tau_s + err.dt)[:, :, None] - sc.tau_s.T[None]
+    f_off = (sc.doppler_hz.T[None] - sc.doppler_hz[:, :, None]
+             - err.df[:, :, None])
+    X = np.zeros(nu.shape, dtype=complex)
+    for m, n, mb in np.ndindex(X.shape):
+        if not sc.force_orthogonal:
+            X[m, n, mb] = caf(sc.pulses[m], sc.pulses[mb],
+                              nu[m, n, mb], f_off[m, n, mb])
+        elif mb == m:
+            X[m, n, m] = caf(sc.pulses[m], sc.pulses[m], 0.0, 0.0)
+    phase = (sc.psi_rad.T[None]
+             - 2.0 * math.pi * (sc.carrier_hz + err.dc_rx)[None, :, None]
+             * sc.tau_s.T[None]
+             + 2.0 * math.pi * (sc.doppler_hz + err.df)[:, :, None] * nu)
+    h = (sc.b[:, None] * sc.xi).T[None] * np.exp(1j * phase)
+    return S, X, h
 
 
-def channel_vector(sc: Scenario, err: SyncErrors, m: int, n: int) -> np.ndarray:
-    """M-vector of per-waveform complex channel gains for MF m at RX n."""
-    M = sc.m_tx
-    h = np.zeros(M, dtype=complex)
-    fc_eff = sc.carrier_hz + err.dc_rx[n]
-    f_samp = sc.doppler_hz[m, n] + err.df[m, n]
-    t_samp = sc.tau_s[m, n] + err.dt[m, n]
-    for mb in range(M):
-        phase = (sc.psi_rad[mb, n]
-                 - 2.0 * math.pi * fc_eff * sc.tau_s[mb, n]
-                 + 2.0 * math.pi * f_samp * (t_samp - sc.tau_s[mb, n]))
-        h[mb] = sc.b[mb] * sc.xi[mb, n] * cmath.exp(1j * phase)
-    return h
-
-
-def path_model(sc: Scenario, err: SyncErrors, m: int, n: int,
-               caf_engine=caf) -> PathModel:
-    S = doppler_steering(sc.doppler_hz[:, n], sc.k_pulses, sc.pri_s)
-    return PathModel(S=S, X=af_matrix(sc, err, m, n, caf_engine),
-                     h=channel_vector(sc, err, m, n))
+def _model_output(S, X, h) -> np.ndarray:
+    """(M, N, K) stack of S_n X_mn h_mn over every path."""
+    return np.einsum("nkj,mnj->mnk", S, X * h)
 
 
 def noise_free_mf_output(sc: Scenario, err: SyncErrors,
                          alpha: complex) -> np.ndarray:
     """(M, N, K) array of noise-free slow-time samples, factorized form."""
-    M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
-    out = np.zeros((M, N, K), dtype=complex)
-    for n in range(N):
-        S = doppler_steering(sc.doppler_hz[:, n], K, sc.pri_s)
-        for m in range(M):
-            X = af_matrix(sc, err, m, n)
-            h = channel_vector(sc, err, m, n)
-            out[m, n] = alpha * (S @ (X @ h))
-    return out
-
-
-def slow_time_sample(sc: Scenario, err: SyncErrors, alpha: complex,
-                     m: int, n: int, k: int) -> complex:
-    """Scalar evaluation of sample k of MF m at RX n: auto term plus M-1
-    cross terms.  Independent oracle for the matrix factorization."""
-    if not 0 <= k < sc.k_pulses:
-        raise ValueError("pulse index out of range")
-    fc_eff = sc.carrier_hz + err.dc_rx[n]
-    f_mn = sc.doppler_hz[m, n]
-    tau_mn = sc.tau_s[m, n]
-    dt, df = err.dt[m, n], err.df[m, n]
-
-    if sc.force_orthogonal:
-        chi00 = caf(sc.pulses[m], sc.pulses[m], 0.0, 0.0)
-        return (alpha * sc.b[m] * sc.xi[m, n] * chi00
-                * cmath.exp(1j * (2 * math.pi * k * sc.pri_s * f_mn
-                                  - 2 * math.pi * sc.carrier_hz * tau_mn
-                                  + sc.psi_rad[m, n])))
-
-    auto = (alpha * sc.b[m] * sc.xi[m, n]
-            * cmath.exp(2j * math.pi * k * sc.pri_s * f_mn)
-            * caf(sc.pulses[m], sc.pulses[m], dt, -df)
-            * cmath.exp(-2j * math.pi * fc_eff * tau_mn)
-            * cmath.exp(2j * math.pi * (f_mn + df) * dt)
-            * cmath.exp(1j * sc.psi_rad[m, n]))
-    cross = 0.0 + 0.0j
-    for mb in range(sc.m_tx):
-        if mb == m:
-            continue
-        tau_mb = sc.tau_s[mb, n]
-        f_mb = sc.doppler_hz[mb, n]
-        cross += (alpha * sc.b[mb] * sc.xi[mb, n]
-                  * cmath.exp(1j * sc.psi_rad[mb, n])
-                  * cmath.exp(-2j * math.pi * fc_eff * tau_mb)
-                  * cmath.exp(2j * math.pi * k * sc.pri_s * f_mb)
-                  * caf(sc.pulses[m], sc.pulses[mb],
-                        tau_mn + dt - tau_mb, f_mb - f_mn - df)
-                  * cmath.exp(2j * math.pi * (f_mn + df) * (tau_mn + dt - tau_mb)))
-    return auto + cross
+    return alpha * _model_output(*_model_factors(sc, err))
 
 
 def colocated_scenario(template: Scenario) -> Scenario:

@@ -28,8 +28,6 @@ __all__ = [
     "down_chirp",
     "sample_pulse",
     "caf",
-    "caf_symmetry_partner",
-    "caf_grid",
 ]
 
 MULTI_BAND = "multi_band"
@@ -141,26 +139,6 @@ def caf(a: PulseSpec, b: PulseSpec, nu: float, f: float) -> complex:
                  * np.conj(sample_pulse(b, mu - nu))
                  * np.exp(2j * math.pi * f * mu))
     return complex(np.sum(w * integrand))
-
-
-def caf_symmetry_partner(a: PulseSpec, b: PulseSpec, nu: float, f: float) -> complex:
-    """exp(j 2 pi f nu) * conj(chi_ba(-nu, -f)); equals caf(a, b, nu, f) by
-    a change of variables.  Test helper."""
-    return complex(np.exp(2j * math.pi * f * nu) * np.conj(caf(b, a, -nu, -f)))
-
-
-def caf_grid(a: PulseSpec, b: PulseSpec, nu_range, f_range,
-             n_nu: int, n_f: int) -> np.ndarray:
-    """Row-major grid of caf values: rows index delay, columns Doppler."""
-    if n_nu < 2 or n_f < 2:
-        raise ValueError("grid must have at least 2 points per axis")
-    nus = np.linspace(nu_range[0], nu_range[1], n_nu)
-    fs = np.linspace(f_range[0], f_range[1], n_f)
-    out = np.empty((n_nu, n_f), dtype=complex)
-    for i, nu in enumerate(nus):
-        for j, f in enumerate(fs):
-            out[i, j] = caf(a, b, nu, f)
-    return out
 
 
 def pulse_set(waveform_set: str, m_tx: int, beta_hz: float, t_p: float,

@@ -1,0 +1,74 @@
+"""Independent scalar oracles the tests compare the package against.
+
+None of these is used by the package itself: the scalar slow-time sample
+checks the vectorized S X h model, and the CAF symmetry partner and grid
+check the quadrature CAF.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from dmimo.scene import Scenario, SyncErrors
+from dmimo.waveforms import PulseSpec, caf
+
+
+def slow_time_sample(sc: Scenario, err: SyncErrors, alpha: complex,
+                     m: int, n: int, k: int) -> complex:
+    """Scalar evaluation of sample k of MF m at RX n: auto term plus M-1
+    cross terms.  Independent oracle for the matrix factorization."""
+    if not 0 <= k < sc.k_pulses:
+        raise ValueError("pulse index out of range")
+    fc_eff = sc.carrier_hz + err.dc_rx[n]
+    f_mn = sc.doppler_hz[m, n]
+    tau_mn = sc.tau_s[m, n]
+    dt, df = err.dt[m, n], err.df[m, n]
+
+    if sc.force_orthogonal:
+        chi00 = caf(sc.pulses[m], sc.pulses[m], 0.0, 0.0)
+        return (alpha * sc.b[m] * sc.xi[m, n] * chi00
+                * cmath.exp(1j * (2 * math.pi * k * sc.pri_s * f_mn
+                                  - 2 * math.pi * sc.carrier_hz * tau_mn
+                                  + sc.psi_rad[m, n])))
+
+    auto = (alpha * sc.b[m] * sc.xi[m, n]
+            * cmath.exp(2j * math.pi * k * sc.pri_s * f_mn)
+            * caf(sc.pulses[m], sc.pulses[m], dt, -df)
+            * cmath.exp(-2j * math.pi * fc_eff * tau_mn)
+            * cmath.exp(2j * math.pi * (f_mn + df) * dt)
+            * cmath.exp(1j * sc.psi_rad[m, n]))
+    cross = 0.0 + 0.0j
+    for mb in range(sc.m_tx):
+        if mb == m:
+            continue
+        tau_mb = sc.tau_s[mb, n]
+        f_mb = sc.doppler_hz[mb, n]
+        cross += (alpha * sc.b[mb] * sc.xi[mb, n]
+                  * cmath.exp(1j * sc.psi_rad[mb, n])
+                  * cmath.exp(-2j * math.pi * fc_eff * tau_mb)
+                  * cmath.exp(2j * math.pi * k * sc.pri_s * f_mb)
+                  * caf(sc.pulses[m], sc.pulses[mb],
+                        tau_mn + dt - tau_mb, f_mb - f_mn - df)
+                  * cmath.exp(2j * math.pi * (f_mn + df) * (tau_mn + dt - tau_mb)))
+    return auto + cross
+
+
+def caf_symmetry_partner(a: PulseSpec, b: PulseSpec, nu: float, f: float) -> complex:
+    """exp(j 2 pi f nu) * conj(chi_ba(-nu, -f)); equals caf(a, b, nu, f) by
+    a change of variables."""
+    return complex(np.exp(2j * math.pi * f * nu) * np.conj(caf(b, a, -nu, -f)))
+
+
+def caf_grid(a: PulseSpec, b: PulseSpec, nu_range, f_range,
+             n_nu: int, n_f: int) -> np.ndarray:
+    """Row-major grid of caf values: rows index delay, columns Doppler."""
+    if n_nu < 2 or n_f < 2:
+        raise ValueError("grid must have at least 2 points per axis")
+    nus = np.linspace(nu_range[0], nu_range[1], n_nu)
+    fs = np.linspace(f_range[0], f_range[1], n_f)
+    out = np.empty((n_nu, n_f), dtype=complex)
+    for i, nu in enumerate(nus):
+        for j, f in enumerate(fs):
+            out[i, j] = caf(a, b, nu, f)
+    return out

@@ -39,9 +39,9 @@ from dmimo.scene import (
     SyncErrors,
     colocated_scenario,
     noise_free_mf_output,
-    slow_time_sample,
 )
-from dmimo.waveforms import caf, caf_symmetry_partner, down_chirp, up_chirp
+from dmimo.waveforms import caf, down_chirp, up_chirp
+from oracles import caf_symmetry_partner, slow_time_sample
 
 ALL = list(DetectorKind)
 ZERO = SyncErrors.zeros(2, 1)

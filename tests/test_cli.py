@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dmimo
 from dmimo.cli import main
 
 
@@ -249,3 +254,13 @@ class TestSimulateCommand:
         main(["simulate", "--experiment", exp, "--out", str(out),
               "--seed", str(2**63 - 1)])
         assert [r["seed"] for r in read_csv(out)] == [str(2**63 - 1)] * 2
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules the tests already imported don't count
+    env = dict(os.environ, PYTHONPATH=str(Path(dmimo.__file__).parents[1]))
+    code = ("import sys, dmimo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -18,9 +18,9 @@ from dmimo.scene import (
     Scenario,
     SyncErrors,
     Swerling1,
+    _model_factors,
     doppler_steering,
     noise_free_mf_output,
-    path_model,
 )
 from dmimo.waveforms import multi_band_chirp
 
@@ -251,15 +251,17 @@ class TestGlrtConsistency:
 class TestCompensationSet:
     def test_zero_errors_equal_true_model(self, ref_scenario, zero_err):
         comp = CompensationSet.from_scenario(ref_scenario, zero_err)
-        for m in range(2):
-            pm = path_model(ref_scenario, zero_err, m, 0)
-            assert np.allclose(comp.S_hat[0], pm.S)
-            assert np.allclose(comp.X_hat[m, 0], pm.X)
-            assert np.allclose(comp.h_hat[m, 0], pm.h)
+        S, X, h = _model_factors(ref_scenario, zero_err)
+        assert comp.S_hat.shape == (1, 12, 2)
+        assert comp.X_hat.shape == comp.h_hat.shape == (2, 1, 2)
+        assert np.array_equal(comp.S_hat, S)
+        assert np.array_equal(comp.X_hat, X)
+        assert np.array_equal(comp.h_hat, h)
 
     def test_templates_match_manual_product(self, ref_scenario, zero_err):
         comp = CompensationSet.from_scenario(ref_scenario, zero_err)
         v = comp.templates
         for m in range(2):
-            manual = comp.S_hat[0] @ (comp.X_hat[m, 0] @ comp.h_hat[m, 0])
+            X = np.diag(comp.X_hat[m, 0])
+            manual = comp.S_hat[0] @ (X @ comp.h_hat[m, 0])
             assert np.allclose(v[m, 0], manual)

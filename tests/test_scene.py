@@ -12,17 +12,15 @@ from dmimo.scene import (
     Scenario,
     SyncErrors,
     Swerling1,
-    af_matrix,
-    channel_vector,
+    _model_factors,
     colocated_scenario,
     doppler_steering,
     link_budget_xi,
     noise_free_mf_output,
-    path_model,
-    slow_time_sample,
     xi_from_snr,
 )
-from dmimo.waveforms import multi_band_chirp, sample_pulse
+from dmimo.waveforms import caf, multi_band_chirp, sample_pulse
+from oracles import slow_time_sample
 
 
 def scalar_cube(sc, err, alpha):
@@ -53,42 +51,53 @@ class TestDopplerSteering:
         S = doppler_steering([55.0, -3.0, 410.0], 7, 1e-3)
         assert np.allclose(S[0], 1.0)
 
+    def test_stacked_rows_match_single_calls(self):
+        f = np.array([[55.0, -3.0, 410.0], [120.0, 7.5, -260.0]])
+        S = doppler_steering(f, 7, 1e-3)
+        assert S.shape == (2, 7, 3)
+        for n in range(2):
+            assert np.array_equal(S[n], doppler_steering(f[n], 7, 1e-3))
+
 
 class TestAfMatrix:
+    """The ambiguity diagonals X[m, n, mb] of the model builder."""
+
     def test_colocated_selector(self, ref_scenario, zero_err):
         co = colocated_scenario(ref_scenario)
-        X = af_matrix(co, zero_err, 0, 0)
-        assert X[0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-9)
-        assert X[1, 1] == 0.0
-        assert np.count_nonzero(X - np.diag(np.diag(X))) == 0
+        _, X, _ = _model_factors(co, zero_err)
+        assert X[0, 0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-9)
+        assert X[0, 0, 1] == 0.0
+        # only the auto entry of each MF survives
+        assert np.count_nonzero(X[:, 0] * (1 - np.eye(2))) == 0
 
     def test_reference_cross_entry_against_trapezoid(self, ref_scenario, zero_err):
         # [X_11]_22 = chi_12(0.51 T_p, -10 Hz), dense trapezoid oracle
-        X = af_matrix(ref_scenario, zero_err, 0, 0)
+        _, X, _ = _model_factors(ref_scenario, zero_err)
         a, b = ref_scenario.pulses
         nu = 0.51 * PULSE_S
         mu = np.linspace(nu, PULSE_S, 2 ** 16)
         integ = (sample_pulse(a, mu) * np.conj(sample_pulse(b, mu - nu))
                  * np.exp(2j * np.pi * (-10.0) * mu))
         oracle = np.trapezoid(integ, mu)
-        assert X[1, 1] == pytest.approx(oracle, abs=1e-8)
+        assert X[0, 0, 1] == pytest.approx(oracle, abs=1e-8)
 
     def test_auto_entry_is_unity_without_errors(self, ref_scenario, zero_err):
+        _, X, _ = _model_factors(ref_scenario, zero_err)
         for m in range(2):
-            X = af_matrix(ref_scenario, zero_err, m, 0)
-            assert X[m, m] == pytest.approx(1.0 + 0.0j, abs=1e-9)
+            assert X[m, 0, m] == pytest.approx(1.0 + 0.0j, abs=1e-9)
 
     def test_entries_bounded_by_one(self, random_scenario):
         rng = np.random.default_rng(3)
         for _ in range(5):
             sc, err = random_scenario(rng)
-            for m in range(sc.m_tx):
-                for n in range(sc.n_rx):
-                    X = af_matrix(sc, err, m, n)
-                    assert np.all(np.abs(np.diag(X)) <= 1.0 + 1e-9)
+            _, X, _ = _model_factors(sc, err)
+            assert X.shape == (sc.m_tx, sc.n_rx, sc.m_tx)
+            assert np.all(np.abs(X) <= 1.0 + 1e-9)
 
 
 class TestChannelVector:
+    """The channel vectors h[m, n] of the model builder."""
+
     def test_all_neutral_gives_ones(self):
         tp = 1e-5
         sc = Scenario(
@@ -98,25 +107,26 @@ class TestChannelVector:
             tau_s=np.zeros((2, 1)), doppler_hz=np.zeros((2, 1)),
             psi_rad=np.zeros((2, 1)), b=np.ones(2), xi=np.ones((2, 1)),
             sigma2=1.0, target=Swerling1(1.0))
-        h = channel_vector(sc, SyncErrors.zeros(2, 1), 0, 0)
+        _, _, h = _model_factors(sc, SyncErrors.zeros(2, 1))
         assert np.allclose(h, 1.0)
 
     def test_reference_auto_entry(self, ref_scenario, zero_err):
         # direct substitution: b xi e^{j 0.1 pi} e^{-j 2 pi f_c tau_11}
         # e^{j 2 pi f_11 (tau_11 - tau_11)}
-        h = channel_vector(ref_scenario, zero_err, 0, 0)
+        _, _, h = _model_factors(ref_scenario, zero_err)
         b_xi = ref_scenario.b[0] * ref_scenario.xi[0, 0]
         expect = b_xi * cmath.exp(1j * (0.1 * math.pi
                                         - 2 * math.pi * 3e9 * 0.61e-5))
-        assert h[0] == pytest.approx(expect, rel=1e-9)
+        assert h[0, 0, 0] == pytest.approx(expect, rel=1e-9)
 
     def test_entry_magnitudes(self, random_scenario):
         rng = np.random.default_rng(5)
         sc, err = random_scenario(rng)
+        _, _, h = _model_factors(sc, err)
+        assert h.shape == (sc.m_tx, sc.n_rx, sc.m_tx)
         for m in range(sc.m_tx):
             for n in range(sc.n_rx):
-                h = channel_vector(sc, err, m, n)
-                assert np.allclose(np.abs(h), sc.b * sc.xi[:, n])
+                assert np.allclose(np.abs(h[m, n]), sc.b * sc.xi[:, n])
 
 
 class TestModelEquivalence:
@@ -160,20 +170,21 @@ class TestModelEquivalence:
         # Eqs. without sync terms, coded independently
         err0 = SyncErrors.zeros(2, 1)
         sc = ref_scenario
+        S, X, h = _model_factors(sc, err0)
+        assert np.array_equal(
+            S[0], doppler_steering(sc.doppler_hz[:, 0], sc.k_pulses, sc.pri_s))
         for m in range(2):
-            pm = path_model(sc, err0, m, 0)
             for mb in range(2):
-                from dmimo.waveforms import caf
                 chi = caf(sc.pulses[m], sc.pulses[mb],
                           sc.tau_s[m, 0] - sc.tau_s[mb, 0],
                           sc.doppler_hz[mb, 0] - sc.doppler_hz[m, 0])
-                assert pm.X[mb, mb] == chi
+                assert X[m, 0, mb] == chi
                 h_mb = (sc.b[mb] * sc.xi[mb, 0]
                         * cmath.exp(1j * sc.psi_rad[mb, 0])
                         * cmath.exp(-2j * math.pi * sc.carrier_hz * sc.tau_s[mb, 0])
                         * cmath.exp(2j * math.pi * sc.doppler_hz[m, 0]
                                     * (sc.tau_s[m, 0] - sc.tau_s[mb, 0])))
-                assert pm.h[mb] == pytest.approx(h_mb, rel=1e-9)
+                assert h[m, 0, mb] == pytest.approx(h_mb, rel=1e-9)
 
     def test_global_phase_invariance_of_norm(self, ref_scenario, zero_err):
         x1 = noise_free_mf_output(ref_scenario, zero_err, 1.0)

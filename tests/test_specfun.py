@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from dmimo.specfun import (
     Probability,
@@ -82,6 +82,12 @@ class TestInvRegUpperGamma:
             q = reg_upper_gamma(s, x)
             assert inv_reg_upper_gamma(s, q) == pytest.approx(x, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [1, 2.5, 12, 24, 100, 1024, 4096])
+    def test_matches_scipy_inverse(self, s):
+        for q in np.logspace(-15, math.log10(0.999), 12):
+            assert inv_reg_upper_gamma(s, q) == pytest.approx(
+                special.gammainccinv(s, q), rel=1e-12)
+
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.2])
     def test_rejects_degenerate_probability(self, q):
         with pytest.raises(ValueError):
@@ -126,6 +132,17 @@ class TestMarcumQ:
                         lambda x: stats.ncx2.pdf(x, 2 * m, a * a), 0.0, b * b,
                         limit=200)
                     assert 1.0 - marcum_q(m, a, b) == pytest.approx(cdf, abs=1e-8)
+
+    @pytest.mark.parametrize("m", [1, 4, 24, 256, 1024])
+    def test_matches_scipy_tail(self, m):
+        # Q_m(a, b) is the noncentral chi-square(2m, a^2) tail at b^2;
+        # b^2 runs from 3 sd below the mean to 5 sd above it
+        for lam in (0.25, 0.5 * m, 2.0 * m):
+            mean, sd = 2 * m + lam, math.sqrt(4 * m + 4 * lam)
+            for z in (-3.0, 0.0, 3.0, 5.0):
+                x = max(mean + z * sd, 1e-3)
+                assert marcum_q(m, math.sqrt(lam), math.sqrt(x)) == \
+                    pytest.approx(stats.ncx2.sf(x, 2 * m, lam), rel=1e-9)
 
     def test_large_noncentrality_saturates(self):
         assert marcum_q(24, 40.0, 10.0) == pytest.approx(1.0, abs=1e-12)

@@ -9,14 +9,13 @@ from scipy import integrate
 from dmimo.waveforms import (
     PulseSpec,
     caf,
-    caf_grid,
-    caf_symmetry_partner,
     down_chirp,
     multi_band_chirp,
     pulse_set,
     sample_pulse,
     up_chirp,
 )
+from oracles import caf_grid, caf_symmetry_partner
 
 BETA = 400e3
 TP = 1e-5
