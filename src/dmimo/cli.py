@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -61,7 +62,10 @@ def _fmt(v) -> str:
 def _open_out(path):
     if not path:
         raise SystemExit("error: --out must name a file")
-    return open(path, "w", newline="")
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write --out {path}: {exc.strerror}")
 
 
 def _write_rows(path, columns, rows):
@@ -215,6 +219,19 @@ def _bounded_int(minimum, maximum=None):
     return parse
 
 
+def _float_between(low, high=math.inf):
+    """argparse type: a finite number strictly between low and high."""
+    def parse(text):
+        v = float(text)
+        if not (math.isfinite(v) and low < v < high):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and greater than {low}" if high == math.inf
+                else f"must lie strictly in ({low}, {high})")
+        return v
+    parse.__name__ = "float"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmimo",
@@ -225,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caf", help="export zero-Doppler ambiguity slices")
     p.add_argument("--experiment", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_bounded_int(2), default=401)
     p.set_defaults(func=cmd_caf)
 
     p = sub.add_parser("analyze", help="run the analytic sweep")
@@ -245,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="print one detection threshold")
     p.add_argument("--detector", required=True,
                    choices=[d.value for d in DetectorKind])
-    p.add_argument("--pfa", type=float, required=True)
-    p.add_argument("--k-pulses", type=int, required=True)
-    p.add_argument("--m-tx", type=int, required=True)
-    p.add_argument("--n-rx", type=int, required=True)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--varsigma", type=float, default=None)
+    p.add_argument("--pfa", type=_float_between(0, 1), required=True)
+    p.add_argument("--k-pulses", type=_bounded_int(1), required=True)
+    p.add_argument("--m-tx", type=_bounded_int(1), required=True)
+    p.add_argument("--n-rx", type=_bounded_int(1), required=True)
+    p.add_argument("--sigma2", type=_float_between(0), default=1.0)
+    p.add_argument("--varsigma", type=_float_between(0), default=None)
     p.set_defaults(func=cmd_threshold)
     return parser
 

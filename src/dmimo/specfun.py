@@ -1,16 +1,19 @@
 """Special-function kernel: regularized incomplete gamma, its inverse,
-integer-order generalized Marcum-Q, and the 1F1(1, b, x) confluent
-hypergeometric series.
+integer-order generalized Marcum-Q, the 1F1(1, b, x) confluent
+hypergeometric series, and the Fresnel integrals with their auxiliary
+functions.
 
 Everything here is scalar, pure, and thread-safe.  All probabilities are
 computed in natural (not log) scale.  The tests pin the inverse incomplete
 gamma to 1e-12 relative against scipy for q from 1e-15 to 0.999 and orders
-up to 4096, and Marcum-Q to 1e-9 relative against the noncentral
-chi-square tail for orders up to 1024.
+up to 4096, Marcum-Q to 1e-9 relative against the noncentral
+chi-square tail for orders up to 1024, and the Fresnel integrals to 1e-13
+absolute against scipy for |x| <= 200.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 __all__ = [
@@ -19,9 +22,15 @@ __all__ = [
     "inv_reg_upper_gamma",
     "marcum_q",
     "kummer_1f1_first_unit",
+    "fresnel",
+    "fresnel_aux",
 ]
 
 _MAX_ITER = 10_000
+
+# Below this |x| the Fresnel power series converges without losing more
+# than a digit to cancellation; above it the continued fraction is fast.
+_FRESNEL_SERIES_MAX = 1.5
 
 
 class Probability(float):
@@ -216,3 +225,85 @@ def kummer_1f1_first_unit(b: float, x: float) -> float:
             break
         denom = b + k
     return total
+
+
+def _fresnel_series(x):
+    # C(x) + jS(x) = sum_k (j pi/2)^k x^(2k+1) / (k! (2k+1)); good for
+    # |x| <= _FRESNEL_SERIES_MAX, where the largest term stays below 2.
+    step = 0.5j * math.pi * x * x
+    term = complex(x)
+    total = term
+    for k in range(1, _MAX_ITER):
+        term *= step / k
+        total += term / (2 * k + 1)
+        if abs(term) <= 1e-17 * (2 * k + 1) * abs(total):
+            break
+    return total
+
+
+def _fresnel_aux_cf(x):
+    # g(x) + jf(x) = x / (1 - j pi x^2 - 1*2 / (5 - j pi x^2 - 3*4 /
+    # (9 - j pi x^2 - ...))), the erfc continued fraction at
+    # z = sqrt(pi)/2 (1 - j) x, by Lentz's method; good for
+    # x > _FRESNEL_SERIES_MAX.
+    if x > 1e8:
+        # two leading asymptotic terms, next is 3/(pi x^2)^2 relative;
+        # keeps pi x^2 from overflowing
+        tail = 1.0 / (math.pi * x)
+        return complex(tail / (math.pi * x * x), tail)
+    tiny = 1e-300
+    b = complex(1.0, -math.pi * x * x)
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_ITER):
+        an = -(2 * i - 1) * (2 * i)
+        b += 4.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        # complex rounding leaves |delta - 1| at a few ulp once converged
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return x * h
+
+
+def fresnel(x: float) -> complex:
+    """Fresnel integrals C(x) + jS(x) = integral_0^x exp(j pi t^2 / 2) dt.
+
+    Odd in x, tending to +-(1 + j)/2 as x -> +-inf.  Above |x| = 1.5 the
+    rounding of the phase pi x^2 / 2 bounds the absolute error by about
+    1e-16 |x|.
+    """
+    _check_finite("x", x)
+    ax = abs(x)
+    if ax <= _FRESNEL_SERIES_MAX:
+        return _fresnel_series(x)
+    val = 0.5 + 0.5j
+    if ax < 1e16:
+        # beyond, the tail (below 1 / (pi x)) is under half an ulp of 1/2
+        val -= _fresnel_aux_cf(ax) * cmath.exp(0.5j * math.pi * ax * ax)
+    return val if x > 0 else -val
+
+
+def fresnel_aux(x: float) -> complex:
+    """Auxiliary functions g(x) + jf(x) of the Fresnel integrals, x >= 0:
+
+        C(x) + jS(x) = (1 + j)/2 - (g(x) + jf(x)) exp(j pi x^2 / 2).
+
+    f decays like 1 / (pi x) and g like 1 / (pi^2 x^3), so the pair keeps
+    full relative precision where C + jS is 1/2 plus a tiny oscillation.
+    """
+    _check_finite("x", x)
+    if x < 0.0:
+        raise ValueError(f"x must be nonnegative, got {x!r}")
+    if x <= _FRESNEL_SERIES_MAX:
+        return ((0.5 + 0.5j - _fresnel_series(x))
+                * cmath.exp(-0.5j * math.pi * x * x))
+    return _fresnel_aux_cf(x)

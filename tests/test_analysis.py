@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from dmimo.analysis import (
     DetectorKind,
@@ -205,6 +205,29 @@ class TestPdSwerling1:
                 det, g, lam_prime * r, K, M, N, S2, vs),
             0.0, 60.0, limit=300)
         assert abs(closed - quad) <= 1e-6
+
+
+    @pytest.mark.parametrize("det", ALL)
+    def test_pinned_to_scipy_down_to_pfa_1e_10(self, det, zero_err):
+        # the closed form against scipy quadrature of the noncentral
+        # chi-square tail over the exponential RCS; worst seen 1.1e-14
+        order = {DetectorKind.NCD: K * M * N, DetectorKind.ACD: 1,
+                 DetectorKind.CD: 1, DetectorKind.HD: N * M * M}[det]
+        for snr_db in (-10.0, 5.0, 20.0):
+            sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
+            comp = CompensationSet.from_scenario(sc, zero_err)
+            lam_prime, vs = noncentrality(det, sc, zero_err, comp, 1.0)
+            scale = {DetectorKind.NCD: S2, DetectorKind.ACD: K * M * N * S2,
+                     DetectorKind.CD: (vs or 0.0) * S2,
+                     DetectorKind.HD: S2}[det]
+            for pfa_target in (1e-4, 1e-6, 1e-8, 1e-10):
+                g = threshold(det, pfa_target, K, M, N, S2, vs)
+                closed = pd_swerling1(det, g, lam_prime, 1.0, K, M, N, S2, vs)
+                want, _ = integrate.quad(
+                    lambda r: math.exp(-r) * stats.ncx2.sf(
+                        2.0 * g / scale, 2 * order, lam_prime * r),
+                    0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+                assert closed == pytest.approx(want, rel=1e-12)
 
 
 class TestAnalyzeDetector:

@@ -67,6 +67,22 @@ class TestThresholdCommand:
             main(["threshold", "--detector", "NCD", "--pfa", "1.0",
                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--sigma2", "-1"], ["--sigma2", "0"], ["--sigma2", "nan"],
+        ["--varsigma", "-3"], ["--pfa", "0"], ["--pfa", "1.5"],
+        ["--k-pulses", "0"], ["--m-tx", "-2"], ["--n-rx", "0"]])
+    def test_bad_flag_is_usage_error(self, capsys, flags):
+        args = {"--detector": "CD", "--pfa": "1e-4", "--k-pulses": "12",
+                "--m-tx": "2", "--n-rx": "1", "--varsigma": "8"}
+        args[flags[0]] = flags[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold"] + [t for kv in args.items() for t in kv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert "error: " in last and flags[0] in last
+
 
 class TestCafCommand:
     def test_multi_band_orthogonality_row(self, tmp_path):
@@ -106,6 +122,32 @@ class TestCafCommand:
         exp = write_doc(tmp_path, base_doc())
         with pytest.raises(SystemExit):
             main(["caf", "--experiment", exp, "--out", ""])
+
+    @pytest.mark.parametrize("points", ["0", "1", "-5"])
+    def test_too_few_points_is_usage_error(self, tmp_path, capsys, points):
+        exp = write_doc(tmp_path, base_doc())
+        out = tmp_path / "caf.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["caf", "--experiment", exp, "--out", str(out),
+                  "--points", points])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_unwritable_out_is_one_line_error(tmp_path):
+    # a fresh interpreter, so the exit status and stderr are the user's
+    exp = write_doc(tmp_path, base_doc())
+    out = tmp_path / "missing" / "a.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(dmimo.__file__).parents[1]))
+    for cmd in ("caf", "analyze"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmimo.cli", cmd, "--experiment", exp,
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and str(out) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAnalyzeCommand:

@@ -12,7 +12,10 @@ import pytest
 from scipy import integrate, special, stats
 
 from dmimo.specfun import (
+    _FRESNEL_SERIES_MAX,
     Probability,
+    fresnel,
+    fresnel_aux,
     inv_reg_upper_gamma,
     kummer_1f1_first_unit,
     marcum_q,
@@ -180,3 +183,79 @@ class TestKummer1F1:
     def test_overflow_diagnostic(self):
         with pytest.raises(OverflowError):
             kummer_1f1_first_unit(2.0, 1e4)
+
+
+def scipy_fresnel(x):
+    s, c = special.fresnel(x)
+    return complex(c, s)
+
+
+class TestFresnel:
+    def test_matches_scipy(self):
+        # 1e-13 absolute on |x| <= 200: a dense grid, tiny arguments, and
+        # both sides of the series / continued-fraction switch
+        switch = _FRESNEL_SERIES_MAX
+        xs = np.concatenate([
+            np.linspace(-200.0, 200.0, 8001),
+            np.linspace(-3.0, 3.0, 1201),
+            np.geomspace(1e-300, 1e-3, 60),
+            [switch, np.nextafter(switch, 0.0), np.nextafter(switch, 2.0),
+             switch - 1e-9, switch + 1e-9, -switch]])
+        worst = max(abs(fresnel(float(x)) - scipy_fresnel(x)) for x in xs)
+        assert worst <= 1e-13
+
+    def test_zero_and_tiny_arguments(self):
+        assert fresnel(0.0) == 0.0
+        # C(x) = x - ..., S(x) = pi x^3 / 6 - ...
+        assert fresnel(1e-8) == pytest.approx(complex(1e-8, math.pi * 1e-24 / 6),
+                                              rel=1e-15)
+
+    def test_odd_symmetry(self):
+        for x in np.concatenate([np.linspace(0.0, 5.0, 101),
+                                 np.geomspace(5.0, 1e4, 40)]):
+            assert fresnel(-float(x)) == -fresnel(float(x))
+
+    @pytest.mark.parametrize("x", [1e3, 1e4, 1e6, 1e15, 1e17, 1e300])
+    def test_large_argument_limit(self, x):
+        # |C + jS - (1 + j)/2| <= 1 / (pi x)
+        bound = 1.0 / (math.pi * x) + 1e-16
+        assert abs(fresnel(x) - (0.5 + 0.5j)) <= bound
+        assert abs(fresnel(-x) + (0.5 + 0.5j)) <= bound
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(ValueError):
+            fresnel(x)
+
+
+def asymptotic_aux(x):
+    # DLMF 7.12.2-3, three terms each: f ~ (1 - 3/z^2 + 105/z^4) / (pi x),
+    # g ~ (1 - 15/z^2 + 945/z^4) / (pi x z), z = pi x^2
+    z = math.pi * x * x
+    lead = 1.0 / (math.pi * x)
+    f = lead * (1.0 - 3.0 / z**2 + 105.0 / z**4)
+    g = lead / z * (1.0 - 15.0 / z**2 + 945.0 / z**4)
+    return complex(g, f)
+
+
+class TestFresnelAux:
+    def test_defining_identity_against_scipy(self):
+        # C + jS = (1 + j)/2 - (g + jf) exp(j pi x^2 / 2), for x where the
+        # subtraction keeps the scipy side accurate
+        for x in np.linspace(0.0, 6.0, 601):
+            want = ((0.5 + 0.5j - scipy_fresnel(x))
+                    * np.exp(-0.5j * math.pi * x * x))
+            assert abs(fresnel_aux(float(x)) - want) <= 1e-14
+
+    def test_asymptotic_expansion(self):
+        for x in np.geomspace(20.0, 1e12, 120):
+            assert fresnel_aux(float(x)) == pytest.approx(
+                asymptotic_aux(float(x)), rel=1e-13)
+
+    def test_no_overflow_for_huge_arguments(self):
+        assert fresnel_aux(1e300) == pytest.approx(1j / (math.pi * 1e300),
+                                                   rel=1e-15)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            fresnel_aux(-1.0)

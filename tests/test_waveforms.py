@@ -7,6 +7,9 @@ import pytest
 from scipy import integrate
 
 from dmimo.waveforms import (
+    MULTI_BAND,
+    SINGLE_BAND_DOWN,
+    SINGLE_BAND_UP,
     PulseSpec,
     caf,
     down_chirp,
@@ -15,7 +18,7 @@ from dmimo.waveforms import (
     sample_pulse,
     up_chirp,
 )
-from oracles import caf_grid, caf_symmetry_partner
+from oracles import caf_grid, caf_quadrature, caf_symmetry_partner
 
 BETA = 400e3
 TP = 1e-5
@@ -122,17 +125,113 @@ class TestCaf:
             assert caf(a, b, nu, f) == pytest.approx(
                 caf_symmetry_partner(a, b, nu, f), abs=1e-8)
 
-    def test_quadrature_convergence(self, monkeypatch, sb_pair):
-        # doubling the panel density changes nothing at the 1e-9 level
+    def test_quadrature_convergence(self, sb_pair):
+        # doubling the oracle's node density changes nothing at the 1e-9
+        # level, and the closed form sits on both
         u, d = sb_pair
         pts = [(0.31 * TP, 90.0), (0.51 * TP, 0.0), (-0.2 * TP, -150.0)]
-        base = [caf(u, d, nu, f) for nu, f in pts]
-        import dmimo.waveforms as wf
-        orig = wf.PulseSpec.max_inst_freq_hz.fget
-        monkeypatch.setattr(wf.PulseSpec, "max_inst_freq_hz",
-                            property(lambda s: 2.0 * orig(s)))
-        dense = [caf(u, d, nu, f) for nu, f in pts]
-        assert np.allclose(base, dense, atol=1e-9)
+        base = [caf_quadrature(u, d, nu, f) for nu, f in pts]
+        dense = [caf_quadrature(u, d, nu, f, points_per_cycle=20.0)
+                 for nu, f in pts]
+        assert np.allclose(base, dense, rtol=0.0, atol=1e-9)
+        assert np.allclose([caf(u, d, nu, f) for nu, f in pts], dense,
+                           rtol=0.0, atol=1e-11)
+
+
+FAMILIES = (MULTI_BAND, SINGLE_BAND_UP, SINGLE_BAND_DOWN)
+
+
+def random_spec(rng, family, beta_hz, t_p):
+    return PulseSpec(family, beta_hz, t_p, eta=rng.uniform(0.0, 4.0),
+                     kappa=rng.uniform(0.0, 4.0), m=int(rng.integers(1, 5)))
+
+
+def linear_coefficient_root(a, b, nu):
+    """Doppler f that zeroes the integrand's linear phase coefficient at
+    the overlap midpoint, the sinc's cancellation-prone point."""
+    (sa, ca), (sb, cb) = a.chirp, b.chirp
+    tp = a.t_p
+    mid = 0.5 * (max(0.0, nu) + min(tp, tp + nu))
+    q = math.pi * (sa * a.beta_hz - sb * b.beta_hz) / tp
+    l0 = math.pi * (a.beta_hz * ca - b.beta_hz * cb
+                    + 2.0 * sb * b.beta_hz * nu / tp)
+    return -(l0 + 2.0 * q * mid) / (2.0 * math.pi)
+
+
+def assert_matches_oracle(a, b, nu, f):
+    got, want = caf(a, b, nu, f), caf_quadrature(a, b, nu, f)
+    err = abs(got - want)
+    assert err <= 1e-10, (a, b, nu, f, got, want)
+    if abs(want) > 1e-3:
+        assert err <= 1e-9 * abs(want), (a, b, nu, f, got, want)
+
+
+class TestClosedFormVsQuadrature:
+    """The closed form against the Gauss-Legendre oracle: 1e-10 absolute,
+    and 1e-9 relative where |chi| > 1e-3."""
+
+    @pytest.mark.parametrize("fa", FAMILIES)
+    @pytest.mark.parametrize("fb", FAMILIES)
+    @pytest.mark.parametrize("tbp", [4, 40])
+    def test_random_draws(self, fa, fb, tbp):
+        rng = np.random.default_rng([FAMILIES.index(fa),
+                                     FAMILIES.index(fb), tbp])
+        beta = tbp / TP
+        for i in range(40):
+            # every other draw gives b its own bandwidth
+            beta_b = beta * rng.uniform(0.5, 2.0) if i % 2 else beta
+            a = random_spec(rng, fa, beta, TP)
+            b = random_spec(rng, fb, beta_b, TP)
+            nu = rng.uniform(-TP, TP)
+            if i % 5 == 1:
+                # a sliver of overlap: nu within 1e-12..1e-2 Tp of +-Tp
+                nu = math.copysign(TP * (1.0 - 10 ** rng.uniform(-12, -2)),
+                                   nu)
+            f = rng.uniform(-2.0 * beta, 2.0 * beta)
+            if i % 5 == 3:
+                f = linear_coefficient_root(a, b, nu) * (
+                    1.0 + rng.uniform(-1e-6, 1e-6))
+            assert_matches_oracle(a, b, nu, f)
+
+    @pytest.mark.parametrize("fa", FAMILIES)
+    @pytest.mark.parametrize("fb", FAMILIES)
+    def test_sliver_of_overlap_relative(self, fa, fb):
+        # |chi| <= L / T_p is tiny on a sliver, so hold it to 1e-9 relative:
+        # every family pair reaches the sinc form there
+        a = PulseSpec(fa, BETA, TP, eta=ETA, kappa=KAPPA, m=1)
+        b = PulseSpec(fb, BETA, TP, eta=ETA, kappa=KAPPA, m=2)
+        for gap in np.geomspace(1e-13, 1e-5, 17):
+            for nu in (TP * (1.0 - gap), -TP * (1.0 - gap)):
+                got, want = caf(a, b, nu, 70.0), caf_quadrature(a, b, nu, 70.0)
+                assert abs(got - want) <= 1e-9 * abs(want), (gap, nu, got, want)
+
+    def test_nearly_equal_sweep_rates(self):
+        # the quadratic phase coefficient q is tiny but nonzero, where the
+        # sinc and Fresnel forms hand over
+        rng = np.random.default_rng(5)
+        for rel in np.geomspace(1e-16, 1e-2, 29):
+            for fam in FAMILIES:
+                a = PulseSpec(fam, BETA, TP, eta=ETA, kappa=KAPPA)
+                b = PulseSpec(fam, BETA * (1.0 + rel), TP, eta=ETA,
+                              kappa=KAPPA)
+                nu = rng.uniform(-TP, TP)
+                for f in (rng.uniform(-2.0 * BETA, 2.0 * BETA),
+                          rng.uniform(-1e3, 1e3),
+                          linear_coefficient_root(a, b, nu)):
+                    assert_matches_oracle(a, b, nu, f)
+
+    @pytest.mark.parametrize("fa,fb", [
+        (SINGLE_BAND_UP, SINGLE_BAND_DOWN), (SINGLE_BAND_DOWN, SINGLE_BAND_UP),
+        (MULTI_BAND, MULTI_BAND)])
+    def test_time_bandwidth_5000(self, fa, fb):
+        # the analytic_wideband scale: 50 MHz over 100 us
+        beta, tp = 50e6, 1e-4
+        rng = np.random.default_rng(FAMILIES.index(fa) * 3
+                                    + FAMILIES.index(fb))
+        a = PulseSpec(fa, beta, tp, eta=3.0, kappa=3.0, m=1)
+        b = PulseSpec(fb, beta, tp, eta=3.0, kappa=3.0, m=2)
+        for nu in (0.0, rng.uniform(-tp, tp)):
+            assert_matches_oracle(a, b, nu, rng.uniform(-1e4, 1e4))
 
 
 class TestCafGrid:
