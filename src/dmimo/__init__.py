@@ -15,7 +15,6 @@ from .detectors import (
     CompensationSet,
     acd_statistic,
     alpha_mle,
-    beta_mle,
     cd_statistic,
     hd_statistic,
     ncd_statistic,
@@ -50,7 +49,6 @@ __all__ = [
     "CompensationSet",
     "acd_statistic",
     "alpha_mle",
-    "beta_mle",
     "cd_statistic",
     "hd_statistic",
     "ncd_statistic",

@@ -68,12 +68,11 @@ def _open_out(path):
         raise SystemExit(f"error: cannot write --out {path}: {exc.strerror}")
 
 
-def _write_rows(path, columns, rows):
-    with _open_out(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(row.get(c)) for c in columns])
+def _write_rows(fh, columns, rows):
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_fmt(row.get(c)) for c in columns])
 
 
 def _load(path) -> ExperimentSpec:
@@ -85,21 +84,24 @@ def _load(path) -> ExperimentSpec:
 
 def cmd_caf(args) -> int:
     spec = _load(args.experiment)
+    with _open_out(args.out) as fh:
+        _write_rows(fh, _CAF_COLUMNS, _caf_rows(spec, args.points))
+    return 0
+
+
+def _caf_rows(spec: ExperimentSpec, points: int):
     pulses = spec.scenario.pulses
     tp = spec.pulse_s
-    nus = np.linspace(-tp, tp, args.points)
-    rows = []
+    nus = np.linspace(-tp, tp, points)
     for m, pm in enumerate(pulses):
         for mb, pmb in enumerate(pulses):
             for nu in nus:
                 val = caf(pm, pmb, float(nu), 0.0)
-                rows.append({
+                yield {
                     "m": m + 1, "mbar": mb + 1,
                     "nu_over_tp": float(nu) / tp, "nu_s": float(nu),
                     "f_hz": 0.0, "re": val.real, "im": val.imag,
-                    "abs": abs(val)})
-    _write_rows(args.out, _CAF_COLUMNS, rows)
-    return 0
+                    "abs": abs(val)}
 
 
 def _sweep_systems(spec: ExperimentSpec):
@@ -156,18 +158,31 @@ def _analytic_pairs(spec: ExperimentSpec):
 
 def cmd_analyze(args) -> int:
     spec = _load(args.experiment)
-    rows = [row for *_, pair_rows in _analytic_pairs(spec)
-            for row, _ in pair_rows]
-    _write_rows(args.out, _ANALYZE_COLUMNS, rows)
+    with _open_out(args.out) as fh:
+        _write_rows(fh, _ANALYZE_COLUMNS,
+                    (row for *_, pair_rows in _analytic_pairs(spec)
+                     for row, _ in pair_rows))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    """Every detector of one (sweep point, system) pair is evaluated on
-    the same Monte Carlo stream, keyed by seed plus the pair's index."""
     spec = _load(args.experiment)
     trials = args.trials if args.trials is not None else spec.trials
     seed = args.seed if args.seed is not None else spec.seed
+    with _open_out(args.out) as fh:
+        rows, gate_failed = _simulate_rows(spec, trials, seed)
+        _write_rows(fh, _SIMULATE_COLUMNS, rows)
+    if gate_failed:
+        print("warning: empirical results deviate from analysis beyond "
+              "the confidence gate", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
+    """(CSV rows, whether any row fails the confidence gate).  Every
+    detector of one (sweep point, system) pair is evaluated on the same
+    Monte Carlo stream, keyed by seed plus the pair's index."""
     rows = []
     gate_failed = False
     for index, (sc, err, comp, pair_rows) in enumerate(_analytic_pairs(spec)):
@@ -187,12 +202,7 @@ def cmd_simulate(args) -> int:
                 if abs(res.p_hat - pt.pd) > half:
                     gate_failed = True
             rows.append(row)
-    _write_rows(args.out, _SIMULATE_COLUMNS, rows)
-    if gate_failed:
-        print("warning: empirical results deviate from analysis beyond "
-              "the confidence gate", file=sys.stderr)
-        return 1
-    return 0
+    return rows, gate_failed
 
 
 def cmd_threshold(args) -> int:

@@ -1,4 +1,4 @@
-"""Test statistics for the four detectors and the GLRT amplitude MLEs.
+"""Test statistics for the four detectors and the GLRT amplitude MLE.
 
 Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
@@ -29,7 +29,6 @@ __all__ = [
     "cd_statistic",
     "hd_statistic",
     "alpha_mle",
-    "beta_mle",
     "doppler_projectors",
 ]
 
@@ -164,16 +163,3 @@ def alpha_mle(y, templates) -> complex:
         raise ValueError("template stack has zero energy")
     return complex(np.sum(np.conj(v) * y) / energy)
 
-
-def beta_mle(y_mn, S_n) -> np.ndarray:
-    """Least-squares coefficients of one path's measurement in the Doppler
-    steering columns; ||S beta||^2 is that path's HD contribution."""
-    S_n = np.asarray(S_n)
-    K, M = S_n.shape
-    if K < M:
-        raise ValueError(f"beta MLE needs K >= M, got K={K}, M={M}")
-    sv = np.linalg.svd(S_n, compute_uv=False)
-    if sv[-1] < _RCOND_LIMIT * sv[0]:
-        raise ValueError("steering matrix is numerically rank deficient")
-    beta, *_ = np.linalg.lstsq(S_n, np.asarray(y_mn), rcond=None)
-    return beta

@@ -4,8 +4,10 @@ Trials are generated in fixed-size blocks.  Block ``j`` of a run draws
 from a fresh Philox generator keyed by ``(seed, j)``, so any block can be
 produced independently of the others: results are bit-identical across
 runs, and the first ``B`` trials of a long run equal the first ``B``
-trials of a short one.  Aggregation is plain counting, which is
-associative, so block order never matters.
+trials of a short one.  The blocks of a run are evaluated on a thread
+pool, one worker per CPU the process may run on, and each detector's
+per-block exceedance counts are summed in block order: the counts are
+bit-identical for any worker count.
 
 Per trial the target amplitude is drawn once and held for the whole CPI,
 while the noise is independent across every matched filter output.  Every
@@ -15,6 +17,7 @@ detector of one ``run_trials`` call sees the same measurement blocks
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,28 +135,59 @@ def draw_swerling1_alpha(stream: np.random.Generator, rho_bar: float,
     return complex(out) if out.ndim == 0 else out
 
 
-def _iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
-    """Yield (M, N, K)-per-trial measurement batches, one block at a time.
+def _measurement_block(sc: Scenario, x_unit: np.ndarray, cfg: TrialConfig,
+                       j: int) -> np.ndarray:
+    """Block ``j`` of a run: its (trials, M, N, K) measurement batch, with
+    ``x_unit`` the noise-free output at unit amplitude.
 
     Draw order inside a block is fixed (amplitudes first, then noise) so
     the stream layout does not depend on the hypothesis under test.
     """
     M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
+    nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
+    rng = _block_rng(cfg.seed, j)
+    if isinstance(cfg.target_draw, Swerling1):
+        alpha = draw_swerling1_alpha(rng, cfg.target_draw.rho_bar, (nb,))
+    elif isinstance(cfg.target_draw, NonFluctuating):
+        alpha = np.full(nb, cfg.target_draw.alpha, dtype=complex)
+    else:
+        alpha = np.zeros(nb, dtype=complex)
+    w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
+    if cfg.hypothesis == "H1":
+        w += alpha[:, None, None, None] * x_unit
+    return w
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig, fn) -> list:
+    """``fn`` of every measurement block of the run, in block order.
+
+    Blocks run on a thread pool of one worker per usable CPU (at most one
+    per block): the Philox draws, the ufuncs and einsum release the GIL,
+    and each block reads only its own stream, so the results do not
+    depend on the worker count.  An exception raised in a block propagates
+    to the caller.
+    """
     x_unit = noise_free_mf_output(sc, err, 1.0)
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
-    for j in range(n_blocks):
-        nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
-        rng = _block_rng(cfg.seed, j)
-        if isinstance(cfg.target_draw, Swerling1):
-            alpha = draw_swerling1_alpha(rng, cfg.target_draw.rho_bar, (nb,))
-        elif isinstance(cfg.target_draw, NonFluctuating):
-            alpha = np.full(nb, cfg.target_draw.alpha, dtype=complex)
-        else:
-            alpha = np.zeros(nb, dtype=complex)
-        w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
-        if cfg.hypothesis == "H1":
-            w += alpha[:, None, None, None] * x_unit
-        yield w
+    workers = min(_worker_count(), n_blocks)
+
+    def block(j):
+        return fn(_measurement_block(sc, x_unit, cfg, j))
+
+    if workers <= 1:
+        return [block(j) for j in range(n_blocks)]
+    # imported here to keep concurrent.futures off the CLI's start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block, range(n_blocks)))
 
 
 def _statistic(det: DetectorKind, comp: CompensationSet):
@@ -181,13 +215,16 @@ def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
     missing = [d for d in dets if d not in gammas]
     if missing:
         raise ValueError(f"no threshold supplied for {missing[0].value}")
-    stats_of = {d: _statistic(d, comp) for d in dets}
-    counts = {d: 0 for d in dets}
-    for y in _iter_measurement_blocks(sc, err, cfg):
-        for d in dets:
-            counts[d] += int(np.count_nonzero(stats_of[d](y) > gammas[d]))
-    return {d: EmpiricalResult.from_counts(d, counts[d], cfg.trials)
-            for d in dets}
+    checks = [(_statistic(d, comp), gammas[d]) for d in dets]
+
+    def block_counts(y):
+        return [int(np.count_nonzero(stat(y) > gamma))
+                for stat, gamma in checks]
+
+    # integer sums in block order: the counts are the serial ones exactly
+    counts = [sum(c) for c in zip(*_map_blocks(sc, err, cfg, block_counts))]
+    return {d: EmpiricalResult.from_counts(d, n, cfg.trials)
+            for d, n in zip(dets, counts)}
 
 
 def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
@@ -200,10 +237,9 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
 
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
     statistic = _statistic(det, comp)
-    vals = np.concatenate([
-        np.atleast_1d(statistic(y))
-        for y in _iter_measurement_blocks(sc, SyncErrors.zeros(sc.m_tx, sc.n_rx),
-                                         cfg)])
+    zeros = SyncErrors.zeros(sc.m_tx, sc.n_rx)
+    vals = np.concatenate([np.atleast_1d(v) for v in
+                           _map_blocks(sc, zeros, cfg, statistic)])
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
     varsigma = None
     if det is DetectorKind.CD:

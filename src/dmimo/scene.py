@@ -35,7 +35,6 @@ __all__ = [
     "doppler_steering",
     "noise_free_mf_output",
     "colocated_scenario",
-    "link_budget_xi",
     "xi_from_snr",
 ]
 
@@ -215,16 +214,6 @@ def colocated_scenario(template: Scenario) -> Scenario:
         psi_rad=const(template.psi_rad[0, 0]),
         force_orthogonal=True,
     )
-
-
-def link_budget_xi(r_t_m: float, r_r_m: float, g_t: float, g_r: float,
-                   wavelength_m: float) -> float:
-    """Channel gain from the bistatic radar range equation."""
-    vals = (r_t_m, r_r_m, g_t, g_r, wavelength_m)
-    if any(not v > 0 for v in vals):
-        raise ValueError("link budget parameters must all be positive")
-    return math.sqrt(g_r * g_t * wavelength_m ** 2
-                     / ((4 * math.pi) ** 3 * r_t_m ** 2 * r_r_m ** 2))
 
 
 def xi_from_snr(snr_db: float, b: float, sigma2: float, rho_bar: float) -> float:

@@ -1,8 +1,12 @@
-"""Independent scalar oracles the tests compare the package against.
+"""Independent oracles and test-only helpers the tests compare the
+package against.
 
 None of these is used by the package itself: the scalar slow-time sample
-checks the vectorized S X h model, and the Gauss-Legendre quadrature, the
-CAF symmetry partner and the grid check the closed-form CAF.
+checks the vectorized S X h model; the Gauss-Legendre quadrature, the CAF
+symmetry partner and the grid check the closed-form CAF; the serial block
+iterator checks the pooled Monte Carlo block map; the per-path beta MLE
+checks the HD projection energy; and the bistatic link budget checks the
+back-solved channel gain of `xi_from_snr`.
 """
 
 import cmath
@@ -10,7 +14,9 @@ import math
 
 import numpy as np
 
-from dmimo.scene import Scenario, SyncErrors
+from dmimo.detectors import _RCOND_LIMIT
+from dmimo.montecarlo import BLOCK_TRIALS, TrialConfig, _measurement_block
+from dmimo.scene import Scenario, SyncErrors, noise_free_mf_output
 from dmimo.waveforms import MULTI_BAND, PulseSpec, caf, sample_pulse
 
 # Gauss-Legendre nodes reused across panels.
@@ -111,3 +117,35 @@ def caf_quadrature(a: PulseSpec, b: PulseSpec, nu: float, f: float,
                  * np.conj(sample_pulse(b, mu - nu))
                  * np.exp(2j * math.pi * f * mu))
     return complex(np.sum(w * integrand))
+
+
+def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
+    """Yield the run's (trials, M, N, K) measurement blocks one at a time,
+    serially and in block order."""
+    x_unit = noise_free_mf_output(sc, err, 1.0)
+    for j in range(-(-cfg.trials // BLOCK_TRIALS)):
+        yield _measurement_block(sc, x_unit, cfg, j)
+
+
+def beta_mle(y_mn, S_n) -> np.ndarray:
+    """Least-squares coefficients of one path's measurement in the Doppler
+    steering columns; ||S beta||^2 is that path's HD contribution."""
+    S_n = np.asarray(S_n)
+    K, M = S_n.shape
+    if K < M:
+        raise ValueError(f"beta MLE needs K >= M, got K={K}, M={M}")
+    sv = np.linalg.svd(S_n, compute_uv=False)
+    if sv[-1] < _RCOND_LIMIT * sv[0]:
+        raise ValueError("steering matrix is numerically rank deficient")
+    beta, *_ = np.linalg.lstsq(S_n, np.asarray(y_mn), rcond=None)
+    return beta
+
+
+def link_budget_xi(r_t_m: float, r_r_m: float, g_t: float, g_r: float,
+                   wavelength_m: float) -> float:
+    """Channel gain from the bistatic radar range equation."""
+    vals = (r_t_m, r_r_m, g_t, g_r, wavelength_m)
+    if any(not v > 0 for v in vals):
+        raise ValueError("link budget parameters must all be positive")
+    return math.sqrt(g_r * g_t * wavelength_m ** 2
+                     / ((4 * math.pi) ** 3 * r_t_m ** 2 * r_r_m ** 2))

@@ -23,7 +23,6 @@ from dmimo.analysis import (
 from dmimo.detectors import (
     CompensationSet,
     alpha_mle,
-    beta_mle,
     cd_statistic,
     hd_statistic,
 )
@@ -41,7 +40,7 @@ from dmimo.scene import (
     noise_free_mf_output,
 )
 from dmimo.waveforms import caf, down_chirp, up_chirp
-from oracles import caf_symmetry_partner, slow_time_sample
+from oracles import beta_mle, caf_symmetry_partner, slow_time_sample
 
 ALL = list(DetectorKind)
 ZERO = SyncErrors.zeros(2, 1)

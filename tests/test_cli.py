@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dmimo
+from dmimo import cli
 from dmimo.cli import main
 
 
@@ -148,6 +149,25 @@ def test_unwritable_out_is_one_line_error(tmp_path):
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1 and str(out) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cmd, work", [
+    ("simulate", "run_trials"), ("analyze", "analyze_detector"),
+    ("caf", "caf")])
+def test_unwritable_out_fails_before_any_row(tmp_path, monkeypatch, cmd,
+                                             work):
+    def never(*args, **kwargs):
+        pytest.fail(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, never)
+    exp = write_doc(tmp_path, base_doc())
+    out = tmp_path / "missing" / "a.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--experiment", exp, "--out", str(out)])
+    # a string code is printed to stderr as one line, with exit status 1
+    msg = exc.value.code
+    assert isinstance(msg, str) and msg.startswith("error: cannot write")
+    assert "\n" not in msg and str(out) in msg
 
 
 class TestAnalyzeCommand:

@@ -7,7 +7,6 @@ from dmimo.detectors import (
     CompensationSet,
     acd_statistic,
     alpha_mle,
-    beta_mle,
     cd_statistic,
     doppler_projectors,
     hd_statistic,
@@ -23,6 +22,7 @@ from dmimo.scene import (
     noise_free_mf_output,
 )
 from dmimo.waveforms import multi_band_chirp
+from oracles import beta_mle
 
 
 def random_measurement(rng, M=2, N=1, K=12):

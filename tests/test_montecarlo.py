@@ -1,23 +1,33 @@
 """Tests for the seeded trial engine."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from dmimo import montecarlo
 from dmimo.analysis import DetectorKind, analyze_detector, threshold
-from dmimo.detectors import CompensationSet, ncd_statistic
+from dmimo.detectors import (
+    CompensationSet,
+    acd_statistic,
+    cd_statistic,
+    hd_statistic,
+    ncd_statistic,
+)
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     DistributionCheck,
     EmpiricalResult,
     TrialConfig,
     _block_rng,
-    _iter_measurement_blocks,
     draw_noise,
     draw_swerling1_alpha,
     h0_statistic_distribution_check,
     run_trials,
 )
 from dmimo.scene import NonFluctuating, Swerling1, noise_free_mf_output
+from oracles import iter_measurement_blocks
 
 ALL = list(DetectorKind)
 
@@ -106,8 +116,8 @@ class TestDeterminism:
                             target_draw=Swerling1(1.0))
         long = TrialConfig(trials=2 * BLOCK_TRIALS + 100, seed=9,
                            hypothesis="H1", target_draw=Swerling1(1.0))
-        y_short = next(_iter_measurement_blocks(sc, err, short))
-        y_long = next(_iter_measurement_blocks(sc, err, long))
+        y_short = next(iter_measurement_blocks(sc, err, short))
+        y_long = next(iter_measurement_blocks(sc, err, long))
         assert np.array_equal(y_short, y_long)
 
     def test_block_order_independent_counts(self, ref_setup):
@@ -116,7 +126,7 @@ class TestDeterminism:
         sc, err, comp = ref_setup
         gamma = threshold(DetectorKind.NCD, 1e-2, 12, 2, 1, 1.0)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21, hypothesis="H0")
-        blocks = list(_iter_measurement_blocks(sc, err, cfg))
+        blocks = list(iter_measurement_blocks(sc, err, cfg))
         total = sum(int(np.count_nonzero(ncd_statistic(y) > gamma))
                     for y in reversed(blocks))
         got = run_trials(sc, err, comp, [DetectorKind.NCD],
@@ -187,7 +197,7 @@ class TestH1Match:
         screen = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 1, 12)))
         screened = sum(
             int(np.count_nonzero(ncd_statistic(y * screen) > gamma))
-            for y in _iter_measurement_blocks(sc, err, cfg))
+            for y in iter_measurement_blocks(sc, err, cfg))
         assert screened == base.detections
 
 
@@ -205,6 +215,106 @@ class TestDistributionChecks:
                                               5000, seed=1)
         assert rep.order == 24
         assert rep.scale == 1.0
+
+
+# three full blocks and a partial one
+POOL_TRIALS = 3 * BLOCK_TRIALS + 17
+
+
+def serial_counts(sc, err, comp, gammas, cfg):
+    """Exceedance counts summed serially over the oracle's blocks."""
+    stats = {
+        DetectorKind.NCD: ncd_statistic,
+        DetectorKind.ACD: lambda y: acd_statistic(y, comp.theta_hat),
+        DetectorKind.CD: lambda y: cd_statistic(y, comp),
+        DetectorKind.HD: lambda y: hd_statistic(y, comp.S_hat),
+    }
+    counts = dict.fromkeys(gammas, 0)
+    for y in iter_measurement_blocks(sc, err, cfg):
+        for d, gamma in gammas.items():
+            counts[d] += int(np.count_nonzero(stats[d](y) > gamma))
+    return counts
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("hypothesis, target", [
+        ("H0", None), ("H1", Swerling1(1.0)),
+        ("H1", NonFluctuating(0.6 - 0.4j))])
+    def test_counts_equal_serial_sum(self, monkeypatch, ref_setup, workers,
+                                     hypothesis, target):
+        sc, err, comp = ref_setup
+        vs = float(np.sum(np.abs(comp.templates) ** 2))
+        gammas = {d: threshold(d, 0.05, 12, 2, 1, 1.0, vs) for d in ALL}
+        cfg = TrialConfig(trials=POOL_TRIALS, seed=31, hypothesis=hypothesis,
+                          target_draw=target)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_trials(sc, err, comp, ALL, gammas, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ({d: got[d].detections for d in ALL}
+                == serial_counts(sc, err, comp, gammas, cfg))
+
+    @pytest.mark.parametrize("workers, trials, pooled", [
+        (1, POOL_TRIALS, False), (2, POOL_TRIALS, True),
+        (3, BLOCK_TRIALS, False)])
+    def test_pool_only_with_two_workers_and_blocks(self, monkeypatch,
+                                                   ref_setup, workers,
+                                                   trials, pooled):
+        # one usable worker, or a single block, runs inline on the caller
+        sc, err, comp = ref_setup
+        threads = set()
+
+        def statistic(y):
+            threads.add(threading.get_ident())
+            return ncd_statistic(y)
+
+        monkeypatch.setattr(montecarlo, "ncd_statistic", statistic)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        cfg = TrialConfig(trials=trials, seed=4, hypothesis="H0")
+        run_trials(sc, err, comp, [DetectorKind.NCD],
+                   {DetectorKind.NCD: 30.0}, cfg)
+        assert (threading.get_ident() not in threads) == pooled
+
+    def test_ks_distance_independent_of_worker_count(self, monkeypatch,
+                                                     ref_setup):
+        sc, _, comp = ref_setup
+        ks = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_worker_count",
+                                lambda w=workers: w)
+            ks.append(h0_statistic_distribution_check(
+                DetectorKind.HD, sc, comp, POOL_TRIALS, seed=5).ks_distance)
+        assert ks[0] == ks[1] == ks[2]
+
+    def test_block_exception_reaches_caller(self, monkeypatch, ref_setup):
+        sc, err, comp = ref_setup
+        raised, caught = [], []
+
+        def failing(y):
+            if len(y) == 17:  # the partial last block
+                raised.append(ValueError("bad block"))
+                raise raised[0]
+            return ncd_statistic(y)
+
+        def call():
+            try:
+                run_trials(sc, err, comp, [DetectorKind.NCD],
+                           {DetectorKind.NCD: 30.0}, cfg)
+            except ValueError as exc:
+                caught.append(exc)
+
+        monkeypatch.setattr(montecarlo, "ncd_statistic", failing)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        cfg = TrialConfig(trials=POOL_TRIALS, seed=2, hypothesis="H0")
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(caught) == 1 and caught[0] is raised[0]
 
 
 class TestErrors:

@@ -15,12 +15,11 @@ from dmimo.scene import (
     _model_factors,
     colocated_scenario,
     doppler_steering,
-    link_budget_xi,
     noise_free_mf_output,
     xi_from_snr,
 )
 from dmimo.waveforms import caf, multi_band_chirp, sample_pulse
-from oracles import slow_time_sample
+from oracles import link_budget_xi, slow_time_sample
 
 
 def scalar_cube(sc, err, alpha):
