@@ -93,15 +93,17 @@ def _caf_rows(spec: ExperimentSpec, points: int):
     pulses = spec.scenario.pulses
     tp = spec.pulse_s
     nus = np.linspace(-tp, tp, points)
+    rows = []
     for m, pm in enumerate(pulses):
         for mb, pmb in enumerate(pulses):
             for nu in nus:
                 val = caf(pm, pmb, float(nu), 0.0)
-                yield {
+                rows.append({
                     "m": m + 1, "mbar": mb + 1,
                     "nu_over_tp": float(nu) / tp, "nu_s": float(nu),
                     "f_hz": 0.0, "re": val.real, "im": val.imag,
-                    "abs": abs(val)}
+                    "abs": abs(val)})
+    return rows
 
 
 def _sweep_systems(spec: ExperimentSpec):
@@ -159,9 +161,9 @@ def _analytic_pairs(spec: ExperimentSpec):
 def cmd_analyze(args) -> int:
     spec = _load(args.experiment)
     with _open_out(args.out) as fh:
-        _write_rows(fh, _ANALYZE_COLUMNS,
-                    (row for *_, pair_rows in _analytic_pairs(spec)
-                     for row, _ in pair_rows))
+        rows = [row for *_, pair_rows in _analytic_pairs(spec)
+                for row, _ in pair_rows]
+        _write_rows(fh, _ANALYZE_COLUMNS, rows)
     return 0
 
 

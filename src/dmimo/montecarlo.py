@@ -5,7 +5,8 @@ from a fresh Philox generator keyed by ``(seed, j)``, so any block can be
 produced independently of the others: results are bit-identical across
 runs, and the first ``B`` trials of a long run equal the first ``B``
 trials of a short one.  The blocks of a run are evaluated on a thread
-pool, one worker per CPU the process may run on, and each detector's
+pool, one worker per CPU the process may run on (fewer when the blocks
+are large, to bound the memory held at once), and each detector's
 per-block exceedance counts are summed in block order: the counts are
 bit-identical for any worker count.
 
@@ -158,6 +159,12 @@ def _measurement_block(sc: Scenario, x_unit: np.ndarray, cfg: TrialConfig,
     return w
 
 
+# Measurement bytes the pool may hold at once.  A worker's peak is about
+# twice its batch (the statistics' temporaries), so this bounds the
+# pool's memory on hosts with many CPUs; a larger block runs alone.
+_BYTES_IN_FLIGHT = 128 << 20
+
+
 def _worker_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -169,21 +176,22 @@ def _worker_count() -> int:
 def _map_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig, fn) -> list:
     """``fn`` of every measurement block of the run, in block order.
 
-    Blocks run on a thread pool of one worker per usable CPU (at most one
-    per block): the Philox draws, the ufuncs and einsum release the GIL,
-    and each block reads only its own stream, so the results do not
-    depend on the worker count.  An exception raised in a block propagates
-    to the caller.
+    Blocks run on a thread pool of one worker per usable CPU, at most one
+    per block and at most _BYTES_IN_FLIGHT of measurement batches at once
+    (always at least one worker): the Philox draws, the ufuncs and einsum
+    release the GIL, and each block reads only its own stream, so the
+    results do not depend on the worker count.  An exception raised in a
+    block propagates to the caller.
     """
     x_unit = noise_free_mf_output(sc, err, 1.0)
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
-    workers = min(_worker_count(), n_blocks)
+    block_bytes = min(BLOCK_TRIALS, cfg.trials) * x_unit.nbytes
+    workers = max(1, min(_worker_count(), n_blocks,
+                         _BYTES_IN_FLIGHT // block_bytes))
 
     def block(j):
         return fn(_measurement_block(sc, x_unit, cfg, j))
 
-    if workers <= 1:
-        return [block(j) for j in range(n_blocks)]
     # imported here to keep concurrent.futures off the CLI's start-up
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -258,13 +258,15 @@ class TestWorkerPool:
         assert ({d: got[d].detections for d in ALL}
                 == serial_counts(sc, err, comp, gammas, cfg))
 
-    @pytest.mark.parametrize("workers, trials, pooled", [
-        (1, POOL_TRIALS, False), (2, POOL_TRIALS, True),
-        (3, BLOCK_TRIALS, False)])
-    def test_pool_only_with_two_workers_and_blocks(self, monkeypatch,
+    @pytest.mark.parametrize("workers, budget_blocks, max_threads", [
+        (2, 100, 2), (8, 2, 2), (8, 0.5, 1)])
+    def test_blocks_run_on_pool_within_byte_budget(self, monkeypatch,
                                                    ref_setup, workers,
-                                                   trials, pooled):
-        # one usable worker, or a single block, runs inline on the caller
+                                                   budget_blocks,
+                                                   max_threads):
+        # every block runs off the caller's thread, on no more workers
+        # than the CPUs or the byte budget allow; a block larger than the
+        # budget runs alone
         sc, err, comp = ref_setup
         threads = set()
 
@@ -272,12 +274,16 @@ class TestWorkerPool:
             threads.add(threading.get_ident())
             return ncd_statistic(y)
 
+        block_bytes = BLOCK_TRIALS * sc.m_tx * sc.n_rx * sc.k_pulses * 16
         monkeypatch.setattr(montecarlo, "ncd_statistic", statistic)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        cfg = TrialConfig(trials=trials, seed=4, hypothesis="H0")
+        monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
+                            int(budget_blocks * block_bytes))
+        cfg = TrialConfig(trials=POOL_TRIALS, seed=4, hypothesis="H0")
         run_trials(sc, err, comp, [DetectorKind.NCD],
                    {DetectorKind.NCD: 30.0}, cfg)
-        assert (threading.get_ident() not in threads) == pooled
+        assert threading.get_ident() not in threads
+        assert 1 <= len(threads) <= max_threads
 
     def test_ks_distance_independent_of_worker_count(self, monkeypatch,
                                                      ref_setup):
