@@ -10,9 +10,11 @@ cross-ambiguity samples, and h_mn the channel vector carrying amplitudes
 and carrier/propagation phases.  One builder evaluates S (N, K, M), the
 diagonals X (M, N, M) and h (M, N, M) for every path at once; the same
 builder, run at the estimated parameters, gives the receiver's
-compensation templates.  An independent scalar evaluation of the samples
-(auto term plus M-1 cross terms) lives with the tests as the oracle for
-the factorized form.
+compensation templates.  X depends only on the pulses and the delay and
+Doppler offsets, so it is cached on exactly those and shared read-only:
+a sweep over SNR or phase evaluates the CAF for its first point only.
+An independent scalar evaluation of the samples (auto term plus M-1
+cross terms) lives with the tests as the oracle for the factorized form.
 
 Timing/frequency/phase sync errors enter through `SyncErrors`; the
 all-zeros instance reproduces the error-free model exactly.
@@ -20,6 +22,7 @@ all-zeros instance reproduces the error-free model exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -161,13 +164,34 @@ def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
     return np.exp(2j * math.pi * pri_s * k * f[..., None, :])
 
 
+# 64 distinct tensors of 16 M^2 N bytes each (8 KiB at M = N = 8)
+@functools.lru_cache(maxsize=64)
+def _ambiguity(pulses, force_orthogonal, nu_bytes, f_bytes, shape):
+    # The key holds every argument the CAF loop reads (the pulses, the
+    # co-located switch, and the exact bytes of the delay and Doppler
+    # offsets), so a hit returns what a fresh evaluation would.  The
+    # result is shared between callers, hence read-only.
+    nu = np.frombuffer(nu_bytes).reshape(shape)
+    f_off = np.frombuffer(f_bytes).reshape(shape)
+    X = np.zeros(shape, dtype=complex)
+    for m, n, mb in np.ndindex(shape):
+        if not force_orthogonal:
+            X[m, n, mb] = caf(pulses[m], pulses[mb], nu[m, n, mb],
+                              f_off[m, n, mb])
+        elif mb == m:
+            X[m, n, m] = caf(pulses[m], pulses[m], 0.0, 0.0)
+    X.flags.writeable = False
+    return X
+
+
 def _model_factors(sc: Scenario, err: SyncErrors):
     """(S, X, h) factors of every path's noise-free output.
 
     S  (N, K, M) Doppler steering matrices S_n
     X  (M, N, M) ambiguity diagonals: X[m, n, mb] is the response of MF m
        at RX n to the pulse of TX mb (force_orthogonal keeps only the auto
-       entries, chi_mm(0, 0))
+       entries, chi_mm(0, 0)); read-only, and shared by every build with
+       the same pulses, delay and Doppler offsets
     h  (M, N, M) channel vectors h_mn
     """
     S = doppler_steering(sc.doppler_hz.T, sc.k_pulses, sc.pri_s)
@@ -176,13 +200,8 @@ def _model_factors(sc: Scenario, err: SyncErrors):
     nu = (sc.tau_s + err.dt)[:, :, None] - sc.tau_s.T[None]
     f_off = (sc.doppler_hz.T[None] - sc.doppler_hz[:, :, None]
              - err.df[:, :, None])
-    X = np.zeros(nu.shape, dtype=complex)
-    for m, n, mb in np.ndindex(X.shape):
-        if not sc.force_orthogonal:
-            X[m, n, mb] = caf(sc.pulses[m], sc.pulses[mb],
-                              nu[m, n, mb], f_off[m, n, mb])
-        elif mb == m:
-            X[m, n, m] = caf(sc.pulses[m], sc.pulses[m], 0.0, 0.0)
+    X = _ambiguity(tuple(sc.pulses), sc.force_orthogonal, nu.tobytes(),
+                   f_off.tobytes(), nu.shape)
     phase = (sc.psi_rad.T[None]
              - 2.0 * math.pi * (sc.carrier_hz + err.dc_rx)[None, :, None]
              * sc.tau_s.T[None]

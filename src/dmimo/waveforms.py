@@ -23,8 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .specfun import fresnel, fresnel_aux
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "multi_band_chirp",
     "up_chirp",
     "down_chirp",
-    "sample_pulse",
     "caf",
 ]
 
@@ -98,18 +95,6 @@ def up_chirp(beta_hz: float, t_p: float, kappa: float) -> PulseSpec:
 
 def down_chirp(beta_hz: float, t_p: float, kappa: float) -> PulseSpec:
     return PulseSpec(SINGLE_BAND_DOWN, beta_hz, t_p, kappa=kappa)
-
-
-def sample_pulse(spec: PulseSpec, t):
-    """Complex envelope p(t); zero outside [0, T_p].  Accepts scalars or
-    numpy arrays."""
-    t = np.asarray(t, dtype=float)
-    tp = spec.t_p
-    s, c = spec.chirp
-    phase = math.pi * spec.beta_hz * (s * t * t / tp + c * t)
-    inside = (t >= 0.0) & (t <= tp)
-    out = np.where(inside, np.exp(1j * phase) / math.sqrt(tp), 0.0 + 0.0j)
-    return out[()] if out.ndim == 0 else out
 
 
 def caf(a: PulseSpec, b: PulseSpec, nu: float, f: float) -> complex:

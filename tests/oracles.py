@@ -2,11 +2,12 @@
 package against.
 
 None of these is used by the package itself: the scalar slow-time sample
-checks the vectorized S X h model; the Gauss-Legendre quadrature, the CAF
-symmetry partner and the grid check the closed-form CAF; the serial block
-iterator checks the pooled Monte Carlo block map; the per-path beta MLE
-checks the HD projection energy; and the bistatic link budget checks the
-back-solved channel gain of `xi_from_snr`.
+checks the vectorized S X h model; the sampled pulse envelope, the
+Gauss-Legendre quadrature, the CAF symmetry partner and the grid check the
+closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
+the serial block iterator checks the pooled Monte Carlo block map; the
+per-path beta MLE checks the HD projection energy; and the bistatic link
+budget checks the back-solved channel gain of `xi_from_snr`.
 """
 
 import cmath
@@ -17,7 +18,8 @@ import numpy as np
 from dmimo.detectors import _RCOND_LIMIT
 from dmimo.montecarlo import BLOCK_TRIALS, TrialConfig, _measurement_block
 from dmimo.scene import Scenario, SyncErrors, noise_free_mf_output
-from dmimo.waveforms import MULTI_BAND, PulseSpec, caf, sample_pulse
+from dmimo.specfun import reg_upper_gamma
+from dmimo.waveforms import MULTI_BAND, PulseSpec, caf
 
 # Gauss-Legendre nodes reused across panels.
 _GL_ORDER = 32
@@ -62,6 +64,18 @@ def slow_time_sample(sc: Scenario, err: SyncErrors, alpha: complex,
                         tau_mn + dt - tau_mb, f_mb - f_mn - df)
                   * cmath.exp(2j * math.pi * (f_mn + df) * (tau_mn + dt - tau_mb)))
     return auto + cross
+
+
+def sample_pulse(spec: PulseSpec, t):
+    """Complex envelope p(t); zero outside [0, T_p].  Accepts scalars or
+    numpy arrays."""
+    t = np.asarray(t, dtype=float)
+    tp = spec.t_p
+    s, c = spec.chirp
+    phase = math.pi * spec.beta_hz * (s * t * t / tp + c * t)
+    inside = (t >= 0.0) & (t <= tp)
+    out = np.where(inside, np.exp(1j * phase) / math.sqrt(tp), 0.0 + 0.0j)
+    return out[()] if out.ndim == 0 else out
 
 
 def caf_symmetry_partner(a: PulseSpec, b: PulseSpec, nu: float, f: float) -> complex:
@@ -117,6 +131,41 @@ def caf_quadrature(a: PulseSpec, b: PulseSpec, nu: float, f: float,
                  * np.conj(sample_pulse(b, mu - nu))
                  * np.exp(2j * math.pi * f * mu))
     return complex(np.sum(w * integrand))
+
+
+def marcum_q_per_term(m: int, a: float, b: float) -> float:
+    """Q_m(a, b) as the Poisson mixture
+
+        sum_k exp(-a^2/2) (a^2/2)^k / k! * Q(m + k, b^2/2)
+
+    with a fresh incomplete gamma per term, walked outward from the
+    Poisson mode until a weight drops below 1e-18.  That absolute cut
+    drops most of the sum deep in the tail (Q below about 1e-15), so it is
+    an oracle only where Q is not tiny."""
+    half_a2, half_b2 = 0.5 * a * a, 0.5 * b * b
+    if b == 0.0:
+        return 1.0
+    if half_a2 == 0.0:
+        return reg_upper_gamma(m, half_b2)
+    k0 = int(half_a2)
+    log_w0 = -half_a2 + k0 * math.log(half_a2) - math.lgamma(k0 + 1)
+    total = 0.0
+    log_w, k = log_w0, k0
+    while k < k0 + 10_000:
+        w = math.exp(log_w)
+        total += w * reg_upper_gamma(m + k, half_b2)
+        if w < 1e-18:
+            break
+        k += 1
+        log_w += math.log(half_a2) - math.log(k)
+    log_w = log_w0
+    for k in range(k0 - 1, -1, -1):
+        log_w += math.log(k + 1) - math.log(half_a2)
+        w = math.exp(log_w)
+        total += w * reg_upper_gamma(m + k, half_b2)
+        if w < 1e-18:
+            break
+    return min(1.0, total)
 
 
 def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):

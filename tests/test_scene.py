@@ -1,12 +1,15 @@
 """Tests for the matched-filter output model."""
 
 import cmath
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dmimo import cli, scene
+from dmimo.detectors import CompensationSet
 from dmimo.presets import PULSE_S, reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -18,8 +21,8 @@ from dmimo.scene import (
     noise_free_mf_output,
     xi_from_snr,
 )
-from dmimo.waveforms import caf, multi_band_chirp, sample_pulse
-from oracles import link_budget_xi, slow_time_sample
+from dmimo.waveforms import caf, multi_band_chirp
+from oracles import link_budget_xi, sample_pulse, slow_time_sample
 
 
 def scalar_cube(sc, err, alpha):
@@ -256,3 +259,67 @@ class TestValidation:
     def test_scenario_arrays_immutable(self, ref_scenario):
         with pytest.raises(ValueError):
             ref_scenario.tau_s[0, 0] = 0.0
+
+
+def _analyze_csv(tmp_path, doc, name):
+    exp, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    exp.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--experiment", str(exp),
+                     "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+class TestAmbiguityCache:
+    def test_snr_sweep_evaluates_each_tensor_once(self, tmp_path,
+                                                  monkeypatch):
+        # the true model and the receiver's estimate are the only two
+        # distinct CAF argument sets of an SNR sweep with sync errors
+        M, N, points = 3, 2, 4
+        doc = {
+            "scenario": {
+                "m_tx": M, "n_rx": N, "k_pulses": 8,
+                "tau_s": [[0.0, 2e-6], [4e-6, 1e-6], [7e-6, 3e-6]],
+                "doppler_hz": [[100.0, -50.0], [180.0, 20.0],
+                               [260.0, 90.0]]},
+            "errors": {"dt_s": [[1e-7, 2e-7], [0.0, 3e-7], [1e-7, 0.0]],
+                       "df_hz": [[5.0, 0.0], [0.0, -4.0], [2.0, 1.0]]},
+            "sweep": {"variable": "snr_db", "start": -5.0, "stop": 10.0,
+                      "points": points},
+        }
+        calls = []
+        real_caf = scene.caf
+        monkeypatch.setattr(scene, "caf",
+                            lambda *a: calls.append(a) or real_caf(*a))
+        scene._ambiguity.cache_clear()
+        _analyze_csv(tmp_path, doc, "snr")
+        assert len(calls) == 2 * M * M * N
+
+    def test_delay_sweep_matches_fresh_builds(self, tmp_path, monkeypatch):
+        # every delay point needs new tensors; a stale hit would show as a
+        # row that differs from a run that empties the cache before every
+        # build
+        doc = {
+            "scenario": {"waveform_set": "single_band"},
+            "errors": {"dt_s": [[2e-7], [-1e-7]], "df_hz": [[3.0], [0.0]]},
+            "sweep": {"variable": "delay_offset", "start": -0.5,
+                      "stop": 0.4, "points": 7},
+            "colocated_benchmark": True,
+        }
+        scene._ambiguity.cache_clear()
+        cached = _analyze_csv(tmp_path, doc, "cached")
+        cached_again = _analyze_csv(tmp_path, doc, "cached_again")
+        real = scene._ambiguity
+
+        def fresh(*key):
+            real.cache_clear()
+            return real(*key)
+
+        monkeypatch.setattr(scene, "_ambiguity", fresh)
+        assert cached == cached_again == _analyze_csv(tmp_path, doc, "fresh")
+
+    def test_shared_tensor_is_read_only(self, ref_scenario, zero_err):
+        comp = CompensationSet.from_scenario(ref_scenario, zero_err)
+        _, X, _ = _model_factors(ref_scenario, zero_err)
+        assert X is comp.X_hat
+        with pytest.raises(ValueError):
+            comp.X_hat[0, 0, 0] = 0.0

@@ -21,6 +21,7 @@ from dmimo.specfun import (
     marcum_q,
     reg_upper_gamma,
 )
+from oracles import marcum_q_per_term
 
 
 class TestProbability:
@@ -146,6 +147,33 @@ class TestMarcumQ:
                 x = max(mean + z * sd, 1e-3)
                 assert marcum_q(m, math.sqrt(lam), math.sqrt(x)) == \
                     pytest.approx(stats.ncx2.sf(x, 2 * m, lam), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 4, 64, 128, 1024])
+    def test_deep_tail_matches_scipy(self, m):
+        # Q down to 1e-15, where the higher Poisson terms carry most of the
+        # sum; scipy's ncx2.sf agrees with 40-digit mpmath to 3e-14 here
+        for lam in sorted({1.0, float(m), 4.0 * m}):
+            for q in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+                x = stats.ncx2.isf(q, 2 * m, lam)
+                assert marcum_q(m, math.sqrt(lam), math.sqrt(x)) == \
+                    pytest.approx(stats.ncx2.sf(x, 2 * m, lam), rel=1e-10)
+
+    def test_frozen_deep_tail_point(self):
+        # 40-digit mpmath sum of the Poisson mixture
+        assert marcum_q(128, 12.868229512710542, 27.858005692978796) == \
+            pytest.approx(8.01053041195088194962679522513e-18, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 4, 64, 512, 4096])
+    def test_recurrence_matches_per_term_sum(self, m):
+        # The per-term sum evaluates a fresh incomplete gamma per Poisson
+        # term.  It stops at an absolute weight of 1e-18, which leaves it
+        # short by up to about 1e-17, hence the absolute slack below 1e-7.
+        for lam in sorted({0.5, float(m), 4.0 * m}):
+            for q in (0.9, 0.5, 1e-2, 1e-4, 1e-7, 1e-10):
+                b = math.sqrt(stats.ncx2.isf(q, 2 * m, lam))
+                old = marcum_q_per_term(m, math.sqrt(lam), b)
+                assert marcum_q(m, math.sqrt(lam), b) == \
+                    pytest.approx(old, rel=1e-10, abs=1e-17)
 
     def test_large_noncentrality_saturates(self):
         assert marcum_q(24, 40.0, 10.0) == pytest.approx(1.0, abs=1e-12)

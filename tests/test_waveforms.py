@@ -15,10 +15,9 @@ from dmimo.waveforms import (
     down_chirp,
     multi_band_chirp,
     pulse_set,
-    sample_pulse,
     up_chirp,
 )
-from oracles import caf_grid, caf_quadrature, caf_symmetry_partner
+from oracles import caf_grid, caf_quadrature, caf_symmetry_partner, sample_pulse
 
 BETA = 400e3
 TP = 1e-5
