@@ -2,20 +2,13 @@
 
 A two-transmitter scenario is built with the library defaults, a noisy
 slow-time measurement is formed for a fixed target amplitude, and all
-four statistics are evaluated against their false-alarm thresholds.
+four statistics, with the CD scaling factor varsigma, come from
+``analysis.statistic`` and are evaluated against their false-alarm
+thresholds.
 """
 
-import numpy as np
-
-from dmimo.analysis import DetectorKind, threshold
-from dmimo.detectors import (
-    CompensationSet,
-    acd_statistic,
-    alpha_mle,
-    cd_statistic,
-    hd_statistic,
-    ncd_statistic,
-)
+from dmimo.analysis import DetectorKind, statistic, threshold
+from dmimo.detectors import CompensationSet, alpha_mle
 from dmimo.montecarlo import draw_noise, _block_rng
 from dmimo.presets import reference_scenario
 from dmimo.scene import SyncErrors, noise_free_mf_output
@@ -29,16 +22,10 @@ rng = _block_rng(seed=7, block=0)
 y = (noise_free_mf_output(sc, err, alpha)
      + draw_noise(rng, sc.k_pulses, sc.sigma2, (sc.m_tx, sc.n_rx)))
 
-varsigma = float(np.sum(np.abs(comp.templates) ** 2))
-stats = {
-    DetectorKind.NCD: ncd_statistic(y),
-    DetectorKind.ACD: acd_statistic(y, comp.theta_hat),
-    DetectorKind.CD: cd_statistic(y, comp),
-    DetectorKind.HD: hd_statistic(y, comp.S_hat),
-}
-
 print(f"{'detector':>8s} {'statistic':>12s} {'threshold':>12s} {'decide':>8s}")
-for det, value in stats.items():
+for det in DetectorKind:
+    stat, varsigma = statistic(det, comp)
+    value = stat(y)
     gamma = threshold(det, 1e-4, sc.k_pulses, sc.m_tx, sc.n_rx,
                       sc.sigma2, varsigma)
     verdict = "target" if value > gamma else "noise"

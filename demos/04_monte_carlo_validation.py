@@ -29,7 +29,7 @@ points = {d: analyze_detector(d, sc, err, comp, 1e-4) for d in ALL}
 
 cfg = TrialConfig(trials=TRIALS, seed=12345, hypothesis="H1",
                   target_draw=Swerling1(1.0))
-res = run_trials(sc, err, comp, ALL, {d: points[d].gamma for d in ALL}, cfg)
+res = run_trials(sc, err, comp, {d: points[d].gamma for d in ALL}, cfg)
 
 print(f"{TRIALS} trials, Pf = 1e-4, SNR = 0 dB:")
 print(f"{'detector':>8s} {'analytic':>10s} {'empirical':>10s} "

@@ -9,6 +9,7 @@ from .analysis import (
     pd_nonfluctuating,
     pd_swerling1,
     pfa,
+    statistic,
     threshold,
 )
 from .detectors import (
@@ -45,6 +46,7 @@ __all__ = [
     "pd_nonfluctuating",
     "pd_swerling1",
     "pfa",
+    "statistic",
     "threshold",
     "CompensationSet",
     "acd_statistic",

@@ -9,9 +9,14 @@ parameter lambda, where the order p and scale c are
     CD   p = 1      c = varsigma sigma^2
     HD   p = N M^2  c = sigma^2
 
-so one kernel serves false-alarm probability, threshold inversion,
-fixed-amplitude detection probability (Marcum-Q tail), and the Swerling I
-average in terms of the regularized gamma and 1F1(1, b, x).
+with varsigma = ||v||^2 the energy of the CD templates v.  The
+noncentrality is the detector's own statistic applied to the noise-free
+return x at unit amplitude, lambda = 2 rho T(x) / c, so ``statistic`` is
+the one map from a detector to its statistic, for the closed forms here
+and for the Monte Carlo engine alike.  One kernel serves false-alarm
+probability, threshold inversion, fixed-amplitude detection probability
+(Marcum-Q tail), and the Swerling I average in terms of the regularized
+gamma and 1F1(1, b, x).
 
 The false-alarm expressions use the right tail Pf = Q(p, gamma / c)
 throughout, consistent with the underlying chi-square tail integral.
@@ -25,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import CompensationSet, doppler_projectors
+from .detectors import (
+    CompensationSet,
+    acd_statistic,
+    cd_statistic,
+    doppler_projectors,
+    hd_statistic,
+    ncd_statistic,
+)
 from .scene import Scenario, Swerling1, SyncErrors, noise_free_mf_output
 from .specfun import (
     Probability,
@@ -38,6 +50,7 @@ from .specfun import (
 __all__ = [
     "DetectorKind",
     "PerfPoint",
+    "statistic",
     "noncentrality",
     "pfa",
     "threshold",
@@ -91,34 +104,36 @@ def _scale(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
     return varsigma * sigma2
 
 
+def statistic(det: DetectorKind, comp: CompensationSet):
+    """The detector's statistic T as a function of a measurement (cube or
+    batch), plus the CD scaling factor varsigma (None for the other
+    detectors).  The CD templates and HD projectors are built here, once,
+    and varsigma is the energy of those same templates."""
+    if det is DetectorKind.NCD:
+        return ncd_statistic, None
+    if det is DetectorKind.ACD:
+        return lambda y: acd_statistic(y, comp.theta_hat), None
+    if det is DetectorKind.CD:
+        v = comp.templates
+        return (lambda y: cd_statistic(y, v),
+                float(np.sum(np.abs(v) ** 2)))
+    q = doppler_projectors(comp.S_hat)
+    return lambda y: hd_statistic(y, q), None
+
+
 def noncentrality(det: DetectorKind, sc: Scenario, err: SyncErrors,
                   comp: CompensationSet, rho: float):
-    """Noncentrality lambda at target RCS rho = |alpha|^2, plus the CD
-    scaling factor varsigma (None for the other detectors).
-
-    Linear in rho: lambda = rho * lambda'.
+    """Noncentrality lambda = 2 rho T(x) / c at target RCS rho = |alpha|^2,
+    with T the detector's statistic and x the noise-free return at unit
+    amplitude, plus the CD scaling factor varsigma (None for the other
+    detectors).
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
-    s2 = sc.sigma2
+    stat, varsigma = statistic(det, comp)
     x = noise_free_mf_output(sc, err, 1.0)
-
-    if det is DetectorKind.NCD:
-        return 2.0 * rho * float(np.sum(np.abs(x) ** 2)) / s2, None
-    if det is DetectorKind.ACD:
-        coh = np.sum(np.exp(-1j * comp.theta_hat) * x)
-        return 2.0 * rho * abs(coh) ** 2 / (K * M * N * s2), None
-    if det is DetectorKind.CD:
-        v = comp.templates
-        varsigma = float(np.sum(np.abs(v) ** 2))
-        num = abs(np.sum(np.conj(v) * x)) ** 2
-        return 2.0 * rho * num / (s2 * varsigma), varsigma
-    # HD: energy of the true signal after projection onto the estimated
-    # Doppler subspaces
-    q = doppler_projectors(comp.S_hat)
-    coeffs = np.einsum("nkj,mnk->mnj", np.conj(q), x)
-    return 2.0 * rho * float(np.sum(np.abs(coeffs) ** 2)) / s2, None
+    c = _scale(det, sc.k_pulses, sc.m_tx, sc.n_rx, sc.sigma2, varsigma)
+    return 2.0 * rho * float(stat(x)) / c, varsigma
 
 
 def pfa(det: DetectorKind, gamma: float, K: int, M: int, N: int,

@@ -20,12 +20,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    DetectorKind,
-    analyze_detector,
-    noncentrality,
-    threshold,
-)
+from .analysis import DetectorKind, analyze_detector, threshold
 from .detectors import CompensationSet
 from .experiments import (
     MAX_SEED,
@@ -193,7 +188,7 @@ def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
         if gammas:
             cfg = TrialConfig(trials=trials, seed=seed + index,
                               hypothesis="H1", target_draw=sc.target)
-            results = run_trials(sc, err, comp, list(gammas), gammas, cfg)
+            results = run_trials(sc, err, comp, gammas, cfg)
         for row, pt in pair_rows:
             row = dict(row, trials=trials, seed=seed)
             if pt is not None:

@@ -3,7 +3,11 @@
 Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
 single measurement cube or a batch with a leading trial axis, which is
-what the Monte Carlo engine uses.
+what the Monte Carlo engine uses.  Each takes the measurement and the one
+receiver quantity it reads: nothing (NCD), the compensation phases (ACD),
+the templates (CD) or the Doppler projectors (HD).  Applied to the
+noise-free return x at unit amplitude, a statistic T gives the
+noncentrality lambda = 2 rho T(x) / c (``analysis.noncentrality``).
 
   NCD  energy sum of all MF outputs (no phase knowledge)
   ACD  global sum after per-sample phase compensation, equal weights
@@ -105,15 +109,13 @@ def acd_statistic(y, theta_hat) -> np.ndarray | float:
     return out[()] if out.ndim == 0 else out
 
 
-def cd_statistic(y, comp: CompensationSet,
-                 templates=None) -> np.ndarray | float:
-    """Matched correlation against the compensation templates, coherently
-    summed over every path.  ``templates`` may pass ``comp.templates``
-    already built, so repeated calls skip rebuilding it."""
+def cd_statistic(y, templates) -> np.ndarray | float:
+    """Matched correlation against the (M, N, K) compensation templates
+    ``CompensationSet.templates``, coherently summed over every path."""
     y = _check_cube(y)
-    v = comp.templates if templates is None else templates
+    v = np.asarray(templates)
     if v.shape != y.shape[-3:]:
-        raise ValueError("compensation set dimensions must match the measurement")
+        raise ValueError("template dimensions must match the measurement")
     out = np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
     return out[()] if out.ndim == 0 else out
 
@@ -140,15 +142,13 @@ def doppler_projectors(S_hat) -> np.ndarray:
     return qs
 
 
-def hd_statistic(y, S_hat, basis=None) -> np.ndarray | float:
+def hd_statistic(y, basis) -> np.ndarray | float:
     """Energy of each path's projection onto its Doppler steering subspace,
-    summed non-coherently over paths.  ``basis`` may pass
-    ``doppler_projectors(S_hat)`` already built, so repeated calls skip the
-    SVD and QR."""
+    summed non-coherently over paths; ``basis`` is
+    ``doppler_projectors(S_hat)``."""
     y = _check_cube(y)
-    q = doppler_projectors(S_hat) if basis is None else basis
     # coeffs: (..., M, N, M') inner products with the orthonormal basis
-    coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(q), y)
+    coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(basis), y)
     out = np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))
     return out[()] if out.ndim == 0 else out
 

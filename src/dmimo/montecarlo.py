@@ -13,7 +13,10 @@ bit-identical for any worker count.
 Per trial the target amplitude is drawn once and held for the whole CPI,
 while the noise is independent across every matched filter output.  Every
 detector of one ``run_trials`` call sees the same measurement blocks
-(common random numbers).
+(common random numbers).  Each detector's statistic T comes from
+``analysis.statistic``, the same T whose value on the noise-free return x
+gives the closed forms' noncentrality lambda = 2 rho T(x) / c, so the
+simulation and the closed forms evaluate one statistic.
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DetectorKind, _order, _scale
-from .detectors import (
-    CompensationSet,
-    acd_statistic,
-    cd_statistic,
-    doppler_projectors,
-    hd_statistic,
-    ncd_statistic,
-)
+from .analysis import DetectorKind, _order, _scale, statistic
+from .detectors import CompensationSet
 from .scene import (
     NonFluctuating,
     Scenario,
@@ -198,32 +194,15 @@ def _map_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig, fn) -> list:
         return list(pool.map(block, range(n_blocks)))
 
 
-def _statistic(det: DetectorKind, comp: CompensationSet):
-    """The detector's statistic as a function of a measurement batch.  The
-    CD templates and HD projectors are built here, once, not per block."""
-    if det is DetectorKind.NCD:
-        return ncd_statistic
-    if det is DetectorKind.ACD:
-        return lambda y: acd_statistic(y, comp.theta_hat)
-    if det is DetectorKind.CD:
-        v = comp.templates
-        return lambda y: cd_statistic(y, comp, templates=v)
-    q = doppler_projectors(comp.S_hat)
-    return lambda y: hd_statistic(y, comp.S_hat, basis=q)
-
-
 def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
-               dets, gammas: dict, cfg: TrialConfig) -> dict:
+               gammas: dict, cfg: TrialConfig) -> dict:
     """Run the configured trials and count threshold exceedances.
 
-    gammas maps each requested detector to its threshold.  Returns a
-    DetectorKind -> EmpiricalResult map.
+    gammas maps each detector to run to its threshold; the detectors run
+    in its insertion order, each on the statistic from
+    ``analysis.statistic``.  Returns a DetectorKind -> EmpiricalResult map.
     """
-    dets = list(dets)
-    missing = [d for d in dets if d not in gammas]
-    if missing:
-        raise ValueError(f"no threshold supplied for {missing[0].value}")
-    checks = [(_statistic(d, comp), gammas[d]) for d in dets]
+    checks = [(statistic(d, comp)[0], gamma) for d, gamma in gammas.items()]
 
     def block_counts(y):
         return [int(np.count_nonzero(stat(y) > gamma))
@@ -232,7 +211,7 @@ def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
     # integer sums in block order: the counts are the serial ones exactly
     counts = [sum(c) for c in zip(*_map_blocks(sc, err, cfg, block_counts))]
     return {d: EmpiricalResult.from_counts(d, n, cfg.trials)
-            for d, n in zip(dets, counts)}
+            for d, n in zip(gammas, counts)}
 
 
 def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
@@ -244,14 +223,11 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
     from scipy import stats
 
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
-    statistic = _statistic(det, comp)
+    stat, varsigma = statistic(det, comp)
     zeros = SyncErrors.zeros(sc.m_tx, sc.n_rx)
     vals = np.concatenate([np.atleast_1d(v) for v in
-                           _map_blocks(sc, zeros, cfg, statistic)])
+                           _map_blocks(sc, zeros, cfg, stat)])
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
-    varsigma = None
-    if det is DetectorKind.CD:
-        varsigma = float(np.sum(np.abs(comp.templates) ** 2))
     p = _order(det, K, M, N)
     c = _scale(det, K, M, N, sc.sigma2, varsigma)
     ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic

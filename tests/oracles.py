@@ -6,8 +6,9 @@ checks the vectorized S X h model; the sampled pulse envelope, the
 Gauss-Legendre quadrature, the CAF symmetry partner and the grid check the
 closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
 the serial block iterator checks the pooled Monte Carlo block map; the
-per-path beta MLE checks the HD projection energy; and the bistatic link
-budget checks the back-solved channel gain of `xi_from_snr`.
+per-path beta MLE checks the HD projection energy; the bistatic link
+budget checks the back-solved channel gain of `xi_from_snr`; and the
+per-detector noncentrality formulas check `analysis.noncentrality`.
 """
 
 import cmath
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from dmimo.detectors import _RCOND_LIMIT
+from dmimo.analysis import DetectorKind
+from dmimo.detectors import _RCOND_LIMIT, CompensationSet, doppler_projectors
 from dmimo.montecarlo import BLOCK_TRIALS, TrialConfig, _measurement_block
 from dmimo.scene import Scenario, SyncErrors, noise_free_mf_output
 from dmimo.specfun import reg_upper_gamma
@@ -198,3 +200,30 @@ def link_budget_xi(r_t_m: float, r_r_m: float, g_t: float, g_r: float,
         raise ValueError("link budget parameters must all be positive")
     return math.sqrt(g_r * g_t * wavelength_m ** 2
                      / ((4 * math.pi) ** 3 * r_t_m ** 2 * r_r_m ** 2))
+
+
+def noncentrality_formula(det: DetectorKind, sc: Scenario, err: SyncErrors,
+                          comp: CompensationSet, rho: float):
+    """Noncentrality lambda at target RCS rho, plus the CD varsigma (None
+    for the other detectors), written out by hand for each detector."""
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
+    s2 = sc.sigma2
+    x = noise_free_mf_output(sc, err, 1.0)
+
+    if det is DetectorKind.NCD:
+        return 2.0 * rho * float(np.sum(np.abs(x) ** 2)) / s2, None
+    if det is DetectorKind.ACD:
+        coh = np.sum(np.exp(-1j * comp.theta_hat) * x)
+        return 2.0 * rho * abs(coh) ** 2 / (K * M * N * s2), None
+    if det is DetectorKind.CD:
+        v = comp.templates
+        varsigma = float(np.sum(np.abs(v) ** 2))
+        num = abs(np.sum(np.conj(v) * x)) ** 2
+        return 2.0 * rho * num / (s2 * varsigma), varsigma
+    # HD: energy of the true signal after projection onto the estimated
+    # Doppler subspaces
+    q = doppler_projectors(comp.S_hat)
+    coeffs = np.einsum("nkj,mnk->mnj", np.conj(q), x)
+    return 2.0 * rho * float(np.sum(np.abs(coeffs) ** 2)) / s2, None

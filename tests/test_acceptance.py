@@ -24,6 +24,7 @@ from dmimo.detectors import (
     CompensationSet,
     alpha_mle,
     cd_statistic,
+    doppler_projectors,
     hd_statistic,
 )
 from dmimo.experiments import parse_experiment, scenario_at
@@ -71,8 +72,7 @@ def test_1_analytic_monte_carlo_match():
         comp, pts = operating_points(sc, ZERO)
         cfg = TrialConfig(trials=trials, seed=900 + i, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        res = run_trials(sc, ZERO, comp, ALL,
-                         {d: pts[d].gamma for d in ALL}, cfg)
+        res = run_trials(sc, ZERO, comp, {d: pts[d].gamma for d in ALL}, cfg)
         for d in ALL:
             sigma = math.sqrt(pts[d].pd * (1 - pts[d].pd) / trials)
             ok &= abs(res[d].p_hat - pts[d].pd) <= 3 * sigma
@@ -85,7 +85,7 @@ def test_2_false_alarm_calibration():
     sc = reference_scenario("multi_band")
     comp, pts = operating_points(sc, ZERO, pf)
     cfg = TrialConfig(trials=trials, seed=41, hypothesis="H0")
-    res = run_trials(sc, ZERO, comp, ALL, {d: pts[d].gamma for d in ALL}, cfg)
+    res = run_trials(sc, ZERO, comp, {d: pts[d].gamma for d in ALL}, cfg)
     sigma = math.sqrt(pf * (1 - pf) / trials)
     ok = all(abs(res[d].p_hat - pf) <= 3 * sigma for d in ALL)
     report(2, "empirical false-alarm calibration at 1e6 trials", ok)
@@ -246,9 +246,9 @@ def test_8_glrt_identities():
     for _ in range(25):
         y = rng.normal(size=(2, 1, 12)) + 1j * rng.normal(size=(2, 1, 12))
         a_hat = alpha_mle(y, v)
-        lhs = cd_statistic(y, comp)
+        lhs = cd_statistic(y, comp.templates)
         ok &= abs(lhs - abs(a_hat) ** 2 * varsigma ** 2) <= 1e-9 * lhs
-        hd = hd_statistic(y, comp.S_hat)
+        hd = hd_statistic(y, doppler_projectors(comp.S_hat))
         total = 0.0
         for m in range(2):
             beta = beta_mle(y[m, 0], comp.S_hat[0])

@@ -23,10 +23,12 @@ from dmimo.scene import (
     SyncErrors,
     Swerling1,
     _model_factors,
+    colocated_scenario,
     noise_free_mf_output,
 )
 from dmimo.specfun import inv_reg_upper_gamma, reg_upper_gamma
-from dmimo.waveforms import caf, multi_band_chirp
+from dmimo.waveforms import caf, multi_band_chirp, pulse_set
+from oracles import noncentrality_formula
 
 ALL = list(DetectorKind)
 K, M, N, S2 = 12, 2, 1, 1.0
@@ -99,6 +101,44 @@ class TestNoncentrality:
             assert lam1 <= lam0 + 1e-12
             if det in (DetectorKind.NCD, DetectorKind.HD):
                 assert lam1 / lam0 == pytest.approx(loss, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_per_detector_formula(self, seed):
+        # lambda = 2 rho T(x) / c against the formulas written out by hand,
+        # on random scenarios with timing, frequency and phase errors; the
+        # seed cycles both waveform sets and the co-located variant
+        rng = np.random.default_rng(700 + seed)
+        tp = 1e-5
+        waveform_set = ("multi_band", "single_band")[seed % 2]
+        M = int(rng.integers(1, 5)) if waveform_set == "multi_band" else 2
+        N = int(rng.integers(1, 4))
+        sc = Scenario(
+            pulses=pulse_set(waveform_set, M, 400e3, tp),
+            n_rx=N, k_pulses=int(rng.integers(M, 17)), pri_s=2e-3,
+            carrier_hz=3e9, tau_s=rng.uniform(0.3 * tp, 1.5 * tp, (M, N)),
+            doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),
+            psi_rad=rng.uniform(-np.pi, np.pi, (M, N)),
+            b=rng.uniform(0.5, 2.0, M), xi=rng.uniform(0.1, 1.0, (M, N)),
+            sigma2=rng.uniform(0.5, 2.0), target=Swerling1(1.0))
+        if seed % 3 == 0:
+            sc = colocated_scenario(sc)
+        err = SyncErrors(dt=rng.uniform(-0.3 * tp, 0.3 * tp, (M, N)),
+                         df=rng.uniform(-30.0, 30.0, (M, N)),
+                         dp=rng.uniform(-np.pi, np.pi, (M, N)),
+                         dc_rx=rng.uniform(-5.0, 5.0, N))
+        comp = CompensationSet.from_scenario(sc, err)
+        rho = rng.uniform(0.1, 3.0)
+        for det in ALL:
+            try:
+                want, want_vs = noncentrality_formula(det, sc, err, comp, rho)
+            except ValueError:
+                # co-located HD: rank-deficient steering, both must raise
+                with pytest.raises(ValueError):
+                    noncentrality(det, sc, err, comp, rho)
+                continue
+            lam, vs = noncentrality(det, sc, err, comp, rho)
+            assert lam == pytest.approx(want, rel=1e-12, abs=0.0), det
+            assert vs == want_vs
 
 
 class TestPfa:

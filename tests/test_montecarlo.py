@@ -6,12 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from dmimo import montecarlo
+from dmimo import analysis, montecarlo
 from dmimo.analysis import DetectorKind, analyze_detector, threshold
 from dmimo.detectors import (
     CompensationSet,
     acd_statistic,
     cd_statistic,
+    doppler_projectors,
     hd_statistic,
     ncd_statistic,
 )
@@ -104,8 +105,8 @@ class TestDeterminism:
                   for d in ALL}
         cfg = TrialConfig(trials=3000, seed=42, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        r1 = run_trials(sc, err, comp, ALL, gammas, cfg)
-        r2 = run_trials(sc, err, comp, ALL, gammas, cfg)
+        r1 = run_trials(sc, err, comp, gammas, cfg)
+        r2 = run_trials(sc, err, comp, gammas, cfg)
         for d in ALL:
             assert r1[d] == r2[d]
 
@@ -129,15 +130,14 @@ class TestDeterminism:
         blocks = list(iter_measurement_blocks(sc, err, cfg))
         total = sum(int(np.count_nonzero(ncd_statistic(y) > gamma))
                     for y in reversed(blocks))
-        got = run_trials(sc, err, comp, [DetectorKind.NCD],
-                         {DetectorKind.NCD: gamma}, cfg)
+        got = run_trials(sc, err, comp, {DetectorKind.NCD: gamma}, cfg)
         assert got[DetectorKind.NCD].detections == total
 
     def test_seed_changes_results(self, ref_setup):
         sc, err, comp = ref_setup
         gammas = {DetectorKind.NCD: threshold(DetectorKind.NCD, 0.5,
                                               12, 2, 1, 1.0)}
-        runs = [run_trials(sc, err, comp, [DetectorKind.NCD], gammas,
+        runs = [run_trials(sc, err, comp, gammas,
                            TrialConfig(trials=2000, seed=s, hypothesis="H0"))
                 for s in (1, 2)]
         assert (runs[0][DetectorKind.NCD].detections
@@ -152,7 +152,7 @@ class TestH0Calibration:
         pf = 1e-2
         gamma = threshold(det, pf, 12, 2, 1, 1.0, vs)
         cfg = TrialConfig(trials=100000, seed=77, hypothesis="H0")
-        res = run_trials(sc, err, comp, [det], {det: gamma}, cfg)[det]
+        res = run_trials(sc, err, comp, {det: gamma}, cfg)[det]
         sigma = np.sqrt(pf * (1 - pf) / cfg.trials)
         assert abs(res.p_hat - pf) <= 3 * sigma
 
@@ -169,7 +169,7 @@ class TestH1Match:
         pt = analyze_detector(det, sc, err, comp, 1e-4)
         cfg = TrialConfig(trials=50000, seed=101, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        res = run_trials(sc, err, comp, [det], {det: pt.gamma}, cfg)[det]
+        res = run_trials(sc, err, comp, {det: pt.gamma}, cfg)[det]
         sigma = np.sqrt(pt.pd * (1 - pt.pd) / cfg.trials)
         assert abs(res.p_hat - pt.pd) <= 3 * sigma
 
@@ -180,8 +180,8 @@ class TestH1Match:
         gamma = threshold(DetectorKind.NCD, 1e-4, 12, 2, 1, sc.sigma2)
         cfg = TrialConfig(trials=500, seed=3, hypothesis="H1",
                           target_draw=NonFluctuating(1.0 + 0.0j))
-        res = run_trials(sc, zero_err, comp, [DetectorKind.NCD],
-                         {DetectorKind.NCD: gamma}, cfg)[DetectorKind.NCD]
+        res = run_trials(sc, zero_err, comp, {DetectorKind.NCD: gamma},
+                         cfg)[DetectorKind.NCD]
         assert res.p_hat == 1.0
 
     def test_ncd_phase_screen_invariance(self, ref_setup):
@@ -191,8 +191,8 @@ class TestH1Match:
         gamma = threshold(DetectorKind.NCD, 1e-3, 12, 2, 1, 1.0)
         cfg = TrialConfig(trials=20000, seed=55, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        base = run_trials(sc, err, comp, [DetectorKind.NCD],
-                          {DetectorKind.NCD: gamma}, cfg)[DetectorKind.NCD]
+        base = run_trials(sc, err, comp, {DetectorKind.NCD: gamma},
+                          cfg)[DetectorKind.NCD]
         rng = np.random.default_rng(2)
         screen = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 1, 12)))
         screened = sum(
@@ -226,8 +226,9 @@ def serial_counts(sc, err, comp, gammas, cfg):
     stats = {
         DetectorKind.NCD: ncd_statistic,
         DetectorKind.ACD: lambda y: acd_statistic(y, comp.theta_hat),
-        DetectorKind.CD: lambda y: cd_statistic(y, comp),
-        DetectorKind.HD: lambda y: hd_statistic(y, comp.S_hat),
+        DetectorKind.CD: lambda y: cd_statistic(y, comp.templates),
+        DetectorKind.HD: lambda y: hd_statistic(
+            y, doppler_projectors(comp.S_hat)),
     }
     counts = dict.fromkeys(gammas, 0)
     for y in iter_measurement_blocks(sc, err, cfg):
@@ -252,7 +253,7 @@ class TestWorkerPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = run_trials(sc, err, comp, ALL, gammas, cfg)
+            got = run_trials(sc, err, comp, gammas, cfg)
         finally:
             sys.setswitchinterval(interval)
         assert ({d: got[d].detections for d in ALL}
@@ -275,13 +276,12 @@ class TestWorkerPool:
             return ncd_statistic(y)
 
         block_bytes = BLOCK_TRIALS * sc.m_tx * sc.n_rx * sc.k_pulses * 16
-        monkeypatch.setattr(montecarlo, "ncd_statistic", statistic)
+        monkeypatch.setattr(analysis, "ncd_statistic", statistic)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
                             int(budget_blocks * block_bytes))
         cfg = TrialConfig(trials=POOL_TRIALS, seed=4, hypothesis="H0")
-        run_trials(sc, err, comp, [DetectorKind.NCD],
-                   {DetectorKind.NCD: 30.0}, cfg)
+        run_trials(sc, err, comp, {DetectorKind.NCD: 30.0}, cfg)
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= max_threads
 
@@ -308,12 +308,11 @@ class TestWorkerPool:
 
         def call():
             try:
-                run_trials(sc, err, comp, [DetectorKind.NCD],
-                           {DetectorKind.NCD: 30.0}, cfg)
+                run_trials(sc, err, comp, {DetectorKind.NCD: 30.0}, cfg)
             except ValueError as exc:
                 caught.append(exc)
 
-        monkeypatch.setattr(montecarlo, "ncd_statistic", failing)
+        monkeypatch.setattr(analysis, "ncd_statistic", failing)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
         cfg = TrialConfig(trials=POOL_TRIALS, seed=2, hypothesis="H0")
         caller = threading.Thread(target=call, daemon=True)
@@ -322,10 +321,3 @@ class TestWorkerPool:
         assert not caller.is_alive()
         assert len(caught) == 1 and caught[0] is raised[0]
 
-
-class TestErrors:
-    def test_missing_threshold(self, ref_setup):
-        sc, err, comp = ref_setup
-        cfg = TrialConfig(trials=10, seed=0, hypothesis="H0")
-        with pytest.raises(ValueError, match="threshold"):
-            run_trials(sc, err, comp, [DetectorKind.NCD], {}, cfg)
