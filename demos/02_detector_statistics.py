@@ -18,7 +18,7 @@ err = SyncErrors.zeros(2, 1)
 comp = CompensationSet.from_scenario(sc, err)
 
 alpha = 1.0 + 0.0j
-rng = _block_rng(seed=7, block=0)
+rng = _block_rng(seed=7, pair=0, block=0)
 y = (noise_free_mf_output(sc, err, alpha)
      + draw_noise(rng, sc.k_pulses, sc.sigma2, (sc.m_tx, sc.n_rx)))
 

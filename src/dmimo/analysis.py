@@ -104,21 +104,45 @@ def _scale(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
     return varsigma * sigma2
 
 
-def statistic(det: DetectorKind, comp: CompensationSet):
-    """The detector's statistic T as a function of a measurement (cube or
-    batch), plus the CD scaling factor varsigma (None for the other
-    detectors).  The CD templates and HD projectors are built here, once,
-    and varsigma is the energy of those same templates."""
+def statistic(det: DetectorKind, comp: CompensationSet, basis=None):
+    """The detector's statistic T(y, g=0), plus the CD scaling factor
+    varsigma (None for the other detectors).  The CD templates and HD
+    projectors are built here, once, and varsigma is the energy of those
+    same templates.
+
+    Without ``basis``, y is a measurement: one (M, N, K) cube or a batch
+    (..., M, N, K).  With ``basis`` (M, N, K, r), r orthonormal columns
+    per path whose span holds every vector the detector reads, y is a
+    batch of sufficient coordinates c = B^H y (trials, M, N, r), and g
+    the energy of each measurement outside those spans, summed over
+    paths.  Every vector the detector reads then enters through its r
+    coordinates B^H v, computed here once, and T(c, g) equals T of the
+    measurement to rounding.  Only NCD reads g.
+    """
+    def onto(v):
+        # the (M, N, K, ...) vectors read per path, in the basis' coordinates
+        if basis is None:
+            return v
+        return np.einsum("mnkr,mnk...->mnr...", np.conj(basis), v)
+
     if det is DetectorKind.NCD:
-        return ncd_statistic, None
+        return (lambda y, g=0.0: ncd_statistic(y) + g), None
     if det is DetectorKind.ACD:
-        return lambda y: acd_statistic(y, comp.theta_hat), None
+        if basis is None:
+            return (lambda y, g=0.0: acd_statistic(y, comp.theta_hat)), None
+        # ACD is the CD correlation with the unit phasors exp(j theta_hat)
+        # as templates
+        phasors = onto(np.exp(1j * comp.theta_hat))
+        return (lambda y, g=0.0: cd_statistic(y, phasors)), None
     if det is DetectorKind.CD:
         v = comp.templates
-        return (lambda y: cd_statistic(y, v),
-                float(np.sum(np.abs(v) ** 2)))
+        varsigma = float(np.sum(np.abs(v) ** 2))
+        v = onto(v)
+        return (lambda y, g=0.0: cd_statistic(y, v)), varsigma
     q = doppler_projectors(comp.S_hat)
-    return lambda y: hd_statistic(y, q), None
+    if basis is not None:
+        q = onto(np.broadcast_to(q, (len(basis),) + q.shape))
+    return (lambda y, g=0.0: hd_statistic(y, q)), None
 
 
 def noncentrality(det: DetectorKind, sc: Scenario, err: SyncErrors,

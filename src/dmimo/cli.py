@@ -179,14 +179,14 @@ def cmd_simulate(args) -> int:
 def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
     """(CSV rows, whether any row fails the confidence gate).  Every
     detector of one (sweep point, system) pair is evaluated on the same
-    Monte Carlo stream, keyed by seed plus the pair's index."""
+    Monte Carlo stream, keyed by the seed and the pair's index."""
     rows = []
     gate_failed = False
     for index, (sc, err, comp, pair_rows) in enumerate(_analytic_pairs(spec)):
         gammas = {pt.detector: pt.gamma for _, pt in pair_rows
                   if pt is not None}
         if gammas:
-            cfg = TrialConfig(trials=trials, seed=seed + index,
+            cfg = TrialConfig(trials=trials, seed=seed, pair=index,
                               hypothesis="H1", target_draw=sc.target)
             results = run_trials(sc, err, comp, gammas, cfg)
         for row, pt in pair_rows:

@@ -2,12 +2,14 @@
 
 Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
-single measurement cube or a batch with a leading trial axis, which is
-what the Monte Carlo engine uses.  Each takes the measurement and the one
-receiver quantity it reads: nothing (NCD), the compensation phases (ACD),
-the templates (CD) or the Doppler projectors (HD).  Applied to the
-noise-free return x at unit amplitude, a statistic T gives the
-noncentrality lambda = 2 rho T(x) / c (``analysis.noncentrality``).
+single measurement cube or a batch with a leading trial axis.  Each takes
+the measurement and the one receiver quantity it reads: nothing (NCD),
+the compensation phases (ACD), the templates (CD) or the Doppler
+projectors (HD).  Applied to the noise-free return x at unit amplitude, a
+statistic T gives the noncentrality lambda = 2 rho T(x) / c
+(``analysis.noncentrality``).  The CD correlation and the HD projection
+also read a batch of sufficient coordinates (trials, M, N, r), given the
+quantity in the same coordinates (``analysis.statistic``).
 
   NCD  energy sum of all MF outputs (no phase knowledge)
   ACD  global sum after per-sample phase compensation, equal weights
@@ -144,9 +146,21 @@ def doppler_projectors(S_hat) -> np.ndarray:
 
 def hd_statistic(y, basis) -> np.ndarray | float:
     """Energy of each path's projection onto its Doppler steering subspace,
-    summed non-coherently over paths; ``basis`` is
-    ``doppler_projectors(S_hat)``."""
+    summed non-coherently over paths.  ``basis`` is
+    ``doppler_projectors(S_hat)``, one (K, M) orthonormal basis per
+    receiver, or, for a batch (trials, M, N, K), one basis per path
+    (M, N, K, M); in sufficient coordinates K is r."""
     y = _check_cube(y)
+    basis = np.asarray(basis)
+    if basis.ndim == 4:
+        if y.ndim != 4:
+            raise ValueError("per-path bases need a batch (trials, M, N, K)")
+        # one (trials, K) x (K, M) matrix product per path, then the
+        # squared magnitudes summed per trial over the real and imaginary
+        # parts
+        coeffs = np.matmul(y.transpose(1, 2, 0, 3), np.conj(basis))
+        parts = coeffs.view(np.float64)
+        return np.einsum("mntj,mntj->t", parts, parts)
     # coeffs: (..., M, N, M') inner products with the orthonormal basis
     coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(basis), y)
     out = np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))

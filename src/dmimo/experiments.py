@@ -42,9 +42,8 @@ SWEEP_VARIABLES = (
 )
 _TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
 
-# Bounds shared by the JSON fields and the CLI flags.  The Monte Carlo
-# stream of each sweep point is keyed by seed plus a small index, which
-# must fit the unsigned 64-bit Philox key.
+# Bounds shared by the JSON fields and the CLI flags.  The seed fills one
+# unsigned 64-bit word of the Philox key of every Monte Carlo stream.
 MIN_TRIALS = 1
 MIN_SEED = 0
 MAX_SEED = 2**63 - 1

@@ -1,22 +1,43 @@
-"""Seeded Monte Carlo trial engine.
+"""Seeded Monte Carlo trial engine on sufficient coordinates.
 
-Trials are generated in fixed-size blocks.  Block ``j`` of a run draws
-from a fresh Philox generator keyed by ``(seed, j)``, so any block can be
-produced independently of the others: results are bit-identical across
-runs, and the first ``B`` trials of a long run equal the first ``B``
-trials of a short one.  The blocks of a run are evaluated on a thread
-pool, one worker per CPU the process may run on (fewer when the blocks
-are large, to bound the memory held at once), and each detector's
-per-block exceedance counts are summed in block order: the counts are
-bit-identical for any worker count.
+Streams.  A run's stream is keyed by (seed, pair): ``simulate`` numbers
+the (sweep point, system) pairs of an experiment 0, 1, 2, ..., so no two
+pairs, and no two experiments with different seeds, share a stream.
+Trials are generated in blocks of BLOCK_TRIALS; block ``j`` draws from a
+Philox generator with the run's key and ``j`` in the high word of its
+counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  Any block can be produced independently of the others: results
+are bit-identical across runs, and the first ``B`` trials of a long run
+equal the first ``B`` trials of a short one.  The blocks of a run are
+evaluated on a thread pool, one worker per CPU the process may run on
+(fewer when the blocks are large, to bound the memory held at once), and
+each detector's per-block exceedance counts are summed in block order:
+the counts are bit-identical for any worker count.
 
-Per trial the target amplitude is drawn once and held for the whole CPI,
-while the noise is independent across every matched filter output.  Every
-detector of one ``run_trials`` call sees the same measurement blocks
-(common random numbers).  Each detector's statistic T comes from
-``analysis.statistic``, the same T whose value on the noise-free return x
-gives the closed forms' noncentrality lambda = 2 rho T(x) / c, so the
-simulation and the closed forms evaluate one statistic.
+Coordinates.  Per trial the target amplitude alpha is drawn once and held
+for the whole CPI, and the measurement of path (m, n) is the K-vector
+y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of
+variance sigma^2.  No statistic reads all K dimensions: the ACD phasors,
+the CD templates and the HD projectors of path (m, n) all lie in
+span S_hat_n, and the signal adds the one direction x_mn.  With B_mn an
+orthonormal basis of span{S_hat_n, x_mn} (r columns, r <= M + 1), every
+statistic is an exact function of the coordinates c_mn = B_mn^H y_mn and,
+for NCD, of the energy g outside the spans, summed over paths.  White
+Gaussian noise is invariant under unitary maps, so B_mn^H w_mn is
+CN(0, sigma^2 I_r), the part of w_mn outside the span is independent of
+it, and its energy over all paths is sigma^2 Gamma(M N (K - r), 1).  A
+block therefore draws, in this order, alpha, then
+c = alpha B^H x + CN(0, sigma^2 I_r) of shape (trials, M, N, r), then g:
+r complex coordinates per path and one energy per trial instead of K
+samples per path, and no (trials, M, N, K) cube.  The argument rests on
+the invariance alone, not on any closed form under test.
+
+Every detector of one ``run_trials`` call sees the same coordinate
+blocks (common random numbers).  Each detector's statistic T comes from
+``analysis.statistic``, given the run's basis: the same T whose value on
+the noise-free return x gives the closed forms' noncentrality
+lambda = 2 rho T(x) / c, so the simulation and the closed forms evaluate
+one statistic.
 """
 
 from __future__ import annotations
@@ -27,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DetectorKind, _order, _scale, statistic
-from .detectors import CompensationSet
+from .detectors import _RCOND_LIMIT, CompensationSet
 from .scene import (
     NonFluctuating,
     Scenario,
@@ -58,16 +79,21 @@ class TrialConfig:
     hypothesis "H0" runs pure noise; "H1" adds the target return with an
     amplitude drawn per trial from target_draw (NonFluctuating holds a
     fixed complex alpha, Swerling1 redraws CN(0, rho_bar) every trial).
+    (seed, pair) keys the run's random stream; ``simulate`` gives each
+    (sweep point, system) pair of an experiment its own ``pair``.
     """
 
     trials: int
     seed: int
     hypothesis: str = "H1"
     target_draw: NonFluctuating | Swerling1 | None = None
+    pair: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.pair < 0:
+            raise ValueError("pair must be nonnegative")
         if self.hypothesis not in ("H0", "H1"):
             raise ValueError("hypothesis must be 'H0' or 'H1'")
         if self.hypothesis == "H1" and self.target_draw is None:
@@ -105,9 +131,11 @@ class DistributionCheck:
     scale: float
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
+    """Generator of block ``block`` of the stream keyed by (seed, pair)."""
+    key = np.array([seed, pair], dtype=np.uint64)
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def draw_noise(stream: np.random.Generator, k_pulses: int,
@@ -132,32 +160,80 @@ def draw_swerling1_alpha(stream: np.random.Generator, rho_bar: float,
     return complex(out) if out.ndim == 0 else out
 
 
-def _measurement_block(sc: Scenario, x_unit: np.ndarray, cfg: TrialConfig,
-                       j: int) -> np.ndarray:
-    """Block ``j`` of a run: its (trials, M, N, K) measurement batch, with
-    ``x_unit`` the noise-free output at unit amplitude.
-
-    Draw order inside a block is fixed (amplitudes first, then noise) so
-    the stream layout does not depend on the hypothesis under test.
-    """
-    M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
-    nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
-    rng = _block_rng(cfg.seed, j)
+def _block_alpha(stream: np.random.Generator, cfg: TrialConfig,
+                 nb: int) -> np.ndarray:
+    """The block's nb target amplitudes, the first draw of its stream."""
     if isinstance(cfg.target_draw, Swerling1):
-        alpha = draw_swerling1_alpha(rng, cfg.target_draw.rho_bar, (nb,))
-    elif isinstance(cfg.target_draw, NonFluctuating):
-        alpha = np.full(nb, cfg.target_draw.alpha, dtype=complex)
-    else:
-        alpha = np.zeros(nb, dtype=complex)
-    w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
+        return draw_swerling1_alpha(stream, cfg.target_draw.rho_bar, (nb,))
+    if isinstance(cfg.target_draw, NonFluctuating):
+        return np.full(nb, cfg.target_draw.alpha, dtype=complex)
+    return np.zeros(nb, dtype=complex)
+
+
+@dataclass(frozen=True)
+class _Coordinates:
+    """The sufficient coordinates of one run's scenario and receiver.
+
+    basis    (M, N, K, r) orthonormal columns per path, spanning the
+             steering columns S_hat_n and the return x_mn
+    x        (M, N, r) coordinates of the return at unit amplitude
+    outside  complex dimensions outside the spans, M N (K - r)
+    """
+
+    basis: np.ndarray
+    x: np.ndarray
+    outside: int
+
+
+def _coordinates(sc: Scenario, err: SyncErrors,
+                 comp: CompensationSet) -> _Coordinates:
+    """Per-path bases of span{S_hat_n, x_mn}, of one rank r for the run.
+
+    Every vector a statistic reads lies in span S_hat_n: the ACD phasors
+    and the CD templates are combinations of its columns, and the HD
+    projectors span it.  A rank-revealing SVD of the unit-normed columns
+    finds each path's rank (M + 1 at most, 1 for co-located steering
+    without sync errors); r is the largest, so a path of lower rank
+    carries extra orthonormal columns, which keeps the coordinates exact.
+    """
+    x = noise_free_mf_output(sc, err, 1.0)
+    M, N, K = x.shape
+    steering = np.broadcast_to(comp.S_hat, (M,) + comp.S_hat.shape)
+    cols = np.concatenate([steering, x[..., None]], axis=-1)
+    norms = np.linalg.norm(cols, axis=-2, keepdims=True)
+    cols = cols / np.where(norms > 0.0, norms, 1.0)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    r = int(np.max(np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)))
+    basis = u[..., :r]
+    return _Coordinates(basis=basis,
+                        x=np.einsum("mnkr,mnk->mnr", np.conj(basis), x),
+                        outside=M * N * (K - r))
+
+
+def _coordinate_block(sc: Scenario, coords: _Coordinates, cfg: TrialConfig,
+                      j: int):
+    """Block ``j`` of a run: the coordinates c (trials, M, N, r) of its
+    measurement batch, and the energy g (trials,) outside their spans.
+
+    Draw order inside a block is fixed (amplitudes, then the coordinates'
+    noise, then the energy outside) so the stream layout does not depend
+    on the hypothesis under test.
+    """
+    nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
+    rng = _block_rng(cfg.seed, cfg.pair, j)
+    alpha = _block_alpha(rng, cfg, nb)
+    c = draw_noise(rng, coords.x.shape[-1], sc.sigma2,
+                   (nb,) + coords.x.shape[:-1])
+    g = sc.sigma2 * rng.standard_gamma(coords.outside, nb)
     if cfg.hypothesis == "H1":
-        w += alpha[:, None, None, None] * x_unit
-    return w
+        c += alpha[:, None, None, None] * coords.x
+    return c, g
 
 
-# Measurement bytes the pool may hold at once.  A worker's peak is about
-# twice its batch (the statistics' temporaries), so this bounds the
-# pool's memory on hosts with many CPUs; a larger block runs alone.
+# Coordinate bytes the pool may hold at once.  A worker's peak is about
+# twice its batch (the statistics' temporaries): at (M, N, K) =
+# (8, 8, 64) a 75 MB block adds 145-190 MiB per worker.  So this bounds
+# the pool's memory on hosts with many CPUs; a larger block runs alone.
 _BYTES_IN_FLIGHT = 128 << 20
 
 
@@ -169,24 +245,24 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig, fn) -> list:
-    """``fn`` of every measurement block of the run, in block order.
+def _map_blocks(sc: Scenario, coords: _Coordinates, cfg: TrialConfig,
+                fn) -> list:
+    """``fn(c, g)`` of every coordinate block of the run, in block order.
 
     Blocks run on a thread pool of one worker per usable CPU, at most one
-    per block and at most _BYTES_IN_FLIGHT of measurement batches at once
-    (always at least one worker): the Philox draws, the ufuncs and einsum
-    release the GIL, and each block reads only its own stream, so the
-    results do not depend on the worker count.  An exception raised in a
-    block propagates to the caller.
+    per block and at most _BYTES_IN_FLIGHT of coordinate batches at once
+    (always at least one worker): the Philox draws, the ufuncs and the
+    matrix products release the GIL, and each block reads only its own
+    stream, so the results do not depend on the worker count.  An
+    exception raised in a block propagates to the caller.
     """
-    x_unit = noise_free_mf_output(sc, err, 1.0)
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
-    block_bytes = min(BLOCK_TRIALS, cfg.trials) * x_unit.nbytes
+    block_bytes = min(BLOCK_TRIALS, cfg.trials) * coords.x.nbytes
     workers = max(1, min(_worker_count(), n_blocks,
                          _BYTES_IN_FLIGHT // block_bytes))
 
     def block(j):
-        return fn(_measurement_block(sc, x_unit, cfg, j))
+        return fn(*_coordinate_block(sc, coords, cfg, j))
 
     # imported here to keep concurrent.futures off the CLI's start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -200,16 +276,20 @@ def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
 
     gammas maps each detector to run to its threshold; the detectors run
     in its insertion order, each on the statistic from
-    ``analysis.statistic``.  Returns a DetectorKind -> EmpiricalResult map.
+    ``analysis.statistic`` in the run's sufficient coordinates.  Returns a
+    DetectorKind -> EmpiricalResult map.
     """
-    checks = [(statistic(d, comp)[0], gamma) for d, gamma in gammas.items()]
+    coords = _coordinates(sc, err, comp)
+    checks = [(statistic(d, comp, coords.basis)[0], gamma)
+              for d, gamma in gammas.items()]
 
-    def block_counts(y):
-        return [int(np.count_nonzero(stat(y) > gamma))
+    def block_counts(c, g):
+        return [int(np.count_nonzero(stat(c, g) > gamma))
                 for stat, gamma in checks]
 
     # integer sums in block order: the counts are the serial ones exactly
-    counts = [sum(c) for c in zip(*_map_blocks(sc, err, cfg, block_counts))]
+    counts = [sum(n) for n in zip(*_map_blocks(sc, coords, cfg,
+                                               block_counts))]
     return {d: EmpiricalResult.from_counts(d, n, cfg.trials)
             for d, n in zip(gammas, counts)}
 
@@ -223,10 +303,9 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
     from scipy import stats
 
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
-    stat, varsigma = statistic(det, comp)
-    zeros = SyncErrors.zeros(sc.m_tx, sc.n_rx)
-    vals = np.concatenate([np.atleast_1d(v) for v in
-                           _map_blocks(sc, zeros, cfg, stat)])
+    coords = _coordinates(sc, SyncErrors.zeros(sc.m_tx, sc.n_rx), comp)
+    stat, varsigma = statistic(det, comp, coords.basis)
+    vals = np.concatenate(_map_blocks(sc, coords, cfg, stat))
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
     p = _order(det, K, M, N)
     c = _scale(det, K, M, N, sc.sigma2, varsigma)

@@ -5,10 +5,12 @@ None of these is used by the package itself: the scalar slow-time sample
 checks the vectorized S X h model; the sampled pulse envelope, the
 Gauss-Legendre quadrature, the CAF symmetry partner and the grid check the
 closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
-the serial block iterator checks the pooled Monte Carlo block map; the
-per-path beta MLE checks the HD projection energy; the bistatic link
-budget checks the back-solved channel gain of `xi_from_snr`; and the
-per-detector noncentrality formulas check `analysis.noncentrality`.
+the full (trials, M, N, K) measurement blocks check the law of the Monte
+Carlo engine's sufficient coordinates, and the serial coordinate-block
+iterator checks its pooled block map; the per-path beta MLE checks the HD
+projection energy; the bistatic link budget checks the back-solved
+channel gain of `xi_from_snr`; and the per-detector noncentrality
+formulas check `analysis.noncentrality`.
 """
 
 import cmath
@@ -18,7 +20,15 @@ import numpy as np
 
 from dmimo.analysis import DetectorKind
 from dmimo.detectors import _RCOND_LIMIT, CompensationSet, doppler_projectors
-from dmimo.montecarlo import BLOCK_TRIALS, TrialConfig, _measurement_block
+from dmimo.montecarlo import (
+    BLOCK_TRIALS,
+    TrialConfig,
+    _block_alpha,
+    _block_rng,
+    _coordinate_block,
+    _coordinates,
+    draw_noise,
+)
 from dmimo.scene import Scenario, SyncErrors, noise_free_mf_output
 from dmimo.specfun import reg_upper_gamma
 from dmimo.waveforms import MULTI_BAND, PulseSpec, caf
@@ -171,11 +181,31 @@ def marcum_q_per_term(m: int, a: float, b: float) -> float:
 
 
 def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
-    """Yield the run's (trials, M, N, K) measurement blocks one at a time,
-    serially and in block order."""
+    """Yield the run's blocks as full (trials, M, N, K) measurement
+    batches, serially and in block order: per block the amplitudes, then
+    K noise samples per path, from the block's stream.  The law of every
+    statistic on these is the law the package's coordinate blocks must
+    reproduce."""
+    M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
     x_unit = noise_free_mf_output(sc, err, 1.0)
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
-        yield _measurement_block(sc, x_unit, cfg, j)
+        nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
+        rng = _block_rng(cfg.seed, cfg.pair, j)
+        alpha = _block_alpha(rng, cfg, nb)
+        w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
+        if cfg.hypothesis == "H1":
+            w += alpha[:, None, None, None] * x_unit
+        yield w
+
+
+def iter_coordinate_blocks(sc: Scenario, err: SyncErrors,
+                           comp: CompensationSet, cfg: TrialConfig):
+    """Yield the run's coordinate blocks (c, g) one at a time, serially
+    and in block order, plus the basis they are taken in: the serial
+    reference for the pooled block map."""
+    coords = _coordinates(sc, err, comp)
+    for j in range(-(-cfg.trials // BLOCK_TRIALS)):
+        yield coords.basis, _coordinate_block(sc, coords, cfg, j)
 
 
 def beta_mle(y_mn, S_n) -> np.ndarray:

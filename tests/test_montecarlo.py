@@ -2,20 +2,15 @@
 
 import sys
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmimo import analysis, montecarlo
+from dmimo import analysis, cli, montecarlo
 from dmimo.analysis import DetectorKind, analyze_detector, threshold
-from dmimo.detectors import (
-    CompensationSet,
-    acd_statistic,
-    cd_statistic,
-    doppler_projectors,
-    hd_statistic,
-    ncd_statistic,
-)
+from dmimo.detectors import CompensationSet, ncd_statistic
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     DistributionCheck,
@@ -27,8 +22,14 @@ from dmimo.montecarlo import (
     h0_statistic_distribution_check,
     run_trials,
 )
-from dmimo.scene import NonFluctuating, Swerling1, noise_free_mf_output
-from oracles import iter_measurement_blocks
+from dmimo.presets import reference_scenario
+from dmimo.scene import (
+    NonFluctuating,
+    Swerling1,
+    SyncErrors,
+    colocated_scenario,
+)
+from oracles import iter_coordinate_blocks, iter_measurement_blocks
 
 ALL = list(DetectorKind)
 
@@ -41,46 +42,46 @@ def ref_setup(ref_scenario, zero_err):
 
 class TestDraws:
     def test_noise_moments(self):
-        rng = _block_rng(7, 0)
+        rng = _block_rng(7, 0, 0)
         w = draw_noise(rng, 16, sigma2=2.5, shape=(20000,))
         assert abs(np.mean(w)) < 5 * np.sqrt(2.5 / (16 * 20000))
         assert np.mean(np.abs(w) ** 2) == pytest.approx(2.5, rel=0.01)
 
     def test_noise_determinism(self):
-        a = draw_noise(_block_rng(3, 1), 8, shape=(4,))
-        b = draw_noise(_block_rng(3, 1), 8, shape=(4,))
+        a = draw_noise(_block_rng(3, 0, 1), 8, shape=(4,))
+        b = draw_noise(_block_rng(3, 0, 1), 8, shape=(4,))
         assert np.array_equal(a, b)
 
     def test_noise_matches_componentwise_assembly(self):
         # oracle: the per-component normal draw, assembled as re + 1j*im
         shape, k, sigma2 = (5, 2, 1), 12, 2.5
-        z = _block_rng(17, 3).normal(scale=np.sqrt(sigma2 / 2.0),
-                                     size=shape + (k, 2))
+        z = _block_rng(17, 0, 3).normal(scale=np.sqrt(sigma2 / 2.0),
+                                        size=shape + (k, 2))
         oracle = z[..., 0] + 1j * z[..., 1]
-        got = draw_noise(_block_rng(17, 3), k, sigma2, shape)
+        got = draw_noise(_block_rng(17, 0, 3), k, sigma2, shape)
         assert got.shape == oracle.shape
         assert got.tobytes() == oracle.tobytes()
 
     def test_alpha_moment(self):
-        rng = _block_rng(11, 0)
+        rng = _block_rng(11, 0, 0)
         a = draw_swerling1_alpha(rng, 1.7, (100000,))
         assert np.mean(np.abs(a) ** 2) == pytest.approx(1.7, rel=0.02)
 
     def test_alpha_exponential_cdf(self):
         # |alpha|^2 should follow 1 - exp(-r / rho_bar)
-        rng = _block_rng(13, 0)
+        rng = _block_rng(13, 0, 0)
         r = np.sort(np.abs(draw_swerling1_alpha(rng, 1.0, (100000,))) ** 2)
         ecdf = np.arange(1, r.size + 1) / r.size
         ks = np.max(np.abs(ecdf - (1.0 - np.exp(-r))))
         assert ks < 0.01
 
     def test_alpha_scalar_form(self):
-        a = draw_swerling1_alpha(_block_rng(5, 0), 2.0)
+        a = draw_swerling1_alpha(_block_rng(5, 0, 0), 2.0)
         assert isinstance(a, complex)
 
     def test_alpha_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            draw_swerling1_alpha(_block_rng(0, 0), 0.0)
+            draw_swerling1_alpha(_block_rng(0, 0, 0), 0.0)
 
 
 class TestTrialConfig:
@@ -95,6 +96,10 @@ class TestTrialConfig:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             TrialConfig(trials=0, seed=0, hypothesis="H0")
+
+    def test_bad_pair(self):
+        with pytest.raises(ValueError):
+            TrialConfig(trials=10, seed=0, hypothesis="H0", pair=-1)
 
 
 class TestDeterminism:
@@ -117,9 +122,12 @@ class TestDeterminism:
                             target_draw=Swerling1(1.0))
         long = TrialConfig(trials=2 * BLOCK_TRIALS + 100, seed=9,
                            hypothesis="H1", target_draw=Swerling1(1.0))
-        y_short = next(iter_measurement_blocks(sc, err, short))
-        y_long = next(iter_measurement_blocks(sc, err, long))
-        assert np.array_equal(y_short, y_long)
+        _, (c_short, g_short) = next(iter_coordinate_blocks(sc, err, comp,
+                                                            short))
+        _, (c_long, g_long) = next(iter_coordinate_blocks(sc, err, comp,
+                                                          long))
+        assert np.array_equal(c_short, c_long)
+        assert np.array_equal(g_short, g_long)
 
     def test_block_order_independent_counts(self, ref_setup):
         # counting is associative: summing per-block exceedances in
@@ -127,9 +135,9 @@ class TestDeterminism:
         sc, err, comp = ref_setup
         gamma = threshold(DetectorKind.NCD, 1e-2, 12, 2, 1, 1.0)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21, hypothesis="H0")
-        blocks = list(iter_measurement_blocks(sc, err, cfg))
-        total = sum(int(np.count_nonzero(ncd_statistic(y) > gamma))
-                    for y in reversed(blocks))
+        blocks = [cg for _, cg in iter_coordinate_blocks(sc, err, comp, cfg)]
+        total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
+                    for c, g in reversed(blocks))
         got = run_trials(sc, err, comp, {DetectorKind.NCD: gamma}, cfg)
         assert got[DetectorKind.NCD].detections == total
 
@@ -185,19 +193,21 @@ class TestH1Match:
         assert res.p_hat == 1.0
 
     def test_ncd_phase_screen_invariance(self, ref_setup):
-        # NCD counts are unchanged by any fixed per-sample phase screen
-        # applied to the measurements
+        # NCD counts are unchanged by any fixed phase screen applied to
+        # the measurements' coordinates
         sc, err, comp = ref_setup
         gamma = threshold(DetectorKind.NCD, 1e-3, 12, 2, 1, 1.0)
         cfg = TrialConfig(trials=20000, seed=55, hypothesis="H1",
                           target_draw=Swerling1(1.0))
         base = run_trials(sc, err, comp, {DetectorKind.NCD: gamma},
                           cfg)[DetectorKind.NCD]
+        blocks = list(iter_coordinate_blocks(sc, err, comp, cfg))
+        c_shape = blocks[0][1][0].shape[1:]
         rng = np.random.default_rng(2)
-        screen = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 1, 12)))
+        screen = np.exp(1j * rng.uniform(-np.pi, np.pi, c_shape))
         screened = sum(
-            int(np.count_nonzero(ncd_statistic(y * screen) > gamma))
-            for y in iter_measurement_blocks(sc, err, cfg))
+            int(np.count_nonzero(ncd_statistic(c * screen) + g > gamma))
+            for _, (c, g) in blocks)
         assert screened == base.detections
 
 
@@ -222,18 +232,13 @@ POOL_TRIALS = 3 * BLOCK_TRIALS + 17
 
 
 def serial_counts(sc, err, comp, gammas, cfg):
-    """Exceedance counts summed serially over the oracle's blocks."""
-    stats = {
-        DetectorKind.NCD: ncd_statistic,
-        DetectorKind.ACD: lambda y: acd_statistic(y, comp.theta_hat),
-        DetectorKind.CD: lambda y: cd_statistic(y, comp.templates),
-        DetectorKind.HD: lambda y: hd_statistic(
-            y, doppler_projectors(comp.S_hat)),
-    }
+    """Exceedance counts summed serially over the oracle's coordinate
+    blocks."""
     counts = dict.fromkeys(gammas, 0)
-    for y in iter_measurement_blocks(sc, err, cfg):
+    for basis, (c, g) in iter_coordinate_blocks(sc, err, comp, cfg):
         for d, gamma in gammas.items():
-            counts[d] += int(np.count_nonzero(stats[d](y) > gamma))
+            stat = analysis.statistic(d, comp, basis)[0]
+            counts[d] += int(np.count_nonzero(stat(c, g) > gamma))
     return counts
 
 
@@ -275,7 +280,8 @@ class TestWorkerPool:
             threads.add(threading.get_ident())
             return ncd_statistic(y)
 
-        block_bytes = BLOCK_TRIALS * sc.m_tx * sc.n_rx * sc.k_pulses * 16
+        block_bytes = BLOCK_TRIALS * montecarlo._coordinates(
+            sc, err, comp).x.nbytes
         monkeypatch.setattr(analysis, "ncd_statistic", statistic)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
@@ -321,3 +327,149 @@ class TestWorkerPool:
         assert not caller.is_alive()
         assert len(caught) == 1 and caught[0] is raised[0]
 
+
+
+RECIPES = sorted((Path(__file__).resolve().parent.parent
+                  / "recipes").glob("*.json"))
+
+
+class TestStreams:
+    def test_recipe_pairs_draw_distinct_streams(self, monkeypatch, tmp_path):
+        # every (sweep point, system) pair of every recipe is keyed by
+        # (seed, pair); under the former key seed + pair, pair 0 of
+        # timing_errors (seed 2029) drew the stream of pair 5 of
+        # snr_offset_multi_band (seed 2024)
+        keys = {}
+
+        def record(sc, err, comp, gammas, cfg):
+            keys.setdefault(recipe.stem, []).append((cfg.seed, cfg.pair))
+            return run_trials(sc, err, comp, gammas, cfg)
+
+        monkeypatch.setattr(cli, "run_trials", record)
+        for recipe in RECIPES:
+            cli.main(["simulate", "--experiment", str(recipe), "--trials", "1",
+                      "--out", str(tmp_path / f"{recipe.stem}.csv")])
+        assert len(keys) == len(RECIPES) == 8
+        every = [k for ks in keys.values() for k in ks]
+        assert len(set(every)) == len(every)
+        a, b = keys["timing_errors"][0], keys["snr_offset_multi_band"][5]
+        assert (a, b) == ((2029, 0), (2024, 5))
+        assert sum(a) == sum(b)
+        assert not np.array_equal(_block_rng(*a, 0).standard_normal(64),
+                                  _block_rng(*b, 0).standard_normal(64))
+
+    def test_blocks_are_disjoint_counter_ranges(self):
+        # the block index is the counter's high word: block 1 is not
+        # block 0 advanced, and block 0 of another pair is another stream
+        first = _block_rng(3, 0, 0).standard_normal(4096)
+        assert not np.array_equal(_block_rng(3, 0, 1).standard_normal(64),
+                                  first[:64])
+        assert not np.any(np.isin(_block_rng(3, 1, 0).standard_normal(64),
+                                  first))
+
+
+def _path_errors(M, N, dt=0.0, df=0.0, dp=0.0):
+    return SyncErrors(dt=np.full((M, N), dt) * np.arange(1, M + 1)[:, None],
+                      df=np.full((M, N), df) * np.arange(1, M + 1)[:, None],
+                      dp=np.full((M, N), dp) * np.arange(1, M + 1)[:, None],
+                      dc_rx=np.zeros(N))
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_statistics_equal_on_full_cube(self, seed, random_scenario):
+        # T(B^H y, energy outside) equals T(y) for any measurement y:
+        # every vector a detector reads lies in the spans of the basis
+        rng = np.random.default_rng(4000 + seed)
+        # every fourth scenario has K <= M + 1, every third is co-located
+        short = dict(m_tx=3, k_pulses=3) if seed % 4 == 1 else {}
+        sc, err = random_scenario(rng, **short)
+        sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)  # keeps tau + dt >= 0
+        if seed % 3 == 0:
+            sc = colocated_scenario(sc)
+        comp = CompensationSet.from_scenario(sc, err)
+        coords = montecarlo._coordinates(sc, err, comp)
+        M, N, K, r = coords.basis.shape
+        gram = np.einsum("mnkr,mnks->mnrs", np.conj(coords.basis),
+                         coords.basis)
+        assert np.allclose(gram, np.eye(r), atol=1e-12)
+        assert r <= min(K, M + 1)
+        assert coords.outside == M * N * (K - r)
+        y = (rng.standard_normal((5, M, N, K))
+             + 1j * rng.standard_normal((5, M, N, K)))
+        c = np.einsum("mnkr,tmnk->tmnr", np.conj(coords.basis), y)
+        g = (np.sum(np.abs(y) ** 2, axis=(1, 2, 3))
+             - np.sum(np.abs(c) ** 2, axis=(1, 2, 3)))
+        for d in ALL:
+            try:
+                want = analysis.statistic(d, comp)[0](y)
+            except ValueError:  # HD on rank-deficient steering
+                with pytest.raises(ValueError):
+                    analysis.statistic(d, comp, coords.basis)
+                continue
+            got = analysis.statistic(d, comp, coords.basis)[0](c, g)
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_colocated_rank_one(self, ref_scenario, zero_err):
+        sc = colocated_scenario(ref_scenario)
+        comp = CompensationSet.from_scenario(sc, zero_err)
+        coords = montecarlo._coordinates(sc, zero_err, comp)
+        assert coords.basis.shape == (2, 1, 12, 1)
+        assert coords.outside == 2 * 11
+
+    # Two-sample KS of each statistic: the engine's coordinate blocks
+    # against full (trials, M, N, K) measurement cubes drawn on an
+    # independent stream.
+    KS_TRIALS = 16384
+    KS_ALPHA = 1e-3
+
+    @pytest.mark.parametrize("case", [
+        "h0", "swerling", "fixed", "timing", "frequency", "phase",
+        "colocated", "array", "short"])
+    def test_law_matches_full_cube(self, case, ref_scenario,
+                                   random_scenario):
+        # imported here: scipy is the test's reference, not the package's
+        from scipy import stats
+
+        sc, M = ref_scenario, 2
+        err = SyncErrors.zeros(M, 1)
+        hypothesis, target, dets = "H1", Swerling1(1.0), ALL
+        trials = self.KS_TRIALS
+        if case == "h0":
+            hypothesis, target = "H0", None
+        elif case == "fixed":
+            target = NonFluctuating(0.6 - 0.8j)
+        elif case == "timing":
+            err = _path_errors(M, 1, dt=0.2e-5)
+        elif case == "frequency":
+            err = _path_errors(M, 1, df=12.0)
+        elif case == "phase":
+            err = _path_errors(M, 1, dp=0.7)
+        elif case == "colocated":
+            sc, dets = colocated_scenario(sc), ALL[:3]
+        elif case == "array":
+            sc, err = random_scenario(np.random.default_rng(77), m_tx=4,
+                                      n_rx=3, k_pulses=32)
+            trials = BLOCK_TRIALS
+        elif case == "short":
+            # K = M + 1, and the Doppler errors take x out of span S_hat:
+            # r = K, so no energy lies outside
+            sc = reference_scenario("multi_band", k_pulses=3)
+            err = _path_errors(M, 1, df=12.0)
+        comp = CompensationSet.from_scenario(sc, err)
+        coords = montecarlo._coordinates(sc, err, comp)
+        if case == "short":
+            assert coords.outside == 0
+        cfg = TrialConfig(trials=trials, seed=610, hypothesis=hypothesis,
+                          target_draw=target)
+        oracle_cfg = TrialConfig(trials=trials, seed=611,
+                                 hypothesis=hypothesis, target_draw=target)
+        cubes = list(iter_measurement_blocks(sc, err, oracle_cfg))
+        p_values = {}
+        for d in dets:
+            stat = analysis.statistic(d, comp, coords.basis)[0]
+            got = np.concatenate(montecarlo._map_blocks(sc, coords, cfg, stat))
+            cube_stat = analysis.statistic(d, comp)[0]
+            want = np.concatenate([cube_stat(y) for y in cubes])
+            p_values[d] = stats.ks_2samp(got, want).pvalue
+        assert min(p_values.values()) > self.KS_ALPHA, p_values
