@@ -25,6 +25,7 @@ from .montecarlo import (
     EmpiricalResult,
     TrialConfig,
     h0_statistic_distribution_check,
+    run_sweep,
     run_trials,
 )
 from .presets import reference_scenario
@@ -60,6 +61,7 @@ __all__ = [
     "EmpiricalResult",
     "TrialConfig",
     "h0_statistic_distribution_check",
+    "run_sweep",
     "run_trials",
     "reference_scenario",
     "NonFluctuating",

@@ -32,7 +32,7 @@ from .experiments import (
     scenario_at,
     sweep_value_si,
 )
-from .montecarlo import TrialConfig, run_trials
+from .montecarlo import TrialConfig, run_sweep
 from .scene import SyncErrors, colocated_scenario
 from .waveforms import caf
 
@@ -179,20 +179,25 @@ def cmd_simulate(args) -> int:
 def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
     """(CSV rows, whether any row fails the confidence gate).  Every
     detector of one (sweep point, system) pair is evaluated on the same
-    Monte Carlo stream, keyed by the seed and the pair's index."""
-    rows = []
-    gate_failed = False
-    for index, (sc, err, comp, pair_rows) in enumerate(_analytic_pairs(spec)):
+    Monte Carlo stream, keyed by the seed and the pair's index; the Monte
+    Carlo blocks of all pairs run in one ``run_sweep`` call."""
+    pairs = list(_analytic_pairs(spec))
+    runs = {}
+    for index, (sc, err, comp, pair_rows) in enumerate(pairs):
         gammas = {pt.detector: pt.gamma for _, pt in pair_rows
                   if pt is not None}
         if gammas:
             cfg = TrialConfig(trials=trials, seed=seed, pair=index,
                               hypothesis="H1", target_draw=sc.target)
-            results = run_trials(sc, err, comp, gammas, cfg)
+            runs[index] = (sc, err, comp, gammas, cfg)
+    results = dict(zip(runs, run_sweep(list(runs.values()))))
+    rows = []
+    gate_failed = False
+    for index, (*_, pair_rows) in enumerate(pairs):
         for row, pt in pair_rows:
             row = dict(row, trials=trials, seed=seed)
             if pt is not None:
-                res = results[pt.detector]
+                res = results[index][pt.detector]
                 row.update(pd_empirical=float(res.p_hat),
                            ci_halfwidth=res.ci_halfwidth)
                 half = max(res.ci_halfwidth, 3.0 / trials)

@@ -8,11 +8,17 @@ Philox generator with the run's key and ``j`` in the high word of its
 counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11).  Any block can be produced independently of the others: results
 are bit-identical across runs, and the first ``B`` trials of a long run
-equal the first ``B`` trials of a short one.  The blocks of a run are
-evaluated on a thread pool, one worker per CPU the process may run on
-(fewer when the blocks are large, to bound the memory held at once), and
-each detector's per-block exceedance counts are summed in block order:
-the counts are bit-identical for any worker count.
+equal the first ``B`` trials of a short one.
+
+One pool per sweep.  ``run_sweep`` takes every run of a sweep (``simulate``
+passes all its pairs at once) and evaluates the blocks of all of them on
+one thread pool, one worker per CPU the process may run on (fewer when
+the largest block of the sweep is large, to bound the memory held at
+once).  Blocks are submitted in run order, then block order, and lazily:
+at most two per worker are pending at a time, so the futures held do not
+grow with trials or pairs.  Each detector's per-block exceedance counts
+are summed in block order: the counts are bit-identical for any worker
+count.
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
@@ -32,8 +38,8 @@ r complex coordinates per path and one energy per trial instead of K
 samples per path, and no (trials, M, N, K) cube.  The argument rests on
 the invariance alone, not on any closed form under test.
 
-Every detector of one ``run_trials`` call sees the same coordinate
-blocks (common random numbers).  Each detector's statistic T comes from
+Every detector of one run sees the same coordinate blocks (common random
+numbers).  Each detector's statistic T comes from
 ``analysis.statistic``, given the run's basis: the same T whose value on
 the noise-free return x gives the closed forms' noncentrality
 lambda = 2 rho T(x) / c, so the simulation and the closed forms evaluate
@@ -43,6 +49,7 @@ one statistic.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +72,7 @@ __all__ = [
     "DistributionCheck",
     "draw_noise",
     "draw_swerling1_alpha",
+    "run_sweep",
     "run_trials",
     "h0_statistic_distribution_check",
 ]
@@ -233,7 +241,9 @@ def _coordinate_block(sc: Scenario, coords: _Coordinates, cfg: TrialConfig,
 # Coordinate bytes the pool may hold at once.  A worker's peak is about
 # twice its batch (the statistics' temporaries): at (M, N, K) =
 # (8, 8, 64) a 75 MB block adds 145-190 MiB per worker.  So this bounds
-# the pool's memory on hosts with many CPUs; a larger block runs alone.
+# the pool's memory on hosts with many CPUs; the workers are counted
+# against the largest block of the sweep, and a block larger than this
+# runs alone.
 _BYTES_IN_FLIGHT = 128 << 20
 
 
@@ -245,53 +255,88 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(sc: Scenario, coords: _Coordinates, cfg: TrialConfig,
-                fn) -> list:
-    """``fn(c, g)`` of every coordinate block of the run, in block order.
+def _map_blocks(runs):
+    """Yield ``(i, fn(c, g))`` for every coordinate block of every run
+    ``i``, where ``runs`` holds ``(sc, coords, cfg, fn)`` tuples, in run
+    order, then block order.
 
-    Blocks run on a thread pool of one worker per usable CPU, at most one
-    per block and at most _BYTES_IN_FLIGHT of coordinate batches at once
-    (always at least one worker): the Philox draws, the ufuncs and the
-    matrix products release the GIL, and each block reads only its own
-    stream, so the results do not depend on the worker count.  An
-    exception raised in a block propagates to the caller.
+    All blocks run on one thread pool of one worker per usable CPU, at
+    most one per block and at most _BYTES_IN_FLIGHT of the sweep's largest
+    coordinate batches at once (always at least one worker): the Philox
+    draws, the ufuncs and the matrix products release the GIL, and each
+    block reads only its own stream, so the results do not depend on the
+    worker count.  Blocks are submitted as results are taken, at most two
+    per worker pending, so a long sweep holds a bounded number of
+    futures.  An exception raised in a block propagates to the caller.
+    An empty ``runs`` starts no pool.
     """
-    n_blocks = -(-cfg.trials // BLOCK_TRIALS)
-    block_bytes = min(BLOCK_TRIALS, cfg.trials) * coords.x.nbytes
-    workers = max(1, min(_worker_count(), n_blocks,
+    if not runs:
+        return
+    n_blocks = [-(-cfg.trials // BLOCK_TRIALS) for _, _, cfg, _ in runs]
+    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * coords.x.nbytes
+                      for _, coords, cfg, _ in runs)
+    workers = max(1, min(_worker_count(), sum(n_blocks),
                          _BYTES_IN_FLIGHT // block_bytes))
 
-    def block(j):
+    def block(sc, coords, cfg, fn, j):
         return fn(*_coordinate_block(sc, coords, cfg, j))
 
     # imported here to keep concurrent.futures off the CLI's start-up
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block, range(n_blocks)))
+        pending = deque()
+        try:
+            for i, run in enumerate(runs):
+                for j in range(n_blocks[i]):
+                    if len(pending) == 2 * workers:
+                        head, future = pending.popleft()
+                        yield head, future.result()
+                    pending.append((i, pool.submit(block, *run, j)))
+            while pending:
+                head, future = pending.popleft()
+                yield head, future.result()
+        finally:
+            # after an error, blocks not yet started are not run
+            for _, future in pending:
+                future.cancel()
+
+
+def run_sweep(runs) -> list:
+    """Run every configured run of a sweep and count threshold
+    exceedances, all blocks on one pool.
+
+    ``runs`` is a list of ``(sc, err, comp, gammas, cfg)`` tuples.  Per
+    run, gammas maps each detector to run to its threshold; the detectors
+    run in its insertion order, each on the statistic from
+    ``analysis.statistic`` in the run's sufficient coordinates.  Returns
+    one DetectorKind -> EmpiricalResult map per run, in run order.
+    """
+    jobs = []
+    for sc, err, comp, gammas, cfg in runs:
+        coords = _coordinates(sc, err, comp)
+        checks = [(statistic(d, comp, coords.basis)[0], gamma)
+                  for d, gamma in gammas.items()]
+
+        def block_counts(c, g, checks=checks):
+            return [int(np.count_nonzero(stat(c, g) > gamma))
+                    for stat, gamma in checks]
+
+        jobs.append((sc, coords, cfg, block_counts))
+    # integer sums in block order: the counts are the serial ones exactly
+    totals = [[0] * len(gammas) for *_, gammas, _ in runs]
+    for i, counts in _map_blocks(jobs):
+        totals[i] = [t + n for t, n in zip(totals[i], counts)]
+    return [{d: EmpiricalResult.from_counts(d, n, cfg.trials)
+             for d, n in zip(gammas, counts)}
+            for (*_, gammas, cfg), counts in zip(runs, totals)]
 
 
 def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
                gammas: dict, cfg: TrialConfig) -> dict:
-    """Run the configured trials and count threshold exceedances.
-
-    gammas maps each detector to run to its threshold; the detectors run
-    in its insertion order, each on the statistic from
-    ``analysis.statistic`` in the run's sufficient coordinates.  Returns a
-    DetectorKind -> EmpiricalResult map.
-    """
-    coords = _coordinates(sc, err, comp)
-    checks = [(statistic(d, comp, coords.basis)[0], gamma)
-              for d, gamma in gammas.items()]
-
-    def block_counts(c, g):
-        return [int(np.count_nonzero(stat(c, g) > gamma))
-                for stat, gamma in checks]
-
-    # integer sums in block order: the counts are the serial ones exactly
-    counts = [sum(n) for n in zip(*_map_blocks(sc, coords, cfg,
-                                               block_counts))]
-    return {d: EmpiricalResult.from_counts(d, n, cfg.trials)
-            for d, n in zip(gammas, counts)}
+    """Run the configured trials and count threshold exceedances: the
+    one-run case of ``run_sweep``.  Returns a DetectorKind ->
+    EmpiricalResult map."""
+    return run_sweep([(sc, err, comp, gammas, cfg)])[0]
 
 
 def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
@@ -305,7 +350,8 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
     coords = _coordinates(sc, SyncErrors.zeros(sc.m_tx, sc.n_rx), comp)
     stat, varsigma = statistic(det, comp, coords.basis)
-    vals = np.concatenate(_map_blocks(sc, coords, cfg, stat))
+    blocks = _map_blocks([(sc, coords, cfg, stat)])
+    vals = np.concatenate([v for _, v in blocks])
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
     p = _order(det, K, M, N)
     c = _scale(det, K, M, N, sc.sigma2, varsigma)

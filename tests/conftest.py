@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 
 import numpy as np
@@ -72,3 +73,37 @@ def random_scenario():
         return sc, err
 
     return make
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Replace ``concurrent.futures.ThreadPoolExecutor`` with a subclass
+    that records the ``max_workers`` of every pool constructed and the
+    most futures submitted but not yet read at any one time."""
+
+    class PoolSpy(concurrent.futures.ThreadPoolExecutor):
+        pools = []
+        peak_unread = 0
+
+        def __init__(self, max_workers=None, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            PoolSpy.pools.append(max_workers)
+            self._unread = set()
+
+        def submit(self, fn, /, *args, **kwargs):
+            # submit and result are both called on the caller's thread
+            future = super().submit(fn, *args, **kwargs)
+            self._unread.add(future)
+            PoolSpy.peak_unread = max(PoolSpy.peak_unread,
+                                      len(self._unread))
+            read = future.result
+
+            def result(timeout=None):
+                self._unread.discard(future)
+                return read(timeout)
+
+            future.result = result
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
+    return PoolSpy

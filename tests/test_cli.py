@@ -152,7 +152,7 @@ def test_unwritable_out_is_one_line_error(tmp_path):
 
 
 @pytest.mark.parametrize("cmd, work", [
-    ("simulate", "run_trials"), ("analyze", "analyze_detector"),
+    ("simulate", "run_sweep"), ("analyze", "analyze_detector"),
     ("caf", "caf")])
 def test_unwritable_out_fails_before_any_row(tmp_path, monkeypatch, cmd,
                                              work):
@@ -284,7 +284,9 @@ class TestSimulateCommand:
         assert len(out["one"]) == 2
         assert out["one"] == out["all"]
 
-    def test_negative_delay_estimate_gives_error_rows(self, tmp_path):
+    def test_negative_delay_estimate_gives_error_rows(self, tmp_path,
+                                                      pool_spy):
+        # every pair is an error pair: no Monte Carlo, so no pool
         exp = write_doc(tmp_path, negative_delay_estimate_doc())
         out = tmp_path / "s.csv"
         assert main(["simulate", "--experiment", exp, "--out",
@@ -293,6 +295,23 @@ class TestSimulateCommand:
         assert len(rows) == 2 * 2
         assert all("tau + dt" in r["error"] and r["pd_empirical"] == ""
                    for r in rows)
+        assert pool_spy.pools == []
+
+    def test_one_pool_per_invocation(self, tmp_path, pool_spy):
+        # six (sweep point, system) pairs; the co-located HD rows are
+        # error rows, the other rows of their pairs still run
+        doc = base_doc(detectors=["NCD", "CD", "HD"], trials=3000,
+                       colocated_benchmark=True)
+        exp = write_doc(tmp_path, doc)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--experiment", exp, "--out",
+                     str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3 * 2 * 3
+        assert all((r["error"] == "") == (r["pd_empirical"] != "")
+                   for r in rows)
+        assert sum(r["error"] != "" for r in rows) == 3
+        assert len(pool_spy.pools) == 1
 
     @pytest.mark.parametrize("flags", [
         ["--trials", "0"], ["--trials", "many"], ["--seed", "-1"],

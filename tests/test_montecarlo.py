@@ -20,6 +20,7 @@ from dmimo.montecarlo import (
     draw_noise,
     draw_swerling1_alpha,
     h0_statistic_distribution_check,
+    run_sweep,
     run_trials,
 )
 from dmimo.presets import reference_scenario
@@ -242,27 +243,85 @@ def serial_counts(sc, err, comp, gammas, cfg):
     return counts
 
 
+def mixed_runs(sc, hypothesis="H0", target=None, seed=31):
+    """(sc, err, comp, gammas, cfg) of three runs sharing one sweep: a
+    distributed r = 3 run of two full blocks (Doppler errors take the
+    return out of span S_hat), a co-located r = 1 run of one, and a
+    distributed run whose last block is partial."""
+    runs = []
+    doppler = _path_errors(2, 1, df=12.0)
+    for pair, (scenario, err, trials, dets) in enumerate([
+            (sc, doppler, 2 * BLOCK_TRIALS, ALL),
+            (colocated_scenario(sc), SyncErrors.zeros(2, 1), BLOCK_TRIALS,
+             ALL[:3]),
+            (sc, doppler, POOL_TRIALS, ALL)]):
+        comp = CompensationSet.from_scenario(scenario, err)
+        vs = float(np.sum(np.abs(comp.templates) ** 2))
+        gammas = {d: threshold(d, 0.05, 12, 2, 1, 1.0, vs) for d in dets}
+        cfg = TrialConfig(trials=trials, seed=seed, pair=pair,
+                          hypothesis=hypothesis, target_draw=target)
+        runs.append((scenario, err, comp, gammas, cfg))
+    return runs
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("hypothesis, target", [
         ("H0", None), ("H1", Swerling1(1.0)),
         ("H1", NonFluctuating(0.6 - 0.4j))])
-    def test_counts_equal_serial_sum(self, monkeypatch, ref_setup, workers,
-                                     hypothesis, target):
-        sc, err, comp = ref_setup
-        vs = float(np.sum(np.abs(comp.templates) ** 2))
-        gammas = {d: threshold(d, 0.05, 12, 2, 1, 1.0, vs) for d in ALL}
-        cfg = TrialConfig(trials=POOL_TRIALS, seed=31, hypothesis=hypothesis,
-                          target_draw=target)
+    def test_counts_equal_serial_sum(self, monkeypatch, ref_scenario,
+                                     workers, hypothesis, target):
+        # one pool over the blocks of runs of different ranks and block
+        # sizes gives each run exactly its serial counts
+        runs = mixed_runs(ref_scenario, hypothesis, target)
+        ranks = [montecarlo._coordinates(sc, err, comp).x.shape[-1]
+                 for sc, err, comp, *_ in runs]
+        assert ranks == [3, 1, 3]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = run_trials(sc, err, comp, gammas, cfg)
+            got = run_sweep(runs)
         finally:
             sys.setswitchinterval(interval)
-        assert ({d: got[d].detections for d in ALL}
-                == serial_counts(sc, err, comp, gammas, cfg))
+        assert len(got) == len(runs)
+        for res, (sc, err, comp, gammas, cfg) in zip(got, runs):
+            assert ({d: r.detections for d, r in res.items()}
+                    == serial_counts(sc, err, comp, gammas, cfg))
+        assert run_trials(*runs[2]) == got[2]
+
+    @pytest.mark.parametrize("budget_largest, workers", [(2, 2), (1.5, 1)])
+    def test_byte_budget_counts_largest_block(self, monkeypatch, pool_spy,
+                                              ref_scenario, budget_largest,
+                                              workers):
+        # the co-located blocks are a third the size of the distributed
+        # ones; the worker count is set by the largest, wherever it runs
+        runs = mixed_runs(ref_scenario)[1:]
+        sizes = [BLOCK_TRIALS * montecarlo._coordinates(sc, err, comp)
+                 .x.nbytes for sc, err, comp, *_ in runs]
+        assert sizes[1] == 3 * sizes[0]
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
+                            int(budget_largest * sizes[1]))
+        run_sweep(runs)
+        assert pool_spy.pools == [workers]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pending_futures_bounded_by_window(self, monkeypatch, pool_spy,
+                                               ref_scenario, workers):
+        # blocks are submitted as results are read, never all up front
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        runs = mixed_runs(ref_scenario)
+        n_blocks = sum(-(-cfg.trials // 64) for *_, cfg in runs)
+        assert n_blocks > 100 * workers
+        run_sweep(runs)
+        assert pool_spy.pools == [workers]
+        assert pool_spy.peak_unread == 2 * workers
+
+    def test_no_runs_no_pool(self, pool_spy):
+        assert run_sweep([]) == []
+        assert pool_spy.pools == []
 
     @pytest.mark.parametrize("workers, budget_blocks, max_threads", [
         (2, 100, 2), (8, 2, 2), (8, 0.5, 1)])
@@ -302,31 +361,31 @@ class TestWorkerPool:
                 DetectorKind.HD, sc, comp, POOL_TRIALS, seed=5).ks_distance)
         assert ks[0] == ks[1] == ks[2]
 
-    def test_block_exception_reaches_caller(self, monkeypatch, ref_setup):
-        sc, err, comp = ref_setup
+    def test_block_exception_reaches_caller(self, monkeypatch,
+                                           ref_scenario):
+        # the partial block of the sweep's last run raises
         raised, caught = [], []
 
         def failing(y):
-            if len(y) == 17:  # the partial last block
+            if len(y) == 17:
                 raised.append(ValueError("bad block"))
                 raise raised[0]
             return ncd_statistic(y)
 
         def call():
             try:
-                run_trials(sc, err, comp, {DetectorKind.NCD: 30.0}, cfg)
+                run_sweep(runs)
             except ValueError as exc:
                 caught.append(exc)
 
         monkeypatch.setattr(analysis, "ncd_statistic", failing)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
-        cfg = TrialConfig(trials=POOL_TRIALS, seed=2, hypothesis="H0")
+        runs = mixed_runs(ref_scenario, seed=2)
         caller = threading.Thread(target=call, daemon=True)
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert len(caught) == 1 and caught[0] is raised[0]
-
 
 
 RECIPES = sorted((Path(__file__).resolve().parent.parent
@@ -341,11 +400,12 @@ class TestStreams:
         # snr_offset_multi_band (seed 2024)
         keys = {}
 
-        def record(sc, err, comp, gammas, cfg):
-            keys.setdefault(recipe.stem, []).append((cfg.seed, cfg.pair))
-            return run_trials(sc, err, comp, gammas, cfg)
+        def record(runs):
+            keys.setdefault(recipe.stem, []).extend(
+                (cfg.seed, cfg.pair) for *_, cfg in runs)
+            return run_sweep(runs)
 
-        monkeypatch.setattr(cli, "run_trials", record)
+        monkeypatch.setattr(cli, "run_sweep", record)
         for recipe in RECIPES:
             cli.main(["simulate", "--experiment", str(recipe), "--trials", "1",
                       "--out", str(tmp_path / f"{recipe.stem}.csv")])
@@ -468,7 +528,8 @@ class TestCoordinates:
         p_values = {}
         for d in dets:
             stat = analysis.statistic(d, comp, coords.basis)[0]
-            got = np.concatenate(montecarlo._map_blocks(sc, coords, cfg, stat))
+            got = np.concatenate([v for _, v in montecarlo._map_blocks(
+                [(sc, coords, cfg, stat)])])
             cube_stat = analysis.statistic(d, comp)[0]
             want = np.concatenate([cube_stat(y) for y in cubes])
             p_values[d] = stats.ks_2samp(got, want).pvalue
