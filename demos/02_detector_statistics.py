@@ -2,34 +2,32 @@
 
 A two-transmitter scenario is built with the library defaults, a noisy
 slow-time measurement is formed for a fixed target amplitude, and all
-four statistics, with the CD scaling factor varsigma, come from
-``analysis.statistic`` and are evaluated against their false-alarm
-thresholds.
+four statistics come from ``analysis.statistic`` on the scenario's
+receiver, which also holds the CD scaling factor varsigma, and are
+evaluated against their false-alarm thresholds.
 """
 
-from dmimo.analysis import DetectorKind, statistic, threshold
-from dmimo.detectors import CompensationSet, alpha_mle
+from dmimo.analysis import DetectorKind, Receiver, statistic, threshold
+from dmimo.detectors import alpha_mle
 from dmimo.montecarlo import draw_noise, _block_rng
 from dmimo.presets import reference_scenario
-from dmimo.scene import SyncErrors, noise_free_mf_output
+from dmimo.scene import SyncErrors
 
 sc = reference_scenario("multi_band", snr_db=(3.0, 3.0))
-err = SyncErrors.zeros(2, 1)
-comp = CompensationSet.from_scenario(sc, err)
+rx = Receiver.build(sc, SyncErrors.zeros(2, 1))
 
 alpha = 1.0 + 0.0j
 rng = _block_rng(seed=7, pair=0, block=0)
-y = (noise_free_mf_output(sc, err, alpha)
-     + draw_noise(rng, sc.k_pulses, sc.sigma2, (sc.m_tx, sc.n_rx)))
+y = alpha * rx.x + draw_noise(rng, sc.k_pulses, sc.sigma2,
+                              (sc.m_tx, sc.n_rx))
 
 print(f"{'detector':>8s} {'statistic':>12s} {'threshold':>12s} {'decide':>8s}")
 for det in DetectorKind:
-    stat, varsigma = statistic(det, comp)
-    value = stat(y)
+    value = statistic(det, rx)(y)
     gamma = threshold(det, 1e-4, sc.k_pulses, sc.m_tx, sc.n_rx,
-                      sc.sigma2, varsigma)
+                      sc.sigma2, rx.varsigma)
     verdict = "target" if value > gamma else "noise"
     print(f"{det.value:>8s} {value:12.3f} {gamma:12.3f} {verdict:>8s}")
 
-print(f"\nleast-squares amplitude estimate: {alpha_mle(y, comp.templates):.3f} "
+print(f"\nleast-squares amplitude estimate: {alpha_mle(y, rx.templates):.3f} "
       f"(true {alpha})")

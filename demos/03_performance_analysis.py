@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from dmimo.analysis import DetectorKind, analyze_detector
-from dmimo.detectors import CompensationSet
+from dmimo.analysis import DetectorKind, Receiver, analyze_detector
 from dmimo.presets import reference_scenario
 from dmimo.scene import SyncErrors
 
@@ -25,8 +24,8 @@ def table(err, title):
     print(f"{'SNR dB':>8s} " + " ".join(f"{d.value:>8s}" for d in ALL))
     for snr in np.arange(-10.0, 11.0, 2.5):
         sc = reference_scenario("multi_band", snr_db=(snr, snr))
-        comp = CompensationSet.from_scenario(sc, err)
-        pds = [analyze_detector(d, sc, err, comp, 1e-4).pd for d in ALL]
+        rx = Receiver.build(sc, err)
+        pds = [analyze_detector(d, rx, 1e-4).pd for d in ALL]
         print(f"{snr:8.1f} " + " ".join(f"{p:8.4f}" for p in pds))
     print()
 

@@ -9,8 +9,7 @@ distance.
 
 import math
 
-from dmimo.analysis import DetectorKind, analyze_detector
-from dmimo.detectors import CompensationSet
+from dmimo.analysis import DetectorKind, Receiver, analyze_detector
 from dmimo.montecarlo import (
     TrialConfig,
     h0_statistic_distribution_check,
@@ -23,13 +22,12 @@ ALL = list(DetectorKind)
 TRIALS = 100_000
 
 sc = reference_scenario("multi_band", snr_db=(0.0, 0.0))
-err = SyncErrors.zeros(2, 1)
-comp = CompensationSet.from_scenario(sc, err)
-points = {d: analyze_detector(d, sc, err, comp, 1e-4) for d in ALL}
+rx = Receiver.build(sc, SyncErrors.zeros(2, 1))
+points = {d: analyze_detector(d, rx, 1e-4) for d in ALL}
 
 cfg = TrialConfig(trials=TRIALS, seed=12345, hypothesis="H1",
                   target_draw=Swerling1(1.0))
-res = run_trials(sc, err, comp, {d: points[d].gamma for d in ALL}, cfg)
+res = run_trials(rx, {d: points[d].gamma for d in ALL}, cfg)
 
 print(f"{TRIALS} trials, Pf = 1e-4, SNR = 0 dB:")
 print(f"{'detector':>8s} {'analytic':>10s} {'empirical':>10s} "
@@ -43,6 +41,6 @@ for d in ALL:
 print("\nH0 statistic vs central chi-square law (KS distance, "
       f"{TRIALS} trials):")
 for i, d in enumerate(ALL):
-    rep = h0_statistic_distribution_check(d, sc, comp, TRIALS, seed=200 + i)
+    rep = h0_statistic_distribution_check(d, rx, TRIALS, seed=200 + i)
     print(f"{d.value:>8s}  2T/c ~ chi2_{2 * rep.order:<4d} "
           f"KS = {rep.ks_distance:.4f}")

@@ -4,6 +4,7 @@ performance, and seeded Monte Carlo validation."""
 from .analysis import (
     DetectorKind,
     PerfPoint,
+    Receiver,
     analyze_detector,
     noncentrality,
     pd_nonfluctuating,
@@ -42,6 +43,7 @@ from .waveforms import PulseSpec, caf, down_chirp, multi_band_chirp, up_chirp
 __all__ = [
     "DetectorKind",
     "PerfPoint",
+    "Receiver",
     "analyze_detector",
     "noncentrality",
     "pd_nonfluctuating",

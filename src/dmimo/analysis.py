@@ -9,14 +9,16 @@ parameter lambda, where the order p and scale c are
     CD   p = 1      c = varsigma sigma^2
     HD   p = N M^2  c = sigma^2
 
-with varsigma = ||v||^2 the energy of the CD templates v.  The
-noncentrality is the detector's own statistic applied to the noise-free
-return x at unit amplitude, lambda = 2 rho T(x) / c, so ``statistic`` is
-the one map from a detector to its statistic, for the closed forms here
-and for the Monte Carlo engine alike.  One kernel serves false-alarm
-probability, threshold inversion, fixed-amplitude detection probability
-(Marcum-Q tail), and the Swerling I average in terms of the regularized
-gamma and 1F1(1, b, x).
+with varsigma = ||v||^2 the energy of the CD templates v.  A
+``Receiver``, built once per (sweep point, system) pair, holds every
+quantity a detector reads, and ``statistic(det, rx)`` is the one map from
+a detector to its statistic, in one form for the measurement cube and
+for the Monte Carlo engine's sufficient coordinates.  The noncentrality
+is that statistic on the noise-free return x at unit amplitude,
+lambda = 2 rho T(x) / c, read in the K-sample frame.  One kernel serves
+false-alarm probability, threshold inversion, fixed-amplitude detection
+probability (Marcum-Q tail), and the Swerling I average in terms of the
+regularized gamma and 1F1(1, b, x).
 
 The false-alarm expressions use the right tail Pf = Q(p, gamma / c)
 throughout, consistent with the underlying chi-square tail integral.
@@ -26,13 +28,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detectors import (
     CompensationSet,
-    acd_statistic,
     cd_statistic,
     doppler_projectors,
     hd_statistic,
@@ -50,6 +51,7 @@ from .specfun import (
 __all__ = [
     "DetectorKind",
     "PerfPoint",
+    "Receiver",
     "statistic",
     "noncentrality",
     "pfa",
@@ -104,60 +106,79 @@ def _scale(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
     return varsigma * sigma2
 
 
-def statistic(det: DetectorKind, comp: CompensationSet, basis=None):
-    """The detector's statistic T(y, g=0), plus the CD scaling factor
-    varsigma (None for the other detectors).  The CD templates and HD
-    projectors are built here, once, and varsigma is the energy of those
-    same templates.
+@dataclass(frozen=True)
+class Receiver:
+    """Everything the detectors read at one (sweep point, system) pair,
+    built once: the scenario, the compensation set, varsigma, and per
+    path, in one frame, the return x at unit amplitude, the ACD phasors
+    exp(j theta_hat), the CD templates and the HD Doppler bases
+    (M, N, K, M), or the error text where HD has none.  ``build`` gives
+    the K-sample frame, ``onto`` sufficient coordinates."""
 
-    Without ``basis``, y is a measurement: one (M, N, K) cube or a batch
-    (..., M, N, K).  With ``basis`` (M, N, K, r), r orthonormal columns
-    per path whose span holds every vector the detector reads, y is a
-    batch of sufficient coordinates c = B^H y (trials, M, N, r), and g
-    the energy of each measurement outside those spans, summed over
-    paths.  Every vector the detector reads then enters through its r
-    coordinates B^H v, computed here once, and T(c, g) equals T of the
-    measurement to rounding.  Only NCD reads g.
-    """
-    def onto(v):
-        # the (M, N, K, ...) vectors read per path, in the basis' coordinates
-        if basis is None:
-            return v
-        return np.einsum("mnkr,mnk...->mnr...", np.conj(basis), v)
+    sc: Scenario
+    comp: CompensationSet
+    x: np.ndarray
+    varsigma: float
+    phasors: np.ndarray
+    templates: np.ndarray
+    doppler: np.ndarray | str
 
+    @classmethod
+    def build(cls, sc: Scenario, err: SyncErrors) -> "Receiver":
+        """The pair's receiver, from the scenario and its sync errors;
+        raises ValueError where the compensation set cannot be built."""
+        comp = CompensationSet.from_scenario(sc, err)
+        templates = comp.templates
+        try:
+            q = doppler_projectors(comp.S_hat)
+            doppler = np.broadcast_to(q, (sc.m_tx,) + q.shape)
+        except ValueError as exc:
+            doppler = str(exc)
+        return cls(sc=sc, comp=comp, x=noise_free_mf_output(sc, err, 1.0),
+                   varsigma=float(np.sum(np.abs(templates) ** 2)),
+                   phasors=np.exp(1j * comp.theta_hat),
+                   templates=templates, doppler=doppler)
+
+    def onto(self, basis) -> "Receiver":
+        """The same receiver in the coordinates of ``basis`` (M, N, K, r):
+        r orthonormal columns per path, spanning every vector read."""
+        def coords(v):
+            if isinstance(v, str):  # HD's error text
+                return v
+            return np.einsum("mnkr,mnk...->mnr...", np.conj(basis), v)
+
+        return replace(self, x=coords(self.x), phasors=coords(self.phasors),
+                       templates=coords(self.templates),
+                       doppler=coords(self.doppler))
+
+
+def statistic(det: DetectorKind, rx: Receiver):
+    """The detector's statistic T(y, g) in the receiver's frame: y is a
+    cube (M, N, K) or a batch of them, or a batch of coordinates
+    (trials, M, N, r) with g the energy outside their spans, which only
+    NCD reads.  ACD is the CD correlation with the phasors as templates.
+    Raises ValueError for HD where the receiver has no Doppler bases."""
     if det is DetectorKind.NCD:
-        return (lambda y, g=0.0: ncd_statistic(y) + g), None
+        return lambda y, g=0.0: ncd_statistic(y) + g
     if det is DetectorKind.ACD:
-        if basis is None:
-            return (lambda y, g=0.0: acd_statistic(y, comp.theta_hat)), None
-        # ACD is the CD correlation with the unit phasors exp(j theta_hat)
-        # as templates
-        phasors = onto(np.exp(1j * comp.theta_hat))
-        return (lambda y, g=0.0: cd_statistic(y, phasors)), None
+        return lambda y, g=0.0: cd_statistic(y, rx.phasors)
     if det is DetectorKind.CD:
-        v = comp.templates
-        varsigma = float(np.sum(np.abs(v) ** 2))
-        v = onto(v)
-        return (lambda y, g=0.0: cd_statistic(y, v)), varsigma
-    q = doppler_projectors(comp.S_hat)
-    if basis is not None:
-        q = onto(np.broadcast_to(q, (len(basis),) + q.shape))
-    return (lambda y, g=0.0: hd_statistic(y, q)), None
+        return lambda y, g=0.0: cd_statistic(y, rx.templates)
+    if isinstance(rx.doppler, str):
+        raise ValueError(rx.doppler)
+    return lambda y, g=0.0: hd_statistic(y, rx.doppler)
 
 
-def noncentrality(det: DetectorKind, sc: Scenario, err: SyncErrors,
-                  comp: CompensationSet, rho: float):
+def noncentrality(det: DetectorKind, rx: Receiver, rho: float):
     """Noncentrality lambda = 2 rho T(x) / c at target RCS rho = |alpha|^2,
-    with T the detector's statistic and x the noise-free return at unit
-    amplitude, plus the CD scaling factor varsigma (None for the other
-    detectors).
-    """
+    T the detector's statistic and x the receiver's noise-free return at
+    unit amplitude, plus varsigma for CD (None for the other detectors)."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    stat, varsigma = statistic(det, comp)
-    x = noise_free_mf_output(sc, err, 1.0)
-    c = _scale(det, sc.k_pulses, sc.m_tx, sc.n_rx, sc.sigma2, varsigma)
-    return 2.0 * rho * float(stat(x)) / c, varsigma
+    sc = rx.sc
+    c = _scale(det, sc.k_pulses, sc.m_tx, sc.n_rx, sc.sigma2, rx.varsigma)
+    varsigma = rx.varsigma if det is DetectorKind.CD else None
+    return 2.0 * rho * float(statistic(det, rx)(rx.x)) / c, varsigma
 
 
 def pfa(det: DetectorKind, gamma: float, K: int, M: int, N: int,
@@ -224,13 +245,14 @@ def pd_swerling1(det: DetectorKind, gamma: float, lambda_prime: float,
     return Probability(min(1.0, max(0.0, val)))
 
 
-def analyze_detector(det: DetectorKind, sc: Scenario, err: SyncErrors,
-                     comp: CompensationSet, pfa_target: float) -> PerfPoint:
+def analyze_detector(det: DetectorKind, rx: Receiver,
+                     pfa_target: float) -> PerfPoint:
     """Operating point at a target false-alarm rate: threshold, per-target
     noncentrality, and detection probability under the scenario's target
     model (Swerling I average or fixed amplitude)."""
+    sc = rx.sc
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
-    lam_prime, varsigma = noncentrality(det, sc, err, comp, 1.0)
+    lam_prime, varsigma = noncentrality(det, rx, 1.0)
     gamma = threshold(det, pfa_target, K, M, N, sc.sigma2, varsigma)
     if isinstance(sc.target, Swerling1):
         pd = pd_swerling1(det, gamma, lam_prime, sc.target.rho_bar,

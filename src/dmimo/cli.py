@@ -20,8 +20,7 @@ import sys
 
 import numpy as np
 
-from .analysis import DetectorKind, analyze_detector, threshold
-from .detectors import CompensationSet
+from .analysis import DetectorKind, Receiver, analyze_detector, threshold
 from .experiments import (
     MAX_SEED,
     MIN_SEED,
@@ -102,8 +101,8 @@ def _caf_rows(spec: ExperimentSpec, points: int):
 
 
 def _sweep_systems(spec: ExperimentSpec):
-    """(system name, scenario, errors, compensation or error text) per
-    sweep point, in fixed output order."""
+    """(sweep value, system name, scenario, errors, error text) per
+    (sweep point, system), in fixed output order."""
     for value in spec.sweep_values:
         try:
             sc = scenario_at(spec, float(value))
@@ -118,10 +117,10 @@ def _sweep_systems(spec: ExperimentSpec):
 
 
 def _analytic_pairs(spec: ExperimentSpec):
-    """Per (sweep point, system): (scenario, errors, compensation, rows),
-    where rows holds one (CSV row, operating point) per detector.  The
-    operating point is None on error rows, and the first three entries are
-    None when the whole pair is in error."""
+    """Per (sweep point, system): (receiver, rows), where rows holds one
+    (CSV row, operating point) per detector.  The operating point is None
+    on error rows, and the receiver is None when the whole pair is in
+    error."""
     for value, system, sc, err, bad in _sweep_systems(spec):
         base = {
             "sweep_variable": spec.sweep_variable, "sweep_value": value,
@@ -130,11 +129,11 @@ def _analytic_pairs(spec: ExperimentSpec):
             "system": system, "pfa_target": spec.pfa_target}
         if bad is None:
             try:
-                comp = CompensationSet.from_scenario(sc, err)
+                rx = Receiver.build(sc, err)
             except ValueError as exc:
                 bad = str(exc)
         if bad is not None:
-            yield None, None, None, [
+            yield None, [
                 (dict(base, detector=det.value, error=bad), None)
                 for det in spec.detectors]
             continue
@@ -142,7 +141,7 @@ def _analytic_pairs(spec: ExperimentSpec):
         for det in spec.detectors:
             row = dict(base, detector=det.value)
             try:
-                pt = analyze_detector(det, sc, err, comp, spec.pfa_target)
+                pt = analyze_detector(det, rx, spec.pfa_target)
             except ValueError as exc:
                 rows.append((dict(row, error=str(exc)), None))
                 continue
@@ -150,13 +149,13 @@ def _analytic_pairs(spec: ExperimentSpec):
                        varsigma=pt.varsigma)
             row["lambda"] = pt.lam
             rows.append((row, pt))
-        yield sc, err, comp, rows
+        yield rx, rows
 
 
 def cmd_analyze(args) -> int:
     spec = _load(args.experiment)
     with _open_out(args.out) as fh:
-        rows = [row for *_, pair_rows in _analytic_pairs(spec)
+        rows = [row for _, pair_rows in _analytic_pairs(spec)
                 for row, _ in pair_rows]
         _write_rows(fh, _ANALYZE_COLUMNS, rows)
     return 0
@@ -183,17 +182,17 @@ def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
     Carlo blocks of all pairs run in one ``run_sweep`` call."""
     pairs = list(_analytic_pairs(spec))
     runs = {}
-    for index, (sc, err, comp, pair_rows) in enumerate(pairs):
+    for index, (rx, pair_rows) in enumerate(pairs):
         gammas = {pt.detector: pt.gamma for _, pt in pair_rows
                   if pt is not None}
         if gammas:
             cfg = TrialConfig(trials=trials, seed=seed, pair=index,
-                              hypothesis="H1", target_draw=sc.target)
-            runs[index] = (sc, err, comp, gammas, cfg)
+                              hypothesis="H1", target_draw=rx.sc.target)
+            runs[index] = (rx, gammas, cfg)
     results = dict(zip(runs, run_sweep(list(runs.values()))))
     rows = []
     gate_failed = False
-    for index, (*_, pair_rows) in enumerate(pairs):
+    for index, (_, pair_rows) in enumerate(pairs):
         for row, pt in pair_rows:
             row = dict(row, trials=trials, seed=seed)
             if pt is not None:

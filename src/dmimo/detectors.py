@@ -5,11 +5,11 @@ samples per matched filter per receiver.  Statistics accept either a
 single measurement cube or a batch with a leading trial axis.  Each takes
 the measurement and the one receiver quantity it reads: nothing (NCD),
 the compensation phases (ACD), the templates (CD) or the Doppler
-projectors (HD).  Applied to the noise-free return x at unit amplitude, a
-statistic T gives the noncentrality lambda = 2 rho T(x) / c
-(``analysis.noncentrality``).  The CD correlation and the HD projection
-also read a batch of sufficient coordinates (trials, M, N, r), given the
-quantity in the same coordinates (``analysis.statistic``).
+projectors (HD).  These are the paper's definitions; the package reads
+them through ``analysis.statistic`` on an ``analysis.Receiver``, which
+holds each such quantity once per (sweep point, system) pair.  The CD
+correlation and the HD projection also read a batch of sufficient
+coordinates (trials, M, N, r), given the quantity in the same frame.
 
   NCD  energy sum of all MF outputs (no phase knowledge)
   ACD  global sum after per-sample phase compensation, equal weights
@@ -148,19 +148,19 @@ def hd_statistic(y, basis) -> np.ndarray | float:
     """Energy of each path's projection onto its Doppler steering subspace,
     summed non-coherently over paths.  ``basis`` is
     ``doppler_projectors(S_hat)``, one (K, M) orthonormal basis per
-    receiver, or, for a batch (trials, M, N, K), one basis per path
-    (M, N, K, M); in sufficient coordinates K is r."""
+    receiver, or one basis per path (M, N, K, M); in sufficient
+    coordinates K is r."""
     y = _check_cube(y)
     basis = np.asarray(basis)
     if basis.ndim == 4:
-        if y.ndim != 4:
-            raise ValueError("per-path bases need a batch (trials, M, N, K)")
         # one (trials, K) x (K, M) matrix product per path, then the
         # squared magnitudes summed per trial over the real and imaginary
         # parts
-        coeffs = np.matmul(y.transpose(1, 2, 0, 3), np.conj(basis))
+        batch = y.reshape((-1,) + y.shape[-3:])
+        coeffs = np.matmul(batch.transpose(1, 2, 0, 3), np.conj(basis))
         parts = coeffs.view(np.float64)
-        return np.einsum("mntj,mntj->t", parts, parts)
+        out = np.einsum("mntj,mntj->t", parts, parts)
+        return out if y.ndim == 4 else out[0]
     # coeffs: (..., M, N, M') inner products with the orthonormal basis
     coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(basis), y)
     out = np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))

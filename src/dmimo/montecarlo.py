@@ -39,11 +39,11 @@ samples per path, and no (trials, M, N, K) cube.  The argument rests on
 the invariance alone, not on any closed form under test.
 
 Every detector of one run sees the same coordinate blocks (common random
-numbers).  Each detector's statistic T comes from
-``analysis.statistic``, given the run's basis: the same T whose value on
-the noise-free return x gives the closed forms' noncentrality
-lambda = 2 rho T(x) / c, so the simulation and the closed forms evaluate
-one statistic.
+numbers) and reads them through ``analysis.statistic`` on the pair's
+``analysis.Receiver``, moved into the run's coordinates: the same form
+whose value on x in the K-sample frame gives the closed forms'
+noncentrality lambda = 2 rho T(x) / c, so the simulation and the closed
+forms evaluate one statistic.
 """
 
 from __future__ import annotations
@@ -54,15 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DetectorKind, _order, _scale, statistic
-from .detectors import _RCOND_LIMIT, CompensationSet
-from .scene import (
-    NonFluctuating,
-    Scenario,
-    Swerling1,
-    SyncErrors,
-    noise_free_mf_output,
-)
+from .analysis import DetectorKind, Receiver, _order, _scale, statistic
+from .detectors import _RCOND_LIMIT
+from .scene import NonFluctuating, Swerling1
 from .specfun import Probability
 
 __all__ = [
@@ -146,13 +140,15 @@ def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def draw_noise(stream: np.random.Generator, k_pulses: int,
+def draw_noise(stream: np.random.Generator, dims: int,
                sigma2: float = 1.0, shape=()) -> np.ndarray:
     """Circular complex Gaussian noise, per-component variance sigma2/2.
 
-    Returns an array of shape ``shape + (k_pulses,)``.
+    Returns an array of shape ``shape + (dims,)``: the last axis counts
+    the complex dimensions per path, K for a measurement cube and r for
+    sufficient coordinates.
     """
-    z = stream.standard_normal(size=tuple(shape) + (k_pulses, 2))
+    z = stream.standard_normal(size=tuple(shape) + (dims, 2))
     z *= np.sqrt(sigma2 / 2.0)
     return z.view(np.complex128)[..., 0]
 
@@ -178,24 +174,9 @@ def _block_alpha(stream: np.random.Generator, cfg: TrialConfig,
     return np.zeros(nb, dtype=complex)
 
 
-@dataclass(frozen=True)
-class _Coordinates:
-    """The sufficient coordinates of one run's scenario and receiver.
-
-    basis    (M, N, K, r) orthonormal columns per path, spanning the
-             steering columns S_hat_n and the return x_mn
-    x        (M, N, r) coordinates of the return at unit amplitude
-    outside  complex dimensions outside the spans, M N (K - r)
-    """
-
-    basis: np.ndarray
-    x: np.ndarray
-    outside: int
-
-
-def _coordinates(sc: Scenario, err: SyncErrors,
-                 comp: CompensationSet) -> _Coordinates:
-    """Per-path bases of span{S_hat_n, x_mn}, of one rank r for the run.
+def _basis(rx: Receiver) -> np.ndarray:
+    """Per-path orthonormal bases (M, N, K, r) of span{S_hat_n, x_mn}, of
+    one rank r for the run.
 
     Every vector a statistic reads lies in span S_hat_n: the ACD phasors
     and the CD templates are combinations of its columns, and the HD
@@ -204,21 +185,25 @@ def _coordinates(sc: Scenario, err: SyncErrors,
     without sync errors); r is the largest, so a path of lower rank
     carries extra orthonormal columns, which keeps the coordinates exact.
     """
-    x = noise_free_mf_output(sc, err, 1.0)
-    M, N, K = x.shape
-    steering = np.broadcast_to(comp.S_hat, (M,) + comp.S_hat.shape)
-    cols = np.concatenate([steering, x[..., None]], axis=-1)
+    M, N, K = rx.x.shape
+    steering = np.broadcast_to(rx.comp.S_hat, (M,) + rx.comp.S_hat.shape)
+    cols = np.concatenate([steering, rx.x[..., None]], axis=-1)
     norms = np.linalg.norm(cols, axis=-2, keepdims=True)
     cols = cols / np.where(norms > 0.0, norms, 1.0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     r = int(np.max(np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)))
-    basis = u[..., :r]
-    return _Coordinates(basis=basis,
-                        x=np.einsum("mnkr,mnk->mnr", np.conj(basis), x),
-                        outside=M * N * (K - r))
+    return u[..., :r]
 
 
-def _coordinate_block(sc: Scenario, coords: _Coordinates, cfg: TrialConfig,
+def _coordinates(rx: Receiver):
+    """The receiver in the sufficient coordinates of its run, and the
+    complex dimensions outside their spans, M N (K - r)."""
+    basis = _basis(rx)
+    M, N, K, r = basis.shape
+    return rx.onto(basis), M * N * (K - r)
+
+
+def _coordinate_block(rx: Receiver, outside: int, cfg: TrialConfig,
                       j: int):
     """Block ``j`` of a run: the coordinates c (trials, M, N, r) of its
     measurement batch, and the energy g (trials,) outside their spans.
@@ -230,11 +215,11 @@ def _coordinate_block(sc: Scenario, coords: _Coordinates, cfg: TrialConfig,
     nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
     rng = _block_rng(cfg.seed, cfg.pair, j)
     alpha = _block_alpha(rng, cfg, nb)
-    c = draw_noise(rng, coords.x.shape[-1], sc.sigma2,
-                   (nb,) + coords.x.shape[:-1])
-    g = sc.sigma2 * rng.standard_gamma(coords.outside, nb)
+    sigma2 = rx.sc.sigma2
+    c = draw_noise(rng, rx.x.shape[-1], sigma2, (nb,) + rx.x.shape[:-1])
+    g = sigma2 * rng.standard_gamma(outside, nb)
     if cfg.hypothesis == "H1":
-        c += alpha[:, None, None, None] * coords.x
+        c += alpha[:, None, None, None] * rx.x
     return c, g
 
 
@@ -257,29 +242,24 @@ def _worker_count() -> int:
 
 def _map_blocks(runs):
     """Yield ``(i, fn(c, g))`` for every coordinate block of every run
-    ``i``, where ``runs`` holds ``(sc, coords, cfg, fn)`` tuples, in run
-    order, then block order.
-
-    All blocks run on one thread pool of one worker per usable CPU, at
-    most one per block and at most _BYTES_IN_FLIGHT of the sweep's largest
-    coordinate batches at once (always at least one worker): the Philox
-    draws, the ufuncs and the matrix products release the GIL, and each
-    block reads only its own stream, so the results do not depend on the
-    worker count.  Blocks are submitted as results are taken, at most two
-    per worker pending, so a long sweep holds a bounded number of
-    futures.  An exception raised in a block propagates to the caller.
-    An empty ``runs`` starts no pool.
+    ``i`` of ``runs``, ``(rx, outside, cfg, fn)`` tuples with ``rx`` in
+    coordinates, in run order, then block order, from the sweep's one
+    pool (see the module docstring).  Its workers are at most the usable
+    CPUs, the blocks, and _BYTES_IN_FLIGHT over the largest block, and at
+    least one; the Philox draws, the ufuncs and the matrix products
+    release the GIL.  An exception raised in a block propagates to the
+    caller.  An empty ``runs`` starts no pool.
     """
     if not runs:
         return
     n_blocks = [-(-cfg.trials // BLOCK_TRIALS) for _, _, cfg, _ in runs]
-    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * coords.x.nbytes
-                      for _, coords, cfg, _ in runs)
+    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * rx.x.nbytes
+                      for rx, _, cfg, _ in runs)
     workers = max(1, min(_worker_count(), sum(n_blocks),
                          _BYTES_IN_FLIGHT // block_bytes))
 
-    def block(sc, coords, cfg, fn, j):
-        return fn(*_coordinate_block(sc, coords, cfg, j))
+    def block(rx, outside, cfg, fn, j):
+        return fn(*_coordinate_block(rx, outside, cfg, j))
 
     # imported here to keep concurrent.futures off the CLI's start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -305,23 +285,21 @@ def run_sweep(runs) -> list:
     """Run every configured run of a sweep and count threshold
     exceedances, all blocks on one pool.
 
-    ``runs`` is a list of ``(sc, err, comp, gammas, cfg)`` tuples.  Per
-    run, gammas maps each detector to run to its threshold; the detectors
-    run in its insertion order, each on the statistic from
-    ``analysis.statistic`` in the run's sufficient coordinates.  Returns
-    one DetectorKind -> EmpiricalResult map per run, in run order.
+    ``runs`` is a list of ``(rx, gammas, cfg)`` tuples: the run's
+    ``analysis.Receiver``, a map from each detector to run, in order, to
+    its threshold, and the run's TrialConfig.  Returns one DetectorKind
+    -> EmpiricalResult map per run, in run order.
     """
     jobs = []
-    for sc, err, comp, gammas, cfg in runs:
-        coords = _coordinates(sc, err, comp)
-        checks = [(statistic(d, comp, coords.basis)[0], gamma)
-                  for d, gamma in gammas.items()]
+    for rx, gammas, cfg in runs:
+        crx, outside = _coordinates(rx)
+        checks = [(statistic(d, crx), gamma) for d, gamma in gammas.items()]
 
         def block_counts(c, g, checks=checks):
             return [int(np.count_nonzero(stat(c, g) > gamma))
                     for stat, gamma in checks]
 
-        jobs.append((sc, coords, cfg, block_counts))
+        jobs.append((crx, outside, cfg, block_counts))
     # integer sums in block order: the counts are the serial ones exactly
     totals = [[0] * len(gammas) for *_, gammas, _ in runs]
     for i, counts in _map_blocks(jobs):
@@ -331,16 +309,15 @@ def run_sweep(runs) -> list:
             for (*_, gammas, cfg), counts in zip(runs, totals)]
 
 
-def run_trials(sc: Scenario, err: SyncErrors, comp: CompensationSet,
-               gammas: dict, cfg: TrialConfig) -> dict:
+def run_trials(rx: Receiver, gammas: dict, cfg: TrialConfig) -> dict:
     """Run the configured trials and count threshold exceedances: the
     one-run case of ``run_sweep``.  Returns a DetectorKind ->
     EmpiricalResult map."""
-    return run_sweep([(sc, err, comp, gammas, cfg)])[0]
+    return run_sweep([(rx, gammas, cfg)])[0]
 
 
-def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
-                                    comp: CompensationSet, trials: int,
+def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
+                                    trials: int,
                                     seed: int) -> DistributionCheck:
     """KS distance between the empirical H0 statistic and its theoretical
     central chi-square law."""
@@ -348,13 +325,12 @@ def h0_statistic_distribution_check(det: DetectorKind, sc: Scenario,
     from scipy import stats
 
     cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
-    coords = _coordinates(sc, SyncErrors.zeros(sc.m_tx, sc.n_rx), comp)
-    stat, varsigma = statistic(det, comp, coords.basis)
-    blocks = _map_blocks([(sc, coords, cfg, stat)])
+    crx, outside = _coordinates(rx)
+    blocks = _map_blocks([(crx, outside, cfg, statistic(det, crx))])
     vals = np.concatenate([v for _, v in blocks])
-    K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
+    K, M, N = rx.sc.k_pulses, rx.sc.m_tx, rx.sc.n_rx
     p = _order(det, K, M, N)
-    c = _scale(det, K, M, N, sc.sigma2, varsigma)
+    c = _scale(det, K, M, N, rx.sc.sigma2, rx.varsigma)
     ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
     return DistributionCheck(detector=det, trials=trials,
                              ks_distance=float(ks), order=p, scale=c)

@@ -7,10 +7,13 @@ Gauss-Legendre quadrature, the CAF symmetry partner and the grid check the
 closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
 the full (trials, M, N, K) measurement blocks check the law of the Monte
 Carlo engine's sufficient coordinates, and the serial coordinate-block
-iterator checks its pooled block map; the per-path beta MLE checks the HD
-projection energy; the bistatic link budget checks the back-solved
-channel gain of `xi_from_snr`; and the per-detector noncentrality
-formulas check `analysis.noncentrality`.
+iterator, which takes an `analysis.Receiver`, checks its pooled block
+map; the per-path beta MLE checks the HD projection energy; the
+bistatic link budget checks the back-solved channel gain of
+`xi_from_snr`; and the per-detector noncentrality formulas, which
+rebuild the return x from the scenario, check `analysis.noncentrality`
+on the receiver.  The paper's statistics in `dmimo.detectors` are the
+remaining reference: the tests check `analysis.statistic` against them.
 """
 
 import cmath
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 
-from dmimo.analysis import DetectorKind
+from dmimo.analysis import DetectorKind, Receiver
 from dmimo.detectors import _RCOND_LIMIT, CompensationSet, doppler_projectors
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
@@ -198,14 +201,13 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
         yield w
 
 
-def iter_coordinate_blocks(sc: Scenario, err: SyncErrors,
-                           comp: CompensationSet, cfg: TrialConfig):
+def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     """Yield the run's coordinate blocks (c, g) one at a time, serially
-    and in block order, plus the basis they are taken in: the serial
-    reference for the pooled block map."""
-    coords = _coordinates(sc, err, comp)
+    and in block order, plus the receiver in their coordinates: the
+    serial reference for the pooled block map."""
+    crx, outside = _coordinates(rx)
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
-        yield coords.basis, _coordinate_block(sc, coords, cfg, j)
+        yield crx, _coordinate_block(crx, outside, cfg, j)
 
 
 def beta_mle(y_mn, S_n) -> np.ndarray:

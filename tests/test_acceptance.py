@@ -14,6 +14,7 @@ from scipy import integrate
 
 from dmimo.analysis import (
     DetectorKind,
+    Receiver,
     analyze_detector,
     noncentrality,
     pd_nonfluctuating,
@@ -60,8 +61,8 @@ def report(number, name, ok):
 
 
 def operating_points(sc, err, pfa=1e-4):
-    comp = CompensationSet.from_scenario(sc, err)
-    return comp, {d: analyze_detector(d, sc, err, comp, pfa) for d in ALL}
+    rx = Receiver.build(sc, err)
+    return rx, {d: analyze_detector(d, rx, pfa) for d in ALL}
 
 
 def test_1_analytic_monte_carlo_match():
@@ -69,10 +70,10 @@ def test_1_analytic_monte_carlo_match():
     trials = 100_000
     for i, snr in enumerate((-5.0, 0.0, 5.0)):
         sc = reference_scenario("multi_band", snr_db=(snr, snr))
-        comp, pts = operating_points(sc, ZERO)
+        rx, pts = operating_points(sc, ZERO)
         cfg = TrialConfig(trials=trials, seed=900 + i, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        res = run_trials(sc, ZERO, comp, {d: pts[d].gamma for d in ALL}, cfg)
+        res = run_trials(rx, {d: pts[d].gamma for d in ALL}, cfg)
         for d in ALL:
             sigma = math.sqrt(pts[d].pd * (1 - pts[d].pd) / trials)
             ok &= abs(res[d].p_hat - pts[d].pd) <= 3 * sigma
@@ -83,9 +84,9 @@ def test_2_false_alarm_calibration():
     trials = 1_000_000
     pf = 1e-4
     sc = reference_scenario("multi_band")
-    comp, pts = operating_points(sc, ZERO, pf)
+    rx, pts = operating_points(sc, ZERO, pf)
     cfg = TrialConfig(trials=trials, seed=41, hypothesis="H0")
-    res = run_trials(sc, ZERO, comp, {d: pts[d].gamma for d in ALL}, cfg)
+    res = run_trials(rx, {d: pts[d].gamma for d in ALL}, cfg)
     sigma = math.sqrt(pf * (1 - pf) / trials)
     ok = all(abs(res[d].p_hat - pf) <= 3 * sigma for d in ALL)
     report(2, "empirical false-alarm calibration at 1e6 trials", ok)
@@ -93,10 +94,10 @@ def test_2_false_alarm_calibration():
 
 def test_3_h0_distribution_gates():
     sc = reference_scenario("multi_band")
-    comp = CompensationSet.from_scenario(sc, ZERO)
+    rx = Receiver.build(sc, ZERO)
     ok = True
     for i, d in enumerate(ALL):
-        rep = h0_statistic_distribution_check(d, sc, comp, 100_000, seed=60 + i)
+        rep = h0_statistic_distribution_check(d, rx, 100_000, seed=60 + i)
         ok &= rep.ks_distance < 0.005
     report(3, "chi-square distribution KS gates", ok)
 
@@ -106,8 +107,7 @@ def test_4_swerling_closed_form_vs_quadrature():
     for d in ALL:
         for snr in (-10.0, -5.0, 0.0, 5.0, 10.0):
             sc = reference_scenario("multi_band", snr_db=(snr, snr))
-            comp = CompensationSet.from_scenario(sc, ZERO)
-            lam_prime, vs = noncentrality(d, sc, ZERO, comp, 1.0)
+            lam_prime, vs = noncentrality(d, Receiver.build(sc, ZERO), 1.0)
             g = threshold(d, 1e-4, K, M, N, S2, vs)
             closed = pd_swerling1(d, g, lam_prime, 1.0, K, M, N, S2, vs)
             quad, _ = integrate.quad(
@@ -190,12 +190,11 @@ def test_5e_distributed_crosses_colocated_benchmark():
         diffs = {d: [] for d in dets}
         for v in spec.sweep_values:
             sc = scenario_at(spec, v)
-            comp = CompensationSet.from_scenario(sc, ZERO)
-            co = colocated_scenario(sc)
-            cco = CompensationSet.from_scenario(co, ZERO)
+            rx = Receiver.build(sc, ZERO)
+            rx_co = Receiver.build(colocated_scenario(sc), ZERO)
             for d in dets:
-                pd_dist = analyze_detector(d, sc, ZERO, comp, 1e-4).pd
-                pd_co = analyze_detector(d, co, ZERO, cco, 1e-4).pd
+                pd_dist = analyze_detector(d, rx, 1e-4).pd
+                pd_co = analyze_detector(d, rx_co, 1e-4).pd
                 diffs[d].append(pd_dist - pd_co)
         for d in dets:
             ok &= min(diffs[d]) < 0.0 < max(diffs[d])

@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from dmimo.analysis import (
     DetectorKind,
     PerfPoint,
+    Receiver,
     analyze_detector,
     noncentrality,
     pd_nonfluctuating,
@@ -16,7 +17,6 @@ from dmimo.analysis import (
     pfa,
     threshold,
 )
-from dmimo.detectors import CompensationSet
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -35,9 +35,8 @@ K, M, N, S2 = 12, 2, 1, 1.0
 
 
 @pytest.fixture
-def ref_setup(ref_scenario, zero_err):
-    comp = CompensationSet.from_scenario(ref_scenario, zero_err)
-    return ref_scenario, zero_err, comp
+def ref_rx(ref_scenario, zero_err):
+    return Receiver.build(ref_scenario, zero_err)
 
 
 def single_tx_setup(dt=0.0):
@@ -50,38 +49,35 @@ def single_tx_setup(dt=0.0):
         xi=np.array([[0.9]]), sigma2=1.0, target=Swerling1(1.0))
     err = SyncErrors(dt=np.array([[dt]]), df=np.zeros((1, 1)),
                      dp=np.zeros((1, 1)), dc_rx=np.zeros(1))
-    comp = CompensationSet.from_scenario(sc, err)
-    return sc, err, comp
+    return sc, err, Receiver.build(sc, err)
 
 
 class TestNoncentrality:
     @pytest.mark.parametrize("det", ALL)
-    def test_zero_rho(self, det, ref_setup):
-        sc, err, comp = ref_setup
-        lam, _ = noncentrality(det, sc, err, comp, 0.0)
+    def test_zero_rho(self, det, ref_rx):
+        lam, _ = noncentrality(det, ref_rx, 0.0)
         assert lam == 0.0
 
     @pytest.mark.parametrize("det", ALL)
-    def test_linear_in_rho(self, det, ref_setup):
-        sc, err, comp = ref_setup
-        lam1, _ = noncentrality(det, sc, err, comp, 1.0)
-        lam3, _ = noncentrality(det, sc, err, comp, 3.7)
+    def test_linear_in_rho(self, det, ref_rx):
+        lam1, _ = noncentrality(det, ref_rx, 1.0)
+        lam3, _ = noncentrality(det, ref_rx, 3.7)
         assert lam3 == pytest.approx(3.7 * lam1, rel=1e-12)
 
     def test_single_tx_collapse(self):
         # with M=1, no errors, and ideal compensation the NCD/ACD/CD
         # noncentralities coincide at 2 rho (b xi)^2 K / sigma^2
-        sc, err, comp = single_tx_setup()
+        sc, err, rx = single_tx_setup()
         rho = 1.8
         expect = 2.0 * rho * (sc.b[0] * sc.xi[0, 0]) ** 2 * sc.k_pulses / sc.sigma2
         for det in (DetectorKind.NCD, DetectorKind.ACD, DetectorKind.CD):
-            lam, _ = noncentrality(det, sc, err, comp, rho)
+            lam, _ = noncentrality(det, rx, rho)
             assert lam == pytest.approx(expect, rel=1e-9)
 
-    def test_ncd_two_evaluations_agree(self, ref_setup):
-        sc, err, comp = ref_setup
-        lam, _ = noncentrality(DetectorKind.NCD, sc, err, comp, 1.0)
-        S, X, h = _model_factors(sc, err)
+    def test_ncd_two_evaluations_agree(self, ref_rx, zero_err):
+        sc = ref_rx.sc
+        lam, _ = noncentrality(DetectorKind.NCD, ref_rx, 1.0)
+        S, X, h = _model_factors(sc, zero_err)
         total = 0.0
         for m in range(sc.m_tx):
             x_m = S[0] @ (np.diag(X[m, 0]) @ h[m, 0])
@@ -90,14 +86,14 @@ class TestNoncentrality:
 
     def test_timing_error_snr_loss(self):
         # single TX: every detector's lambda scales by |chi(dt, 0)|^2 <= 1
-        sc0, err0, comp0 = single_tx_setup(0.0)
+        sc0, _, rx0 = single_tx_setup(0.0)
         dt = 0.35e-5
-        sc1, err1, comp1 = single_tx_setup(dt)
+        _, _, rx1 = single_tx_setup(dt)
         loss = abs(caf(sc0.pulses[0], sc0.pulses[0], dt, 0.0)) ** 2
         assert loss < 1.0
         for det in ALL:
-            lam0, _ = noncentrality(det, sc0, err0, comp0, 1.0)
-            lam1, _ = noncentrality(det, sc1, err1, comp1, 1.0)
+            lam0, _ = noncentrality(det, rx0, 1.0)
+            lam1, _ = noncentrality(det, rx1, 1.0)
             assert lam1 <= lam0 + 1e-12
             if det in (DetectorKind.NCD, DetectorKind.HD):
                 assert lam1 / lam0 == pytest.approx(loss, rel=1e-6)
@@ -126,17 +122,18 @@ class TestNoncentrality:
                          df=rng.uniform(-30.0, 30.0, (M, N)),
                          dp=rng.uniform(-np.pi, np.pi, (M, N)),
                          dc_rx=rng.uniform(-5.0, 5.0, N))
-        comp = CompensationSet.from_scenario(sc, err)
+        rx = Receiver.build(sc, err)
         rho = rng.uniform(0.1, 3.0)
         for det in ALL:
             try:
-                want, want_vs = noncentrality_formula(det, sc, err, comp, rho)
+                want, want_vs = noncentrality_formula(det, sc, err, rx.comp,
+                                                      rho)
             except ValueError:
                 # co-located HD: rank-deficient steering, both must raise
                 with pytest.raises(ValueError):
-                    noncentrality(det, sc, err, comp, rho)
+                    noncentrality(det, rx, rho)
                 continue
-            lam, vs = noncentrality(det, sc, err, comp, rho)
+            lam, vs = noncentrality(det, rx, rho)
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0), det
             assert vs == want_vs
 
@@ -236,8 +233,8 @@ class TestPdSwerling1:
         # primary correctness check: closed form vs direct integration of
         # the exponential-RCS average, 1e-6 absolute
         sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
-        comp = CompensationSet.from_scenario(sc, zero_err)
-        lam_prime, vs = noncentrality(det, sc, zero_err, comp, 1.0)
+        rx = Receiver.build(sc, zero_err)
+        lam_prime, vs = noncentrality(det, rx, 1.0)
         g = threshold(det, 1e-4, K, M, N, S2, vs)
         closed = pd_swerling1(det, g, lam_prime, 1.0, K, M, N, S2, vs)
         quad, err_est = integrate.quad(
@@ -255,8 +252,8 @@ class TestPdSwerling1:
                  DetectorKind.CD: 1, DetectorKind.HD: N * M * M}[det]
         for snr_db in (-10.0, 5.0, 20.0):
             sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
-            comp = CompensationSet.from_scenario(sc, zero_err)
-            lam_prime, vs = noncentrality(det, sc, zero_err, comp, 1.0)
+            rx = Receiver.build(sc, zero_err)
+            lam_prime, vs = noncentrality(det, rx, 1.0)
             scale = {DetectorKind.NCD: S2, DetectorKind.ACD: K * M * N * S2,
                      DetectorKind.CD: (vs or 0.0) * S2,
                      DetectorKind.HD: S2}[det]
@@ -271,18 +268,16 @@ class TestPdSwerling1:
 
 
 class TestAnalyzeDetector:
-    def test_reference_ordering(self, ref_setup):
+    def test_reference_ordering(self, ref_rx):
         # equal-SNR multi-band: NCD <= HD <= ACD <= CD
-        sc, err, comp = ref_setup
-        pts = {d: analyze_detector(d, sc, err, comp, 1e-4) for d in ALL}
+        pts = {d: analyze_detector(d, ref_rx, 1e-4) for d in ALL}
         assert pts[DetectorKind.NCD].pd <= pts[DetectorKind.HD].pd
         assert pts[DetectorKind.HD].pd <= pts[DetectorKind.ACD].pd
         assert pts[DetectorKind.ACD].pd <= pts[DetectorKind.CD].pd + 1e-9
 
-    def test_pd_dominates_pfa(self, ref_setup):
-        sc, err, comp = ref_setup
+    def test_pd_dominates_pfa(self, ref_rx):
         for d in ALL:
-            pt = analyze_detector(d, sc, err, comp, 1e-4)
+            pt = analyze_detector(d, ref_rx, 1e-4)
             assert pt.pd >= pt.pfa
 
     def test_nonfluctuating_target_path(self, ref_scenario, zero_err):
@@ -290,9 +285,9 @@ class TestAnalyzeDetector:
 
         from dmimo.scene import NonFluctuating
         sc = replace(ref_scenario, target=NonFluctuating(1.0 + 0.0j))
-        comp = CompensationSet.from_scenario(sc, zero_err)
-        pt = analyze_detector(DetectorKind.NCD, sc, zero_err, comp, 1e-4)
-        lam, _ = noncentrality(DetectorKind.NCD, sc, zero_err, comp, 1.0)
+        rx = Receiver.build(sc, zero_err)
+        pt = analyze_detector(DetectorKind.NCD, rx, 1e-4)
+        lam, _ = noncentrality(DetectorKind.NCD, rx, 1.0)
         expect = pd_nonfluctuating(DetectorKind.NCD, pt.gamma, lam, K, M, N, S2)
         assert pt.pd == pytest.approx(expect, rel=1e-12)
 

@@ -6,13 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dmimo
-from dmimo import cli
+from dmimo import cli, detectors, scene
 from dmimo.cli import main
+
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 def write_doc(tmp_path, doc, name="exp.json"):
@@ -335,6 +338,47 @@ class TestSimulateCommand:
         main(["simulate", "--experiment", exp, "--out", str(out),
               "--seed", str(2**63 - 1)])
         assert [r["seed"] for r in read_csv(out)] == [str(2**63 - 1)] * 2
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count the calls of the model build, the compensation set and the
+    Doppler projectors, through every binding of each in the loaded
+    ``dmimo`` modules."""
+    counts = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [m for n, m in sys.modules.items()
+               if m is not None and n.split(".")[0] == "dmimo"]
+    for fn in (scene.noise_free_mf_output, detectors.doppler_projectors):
+        counted = spy(fn.__name__, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    build = detectors.CompensationSet.from_scenario.__func__
+    monkeypatch.setattr(detectors.CompensationSet, "from_scenario",
+                        classmethod(spy("from_scenario", build)))
+    return counts
+
+
+@pytest.mark.parametrize("argv", [["analyze"],
+                                  ["simulate", "--trials", "8193"]])
+def test_one_receiver_per_pair(tmp_path, build_counts, argv):
+    # analyze and simulate build each (sweep point, system) pair's model,
+    # compensation set and Doppler projectors once, and share them
+    out = tmp_path / "out.csv"
+    main(argv + ["--experiment", str(RECIPES / "delay_offset_benchmark.json"),
+                 "--out", str(out)])
+    pairs = {(r["sweep_value"], r["system"]) for r in read_csv(out)}
+    assert len(pairs) == 38
+    assert build_counts == {"noise_free_mf_output": 38, "from_scenario": 38,
+                            "doppler_projectors": 38}
 
 
 def test_import_loads_no_scipy():

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from dmimo import analysis, cli, montecarlo
-from dmimo.analysis import DetectorKind, analyze_detector, threshold
-from dmimo.detectors import CompensationSet, ncd_statistic
+from dmimo.analysis import DetectorKind, Receiver, analyze_detector, threshold
+from dmimo.detectors import (
+    acd_statistic,
+    cd_statistic,
+    doppler_projectors,
+    hd_statistic,
+    ncd_statistic,
+)
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     DistributionCheck,
@@ -36,9 +42,8 @@ ALL = list(DetectorKind)
 
 
 @pytest.fixture
-def ref_setup(ref_scenario, zero_err):
-    comp = CompensationSet.from_scenario(ref_scenario, zero_err)
-    return ref_scenario, zero_err, comp
+def ref_rx(ref_scenario, zero_err):
+    return Receiver.build(ref_scenario, zero_err)
 
 
 class TestDraws:
@@ -104,49 +109,43 @@ class TestTrialConfig:
 
 
 class TestDeterminism:
-    def test_identical_runs(self, ref_setup):
-        sc, err, comp = ref_setup
+    def test_identical_runs(self, ref_rx):
         gammas = {d: threshold(d, 1e-2, 12, 2, 1, 1.0,
-                               np.sum(np.abs(comp.templates) ** 2))
+                               np.sum(np.abs(ref_rx.comp.templates) ** 2))
                   for d in ALL}
         cfg = TrialConfig(trials=3000, seed=42, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        r1 = run_trials(sc, err, comp, gammas, cfg)
-        r2 = run_trials(sc, err, comp, gammas, cfg)
+        r1 = run_trials(ref_rx, gammas, cfg)
+        r2 = run_trials(ref_rx, gammas, cfg)
         for d in ALL:
             assert r1[d] == r2[d]
 
-    def test_prefix_consistency_across_trial_counts(self, ref_setup):
+    def test_prefix_consistency_across_trial_counts(self, ref_rx):
         # the first block of a long run equals the whole of a short run
-        sc, err, comp = ref_setup
         short = TrialConfig(trials=BLOCK_TRIALS, seed=9, hypothesis="H1",
                             target_draw=Swerling1(1.0))
         long = TrialConfig(trials=2 * BLOCK_TRIALS + 100, seed=9,
                            hypothesis="H1", target_draw=Swerling1(1.0))
-        _, (c_short, g_short) = next(iter_coordinate_blocks(sc, err, comp,
-                                                            short))
-        _, (c_long, g_long) = next(iter_coordinate_blocks(sc, err, comp,
-                                                          long))
+        _, (c_short, g_short) = next(iter_coordinate_blocks(ref_rx, short))
+        _, (c_long, g_long) = next(iter_coordinate_blocks(ref_rx, long))
         assert np.array_equal(c_short, c_long)
         assert np.array_equal(g_short, g_long)
 
-    def test_block_order_independent_counts(self, ref_setup):
+    def test_block_order_independent_counts(self, ref_rx):
         # counting is associative: summing per-block exceedances in
         # reversed order reproduces run_trials
-        sc, err, comp = ref_setup
         gamma = threshold(DetectorKind.NCD, 1e-2, 12, 2, 1, 1.0)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21, hypothesis="H0")
-        blocks = [cg for _, cg in iter_coordinate_blocks(sc, err, comp, cfg)]
+        blocks = [cg for _, cg in iter_coordinate_blocks(ref_rx, cfg)]
         total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
                     for c, g in reversed(blocks))
-        got = run_trials(sc, err, comp, {DetectorKind.NCD: gamma}, cfg)
+        got = run_trials(ref_rx, {DetectorKind.NCD: gamma}, cfg)
         assert got[DetectorKind.NCD].detections == total
 
-    def test_seed_changes_results(self, ref_setup):
-        sc, err, comp = ref_setup
+    def test_seed_changes_results(self, ref_rx):
         gammas = {DetectorKind.NCD: threshold(DetectorKind.NCD, 0.5,
                                               12, 2, 1, 1.0)}
-        runs = [run_trials(sc, err, comp, gammas,
+        runs = [run_trials(ref_rx, gammas,
                            TrialConfig(trials=2000, seed=s, hypothesis="H0"))
                 for s in (1, 2)]
         assert (runs[0][DetectorKind.NCD].detections
@@ -155,13 +154,12 @@ class TestDeterminism:
 
 class TestH0Calibration:
     @pytest.mark.parametrize("det", ALL)
-    def test_exceedance_matches_pfa(self, det, ref_setup):
-        sc, err, comp = ref_setup
-        vs = float(np.sum(np.abs(comp.templates) ** 2))
+    def test_exceedance_matches_pfa(self, det, ref_rx):
+        vs = float(np.sum(np.abs(ref_rx.comp.templates) ** 2))
         pf = 1e-2
         gamma = threshold(det, pf, 12, 2, 1, 1.0, vs)
         cfg = TrialConfig(trials=100000, seed=77, hypothesis="H0")
-        res = run_trials(sc, err, comp, {det: gamma}, cfg)[det]
+        res = run_trials(ref_rx, {det: gamma}, cfg)[det]
         sigma = np.sqrt(pf * (1 - pf) / cfg.trials)
         assert abs(res.p_hat - pf) <= 3 * sigma
 
@@ -173,36 +171,34 @@ class TestH0Calibration:
 
 class TestH1Match:
     @pytest.mark.parametrize("det", ALL)
-    def test_swerling_average_within_ci(self, det, ref_setup):
-        sc, err, comp = ref_setup
-        pt = analyze_detector(det, sc, err, comp, 1e-4)
+    def test_swerling_average_within_ci(self, det, ref_rx):
+        pt = analyze_detector(det, ref_rx, 1e-4)
         cfg = TrialConfig(trials=50000, seed=101, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        res = run_trials(sc, err, comp, {det: pt.gamma}, cfg)[det]
+        res = run_trials(ref_rx, {det: pt.gamma}, cfg)[det]
         sigma = np.sqrt(pt.pd * (1 - pt.pd) / cfg.trials)
         assert abs(res.p_hat - pt.pd) <= 3 * sigma
 
     def test_fixed_alpha_noise_free_limit(self, ref_scenario, zero_err):
         from dataclasses import replace
         sc = replace(ref_scenario, sigma2=1e-12)
-        comp = CompensationSet.from_scenario(sc, zero_err)
+        rx = Receiver.build(sc, zero_err)
         gamma = threshold(DetectorKind.NCD, 1e-4, 12, 2, 1, sc.sigma2)
         cfg = TrialConfig(trials=500, seed=3, hypothesis="H1",
                           target_draw=NonFluctuating(1.0 + 0.0j))
-        res = run_trials(sc, zero_err, comp, {DetectorKind.NCD: gamma},
+        res = run_trials(rx, {DetectorKind.NCD: gamma},
                          cfg)[DetectorKind.NCD]
         assert res.p_hat == 1.0
 
-    def test_ncd_phase_screen_invariance(self, ref_setup):
+    def test_ncd_phase_screen_invariance(self, ref_rx):
         # NCD counts are unchanged by any fixed phase screen applied to
         # the measurements' coordinates
-        sc, err, comp = ref_setup
         gamma = threshold(DetectorKind.NCD, 1e-3, 12, 2, 1, 1.0)
         cfg = TrialConfig(trials=20000, seed=55, hypothesis="H1",
                           target_draw=Swerling1(1.0))
-        base = run_trials(sc, err, comp, {DetectorKind.NCD: gamma},
+        base = run_trials(ref_rx, {DetectorKind.NCD: gamma},
                           cfg)[DetectorKind.NCD]
-        blocks = list(iter_coordinate_blocks(sc, err, comp, cfg))
+        blocks = list(iter_coordinate_blocks(ref_rx, cfg))
         c_shape = blocks[0][1][0].shape[1:]
         rng = np.random.default_rng(2)
         screen = np.exp(1j * rng.uniform(-np.pi, np.pi, c_shape))
@@ -214,15 +210,13 @@ class TestH1Match:
 
 class TestDistributionChecks:
     @pytest.mark.parametrize("det", ALL)
-    def test_ks_within_gate(self, det, ref_setup):
-        sc, _, comp = ref_setup
-        rep = h0_statistic_distribution_check(det, sc, comp, 100000, seed=8)
+    def test_ks_within_gate(self, det, ref_rx):
+        rep = h0_statistic_distribution_check(det, ref_rx, 100000, seed=8)
         assert isinstance(rep, DistributionCheck)
         assert rep.ks_distance < 0.005
 
-    def test_report_orders(self, ref_setup):
-        sc, _, comp = ref_setup
-        rep = h0_statistic_distribution_check(DetectorKind.NCD, sc, comp,
+    def test_report_orders(self, ref_rx):
+        rep = h0_statistic_distribution_check(DetectorKind.NCD, ref_rx,
                                               5000, seed=1)
         assert rep.order == 24
         assert rep.scale == 1.0
@@ -232,19 +226,19 @@ class TestDistributionChecks:
 POOL_TRIALS = 3 * BLOCK_TRIALS + 17
 
 
-def serial_counts(sc, err, comp, gammas, cfg):
+def serial_counts(rx, gammas, cfg):
     """Exceedance counts summed serially over the oracle's coordinate
     blocks."""
     counts = dict.fromkeys(gammas, 0)
-    for basis, (c, g) in iter_coordinate_blocks(sc, err, comp, cfg):
+    for crx, (c, g) in iter_coordinate_blocks(rx, cfg):
         for d, gamma in gammas.items():
-            stat = analysis.statistic(d, comp, basis)[0]
+            stat = analysis.statistic(d, crx)
             counts[d] += int(np.count_nonzero(stat(c, g) > gamma))
     return counts
 
 
 def mixed_runs(sc, hypothesis="H0", target=None, seed=31):
-    """(sc, err, comp, gammas, cfg) of three runs sharing one sweep: a
+    """(rx, gammas, cfg) of three runs sharing one sweep: a
     distributed r = 3 run of two full blocks (Doppler errors take the
     return out of span S_hat), a co-located r = 1 run of one, and a
     distributed run whose last block is partial."""
@@ -255,12 +249,12 @@ def mixed_runs(sc, hypothesis="H0", target=None, seed=31):
             (colocated_scenario(sc), SyncErrors.zeros(2, 1), BLOCK_TRIALS,
              ALL[:3]),
             (sc, doppler, POOL_TRIALS, ALL)]):
-        comp = CompensationSet.from_scenario(scenario, err)
-        vs = float(np.sum(np.abs(comp.templates) ** 2))
+        rx = Receiver.build(scenario, err)
+        vs = float(np.sum(np.abs(rx.comp.templates) ** 2))
         gammas = {d: threshold(d, 0.05, 12, 2, 1, 1.0, vs) for d in dets}
         cfg = TrialConfig(trials=trials, seed=seed, pair=pair,
                           hypothesis=hypothesis, target_draw=target)
-        runs.append((scenario, err, comp, gammas, cfg))
+        runs.append((rx, gammas, cfg))
     return runs
 
 
@@ -274,8 +268,8 @@ class TestWorkerPool:
         # one pool over the blocks of runs of different ranks and block
         # sizes gives each run exactly its serial counts
         runs = mixed_runs(ref_scenario, hypothesis, target)
-        ranks = [montecarlo._coordinates(sc, err, comp).x.shape[-1]
-                 for sc, err, comp, *_ in runs]
+        ranks = [montecarlo._coordinates(rx)[0].x.shape[-1]
+                 for rx, *_ in runs]
         assert ranks == [3, 1, 3]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         interval = sys.getswitchinterval()
@@ -285,9 +279,9 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == len(runs)
-        for res, (sc, err, comp, gammas, cfg) in zip(got, runs):
+        for res, (rx, gammas, cfg) in zip(got, runs):
             assert ({d: r.detections for d, r in res.items()}
-                    == serial_counts(sc, err, comp, gammas, cfg))
+                    == serial_counts(rx, gammas, cfg))
         assert run_trials(*runs[2]) == got[2]
 
     @pytest.mark.parametrize("budget_largest, workers", [(2, 2), (1.5, 1)])
@@ -297,8 +291,8 @@ class TestWorkerPool:
         # the co-located blocks are a third the size of the distributed
         # ones; the worker count is set by the largest, wherever it runs
         runs = mixed_runs(ref_scenario)[1:]
-        sizes = [BLOCK_TRIALS * montecarlo._coordinates(sc, err, comp)
-                 .x.nbytes for sc, err, comp, *_ in runs]
+        sizes = [BLOCK_TRIALS * montecarlo._coordinates(rx)[0].x.nbytes
+                 for rx, *_ in runs]
         assert sizes[1] == 3 * sizes[0]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
@@ -326,13 +320,12 @@ class TestWorkerPool:
     @pytest.mark.parametrize("workers, budget_blocks, max_threads", [
         (2, 100, 2), (8, 2, 2), (8, 0.5, 1)])
     def test_blocks_run_on_pool_within_byte_budget(self, monkeypatch,
-                                                   ref_setup, workers,
+                                                   ref_rx, workers,
                                                    budget_blocks,
                                                    max_threads):
         # every block runs off the caller's thread, on no more workers
         # than the CPUs or the byte budget allow; a block larger than the
         # budget runs alone
-        sc, err, comp = ref_setup
         threads = set()
 
         def statistic(y):
@@ -340,25 +333,24 @@ class TestWorkerPool:
             return ncd_statistic(y)
 
         block_bytes = BLOCK_TRIALS * montecarlo._coordinates(
-            sc, err, comp).x.nbytes
+            ref_rx)[0].x.nbytes
         monkeypatch.setattr(analysis, "ncd_statistic", statistic)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
                             int(budget_blocks * block_bytes))
         cfg = TrialConfig(trials=POOL_TRIALS, seed=4, hypothesis="H0")
-        run_trials(sc, err, comp, {DetectorKind.NCD: 30.0}, cfg)
+        run_trials(ref_rx, {DetectorKind.NCD: 30.0}, cfg)
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= max_threads
 
     def test_ks_distance_independent_of_worker_count(self, monkeypatch,
-                                                     ref_setup):
-        sc, _, comp = ref_setup
+                                                     ref_rx):
         ks = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_worker_count",
                                 lambda w=workers: w)
             ks.append(h0_statistic_distribution_check(
-                DetectorKind.HD, sc, comp, POOL_TRIALS, seed=5).ks_distance)
+                DetectorKind.HD, ref_rx, POOL_TRIALS, seed=5).ks_distance)
         assert ks[0] == ks[1] == ks[2]
 
     def test_block_exception_reaches_caller(self, monkeypatch,
@@ -435,47 +427,89 @@ def _path_errors(M, N, dt=0.0, df=0.0, dp=0.0):
                       dc_rx=np.zeros(N))
 
 
+def definition(det, comp, y):
+    """The paper's statistic of ``det`` on the measurement y, from the
+    definitions in ``detectors``."""
+    if det is DetectorKind.NCD:
+        return ncd_statistic(y)
+    if det is DetectorKind.ACD:
+        return acd_statistic(y, comp.theta_hat)
+    if det is DetectorKind.CD:
+        return cd_statistic(y, comp.templates)
+    return hd_statistic(y, doppler_projectors(comp.S_hat))
+
+
+def random_case(seed, random_scenario):
+    """A random receiver and five random measurement cubes for it."""
+    rng = np.random.default_rng(4000 + seed)
+    # every fourth scenario has K <= M + 1, every third is co-located
+    short = dict(m_tx=3, k_pulses=3) if seed % 4 == 1 else {}
+    sc, err = random_scenario(rng, **short)
+    sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)  # keeps tau + dt >= 0
+    if seed % 3 == 0:
+        sc = colocated_scenario(sc)
+    shape = (5, sc.m_tx, sc.n_rx, sc.k_pulses)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Receiver.build(sc, err), y
+
+
 class TestCoordinates:
     @pytest.mark.parametrize("seed", range(12))
     def test_statistics_equal_on_full_cube(self, seed, random_scenario):
         # T(B^H y, energy outside) equals T(y) for any measurement y:
         # every vector a detector reads lies in the spans of the basis
-        rng = np.random.default_rng(4000 + seed)
-        # every fourth scenario has K <= M + 1, every third is co-located
-        short = dict(m_tx=3, k_pulses=3) if seed % 4 == 1 else {}
-        sc, err = random_scenario(rng, **short)
-        sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)  # keeps tau + dt >= 0
-        if seed % 3 == 0:
-            sc = colocated_scenario(sc)
-        comp = CompensationSet.from_scenario(sc, err)
-        coords = montecarlo._coordinates(sc, err, comp)
-        M, N, K, r = coords.basis.shape
-        gram = np.einsum("mnkr,mnks->mnrs", np.conj(coords.basis),
-                         coords.basis)
+        rx, y = random_case(seed, random_scenario)
+        basis = montecarlo._basis(rx)
+        crx, outside = montecarlo._coordinates(rx)
+        M, N, K, r = basis.shape
+        gram = np.einsum("mnkr,mnks->mnrs", np.conj(basis), basis)
         assert np.allclose(gram, np.eye(r), atol=1e-12)
         assert r <= min(K, M + 1)
-        assert coords.outside == M * N * (K - r)
-        y = (rng.standard_normal((5, M, N, K))
-             + 1j * rng.standard_normal((5, M, N, K)))
-        c = np.einsum("mnkr,tmnk->tmnr", np.conj(coords.basis), y)
+        assert outside == M * N * (K - r)
+        c = np.einsum("mnkr,tmnk->tmnr", np.conj(basis), y)
         g = (np.sum(np.abs(y) ** 2, axis=(1, 2, 3))
              - np.sum(np.abs(c) ** 2, axis=(1, 2, 3)))
         for d in ALL:
             try:
-                want = analysis.statistic(d, comp)[0](y)
+                want = definition(d, rx.comp, y)
             except ValueError:  # HD on rank-deficient steering
                 with pytest.raises(ValueError):
-                    analysis.statistic(d, comp, coords.basis)
+                    analysis.statistic(d, crx)
                 continue
-            got = analysis.statistic(d, comp, coords.basis)[0](c, g)
+            got = analysis.statistic(d, crx)(c, g)
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cube_statistics_equal_definitions(self, seed, random_scenario):
+        # in the K-sample frame the receiver's statistics are the paper's
+        # definitions, on a batch and on the single cube the noncentrality
+        # reads
+        rx, y = random_case(seed, random_scenario)
+        for d in ALL:
+            want = definition(d, rx.comp, y)
+            stat = analysis.statistic(d, rx)
+            np.testing.assert_allclose(stat(y), want, rtol=1e-12)
+            np.testing.assert_allclose(stat(y[0]), want[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["colocated", "k_below_m"])
+    def test_hd_without_bases_raises_projector_error(self, case,
+                                                     ref_scenario, zero_err):
+        # co-located steering without sync errors repeats one Doppler
+        # column; K = 1 < M leaves no room for two
+        sc = (colocated_scenario(ref_scenario) if case == "colocated"
+              else reference_scenario("multi_band", k_pulses=1))
+        rx = Receiver.build(sc, zero_err)
+        with pytest.raises(ValueError) as want:
+            doppler_projectors(rx.comp.S_hat)
+        for frame in (rx, montecarlo._coordinates(rx)[0]):
+            with pytest.raises(ValueError) as got:
+                analysis.statistic(DetectorKind.HD, frame)
+            assert str(got.value) == str(want.value)
+
     def test_colocated_rank_one(self, ref_scenario, zero_err):
-        sc = colocated_scenario(ref_scenario)
-        comp = CompensationSet.from_scenario(sc, zero_err)
-        coords = montecarlo._coordinates(sc, zero_err, comp)
-        assert coords.basis.shape == (2, 1, 12, 1)
-        assert coords.outside == 2 * 11
+        rx = Receiver.build(colocated_scenario(ref_scenario), zero_err)
+        assert montecarlo._basis(rx).shape == (2, 1, 12, 1)
+        assert montecarlo._coordinates(rx)[1] == 2 * 11
 
     # Two-sample KS of each statistic: the engine's coordinate blocks
     # against full (trials, M, N, K) measurement cubes drawn on an
@@ -516,10 +550,10 @@ class TestCoordinates:
             # r = K, so no energy lies outside
             sc = reference_scenario("multi_band", k_pulses=3)
             err = _path_errors(M, 1, df=12.0)
-        comp = CompensationSet.from_scenario(sc, err)
-        coords = montecarlo._coordinates(sc, err, comp)
+        rx = Receiver.build(sc, err)
+        crx, outside = montecarlo._coordinates(rx)
         if case == "short":
-            assert coords.outside == 0
+            assert outside == 0
         cfg = TrialConfig(trials=trials, seed=610, hypothesis=hypothesis,
                           target_draw=target)
         oracle_cfg = TrialConfig(trials=trials, seed=611,
@@ -527,10 +561,9 @@ class TestCoordinates:
         cubes = list(iter_measurement_blocks(sc, err, oracle_cfg))
         p_values = {}
         for d in dets:
-            stat = analysis.statistic(d, comp, coords.basis)[0]
+            stat = analysis.statistic(d, crx)
             got = np.concatenate([v for _, v in montecarlo._map_blocks(
-                [(sc, coords, cfg, stat)])])
-            cube_stat = analysis.statistic(d, comp)[0]
-            want = np.concatenate([cube_stat(y) for y in cubes])
+                [(crx, outside, cfg, stat)])])
+            want = np.concatenate([definition(d, rx.comp, y) for y in cubes])
             p_values[d] = stats.ks_2samp(got, want).pvalue
         assert min(p_values.values()) > self.KS_ALPHA, p_values
