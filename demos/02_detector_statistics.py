@@ -3,8 +3,8 @@
 A two-transmitter scenario is built with the library defaults, a noisy
 slow-time measurement is formed for a fixed target amplitude, and all
 four statistics come from ``analysis.statistic`` on the scenario's
-receiver, which also holds the CD scaling factor varsigma, and are
-evaluated against their false-alarm thresholds.
+receiver and are evaluated against their false-alarm thresholds, each
+from the detector's chi-square law ``rx.law(det)``.
 """
 
 from dmimo.analysis import DetectorKind, Receiver, statistic, threshold
@@ -24,8 +24,7 @@ y = alpha * rx.x + draw_noise(rng, sc.k_pulses, sc.sigma2,
 print(f"{'detector':>8s} {'statistic':>12s} {'threshold':>12s} {'decide':>8s}")
 for det in DetectorKind:
     value = statistic(det, rx)(y)
-    gamma = threshold(det, 1e-4, sc.k_pulses, sc.m_tx, sc.n_rx,
-                      sc.sigma2, rx.varsigma)
+    gamma = threshold(rx.law(det), 1e-4)
     verdict = "target" if value > gamma else "noise"
     print(f"{det.value:>8s} {value:12.3f} {gamma:12.3f} {verdict:>8s}")
 

@@ -25,8 +25,7 @@ sc = reference_scenario("multi_band", snr_db=(0.0, 0.0))
 rx = Receiver.build(sc, SyncErrors.zeros(2, 1))
 points = {d: analyze_detector(d, rx, 1e-4) for d in ALL}
 
-cfg = TrialConfig(trials=TRIALS, seed=12345, hypothesis="H1",
-                  target_draw=Swerling1(1.0))
+cfg = TrialConfig(trials=TRIALS, seed=12345, target_draw=Swerling1(1.0))
 res = run_trials(rx, {d: points[d].gamma for d in ALL}, cfg)
 
 print(f"{TRIALS} trials, Pf = 1e-4, SNR = 0 dB:")

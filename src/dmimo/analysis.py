@@ -2,14 +2,7 @@
 
 Every statistic T is (a scaled) chi-square: under H0, 2T/c is central
 chi-square with 2p degrees of freedom, and under H1 noncentral with
-parameter lambda, where the order p and scale c are
-
-    NCD  p = KMN    c = sigma^2
-    ACD  p = 1      c = KMN sigma^2
-    CD   p = 1      c = varsigma sigma^2
-    HD   p = N M^2  c = sigma^2
-
-with varsigma = ||v||^2 the energy of the CD templates v.  A
+parameter lambda; ``law`` gives (p, c), and the closed forms take it.  A
 ``Receiver``, built once per (sweep point, system) pair, holds every
 quantity a detector reads, and ``statistic(det, rx)`` is the one map from
 a detector to its statistic, in one form for the measurement cube and
@@ -52,6 +45,7 @@ __all__ = [
     "DetectorKind",
     "PerfPoint",
     "Receiver",
+    "law",
     "statistic",
     "noncentrality",
     "pfa",
@@ -87,23 +81,31 @@ class PerfPoint:
             raise ValueError("CD operating point requires varsigma > 0")
 
 
-def _order(det: DetectorKind, K: int, M: int, N: int) -> int:
+def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
+        varsigma=None) -> tuple[int, float]:
+    """The one map from a detector to its law (p, c): under H0, 2T/c is
+    central chi-square with 2p degrees of freedom, where
+
+        NCD  p = KMN    c = sigma^2
+        ACD  p = 1      c = KMN sigma^2
+        CD   p = 1      c = varsigma sigma^2
+        HD   p = N M^2  c = sigma^2
+
+    with varsigma = ||v||^2 the energy of the CD templates v.  Raises
+    ValueError for CD without varsigma, and where the product c overflows."""
     if det is DetectorKind.NCD:
-        return K * M * N
+        return K * M * N, sigma2
     if det is DetectorKind.HD:
-        return N * M * M
-    return 1
-
-
-def _scale(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
-           varsigma=None) -> float:
-    if det is DetectorKind.NCD or det is DetectorKind.HD:
-        return sigma2
+        return N * M * M, sigma2
     if det is DetectorKind.ACD:
-        return K * M * N * sigma2
-    if varsigma is None:
+        c = K * M * N * sigma2
+    elif varsigma is None:
         raise ValueError("CD requires the varsigma scaling factor")
-    return varsigma * sigma2
+    else:
+        c = varsigma * sigma2
+    if not math.isfinite(c):
+        raise ValueError(f"{det.value} statistic scale c = {c} is not finite")
+    return 1, c
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,11 @@ class Receiver:
                        templates=coords(self.templates),
                        doppler=coords(self.doppler))
 
+    def law(self, det: DetectorKind) -> tuple[int, float]:
+        """The detector's chi-square law (p, c) at this pair."""
+        return law(det, self.sc.k_pulses, self.sc.m_tx, self.sc.n_rx,
+                   self.sc.sigma2, self.varsigma)
+
 
 def statistic(det: DetectorKind, rx: Receiver):
     """The detector's statistic T(y, g) in the receiver's frame: y is a
@@ -169,47 +176,40 @@ def statistic(det: DetectorKind, rx: Receiver):
     return lambda y, g=0.0: hd_statistic(y, rx.doppler)
 
 
-def noncentrality(det: DetectorKind, rx: Receiver, rho: float):
+def noncentrality(det: DetectorKind, rx: Receiver, rho: float) -> float:
     """Noncentrality lambda = 2 rho T(x) / c at target RCS rho = |alpha|^2,
     T the detector's statistic and x the receiver's noise-free return at
-    unit amplitude, plus varsigma for CD (None for the other detectors)."""
+    unit amplitude."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    sc = rx.sc
-    c = _scale(det, sc.k_pulses, sc.m_tx, sc.n_rx, sc.sigma2, rx.varsigma)
-    varsigma = rx.varsigma if det is DetectorKind.CD else None
-    return 2.0 * rho * float(statistic(det, rx)(rx.x)) / c, varsigma
+    _, c = rx.law(det)
+    return 2.0 * rho * float(statistic(det, rx)(rx.x)) / c
 
 
-def pfa(det: DetectorKind, gamma: float, K: int, M: int, N: int,
-        sigma2: float, varsigma=None) -> Probability:
-    """Probability of false alarm at threshold gamma."""
+def pfa(law: tuple[int, float], gamma: float) -> Probability:
+    """Probability of false alarm at threshold gamma under the law (p, c)."""
     if gamma < 0:
         raise ValueError("threshold must be nonnegative")
-    p = _order(det, K, M, N)
-    c = _scale(det, K, M, N, sigma2, varsigma)
+    p, c = law
     return Probability(reg_upper_gamma(p, gamma / c))
 
 
-def threshold(det: DetectorKind, pfa_target: float, K: int, M: int, N: int,
-              sigma2: float, varsigma=None) -> float:
-    """Threshold gamma with pfa(gamma) = pfa_target."""
+def threshold(law: tuple[int, float], pfa_target: float) -> float:
+    """Threshold gamma with pfa(law, gamma) = pfa_target."""
     if not 0.0 < pfa_target < 1.0:
         raise ValueError("target false-alarm rate must lie strictly in (0, 1)")
-    p = _order(det, K, M, N)
-    c = _scale(det, K, M, N, sigma2, varsigma)
+    p, c = law
     if p == 1:
         return c * math.log(1.0 / pfa_target)
     return c * inv_reg_upper_gamma(p, pfa_target)
 
 
-def pd_nonfluctuating(det: DetectorKind, gamma: float, lam: float, K: int,
-                      M: int, N: int, sigma2: float, varsigma=None) -> Probability:
+def pd_nonfluctuating(law: tuple[int, float], gamma: float,
+                      lam: float) -> Probability:
     """Detection probability for a fixed-amplitude target."""
     if lam < 0 or gamma < 0:
         raise ValueError("lambda and gamma must be nonnegative")
-    p = _order(det, K, M, N)
-    c = _scale(det, K, M, N, sigma2, varsigma)
+    p, c = law
     return marcum_q(p, math.sqrt(lam), math.sqrt(2.0 * gamma / c))
 
 
@@ -230,17 +230,15 @@ def _swerling1_average(p: int, g: float, lam_prime: float, rho_bar: float) -> fl
             * kummer_1f1_first_unit(p + 1.0, arg))
 
 
-def pd_swerling1(det: DetectorKind, gamma: float, lambda_prime: float,
-                 rho_bar: float, K: int, M: int, N: int, sigma2: float,
-                 varsigma=None) -> Probability:
+def pd_swerling1(law: tuple[int, float], gamma: float, lambda_prime: float,
+                 rho_bar: float) -> Probability:
     """Average detection probability for a Swerling I target with mean RCS
     rho_bar, given the per-unit-RCS noncentrality lambda_prime."""
     if lambda_prime < 0:
         raise ValueError("lambda_prime must be nonnegative")
     if not rho_bar > 0:
         raise ValueError("mean RCS must be positive")
-    p = _order(det, K, M, N)
-    c = _scale(det, K, M, N, sigma2, varsigma)
+    p, c = law
     val = _swerling1_average(p, gamma / c, lambda_prime, rho_bar)
     return Probability(min(1.0, max(0.0, val)))
 
@@ -251,17 +249,16 @@ def analyze_detector(det: DetectorKind, rx: Receiver,
     noncentrality, and detection probability under the scenario's target
     model (Swerling I average or fixed amplitude)."""
     sc = rx.sc
-    K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
-    lam_prime, varsigma = noncentrality(det, rx, 1.0)
-    gamma = threshold(det, pfa_target, K, M, N, sc.sigma2, varsigma)
+    lam_prime = noncentrality(det, rx, 1.0)
+    chi2 = rx.law(det)
+    gamma = threshold(chi2, pfa_target)
     if isinstance(sc.target, Swerling1):
-        pd = pd_swerling1(det, gamma, lam_prime, sc.target.rho_bar,
-                          K, M, N, sc.sigma2, varsigma)
+        pd = pd_swerling1(chi2, gamma, lam_prime, sc.target.rho_bar)
         lam = lam_prime * sc.target.rho_bar
     else:
         rho = abs(sc.target.alpha) ** 2
         lam = lam_prime * rho
-        pd = pd_nonfluctuating(det, gamma, lam, K, M, N, sc.sigma2, varsigma)
+        pd = pd_nonfluctuating(chi2, gamma, lam)
     return PerfPoint(detector=det, gamma=gamma,
-                     pfa=Probability(pfa_target), pd=pd,
-                     lam=lam, varsigma=varsigma)
+                     pfa=Probability(pfa_target), pd=pd, lam=lam,
+                     varsigma=rx.varsigma if det is DetectorKind.CD else None)

@@ -20,9 +20,10 @@ import sys
 
 import numpy as np
 
-from .analysis import DetectorKind, Receiver, analyze_detector, threshold
+from .analysis import DetectorKind, Receiver, analyze_detector, law, threshold
 from .experiments import (
     MAX_SEED,
+    MIN_PFA,
     MIN_SEED,
     MIN_TRIALS,
     ExperimentError,
@@ -187,7 +188,7 @@ def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
                   if pt is not None}
         if gammas:
             cfg = TrialConfig(trials=trials, seed=seed, pair=index,
-                              hypothesis="H1", target_draw=rx.sc.target)
+                              target_draw=rx.sc.target)
             runs[index] = (rx, gammas, cfg)
     results = dict(zip(runs, run_sweep(list(runs.values()))))
     rows = []
@@ -209,8 +210,8 @@ def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
 def cmd_threshold(args) -> int:
     det = DetectorKind(args.detector)
     try:
-        gamma = threshold(det, args.pfa, args.k_pulses, args.m_tx,
-                          args.n_rx, args.sigma2, args.varsigma)
+        gamma = threshold(law(det, args.k_pulses, args.m_tx, args.n_rx,
+                              args.sigma2, args.varsigma), args.pfa)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(_fmt(gamma))
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="print one detection threshold")
     p.add_argument("--detector", required=True,
                    choices=[d.value for d in DetectorKind])
-    p.add_argument("--pfa", type=_float_between(0, 1), required=True)
+    p.add_argument("--pfa", type=_float_between(MIN_PFA, 1), required=True)
     p.add_argument("--k-pulses", type=_bounded_int(1), required=True)
     p.add_argument("--m-tx", type=_bounded_int(1), required=True)
     p.add_argument("--n-rx", type=_bounded_int(1), required=True)

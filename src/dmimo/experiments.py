@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,13 +19,14 @@ import numpy as np
 from . import presets
 from .analysis import DetectorKind
 from .scene import NonFluctuating, Scenario, Swerling1, SyncErrors, xi_from_snr
-from .waveforms import pulse_set
+from .waveforms import ETA, KAPPA, pulse_set
 
 __all__ = [
     "ExperimentError",
     "ExperimentSpec",
     "SWEEP_VARIABLES",
     "MIN_TRIALS",
+    "MIN_PFA",
     "MIN_SEED",
     "MAX_SEED",
     "load_experiment",
@@ -42,9 +44,11 @@ SWEEP_VARIABLES = (
 )
 _TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
 
-# Bounds shared by the JSON fields and the CLI flags.  The seed fills one
+# Bounds shared by the JSON fields and the CLI flags.  A false-alarm rate
+# lies in (MIN_PFA, 1), so 1 / pfa stays finite.  The seed fills one
 # unsigned 64-bit word of the Philox key of every Monte Carlo stream.
 MIN_TRIALS = 1
+MIN_PFA = sys.float_info.min
 MIN_SEED = 0
 MAX_SEED = 2**63 - 1
 
@@ -180,13 +184,13 @@ def _parse_scenario(doc):
             f"{path}.waveform_set: expected 'multi_band' or 'single_band'")
     M = _integer(doc, path, "m_tx", 2, minimum=1)
     N = _integer(doc, path, "n_rx", 1, minimum=1)
-    K = _integer(doc, path, "k_pulses", 12, minimum=1)
+    K = _integer(doc, path, "k_pulses", presets.K_PULSES, minimum=1)
     pri_s = _number(doc, path, "pri_s", presets.PRI_S, positive=True)
     carrier = _number(doc, path, "carrier_hz", presets.CARRIER_HZ, positive=True)
     tp = _number(doc, path, "pulse_s", presets.PULSE_S, positive=True)
     beta = _number(doc, path, "bandwidth_hz", presets.BANDWIDTH_HZ, positive=True)
-    eta = _number(doc, path, "eta", 3.0, positive=True)
-    kappa = _number(doc, path, "kappa", 3.0, positive=True)
+    eta = _number(doc, path, "eta", ETA, positive=True)
+    kappa = _number(doc, path, "kappa", KAPPA, positive=True)
     target, rho_mean = _parse_target(doc, path)
 
     tau = _matrix(doc, path, "tau_s", (M, N),
@@ -268,9 +272,9 @@ def parse_experiment(doc) -> ExperimentSpec:
     if var in _TWO_TX_SWEEPS and sc.m_tx != 2:
         raise ExperimentError(
             f"sweep.variable: {var} needs exactly 2 transmitters")
-    pfa = _number(doc, "$", "pfa_target", 1e-4, positive=True)
-    if not pfa < 1.0:
-        raise ExperimentError("$.pfa_target: must lie strictly in (0, 1)")
+    pfa = _number(doc, "$", "pfa_target", 1e-4)
+    if not MIN_PFA < pfa < 1.0:
+        raise ExperimentError(f"$.pfa_target: must lie in ({MIN_PFA}, 1)")
     trials = _integer(doc, "$", "trials", 100000, minimum=MIN_TRIALS)
     seed = _integer(doc, "$", "seed", 0, minimum=MIN_SEED, maximum=MAX_SEED)
     colocated = doc.get("colocated_benchmark", False)

@@ -32,7 +32,7 @@ for NCD, of the energy g outside the spans, summed over paths.  White
 Gaussian noise is invariant under unitary maps, so B_mn^H w_mn is
 CN(0, sigma^2 I_r), the part of w_mn outside the span is independent of
 it, and its energy over all paths is sigma^2 Gamma(M N (K - r), 1).  A
-block therefore draws, in this order, alpha, then
+block therefore draws, in this order, alpha (Swerling I runs only), then
 c = alpha B^H x + CN(0, sigma^2 I_r) of shape (trials, M, N, r), then g:
 r complex coordinates per path and one energy per trial instead of K
 samples per path, and no (trials, M, N, K) cube.  The argument rests on
@@ -43,7 +43,8 @@ numbers) and reads them through ``analysis.statistic`` on the pair's
 ``analysis.Receiver``, moved into the run's coordinates: the same form
 whose value on x in the K-sample frame gives the closed forms'
 noncentrality lambda = 2 rho T(x) / c, so the simulation and the closed
-forms evaluate one statistic.
+forms evaluate one statistic; the H0 check compares it with the law
+(p, c) of ``Receiver.law``, the one the closed forms take.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DetectorKind, Receiver, _order, _scale, statistic
+from .analysis import DetectorKind, Receiver, statistic
 from .detectors import _RCOND_LIMIT
 from .scene import NonFluctuating, Swerling1
 from .specfun import Probability
@@ -78,8 +79,8 @@ BLOCK_TRIALS = 8192
 class TrialConfig:
     """Simulation run description.
 
-    hypothesis "H0" runs pure noise; "H1" adds the target return with an
-    amplitude drawn per trial from target_draw (NonFluctuating holds a
+    A run without target_draw is pure noise (H0); with one it adds the
+    target return, its amplitude drawn per trial (NonFluctuating holds a
     fixed complex alpha, Swerling1 redraws CN(0, rho_bar) every trial).
     (seed, pair) keys the run's random stream; ``simulate`` gives each
     (sweep point, system) pair of an experiment its own ``pair``.
@@ -87,7 +88,6 @@ class TrialConfig:
 
     trials: int
     seed: int
-    hypothesis: str = "H1"
     target_draw: NonFluctuating | Swerling1 | None = None
     pair: int = 0
 
@@ -96,10 +96,6 @@ class TrialConfig:
             raise ValueError("trials must be at least 1")
         if self.pair < 0:
             raise ValueError("pair must be nonnegative")
-        if self.hypothesis not in ("H0", "H1"):
-            raise ValueError("hypothesis must be 'H0' or 'H1'")
-        if self.hypothesis == "H1" and self.target_draw is None:
-            raise ValueError("H1 runs need a target_draw")
 
 
 @dataclass(frozen=True)
@@ -208,9 +204,9 @@ def _coordinate_block(rx: Receiver, outside: int, cfg: TrialConfig,
     """Block ``j`` of a run: the coordinates c (trials, M, N, r) of its
     measurement batch, and the energy g (trials,) outside their spans.
 
-    Draw order inside a block is fixed (amplitudes, then the coordinates'
-    noise, then the energy outside) so the stream layout does not depend
-    on the hypothesis under test.
+    Draw order inside a block is fixed: the amplitudes (a Swerling I run
+    only; other runs draw none), then the coordinates' noise, then the
+    energy outside.
     """
     nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
     rng = _block_rng(cfg.seed, cfg.pair, j)
@@ -218,7 +214,7 @@ def _coordinate_block(rx: Receiver, outside: int, cfg: TrialConfig,
     sigma2 = rx.sc.sigma2
     c = draw_noise(rng, rx.x.shape[-1], sigma2, (nb,) + rx.x.shape[:-1])
     g = sigma2 * rng.standard_gamma(outside, nb)
-    if cfg.hypothesis == "H1":
+    if cfg.target_draw is not None:
         c += alpha[:, None, None, None] * rx.x
     return c, g
 
@@ -324,13 +320,11 @@ def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
     # imported here to keep scipy (about half a second) off the CLI's start-up
     from scipy import stats
 
-    cfg = TrialConfig(trials=trials, seed=seed, hypothesis="H0")
+    cfg = TrialConfig(trials=trials, seed=seed)
     crx, outside = _coordinates(rx)
     blocks = _map_blocks([(crx, outside, cfg, statistic(det, crx))])
     vals = np.concatenate([v for _, v in blocks])
-    K, M, N = rx.sc.k_pulses, rx.sc.m_tx, rx.sc.n_rx
-    p = _order(det, K, M, N)
-    c = _scale(det, K, M, N, rx.sc.sigma2, rx.varsigma)
+    p, c = rx.law(det)
     ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
     return DistributionCheck(detector=det, trials=trials,
                              ks_distance=float(ks), order=p, scale=c)

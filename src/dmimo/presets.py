@@ -14,9 +14,10 @@ import numpy as np
 from .scene import Scenario, Swerling1, xi_from_snr
 from .waveforms import pulse_set
 
-__all__ = ["reference_scenario", "PULSE_S", "BANDWIDTH_HZ", "PRI_S",
-           "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ", "PSI_OVER_PI"]
+__all__ = ["reference_scenario", "K_PULSES", "PULSE_S", "BANDWIDTH_HZ",
+           "PRI_S", "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ", "PSI_OVER_PI"]
 
+K_PULSES = 12
 PULSE_S = 1e-5
 BANDWIDTH_HZ = 400e3
 PRI_S = 1.0 / 500.0
@@ -29,7 +30,7 @@ PSI_OVER_PI = (0.1, 0.3)
 
 def reference_scenario(waveform_set: str = "multi_band",
                        snr_db: tuple[float, float] = (0.0, 0.0),
-                       k_pulses: int = 12,
+                       k_pulses: int = K_PULSES,
                        sigma2: float = 1.0,
                        rho_bar: float = 1.0,
                        tau_over_tp: tuple[float, float] = TAU_OVER_TP,

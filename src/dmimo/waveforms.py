@@ -38,6 +38,8 @@ SINGLE_BAND_UP = "single_band_up"
 SINGLE_BAND_DOWN = "single_band_down"
 
 _FAMILIES = (MULTI_BAND, SINGLE_BAND_UP, SINGLE_BAND_DOWN)
+ETA = 3.0    # default band gap parameter (multi-band)
+KAPPA = 3.0  # default center-frequency shift parameter (single-band)
 
 # Largest quadratic phase excursion |q| (L/2)^2 over the overlap that the
 # sinc form absorbs: sweep rates that differ by a hair, or a sliver of
@@ -160,7 +162,7 @@ def caf(a: PulseSpec, b: PulseSpec, nu: float, f: float) -> complex:
 
 
 def pulse_set(waveform_set: str, m_tx: int, beta_hz: float, t_p: float,
-              eta: float = 3.0, kappa: float = 3.0) -> tuple[PulseSpec, ...]:
+              eta: float = ETA, kappa: float = KAPPA) -> tuple[PulseSpec, ...]:
     """Build the M transmit pulses for a named waveform set.
 
     'multi_band' supports any M; 'single_band' is the up/down pair (M=2).

@@ -196,7 +196,7 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
         rng = _block_rng(cfg.seed, cfg.pair, j)
         alpha = _block_alpha(rng, cfg, nb)
         w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
-        if cfg.hypothesis == "H1":
+        if cfg.target_draw is not None:
             w += alpha[:, None, None, None] * x_unit
         yield w
 

@@ -46,7 +46,6 @@ from oracles import beta_mle, caf_symmetry_partner, slow_time_sample
 
 ALL = list(DetectorKind)
 ZERO = SyncErrors.zeros(2, 1)
-K, M, N, S2 = 12, 2, 1, 1.0
 
 
 RESULT_LINES = []
@@ -71,7 +70,7 @@ def test_1_analytic_monte_carlo_match():
     for i, snr in enumerate((-5.0, 0.0, 5.0)):
         sc = reference_scenario("multi_band", snr_db=(snr, snr))
         rx, pts = operating_points(sc, ZERO)
-        cfg = TrialConfig(trials=trials, seed=900 + i, hypothesis="H1",
+        cfg = TrialConfig(trials=trials, seed=900 + i,
                           target_draw=Swerling1(1.0))
         res = run_trials(rx, {d: pts[d].gamma for d in ALL}, cfg)
         for d in ALL:
@@ -85,7 +84,7 @@ def test_2_false_alarm_calibration():
     pf = 1e-4
     sc = reference_scenario("multi_band")
     rx, pts = operating_points(sc, ZERO, pf)
-    cfg = TrialConfig(trials=trials, seed=41, hypothesis="H0")
+    cfg = TrialConfig(trials=trials, seed=41)
     res = run_trials(rx, {d: pts[d].gamma for d in ALL}, cfg)
     sigma = math.sqrt(pf * (1 - pf) / trials)
     ok = all(abs(res[d].p_hat - pf) <= 3 * sigma for d in ALL)
@@ -107,12 +106,13 @@ def test_4_swerling_closed_form_vs_quadrature():
     for d in ALL:
         for snr in (-10.0, -5.0, 0.0, 5.0, 10.0):
             sc = reference_scenario("multi_band", snr_db=(snr, snr))
-            lam_prime, vs = noncentrality(d, Receiver.build(sc, ZERO), 1.0)
-            g = threshold(d, 1e-4, K, M, N, S2, vs)
-            closed = pd_swerling1(d, g, lam_prime, 1.0, K, M, N, S2, vs)
+            rx = Receiver.build(sc, ZERO)
+            lam_prime, chi2 = noncentrality(d, rx, 1.0), rx.law(d)
+            g = threshold(chi2, 1e-4)
+            closed = pd_swerling1(chi2, g, lam_prime, 1.0)
             quad, _ = integrate.quad(
                 lambda r: math.exp(-r) * pd_nonfluctuating(
-                    d, g, lam_prime * r, K, M, N, S2, vs),
+                    chi2, g, lam_prime * r),
                 0.0, 60.0, limit=300)
             ok &= abs(closed - quad) <= 1e-6
     report(4, "Swerling average vs direct quadrature", ok)

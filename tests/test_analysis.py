@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from dmimo import analysis
 from dmimo.analysis import (
     DetectorKind,
     PerfPoint,
     Receiver,
     analyze_detector,
+    law,
     noncentrality,
     pd_nonfluctuating,
     pd_swerling1,
     pfa,
     threshold,
 )
+from dmimo.montecarlo import h0_statistic_distribution_check
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -55,13 +58,13 @@ def single_tx_setup(dt=0.0):
 class TestNoncentrality:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_rho(self, det, ref_rx):
-        lam, _ = noncentrality(det, ref_rx, 0.0)
+        lam = noncentrality(det, ref_rx, 0.0)
         assert lam == 0.0
 
     @pytest.mark.parametrize("det", ALL)
     def test_linear_in_rho(self, det, ref_rx):
-        lam1, _ = noncentrality(det, ref_rx, 1.0)
-        lam3, _ = noncentrality(det, ref_rx, 3.7)
+        lam1 = noncentrality(det, ref_rx, 1.0)
+        lam3 = noncentrality(det, ref_rx, 3.7)
         assert lam3 == pytest.approx(3.7 * lam1, rel=1e-12)
 
     def test_single_tx_collapse(self):
@@ -71,12 +74,12 @@ class TestNoncentrality:
         rho = 1.8
         expect = 2.0 * rho * (sc.b[0] * sc.xi[0, 0]) ** 2 * sc.k_pulses / sc.sigma2
         for det in (DetectorKind.NCD, DetectorKind.ACD, DetectorKind.CD):
-            lam, _ = noncentrality(det, rx, rho)
+            lam = noncentrality(det, rx, rho)
             assert lam == pytest.approx(expect, rel=1e-9)
 
     def test_ncd_two_evaluations_agree(self, ref_rx, zero_err):
         sc = ref_rx.sc
-        lam, _ = noncentrality(DetectorKind.NCD, ref_rx, 1.0)
+        lam = noncentrality(DetectorKind.NCD, ref_rx, 1.0)
         S, X, h = _model_factors(sc, zero_err)
         total = 0.0
         for m in range(sc.m_tx):
@@ -92,8 +95,8 @@ class TestNoncentrality:
         loss = abs(caf(sc0.pulses[0], sc0.pulses[0], dt, 0.0)) ** 2
         assert loss < 1.0
         for det in ALL:
-            lam0, _ = noncentrality(det, rx0, 1.0)
-            lam1, _ = noncentrality(det, rx1, 1.0)
+            lam0 = noncentrality(det, rx0, 1.0)
+            lam1 = noncentrality(det, rx1, 1.0)
             assert lam1 <= lam0 + 1e-12
             if det in (DetectorKind.NCD, DetectorKind.HD):
                 assert lam1 / lam0 == pytest.approx(loss, rel=1e-6)
@@ -133,41 +136,64 @@ class TestNoncentrality:
                 with pytest.raises(ValueError):
                     noncentrality(det, rx, rho)
                 continue
-            lam, vs = noncentrality(det, rx, rho)
+            lam = noncentrality(det, rx, rho)
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0), det
-            assert vs == want_vs
+            assert analyze_detector(det, rx, 1e-4).varsigma == want_vs
+
+
+class TestLaw:
+    @pytest.mark.parametrize("det", ALL)
+    def test_every_reader_takes_the_law(self, det, ref_rx, monkeypatch):
+        # analysis.law is the single source of (p, c): doubling c there
+        # halves the noncentrality, doubles a receiver's threshold and
+        # doubles the scale the H0 check tests against
+        lam = noncentrality(det, ref_rx, 1.0)
+        gamma = threshold(ref_rx.law(det), 1e-3)
+        check = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
+        original = analysis.law
+
+        def doubled(*args):
+            p, c = original(*args)
+            return p, 2.0 * c
+
+        monkeypatch.setattr(analysis, "law", doubled)
+        assert noncentrality(det, ref_rx, 1.0) == lam / 2.0
+        assert threshold(ref_rx.law(det), 1e-3) == 2.0 * gamma
+        got = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
+        assert (got.order, got.scale) == (check.order, 2.0 * check.scale)
 
 
 class TestPfa:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_threshold(self, det):
-        assert pfa(det, 0.0, K, M, N, S2, varsigma=5.0) == 1.0
+        assert pfa(law(det, K, M, N, S2, varsigma=5.0), 0.0) == 1.0
 
     def test_cd_log_inversion(self):
         vs = 37.5
         gamma = vs * S2 * math.log(1e4)
-        assert pfa(DetectorKind.CD, gamma, K, M, N, S2, vs) == pytest.approx(
-            1e-4, rel=1e-12)
+        assert pfa(law(DetectorKind.CD, K, M, N, S2, vs),
+                   gamma) == pytest.approx(1e-4, rel=1e-12)
 
     def test_ncd_matches_gamma_tail(self):
         for g in (5.0, 20.0, 46.6):
-            assert pfa(DetectorKind.NCD, g, K, M, N, S2) == pytest.approx(
-                reg_upper_gamma(24, g), rel=1e-13)
+            assert pfa(law(DetectorKind.NCD, K, M, N, S2),
+                       g) == pytest.approx(reg_upper_gamma(24, g), rel=1e-13)
 
     @pytest.mark.parametrize("det", ALL)
     def test_monotone_in_gamma(self, det):
         gammas = np.linspace(0.0, 300.0, 40)
-        vals = [pfa(det, g, K, M, N, S2, varsigma=10.0) for g in gammas]
+        chi2 = law(det, K, M, N, S2, varsigma=10.0)
+        vals = [pfa(chi2, g) for g in gammas]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_cd_requires_varsigma(self):
         with pytest.raises(ValueError):
-            pfa(DetectorKind.CD, 1.0, K, M, N, S2)
+            pfa(law(DetectorKind.CD, K, M, N, S2), 1.0)
 
 
 class TestThreshold:
     def test_acd_closed_form(self):
-        got = threshold(DetectorKind.ACD, 1e-4, K, M, N, S2)
+        got = threshold(law(DetectorKind.ACD, K, M, N, S2), 1e-4)
         assert got == pytest.approx(24.0 * math.log(1e4), rel=1e-12)
         assert got == pytest.approx(221.0482, abs=1e-3)
 
@@ -175,57 +201,58 @@ class TestThreshold:
     @pytest.mark.parametrize("p", [1e-2, 1e-4, 1e-6])
     def test_round_trip(self, det, p):
         vs = 12.0
-        g = threshold(det, p, K, M, N, S2, vs)
-        assert pfa(det, g, K, M, N, S2, vs) == pytest.approx(p, rel=1e-10)
+        chi2 = law(det, K, M, N, S2, vs)
+        g = threshold(chi2, p)
+        assert pfa(chi2, g) == pytest.approx(p, rel=1e-10)
 
     def test_ncd_order_24(self):
-        got = threshold(DetectorKind.NCD, 1e-4, K, M, N, S2)
+        got = threshold(law(DetectorKind.NCD, K, M, N, S2), 1e-4)
         assert got == pytest.approx(S2 * inv_reg_upper_gamma(24, 1e-4), rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_degenerate_targets(self, p):
         with pytest.raises(ValueError):
-            threshold(DetectorKind.NCD, p, K, M, N, S2)
+            threshold(law(DetectorKind.NCD, K, M, N, S2), p)
 
 
 class TestPdNonfluctuating:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_lambda_reduces_to_pfa(self, det):
-        vs = 8.0
-        g = threshold(det, 1e-3, K, M, N, S2, vs)
-        assert pd_nonfluctuating(det, g, 0.0, K, M, N, S2, vs) == pytest.approx(
-            pfa(det, g, K, M, N, S2, vs), rel=1e-10)
+        chi2 = law(det, K, M, N, S2, 8.0)
+        g = threshold(chi2, 1e-3)
+        assert pd_nonfluctuating(chi2, g, 0.0) == pytest.approx(
+            pfa(chi2, g), rel=1e-10)
 
     @pytest.mark.parametrize("det", ALL)
     def test_zero_threshold(self, det):
-        assert pd_nonfluctuating(det, 0.0, 5.0, K, M, N, S2, 8.0) == 1.0
+        assert pd_nonfluctuating(law(det, K, M, N, S2, 8.0), 0.0, 5.0) == 1.0
 
     @pytest.mark.parametrize("det", ALL)
     def test_monotone(self, det):
-        vs = 8.0
-        g0 = threshold(det, 1e-4, K, M, N, S2, vs)
+        chi2 = law(det, K, M, N, S2, 8.0)
+        g0 = threshold(chi2, 1e-4)
         lams = np.linspace(0.0, 80.0, 17)
-        vals = [pd_nonfluctuating(det, g0, l, K, M, N, S2, vs) for l in lams]
+        vals = [pd_nonfluctuating(chi2, g0, l) for l in lams]
         assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))
         gammas = np.linspace(0.5 * g0, 2.0 * g0, 9)
-        vals = [pd_nonfluctuating(det, g, 30.0, K, M, N, S2, vs) for g in gammas]
+        vals = [pd_nonfluctuating(chi2, g, 30.0) for g in gammas]
         assert all(a >= b - 1e-13 for a, b in zip(vals, vals[1:]))
 
 
 class TestPdSwerling1:
     @pytest.mark.parametrize("det", ALL)
     def test_invisible_target(self, det):
-        vs = 8.0
-        g = threshold(det, 1e-4, K, M, N, S2, vs)
-        assert pd_swerling1(det, g, 0.0, 1.0, K, M, N, S2, vs) == pytest.approx(
-            pfa(det, g, K, M, N, S2, vs), rel=1e-10)
+        chi2 = law(det, K, M, N, S2, 8.0)
+        g = threshold(chi2, 1e-4)
+        assert pd_swerling1(chi2, g, 0.0, 1.0) == pytest.approx(
+            pfa(chi2, g), rel=1e-10)
 
     @pytest.mark.parametrize("det", ALL)
     def test_vanishing_mean_rcs_limit(self, det):
-        vs = 8.0
-        g = threshold(det, 1e-4, K, M, N, S2, vs)
-        got = pd_swerling1(det, g, 40.0, 1e-12, K, M, N, S2, vs)
-        assert got == pytest.approx(pfa(det, g, K, M, N, S2, vs), rel=1e-6)
+        chi2 = law(det, K, M, N, S2, 8.0)
+        g = threshold(chi2, 1e-4)
+        got = pd_swerling1(chi2, g, 40.0, 1e-12)
+        assert got == pytest.approx(pfa(chi2, g), rel=1e-6)
 
     @pytest.mark.parametrize("det", ALL)
     @pytest.mark.parametrize("snr_db", [-10.0, -5.0, 0.0, 5.0, 10.0])
@@ -234,12 +261,13 @@ class TestPdSwerling1:
         # the exponential-RCS average, 1e-6 absolute
         sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
         rx = Receiver.build(sc, zero_err)
-        lam_prime, vs = noncentrality(det, rx, 1.0)
-        g = threshold(det, 1e-4, K, M, N, S2, vs)
-        closed = pd_swerling1(det, g, lam_prime, 1.0, K, M, N, S2, vs)
+        lam_prime = noncentrality(det, rx, 1.0)
+        chi2 = rx.law(det)
+        g = threshold(chi2, 1e-4)
+        closed = pd_swerling1(chi2, g, lam_prime, 1.0)
         quad, err_est = integrate.quad(
             lambda r: math.exp(-r) * pd_nonfluctuating(
-                det, g, lam_prime * r, K, M, N, S2, vs),
+                chi2, g, lam_prime * r),
             0.0, 60.0, limit=300)
         assert abs(closed - quad) <= 1e-6
 
@@ -253,13 +281,13 @@ class TestPdSwerling1:
         for snr_db in (-10.0, 5.0, 20.0):
             sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
             rx = Receiver.build(sc, zero_err)
-            lam_prime, vs = noncentrality(det, rx, 1.0)
+            lam_prime = noncentrality(det, rx, 1.0)
             scale = {DetectorKind.NCD: S2, DetectorKind.ACD: K * M * N * S2,
-                     DetectorKind.CD: (vs or 0.0) * S2,
+                     DetectorKind.CD: rx.varsigma * S2,
                      DetectorKind.HD: S2}[det]
             for pfa_target in (1e-4, 1e-6, 1e-8, 1e-10):
-                g = threshold(det, pfa_target, K, M, N, S2, vs)
-                closed = pd_swerling1(det, g, lam_prime, 1.0, K, M, N, S2, vs)
+                g = threshold(rx.law(det), pfa_target)
+                closed = pd_swerling1(rx.law(det), g, lam_prime, 1.0)
                 want, _ = integrate.quad(
                     lambda r: math.exp(-r) * stats.ncx2.sf(
                         2.0 * g / scale, 2 * order, lam_prime * r),
@@ -287,8 +315,9 @@ class TestAnalyzeDetector:
         sc = replace(ref_scenario, target=NonFluctuating(1.0 + 0.0j))
         rx = Receiver.build(sc, zero_err)
         pt = analyze_detector(DetectorKind.NCD, rx, 1e-4)
-        lam, _ = noncentrality(DetectorKind.NCD, rx, 1.0)
-        expect = pd_nonfluctuating(DetectorKind.NCD, pt.gamma, lam, K, M, N, S2)
+        lam = noncentrality(DetectorKind.NCD, rx, 1.0)
+        expect = pd_nonfluctuating(law(DetectorKind.NCD, K, M, N, S2),
+                                   pt.gamma, lam)
         assert pt.pd == pytest.approx(expect, rel=1e-12)
 
     def test_perfpoint_validation(self):

@@ -74,7 +74,8 @@ class TestThresholdCommand:
     @pytest.mark.parametrize("flags", [
         ["--sigma2", "-1"], ["--sigma2", "0"], ["--sigma2", "nan"],
         ["--varsigma", "-3"], ["--pfa", "0"], ["--pfa", "1.5"],
-        ["--k-pulses", "0"], ["--m-tx", "-2"], ["--n-rx", "0"]])
+        ["--k-pulses", "0"], ["--m-tx", "-2"], ["--n-rx", "0"],
+        ["--pfa", "1e-320"]])
     def test_bad_flag_is_usage_error(self, capsys, flags):
         args = {"--detector": "CD", "--pfa": "1e-4", "--k-pulses": "12",
                 "--m-tx": "2", "--n-rx": "1", "--varsigma": "8"}
@@ -86,6 +87,15 @@ class TestThresholdCommand:
         assert captured.out == ""
         last = captured.err.strip().splitlines()[-1]
         assert "error: " in last and flags[0] in last
+
+    def test_overflowing_scale_is_an_error(self, capsys):
+        # c = varsigma sigma^2 = 1e318 overflows a double
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", "CD", "--pfa", "1e-3",
+                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
+                  "--varsigma", "1e308", "--sigma2", "1e10"])
+        assert str(exc.value.code).startswith("error: ")
+        assert capsys.readouterr().out == ""
 
 
 class TestCafCommand:
@@ -231,6 +241,18 @@ class TestAnalyzeCommand:
         assert len(rows) == 2 * 2
         assert all("tau + dt" in r["error"] and r["gamma"] == ""
                    for r in rows)
+
+    def test_pfa_below_min_pfa_is_an_error(self, tmp_path):
+        # 1 / 1e-320 overflows a double, and the HD row's Swerling I
+        # average overflowed with it
+        doc = json.loads((RECIPES / "timing_errors.json").read_text())
+        doc["pfa_target"] = 1e-320
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--experiment", write_doc(tmp_path, doc),
+                  "--out", str(out)])
+        assert str(exc.value.code).startswith("error: $.pfa_target")
+        assert not out.exists()
 
     def test_schema_error_exits_nonzero(self, tmp_path):
         exp = write_doc(tmp_path, base_doc(bogus=1))

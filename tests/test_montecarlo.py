@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from dmimo import analysis, cli, montecarlo
-from dmimo.analysis import DetectorKind, Receiver, analyze_detector, threshold
+from dmimo.analysis import (
+    DetectorKind,
+    Receiver,
+    analyze_detector,
+    law,
+    threshold,
+)
 from dmimo.detectors import (
     acd_statistic,
     cd_statistic,
@@ -91,30 +97,20 @@ class TestDraws:
 
 
 class TestTrialConfig:
-    def test_h1_needs_target(self):
-        with pytest.raises(ValueError):
-            TrialConfig(trials=10, seed=0, hypothesis="H1")
-
-    def test_bad_hypothesis(self):
-        with pytest.raises(ValueError):
-            TrialConfig(trials=10, seed=0, hypothesis="H2")
-
     def test_bad_trials(self):
         with pytest.raises(ValueError):
-            TrialConfig(trials=0, seed=0, hypothesis="H0")
+            TrialConfig(trials=0, seed=0)
 
     def test_bad_pair(self):
         with pytest.raises(ValueError):
-            TrialConfig(trials=10, seed=0, hypothesis="H0", pair=-1)
+            TrialConfig(trials=10, seed=0, pair=-1)
 
 
 class TestDeterminism:
     def test_identical_runs(self, ref_rx):
-        gammas = {d: threshold(d, 1e-2, 12, 2, 1, 1.0,
-                               np.sum(np.abs(ref_rx.comp.templates) ** 2))
-                  for d in ALL}
-        cfg = TrialConfig(trials=3000, seed=42, hypothesis="H1",
-                          target_draw=Swerling1(1.0))
+        vs = np.sum(np.abs(ref_rx.comp.templates) ** 2)
+        gammas = {d: threshold(law(d, 12, 2, 1, 1.0, vs), 1e-2) for d in ALL}
+        cfg = TrialConfig(trials=3000, seed=42, target_draw=Swerling1(1.0))
         r1 = run_trials(ref_rx, gammas, cfg)
         r2 = run_trials(ref_rx, gammas, cfg)
         for d in ALL:
@@ -122,10 +118,10 @@ class TestDeterminism:
 
     def test_prefix_consistency_across_trial_counts(self, ref_rx):
         # the first block of a long run equals the whole of a short run
-        short = TrialConfig(trials=BLOCK_TRIALS, seed=9, hypothesis="H1",
+        short = TrialConfig(trials=BLOCK_TRIALS, seed=9,
                             target_draw=Swerling1(1.0))
         long = TrialConfig(trials=2 * BLOCK_TRIALS + 100, seed=9,
-                           hypothesis="H1", target_draw=Swerling1(1.0))
+                           target_draw=Swerling1(1.0))
         _, (c_short, g_short) = next(iter_coordinate_blocks(ref_rx, short))
         _, (c_long, g_long) = next(iter_coordinate_blocks(ref_rx, long))
         assert np.array_equal(c_short, c_long)
@@ -134,8 +130,8 @@ class TestDeterminism:
     def test_block_order_independent_counts(self, ref_rx):
         # counting is associative: summing per-block exceedances in
         # reversed order reproduces run_trials
-        gamma = threshold(DetectorKind.NCD, 1e-2, 12, 2, 1, 1.0)
-        cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21, hypothesis="H0")
+        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-2)
+        cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21)
         blocks = [cg for _, cg in iter_coordinate_blocks(ref_rx, cfg)]
         total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
                     for c, g in reversed(blocks))
@@ -143,10 +139,9 @@ class TestDeterminism:
         assert got[DetectorKind.NCD].detections == total
 
     def test_seed_changes_results(self, ref_rx):
-        gammas = {DetectorKind.NCD: threshold(DetectorKind.NCD, 0.5,
-                                              12, 2, 1, 1.0)}
-        runs = [run_trials(ref_rx, gammas,
-                           TrialConfig(trials=2000, seed=s, hypothesis="H0"))
+        gammas = {DetectorKind.NCD: threshold(
+            law(DetectorKind.NCD, 12, 2, 1, 1.0), 0.5)}
+        runs = [run_trials(ref_rx, gammas, TrialConfig(trials=2000, seed=s))
                 for s in (1, 2)]
         assert (runs[0][DetectorKind.NCD].detections
                 != runs[1][DetectorKind.NCD].detections)
@@ -157,8 +152,8 @@ class TestH0Calibration:
     def test_exceedance_matches_pfa(self, det, ref_rx):
         vs = float(np.sum(np.abs(ref_rx.comp.templates) ** 2))
         pf = 1e-2
-        gamma = threshold(det, pf, 12, 2, 1, 1.0, vs)
-        cfg = TrialConfig(trials=100000, seed=77, hypothesis="H0")
+        gamma = threshold(law(det, 12, 2, 1, 1.0, vs), pf)
+        cfg = TrialConfig(trials=100000, seed=77)
         res = run_trials(ref_rx, {det: gamma}, cfg)[det]
         sigma = np.sqrt(pf * (1 - pf) / cfg.trials)
         assert abs(res.p_hat - pf) <= 3 * sigma
@@ -173,8 +168,7 @@ class TestH1Match:
     @pytest.mark.parametrize("det", ALL)
     def test_swerling_average_within_ci(self, det, ref_rx):
         pt = analyze_detector(det, ref_rx, 1e-4)
-        cfg = TrialConfig(trials=50000, seed=101, hypothesis="H1",
-                          target_draw=Swerling1(1.0))
+        cfg = TrialConfig(trials=50000, seed=101, target_draw=Swerling1(1.0))
         res = run_trials(ref_rx, {det: pt.gamma}, cfg)[det]
         sigma = np.sqrt(pt.pd * (1 - pt.pd) / cfg.trials)
         assert abs(res.p_hat - pt.pd) <= 3 * sigma
@@ -183,8 +177,8 @@ class TestH1Match:
         from dataclasses import replace
         sc = replace(ref_scenario, sigma2=1e-12)
         rx = Receiver.build(sc, zero_err)
-        gamma = threshold(DetectorKind.NCD, 1e-4, 12, 2, 1, sc.sigma2)
-        cfg = TrialConfig(trials=500, seed=3, hypothesis="H1",
+        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, sc.sigma2), 1e-4)
+        cfg = TrialConfig(trials=500, seed=3,
                           target_draw=NonFluctuating(1.0 + 0.0j))
         res = run_trials(rx, {DetectorKind.NCD: gamma},
                          cfg)[DetectorKind.NCD]
@@ -193,9 +187,8 @@ class TestH1Match:
     def test_ncd_phase_screen_invariance(self, ref_rx):
         # NCD counts are unchanged by any fixed phase screen applied to
         # the measurements' coordinates
-        gamma = threshold(DetectorKind.NCD, 1e-3, 12, 2, 1, 1.0)
-        cfg = TrialConfig(trials=20000, seed=55, hypothesis="H1",
-                          target_draw=Swerling1(1.0))
+        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-3)
+        cfg = TrialConfig(trials=20000, seed=55, target_draw=Swerling1(1.0))
         base = run_trials(ref_rx, {DetectorKind.NCD: gamma},
                           cfg)[DetectorKind.NCD]
         blocks = list(iter_coordinate_blocks(ref_rx, cfg))
@@ -237,7 +230,7 @@ def serial_counts(rx, gammas, cfg):
     return counts
 
 
-def mixed_runs(sc, hypothesis="H0", target=None, seed=31):
+def mixed_runs(sc, target=None, seed=31):
     """(rx, gammas, cfg) of three runs sharing one sweep: a
     distributed r = 3 run of two full blocks (Doppler errors take the
     return out of span S_hat), a co-located r = 1 run of one, and a
@@ -251,23 +244,23 @@ def mixed_runs(sc, hypothesis="H0", target=None, seed=31):
             (sc, doppler, POOL_TRIALS, ALL)]):
         rx = Receiver.build(scenario, err)
         vs = float(np.sum(np.abs(rx.comp.templates) ** 2))
-        gammas = {d: threshold(d, 0.05, 12, 2, 1, 1.0, vs) for d in dets}
+        gammas = {d: threshold(law(d, 12, 2, 1, 1.0, vs), 0.05) for d in dets}
         cfg = TrialConfig(trials=trials, seed=seed, pair=pair,
-                          hypothesis=hypothesis, target_draw=target)
+                          target_draw=target)
         runs.append((rx, gammas, cfg))
     return runs
 
 
 class TestWorkerPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("hypothesis, target", [
-        ("H0", None), ("H1", Swerling1(1.0)),
-        ("H1", NonFluctuating(0.6 - 0.4j))])
+    @pytest.mark.parametrize("target", [
+        None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
+        ids=["H0-None", "H1-target1", "H1-target2"])
     def test_counts_equal_serial_sum(self, monkeypatch, ref_scenario,
-                                     workers, hypothesis, target):
+                                     workers, target):
         # one pool over the blocks of runs of different ranks and block
         # sizes gives each run exactly its serial counts
-        runs = mixed_runs(ref_scenario, hypothesis, target)
+        runs = mixed_runs(ref_scenario, target)
         ranks = [montecarlo._coordinates(rx)[0].x.shape[-1]
                  for rx, *_ in runs]
         assert ranks == [3, 1, 3]
@@ -338,7 +331,7 @@ class TestWorkerPool:
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
                             int(budget_blocks * block_bytes))
-        cfg = TrialConfig(trials=POOL_TRIALS, seed=4, hypothesis="H0")
+        cfg = TrialConfig(trials=POOL_TRIALS, seed=4)
         run_trials(ref_rx, {DetectorKind.NCD: 30.0}, cfg)
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= max_threads
@@ -527,10 +520,10 @@ class TestCoordinates:
 
         sc, M = ref_scenario, 2
         err = SyncErrors.zeros(M, 1)
-        hypothesis, target, dets = "H1", Swerling1(1.0), ALL
+        target, dets = Swerling1(1.0), ALL
         trials = self.KS_TRIALS
         if case == "h0":
-            hypothesis, target = "H0", None
+            target = None
         elif case == "fixed":
             target = NonFluctuating(0.6 - 0.8j)
         elif case == "timing":
@@ -554,10 +547,8 @@ class TestCoordinates:
         crx, outside = montecarlo._coordinates(rx)
         if case == "short":
             assert outside == 0
-        cfg = TrialConfig(trials=trials, seed=610, hypothesis=hypothesis,
-                          target_draw=target)
-        oracle_cfg = TrialConfig(trials=trials, seed=611,
-                                 hypothesis=hypothesis, target_draw=target)
+        cfg = TrialConfig(trials=trials, seed=610, target_draw=target)
+        oracle_cfg = TrialConfig(trials=trials, seed=611, target_draw=target)
         cubes = list(iter_measurement_blocks(sc, err, oracle_cfg))
         p_values = {}
         for d in dets:
