@@ -7,8 +7,9 @@ receiver and are evaluated against their false-alarm thresholds, each
 from the detector's chi-square law ``rx.law(det)``.
 """
 
+import numpy as np
+
 from dmimo.analysis import DetectorKind, Receiver, statistic, threshold
-from dmimo.detectors import alpha_mle
 from dmimo.montecarlo import draw_noise, _block_rng
 from dmimo.presets import reference_scenario
 from dmimo.scene import SyncErrors
@@ -28,5 +29,5 @@ for det in DetectorKind:
     verdict = "target" if value > gamma else "noise"
     print(f"{det.value:>8s} {value:12.3f} {gamma:12.3f} {verdict:>8s}")
 
-print(f"\nleast-squares amplitude estimate: {alpha_mle(y, rx.templates):.3f} "
-      f"(true {alpha})")
+alpha_hat = np.vdot(rx.templates, y) / rx.varsigma
+print(f"\nleast-squares amplitude estimate: {alpha_hat:.3f} (true {alpha})")

@@ -16,7 +16,6 @@ from .analysis import (
 from .detectors import (
     CompensationSet,
     acd_statistic,
-    alpha_mle,
     cd_statistic,
     hd_statistic,
     ncd_statistic,
@@ -25,7 +24,6 @@ from .experiments import ExperimentSpec, load_experiment, parse_experiment
 from .montecarlo import (
     EmpiricalResult,
     TrialConfig,
-    h0_statistic_distribution_check,
     run_sweep,
     run_trials,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "threshold",
     "CompensationSet",
     "acd_statistic",
-    "alpha_mle",
     "cd_statistic",
     "hd_statistic",
     "ncd_statistic",
@@ -62,7 +59,6 @@ __all__ = [
     "parse_experiment",
     "EmpiricalResult",
     "TrialConfig",
-    "h0_statistic_distribution_check",
     "run_sweep",
     "run_trials",
     "reference_scenario",

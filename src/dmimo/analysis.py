@@ -92,13 +92,17 @@ def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
         HD   p = N M^2  c = sigma^2
 
     with varsigma = ||v||^2 the energy of the CD templates v.  Raises
-    ValueError for CD without varsigma, and where the product c overflows."""
+    ValueError for CD without varsigma, and where the product c overflows
+    or, for ACD, KMN is beyond a double."""
     if det is DetectorKind.NCD:
         return K * M * N, sigma2
     if det is DetectorKind.HD:
         return N * M * M, sigma2
     if det is DetectorKind.ACD:
-        c = K * M * N * sigma2
+        try:
+            c = K * M * N * sigma2
+        except OverflowError:  # int too large to convert to float
+            c = math.inf
     elif varsigma is None:
         raise ValueError("CD requires the varsigma scaling factor")
     else:

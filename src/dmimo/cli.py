@@ -286,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # arrays no address space holds
+        raise SystemExit(f"error: {str(exc) or 'out of memory'}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Test statistics for the four detectors and the GLRT amplitude MLE.
+"""Test statistics for the four detectors.
 
 Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
@@ -34,7 +34,6 @@ __all__ = [
     "acd_statistic",
     "cd_statistic",
     "hd_statistic",
-    "alpha_mle",
     "doppler_projectors",
 ]
 
@@ -165,15 +164,4 @@ def hd_statistic(y, basis) -> np.ndarray | float:
     coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(basis), y)
     out = np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))
     return out[()] if out.ndim == 0 else out
-
-
-def alpha_mle(y, templates) -> complex:
-    """Least-squares target amplitude given the true (M, N, K) template
-    stack S X h."""
-    y = np.asarray(y)
-    v = np.asarray(templates)
-    energy = np.sum(np.abs(v) ** 2)
-    if energy <= 0.0:
-        raise ValueError("template stack has zero energy")
-    return complex(np.sum(np.conj(v) * y) / energy)
 

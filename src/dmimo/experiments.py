@@ -61,7 +61,6 @@ class ExperimentError(ValueError):
 class ExperimentSpec:
     scenario: Scenario
     errors: SyncErrors
-    waveform_set: str
     pulse_s: float
     snr_db: tuple
     rho_mean: float
@@ -86,14 +85,19 @@ def _reject_unknown(doc, path, allowed):
             raise ExperimentError(f"{path}.{key}: unknown field")
 
 
+def _check_number(v, where):
+    # bool is a subclass of int, but not a JSON number
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ExperimentError(f"{where}: expected a number")
+
+
 def _number(doc, path, field, default=None, minimum=None, positive=False):
     if field not in doc:
         if default is None:
             raise ExperimentError(f"{path}.{field}: required field missing")
         return default
     v = doc[field]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ExperimentError(f"{path}.{field}: expected a number")
+    _check_number(v, f"{path}.{field}")
     if not math.isfinite(v):
         raise ExperimentError(f"{path}.{field}: must be finite")
     if positive and not v > 0:
@@ -118,13 +122,24 @@ def _integer(doc, path, field, default=None, minimum=None, maximum=None):
     return v
 
 
+def _check_entries(raw, where):
+    # every entry of nested lists is a JSON number, not a string or a bool
+    if not isinstance(raw, list):
+        return _check_number(raw, where)
+    if set(map(type, raw)) <= {int, float}:  # a row of numbers
+        return
+    for i, v in enumerate(raw):
+        _check_entries(v, f"{where}[{i}]")
+
+
 def _matrix(doc, path, field, shape, default):
     if field not in doc:
         return np.asarray(default, dtype=float)
     raw = doc[field]
+    _check_entries(raw, f"{path}.{field}")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except ValueError:  # ragged lists
         raise ExperimentError(f"{path}.{field}: expected nested number lists")
     if arr.shape != shape:
         raise ExperimentError(
@@ -214,7 +229,7 @@ def _parse_scenario(doc):
             sigma2=sigma2, target=target)
     except ValueError as exc:
         raise ExperimentError(f"{path}: {exc}")
-    return sc, waveform_set, tp, tuple(snr), rho_mean
+    return sc, tp, tuple(snr), rho_mean
 
 
 def _parse_errors(doc, M, N):
@@ -266,7 +281,7 @@ def parse_experiment(doc) -> ExperimentSpec:
         raise ExperimentError("$.scenario: required field missing")
     if "sweep" not in doc:
         raise ExperimentError("$.sweep: required field missing")
-    sc, waveform_set, tp, snr, rho_mean = _parse_scenario(doc["scenario"])
+    sc, tp, snr, rho_mean = _parse_scenario(doc["scenario"])
     err = _parse_errors(doc.get("errors"), sc.m_tx, sc.n_rx)
     var, values = _parse_sweep(doc["sweep"])
     if var in _TWO_TX_SWEEPS and sc.m_tx != 2:
@@ -281,11 +296,10 @@ def parse_experiment(doc) -> ExperimentSpec:
     if not isinstance(colocated, bool):
         raise ExperimentError("$.colocated_benchmark: expected true or false")
     return ExperimentSpec(
-        scenario=sc, errors=err, waveform_set=waveform_set, pulse_s=tp,
-        snr_db=snr, rho_mean=rho_mean, sweep_variable=var,
-        sweep_values=values, detectors=_parse_detectors(doc.get("detectors")),
-        pfa_target=pfa, trials=trials, seed=seed,
-        colocated_benchmark=colocated)
+        scenario=sc, errors=err, pulse_s=tp, snr_db=snr, rho_mean=rho_mean,
+        sweep_variable=var, sweep_values=values,
+        detectors=_parse_detectors(doc.get("detectors")), pfa_target=pfa,
+        trials=trials, seed=seed, colocated_benchmark=colocated)
 
 
 def load_experiment(path) -> ExperimentSpec:

@@ -43,8 +43,7 @@ numbers) and reads them through ``analysis.statistic`` on the pair's
 ``analysis.Receiver``, moved into the run's coordinates: the same form
 whose value on x in the K-sample frame gives the closed forms'
 noncentrality lambda = 2 rho T(x) / c, so the simulation and the closed
-forms evaluate one statistic; the H0 check compares it with the law
-(p, c) of ``Receiver.law``, the one the closed forms take.
+forms evaluate one statistic.
 """
 
 from __future__ import annotations
@@ -64,12 +63,10 @@ __all__ = [
     "BLOCK_TRIALS",
     "TrialConfig",
     "EmpiricalResult",
-    "DistributionCheck",
     "draw_noise",
     "draw_swerling1_alpha",
     "run_sweep",
     "run_trials",
-    "h0_statistic_distribution_check",
 ]
 
 BLOCK_TRIALS = 8192
@@ -115,18 +112,6 @@ class EmpiricalResult:
         half = 3.0 * np.sqrt(p * (1.0 - p) / trials)
         return cls(detector=det, detections=detections, trials=trials,
                    p_hat=Probability(p), ci_halfwidth=float(half))
-
-
-@dataclass(frozen=True)
-class DistributionCheck:
-    """Kolmogorov-Smirnov comparison of an H0 statistic with its
-    central chi-square law (2T/c against chi-square with 2p dof)."""
-
-    detector: DetectorKind
-    trials: int
-    ks_distance: float
-    order: int
-    scale: float
 
 
 def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
@@ -311,20 +296,3 @@ def run_trials(rx: Receiver, gammas: dict, cfg: TrialConfig) -> dict:
     EmpiricalResult map."""
     return run_sweep([(rx, gammas, cfg)])[0]
 
-
-def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
-                                    trials: int,
-                                    seed: int) -> DistributionCheck:
-    """KS distance between the empirical H0 statistic and its theoretical
-    central chi-square law."""
-    # imported here to keep scipy (about half a second) off the CLI's start-up
-    from scipy import stats
-
-    cfg = TrialConfig(trials=trials, seed=seed)
-    crx, outside = _coordinates(rx)
-    blocks = _map_blocks([(crx, outside, cfg, statistic(det, crx))])
-    vals = np.concatenate([v for _, v in blocks])
-    p, c = rx.law(det)
-    ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
-    return DistributionCheck(detector=det, trials=trials,
-                             ks_distance=float(ks), order=p, scale=c)

@@ -31,6 +31,10 @@ __all__ = [
 
 _MAX_ITER = 10_000
 
+# From this order on, s + 1 rounds to s in a double, which the series and
+# the continued fraction of the incomplete gamma cannot survive.
+_MAX_ORDER = 2**53
+
 # Below this |x| the Fresnel power series converges without losing more
 # than a digit to cancellation; above it the continued fraction is fast.
 _FRESNEL_SERIES_MAX = 1.5
@@ -50,6 +54,12 @@ class Probability(float):
 def _check_finite(name, v):
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def _check_order(s):
+    # compares before any conversion, so an int beyond a double raises here
+    if not 0.0 < s < _MAX_ORDER:
+        raise ValueError(f"order s must lie in (0, 2**53), got {s!r}")
 
 
 def _lower_gamma_series(s, x):
@@ -94,11 +104,10 @@ def reg_upper_gamma(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
 
     Monotone nonincreasing in x, with Q(s, 0) = 1 and Q(s, inf) = 0.
+    Raises ValueError for orders s outside (0, 2**53).
     """
-    _check_finite("s", s)
+    _check_order(s)
     _check_finite("x", x)
-    if s <= 0.0:
-        raise ValueError(f"order s must be positive, got {s!r}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:
@@ -116,10 +125,8 @@ def inv_reg_upper_gamma(s: float, q: float) -> float:
     back to bisection whenever a step leaves the bracket.  The result
     matches the forward function to ~1e-12 relative.
     """
-    _check_finite("s", s)
+    _check_order(s)
     _check_finite("q", q)
-    if s <= 0.0:
-        raise ValueError(f"order s must be positive, got {s!r}")
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly in (0, 1), got {q!r}")
 
@@ -195,10 +202,11 @@ def marcum_q(m: int, a: float, b: float) -> Probability:
     # terms underflow to zero.
     log_lam, log_x = math.log(lam), math.log(x)
     k0 = int(lam)
+    # first, so an order from 2**53 on is rejected before lgamma sees it
+    q0 = reg_upper_gamma(m + k0, x)
     log_w0 = -lam + k0 * log_lam - math.lgamma(k0 + 1)
     # log of the step x^s e^-x / Gamma(s + 1) at s = m + k0
     log_t0 = (m + k0) * log_x - x - math.lgamma(m + k0 + 1)
-    q0 = reg_upper_gamma(m + k0, x)
     term0 = math.exp(log_w0) * q0
     total = term0
 

@@ -8,20 +8,26 @@ closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
 the full (trials, M, N, K) measurement blocks check the law of the Monte
 Carlo engine's sufficient coordinates, and the serial coordinate-block
 iterator, which takes an `analysis.Receiver`, checks its pooled block
-map; the per-path beta MLE checks the HD projection energy; the
+map; the Kolmogorov-Smirnov distance of an H0 statistic, drawn through
+that pooled block map, from the chi-square law of `Receiver.law` checks
+the law the closed forms take; the amplitude MLE alpha checks the CD
+GLRT identity, and the per-path beta MLE the HD projection energy; the
 bistatic link budget checks the back-solved channel gain of
 `xi_from_snr`; and the per-detector noncentrality formulas, which
 rebuild the return x from the scenario, check `analysis.noncentrality`
 on the receiver.  The paper's statistics in `dmimo.detectors` are the
 remaining reference: the tests check `analysis.statistic` against them.
+scipy is imported here, not in the package: it is a test dependency.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
-from dmimo.analysis import DetectorKind, Receiver
+from dmimo.analysis import DetectorKind, Receiver, statistic
 from dmimo.detectors import _RCOND_LIMIT, CompensationSet, doppler_projectors
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
@@ -30,6 +36,7 @@ from dmimo.montecarlo import (
     _block_rng,
     _coordinate_block,
     _coordinates,
+    _map_blocks,
     draw_noise,
 )
 from dmimo.scene import Scenario, SyncErrors, noise_free_mf_output
@@ -208,6 +215,44 @@ def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     crx, outside = _coordinates(rx)
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
         yield crx, _coordinate_block(crx, outside, cfg, j)
+
+
+@dataclass(frozen=True)
+class DistributionCheck:
+    """Kolmogorov-Smirnov comparison of an H0 statistic with its
+    central chi-square law (2T/c against chi-square with 2p dof)."""
+
+    detector: DetectorKind
+    trials: int
+    ks_distance: float
+    order: int
+    scale: float
+
+
+def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
+                                    trials: int,
+                                    seed: int) -> DistributionCheck:
+    """KS distance between the empirical H0 statistic and its theoretical
+    central chi-square law."""
+    cfg = TrialConfig(trials=trials, seed=seed)
+    crx, outside = _coordinates(rx)
+    blocks = _map_blocks([(crx, outside, cfg, statistic(det, crx))])
+    vals = np.concatenate([v for _, v in blocks])
+    p, c = rx.law(det)
+    ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
+    return DistributionCheck(detector=det, trials=trials,
+                             ks_distance=float(ks), order=p, scale=c)
+
+
+def alpha_mle(y, templates) -> complex:
+    """Least-squares target amplitude given the true (M, N, K) template
+    stack S X h."""
+    y = np.asarray(y)
+    v = np.asarray(templates)
+    energy = np.sum(np.abs(v) ** 2)
+    if energy <= 0.0:
+        raise ValueError("template stack has zero energy")
+    return complex(np.sum(np.conj(v) * y) / energy)
 
 
 def beta_mle(y_mn, S_n) -> np.ndarray:

@@ -23,17 +23,12 @@ from dmimo.analysis import (
 )
 from dmimo.detectors import (
     CompensationSet,
-    alpha_mle,
     cd_statistic,
     doppler_projectors,
     hd_statistic,
 )
 from dmimo.experiments import parse_experiment, scenario_at
-from dmimo.montecarlo import (
-    TrialConfig,
-    h0_statistic_distribution_check,
-    run_trials,
-)
+from dmimo.montecarlo import TrialConfig, run_trials
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
     Swerling1,
@@ -42,7 +37,13 @@ from dmimo.scene import (
     noise_free_mf_output,
 )
 from dmimo.waveforms import caf, down_chirp, up_chirp
-from oracles import beta_mle, caf_symmetry_partner, slow_time_sample
+from oracles import (
+    alpha_mle,
+    beta_mle,
+    caf_symmetry_partner,
+    h0_statistic_distribution_check,
+    slow_time_sample,
+)
 
 ALL = list(DetectorKind)
 ZERO = SyncErrors.zeros(2, 1)

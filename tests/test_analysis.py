@@ -19,7 +19,6 @@ from dmimo.analysis import (
     pfa,
     threshold,
 )
-from dmimo.montecarlo import h0_statistic_distribution_check
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -31,7 +30,7 @@ from dmimo.scene import (
 )
 from dmimo.specfun import inv_reg_upper_gamma, reg_upper_gamma
 from dmimo.waveforms import caf, multi_band_chirp, pulse_set
-from oracles import noncentrality_formula
+from oracles import h0_statistic_distribution_check, noncentrality_formula
 
 ALL = list(DetectorKind)
 K, M, N, S2 = 12, 2, 1, 1.0
@@ -161,6 +160,11 @@ class TestLaw:
         assert threshold(ref_rx.law(det), 1e-3) == 2.0 * gamma
         got = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
         assert (got.order, got.scale) == (check.order, 2.0 * check.scale)
+
+    def test_acd_scale_beyond_a_double_is_a_value_error(self):
+        # K M N = 2 * 10**309 cannot be converted to a float
+        with pytest.raises(ValueError, match="not finite"):
+            law(DetectorKind.ACD, 10**309, 2, 1, 1.0)
 
 
 class TestPfa:

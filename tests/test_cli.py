@@ -16,6 +16,7 @@ from dmimo import cli, detectors, scene
 from dmimo.cli import main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
+DEMOS = RECIPES.parent / "demos"
 
 
 def write_doc(tmp_path, doc, name="exp.json"):
@@ -94,6 +95,19 @@ class TestThresholdCommand:
             main(["threshold", "--detector", "CD", "--pfa", "1e-3",
                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
                   "--varsigma", "1e308", "--sigma2", "1e10"])
+        assert str(exc.value.code).startswith("error: ")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("det, k, m", [
+        ("ACD", 10**309, 2),  # K M N sigma^2 is beyond a double
+        ("NCD", 2**53, 1),    # order p = K M N = 2**53
+        ("HD", 1, 10**10)],   # order p = N M^2 = 1e20
+        ids=["ACD-K1e309", "NCD-K2**53", "HD-M1e10"])
+    def test_order_or_scale_beyond_a_double_is_an_error(self, capsys, det,
+                                                        k, m):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", det, "--pfa", "1e-3",
+                  "--k-pulses", str(k), "--m-tx", str(m), "--n-rx", "1"])
         assert str(exc.value.code).startswith("error: ")
         assert capsys.readouterr().out == ""
 
@@ -254,6 +268,21 @@ class TestAnalyzeCommand:
         assert str(exc.value.code).startswith("error: $.pfa_target")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_memory_error_is_one_error_line(self, tmp_path, command):
+        # 10**17 pulses take 711 PiB per array, beyond any address space,
+        # so the first allocation fails at once
+        doc = json.loads((RECIPES / "timing_errors.json").read_text())
+        doc["scenario"]["k_pulses"] = 10**17
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--experiment", write_doc(tmp_path, doc),
+                  "--out", str(out)])
+        msg = exc.value.code
+        assert isinstance(msg, str) and msg.startswith("error: ")
+        assert "\n" not in msg
+        assert out.read_text() == ""
+
     def test_schema_error_exits_nonzero(self, tmp_path):
         exp = write_doc(tmp_path, base_doc(bogus=1))
         with pytest.raises(SystemExit):
@@ -403,7 +432,7 @@ def test_one_receiver_per_pair(tmp_path, build_counts, argv):
                             "doppler_projectors": 38}
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # a fresh interpreter, so modules the tests already imported don't count
     env = dict(os.environ, PYTHONPATH=str(Path(dmimo.__file__).parents[1]))
     code = ("import sys, dmimo.cli; "
@@ -411,3 +440,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    # every subcommand and every demo runs where importing scipy fails
+    no_scipy = "import runpy, sys; sys.modules['scipy'] = None; "
+    cli_main = no_scipy + "runpy.run_module('dmimo.cli', run_name='__main__')"
+    script = no_scipy + "runpy.run_path(sys.argv[1], run_name='__main__')"
+    exp, out = write_doc(tmp_path, base_doc()), str(tmp_path / "out.csv")
+    io = ["--experiment", exp, "--out", out]
+    runs = [[cli_main, "caf", *io, "--points", "21"],
+            [cli_main, "analyze", *io],
+            [cli_main, "simulate", *io, "--trials", "2000"],
+            [cli_main, "threshold", "--detector", "HD", "--pfa", "1e-4",
+             "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1"]]
+    runs += [[script, str(demo)] for demo in sorted(DEMOS.glob("*.py"))]
+    assert len(runs) == 8
+    for run in runs:
+        proc = subprocess.run([sys.executable, "-c", *run], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (run[1:], proc.stderr)

@@ -91,6 +91,22 @@ class TestRejections:
         with pytest.raises(ExperimentError, match="scenario.doppler_hz"):
             parse_experiment(doc)
 
+    @pytest.mark.parametrize("section, field, value, where", [
+        ("scenario", "b", [True, True], r"scenario\.b\[0\]"),
+        ("scenario", "snr_db", ["0", "3"], r"scenario\.snr_db\[0\]"),
+        ("scenario", "tau_s", [["1e-6"], ["2e-6"]],
+         r"scenario\.tau_s\[0\]\[0\]"),
+        ("errors", "dt_s", [[0], [True]], r"errors\.dt_s\[1\]\[0\]")],
+        ids=["b", "snr_db", "tau_s", "dt_s"])
+    def test_array_entries_must_be_numbers(self, section, field, value,
+                                           where):
+        # numpy would read booleans and numeric strings as numbers
+        doc = minimal_doc()
+        doc.setdefault(section, {})[field] = value
+        with pytest.raises(ExperimentError,
+                           match=where + ": expected a number"):
+            parse_experiment(doc)
+
     def test_bad_sweep_variable(self):
         doc = minimal_doc(sweep={"variable": "range_km", "start": 0.0,
                                  "stop": 1.0, "points": 2})

@@ -25,13 +25,11 @@ from dmimo.detectors import (
 )
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
-    DistributionCheck,
     EmpiricalResult,
     TrialConfig,
     _block_rng,
     draw_noise,
     draw_swerling1_alpha,
-    h0_statistic_distribution_check,
     run_sweep,
     run_trials,
 )
@@ -42,7 +40,12 @@ from dmimo.scene import (
     SyncErrors,
     colocated_scenario,
 )
-from oracles import iter_coordinate_blocks, iter_measurement_blocks
+from oracles import (
+    DistributionCheck,
+    h0_statistic_distribution_check,
+    iter_coordinate_blocks,
+    iter_measurement_blocks,
+)
 
 ALL = list(DetectorKind)
 

@@ -66,6 +66,20 @@ class TestRegUpperGamma:
         with pytest.raises(ValueError):
             reg_upper_gamma(s, x)
 
+    @pytest.mark.parametrize("s", [2**53, 2.0**60, 10**20, 10**309],
+                             ids=["2**53", "2.0**60", "1e20", "1e309"])
+    def test_rejects_orders_from_2_53(self, s):
+        # s + 1 rounds to s, which divided by zero in the continued
+        # fraction; 10**309 is beyond a double
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            reg_upper_gamma(s, 2.0**53)
+
+    def test_inverse_and_marcum_reject_orders_from_2_53(self):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            inv_reg_upper_gamma(2**53, 1e-3)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            marcum_q(2**53, 1.0, 2.0**27)
+
 
 class TestInvRegUpperGamma:
     def test_exponential_inverse(self):
