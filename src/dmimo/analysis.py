@@ -20,6 +20,7 @@ throughout, consistent with the underlying chi-square tail integral.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -199,13 +200,21 @@ def pfa(law: tuple[int, float], gamma: float) -> Probability:
 
 
 def threshold(law: tuple[int, float], pfa_target: float) -> float:
-    """Threshold gamma with pfa(law, gamma) = pfa_target."""
+    """Threshold gamma with pfa(law, gamma) = pfa_target.  For p > 1 the
+    gamma quantile is cached on (p, pfa_target), at most 64 of them."""
     if not 0.0 < pfa_target < 1.0:
         raise ValueError("target false-alarm rate must lie strictly in (0, 1)")
     p, c = law
     if p == 1:
         return c * math.log(1.0 / pfa_target)
-    return c * inv_reg_upper_gamma(p, pfa_target)
+    return c * _gamma_quantile(p, pfa_target)
+
+
+# The quantile depends on the order and the target alone, never on the
+# SNR, so a sweep inverts each (p, Pfa) once; entries are two floats.
+@functools.lru_cache(maxsize=64)
+def _gamma_quantile(p, pfa_target):
+    return inv_reg_upper_gamma(p, pfa_target)
 
 
 def pd_nonfluctuating(law: tuple[int, float], gamma: float,

@@ -91,13 +91,11 @@ def _caf_rows(spec: ExperimentSpec, points: int):
     rows = []
     for m, pm in enumerate(pulses):
         for mb, pmb in enumerate(pulses):
-            for nu in nus:
-                val = caf(pm, pmb, float(nu), 0.0)
+            for nu, val in zip(nus.tolist(), caf(pm, pmb, nus, 0.0).tolist()):
                 rows.append({
-                    "m": m + 1, "mbar": mb + 1,
-                    "nu_over_tp": float(nu) / tp, "nu_s": float(nu),
-                    "f_hz": 0.0, "re": val.real, "im": val.imag,
-                    "abs": abs(val)})
+                    "m": m + 1, "mbar": mb + 1, "nu_over_tp": nu / tp,
+                    "nu_s": nu, "f_hz": 0.0, "re": val.real,
+                    "im": val.imag, "abs": abs(val)})
     return rows
 
 

@@ -21,6 +21,7 @@ coordinates (trials, M, N, r), given the quantity in the same frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -123,7 +124,9 @@ def cd_statistic(y, templates) -> np.ndarray | float:
 
 def doppler_projectors(S_hat) -> np.ndarray:
     """Orthonormal bases Q_n (N, K, M) for the Doppler steering subspaces,
-    via QR factorization rather than explicit Gram inversion.
+    via QR factorization rather than explicit Gram inversion.  The bases
+    (or the rank-deficiency error) are cached on the exact bytes of
+    ``S_hat``, at most 8 sets, and shared read-only.
 
     Raises on K < M and on numerically rank-deficient steering matrices
     (near-duplicate Doppler columns), naming the offending receiver.
@@ -132,14 +135,27 @@ def doppler_projectors(S_hat) -> np.ndarray:
     N, K, M = S_hat.shape
     if K < M:
         raise ValueError(f"HD needs K >= M, got K={K}, M={M}")
-    qs = np.empty((N, K, M), dtype=complex)
-    for n in range(N):
+    qs = _doppler_bases(S_hat.tobytes(), S_hat.shape, S_hat.dtype.str)
+    if isinstance(qs, str):
+        raise ValueError(qs)
+    return qs
+
+
+# keyed and bounded like scene._steering, whose matrices it reads
+@functools.lru_cache(maxsize=8)
+def _doppler_bases(s_bytes, shape, dtype):
+    # the bases, or the rank-deficiency error text, so a sweep that meets
+    # the same deficient matrix again does not repeat its SVDs
+    S_hat = np.frombuffer(s_bytes, dtype=dtype).reshape(shape)
+    qs = np.empty(shape, dtype=complex)
+    for n in range(shape[0]):
         sv = np.linalg.svd(S_hat[n], compute_uv=False)
         if sv[-1] < _RCOND_LIMIT * sv[0]:
-            raise ValueError(
-                f"Doppler steering matrix for RX {n} is numerically rank "
-                f"deficient (reciprocal condition {sv[-1] / sv[0]:.2e})")
+            return (f"Doppler steering matrix for RX {n} is numerically "
+                    f"rank deficient (reciprocal condition "
+                    f"{sv[-1] / sv[0]:.2e})")
         qs[n], _ = np.linalg.qr(S_hat[n])
+    qs.flags.writeable = False
     return qs
 
 

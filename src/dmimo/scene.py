@@ -10,11 +10,24 @@ cross-ambiguity samples, and h_mn the channel vector carrying amplitudes
 and carrier/propagation phases.  One builder evaluates S (N, K, M), the
 diagonals X (M, N, M) and h (M, N, M) for every path at once; the same
 builder, run at the estimated parameters, gives the receiver's
-compensation templates.  X depends only on the pulses and the delay and
-Doppler offsets, so it is cached on exactly those and shared read-only:
-a sweep over SNR or phase evaluates the CAF for its first point only.
-An independent scalar evaluation of the samples (auto term plus M-1
-cross terms) lives with the tests as the oracle for the factorized form.
+compensation templates.  X is one array pass of the closed-form CAF over
+every (m, n, mb).
+
+Two factors are cached for the whole run, each keyed on the exact bytes
+of what it reads and shared read-only, so a hit returns what a fresh
+evaluation would:
+
+  X  on the pulses, the co-located switch and the delay and Doppler
+     offsets; at most 64 tensors of M^2 N entries.  Sweeps over SNR or
+     phase reuse it at every point; delay and Doppler sweeps do not.
+  S  on the Dopplers, K and the PRI; at most 8 matrices, since each
+     holds N K M samples.  Every sweep but a Doppler sweep reuses it.
+
+`detectors.doppler_projectors` caches the HD Doppler bases the same way
+on the bytes of S, and `analysis.threshold` its gamma quantiles on
+(p, Pfa); every sweep reuses those thresholds.  An independent scalar
+evaluation of the samples (auto term plus M-1 cross terms) lives with
+the tests as the oracle for the factorized form.
 
 Timing/frequency/phase sync errors enter through `SyncErrors`; the
 all-zeros instance reproduces the error-free model exactly.
@@ -167,34 +180,48 @@ def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
 # 64 distinct tensors of 16 M^2 N bytes each (8 KiB at M = N = 8)
 @functools.lru_cache(maxsize=64)
 def _ambiguity(pulses, force_orthogonal, nu_bytes, f_bytes, shape):
-    # The key holds every argument the CAF loop reads (the pulses, the
+    # The key holds every argument the CAF reads (the pulses, the
     # co-located switch, and the exact bytes of the delay and Doppler
     # offsets), so a hit returns what a fresh evaluation would.  The
     # result is shared between callers, hence read-only.
-    nu = np.frombuffer(nu_bytes).reshape(shape)
-    f_off = np.frombuffer(f_bytes).reshape(shape)
-    X = np.zeros(shape, dtype=complex)
-    for m, n, mb in np.ndindex(shape):
-        if not force_orthogonal:
-            X[m, n, mb] = caf(pulses[m], pulses[mb], nu[m, n, mb],
-                              f_off[m, n, mb])
-        elif mb == m:
-            X[m, n, m] = caf(pulses[m], pulses[m], 0.0, 0.0)
+    p = np.array(pulses, dtype=object)
+    if force_orthogonal:
+        X = np.zeros(shape, dtype=complex)
+        tx = np.arange(len(pulses))
+        X[tx, :, tx] = caf(p, p, 0.0, 0.0)[:, None]
+    else:
+        nu = np.frombuffer(nu_bytes).reshape(shape)
+        f_off = np.frombuffer(f_bytes).reshape(shape)
+        X = caf(p[:, None, None], p[None, None, :], nu, f_off)
     X.flags.writeable = False
     return X
+
+
+# An entry holds N K M complex samples (64 KiB at M = N = 8, K = 64), so
+# fewer are kept than of the ambiguity tensors: a sweep point reads at
+# most three distinct ones (true, estimated and co-located Dopplers).
+@functools.lru_cache(maxsize=8)
+def _steering(f_bytes, shape, k_pulses, pri_s):
+    # keyed and shared read-only like _ambiguity
+    S = doppler_steering(np.frombuffer(f_bytes).reshape(shape), k_pulses,
+                         pri_s)
+    S.flags.writeable = False
+    return S
 
 
 def _model_factors(sc: Scenario, err: SyncErrors):
     """(S, X, h) factors of every path's noise-free output.
 
-    S  (N, K, M) Doppler steering matrices S_n
+    S  (N, K, M) Doppler steering matrices S_n; read-only, and shared by
+       every build with the same Dopplers, K and PRI
     X  (M, N, M) ambiguity diagonals: X[m, n, mb] is the response of MF m
        at RX n to the pulse of TX mb (force_orthogonal keeps only the auto
        entries, chi_mm(0, 0)); read-only, and shared by every build with
        the same pulses, delay and Doppler offsets
     h  (M, N, M) channel vectors h_mn
     """
-    S = doppler_steering(sc.doppler_hz.T, sc.k_pulses, sc.pri_s)
+    f = sc.doppler_hz.T
+    S = _steering(f.tobytes(), f.shape, sc.k_pulses, sc.pri_s)
     # axes [m, n, mb]: MF m at RX n, sampling at its own path's delay and
     # Doppler plus the sync errors, against the return of TX mb
     nu = (sc.tau_s + err.dt)[:, :, None] - sc.tau_s.T[None]

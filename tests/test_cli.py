@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dmimo
@@ -145,6 +146,30 @@ class TestCafCommand:
             best = min(rows, key=lambda r: abs(float(r["nu_over_tp"])))
             vals[tag] = float(best["abs"])
         assert vals["single"] > 100 * vals["multi"]
+
+    def test_one_call_per_pulse_pair_with_per_point_rows(self, tmp_path,
+                                                         monkeypatch):
+        # each (m, mbar) slice is one array call over every delay, and
+        # every row prints what the scalar call at its delay gives
+        doc = base_doc()
+        doc["scenario"]["waveform_set"] = "single_band"
+        exp, out = write_doc(tmp_path, doc), tmp_path / "caf.csv"
+        calls = []
+        real = cli.caf
+        monkeypatch.setattr(cli, "caf", lambda a, b, nu, f: calls.append(
+            np.shape(nu)) or real(a, b, nu, f))
+        assert main(["caf", "--experiment", exp, "--out", str(out),
+                     "--points", "41"]) == 0
+        assert calls == [(41,)] * 4
+        spec = cli.load_experiment(exp)
+        nus = np.linspace(-spec.pulse_s, spec.pulse_s, 41)
+        rows = read_csv(out)
+        assert len(rows) == 4 * 41
+        for i, r in enumerate(rows):
+            a, b = (spec.scenario.pulses[int(r[k]) - 1] for k in ("m", "mbar"))
+            val = real(a, b, float(nus[i % 41]), 0.0)
+            assert [r["re"], r["im"], r["abs"]] == [
+                cli._fmt(v) for v in (val.real, val.imag, abs(val))]
 
     def test_empty_out_is_usage_error(self, tmp_path):
         exp = write_doc(tmp_path, base_doc())

@@ -107,6 +107,22 @@ class TestRejections:
                            match=where + ": expected a number"):
             parse_experiment(doc)
 
+    @pytest.mark.parametrize("section, field, value, where", [
+        ("scenario", "pri_s", 10**400, r"scenario\.pri_s"),
+        ("scenario", "b", [1, 10**400], r"scenario\.b\[1\]"),
+        ("scenario", "tau_s", [[0.0], [-10**400]],
+         r"scenario\.tau_s\[1\]\[0\]"),
+        ("errors", "dt_s", [[0], [2**1024]], r"errors\.dt_s\[1\]\[0\]")],
+        ids=["pri_s", "b", "tau_s", "dt_s"])
+    def test_integers_beyond_a_double_are_rejected(self, section, field,
+                                                   value, where):
+        # float() of such an int raises OverflowError; the JSON text
+        # round trip is how a recipe file delivers it
+        doc = minimal_doc()
+        doc.setdefault(section, {})[field] = value
+        with pytest.raises(ExperimentError, match=where + ": must be finite"):
+            parse_experiment(json.loads(json.dumps(doc)))
+
     def test_bad_sweep_variable(self):
         doc = minimal_doc(sweep={"variable": "range_km", "start": 0.0,
                                  "stop": 1.0, "points": 2})

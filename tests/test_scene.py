@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmimo import cli, scene
-from dmimo.detectors import CompensationSet
+from dmimo import analysis, cli, detectors, scene
+from dmimo.detectors import CompensationSet, doppler_projectors
 from dmimo.presets import PULSE_S, reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -87,6 +87,33 @@ class TestAfMatrix:
         _, X, _ = _model_factors(ref_scenario, zero_err)
         for m in range(2):
             assert X[m, 0, m] == pytest.approx(1.0 + 0.0j, abs=1e-9)
+
+    def test_colocated_tensor_equals_per_entry_calls(self, sb_scenario):
+        co = colocated_scenario(replace(
+            sb_scenario, n_rx=3, tau_s=np.zeros((2, 3)),
+            doppler_hz=np.zeros((2, 3)), psi_rad=np.zeros((2, 3)),
+            xi=np.ones((2, 3))))
+        _, X, _ = _model_factors(co, SyncErrors.zeros(2, 3))
+        for m, n, mb in np.ndindex(X.shape):
+            want = caf(co.pulses[m], co.pulses[m], 0.0, 0.0) if m == mb else 0
+            assert X[m, n, mb] == want
+
+    def test_tensor_equals_per_entry_calls(self, sb_scenario,
+                                           random_scenario):
+        # one array pass over every (m, n, mb), bit for bit the scalar
+        # call at that entry's delay and Doppler offsets; the single-band
+        # cross entries take the Fresnel form
+        rng = np.random.default_rng(29)
+        cases = [random_scenario(rng) for _ in range(4)]
+        cases.append((sb_scenario, SyncErrors(
+            dt=[[2e-7], [-1e-7]], df=[[3.0], [-5.0]], dp=np.zeros((2, 1)),
+            dc_rx=[0.0])))
+        for sc, err in cases:
+            _, X, _ = _model_factors(sc, err)
+            for m, n, mb in np.ndindex(X.shape):
+                nu = sc.tau_s[m, n] + err.dt[m, n] - sc.tau_s[mb, n]
+                f = sc.doppler_hz[mb, n] - sc.doppler_hz[m, n] - err.df[m, n]
+                assert X[m, n, mb] == caf(sc.pulses[m], sc.pulses[mb], nu, f)
 
     def test_entries_bounded_by_one(self, random_scenario):
         rng = np.random.default_rng(3)
@@ -269,35 +296,100 @@ def _analyze_csv(tmp_path, doc, name):
     return out.read_bytes()
 
 
+# Every run-wide cache of the analytic path, emptied by the tests that
+# count computations or compare against fresh builds.
+CACHES = (scene._ambiguity, scene._steering, detectors._doppler_bases,
+          analysis._gamma_quantile)
+
+
+def _clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def _three_tx_doc(sweep):
+    # sync errors make the receiver's estimate differ from the truth
+    return {
+        "scenario": {
+            "m_tx": 3, "n_rx": 2, "k_pulses": 8,
+            "tau_s": [[0.0, 2e-6], [4e-6, 1e-6], [7e-6, 3e-6]],
+            "doppler_hz": [[100.0, -50.0], [180.0, 20.0], [260.0, 90.0]]},
+        "errors": {"dt_s": [[1e-7, 2e-7], [0.0, 3e-7], [1e-7, 0.0]],
+                   "df_hz": [[5.0, 0.0], [0.0, -4.0], [2.0, 1.0]]},
+        "sweep": sweep,
+    }
+
+
+@pytest.fixture
+def computations(monkeypatch):
+    """Count the computations behind each cache: CAF tensor evaluations
+    (with the shape of each), steering matrices, QR factorizations of
+    steering matrices (one per RX per set of Doppler bases) and gamma
+    quantiles, starting from empty caches."""
+    counts = {"caf": [], "steering": 0, "qr": 0, "quantile": 0}
+
+    def spy(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if key == "caf":
+                counts["caf"].append(np.shape(args[2]))
+            else:
+                counts[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(scene, "caf", "caf")
+    spy(scene, "doppler_steering", "steering")
+    spy(detectors.np.linalg, "qr", "qr")
+    spy(analysis, "inv_reg_upper_gamma", "quantile")
+    _clear_caches()
+    return counts
+
+
 class TestAmbiguityCache:
     def test_snr_sweep_evaluates_each_tensor_once(self, tmp_path,
-                                                  monkeypatch):
+                                                  computations):
         # the true model and the receiver's estimate are the only two
-        # distinct CAF argument sets of an SNR sweep with sync errors
-        M, N, points = 3, 2, 4
-        doc = {
-            "scenario": {
-                "m_tx": M, "n_rx": N, "k_pulses": 8,
-                "tau_s": [[0.0, 2e-6], [4e-6, 1e-6], [7e-6, 3e-6]],
-                "doppler_hz": [[100.0, -50.0], [180.0, 20.0],
-                               [260.0, 90.0]]},
-            "errors": {"dt_s": [[1e-7, 2e-7], [0.0, 3e-7], [1e-7, 0.0]],
-                       "df_hz": [[5.0, 0.0], [0.0, -4.0], [2.0, 1.0]]},
-            "sweep": {"variable": "snr_db", "start": -5.0, "stop": 10.0,
-                      "points": points},
-        }
-        calls = []
-        real_caf = scene.caf
-        monkeypatch.setattr(scene, "caf",
-                            lambda *a: calls.append(a) or real_caf(*a))
-        scene._ambiguity.cache_clear()
+        # distinct CAF argument sets of an SNR sweep with sync errors,
+        # and each is one array pass over every (m, n, mb)
+        doc = _three_tx_doc({"variable": "snr_db", "start": -5.0,
+                             "stop": 10.0, "points": 4})
         _analyze_csv(tmp_path, doc, "snr")
-        assert len(calls) == 2 * M * M * N
+        assert computations["caf"] == [(3, 2, 3), (3, 2, 3)]
+
+    def test_snr_sweep_computes_receiver_pieces_once(self, tmp_path,
+                                                     computations):
+        # two steering matrices (truth and estimate), one set of Doppler
+        # bases (N = 2 QR factorizations) and one quantile per order with
+        # p > 1 (NCD and HD), for the whole sweep
+        doc = _three_tx_doc({"variable": "snr_db", "start": -5.0,
+                             "stop": 10.0, "points": 4})
+        _analyze_csv(tmp_path, doc, "snr")
+        assert computations["steering"] == 2
+        assert computations["qr"] == 2
+        assert computations["quantile"] == 2
+
+    def test_doppler_sweep_computes_receiver_pieces_per_point(
+            self, tmp_path, computations):
+        # every point moves the Dopplers, so its steering matrices and
+        # bases are new; the thresholds still depend on (p, Pfa) alone
+        points = 4
+        doc = {"scenario": {},
+               "errors": {"df_hz": [[3.0], [-2.0]]},
+               "sweep": {"variable": "doppler_offset", "start": 50.0,
+                         "stop": 200.0, "points": points}}
+        _analyze_csv(tmp_path, doc, "doppler")
+        assert computations["caf"] == [(2, 1, 2)] * (2 * points)
+        assert computations["steering"] == 2 * points
+        assert computations["qr"] == points
+        assert computations["quantile"] == 2
 
     def test_delay_sweep_matches_fresh_builds(self, tmp_path, monkeypatch):
-        # every delay point needs new tensors; a stale hit would show as a
-        # row that differs from a run that empties the cache before every
-        # build
+        # every delay point needs new tensors while the steering
+        # matrices, bases and thresholds repeat; a stale hit would show as
+        # a row that differs from a run that empties every cache before
+        # each computation
         doc = {
             "scenario": {"waveform_set": "single_band"},
             "errors": {"dt_s": [[2e-7], [-1e-7]], "df_hz": [[3.0], [0.0]]},
@@ -305,16 +397,20 @@ class TestAmbiguityCache:
                       "stop": 0.4, "points": 7},
             "colocated_benchmark": True,
         }
-        scene._ambiguity.cache_clear()
+        _clear_caches()
         cached = _analyze_csv(tmp_path, doc, "cached")
         cached_again = _analyze_csv(tmp_path, doc, "cached_again")
-        real = scene._ambiguity
 
-        def fresh(*key):
-            real.cache_clear()
-            return real(*key)
+        for owner, name in ((scene, "_ambiguity"), (scene, "_steering"),
+                            (detectors, "_doppler_bases"),
+                            (analysis, "_gamma_quantile")):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(scene, "_ambiguity", fresh)
+            def fresh(*key, real=real):
+                real.cache_clear()
+                return real(*key)
+
+            monkeypatch.setattr(owner, name, fresh)
         assert cached == cached_again == _analyze_csv(tmp_path, doc, "fresh")
 
     def test_shared_tensor_is_read_only(self, ref_scenario, zero_err):
@@ -323,3 +419,15 @@ class TestAmbiguityCache:
         assert X is comp.X_hat
         with pytest.raises(ValueError):
             comp.X_hat[0, 0, 0] = 0.0
+
+    def test_cached_steering_and_bases_are_read_only(self, ref_scenario,
+                                                     zero_err):
+        # one shared object per distinct input, whatever array holds it
+        comp = CompensationSet.from_scenario(ref_scenario, zero_err)
+        S, _, _ = _model_factors(ref_scenario, zero_err)
+        bases = doppler_projectors(comp.S_hat)
+        assert S is comp.S_hat
+        assert bases is doppler_projectors(comp.S_hat.copy())
+        for arr in (comp.S_hat, bases):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 0.0

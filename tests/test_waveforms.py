@@ -165,6 +165,42 @@ def assert_matches_oracle(a, b, nu, f):
         assert err <= 1e-9 * abs(want), (a, b, nu, f, got, want)
 
 
+def assert_array_matches_points(draws):
+    """One array call over the draws (a, b, nu, f) equals the per-point
+    calls bit for bit: the same operations run on every entry."""
+    a, b, nu, f = zip(*draws)
+    got = caf(np.array(a, dtype=object), np.array(b, dtype=object),
+              np.array(nu), np.array(f))
+    assert got.shape == (len(draws),)
+    for g, d in zip(got, draws):
+        want = caf(*d)
+        assert g.tobytes() == np.complex128(want).tobytes(), (d, g, want)
+
+
+def caf_branch(a, b, nu, f):
+    """Which form of the closed form an argument set takes: 'zero' for
+    disjoint supports, 'sinc', or 'fresnel' with the stationary point
+    'inside' the overlap, or 'below' or 'above' it (the auxiliary form),
+    and the sign of the quadratic coefficient q."""
+    tp = a.t_p
+    lo, hi = max(0.0, nu), min(tp, tp + nu)
+    if hi <= lo:
+        return "zero"
+    (sa, ca), (sb, cb) = a.chirp, b.chirp
+    q = math.pi * (sa * a.beta_hz - sb * b.beta_hz) / tp
+    half = 0.5 * (hi - lo)
+    if abs(q) * half * half <= 1e-14:
+        return "sinc"
+    mid = 0.5 * (lo + hi)
+    slope = (math.pi * (a.beta_hz * ca - b.beta_hz * cb
+                        + 2.0 * sb * b.beta_hz * nu / tp)
+             + 2.0 * math.pi * f + 2.0 * q * mid)
+    t_s = -0.5 * slope / q
+    where = ("inside" if -half < t_s < half
+             else "below" if t_s <= -half else "above")
+    return f"fresnel-{where}-q{'<' if q < 0 else '>'}0"
+
+
 class TestClosedFormVsQuadrature:
     """The closed form against the Gauss-Legendre oracle: 1e-10 absolute,
     and 1e-9 relative where |chi| > 1e-3."""
@@ -176,6 +212,7 @@ class TestClosedFormVsQuadrature:
         rng = np.random.default_rng([FAMILIES.index(fa),
                                      FAMILIES.index(fb), tbp])
         beta = tbp / TP
+        draws = []
         for i in range(40):
             # every other draw gives b its own bandwidth
             beta_b = beta * rng.uniform(0.5, 2.0) if i % 2 else beta
@@ -191,6 +228,8 @@ class TestClosedFormVsQuadrature:
                 f = linear_coefficient_root(a, b, nu) * (
                     1.0 + rng.uniform(-1e-6, 1e-6))
             assert_matches_oracle(a, b, nu, f)
+            draws.append((a, b, nu, f))
+        assert_array_matches_points(draws)
 
     @pytest.mark.parametrize("fa", FAMILIES)
     @pytest.mark.parametrize("fb", FAMILIES)
@@ -256,6 +295,63 @@ class TestCafGrid:
         for i in range(8):
             for j in range(8):
                 assert g[i, j] == caf(u, d, nus[i], fs[j])
+
+    def test_array_call_matches_grid(self, sb_pair):
+        # delays down the rows, Dopplers across the columns
+        u, d = sb_pair
+        g = caf_grid(u, d, (-1.1 * TP, 1.1 * TP), (-300.0, 300.0), 9, 5)
+        nus = np.linspace(-1.1 * TP, 1.1 * TP, 9)
+        fs = np.linspace(-300.0, 300.0, 5)
+        assert np.array_equal(caf(u, d, nus[:, None], fs[None, :]), g)
+
+    def test_array_entries_on_every_branch(self):
+        # up/down pairs put the stationary point inside the overlap or on
+        # either side of it, with q of either sign; equal sweep rates and
+        # slivers near |nu| = T_p take the sinc; |nu| >= T_p is zero
+        rng = np.random.default_rng(23)
+        beta = 40 / TP
+        draws = []
+        for fa in FAMILIES:
+            for fb in FAMILIES:
+                for i in range(30):
+                    a = random_spec(rng, fa, beta, TP)
+                    b = random_spec(rng, fb, beta * (1.5 if i % 3 else 1.0),
+                                    TP)
+                    nu = rng.uniform(-1.3 * TP, 1.3 * TP)
+                    if i % 5 == 1:
+                        nu = math.copysign(
+                            TP * (1.0 - 10 ** rng.uniform(-12, -2)), nu)
+                    draws.append((a, b, nu, rng.uniform(-4 * beta, 4 * beta)))
+        branches = {caf_branch(*d) for d in draws}
+        assert branches == {"zero", "sinc"} | {
+            f"fresnel-{where}-q{sign}0" for where in ("inside", "below",
+                                                     "above")
+            for sign in "<>"}
+        assert any(abs(abs(nu) - TP) < 1e-6 * TP and caf(a, b, nu, f) != 0
+                   for a, b, nu, f in draws)
+        assert_array_matches_points(draws)
+        zero = [caf(*d) for d in draws if caf_branch(*d) == "zero"]
+        assert all(z.tobytes() == bytes(16) for z in map(np.complex128, zero))
+
+    def test_array_arguments_broadcast(self, mb_pair):
+        # pulses along one axis, delays along another, one Doppler
+        specs = np.array(mb_pair, dtype=object)
+        nus = np.linspace(-0.5 * TP, 0.5 * TP, 3)
+        got = caf(specs[:, None, None], specs[None, None, :],
+                  nus[None, :, None], 40.0)
+        assert got.shape == (2, 3, 2)
+        for m, j, mb in np.ndindex(got.shape):
+            assert got[m, j, mb] == caf(mb_pair[m], mb_pair[mb], nus[j], 40.0)
+
+    def test_array_rejections(self, mb_pair):
+        a, b = mb_pair
+        with pytest.raises(ValueError, match="finite"):
+            caf(a, b, np.array([0.0, np.nan]), 0.0)
+        with pytest.raises(ValueError, match="common duration"):
+            caf(np.array([a, multi_band_chirp(2, BETA, 2 * TP, ETA)]), b,
+                0.0, 0.0)
+        with pytest.raises(ValueError, match="overflows a double"):
+            caf(a, b, np.zeros(2), np.array([0.0, 1e308]))
 
     def test_rejects_degenerate_axes(self, sb_pair):
         with pytest.raises(ValueError):
