@@ -94,10 +94,26 @@ def _check_cube(y):
     return y
 
 
+def _energy(z, axes=()) -> np.ndarray | float:
+    """|z|^2 summed over ``axes`` of z (none: elementwise), as the sum of
+    squares of its float64 view, real and imaginary parts.  Every
+    statistic takes its squared magnitudes here, so the closed forms and
+    the Monte Carlo read one form."""
+    z = np.asarray(z, dtype=np.complex128)
+    if not axes:
+        # the einsum's re * re + im * im, without its per-element loop
+        return np.square(z.real) + np.square(z.imag)
+    summed = [a % z.ndim for a in axes]
+    parts = z[..., None].view(np.float64)  # (..., 2)
+    every = list(range(parts.ndim))
+    return np.einsum(parts, every, parts, every,
+                     [a for a in range(z.ndim) if a not in summed])
+
+
 def ncd_statistic(y) -> np.ndarray | float:
     """Energy sum over all MF outputs; invariant to any per-sample phase."""
     y = _check_cube(y)
-    out = np.sum(np.abs(y) ** 2, axis=(-3, -2, -1))
+    out = _energy(y, (-3, -2, -1))
     return out[()] if out.ndim == 0 else out
 
 
@@ -107,7 +123,7 @@ def acd_statistic(y, theta_hat) -> np.ndarray | float:
     rot = np.exp(-1j * np.asarray(theta_hat))
     if rot.shape != y.shape[-3:]:
         raise ValueError("theta_hat dimensions must match the measurement")
-    out = np.abs(np.sum(rot * y, axis=(-3, -2, -1))) ** 2
+    out = _energy(np.sum(rot * y, axis=(-3, -2, -1)))
     return out[()] if out.ndim == 0 else out
 
 
@@ -118,7 +134,7 @@ def cd_statistic(y, templates) -> np.ndarray | float:
     v = np.asarray(templates)
     if v.shape != y.shape[-3:]:
         raise ValueError("template dimensions must match the measurement")
-    out = np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
+    out = _energy(np.einsum("mnk,...mnk->...", np.conj(v), y))
     return out[()] if out.ndim == 0 else out
 
 
@@ -169,15 +185,13 @@ def hd_statistic(y, basis) -> np.ndarray | float:
     basis = np.asarray(basis)
     if basis.ndim == 4:
         # one (trials, K) x (K, M) matrix product per path, then the
-        # squared magnitudes summed per trial over the real and imaginary
-        # parts
+        # energy per trial over paths and basis columns
         batch = y.reshape((-1,) + y.shape[-3:])
         coeffs = np.matmul(batch.transpose(1, 2, 0, 3), np.conj(basis))
-        parts = coeffs.view(np.float64)
-        out = np.einsum("mntj,mntj->t", parts, parts)
+        out = _energy(coeffs, (0, 1, 3))
         return out if y.ndim == 4 else out[0]
     # coeffs: (..., M, N, M') inner products with the orthonormal basis
     coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(basis), y)
-    out = np.sum(np.abs(coeffs) ** 2, axis=(-3, -2, -1))
+    out = _energy(coeffs, (-3, -2, -1))
     return out[()] if out.ndim == 0 else out
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import presets
 from .analysis import DetectorKind
+from .montecarlo import MAX_SEED, MIN_SEED
 from .scene import NonFluctuating, Scenario, Swerling1, SyncErrors, xi_from_snr
 from .waveforms import ETA, KAPPA, pulse_set
 
@@ -45,12 +46,10 @@ SWEEP_VARIABLES = (
 _TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
 
 # Bounds shared by the JSON fields and the CLI flags.  A false-alarm rate
-# lies in (MIN_PFA, 1), so 1 / pfa stays finite.  The seed fills one
-# unsigned 64-bit word of the Philox key of every Monte Carlo stream.
+# lies in (MIN_PFA, 1), so 1 / pfa stays finite.  The seed bounds are the
+# Monte Carlo streams' (montecarlo.MIN_SEED, MAX_SEED).
 MIN_TRIALS = 1
 MIN_PFA = sys.float_info.min
-MIN_SEED = 0
-MAX_SEED = 2**63 - 1
 
 
 class ExperimentError(ValueError):

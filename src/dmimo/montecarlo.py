@@ -20,6 +20,16 @@ grow with trials or pairs.  Each detector's per-block exceedance counts
 are summed in block order: the counts are bit-identical for any worker
 count.
 
+Scratch.  Each worker draws its blocks in place into one scratch of its
+own (a ``threading.local``), kept from block to block and reallocated
+only when the block shape changes: the standard normals of the
+amplitudes (trials, 2) and of the coordinates (trials, M, N, r, 2),
+scaled in place and read as their complex views, the energies (trials,),
+and, for a Swerling I run, the product alpha B^H x of up to 1 MiB of
+trials at a time, added to the coordinates in place.  The draws and
+their order are those of fresh arrays, so the streams are unchanged; a
+block's c and g are views of the scratch.
+
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
 y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of
@@ -48,7 +58,9 @@ forms evaluate one statistic.
 
 from __future__ import annotations
 
+import numbers
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -61,6 +73,8 @@ from .specfun import Probability
 
 __all__ = [
     "BLOCK_TRIALS",
+    "MIN_SEED",
+    "MAX_SEED",
     "TrialConfig",
     "EmpiricalResult",
     "draw_noise",
@@ -70,6 +84,11 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 8192
+
+# The seed fills one unsigned 64-bit word of the Philox key of every
+# stream.
+MIN_SEED = 0
+MAX_SEED = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -81,6 +100,8 @@ class TrialConfig:
     fixed complex alpha, Swerling1 redraws CN(0, rho_bar) every trial).
     (seed, pair) keys the run's random stream; ``simulate`` gives each
     (sweep point, system) pair of an experiment its own ``pair``.
+    trials, seed and pair are integers, not bools, and the seed lies in
+    [MIN_SEED, MAX_SEED]; anything else raises ValueError.
     """
 
     trials: int
@@ -89,8 +110,14 @@ class TrialConfig:
     pair: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed", "pair"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not MIN_SEED <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must lie in [{MIN_SEED}, {MAX_SEED}]")
         if self.pair < 0:
             raise ValueError("pair must be nonnegative")
 
@@ -121,38 +148,38 @@ def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def _complex_normals(stream: np.random.Generator, variance: float, shape,
+                     out=None) -> np.ndarray:
+    """CN(0, variance) samples of ``shape``: standard normals drawn into
+    ``out`` (float64, ``shape + (2,)``; a fresh array if None), scaled in
+    place and read as their complex view."""
+    z = stream.standard_normal(size=tuple(shape) + (2,), out=out)
+    z *= np.sqrt(variance / 2.0)
+    return z.view(np.complex128)[..., 0]
+
+
 def draw_noise(stream: np.random.Generator, dims: int,
-               sigma2: float = 1.0, shape=()) -> np.ndarray:
+               sigma2: float = 1.0, shape=(), out=None) -> np.ndarray:
     """Circular complex Gaussian noise, per-component variance sigma2/2.
 
     Returns an array of shape ``shape + (dims,)``: the last axis counts
     the complex dimensions per path, K for a measurement cube and r for
-    sufficient coordinates.
+    sufficient coordinates.  With ``out``, a float64 array of shape
+    ``shape + (dims, 2)``, the noise is drawn into it and returned as its
+    complex view.
     """
-    z = stream.standard_normal(size=tuple(shape) + (dims, 2))
-    z *= np.sqrt(sigma2 / 2.0)
-    return z.view(np.complex128)[..., 0]
+    return _complex_normals(stream, sigma2, tuple(shape) + (dims,), out)
 
 
 def draw_swerling1_alpha(stream: np.random.Generator, rho_bar: float,
-                         size=()) -> np.ndarray | complex:
+                         size=(), out=None) -> np.ndarray | complex:
     """Target amplitudes CN(0, rho_bar); |alpha|^2 is exponential with
-    mean rho_bar."""
+    mean rho_bar.  ``out`` is as for ``draw_noise``, of shape
+    ``size + (2,)``."""
     if not rho_bar > 0:
         raise ValueError("mean RCS must be positive")
-    z = stream.normal(scale=np.sqrt(rho_bar / 2.0), size=tuple(size) + (2,))
-    out = z[..., 0] + 1j * z[..., 1]
-    return complex(out) if out.ndim == 0 else out
-
-
-def _block_alpha(stream: np.random.Generator, cfg: TrialConfig,
-                 nb: int) -> np.ndarray:
-    """The block's nb target amplitudes, the first draw of its stream."""
-    if isinstance(cfg.target_draw, Swerling1):
-        return draw_swerling1_alpha(stream, cfg.target_draw.rho_bar, (nb,))
-    if isinstance(cfg.target_draw, NonFluctuating):
-        return np.full(nb, cfg.target_draw.alpha, dtype=complex)
-    return np.zeros(nb, dtype=complex)
+    alpha = _complex_normals(stream, rho_bar, size, out)
+    return complex(alpha) if alpha.ndim == 0 else alpha
 
 
 def _basis(rx: Receiver) -> np.ndarray:
@@ -184,32 +211,79 @@ def _coordinates(rx: Receiver):
     return rx.onto(basis), M * N * (K - r)
 
 
+# Bytes of the product alpha B^H x a worker holds at once: a Swerling I
+# block adds it to c in runs of at most this many bytes of trials, so at
+# (M, N, K) = (8, 8, 64) the product does not add a second 75 MB batch.
+_PRODUCT_BYTES = 1 << 20
+
+
+class _Scratch(threading.local):
+    """One thread's block arrays, kept from block to block: each is
+    allocated on first use and again only when its shape changes.  A
+    block's draws are written into them in place, so the c and g a block
+    returns are views, overwritten by the thread's next block."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """The array ``name`` of ``shape``, its contents undefined."""
+        held = self.arrays.get(name)
+        if held is None or held.shape != shape:
+            self.arrays[name] = held = None  # freed before the new one
+            self.arrays[name] = held = np.empty(shape, dtype)
+        return held
+
+
 def _coordinate_block(rx: Receiver, outside: int, cfg: TrialConfig,
-                      j: int):
+                      j: int, scratch: _Scratch | None = None):
     """Block ``j`` of a run: the coordinates c (trials, M, N, r) of its
     measurement batch, and the energy g (trials,) outside their spans.
 
     Draw order inside a block is fixed: the amplitudes (a Swerling I run
     only; other runs draw none), then the coordinates' noise, then the
-    energy outside.
+    energy outside.  Each is drawn into an array of ``scratch`` and
+    scaled in place, and alpha B^H x is added in place, in runs of at
+    most _PRODUCT_BYTES: with a scratch, c and g are its arrays; without
+    one, fresh arrays.
     """
+    if scratch is None:
+        scratch = _Scratch()
     nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
+    shape = (nb,) + rx.x.shape
     rng = _block_rng(cfg.seed, cfg.pair, j)
-    alpha = _block_alpha(rng, cfg, nb)
+    target = cfg.target_draw
+    if isinstance(target, Swerling1):
+        alpha = draw_swerling1_alpha(rng, target.rho_bar, (nb,),
+                                     scratch.get("alpha", (nb, 2)))
     sigma2 = rx.sc.sigma2
-    c = draw_noise(rng, rx.x.shape[-1], sigma2, (nb,) + rx.x.shape[:-1])
-    g = sigma2 * rng.standard_gamma(outside, nb)
-    if cfg.target_draw is not None:
-        c += alpha[:, None, None, None] * rx.x
+    c = draw_noise(rng, shape[-1], sigma2, shape[:-1],
+                   scratch.get("noise", shape + (2,)))
+    g = rng.standard_gamma(outside, out=scratch.get("energy", (nb,)))
+    g *= sigma2
+    if isinstance(target, Swerling1):
+        step = max(1, _PRODUCT_BYTES // rx.x.nbytes)
+        product = scratch.get("product", (step,) + rx.x.shape,
+                              np.complex128)
+        for first in range(0, nb, step):
+            part = product[:nb - first]
+            np.multiply(alpha[first:first + step, None, None, None], rx.x,
+                        out=part)
+            c[first:first + step] += part
+    elif isinstance(target, NonFluctuating):
+        # one alpha for every trial: the (M, N, r) product, broadcast
+        c += target.alpha * rx.x
     return c, g
 
 
-# Coordinate bytes the pool may hold at once.  A worker's peak is about
-# twice its batch (the statistics' temporaries): at (M, N, K) =
-# (8, 8, 64) a 75 MB block adds 145-190 MiB per worker.  So this bounds
-# the pool's memory on hosts with many CPUs; the workers are counted
-# against the largest block of the sweep, and a block larger than this
-# runs alone.
+# Coordinate bytes the pool may hold at once.  A worker keeps its batch
+# in its scratch from block to block, and its peak is about twice the
+# batch (the statistics' temporaries) plus the product's _PRODUCT_BYTES:
+# at (M, N, K) = (8, 8, 64) a 75 MB block makes a worker of about
+# 146 MiB (a one-worker simulate peaks at 179 MiB, analyze at 32 MiB).
+# So this bounds the pool's memory on hosts with many CPUs; the workers
+# are counted against the largest block of the sweep, and a block larger
+# than this runs alone.
 _BYTES_IN_FLIGHT = 128 << 20
 
 
@@ -230,6 +304,9 @@ def _map_blocks(runs):
     least one; the Philox draws, the ufuncs and the matrix products
     release the GIL.  An exception raised in a block propagates to the
     caller.  An empty ``runs`` starts no pool.
+
+    ``c`` and ``g`` are views of the worker's scratch, overwritten by its
+    next block: ``fn`` may not keep or return views of them.
     """
     if not runs:
         return
@@ -239,8 +316,10 @@ def _map_blocks(runs):
     workers = max(1, min(_worker_count(), sum(n_blocks),
                          _BYTES_IN_FLIGHT // block_bytes))
 
+    scratch = _Scratch()  # one per worker thread
+
     def block(rx, outside, cfg, fn, j):
-        return fn(*_coordinate_block(rx, outside, cfg, j))
+        return fn(*_coordinate_block(rx, outside, cfg, j, scratch))
 
     # imported here to keep concurrent.futures off the CLI's start-up
     from concurrent.futures import ThreadPoolExecutor

@@ -32,14 +32,20 @@ from dmimo.detectors import _RCOND_LIMIT, CompensationSet, doppler_projectors
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     TrialConfig,
-    _block_alpha,
     _block_rng,
     _coordinate_block,
     _coordinates,
     _map_blocks,
     draw_noise,
+    draw_swerling1_alpha,
 )
-from dmimo.scene import Scenario, SyncErrors, noise_free_mf_output
+from dmimo.scene import (
+    NonFluctuating,
+    Scenario,
+    Swerling1,
+    SyncErrors,
+    noise_free_mf_output,
+)
 from dmimo.specfun import reg_upper_gamma
 from dmimo.waveforms import MULTI_BAND, PulseSpec, caf
 
@@ -190,6 +196,17 @@ def marcum_q_per_term(m: int, a: float, b: float) -> float:
     return min(1.0, total)
 
 
+def block_alpha(stream, cfg: TrialConfig, nb: int) -> np.ndarray:
+    """A block's nb target amplitudes, the first draw of its stream: a
+    Swerling I run draws them, a fixed target repeats its alpha, and an
+    H0 run has zeros and draws none."""
+    if isinstance(cfg.target_draw, Swerling1):
+        return draw_swerling1_alpha(stream, cfg.target_draw.rho_bar, (nb,))
+    if isinstance(cfg.target_draw, NonFluctuating):
+        return np.full(nb, cfg.target_draw.alpha, dtype=complex)
+    return np.zeros(nb, dtype=complex)
+
+
 def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
     """Yield the run's blocks as full (trials, M, N, K) measurement
     batches, serially and in block order: per block the amplitudes, then
@@ -201,7 +218,7 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
         nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
         rng = _block_rng(cfg.seed, cfg.pair, j)
-        alpha = _block_alpha(rng, cfg, nb)
+        alpha = block_alpha(rng, cfg, nb)
         w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
         if cfg.target_draw is not None:
             w += alpha[:, None, None, None] * x_unit

@@ -1,10 +1,15 @@
 """Tests for the detector statistics and GLRT amplitude estimates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dmimo import montecarlo
+from dmimo.analysis import Receiver
 from dmimo.detectors import (
     CompensationSet,
+    _energy,
     acd_statistic,
     cd_statistic,
     doppler_projectors,
@@ -20,6 +25,7 @@ from dmimo.scene import (
     doppler_steering,
     noise_free_mf_output,
 )
+from dmimo.montecarlo import TrialConfig
 from dmimo.waveforms import multi_band_chirp
 from oracles import alpha_mle, beta_mle
 
@@ -267,3 +273,90 @@ class TestCompensationSet:
             X = np.diag(comp.X_hat[m, 0])
             manual = comp.S_hat[0] @ (X @ comp.h_hat[m, 0])
             assert np.allclose(v[m, 0], manual)
+
+
+def abs_squared_forms(y, rx=None, theta=None, basis=None):
+    """The four statistics with their squared magnitudes as
+    np.abs(...) ** 2, keyed by the statistic they check: NCD, the CD
+    correlation against the receiver's templates and phasors (ACD in
+    coordinates), ACD on the compensation phases, and HD on per-path
+    bases or on one basis per receiver."""
+    def cd(v):
+        return np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
+
+    forms = {"ncd": np.sum(np.abs(y) ** 2, axis=(-3, -2, -1)),
+             "cd": cd(rx.templates), "cd_phasors": cd(rx.phasors)}
+    if theta is not None:
+        rot = np.exp(-1j * theta)
+        forms["acd"] = np.abs(np.sum(rot * y, axis=(-3, -2, -1))) ** 2
+    if not isinstance(rx.doppler, str):
+        coeffs = np.einsum("mnkj,tmnk->tmnj", np.conj(rx.doppler), y)
+        forms["hd"] = np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))
+    if basis is not None:
+        coeffs = np.einsum("nkj,tmnk->tmnj", np.conj(basis), y)
+        forms["hd_cube"] = np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))
+    return forms
+
+
+def energy_forms(y, rx=None, theta=None, basis=None):
+    """The same statistics from ``detectors``."""
+    forms = {"ncd": ncd_statistic(y), "cd": cd_statistic(y, rx.templates),
+             "cd_phasors": cd_statistic(y, rx.phasors)}
+    if theta is not None:
+        forms["acd"] = acd_statistic(y, theta)
+    if not isinstance(rx.doppler, str):
+        forms["hd"] = hd_statistic(y, rx.doppler)
+    if basis is not None:
+        forms["hd_cube"] = hd_statistic(y, basis)
+    return forms
+
+
+class TestEnergyForm:
+    """Every statistic takes its squared magnitudes as the sum of squares
+    of the float view; that agrees with np.abs(...) ** 2 to rounding."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_cubes(self, seed, random_scenario):
+        rng = np.random.default_rng(5000 + seed)
+        sc, err = random_scenario(rng)
+        sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)  # keeps tau + dt >= 0
+        rx = Receiver.build(sc, err)
+        y = random_measurement(rng, sc.m_tx, sc.n_rx, sc.k_pulses)
+        y = np.stack([y, 3.0 * y.conj(), 1e-3 * y])
+        try:
+            basis = doppler_projectors(rx.comp.S_hat)
+        except ValueError:
+            basis = None
+        want = abs_squared_forms(y, rx, rx.comp.theta_hat, basis)
+        got = energy_forms(y, rx, rx.comp.theta_hat, basis)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-15,
+                                       atol=0, err_msg=name)
+        for name, v in energy_forms(y[0], rx, rx.comp.theta_hat,
+                                    basis).items():
+            np.testing.assert_allclose(v, want[name][0], rtol=1e-15,
+                                       atol=0, err_msg=name)
+
+    def test_elementwise_is_the_summed_form(self):
+        # |z|^2 of single values, as ACD and CD take it, equals the
+        # summed form over one trailing axis bit for bit
+        rng = np.random.default_rng(7)
+        z = random_measurement(rng, 64, 2, 3)
+        assert np.array_equal(_energy(z), _energy(z[..., None], (-1,)))
+        assert _energy(z[0, 0, 0]) == _energy(z[0, 0, :1], (0,))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coordinate_batches(self, seed, random_scenario):
+        rng = np.random.default_rng(6000 + seed)
+        sc, err = random_scenario(rng)
+        sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)
+        crx, outside = montecarlo._coordinates(Receiver.build(sc, err))
+        cfg = TrialConfig(trials=3000, seed=seed, target_draw=Swerling1(2.0))
+        c, _ = montecarlo._coordinate_block(crx, outside, cfg, 0)
+        want = abs_squared_forms(c, crx)
+        got = energy_forms(c, crx)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-15,
+                                       atol=0, err_msg=name)

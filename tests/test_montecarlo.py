@@ -25,6 +25,8 @@ from dmimo.detectors import (
 )
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
+    MAX_SEED,
+    MIN_SEED,
     EmpiricalResult,
     TrialConfig,
     _block_rng,
@@ -107,6 +109,30 @@ class TestTrialConfig:
     def test_bad_pair(self):
         with pytest.raises(ValueError):
             TrialConfig(trials=10, seed=0, pair=-1)
+
+    # seed 1.5 ran seed 1's stream (the uint64 key truncates it), trials
+    # True ran one trial and reported True, trials 1000.5 failed in
+    # range(), and seed -1 surfaced as Philox's OverflowError
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", 2.0), ("seed", True), ("seed", "3"),
+        ("trials", True), ("trials", 1000.5), ("trials", 1000.0),
+        ("pair", False), ("pair", 1.0), ("pair", np.float64(2.0))])
+    def test_non_integer_fields(self, field, value):
+        fields = dict(trials=1000, seed=1, pair=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrialConfig(**fields)
+
+    @pytest.mark.parametrize("seed", [-1, MIN_SEED - 1, MAX_SEED + 1,
+                                      2**64])
+    def test_seed_outside_range(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            TrialConfig(trials=1000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [MIN_SEED, MAX_SEED, np.int64(7)])
+    def test_integer_seeds_in_range_run(self, seed, ref_rx):
+        cfg = TrialConfig(trials=10, seed=seed, pair=np.uint8(1))
+        run_trials(ref_rx, {DetectorKind.NCD: 30.0}, cfg)
 
 
 class TestDeterminism:
@@ -374,6 +400,103 @@ class TestWorkerPool:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert len(caught) == 1 and caught[0] is raised[0]
+
+
+def copied(c, g):
+    """A block's coordinates and energies, copied out of the worker's
+    scratch."""
+    return c.copy(), g.copy()
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for (c, g), (c_want, g_want) in zip(got, want):
+        assert c.shape == c_want.shape and g.shape == g_want.shape
+        assert c.tobytes() == c_want.tobytes()
+        assert g.tobytes() == g_want.tobytes()
+
+
+class TestScratch:
+    """Pool workers draw each block in place on a per-thread scratch;
+    the blocks are the serial oracle's, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("target", [
+        None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
+        ids=["H0", "swerling", "fixed"])
+    def test_pooled_blocks_equal_serial(self, monkeypatch, ref_scenario,
+                                        workers, target):
+        # a run of three full blocks and a partial one, and a sweep that
+        # mixes distributed (r = 3) and co-located (r = 1) pairs
+        doppler = _path_errors(2, 1, df=12.0)
+        rx = Receiver.build(ref_scenario, doppler)
+        single = [(rx, None, TrialConfig(trials=POOL_TRIALS, seed=12,
+                                          target_draw=target))]
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        for runs in (single, mixed_runs(ref_scenario, target)):
+            jobs = [montecarlo._coordinates(rx) + (cfg, copied)
+                    for rx, _, cfg in runs]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = list(montecarlo._map_blocks(jobs))
+            finally:
+                sys.setswitchinterval(interval)
+            for i, (rx, _, cfg) in enumerate(runs):
+                assert_same_bits(
+                    [cg for run, cg in got if run == i],
+                    [cg for _, cg in iter_coordinate_blocks(rx, cfg)])
+
+    @pytest.mark.parametrize("target", [
+        None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
+        ids=["H0", "swerling", "fixed"])
+    def test_blocks_follow_the_draw_order(self, monkeypatch, ref_scenario,
+                                          target):
+        # fresh arrays drawn in the documented order give each block bit
+        # for bit, with the product added in runs of 5 trials and a
+        # ragged last run
+        rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
+        crx, outside = montecarlo._coordinates(rx)
+        monkeypatch.setattr(montecarlo, "_PRODUCT_BYTES", 5 * crx.x.nbytes)
+        cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
+                          target_draw=target)
+        scratch = montecarlo._Scratch()
+        for j, nb in enumerate([BLOCK_TRIALS, 17]):
+            rng = _block_rng(8, 2, j)
+            if isinstance(target, Swerling1):
+                alpha = draw_swerling1_alpha(rng, 1.0, (nb,))
+            elif isinstance(target, NonFluctuating):
+                alpha = np.full(nb, target.alpha)
+            c = draw_noise(rng, 3, 1.0, (nb, 2, 1))
+            g = 1.0 * rng.standard_gamma(outside, nb)
+            if target is not None:
+                c = c + alpha[:, None, None, None] * crx.x
+            assert_same_bits(
+                [montecarlo._coordinate_block(crx, outside, cfg, j),
+                 montecarlo._coordinate_block(crx, outside, cfg, j,
+                                              scratch)],
+                [(c, g), (c, g)])
+
+    def test_block_without_scratch_is_fresh(self, ref_rx):
+        crx, outside = montecarlo._coordinates(ref_rx)
+        cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
+                          target_draw=Swerling1(1.0))
+        first = montecarlo._coordinate_block(crx, outside, cfg, 0)
+        kept = copied(*first)
+        montecarlo._coordinate_block(crx, outside, cfg, 1)
+        assert_same_bits([first], [kept])
+
+    def test_scratch_reused_until_shape_changes(self, ref_rx):
+        crx, outside = montecarlo._coordinates(ref_rx)
+        cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
+                          target_draw=Swerling1(1.0))
+        scratch = montecarlo._Scratch()
+        c0, g0 = montecarlo._coordinate_block(crx, outside, cfg, 0, scratch)
+        c1, g1 = montecarlo._coordinate_block(crx, outside, cfg, 1, scratch)
+        assert np.shares_memory(c0, c1) and np.shares_memory(g0, g1)
+        c3, g3 = montecarlo._coordinate_block(crx, outside, cfg, 3, scratch)
+        assert len(c3) == len(g3) == 17
+        assert not np.shares_memory(c3, c1)
 
 
 RECIPES = sorted((Path(__file__).resolve().parent.parent
