@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .detectors import (
     CompensationSet,
-    acd_statistic,
     cd_statistic,
     hd_statistic,
     ncd_statistic,
@@ -50,7 +49,6 @@ __all__ = [
     "statistic",
     "threshold",
     "CompensationSet",
-    "acd_statistic",
     "cd_statistic",
     "hd_statistic",
     "ncd_statistic",

@@ -4,10 +4,11 @@ Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
 single measurement cube or a batch with a leading trial axis.  Each takes
 the measurement and the one receiver quantity it reads: nothing (NCD),
-the compensation phases (ACD), the templates (CD) or the Doppler
-projectors (HD).  These are the paper's definitions; the package reads
-them through ``analysis.statistic`` on an ``analysis.Receiver``, which
-holds each such quantity once per (sweep point, system) pair.  The CD
+the templates (CD) or the Doppler projectors (HD); ACD is the CD
+correlation with the compensation phasors exp(j theta_hat) as templates.
+These are the paper's definitions; the package reads them through
+``analysis.statistic`` on an ``analysis.Receiver``, which holds each
+such quantity once per (sweep point, system) pair.  The CD
 correlation and the HD projection also read a batch of sufficient
 coordinates (trials, M, N, r), given the quantity in the same frame.
 
@@ -32,7 +33,6 @@ from .scene import Scenario, SyncErrors, _model_factors, _model_output
 __all__ = [
     "CompensationSet",
     "ncd_statistic",
-    "acd_statistic",
     "cd_statistic",
     "hd_statistic",
     "doppler_projectors",
@@ -114,16 +114,6 @@ def ncd_statistic(y) -> np.ndarray | float:
     """Energy sum over all MF outputs; invariant to any per-sample phase."""
     y = _check_cube(y)
     out = _energy(y, (-3, -2, -1))
-    return out[()] if out.ndim == 0 else out
-
-
-def acd_statistic(y, theta_hat) -> np.ndarray | float:
-    """Squared magnitude of the phase-compensated global sum."""
-    y = _check_cube(y)
-    rot = np.exp(-1j * np.asarray(theta_hat))
-    if rot.shape != y.shape[-3:]:
-        raise ValueError("theta_hat dimensions must match the measurement")
-    out = _energy(np.sum(rot * y, axis=(-3, -2, -1)))
     return out[()] if out.ndim == 0 else out
 
 

@@ -3,11 +3,11 @@
 Streams.  A run's stream is keyed by (seed, pair): ``simulate`` numbers
 the (sweep point, system) pairs of an experiment 0, 1, 2, ..., so no two
 pairs, and no two experiments with different seeds, share a stream.
-Trials are generated in blocks of BLOCK_TRIALS; block ``j`` draws from a
-Philox generator with the run's key and ``j`` in the high word of its
-counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11).  Any block can be produced independently of the others: results
-are bit-identical across runs, and the first ``B`` trials of a long run
+Trials are generated in blocks of BLOCK_TRIALS; block ``j`` draws from an
+SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(pair, j))``,
+so every (seed, pair, block) key hashes to its own initial state.  Any
+block can be produced independently of the others: results are
+bit-identical across runs, and the first ``B`` trials of a long run
 equal the first ``B`` trials of a short one.
 
 One pool per sweep.  ``run_sweep`` takes every run of a sweep (``simulate``
@@ -22,31 +22,38 @@ count.
 
 Scratch.  Each worker draws its blocks in place into one scratch of its
 own (a ``threading.local``), kept from block to block and reallocated
-only when the block shape changes: the standard normals of the
-amplitudes (trials, 2) and of the coordinates (trials, M, N, r, 2),
-scaled in place and read as their complex views, the energies (trials,),
-and, for a Swerling I run, the product alpha B^H x of up to 1 MiB of
-trials at a time, added to the coordinates in place.  The draws and
-their order are those of fresh arrays, so the streams are unchanged; a
-block's c and g are views of the scratch.
+only when the block shape changes: the Swerling I moduli (trials,), the
+standard normals of the coordinates (trials, d, 2), scaled in place and
+read as their complex view, the energies (trials,), and, for a Swerling
+I run, the product |alpha| s of up to 1 MiB of trials at a time, added
+to the coordinates in place.  A block's c and g are views of the
+scratch.
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
 y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of
-variance sigma^2.  No statistic reads all K dimensions: the ACD phasors,
-the CD templates and the HD projectors of path (m, n) all lie in
-span S_hat_n, and the signal adds the one direction x_mn.  With B_mn an
-orthonormal basis of span{S_hat_n, x_mn} (r columns, r <= M + 1), every
-statistic is an exact function of the coordinates c_mn = B_mn^H y_mn and,
-for NCD, of the energy g outside the spans, summed over paths.  White
-Gaussian noise is invariant under unitary maps, so B_mn^H w_mn is
-CN(0, sigma^2 I_r), the part of w_mn outside the span is independent of
-it, and its energy over all paths is sigma^2 Gamma(M N (K - r), 1).  A
-block therefore draws, in this order, alpha (Swerling I runs only), then
-c = alpha B^H x + CN(0, sigma^2 I_r) of shape (trials, M, N, r), then g:
-r complex coordinates per path and one energy per trial instead of K
-samples per path, and no (trials, M, N, K) cube.  The argument rests on
-the invariance alone, not on any closed form under test.
+variance sigma^2.  No statistic but NCD reads outside span S_hat_n: the
+ACD phasors, the CD templates and the HD projectors of path (m, n) all
+lie in it.  With B_n an orthonormal basis of span S_hat_n (r_S columns,
+the largest rank over the receivers), every statistic is an exact
+function of the coordinates c_mn = B_n^H y_mn and, for NCD, of the
+energy g outside the spans, summed over paths.  White Gaussian noise is
+invariant under unitary maps, so B_n^H w_mn is CN(0, sigma^2 I), and
+the noise outside the spans is independent of it and invariant under
+any unitary map of that outside space.  The signal's part outside the
+spans, x_perp with e = ||x_perp|| over all paths, is one direction of
+it: where e > _RCOND_LIMIT ||x||, one complex coordinate alpha e +
+CN(0, sigma^2) along it, and the energy of the other M N (K - r_S) - 1
+outside dimensions is sigma^2 Gamma(M N (K - r_S) - 1, 1); NCD's g is
+the sum of the two.  Every statistic is a function of |.|^2 of linear
+forms of y, so invariant under a common phase of y, and the circular
+noise is too: a Swerling I block draws the real modulus
+|alpha| = sqrt(rho_bar Exp(1)) in place of the complex alpha.  A block
+therefore draws, in this order, the moduli (Swerling I runs only), then
+d complex coordinates per trial (M N r_S, plus the shared one where the
+run has it), then the energies: no (trials, M, N, K) cube.
+The argument rests on the invariances alone, not on any closed form
+under test.
 
 Every detector of one run sees the same coordinate blocks (common random
 numbers) and reads them through ``analysis.statistic`` on the pair's
@@ -67,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DetectorKind, Receiver, statistic
-from .detectors import _RCOND_LIMIT
+from .detectors import _RCOND_LIMIT, _energy
 from .scene import NonFluctuating, Swerling1
 from .specfun import Probability
 
@@ -78,15 +85,15 @@ __all__ = [
     "TrialConfig",
     "EmpiricalResult",
     "draw_noise",
-    "draw_swerling1_alpha",
     "run_sweep",
     "run_trials",
 ]
 
 BLOCK_TRIALS = 8192
 
-# The seed fills one unsigned 64-bit word of the Philox key of every
-# stream.
+# The seed is the entropy of every block's SeedSequence, which takes any
+# nonnegative integer; the range keeps it to one signed 64-bit word, the
+# seeds the CLI and the recipes accept.
 MIN_SEED = 0
 MAX_SEED = 2**63 - 1
 
@@ -97,11 +104,12 @@ class TrialConfig:
 
     A run without target_draw is pure noise (H0); with one it adds the
     target return, its amplitude drawn per trial (NonFluctuating holds a
-    fixed complex alpha, Swerling1 redraws CN(0, rho_bar) every trial).
-    (seed, pair) keys the run's random stream; ``simulate`` gives each
-    (sweep point, system) pair of an experiment its own ``pair``.
-    trials, seed and pair are integers, not bools, and the seed lies in
-    [MIN_SEED, MAX_SEED]; anything else raises ValueError.
+    fixed complex alpha, Swerling1 redraws |alpha|^2 ~ rho_bar Exp(1)
+    every trial; see the module docstring for why its phase is not
+    drawn).  (seed, pair) keys the run's random stream; ``simulate``
+    gives each (sweep point, system) pair of an experiment its own
+    ``pair``.  trials, seed and pair are integers, not bools, and the
+    seed lies in [MIN_SEED, MAX_SEED]; anything else raises ValueError.
     """
 
     trials: int
@@ -143,19 +151,8 @@ class EmpiricalResult:
 
 def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
     """Generator of block ``block`` of the stream keyed by (seed, pair)."""
-    key = np.array([seed, pair], dtype=np.uint64)
-    counter = np.array([0, 0, 0, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def _complex_normals(stream: np.random.Generator, variance: float, shape,
-                     out=None) -> np.ndarray:
-    """CN(0, variance) samples of ``shape``: standard normals drawn into
-    ``out`` (float64, ``shape + (2,)``; a fresh array if None), scaled in
-    place and read as their complex view."""
-    z = stream.standard_normal(size=tuple(shape) + (2,), out=out)
-    z *= np.sqrt(variance / 2.0)
-    return z.view(np.complex128)[..., 0]
+    seq = np.random.SeedSequence(seed, spawn_key=(pair, block))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def draw_noise(stream: np.random.Generator, dims: int,
@@ -163,57 +160,60 @@ def draw_noise(stream: np.random.Generator, dims: int,
     """Circular complex Gaussian noise, per-component variance sigma2/2.
 
     Returns an array of shape ``shape + (dims,)``: the last axis counts
-    the complex dimensions per path, K for a measurement cube and r for
-    sufficient coordinates.  With ``out``, a float64 array of shape
-    ``shape + (dims, 2)``, the noise is drawn into it and returned as its
-    complex view.
+    the complex dimensions, K per path for a measurement cube and d per
+    trial for a coordinate block.  The standard normals are drawn into
+    ``out``, a float64 array of shape ``shape + (dims, 2)`` (a fresh one
+    if None), scaled in place and returned as its complex view.
     """
-    return _complex_normals(stream, sigma2, tuple(shape) + (dims,), out)
-
-
-def draw_swerling1_alpha(stream: np.random.Generator, rho_bar: float,
-                         size=(), out=None) -> np.ndarray | complex:
-    """Target amplitudes CN(0, rho_bar); |alpha|^2 is exponential with
-    mean rho_bar.  ``out`` is as for ``draw_noise``, of shape
-    ``size + (2,)``."""
-    if not rho_bar > 0:
-        raise ValueError("mean RCS must be positive")
-    alpha = _complex_normals(stream, rho_bar, size, out)
-    return complex(alpha) if alpha.ndim == 0 else alpha
+    z = stream.standard_normal(size=tuple(shape) + (dims, 2), out=out)
+    z *= np.sqrt(sigma2 / 2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def _basis(rx: Receiver) -> np.ndarray:
-    """Per-path orthonormal bases (M, N, K, r) of span{S_hat_n, x_mn}, of
-    one rank r for the run.
+    """Per-path orthonormal bases (M, N, K, r_S) of span S_hat_n, of one
+    rank r_S for the run; the paths of a receiver share its basis.
 
     Every vector a statistic reads lies in span S_hat_n: the ACD phasors
     and the CD templates are combinations of its columns, and the HD
     projectors span it.  A rank-revealing SVD of the unit-normed columns
-    finds each path's rank (M + 1 at most, 1 for co-located steering
-    without sync errors); r is the largest, so a path of lower rank
+    finds each receiver's rank (M at most, 1 for co-located steering
+    without sync errors); r_S is the largest, so a receiver of lower rank
     carries extra orthonormal columns, which keeps the coordinates exact.
     """
-    M, N, K = rx.x.shape
-    steering = np.broadcast_to(rx.comp.S_hat, (M,) + rx.comp.S_hat.shape)
-    cols = np.concatenate([steering, rx.x[..., None]], axis=-1)
-    norms = np.linalg.norm(cols, axis=-2, keepdims=True)
-    cols = cols / np.where(norms > 0.0, norms, 1.0)
+    S_hat = rx.comp.S_hat
+    cols = S_hat / np.linalg.norm(S_hat, axis=-2, keepdims=True)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     r = int(np.max(np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)))
-    return u[..., :r]
+    u = u[..., :r]
+    return np.broadcast_to(u, rx.x.shape[:1] + u.shape)
 
 
 def _coordinates(rx: Receiver):
-    """The receiver in the sufficient coordinates of its run, and the
-    complex dimensions outside their spans, M N (K - r)."""
+    """The run's frame: the receiver in span coordinates, the return at
+    unit amplitude as the d coordinates a block draws per trial, and the
+    complex dimensions left to the energy.
+
+    The return's (M, N, r_S) span coordinates come first; where its part
+    outside the spans has norm e > _RCOND_LIMIT ||x|| over all paths, e
+    follows as the one shared coordinate, and the energy covers
+    M N (K - r_S) - 1 dimensions, else M N (K - r_S).
+    """
     basis = _basis(rx)
     M, N, K, r = basis.shape
-    return rx.onto(basis), M * N * (K - r)
+    crx = rx.onto(basis)
+    inside = np.einsum("mnkr,mnr->mnk", basis, crx.x)
+    e = float(np.linalg.norm(rx.x - inside))
+    signal = crx.x.ravel()
+    if e > _RCOND_LIMIT * np.linalg.norm(rx.x):
+        signal = np.append(signal, e)
+    return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
 
 
-# Bytes of the product alpha B^H x a worker holds at once: a Swerling I
-# block adds it to c in runs of at most this many bytes of trials, so at
-# (M, N, K) = (8, 8, 64) the product does not add a second 75 MB batch.
+# Bytes of the product |alpha| s a worker holds at once: a Swerling I
+# block adds it to its coordinates in runs of at most this many bytes of
+# trials, so at (M, N, K) = (8, 8, 64) the product does not add a second
+# 64 MiB batch.
 _PRODUCT_BYTES = 1 << 20
 
 
@@ -235,52 +235,59 @@ class _Scratch(threading.local):
         return held
 
 
-def _coordinate_block(rx: Receiver, outside: int, cfg: TrialConfig,
-                      j: int, scratch: _Scratch | None = None):
-    """Block ``j`` of a run: the coordinates c (trials, M, N, r) of its
-    measurement batch, and the energy g (trials,) outside their spans.
+def _coordinate_block(crx: Receiver, signal: np.ndarray, outside: int,
+                      cfg: TrialConfig, j: int,
+                      scratch: _Scratch | None = None):
+    """Block ``j`` of a run in the frame ``_coordinates`` gives: the span
+    coordinates c (trials, M, N, r_S) of its measurement batch, and the
+    energy g (trials,) outside their spans.
 
-    Draw order inside a block is fixed: the amplitudes (a Swerling I run
-    only; other runs draw none), then the coordinates' noise, then the
-    energy outside.  Each is drawn into an array of ``scratch`` and
-    scaled in place, and alpha B^H x is added in place, in runs of at
-    most _PRODUCT_BYTES: with a scratch, c and g are its arrays; without
-    one, fresh arrays.
+    Draw order inside a block is fixed: the moduli |alpha| (a Swerling I
+    run only; other runs draw none), then the d = ``signal.size``
+    coordinates per trial, then the energy of the ``outside``
+    dimensions.  Each is drawn into an array of ``scratch`` and scaled in
+    place.  The return is added in place: |alpha| ``signal`` for
+    Swerling I, in runs of at most _PRODUCT_BYTES, alpha ``signal`` for a
+    fixed target.  A shared coordinate then adds its |.|^2 to g.  With a
+    scratch, c and g are its arrays; without one, fresh arrays.
     """
     if scratch is None:
         scratch = _Scratch()
     nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
-    shape = (nb,) + rx.x.shape
+    d = signal.size
     rng = _block_rng(cfg.seed, cfg.pair, j)
     target = cfg.target_draw
     if isinstance(target, Swerling1):
-        alpha = draw_swerling1_alpha(rng, target.rho_bar, (nb,),
-                                     scratch.get("alpha", (nb, 2)))
-    sigma2 = rx.sc.sigma2
-    c = draw_noise(rng, shape[-1], sigma2, shape[:-1],
-                   scratch.get("noise", shape + (2,)))
+        modulus = rng.standard_exponential(out=scratch.get("modulus", (nb,)))
+        modulus *= target.rho_bar
+        np.sqrt(modulus, out=modulus)
+    sigma2 = crx.sc.sigma2
+    noise = scratch.get("noise", (nb, d, 2))
+    z = draw_noise(rng, d, sigma2, (nb,), noise)
     g = rng.standard_gamma(outside, out=scratch.get("energy", (nb,)))
     g *= sigma2
     if isinstance(target, Swerling1):
-        step = max(1, _PRODUCT_BYTES // rx.x.nbytes)
-        product = scratch.get("product", (step,) + rx.x.shape,
-                              np.complex128)
+        # real times complex, on the float views
+        s = signal.view(np.float64).reshape(d, 2)
+        step = max(1, _PRODUCT_BYTES // signal.nbytes)
+        product = scratch.get("product", (step, d, 2))
         for first in range(0, nb, step):
             part = product[:nb - first]
-            np.multiply(alpha[first:first + step, None, None, None], rx.x,
-                        out=part)
-            c[first:first + step] += part
+            np.multiply(modulus[first:first + step, None, None], s, out=part)
+            noise[first:first + step] += part
     elif isinstance(target, NonFluctuating):
-        # one alpha for every trial: the (M, N, r) product, broadcast
-        c += target.alpha * rx.x
-    return c, g
+        # one alpha for every trial: the (d,) product, broadcast
+        z += target.alpha * signal
+    if d > crx.x.size:
+        g += _energy(z[:, -1])
+    return z[:, :crx.x.size].reshape((nb,) + crx.x.shape), g
 
 
 # Coordinate bytes the pool may hold at once.  A worker keeps its batch
 # in its scratch from block to block, and its peak is about twice the
 # batch (the statistics' temporaries) plus the product's _PRODUCT_BYTES:
-# at (M, N, K) = (8, 8, 64) a 75 MB block makes a worker of about
-# 146 MiB (a one-worker simulate peaks at 179 MiB, analyze at 32 MiB).
+# at (M, N, K) = (8, 8, 64) a 64 MiB block makes a worker of about
+# 138 MiB (a one-worker simulate peaks at 170 MiB, analyze at 32 MiB).
 # So this bounds the pool's memory on hosts with many CPUs; the workers
 # are counted against the largest block of the sweep, and a block larger
 # than this runs alone.
@@ -297,29 +304,32 @@ def _worker_count() -> int:
 
 def _map_blocks(runs):
     """Yield ``(i, fn(c, g))`` for every coordinate block of every run
-    ``i`` of ``runs``, ``(rx, outside, cfg, fn)`` tuples with ``rx`` in
-    coordinates, in run order, then block order, from the sweep's one
-    pool (see the module docstring).  Its workers are at most the usable
-    CPUs, the blocks, and _BYTES_IN_FLIGHT over the largest block, and at
-    least one; the Philox draws, the ufuncs and the matrix products
-    release the GIL.  An exception raised in a block propagates to the
-    caller.  An empty ``runs`` starts no pool.
+    ``i`` of ``runs``, ``(rx, signal, outside, cfg, fn)`` tuples whose
+    first three are the run's frame from ``_coordinates``, in run order,
+    then block order, from the sweep's one pool (see the module
+    docstring).  Its workers are at most the usable CPUs, the blocks, and
+    _BYTES_IN_FLIGHT over the largest block, and at least one; the
+    draws, the ufuncs and the matrix products release the GIL.  An
+    exception raised in a block propagates to the caller.  An empty
+    ``runs`` starts no pool.  A block of nb trials counts its nb d
+    complex coordinates, d = ``signal.size``, 16 nb d bytes, against the
+    cap.
 
     ``c`` and ``g`` are views of the worker's scratch, overwritten by its
     next block: ``fn`` may not keep or return views of them.
     """
     if not runs:
         return
-    n_blocks = [-(-cfg.trials // BLOCK_TRIALS) for _, _, cfg, _ in runs]
-    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * rx.x.nbytes
-                      for rx, _, cfg, _ in runs)
+    n_blocks = [-(-cfg.trials // BLOCK_TRIALS) for *_, cfg, _ in runs]
+    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * signal.nbytes
+                      for _, signal, _, cfg, _ in runs)
     workers = max(1, min(_worker_count(), sum(n_blocks),
                          _BYTES_IN_FLIGHT // block_bytes))
 
     scratch = _Scratch()  # one per worker thread
 
-    def block(rx, outside, cfg, fn, j):
-        return fn(*_coordinate_block(rx, outside, cfg, j, scratch))
+    def block(rx, signal, outside, cfg, fn, j):
+        return fn(*_coordinate_block(rx, signal, outside, cfg, j, scratch))
 
     # imported here to keep concurrent.futures off the CLI's start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -352,14 +362,14 @@ def run_sweep(runs) -> list:
     """
     jobs = []
     for rx, gammas, cfg in runs:
-        crx, outside = _coordinates(rx)
+        crx, signal, outside = _coordinates(rx)
         checks = [(statistic(d, crx), gamma) for d, gamma in gammas.items()]
 
         def block_counts(c, g, checks=checks):
             return [int(np.count_nonzero(stat(c, g) > gamma))
                     for stat, gamma in checks]
 
-        jobs.append((crx, outside, cfg, block_counts))
+        jobs.append((crx, signal, outside, cfg, block_counts))
     # integer sums in block order: the counts are the serial ones exactly
     totals = [[0] * len(gammas) for *_, gammas, _ in runs]
     for i, counts in _map_blocks(jobs):

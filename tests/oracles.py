@@ -5,18 +5,21 @@ None of these is used by the package itself: the scalar slow-time sample
 checks the vectorized S X h model; the sampled pulse envelope, the
 Gauss-Legendre quadrature, the CAF symmetry partner and the grid check the
 closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
-the full (trials, M, N, K) measurement blocks check the law of the Monte
-Carlo engine's sufficient coordinates, and the serial coordinate-block
-iterator, which takes an `analysis.Receiver`, checks its pooled block
-map; the Kolmogorov-Smirnov distance of an H0 statistic, drawn through
-that pooled block map, from the chi-square law of `Receiver.law` checks
-the law the closed forms take; the amplitude MLE alpha checks the CD
-GLRT identity, and the per-path beta MLE the HD projection energy; the
-bistatic link budget checks the back-solved channel gain of
-`xi_from_snr`; and the per-detector noncentrality formulas, which
-rebuild the return x from the scenario, check `analysis.noncentrality`
-on the receiver.  The paper's statistics in `dmimo.detectors` are the
-remaining reference: the tests check `analysis.statistic` against them.
+the full (trials, M, N, K) measurement blocks, with their complex
+Swerling I amplitudes, check the law of the Monte Carlo engine's
+sufficient coordinates, and the serial coordinate-block iterator, which
+takes an `analysis.Receiver`, checks its pooled block map; the
+Kolmogorov-Smirnov distance of an H0 statistic, drawn through that pooled
+block map, from the chi-square law of `Receiver.law` checks the law the
+closed forms take; the amplitude MLE alpha checks the CD GLRT identity,
+and the per-path beta MLE the HD projection energy; the paper's ACD, the
+phase-compensated global sum, checks the package's ACD, the CD
+correlation on the phasors; the bistatic link budget checks the
+back-solved channel gain of `xi_from_snr`; and the per-detector
+noncentrality formulas, which rebuild the return x from the scenario,
+check `analysis.noncentrality` on the receiver.  The paper's statistics
+in `dmimo.detectors` are the remaining reference: the tests check
+`analysis.statistic` against them.
 scipy is imported here, not in the package: it is a test dependency.
 """
 
@@ -28,7 +31,13 @@ import numpy as np
 from scipy import stats
 
 from dmimo.analysis import DetectorKind, Receiver, statistic
-from dmimo.detectors import _RCOND_LIMIT, CompensationSet, doppler_projectors
+from dmimo.detectors import (
+    _RCOND_LIMIT,
+    CompensationSet,
+    _check_cube,
+    _energy,
+    doppler_projectors,
+)
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     TrialConfig,
@@ -37,7 +46,6 @@ from dmimo.montecarlo import (
     _coordinates,
     _map_blocks,
     draw_noise,
-    draw_swerling1_alpha,
 )
 from dmimo.scene import (
     NonFluctuating,
@@ -196,6 +204,17 @@ def marcum_q_per_term(m: int, a: float, b: float) -> float:
     return min(1.0, total)
 
 
+def draw_swerling1_alpha(stream, rho_bar: float,
+                         size=()) -> np.ndarray | complex:
+    """Target amplitudes CN(0, rho_bar); |alpha|^2 is exponential with
+    mean rho_bar.  The full-cube oracle draws the complex amplitude the
+    package's coordinate blocks replace by its modulus."""
+    if not rho_bar > 0:
+        raise ValueError("mean RCS must be positive")
+    alpha = draw_noise(stream, 1, rho_bar, size)[..., 0]
+    return complex(alpha) if alpha.ndim == 0 else alpha
+
+
 def block_alpha(stream, cfg: TrialConfig, nb: int) -> np.ndarray:
     """A block's nb target amplitudes, the first draw of its stream: a
     Swerling I run draws them, a fixed target repeats its alpha, and an
@@ -229,9 +248,9 @@ def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     """Yield the run's coordinate blocks (c, g) one at a time, serially
     and in block order, plus the receiver in their coordinates: the
     serial reference for the pooled block map."""
-    crx, outside = _coordinates(rx)
+    frame = _coordinates(rx)
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
-        yield crx, _coordinate_block(crx, outside, cfg, j)
+        yield frame[0], _coordinate_block(*frame, cfg, j)
 
 
 @dataclass(frozen=True)
@@ -252,13 +271,25 @@ def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
     """KS distance between the empirical H0 statistic and its theoretical
     central chi-square law."""
     cfg = TrialConfig(trials=trials, seed=seed)
-    crx, outside = _coordinates(rx)
-    blocks = _map_blocks([(crx, outside, cfg, statistic(det, crx))])
+    frame = _coordinates(rx)
+    blocks = _map_blocks([frame + (cfg, statistic(det, frame[0]))])
     vals = np.concatenate([v for _, v in blocks])
     p, c = rx.law(det)
     ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
     return DistributionCheck(detector=det, trials=trials,
                              ks_distance=float(ks), order=p, scale=c)
+
+
+def acd_statistic(y, theta_hat) -> np.ndarray | float:
+    """The paper's ACD: squared magnitude of the phase-compensated global
+    sum.  The package evaluates it as the CD correlation with the phasors
+    exp(j theta_hat) as templates."""
+    y = _check_cube(y)
+    rot = np.exp(-1j * np.asarray(theta_hat))
+    if rot.shape != y.shape[-3:]:
+        raise ValueError("theta_hat dimensions must match the measurement")
+    out = _energy(np.sum(rot * y, axis=(-3, -2, -1)))
+    return out[()] if out.ndim == 0 else out
 
 
 def alpha_mle(y, templates) -> complex:

@@ -383,9 +383,14 @@ class TestSimulateCommand:
                        colocated_benchmark=True)
         exp = write_doc(tmp_path, doc)
         out = tmp_path / "s.csv"
-        assert main(["simulate", "--experiment", exp, "--out",
-                     str(out)]) == 0
+        code = main(["simulate", "--experiment", exp, "--out", str(out)])
         rows = read_csv(out)
+        # the exit status is the gate's verdict on the written rows, not
+        # a fixed 0: each of the 15 gated rows fails it by chance
+        assert code == int(any(
+            abs(float(r["pd_empirical"]) - float(r["pd_analytic"]))
+            > max(float(r["ci_halfwidth"]), 3.0 / int(r["trials"]))
+            for r in rows if r["error"] == ""))
         assert len(rows) == 3 * 2 * 3
         assert all((r["error"] == "") == (r["pd_empirical"] != "")
                    for r in rows)

@@ -10,7 +10,6 @@ from dmimo.analysis import Receiver
 from dmimo.detectors import (
     CompensationSet,
     _energy,
-    acd_statistic,
     cd_statistic,
     doppler_projectors,
     hd_statistic,
@@ -27,7 +26,7 @@ from dmimo.scene import (
 )
 from dmimo.montecarlo import TrialConfig
 from dmimo.waveforms import multi_band_chirp
-from oracles import alpha_mle, beta_mle
+from oracles import acd_statistic, alpha_mle, beta_mle
 
 
 def random_measurement(rng, M=2, N=1, K=12):
@@ -351,9 +350,10 @@ class TestEnergyForm:
         rng = np.random.default_rng(6000 + seed)
         sc, err = random_scenario(rng)
         sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)
-        crx, outside = montecarlo._coordinates(Receiver.build(sc, err))
+        frame = montecarlo._coordinates(Receiver.build(sc, err))
+        crx = frame[0]
         cfg = TrialConfig(trials=3000, seed=seed, target_draw=Swerling1(2.0))
-        c, _ = montecarlo._coordinate_block(crx, outside, cfg, 0)
+        c, _ = montecarlo._coordinate_block(*frame, cfg, 0)
         want = abs_squared_forms(c, crx)
         got = energy_forms(c, crx)
         assert got.keys() == want.keys()

@@ -1,5 +1,6 @@
 """Tests for the seeded trial engine."""
 
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -17,7 +18,6 @@ from dmimo.analysis import (
     threshold,
 )
 from dmimo.detectors import (
-    acd_statistic,
     cd_statistic,
     doppler_projectors,
     hd_statistic,
@@ -31,7 +31,6 @@ from dmimo.montecarlo import (
     TrialConfig,
     _block_rng,
     draw_noise,
-    draw_swerling1_alpha,
     run_sweep,
     run_trials,
 )
@@ -44,6 +43,8 @@ from dmimo.scene import (
 )
 from oracles import (
     DistributionCheck,
+    acd_statistic,
+    draw_swerling1_alpha,
     h0_statistic_distribution_check,
     iter_coordinate_blocks,
     iter_measurement_blocks,
@@ -261,9 +262,10 @@ def serial_counts(rx, gammas, cfg):
 
 def mixed_runs(sc, target=None, seed=31):
     """(rx, gammas, cfg) of three runs sharing one sweep: a
-    distributed r = 3 run of two full blocks (Doppler errors take the
-    return out of span S_hat), a co-located r = 1 run of one, and a
-    distributed run whose last block is partial."""
+    distributed r_S = 2 run of two full blocks (Doppler errors take the
+    return out of span S_hat, so its blocks add the shared coordinate),
+    a co-located r_S = 1 run of one, and a distributed run whose last
+    block is partial."""
     runs = []
     doppler = _path_errors(2, 1, df=12.0)
     for pair, (scenario, err, trials, dets) in enumerate([
@@ -292,7 +294,7 @@ class TestWorkerPool:
         runs = mixed_runs(ref_scenario, target)
         ranks = [montecarlo._coordinates(rx)[0].x.shape[-1]
                  for rx, *_ in runs]
-        assert ranks == [3, 1, 3]
+        assert ranks == [2, 1, 2]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -310,12 +312,13 @@ class TestWorkerPool:
     def test_byte_budget_counts_largest_block(self, monkeypatch, pool_spy,
                                               ref_scenario, budget_largest,
                                               workers):
-        # the co-located blocks are a third the size of the distributed
-        # ones; the worker count is set by the largest, wherever it runs
+        # a co-located block holds d = 2 complex coordinates per trial,
+        # a distributed one 2 per path and the shared one, d = 5; the
+        # worker count is set by the largest, wherever it runs
         runs = mixed_runs(ref_scenario)[1:]
-        sizes = [BLOCK_TRIALS * montecarlo._coordinates(rx)[0].x.nbytes
+        sizes = [BLOCK_TRIALS * montecarlo._coordinates(rx)[1].nbytes
                  for rx, *_ in runs]
-        assert sizes[1] == 3 * sizes[0]
+        assert sizes == [BLOCK_TRIALS * 2 * 16, BLOCK_TRIALS * 5 * 16]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
                             int(budget_largest * sizes[1]))
@@ -355,7 +358,7 @@ class TestWorkerPool:
             return ncd_statistic(y)
 
         block_bytes = BLOCK_TRIALS * montecarlo._coordinates(
-            ref_rx)[0].x.nbytes
+            ref_rx)[1].nbytes
         monkeypatch.setattr(analysis, "ncd_statistic", statistic)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
@@ -427,7 +430,7 @@ class TestScratch:
     def test_pooled_blocks_equal_serial(self, monkeypatch, ref_scenario,
                                         workers, target):
         # a run of three full blocks and a partial one, and a sweep that
-        # mixes distributed (r = 3) and co-located (r = 1) pairs
+        # mixes distributed (r_S = 2) and co-located (r_S = 1) pairs
         doppler = _path_errors(2, 1, df=12.0)
         rx = Receiver.build(ref_scenario, doppler)
         single = [(rx, None, TrialConfig(trials=POOL_TRIALS, seed=12,
@@ -454,47 +457,52 @@ class TestScratch:
                                           target):
         # fresh arrays drawn in the documented order give each block bit
         # for bit, with the product added in runs of 5 trials and a
-        # ragged last run
+        # ragged last run: the Swerling I moduli sqrt(rho_bar Exp(1)),
+        # then d = 5 coordinates per trial (2 per path, then the shared
+        # one), then the energy, to which the shared coordinate adds
         rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
-        crx, outside = montecarlo._coordinates(rx)
-        monkeypatch.setattr(montecarlo, "_PRODUCT_BYTES", 5 * crx.x.nbytes)
+        crx, signal, outside = montecarlo._coordinates(rx)
+        assert signal.size == 5 and outside == 2 * (12 - 2) - 1
+        monkeypatch.setattr(montecarlo, "_PRODUCT_BYTES", 5 * signal.nbytes)
         cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
                           target_draw=target)
         scratch = montecarlo._Scratch()
         for j, nb in enumerate([BLOCK_TRIALS, 17]):
             rng = _block_rng(8, 2, j)
             if isinstance(target, Swerling1):
-                alpha = draw_swerling1_alpha(rng, 1.0, (nb,))
+                alpha = np.sqrt(1.0 * rng.standard_exponential(nb))
             elif isinstance(target, NonFluctuating):
                 alpha = np.full(nb, target.alpha)
-            c = draw_noise(rng, 3, 1.0, (nb, 2, 1))
+            z = draw_noise(rng, 5, 1.0, (nb,))
             g = 1.0 * rng.standard_gamma(outside, nb)
             if target is not None:
-                c = c + alpha[:, None, None, None] * crx.x
+                z = z + alpha[:, None] * signal
+            g = g + (z[:, -1].real ** 2 + z[:, -1].imag ** 2)
+            c = z[:, :4].reshape(nb, 2, 1, 2)
             assert_same_bits(
-                [montecarlo._coordinate_block(crx, outside, cfg, j),
-                 montecarlo._coordinate_block(crx, outside, cfg, j,
+                [montecarlo._coordinate_block(crx, signal, outside, cfg, j),
+                 montecarlo._coordinate_block(crx, signal, outside, cfg, j,
                                               scratch)],
                 [(c, g), (c, g)])
 
     def test_block_without_scratch_is_fresh(self, ref_rx):
-        crx, outside = montecarlo._coordinates(ref_rx)
+        frame = montecarlo._coordinates(ref_rx)
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
-        first = montecarlo._coordinate_block(crx, outside, cfg, 0)
+        first = montecarlo._coordinate_block(*frame, cfg, 0)
         kept = copied(*first)
-        montecarlo._coordinate_block(crx, outside, cfg, 1)
+        montecarlo._coordinate_block(*frame, cfg, 1)
         assert_same_bits([first], [kept])
 
     def test_scratch_reused_until_shape_changes(self, ref_rx):
-        crx, outside = montecarlo._coordinates(ref_rx)
+        frame = montecarlo._coordinates(ref_rx)
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
         scratch = montecarlo._Scratch()
-        c0, g0 = montecarlo._coordinate_block(crx, outside, cfg, 0, scratch)
-        c1, g1 = montecarlo._coordinate_block(crx, outside, cfg, 1, scratch)
+        c0, g0 = montecarlo._coordinate_block(*frame, cfg, 0, scratch)
+        c1, g1 = montecarlo._coordinate_block(*frame, cfg, 1, scratch)
         assert np.shares_memory(c0, c1) and np.shares_memory(g0, g1)
-        c3, g3 = montecarlo._coordinate_block(crx, outside, cfg, 3, scratch)
+        c3, g3 = montecarlo._coordinate_block(*frame, cfg, 3, scratch)
         assert len(c3) == len(g3) == 17
         assert not np.shares_memory(c3, c1)
 
@@ -529,14 +537,30 @@ class TestStreams:
         assert not np.array_equal(_block_rng(*a, 0).standard_normal(64),
                                   _block_rng(*b, 0).standard_normal(64))
 
-    def test_blocks_are_disjoint_counter_ranges(self):
-        # the block index is the counter's high word: block 1 is not
-        # block 0 advanced, and block 0 of another pair is another stream
+    def test_blocks_draw_distinct_streams(self):
+        # every block is an SFC64 stream seeded by the SeedSequence of
+        # entropy seed and spawn key (pair, block): block 1 is not block 0
+        # advanced, block 0 of another pair is another stream, and
+        # swapping seed and pair swaps the key, not the stream
+        rng = _block_rng(3, 1, 7)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        seq = rng.bit_generator.seed_seq
+        assert (seq.entropy, seq.spawn_key) == (3, (1, 7))
         first = _block_rng(3, 0, 0).standard_normal(4096)
-        assert not np.array_equal(_block_rng(3, 0, 1).standard_normal(64),
-                                  first[:64])
-        assert not np.any(np.isin(_block_rng(3, 1, 0).standard_normal(64),
-                                  first))
+        for key in [(3, 0, 1), (3, 1, 0), (0, 3, 0)]:
+            assert not np.any(np.isin(_block_rng(*key).standard_normal(64),
+                                      first)), key
+
+    def test_numpy_random_loads_on_the_first_draw(self):
+        # the CLI's start-up does not import numpy.random
+        import subprocess
+        code = ("import sys, dmimo.cli; "
+                "assert 'numpy.random' not in sys.modules; "
+                "dmimo.montecarlo._block_rng(1, 0, 0); "
+                "assert 'numpy.random' in sys.modules")
+        src = str(Path(montecarlo.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 def _path_errors(M, N, dt=0.0, df=0.0, dp=0.0):
@@ -579,12 +603,14 @@ class TestCoordinates:
         # every vector a detector reads lies in the spans of the basis
         rx, y = random_case(seed, random_scenario)
         basis = montecarlo._basis(rx)
-        crx, outside = montecarlo._coordinates(rx)
+        crx, signal, outside = montecarlo._coordinates(rx)
         M, N, K, r = basis.shape
         gram = np.einsum("mnkr,mnks->mnrs", np.conj(basis), basis)
         assert np.allclose(gram, np.eye(r), atol=1e-12)
-        assert r <= min(K, M + 1)
-        assert outside == M * N * (K - r)
+        assert r <= min(K, M)
+        shared = signal.size - M * N * r
+        assert shared in (0, 1)
+        assert outside == M * N * (K - r) - shared
         c = np.einsum("mnkr,tmnk->tmnr", np.conj(basis), y)
         g = (np.sum(np.abs(y) ** 2, axis=(1, 2, 3))
              - np.sum(np.abs(c) ** 2, axis=(1, 2, 3)))
@@ -628,22 +654,20 @@ class TestCoordinates:
     def test_colocated_rank_one(self, ref_scenario, zero_err):
         rx = Receiver.build(colocated_scenario(ref_scenario), zero_err)
         assert montecarlo._basis(rx).shape == (2, 1, 12, 1)
-        assert montecarlo._coordinates(rx)[1] == 2 * 11
+        assert montecarlo._coordinates(rx)[2] == 2 * 11
 
     # Two-sample KS of each statistic: the engine's coordinate blocks
     # against full (trials, M, N, K) measurement cubes drawn on an
     # independent stream.
     KS_TRIALS = 16384
     KS_ALPHA = 1e-3
+    CASES = ["h0", "swerling", "fixed", "timing", "frequency", "phase",
+             "colocated", "array", "short", "two_rx", "colocated_doppler",
+             "zero_gain", "square"]
 
-    @pytest.mark.parametrize("case", [
-        "h0", "swerling", "fixed", "timing", "frequency", "phase",
-        "colocated", "array", "short"])
-    def test_law_matches_full_cube(self, case, ref_scenario,
-                                   random_scenario):
-        # imported here: scipy is the test's reference, not the package's
-        from scipy import stats
-
+    def case(self, case, ref_scenario, random_scenario):
+        """(scenario, errors, target, detectors, trials) of a named
+        case."""
         sc, M = ref_scenario, 2
         err = SyncErrors.zeros(M, 1)
         target, dets = Swerling1(1.0), ALL
@@ -666,13 +690,86 @@ class TestCoordinates:
             trials = BLOCK_TRIALS
         elif case == "short":
             # K = M + 1, and the Doppler errors take x out of span S_hat:
-            # r = K, so no energy lies outside
+            # r_S = M, so one dimension lies outside, the shared one
             sc = reference_scenario("multi_band", k_pulses=3)
             err = _path_errors(M, 1, df=12.0)
+        elif case == "two_rx":
+            # RX 0 sees two Dopplers and Doppler errors (rank 2, x
+            # outside its span); RX 1 sees one Doppler from both TX
+            # (rank 1, x inside), so its basis carries an extra column
+            sc, _ = random_scenario(np.random.default_rng(78), m_tx=M,
+                                    n_rx=2, k_pulses=12)
+            doppler = sc.doppler_hz.copy()
+            doppler[1, 1] = doppler[0, 1]
+            sc = replace(sc, doppler_hz=doppler)
+            zeros = np.zeros((M, 2))
+            err = SyncErrors(dt=zeros, df=np.array([[5.0, 0.0], [10.0, 0.0]]),
+                             dp=zeros, dc_rx=np.zeros(2))
+            dets = ALL[:3]
+        elif case == "colocated_doppler":
+            # one Doppler error on every path: S_hat stays rank 1, and
+            # x leaves its span
+            zeros = np.zeros((M, 1))
+            sc, dets = colocated_scenario(sc), ALL[:3]
+            err = SyncErrors(dt=zeros, df=np.full((M, 1), 12.0), dp=zeros,
+                             dc_rx=np.zeros(1))
+        elif case == "zero_gain":
+            # x = 0: no shared coordinate, and the CD templates vanish
+            sc = replace(sc, xi=np.zeros((M, 1)))
+        elif case == "square":
+            # K = M: the spans fill every path, nothing lies outside
+            sc = reference_scenario("multi_band", k_pulses=M)
+            err = _path_errors(M, 1, df=12.0)
+        return sc, err, target, dets, trials
+
+    @pytest.mark.parametrize("case, shared", [
+        ("swerling", 0), ("timing", 0), ("frequency", 1), ("colocated", 0),
+        ("array", 1), ("short", 1), ("two_rx", 1), ("colocated_doppler", 1),
+        ("zero_gain", 0), ("square", 0)])
+    def test_block_draws_span_coordinates_and_one_shared(
+            self, case, shared, ref_scenario, random_scenario):
+        # a block draws exactly M N r_S complex coordinates per trial, r_S
+        # the largest rank of S_hat_n, and the shared one only where the
+        # return has energy e > 0 outside the spans; e is that shared
+        # coordinate's signal
+        sc, err, *_ = self.case(case, ref_scenario, random_scenario)
         rx = Receiver.build(sc, err)
-        crx, outside = montecarlo._coordinates(rx)
+        M, N, K = rx.x.shape
+        r = max(np.linalg.matrix_rank(s) for s in rx.comp.S_hat)
+        crx, signal, outside = montecarlo._coordinates(rx)
+        assert crx.x.shape == (M, N, r)
+        assert signal.size == M * N * r + shared
+        assert outside == M * N * (K - r) - shared
+        np.testing.assert_array_equal(signal[:M * N * r], crx.x.ravel())
+        residual = [x - s @ np.linalg.lstsq(s, x, rcond=None)[0]
+                    for xs, s in zip(rx.x.transpose(1, 0, 2), rx.comp.S_hat)
+                    for x in xs]
+        e = np.linalg.norm(residual)
+        if shared:
+            assert signal[-1] == pytest.approx(e, rel=1e-9)
+        else:
+            assert e <= 1e-9 * max(1.0, np.linalg.norm(rx.x))
+        cfg = TrialConfig(trials=100, seed=1, target_draw=Swerling1(1.0))
+        scratch = montecarlo._Scratch()
+        c, g = montecarlo._coordinate_block(crx, signal, outside, cfg, 0,
+                                            scratch)
+        assert scratch.arrays["noise"].shape == (100, M * N * r + shared, 2)
+        assert c.shape == (100, M, N, r) and g.shape == (100,)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_law_matches_full_cube(self, case, ref_scenario,
+                                   random_scenario):
+        # imported here: scipy is the test's reference, not the package's
+        from scipy import stats
+
+        sc, err, target, dets, trials = self.case(case, ref_scenario,
+                                                  random_scenario)
+        rx = Receiver.build(sc, err)
+        crx, signal, outside = montecarlo._coordinates(rx)
         if case == "short":
-            assert outside == 0
+            assert (signal.size, outside) == (crx.x.size + 1, 1)
+        if case == "square":
+            assert (signal.size, outside) == (crx.x.size, 0)
         cfg = TrialConfig(trials=trials, seed=610, target_draw=target)
         oracle_cfg = TrialConfig(trials=trials, seed=611, target_draw=target)
         cubes = list(iter_measurement_blocks(sc, err, oracle_cfg))
@@ -680,7 +777,7 @@ class TestCoordinates:
         for d in dets:
             stat = analysis.statistic(d, crx)
             got = np.concatenate([v for _, v in montecarlo._map_blocks(
-                [(crx, outside, cfg, stat)])])
+                [(crx, signal, outside, cfg, stat)])])
             want = np.concatenate([definition(d, rx.comp, y) for y in cubes])
             p_values[d] = stats.ks_2samp(got, want).pvalue
         assert min(p_values.values()) > self.KS_ALPHA, p_values
