@@ -29,9 +29,9 @@ import numpy as np
 from .detectors import (
     CompensationSet,
     cd_statistic,
-    doppler_projectors,
     hd_statistic,
     ncd_statistic,
+    steering_span,
 )
 from .scene import Scenario, Swerling1, SyncErrors, noise_free_mf_output
 from .specfun import (
@@ -93,8 +93,8 @@ def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
         HD   p = N M^2  c = sigma^2
 
     with varsigma = ||v||^2 the energy of the CD templates v.  Raises
-    ValueError for CD without varsigma, and where the product c overflows
-    or, for ACD, KMN is beyond a double."""
+    ValueError for CD without varsigma, and where the product c overflows,
+    underflows to 0 or, for ACD, KMN is beyond a double."""
     if det is DetectorKind.NCD:
         return K * M * N, sigma2
     if det is DetectorKind.HD:
@@ -108,19 +108,22 @@ def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
         raise ValueError("CD requires the varsigma scaling factor")
     else:
         c = varsigma * sigma2
-    if not math.isfinite(c):
-        raise ValueError(f"{det.value} statistic scale c = {c} is not finite")
+    if not 0 < c < math.inf:
+        raise ValueError(f"{det.value} statistic scale c = {c} is not finite "
+                         "and positive")
     return 1, c
 
 
 @dataclass(frozen=True)
 class Receiver:
     """Everything the detectors read at one (sweep point, system) pair,
-    built once: the scenario, the compensation set, varsigma, and per
-    path, in one frame, the return x at unit amplitude, the ACD phasors
-    exp(j theta_hat), the CD templates and the HD Doppler bases
-    (M, N, K, M), or the error text where HD has none.  ``build`` gives
-    the K-sample frame, ``onto`` sufficient coordinates."""
+    built once: the scenario, the compensation set, varsigma, the rank of
+    each receiver's Doppler steering S_hat_n (N,), and per path, in one
+    frame, the return x at unit amplitude, the ACD phasors
+    exp(j theta_hat), the CD templates and the orthonormal basis of span
+    S_hat_n (M, N, K, r_S) from ``detectors.steering_span``, which HD
+    projects onto and the Monte Carlo draws its coordinates in.
+    ``build`` gives the K-sample frame, ``onto`` sufficient coordinates."""
 
     sc: Scenario
     comp: CompensationSet
@@ -128,7 +131,8 @@ class Receiver:
     varsigma: float
     phasors: np.ndarray
     templates: np.ndarray
-    doppler: np.ndarray | str
+    span: np.ndarray
+    rank: np.ndarray
 
     @classmethod
     def build(cls, sc: Scenario, err: SyncErrors) -> "Receiver":
@@ -136,27 +140,22 @@ class Receiver:
         raises ValueError where the compensation set cannot be built."""
         comp = CompensationSet.from_scenario(sc, err)
         templates = comp.templates
-        try:
-            q = doppler_projectors(comp.S_hat)
-            doppler = np.broadcast_to(q, (sc.m_tx,) + q.shape)
-        except ValueError as exc:
-            doppler = str(exc)
+        u, rank = steering_span(comp.S_hat)
         return cls(sc=sc, comp=comp, x=noise_free_mf_output(sc, err, 1.0),
                    varsigma=float(np.sum(np.abs(templates) ** 2)),
                    phasors=np.exp(1j * comp.theta_hat),
-                   templates=templates, doppler=doppler)
+                   templates=templates,
+                   span=np.broadcast_to(u, (sc.m_tx,) + u.shape), rank=rank)
 
     def onto(self, basis) -> "Receiver":
         """The same receiver in the coordinates of ``basis`` (M, N, K, r):
         r orthonormal columns per path, spanning every vector read."""
         def coords(v):
-            if isinstance(v, str):  # HD's error text
-                return v
             return np.einsum("mnkr,mnk...->mnr...", np.conj(basis), v)
 
         return replace(self, x=coords(self.x), phasors=coords(self.phasors),
                        templates=coords(self.templates),
-                       doppler=coords(self.doppler))
+                       span=coords(self.span))
 
     def law(self, det: DetectorKind) -> tuple[int, float]:
         """The detector's chi-square law (p, c) at this pair."""
@@ -169,16 +168,21 @@ def statistic(det: DetectorKind, rx: Receiver):
     cube (M, N, K) or a batch of them, or a batch of coordinates
     (trials, M, N, r) with g the energy outside their spans, which only
     NCD reads.  ACD is the CD correlation with the phasors as templates.
-    Raises ValueError for HD where the receiver has no Doppler bases."""
+    HD projects onto the receiver's span, and raises ValueError where a
+    receiver's Doppler steering has rank below M (as it has for K < M),
+    naming the receiver and its rank."""
     if det is DetectorKind.NCD:
         return lambda y, g=0.0: ncd_statistic(y) + g
     if det is DetectorKind.ACD:
         return lambda y, g=0.0: cd_statistic(y, rx.phasors)
     if det is DetectorKind.CD:
         return lambda y, g=0.0: cd_statistic(y, rx.templates)
-    if isinstance(rx.doppler, str):
-        raise ValueError(rx.doppler)
-    return lambda y, g=0.0: hd_statistic(y, rx.doppler)
+    M, K = rx.sc.m_tx, rx.sc.k_pulses
+    for n, r in enumerate(rx.rank):
+        if r < M:
+            raise ValueError(f"Doppler steering matrix for RX {n} has rank "
+                             f"{r} < M = {M} (K = {K}); HD needs rank M")
+    return lambda y, g=0.0: hd_statistic(y, rx.span)
 
 
 def noncentrality(det: DetectorKind, rx: Receiver, rho: float) -> float:

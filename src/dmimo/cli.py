@@ -80,7 +80,11 @@ def _load(path) -> ExperimentSpec:
 def cmd_caf(args) -> int:
     spec = _load(args.experiment)
     with _open_out(args.out) as fh:
-        _write_rows(fh, _CAF_COLUMNS, _caf_rows(spec, args.points))
+        try:
+            rows = _caf_rows(spec, args.points)
+        except ValueError as exc:  # a CAF phase beyond a double
+            raise SystemExit(f"error: {exc}")
+        _write_rows(fh, _CAF_COLUMNS, rows)
     return 0
 
 

@@ -4,8 +4,9 @@ Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
 single measurement cube or a batch with a leading trial axis.  Each takes
 the measurement and the one receiver quantity it reads: nothing (NCD),
-the templates (CD) or the Doppler projectors (HD); ACD is the CD
-correlation with the compensation phasors exp(j theta_hat) as templates.
+the templates (CD) or per-path bases of the Doppler steering spans
+(HD), which ``steering_span`` finds; ACD is the CD correlation with the
+compensation phasors exp(j theta_hat) as templates.
 These are the paper's definitions; the package reads them through
 ``analysis.statistic`` on an ``analysis.Receiver``, which holds each
 such quantity once per (sweep point, system) pair.  The CD
@@ -35,7 +36,7 @@ __all__ = [
     "ncd_statistic",
     "cd_statistic",
     "hd_statistic",
-    "doppler_projectors",
+    "steering_span",
 ]
 
 _RCOND_LIMIT = 1e-12
@@ -128,60 +129,46 @@ def cd_statistic(y, templates) -> np.ndarray | float:
     return out[()] if out.ndim == 0 else out
 
 
-def doppler_projectors(S_hat) -> np.ndarray:
-    """Orthonormal bases Q_n (N, K, M) for the Doppler steering subspaces,
-    via QR factorization rather than explicit Gram inversion.  The bases
-    (or the rank-deficiency error) are cached on the exact bytes of
-    ``S_hat``, at most 8 sets, and shared read-only.
+def steering_span(S_hat) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (N, K, r_S) of the spans of the Doppler steering
+    matrices S_hat (N, K, M), and each receiver's numerical rank (N,).
 
-    Raises on K < M and on numerically rank-deficient steering matrices
-    (near-duplicate Doppler columns), naming the offending receiver.
+    One rank-revealing SVD of the unit-normed columns: a receiver's rank
+    counts its singular values above _RCOND_LIMIT times its largest, so
+    it is min(K, M) at most and 1 for co-located steering without sync
+    errors.  The bases are the leading r_S left singular vectors, r_S the
+    largest rank, so a receiver of lower rank carries extra orthonormal
+    columns.  Cached on the exact bytes of ``S_hat``, at most 8 of them,
+    and shared read-only.
     """
     S_hat = np.asarray(S_hat)
-    N, K, M = S_hat.shape
-    if K < M:
-        raise ValueError(f"HD needs K >= M, got K={K}, M={M}")
-    qs = _doppler_bases(S_hat.tobytes(), S_hat.shape, S_hat.dtype.str)
-    if isinstance(qs, str):
-        raise ValueError(qs)
-    return qs
+    return _span(S_hat.tobytes(), S_hat.shape, S_hat.dtype.str)
 
 
 # keyed and bounded like scene._steering, whose matrices it reads
 @functools.lru_cache(maxsize=8)
-def _doppler_bases(s_bytes, shape, dtype):
-    # the bases, or the rank-deficiency error text, so a sweep that meets
-    # the same deficient matrix again does not repeat its SVDs
+def _span(s_bytes, shape, dtype):
     S_hat = np.frombuffer(s_bytes, dtype=dtype).reshape(shape)
-    qs = np.empty(shape, dtype=complex)
-    for n in range(shape[0]):
-        sv = np.linalg.svd(S_hat[n], compute_uv=False)
-        if sv[-1] < _RCOND_LIMIT * sv[0]:
-            return (f"Doppler steering matrix for RX {n} is numerically "
-                    f"rank deficient (reciprocal condition "
-                    f"{sv[-1] / sv[0]:.2e})")
-        qs[n], _ = np.linalg.qr(S_hat[n])
-    qs.flags.writeable = False
-    return qs
+    cols = S_hat / np.linalg.norm(S_hat, axis=-2, keepdims=True)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)
+    u = u[..., :rank.max()]
+    u.flags.writeable = rank.flags.writeable = False
+    return u, rank
 
 
 def hd_statistic(y, basis) -> np.ndarray | float:
     """Energy of each path's projection onto its Doppler steering subspace,
-    summed non-coherently over paths.  ``basis`` is
-    ``doppler_projectors(S_hat)``, one (K, M) orthonormal basis per
-    receiver, or one basis per path (M, N, K, M); in sufficient
-    coordinates K is r."""
+    summed non-coherently over paths.  ``basis`` holds one orthonormal
+    basis per path (M, N, K, r), such as ``analysis.Receiver.span``; in
+    sufficient coordinates K is r."""
     y = _check_cube(y)
     basis = np.asarray(basis)
-    if basis.ndim == 4:
-        # one (trials, K) x (K, M) matrix product per path, then the
-        # energy per trial over paths and basis columns
-        batch = y.reshape((-1,) + y.shape[-3:])
-        coeffs = np.matmul(batch.transpose(1, 2, 0, 3), np.conj(basis))
-        out = _energy(coeffs, (0, 1, 3))
-        return out if y.ndim == 4 else out[0]
-    # coeffs: (..., M, N, M') inner products with the orthonormal basis
-    coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(basis), y)
-    out = _energy(coeffs, (-3, -2, -1))
-    return out[()] if out.ndim == 0 else out
-
+    if basis.shape[:-1] != y.shape[-3:]:
+        raise ValueError("basis dimensions must match the measurement")
+    # one (trials, K) x (K, r) matrix product per path, then the energy
+    # per trial over paths and basis columns
+    batch = y.reshape((-1,) + y.shape[-3:])
+    coeffs = np.matmul(batch.transpose(1, 2, 0, 3), np.conj(basis))
+    out = _energy(coeffs, (0, 1, 3))
+    return out if y.ndim == 4 else out[0]

@@ -184,9 +184,15 @@ def _parse_target(doc, path):
         re = _number(t, f"{path}.target", "alpha_re", 1.0)
         im = _number(t, f"{path}.target", "alpha_im", 0.0)
         alpha = complex(re, im)
-        if alpha == 0:
-            raise ExperimentError(f"{path}.target: fixed amplitude is zero")
-        return NonFluctuating(alpha), abs(alpha) ** 2
+        try:
+            rho = abs(alpha) ** 2
+        except OverflowError:
+            rho = math.inf
+        if not 0 < rho < math.inf:
+            raise ExperimentError(f"{path}.target: |alpha|^2 = {rho} of the "
+                                  "fixed amplitude must be finite and "
+                                  "positive")
+        return NonFluctuating(alpha), rho
     raise ExperimentError(
         f"{path}.target.model: expected 'swerling1' or 'fixed'")
 
@@ -225,6 +231,9 @@ def _parse_scenario(doc):
     psi = _matrix(doc, path, "psi_rad", (M, N),
                   _reference_paths(presets.PSI_OVER_PI, M, N, math.pi))
     b = _matrix(doc, path, "b", (M,), np.ones(M))
+    if not np.all(b > 0):
+        raise ExperimentError(
+            f"{path}.b[{np.argmin(b > 0)}]: must be positive")
     snr = _matrix(doc, path, "snr_db", (M,), np.zeros(M))
     sigma2 = _number(doc, path, "sigma2", 1.0, positive=True)
 

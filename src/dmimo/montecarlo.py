@@ -33,12 +33,14 @@ Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
 y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of
 variance sigma^2.  No statistic but NCD reads outside span S_hat_n: the
-ACD phasors, the CD templates and the HD projectors of path (m, n) all
-lie in it.  With B_n an orthonormal basis of span S_hat_n (r_S columns,
-the largest rank over the receivers), every statistic is an exact
-function of the coordinates c_mn = B_n^H y_mn and, for NCD, of the
-energy g outside the spans, summed over paths.  White Gaussian noise is
-invariant under unitary maps, so B_n^H w_mn is CN(0, sigma^2 I), and
+ACD phasors and the CD templates of path (m, n) are combinations of its
+columns, and HD projects onto it.  With B_n the receiver's orthonormal
+basis ``Receiver.span`` of that span (r_S columns, the largest rank over
+the receivers; the one SVD of ``detectors.steering_span``, whose basis
+HD projects onto too), every statistic is an exact function of the
+coordinates c_mn = B_n^H y_mn and, for NCD, of the energy g outside
+the spans, summed over paths.  White Gaussian noise is invariant under
+unitary maps, so B_n^H w_mn is CN(0, sigma^2 I), and
 the noise outside the spans is independent of it and invariant under
 any unitary map of that outside space.  The signal's part outside the
 spans, x_perp with e = ||x_perp|| over all paths, is one direction of
@@ -170,36 +172,17 @@ def draw_noise(stream: np.random.Generator, dims: int,
     return z.view(np.complex128)[..., 0]
 
 
-def _basis(rx: Receiver) -> np.ndarray:
-    """Per-path orthonormal bases (M, N, K, r_S) of span S_hat_n, of one
-    rank r_S for the run; the paths of a receiver share its basis.
-
-    Every vector a statistic reads lies in span S_hat_n: the ACD phasors
-    and the CD templates are combinations of its columns, and the HD
-    projectors span it.  A rank-revealing SVD of the unit-normed columns
-    finds each receiver's rank (M at most, 1 for co-located steering
-    without sync errors); r_S is the largest, so a receiver of lower rank
-    carries extra orthonormal columns, which keeps the coordinates exact.
-    """
-    S_hat = rx.comp.S_hat
-    cols = S_hat / np.linalg.norm(S_hat, axis=-2, keepdims=True)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    r = int(np.max(np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)))
-    u = u[..., :r]
-    return np.broadcast_to(u, rx.x.shape[:1] + u.shape)
-
-
 def _coordinates(rx: Receiver):
-    """The run's frame: the receiver in span coordinates, the return at
-    unit amplitude as the d coordinates a block draws per trial, and the
-    complex dimensions left to the energy.
+    """The run's frame: the receiver in the coordinates of its span
+    ``rx.span``, the return at unit amplitude as the d coordinates a
+    block draws per trial, and the complex dimensions left to the energy.
 
     The return's (M, N, r_S) span coordinates come first; where its part
     outside the spans has norm e > _RCOND_LIMIT ||x|| over all paths, e
     follows as the one shared coordinate, and the energy covers
     M N (K - r_S) - 1 dimensions, else M N (K - r_S).
     """
-    basis = _basis(rx)
+    basis = rx.span
     M, N, K, r = basis.shape
     crx = rx.onto(basis)
     inside = np.einsum("mnkr,mnr->mnk", basis, crx.x)

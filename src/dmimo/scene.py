@@ -23,9 +23,10 @@ evaluation would:
   S  on the Dopplers, K and the PRI; at most 8 matrices, since each
      holds N K M samples.  Every sweep but a Doppler sweep reuses it.
 
-`detectors.doppler_projectors` caches the HD Doppler bases the same way
-on the bytes of S, and `analysis.threshold` its gamma quantiles on
-(p, Pfa); every sweep reuses those thresholds.  An independent scalar
+`detectors.steering_span` caches the span bases and ranks of the
+estimated S (one SVD, which HD and the Monte Carlo read) the same way on
+its bytes, and `analysis.threshold` its gamma quantiles on (p, Pfa);
+every sweep reuses those thresholds.  An independent scalar
 evaluation of the samples (auto term plus M-1 cross terms) lives with
 the tests as the oracle for the factorized form.
 

@@ -14,10 +14,13 @@ block map, from the chi-square law of `Receiver.law` checks the law the
 closed forms take; the amplitude MLE alpha checks the CD GLRT identity,
 and the per-path beta MLE the HD projection energy; the paper's ACD, the
 phase-compensated global sum, checks the package's ACD, the CD
-correlation on the phasors; the bistatic link budget checks the
-back-solved channel gain of `xi_from_snr`; and the per-detector
-noncentrality formulas, which rebuild the return x from the scenario,
-check `analysis.noncentrality` on the receiver.  The paper's statistics
+correlation on the phasors; the QR bases of the Doppler steering
+subspaces, with the paper's HD on one such basis per receiver, check the
+SVD span of `detectors.steering_span` and the package's per-path HD; the
+bistatic link budget checks the back-solved channel gain of
+`xi_from_snr`; and the per-detector noncentrality formulas, which
+rebuild the return x from the scenario, check `analysis.noncentrality`
+on the receiver.  The paper's statistics
 in `dmimo.detectors` are the remaining reference: the tests check
 `analysis.statistic` against them.
 scipy is imported here, not in the package: it is a test dependency.
@@ -36,7 +39,6 @@ from dmimo.detectors import (
     CompensationSet,
     _check_cube,
     _energy,
-    doppler_projectors,
 )
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
@@ -289,6 +291,36 @@ def acd_statistic(y, theta_hat) -> np.ndarray | float:
     if rot.shape != y.shape[-3:]:
         raise ValueError("theta_hat dimensions must match the measurement")
     out = _energy(np.sum(rot * y, axis=(-3, -2, -1)))
+    return out[()] if out.ndim == 0 else out
+
+
+def doppler_projectors(S_hat) -> np.ndarray:
+    """Orthonormal bases Q_n (N, K, M) of the Doppler steering subspaces,
+    by QR factorization: the independent reference for the SVD bases of
+    ``detectors.steering_span``.  Raises on K < M and on numerically
+    rank-deficient steering matrices (near-duplicate Doppler columns),
+    naming the offending receiver."""
+    S_hat = np.asarray(S_hat)
+    N, K, M = S_hat.shape
+    if K < M:
+        raise ValueError(f"HD needs K >= M, got K={K}, M={M}")
+    qs = np.empty(S_hat.shape, dtype=complex)
+    for n in range(N):
+        sv = np.linalg.svd(S_hat[n], compute_uv=False)
+        if sv[-1] < _RCOND_LIMIT * sv[0]:
+            raise ValueError(f"Doppler steering matrix for RX {n} is "
+                             "numerically rank deficient")
+        qs[n], _ = np.linalg.qr(S_hat[n])
+    return qs
+
+
+def hd_receiver_bases(y, q) -> np.ndarray | float:
+    """The paper's HD with one basis per receiver: the energy of each
+    path's projection onto Q_n of ``doppler_projectors`` (N, K, M),
+    summed non-coherently over paths."""
+    y = _check_cube(y)
+    coeffs = np.einsum("nkj,...mnk->...mnj", np.conj(np.asarray(q)), y)
+    out = _energy(coeffs, (-3, -2, -1))
     return out[()] if out.ndim == 0 else out
 
 

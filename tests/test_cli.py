@@ -99,6 +99,16 @@ class TestThresholdCommand:
         assert str(exc.value.code).startswith("error: ")
         assert capsys.readouterr().out == ""
 
+    def test_underflowing_scale_is_an_error(self, capsys):
+        # c = varsigma sigma^2 = 1e-600 underflows to 0, a threshold of 0
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", "CD", "--pfa", "0.01",
+                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
+                  "--sigma2", "1e-300", "--varsigma", "1e-300"])
+        assert exc.value.code == ("error: CD statistic scale c = 0.0 is not "
+                                  "finite and positive")
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("det, k, m", [
         ("ACD", 10**309, 2),  # K M N sigma^2 is beyond a double
         ("NCD", 2**53, 1),    # order p = K M N = 2**53
@@ -175,6 +185,18 @@ class TestCafCommand:
         exp = write_doc(tmp_path, base_doc())
         with pytest.raises(SystemExit):
             main(["caf", "--experiment", exp, "--out", ""])
+
+    def test_caf_phase_overflow_is_one_error_line(self, tmp_path):
+        # a 1e308 Hz chirp's phase is beyond a double at most delays
+        doc = json.loads((RECIPES / "timing_errors.json").read_text())
+        doc["scenario"]["bandwidth_hz"] = 1e308
+        out = tmp_path / "caf.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["caf", "--experiment", write_doc(tmp_path, doc),
+                  "--out", str(out)])
+        assert exc.value.code == ("error: the CAF phase overflows a double "
+                                  "at these arguments")
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("points", ["0", "1", "-5"])
     def test_too_few_points_is_usage_error(self, tmp_path, capsys, points):
@@ -254,7 +276,8 @@ class TestAnalyzeCommand:
         rows = read_csv(out)
         hd = [r for r in rows if r["detector"] == "HD"]
         ncd = [r for r in rows if r["detector"] == "NCD"]
-        assert all("K >= M" in r["error"] for r in hd)
+        assert all("RX 0 has rank 1 < M = 2 (K = 1)" in r["error"]
+                   for r in hd)
         assert all(r["error"] == "" and r["pd_analytic"] != "" for r in ncd)
 
     def test_colocated_rows_present(self, tmp_path):
@@ -292,6 +315,22 @@ class TestAnalyzeCommand:
                   "--out", str(out)])
         assert str(exc.value.code).startswith("error: $.pfa_target")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_scale_underflow_gives_error_rows(self, tmp_path, command):
+        # at sigma^2 = 1e-320 the CD scale varsigma sigma^2 underflows to
+        # 0, so every CD row is an error row and no other row is
+        doc = json.loads((RECIPES / "timing_errors.json").read_text())
+        doc["scenario"]["sigma2"] = 1e-320
+        doc["trials"] = 100
+        out = tmp_path / "a.csv"
+        assert main([command, "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)]) in (0, 1)
+        rows = read_csv(out)
+        errors = {r["detector"] for r in rows if r["error"]}
+        assert errors == {"CD"}
+        assert all(r["error"] == "CD statistic scale c = 0.0 is not finite "
+                   "and positive" for r in rows if r["detector"] == "CD")
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_memory_error_is_one_error_line(self, tmp_path, command):
@@ -423,10 +462,12 @@ class TestSimulateCommand:
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count the calls of the model build, the compensation set and the
-    Doppler projectors, through every binding of each in the loaded
-    ``dmimo`` modules."""
+    """Count the calls of the model build, the compensation set, the
+    steering span and numpy's SVD, through every binding of each in the
+    loaded ``dmimo`` modules, from an empty span cache; ``spans`` collects
+    the distinct steering matrices the span was asked for."""
     counts = Counter()
+    counts.spans = set()
 
     def spy(name, fn):
         def counted(*args, **kwargs):
@@ -434,10 +475,17 @@ def build_counts(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    real_span = detectors.steering_span
+
+    def steering_span(S_hat):
+        counts.spans.add(S_hat.tobytes())
+        return real_span(S_hat)
+
     modules = [m for n, m in sys.modules.items()
                if m is not None and n.split(".")[0] == "dmimo"]
-    for fn in (scene.noise_free_mf_output, detectors.doppler_projectors):
-        counted = spy(fn.__name__, fn)
+    for fn, inner in ((scene.noise_free_mf_output, scene.noise_free_mf_output),
+                      (real_span, steering_span)):
+        counted = spy(fn.__name__, inner)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
@@ -445,6 +493,8 @@ def build_counts(monkeypatch):
     build = detectors.CompensationSet.from_scenario.__func__
     monkeypatch.setattr(detectors.CompensationSet, "from_scenario",
                         classmethod(spy("from_scenario", build)))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    detectors._span.cache_clear()
     return counts
 
 
@@ -452,14 +502,18 @@ def build_counts(monkeypatch):
                                   ["simulate", "--trials", "8193"]])
 def test_one_receiver_per_pair(tmp_path, build_counts, argv):
     # analyze and simulate build each (sweep point, system) pair's model,
-    # compensation set and Doppler projectors once, and share them
+    # compensation set and steering span once, and share them; the Monte
+    # Carlo takes its frame from that span, so the only SVDs are the
+    # span's, one per distinct estimated steering
     out = tmp_path / "out.csv"
     main(argv + ["--experiment", str(RECIPES / "delay_offset_benchmark.json"),
                  "--out", str(out)])
     pairs = {(r["sweep_value"], r["system"]) for r in read_csv(out)}
     assert len(pairs) == 38
     assert build_counts == {"noise_free_mf_output": 38, "from_scenario": 38,
-                            "doppler_projectors": 38}
+                            "steering_span": 38,
+                            "svd": len(build_counts.spans)}
+    assert len(build_counts.spans) == 2  # distributed and co-located
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from dmimo import montecarlo
-from dmimo.analysis import Receiver
+from dmimo.analysis import DetectorKind, Receiver, statistic
 from dmimo.detectors import (
     CompensationSet,
     _energy,
     cd_statistic,
-    doppler_projectors,
     hd_statistic,
     ncd_statistic,
+    steering_span,
 )
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
@@ -26,7 +26,7 @@ from dmimo.scene import (
 )
 from dmimo.montecarlo import TrialConfig
 from dmimo.waveforms import multi_band_chirp
-from oracles import acd_statistic, alpha_mle, beta_mle
+from oracles import acd_statistic, alpha_mle, beta_mle, doppler_projectors
 
 
 def random_measurement(rng, M=2, N=1, K=12):
@@ -41,6 +41,13 @@ def single_tx_scenario(b=1.3, xi=0.8):
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
         psi_rad=np.array([[0.4]]), b=np.array([b]), xi=np.array([[xi]]),
         sigma2=1.0, target=Swerling1(1.0))
+
+
+def span_hd(y, S):
+    """The package's HD on paths (M, 1, K) of one RX with Doppler steering
+    S (K, M'): each path projected onto the basis of ``steering_span``."""
+    u, _ = steering_span(S[None])
+    return hd_statistic(y, np.broadcast_to(u, (y.shape[-3],) + u.shape))
 
 
 class TestNcd:
@@ -137,7 +144,7 @@ class TestHd:
         rng = np.random.default_rng(5)
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         y = (S @ c).reshape(1, 1, 12)
-        got = hd_statistic(y, doppler_projectors(S[None]))
+        got = span_hd(y, S)
         assert got == pytest.approx(ncd_statistic(y), rel=1e-12)
 
     def test_orthogonal_to_subspace(self):
@@ -146,15 +153,14 @@ class TestHd:
         y = random_measurement(rng, 1, 1, 12)
         q, _ = np.linalg.qr(S)
         y = y - np.einsum("kj,j->k", q, np.einsum("kj,k->j", np.conj(q), y[0, 0]))
-        assert hd_statistic(y.reshape(1, 1, 12), doppler_projectors(S[None])) \
-            == pytest.approx(0.0, abs=1e-22)
+        assert span_hd(y.reshape(1, 1, 12), S) == pytest.approx(0.0, abs=1e-22)
 
     def test_pythagoras_residual(self):
         S = doppler_steering([200.0, 150.0], 12, 2e-3)
         rng = np.random.default_rng(7)
         y = random_measurement(rng, 2, 1, 12)
         q, _ = np.linalg.qr(S)
-        hd = hd_statistic(y, doppler_projectors(S[None]))
+        hd = span_hd(y, S)
         ncd = ncd_statistic(y)
         assert hd <= ncd + 1e-12
         resid = 0.0
@@ -169,21 +175,37 @@ class TestHd:
         y = random_measurement(rng, 2, 1, 12)
         q = doppler_projectors(S[None])[0]
         y_proj = np.einsum("kj,mnj->mnk", q, np.einsum("kj,mnk->mnj", np.conj(q), y))
-        once = hd_statistic(y, doppler_projectors(S[None]))
-        twice = hd_statistic(y_proj, doppler_projectors(S[None]))
+        once = span_hd(y, S)
+        twice = span_hd(y_proj, S)
         assert abs(twice - once) <= 1e-12 * once
 
-    def test_k_below_m_rejected(self):
-        S = doppler_steering([1.0, 2.0, 3.0], 2, 1e-3)
-        with pytest.raises(ValueError, match="K >= M"):
-            hd_statistic(np.zeros((3, 1, 2), dtype=complex),
-                         doppler_projectors(S[None]))
+    def test_basis_must_be_per_path(self):
+        # one (K, M) basis per receiver is the oracle's form, not the
+        # package's
+        S = doppler_steering([200.0, 190.0], 12, 2e-3)
+        u, _ = steering_span(S[None])
+        with pytest.raises(ValueError, match="basis dimensions"):
+            hd_statistic(np.zeros((2, 1, 12), dtype=complex), u)
 
-    def test_duplicate_doppler_columns_rejected(self):
-        S = doppler_steering([200.0, 200.0], 12, 2e-3)
-        with pytest.raises(ValueError, match="RX 0"):
-            hd_statistic(np.zeros((2, 1, 12), dtype=complex),
-                         doppler_projectors(S[None]))
+    def test_k_below_m_rejected(self):
+        # K = 1 pulse leaves room for one of the M = 2 Doppler columns
+        rx = Receiver.build(reference_scenario("multi_band", k_pulses=1),
+                            SyncErrors.zeros(2, 1))
+        with pytest.raises(ValueError,
+                           match=r"RX 0 has rank 1 < M = 2 \(K = 1\)"):
+            statistic(DetectorKind.HD, rx)
+
+    def test_duplicate_doppler_columns_rejected(self, random_scenario):
+        # both TX reach RX 1 at one Doppler; RX 0 keeps full rank
+        sc, err = random_scenario(np.random.default_rng(3), with_errors=False,
+                                  m_tx=2, n_rx=2, k_pulses=12)
+        f = sc.doppler_hz.copy()
+        f[:, 1] = 200.0
+        rx = Receiver.build(replace(sc, doppler_hz=f), err)
+        assert rx.rank.tolist() == [2, 1]
+        with pytest.raises(ValueError,
+                           match=r"RX 1 has rank 1 < M = 2 \(K = 12\)"):
+            statistic(DetectorKind.HD, rx)
 
 
 class TestMles:
@@ -228,7 +250,7 @@ class TestMles:
         y = random_measurement(rng, 1, 1, 12)
         beta = beta_mle(y[0, 0], S)
         assert np.sum(np.abs(S @ beta) ** 2) == pytest.approx(
-            hd_statistic(y, doppler_projectors(S[None])), rel=1e-10)
+            span_hd(y, S), rel=1e-10)
 
 
 class TestGlrtConsistency:
@@ -274,39 +296,32 @@ class TestCompensationSet:
             assert np.allclose(v[m, 0], manual)
 
 
-def abs_squared_forms(y, rx=None, theta=None, basis=None):
+def abs_squared_forms(y, rx=None, theta=None):
     """The four statistics with their squared magnitudes as
     np.abs(...) ** 2, keyed by the statistic they check: NCD, the CD
     correlation against the receiver's templates and phasors (ACD in
-    coordinates), ACD on the compensation phases, and HD on per-path
-    bases or on one basis per receiver."""
+    coordinates), ACD on the compensation phases, and HD on the
+    receiver's per-path span bases."""
     def cd(v):
         return np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
 
+    coeffs = np.einsum("mnkj,tmnk->tmnj", np.conj(rx.span), y)
     forms = {"ncd": np.sum(np.abs(y) ** 2, axis=(-3, -2, -1)),
-             "cd": cd(rx.templates), "cd_phasors": cd(rx.phasors)}
+             "cd": cd(rx.templates), "cd_phasors": cd(rx.phasors),
+             "hd": np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))}
     if theta is not None:
         rot = np.exp(-1j * theta)
         forms["acd"] = np.abs(np.sum(rot * y, axis=(-3, -2, -1))) ** 2
-    if not isinstance(rx.doppler, str):
-        coeffs = np.einsum("mnkj,tmnk->tmnj", np.conj(rx.doppler), y)
-        forms["hd"] = np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))
-    if basis is not None:
-        coeffs = np.einsum("nkj,tmnk->tmnj", np.conj(basis), y)
-        forms["hd_cube"] = np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))
     return forms
 
 
-def energy_forms(y, rx=None, theta=None, basis=None):
+def energy_forms(y, rx=None, theta=None):
     """The same statistics from ``detectors``."""
     forms = {"ncd": ncd_statistic(y), "cd": cd_statistic(y, rx.templates),
-             "cd_phasors": cd_statistic(y, rx.phasors)}
+             "cd_phasors": cd_statistic(y, rx.phasors),
+             "hd": hd_statistic(y, rx.span)}
     if theta is not None:
         forms["acd"] = acd_statistic(y, theta)
-    if not isinstance(rx.doppler, str):
-        forms["hd"] = hd_statistic(y, rx.doppler)
-    if basis is not None:
-        forms["hd_cube"] = hd_statistic(y, basis)
     return forms
 
 
@@ -322,18 +337,13 @@ class TestEnergyForm:
         rx = Receiver.build(sc, err)
         y = random_measurement(rng, sc.m_tx, sc.n_rx, sc.k_pulses)
         y = np.stack([y, 3.0 * y.conj(), 1e-3 * y])
-        try:
-            basis = doppler_projectors(rx.comp.S_hat)
-        except ValueError:
-            basis = None
-        want = abs_squared_forms(y, rx, rx.comp.theta_hat, basis)
-        got = energy_forms(y, rx, rx.comp.theta_hat, basis)
+        want = abs_squared_forms(y, rx, rx.comp.theta_hat)
+        got = energy_forms(y, rx, rx.comp.theta_hat)
         assert got.keys() == want.keys()
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-15,
                                        atol=0, err_msg=name)
-        for name, v in energy_forms(y[0], rx, rx.comp.theta_hat,
-                                    basis).items():
+        for name, v in energy_forms(y[0], rx, rx.comp.theta_hat).items():
             np.testing.assert_allclose(v, want[name][0], rtol=1e-15,
                                        atol=0, err_msg=name)
 

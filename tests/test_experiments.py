@@ -123,6 +123,26 @@ class TestRejections:
         with pytest.raises(ExperimentError, match=where + ": must be finite"):
             parse_experiment(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("scenario, where", [
+        ({"b": [1.0, 0.0]}, r"scenario\.b\[1\]: must be positive"),
+        ({"b": [-2.0, 1.0]}, r"scenario\.b\[0\]: must be positive"),
+        ({"target": {"model": "fixed", "alpha_re": 1e308,
+                     "alpha_im": 1e308}},
+         r"scenario\.target: \|alpha\|\^2 = inf"),
+        ({"target": {"model": "fixed", "alpha_re": 1e-200}},
+         r"scenario\.target: \|alpha\|\^2 = 0\.0"),
+        ({"target": {"model": "fixed", "alpha_re": 0.0}},
+         r"scenario\.target: \|alpha\|\^2 = 0\.0")],
+        ids=["b-zero", "b-negative", "alpha-overflow", "alpha-underflow",
+             "alpha-zero"])
+    def test_amplitudes_must_be_positive_and_finite(self, scenario, where):
+        # xi_from_snr divides by b and by |alpha|^2; a zero b, or an
+        # |alpha|^2 beyond a double, raised from below the parser
+        doc = minimal_doc()
+        doc["scenario"].update(scenario)
+        with pytest.raises(ExperimentError, match=where):
+            parse_experiment(doc)
+
     def test_bad_sweep_variable(self):
         doc = minimal_doc(sweep={"variable": "range_km", "start": 0.0,
                                  "stop": 1.0, "points": 2})

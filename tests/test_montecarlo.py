@@ -17,12 +17,7 @@ from dmimo.analysis import (
     law,
     threshold,
 )
-from dmimo.detectors import (
-    cd_statistic,
-    doppler_projectors,
-    hd_statistic,
-    ncd_statistic,
-)
+from dmimo.detectors import cd_statistic, ncd_statistic
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     MAX_SEED,
@@ -44,8 +39,10 @@ from dmimo.scene import (
 from oracles import (
     DistributionCheck,
     acd_statistic,
+    doppler_projectors,
     draw_swerling1_alpha,
     h0_statistic_distribution_check,
+    hd_receiver_bases,
     iter_coordinate_blocks,
     iter_measurement_blocks,
 )
@@ -572,14 +569,14 @@ def _path_errors(M, N, dt=0.0, df=0.0, dp=0.0):
 
 def definition(det, comp, y):
     """The paper's statistic of ``det`` on the measurement y, from the
-    definitions in ``detectors``."""
+    definitions in ``detectors`` and, for ACD and HD, ``oracles``."""
     if det is DetectorKind.NCD:
         return ncd_statistic(y)
     if det is DetectorKind.ACD:
         return acd_statistic(y, comp.theta_hat)
     if det is DetectorKind.CD:
         return cd_statistic(y, comp.templates)
-    return hd_statistic(y, doppler_projectors(comp.S_hat))
+    return hd_receiver_bases(y, doppler_projectors(comp.S_hat))
 
 
 def random_case(seed, random_scenario):
@@ -602,7 +599,7 @@ class TestCoordinates:
         # T(B^H y, energy outside) equals T(y) for any measurement y:
         # every vector a detector reads lies in the spans of the basis
         rx, y = random_case(seed, random_scenario)
-        basis = montecarlo._basis(rx)
+        basis = rx.span
         crx, signal, outside = montecarlo._coordinates(rx)
         M, N, K, r = basis.shape
         gram = np.einsum("mnkr,mnks->mnrs", np.conj(basis), basis)
@@ -636,24 +633,44 @@ class TestCoordinates:
             np.testing.assert_allclose(stat(y), want, rtol=1e-12)
             np.testing.assert_allclose(stat(y[0]), want[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_span_projector_equals_qr_oracle(self, seed, random_scenario):
+        # where the QR oracle finds every S_hat_n of rank M, so does the
+        # span's SVD, and U U^H projects onto the same subspace as Q Q^H
+        rx, _ = random_case(seed, random_scenario)
+        M = rx.sc.m_tx
+        try:
+            q = doppler_projectors(rx.comp.S_hat)
+        except ValueError:
+            assert np.any(rx.rank < M)
+            return
+        assert rx.rank.tolist() == [M] * rx.sc.n_rx
+        u = rx.span[0]  # (N, K, M): the paths of a receiver share it
+        np.testing.assert_allclose(
+            u @ np.conj(u).swapaxes(-1, -2), q @ np.conj(q).swapaxes(-1, -2),
+            rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("case", ["colocated", "k_below_m"])
     def test_hd_without_bases_raises_projector_error(self, case,
                                                      ref_scenario, zero_err):
         # co-located steering without sync errors repeats one Doppler
-        # column; K = 1 < M leaves no room for two
+        # column; K = 1 < M leaves no room for two.  Both frames raise the
+        # one error, naming the receiver and its rank
         sc = (colocated_scenario(ref_scenario) if case == "colocated"
               else reference_scenario("multi_band", k_pulses=1))
         rx = Receiver.build(sc, zero_err)
-        with pytest.raises(ValueError) as want:
-            doppler_projectors(rx.comp.S_hat)
+        assert rx.rank.tolist() == [1]
+        texts = []
         for frame in (rx, montecarlo._coordinates(rx)[0]):
-            with pytest.raises(ValueError) as got:
+            with pytest.raises(ValueError, match="RX 0 has rank 1 < M = 2"
+                               ) as got:
                 analysis.statistic(DetectorKind.HD, frame)
-            assert str(got.value) == str(want.value)
+            texts.append(str(got.value))
+        assert texts[0] == texts[1]
 
     def test_colocated_rank_one(self, ref_scenario, zero_err):
         rx = Receiver.build(colocated_scenario(ref_scenario), zero_err)
-        assert montecarlo._basis(rx).shape == (2, 1, 12, 1)
+        assert rx.span.shape == (2, 1, 12, 1)
         assert montecarlo._coordinates(rx)[2] == 2 * 11
 
     # Two-sample KS of each statistic: the engine's coordinate blocks

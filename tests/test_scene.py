@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dmimo import analysis, cli, detectors, scene
-from dmimo.detectors import CompensationSet, doppler_projectors
+from dmimo.detectors import CompensationSet, steering_span
 from dmimo.presets import PULSE_S, reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -298,7 +298,7 @@ def _analyze_csv(tmp_path, doc, name):
 
 # Every run-wide cache of the analytic path, emptied by the tests that
 # count computations or compare against fresh builds.
-CACHES = (scene._ambiguity, scene._steering, detectors._doppler_bases,
+CACHES = (scene._ambiguity, scene._steering, detectors._span,
           analysis._gamma_quantile)
 
 
@@ -323,10 +323,10 @@ def _three_tx_doc(sweep):
 @pytest.fixture
 def computations(monkeypatch):
     """Count the computations behind each cache: CAF tensor evaluations
-    (with the shape of each), steering matrices, QR factorizations of
-    steering matrices (one per RX per set of Doppler bases) and gamma
-    quantiles, starting from empty caches."""
-    counts = {"caf": [], "steering": 0, "qr": 0, "quantile": 0}
+    (with the shape of each), steering matrices, SVDs (one per span of a
+    set of estimated steering matrices) and gamma quantiles, starting
+    from empty caches."""
+    counts = {"caf": [], "steering": 0, "svd": 0, "quantile": 0}
 
     def spy(owner, name, key):
         real = getattr(owner, name)
@@ -341,7 +341,7 @@ def computations(monkeypatch):
 
     spy(scene, "caf", "caf")
     spy(scene, "doppler_steering", "steering")
-    spy(detectors.np.linalg, "qr", "qr")
+    spy(detectors.np.linalg, "svd", "svd")
     spy(analysis, "inv_reg_upper_gamma", "quantile")
     _clear_caches()
     return counts
@@ -360,20 +360,20 @@ class TestAmbiguityCache:
 
     def test_snr_sweep_computes_receiver_pieces_once(self, tmp_path,
                                                      computations):
-        # two steering matrices (truth and estimate), one set of Doppler
-        # bases (N = 2 QR factorizations) and one quantile per order with
-        # p > 1 (NCD and HD), for the whole sweep
+        # two steering matrices (truth and estimate), one span of the
+        # estimate (one SVD of all N = 2 receivers) and one quantile per
+        # order with p > 1 (NCD and HD), for the whole sweep
         doc = _three_tx_doc({"variable": "snr_db", "start": -5.0,
                              "stop": 10.0, "points": 4})
         _analyze_csv(tmp_path, doc, "snr")
         assert computations["steering"] == 2
-        assert computations["qr"] == 2
+        assert computations["svd"] == 1
         assert computations["quantile"] == 2
 
     def test_doppler_sweep_computes_receiver_pieces_per_point(
             self, tmp_path, computations):
         # every point moves the Dopplers, so its steering matrices and
-        # bases are new; the thresholds still depend on (p, Pfa) alone
+        # span are new; the thresholds still depend on (p, Pfa) alone
         points = 4
         doc = {"scenario": {},
                "errors": {"df_hz": [[3.0], [-2.0]]},
@@ -382,12 +382,12 @@ class TestAmbiguityCache:
         _analyze_csv(tmp_path, doc, "doppler")
         assert computations["caf"] == [(2, 1, 2)] * (2 * points)
         assert computations["steering"] == 2 * points
-        assert computations["qr"] == points
+        assert computations["svd"] == points
         assert computations["quantile"] == 2
 
     def test_delay_sweep_matches_fresh_builds(self, tmp_path, monkeypatch):
         # every delay point needs new tensors while the steering
-        # matrices, bases and thresholds repeat; a stale hit would show as
+        # matrices, spans and thresholds repeat; a stale hit would show as
         # a row that differs from a run that empties every cache before
         # each computation
         doc = {
@@ -402,7 +402,7 @@ class TestAmbiguityCache:
         cached_again = _analyze_csv(tmp_path, doc, "cached_again")
 
         for owner, name in ((scene, "_ambiguity"), (scene, "_steering"),
-                            (detectors, "_doppler_bases"),
+                            (detectors, "_span"),
                             (analysis, "_gamma_quantile")):
             real = getattr(owner, name)
 
@@ -425,9 +425,11 @@ class TestAmbiguityCache:
         # one shared object per distinct input, whatever array holds it
         comp = CompensationSet.from_scenario(ref_scenario, zero_err)
         S, _, _ = _model_factors(ref_scenario, zero_err)
-        bases = doppler_projectors(comp.S_hat)
+        span = steering_span(comp.S_hat)
         assert S is comp.S_hat
-        assert bases is doppler_projectors(comp.S_hat.copy())
-        for arr in (comp.S_hat, bases):
+        assert span is steering_span(comp.S_hat.copy())
+        u, rank = span
+        for arr, index in ((comp.S_hat, (0, 0, 0)), (u, (0, 0, 0)),
+                           (rank, 0)):
             with pytest.raises(ValueError):
-                arr[0, 0, 0] = 0.0
+                arr[index] = 0
