@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,13 +94,16 @@ def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
         HD   p = N M^2  c = sigma^2
 
     with varsigma = ||v||^2 the energy of the CD templates v.  Raises
-    ValueError for CD without varsigma, and where the product c overflows,
-    underflows to 0 or, for ACD, KMN is beyond a double."""
+    ValueError for CD without varsigma, and where c is not finite or is
+    below sys.float_info.min, since a subnormal c has too few significant
+    bits for 12 printed digits.  That covers a product that overflows or
+    underflows, and an ACD whose KMN is beyond a double."""
     if det is DetectorKind.NCD:
-        return K * M * N, sigma2
-    if det is DetectorKind.HD:
-        return N * M * M, sigma2
-    if det is DetectorKind.ACD:
+        p, c = K * M * N, sigma2
+    elif det is DetectorKind.HD:
+        p, c = N * M * M, sigma2
+    elif det is DetectorKind.ACD:
+        p = 1
         try:
             c = K * M * N * sigma2
         except OverflowError:  # int too large to convert to float
@@ -107,11 +111,11 @@ def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
     elif varsigma is None:
         raise ValueError("CD requires the varsigma scaling factor")
     else:
-        c = varsigma * sigma2
-    if not 0 < c < math.inf:
+        p, c = 1, varsigma * sigma2
+    if not sys.float_info.min <= c < math.inf:
         raise ValueError(f"{det.value} statistic scale c = {c} is not finite "
-                         "and positive")
-    return 1, c
+                         f"and at least {sys.float_info.min}")
+    return p, c
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,8 @@ class Receiver:
     exp(j theta_hat), the CD templates and the orthonormal basis of span
     S_hat_n (M, N, K, r_S) from ``detectors.steering_span``, which HD
     projects onto and the Monte Carlo draws its coordinates in.
-    ``build`` gives the K-sample frame, ``onto`` sufficient coordinates."""
+    ``build`` gives the K-sample frame, ``onto`` the coordinates in that
+    span."""
 
     sc: Scenario
     comp: CompensationSet
@@ -147,11 +152,11 @@ class Receiver:
                    templates=templates,
                    span=np.broadcast_to(u, (sc.m_tx,) + u.shape), rank=rank)
 
-    def onto(self, basis) -> "Receiver":
-        """The same receiver in the coordinates of ``basis`` (M, N, K, r):
-        r orthonormal columns per path, spanning every vector read."""
+    def onto(self) -> "Receiver":
+        """The same receiver in the coordinates of its span: every vector
+        read becomes its r_S coordinates per path in ``self.span``."""
         def coords(v):
-            return np.einsum("mnkr,mnk...->mnr...", np.conj(basis), v)
+            return np.einsum("mnkr,mnk...->mnr...", np.conj(self.span), v)
 
         return replace(self, x=coords(self.x), phasors=coords(self.phasors),
                        templates=coords(self.templates),
@@ -269,12 +274,11 @@ def analyze_detector(det: DetectorKind, rx: Receiver,
     lam_prime = noncentrality(det, rx, 1.0)
     chi2 = rx.law(det)
     gamma = threshold(chi2, pfa_target)
+    rho = sc.target.mean_rcs
+    lam = lam_prime * rho
     if isinstance(sc.target, Swerling1):
-        pd = pd_swerling1(chi2, gamma, lam_prime, sc.target.rho_bar)
-        lam = lam_prime * sc.target.rho_bar
+        pd = pd_swerling1(chi2, gamma, lam_prime, rho)
     else:
-        rho = abs(sc.target.alpha) ** 2
-        lam = lam_prime * rho
         pd = pd_nonfluctuating(chi2, gamma, lam)
     return PerfPoint(detector=det, gamma=gamma,
                      pfa=Probability(pfa_target), pd=pd, lam=lam,

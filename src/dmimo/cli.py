@@ -90,7 +90,7 @@ def cmd_caf(args) -> int:
 
 def _caf_rows(spec: ExperimentSpec, points: int):
     pulses = spec.scenario.pulses
-    tp = spec.pulse_s
+    tp = pulses[0].t_p
     nus = np.linspace(-tp, tp, points)
     rows = []
     for m, pm in enumerate(pulses):
@@ -127,8 +127,8 @@ def _analytic_pairs(spec: ExperimentSpec):
     for value, system, sc, err, bad in _sweep_systems(spec):
         base = {
             "sweep_variable": spec.sweep_variable, "sweep_value": value,
-            "sweep_value_si": sweep_value_si(spec.sweep_variable, value,
-                                            spec.pulse_s),
+            "sweep_value_si": sweep_value_si(
+                spec.sweep_variable, value, spec.scenario.pulses[0].t_p),
             "system": system, "pfa_target": spec.pfa_target}
         if bad is None:
             try:

@@ -60,9 +60,7 @@ class ExperimentError(ValueError):
 class ExperimentSpec:
     scenario: Scenario
     errors: SyncErrors
-    pulse_s: float
     snr_db: tuple
-    rho_mean: float
     sweep_variable: str
     sweep_values: tuple
     detectors: tuple
@@ -172,27 +170,27 @@ _TOP_FIELDS = frozenset({
 
 def _parse_target(doc, path):
     if "target" not in doc:
-        return Swerling1(1.0), 1.0
+        return Swerling1(1.0)
     t = _require_mapping(doc["target"], f"{path}.target")
     model = t.get("model")
     if model == "swerling1":
         _reject_unknown(t, f"{path}.target", {"model", "rho_bar"})
-        rho_bar = _number(t, f"{path}.target", "rho_bar", 1.0, positive=True)
-        return Swerling1(rho_bar), rho_bar
+        return Swerling1(
+            _number(t, f"{path}.target", "rho_bar", 1.0, positive=True))
     if model == "fixed":
         _reject_unknown(t, f"{path}.target", {"model", "alpha_re", "alpha_im"})
         re = _number(t, f"{path}.target", "alpha_re", 1.0)
         im = _number(t, f"{path}.target", "alpha_im", 0.0)
-        alpha = complex(re, im)
+        target = NonFluctuating(complex(re, im))
         try:
-            rho = abs(alpha) ** 2
+            rho = target.mean_rcs
         except OverflowError:
             rho = math.inf
         if not 0 < rho < math.inf:
             raise ExperimentError(f"{path}.target: |alpha|^2 = {rho} of the "
                                   "fixed amplitude must be finite and "
                                   "positive")
-        return NonFluctuating(alpha), rho
+        return target
     raise ExperimentError(
         f"{path}.target.model: expected 'swerling1' or 'fixed'")
 
@@ -203,6 +201,15 @@ def _reference_paths(per_tx, M, N, scale=1.0):
     if M != 2:
         return np.zeros((M, N))
     return np.tile(np.array(per_tx)[:, None] * scale, (1, N))
+
+
+def _channel_gains(snr_db, b, sigma2, target, n_rx):
+    # (M, N) gains back-solved so that TX m has the SNR snr_db[m] (dB) on
+    # each of its paths
+    xi = np.empty((len(b), n_rx))
+    for m in range(len(b)):
+        xi[m] = xi_from_snr(snr_db[m], b[m], sigma2, target.mean_rcs)
+    return xi
 
 
 def _parse_scenario(doc):
@@ -222,7 +229,7 @@ def _parse_scenario(doc):
     beta = _number(doc, path, "bandwidth_hz", presets.BANDWIDTH_HZ, positive=True)
     eta = _number(doc, path, "eta", ETA, positive=True)
     kappa = _number(doc, path, "kappa", KAPPA, positive=True)
-    target, rho_mean = _parse_target(doc, path)
+    target = _parse_target(doc, path)
 
     tau = _matrix(doc, path, "tau_s", (M, N),
                   _reference_paths(presets.TAU_OVER_TP, M, N, tp))
@@ -235,20 +242,19 @@ def _parse_scenario(doc):
         raise ExperimentError(
             f"{path}.b[{np.argmin(b > 0)}]: must be positive")
     snr = _matrix(doc, path, "snr_db", (M,), np.zeros(M))
-    sigma2 = _number(doc, path, "sigma2", 1.0, positive=True)
-
-    xi = np.empty((M, N))
-    for m in range(M):
-        xi[m] = xi_from_snr(snr[m], b[m], sigma2, rho_mean)
+    # a normal double, so the gains and the statistic scales keep every
+    # significant bit
+    sigma2 = _number(doc, path, "sigma2", 1.0, minimum=sys.float_info.min)
     try:
         sc = Scenario(
             pulses=pulse_set(waveform_set, M, beta, tp, eta, kappa),
             n_rx=N, k_pulses=K, pri_s=pri_s, carrier_hz=carrier,
-            tau_s=tau, doppler_hz=f, psi_rad=psi, b=b, xi=xi,
+            tau_s=tau, doppler_hz=f, psi_rad=psi, b=b,
+            xi=_channel_gains(snr, b, sigma2, target, N),
             sigma2=sigma2, target=target)
     except ValueError as exc:
         raise ExperimentError(f"{path}: {exc}")
-    return sc, tp, tuple(snr), rho_mean
+    return sc, tuple(snr)
 
 
 def _parse_errors(doc, M, N):
@@ -300,7 +306,7 @@ def parse_experiment(doc) -> ExperimentSpec:
         raise ExperimentError("$.scenario: required field missing")
     if "sweep" not in doc:
         raise ExperimentError("$.sweep: required field missing")
-    sc, tp, snr, rho_mean = _parse_scenario(doc["scenario"])
+    sc, snr = _parse_scenario(doc["scenario"])
     err = _parse_errors(doc.get("errors"), sc.m_tx, sc.n_rx)
     var, values = _parse_sweep(doc["sweep"])
     if var in _TWO_TX_SWEEPS and sc.m_tx != 2:
@@ -315,8 +321,8 @@ def parse_experiment(doc) -> ExperimentSpec:
     if not isinstance(colocated, bool):
         raise ExperimentError("$.colocated_benchmark: expected true or false")
     return ExperimentSpec(
-        scenario=sc, errors=err, pulse_s=tp, snr_db=snr, rho_mean=rho_mean,
-        sweep_variable=var, sweep_values=values,
+        scenario=sc, errors=err, snr_db=snr, sweep_variable=var,
+        sweep_values=values,
         detectors=_parse_detectors(doc.get("detectors")), pfa_target=pfa,
         trials=trials, seed=seed, colocated_benchmark=colocated)
 
@@ -328,6 +334,11 @@ def load_experiment(path) -> ExperimentSpec:
         except json.JSONDecodeError as exc:
             raise ExperimentError(f"{path}: invalid JSON ({exc})")
     return parse_experiment(doc)
+
+
+# the scenario field an offset sweep moves
+_OFFSET_FIELDS = {"delay_offset": "tau_s", "phase_offset": "psi_rad",
+                  "doppler_offset": "doppler_hz"}
 
 
 def scenario_at(spec: ExperimentSpec, value: float) -> Scenario:
@@ -343,23 +354,12 @@ def scenario_at(spec: ExperimentSpec, value: float) -> Scenario:
     elif var == "snr_offset_db":
         snr = np.array([spec.snr_db[0], spec.snr_db[0] + value])
     else:
-        snr = None
-    if snr is not None:
-        xi = np.empty_like(np.asarray(sc.xi))
-        for m in range(sc.m_tx):
-            xi[m] = xi_from_snr(snr[m], sc.b[m], sc.sigma2, spec.rho_mean)
-        return replace(sc, xi=xi)
-    if var == "delay_offset":
-        tau = np.array(sc.tau_s)
-        tau[1] = tau[0] + value * spec.pulse_s
-        return replace(sc, tau_s=tau)
-    if var == "phase_offset":
-        psi = np.array(sc.psi_rad)
-        psi[1] = psi[0] + value * math.pi
-        return replace(sc, psi_rad=psi)
-    f = np.array(sc.doppler_hz)
-    f[1] = f[0] + value
-    return replace(sc, doppler_hz=f)
+        field = _OFFSET_FIELDS[var]
+        offset = np.array(getattr(sc, field))
+        offset[1] = offset[0] + sweep_value_si(var, value, sc.pulses[0].t_p)
+        return replace(sc, **{field: offset})
+    return replace(sc, xi=_channel_gains(snr, sc.b, sc.sigma2, sc.target,
+                                         sc.n_rx))
 
 
 def sweep_value_si(variable: str, value: float, pulse_s: float) -> float:

@@ -182,10 +182,9 @@ def _coordinates(rx: Receiver):
     follows as the one shared coordinate, and the energy covers
     M N (K - r_S) - 1 dimensions, else M N (K - r_S).
     """
-    basis = rx.span
-    M, N, K, r = basis.shape
-    crx = rx.onto(basis)
-    inside = np.einsum("mnkr,mnr->mnk", basis, crx.x)
+    M, N, K, r = rx.span.shape
+    crx = rx.onto()
+    inside = np.einsum("mnkr,mnr->mnk", rx.span, crx.x)
     e = float(np.linalg.norm(rx.x - inside))
     signal = crx.x.ravel()
     if e > _RCOND_LIMIT * np.linalg.norm(rx.x):

@@ -61,6 +61,11 @@ class NonFluctuating:
     """Fixed complex target amplitude."""
     alpha: complex
 
+    @property
+    def mean_rcs(self) -> float:
+        """|alpha|^2; raises OverflowError beyond the largest double."""
+        return abs(self.alpha) ** 2
+
 
 @dataclass(frozen=True)
 class Swerling1:
@@ -71,6 +76,10 @@ class Swerling1:
     def __post_init__(self):
         if not self.rho_bar > 0:
             raise ValueError("mean RCS must be positive")
+
+    @property
+    def mean_rcs(self) -> float:
+        return self.rho_bar
 
 
 def _frozen_array(value, shape, name):

@@ -7,6 +7,7 @@ line regardless of pytest capture settings.
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dmimo.analysis import (
     threshold,
 )
 from dmimo.detectors import CompensationSet, cd_statistic, hd_statistic
-from dmimo.experiments import parse_experiment, scenario_at
+from dmimo.experiments import load_experiment, parse_experiment, scenario_at
 from dmimo.montecarlo import TrialConfig, run_trials
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
@@ -42,6 +43,7 @@ from oracles import (
 
 ALL = list(DetectorKind)
 ZERO = SyncErrors.zeros(2, 1)
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 RESULT_LINES = []
@@ -148,9 +150,10 @@ def test_5c_phase_errors_affect_cd_only():
         _, dirty = operating_points(sc, perr)
         ok &= dirty[DetectorKind.NCD].pd == clean[DetectorKind.NCD].pd
         ok &= dirty[DetectorKind.HD].pd == clean[DetectorKind.HD].pd
+        ok &= dirty[DetectorKind.ACD].pd < clean[DetectorKind.ACD].pd
         ok &= dirty[DetectorKind.CD].pd < clean[DetectorKind.CD].pd
-    report("5c", "phase errors leave NCD and HD bit-identical, degrade CD",
-           ok)
+    report("5c", "phase errors leave NCD and HD bit-identical, degrade ACD "
+           "and CD", ok)
 
 
 def test_5d_doppler_errors():
@@ -164,11 +167,35 @@ def test_5d_doppler_errors():
         _, dirty = operating_points(sc, ferr)
         ncd0, ncd1 = clean[DetectorKind.NCD].pd, dirty[DetectorKind.NCD].pd
         ok &= abs(ncd1 / ncd0 - 1.0) < 2e-4
+        ok &= dirty[DetectorKind.ACD].pd < clean[DetectorKind.ACD].pd
         ok &= dirty[DetectorKind.CD].pd < clean[DetectorKind.CD].pd
         ok &= dirty[DetectorKind.HD].pd < clean[DetectorKind.HD].pd
         ok &= dirty[DetectorKind.HD].pd > dirty[DetectorKind.CD].pd
-    report("5d", "Doppler errors spare NCD, degrade CD and HD with HD > CD",
-           ok)
+    report("5d", "Doppler errors spare NCD, degrade ACD, CD and HD with "
+           "HD > CD", ok)
+
+
+def test_5f_timing_errors_lose_snr():
+    # the abstract: timing errors impact every detector and "result in a
+    # loss in the SNR", so each lambda falls by one factor at every SNR
+    spec = load_experiment(RECIPES / "timing_errors.json")
+    factors = {d: [] for d in ALL}
+    ok = True
+    for snr in (-10.0, -5.0, -3.0, 0.0, 5.0, 7.0):
+        sc = scenario_at(spec, snr)
+        _, clean = operating_points(sc, ZERO, spec.pfa_target)
+        _, dirty = operating_points(sc, spec.errors, spec.pfa_target)
+        for d in ALL:
+            ok &= dirty[d].pd < clean[d].pd
+            factors[d].append(dirty[d].lam / clean[d].lam)
+    measured = {DetectorKind.NCD: 0.2730782, DetectorKind.HD: 0.2730782,
+                DetectorKind.ACD: 0.2483900, DetectorKind.CD: 0.2486095}
+    for d in ALL:
+        ok &= all(f == pytest.approx(factors[d][0], rel=1e-12, abs=0.0)
+                  for f in factors[d])
+        ok &= factors[d][0] == pytest.approx(measured[d], abs=5e-8)
+    report("5f", "timing errors lower every detector's Pd and scale its "
+           "lambda by one factor at every SNR", ok)
 
 
 def test_5e_distributed_crosses_colocated_benchmark():

@@ -166,6 +166,17 @@ class TestLaw:
         with pytest.raises(ValueError, match="not finite"):
             law(DetectorKind.ACD, 10**309, 2, 1, 1.0)
 
+    @pytest.mark.parametrize("det", ALL)
+    def test_subnormal_scale_is_a_value_error(self, det):
+        # c = sigma^2, K M N sigma^2 or varsigma sigma^2 below the least
+        # normal double has too few significant bits for its threshold
+        sigma2, varsigma = ((1e-160, 1e-160) if det is DetectorKind.CD
+                            else (1e-320, None))
+        with pytest.raises(ValueError, match=f"{det.value} statistic scale "
+                           "c = .* is not finite and at least "
+                           "2.2250738585072014e-308"):
+            law(det, 12, 2, 1, sigma2, varsigma)
+
 
 class TestPfa:
     @pytest.mark.parametrize("det", ALL)

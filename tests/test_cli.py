@@ -106,7 +106,21 @@ class TestThresholdCommand:
                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
                   "--sigma2", "1e-300", "--varsigma", "1e-300"])
         assert exc.value.code == ("error: CD statistic scale c = 0.0 is not "
-                                  "finite and positive")
+                                  "finite and at least "
+                                  "2.2250738585072014e-308")
+        assert capsys.readouterr().out == ""
+
+    def test_subnormal_scale_is_an_error(self, capsys):
+        # c = varsigma sigma^2 = 1e-320 is subnormal: its threshold would
+        # print 12 digits of which only the first three are right
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", "CD", "--pfa", "1e-3",
+                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
+                  "--sigma2", "1e-160", "--varsigma", "1e-160"])
+        assert str(exc.value.code).startswith(
+            "error: CD statistic scale c = ")
+        assert str(exc.value.code).endswith(
+            "is not finite and at least 2.2250738585072014e-308")
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("det, k, m", [
@@ -172,7 +186,8 @@ class TestCafCommand:
                      "--points", "41"]) == 0
         assert calls == [(41,)] * 4
         spec = cli.load_experiment(exp)
-        nus = np.linspace(-spec.pulse_s, spec.pulse_s, 41)
+        tp = spec.scenario.pulses[0].t_p
+        nus = np.linspace(-tp, tp, 41)
         rows = read_csv(out)
         assert len(rows) == 4 * 41
         for i, r in enumerate(rows):
@@ -318,19 +333,33 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_scale_underflow_gives_error_rows(self, tmp_path, command):
-        # at sigma^2 = 1e-320 the CD scale varsigma sigma^2 underflows to
-        # 0, so every CD row is an error row and no other row is
+        # at sigma^2 = 1e-160 the CD scale varsigma sigma^2 is subnormal,
+        # so every CD row is an error row; the other detectors' lambda
+        # and Pd do not depend on sigma^2 and match sigma^2 = 1
         doc = json.loads((RECIPES / "timing_errors.json").read_text())
-        doc["scenario"]["sigma2"] = 1e-320
         doc["trials"] = 100
-        out = tmp_path / "a.csv"
-        assert main([command, "--experiment", write_doc(tmp_path, doc),
-                     "--out", str(out)]) in (0, 1)
-        rows = read_csv(out)
-        errors = {r["detector"] for r in rows if r["error"]}
-        assert errors == {"CD"}
-        assert all(r["error"] == "CD statistic scale c = 0.0 is not finite "
-                   "and positive" for r in rows if r["detector"] == "CD")
+        tables = {}
+        for sigma2 in (1.0, 1e-160):
+            doc["scenario"]["sigma2"] = sigma2
+            out = tmp_path / f"{sigma2}.csv"
+            assert main([command, "--experiment", write_doc(tmp_path, doc),
+                         "--out", str(out)]) in (0, 1)
+            tables[sigma2] = read_csv(out)
+        rows = tables[1e-160]
+        cd = [r for r in rows if r["detector"] == "CD"]
+        assert len(cd) == 21
+        assert all(r["error"].startswith("CD statistic scale c = ") and
+                   r["error"].endswith("is not finite and at least "
+                                       "2.2250738585072014e-308")
+                   for r in cd)
+        for got, want in zip(rows, tables[1.0]):
+            if got["detector"] == "CD":
+                continue
+            assert got["error"] == want["error"]
+            for column in ("lambda", "pd_analytic"):
+                if want[column]:
+                    assert float(got[column]) == pytest.approx(
+                        float(want[column]), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_memory_error_is_one_error_line(self, tmp_path, command):

@@ -56,7 +56,7 @@ class TestParsing:
                                      "alpha_im": -0.8}
         spec = parse_experiment(doc)
         assert isinstance(spec.scenario.target, NonFluctuating)
-        assert spec.rho_mean == pytest.approx(1.0)
+        assert spec.scenario.target.mean_rcs == pytest.approx(1.0)
 
     def test_errors_parsed(self):
         doc = minimal_doc(errors={"df_hz": [[-25.0], [10.0]]})
@@ -143,6 +143,17 @@ class TestRejections:
         with pytest.raises(ExperimentError, match=where):
             parse_experiment(doc)
 
+    @pytest.mark.parametrize("sigma2", [1e-320, 0.0, -1.0])
+    def test_sigma2_must_be_a_normal_double(self, sigma2):
+        # a subnormal noise power leaves the back-solved gains and the
+        # statistic scales with too few significant bits
+        doc = minimal_doc()
+        doc["scenario"]["sigma2"] = sigma2
+        with pytest.raises(ExperimentError,
+                           match=r"scenario\.sigma2: must be at least "
+                                 r"2\.2250738585072014e-308"):
+            parse_experiment(doc)
+
     def test_bad_sweep_variable(self):
         doc = minimal_doc(sweep={"variable": "range_km", "start": 0.0,
                                  "stop": 1.0, "points": 2})
@@ -211,7 +222,7 @@ class TestSweepApplication:
         spec = parse_experiment(doc)
         sc = scenario_at(spec, 0.25)
         assert sc.tau_s[1, 0] == pytest.approx(
-            sc.tau_s[0, 0] + 0.25 * spec.pulse_s)
+            sc.tau_s[0, 0] + 0.25 * sc.pulses[0].t_p)
 
     def test_phase_offset_in_pi_units(self):
         doc = minimal_doc(sweep={"variable": "phase_offset", "start": -1.0,
