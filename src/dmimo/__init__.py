@@ -20,12 +20,7 @@ from .detectors import (
     ncd_statistic,
 )
 from .experiments import ExperimentSpec, load_experiment, parse_experiment
-from .montecarlo import (
-    EmpiricalResult,
-    TrialConfig,
-    run_sweep,
-    run_trials,
-)
+from .montecarlo import TrialConfig, run_sweep
 from .presets import reference_scenario
 from .scene import (
     NonFluctuating,
@@ -55,10 +50,8 @@ __all__ = [
     "ExperimentSpec",
     "load_experiment",
     "parse_experiment",
-    "EmpiricalResult",
     "TrialConfig",
     "run_sweep",
-    "run_trials",
     "reference_scenario",
     "NonFluctuating",
     "Scenario",

@@ -121,17 +121,15 @@ def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
 @dataclass(frozen=True)
 class Receiver:
     """Everything the detectors read at one (sweep point, system) pair,
-    built once: the scenario, the compensation set, varsigma, the rank of
-    each receiver's Doppler steering S_hat_n (N,), and per path, in one
-    frame, the return x at unit amplitude, the ACD phasors
-    exp(j theta_hat), the CD templates and the orthonormal basis of span
-    S_hat_n (M, N, K, r_S) from ``detectors.steering_span``, which HD
-    projects onto and the Monte Carlo draws its coordinates in.
-    ``build`` gives the K-sample frame, ``onto`` the coordinates in that
-    span."""
+    built once: the scenario, varsigma, the rank of each receiver's
+    Doppler steering S_hat_n (N,), and per path, in one frame, the return
+    x at unit amplitude, the ACD phasors exp(j theta_hat), the CD
+    templates and the orthonormal basis of span S_hat_n (M, N, K, r_S)
+    from ``detectors.steering_span``, which HD projects onto and the
+    Monte Carlo draws its coordinates in.  ``build`` gives the K-sample
+    frame, ``onto`` the coordinates in that span."""
 
     sc: Scenario
-    comp: CompensationSet
     x: np.ndarray
     varsigma: float
     phasors: np.ndarray
@@ -142,11 +140,13 @@ class Receiver:
     @classmethod
     def build(cls, sc: Scenario, err: SyncErrors) -> "Receiver":
         """The pair's receiver, from the scenario and its sync errors;
-        raises ValueError where the compensation set cannot be built."""
+        raises ValueError where the compensation set or the model cannot
+        be built (an estimated delay outside [0, PRI), a phase beyond a
+        double)."""
         comp = CompensationSet.from_scenario(sc, err)
         templates = comp.templates
         u, rank = steering_span(comp.S_hat)
-        return cls(sc=sc, comp=comp, x=noise_free_mf_output(sc, err, 1.0),
+        return cls(sc=sc, x=noise_free_mf_output(sc, err, 1.0),
                    varsigma=float(np.sum(np.abs(templates) ** 2)),
                    phasors=np.exp(1j * comp.theta_hat),
                    templates=templates,
@@ -193,11 +193,20 @@ def statistic(det: DetectorKind, rx: Receiver):
 def noncentrality(det: DetectorKind, rx: Receiver, rho: float) -> float:
     """Noncentrality lambda = 2 rho T(x) / c at target RCS rho = |alpha|^2,
     T the detector's statistic and x the receiver's noise-free return at
-    unit amplitude."""
+    unit amplitude.  Where T(x) is below the least normal double (CD's
+    grows as xi^4, and a strong fixed target's gains are small), T reads
+    s x and c becomes c s^2, s the power of two that brings max |x| into
+    [1/2, 1): T is quadratic, so the ratio is the same."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     _, c = rx.law(det)
-    return 2.0 * rho * float(statistic(det, rx)(rx.x)) / c
+    stat = statistic(det, rx)
+    t = float(stat(rx.x))
+    if t < sys.float_info.min:
+        s = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(rx.x))))[1])
+        if sys.float_info.min <= c * s * s < math.inf:
+            t, c = float(stat(rx.x * s)), c * s * s
+    return 2.0 * rho * t / c
 
 
 def pfa(law: tuple[int, float], gamma: float) -> Probability:

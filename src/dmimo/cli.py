@@ -14,6 +14,7 @@ detector, so output bytes depend only on the experiment file and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -54,11 +55,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """The --out file, open for writing.  An OSError while it is opened,
+    written or closed ends in one error line."""
     if not path:
         raise SystemExit("error: --out must name a file")
     try:
-        return open(path, "w", newline="")
+        with open(path, "w", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise SystemExit(f"error: cannot write --out {path}: {exc.strerror}")
 
@@ -192,21 +197,29 @@ def _simulate_rows(spec: ExperimentSpec, trials: int, seed: int):
             cfg = TrialConfig(trials=trials, seed=seed, pair=index,
                               target_draw=rx.sc.target)
             runs[index] = (rx, gammas, cfg)
-    results = dict(zip(runs, run_sweep(list(runs.values()))))
+    counts = dict(zip(runs, run_sweep(list(runs.values()))))
     rows = []
     gate_failed = False
     for index, (_, pair_rows) in enumerate(pairs):
         for row, pt in pair_rows:
             row = dict(row, trials=trials, seed=seed)
             if pt is not None:
-                res = results[index][pt.detector]
-                row.update(pd_empirical=float(res.p_hat),
-                           ci_halfwidth=res.ci_halfwidth)
-                half = max(res.ci_halfwidth, 3.0 / trials)
-                if abs(res.p_hat - pt.pd) > half:
-                    gate_failed = True
+                p_hat, half, passed = _gate(counts[index][pt.detector],
+                                            trials, pt.pd)
+                row.update(pd_empirical=p_hat, ci_halfwidth=half)
+                gate_failed |= not passed
             rows.append(row)
     return rows, gate_failed
+
+
+def _gate(detections: int, trials: int, pd: float):
+    """The confidence gate of one row, the only place its policy lives:
+    the empirical Pd p_hat = detections / trials, its 3 sigma Wald
+    half-width 3 sqrt(p_hat (1 - p_hat) / trials), and whether p_hat
+    lies within max(half-width, 3 / trials) of the analytic pd."""
+    p_hat = detections / trials
+    half = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return p_hat, half, abs(p_hat - pd) <= max(half, 3.0 / trials)
 
 
 def cmd_threshold(args) -> int:

@@ -75,20 +75,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DetectorKind, Receiver, statistic
+from .analysis import Receiver, statistic
 from .detectors import _RCOND_LIMIT, _energy
 from .scene import NonFluctuating, Swerling1
-from .specfun import Probability
 
 __all__ = [
     "BLOCK_TRIALS",
     "MIN_SEED",
     "MAX_SEED",
     "TrialConfig",
-    "EmpiricalResult",
     "draw_noise",
     "run_sweep",
-    "run_trials",
 ]
 
 BLOCK_TRIALS = 8192
@@ -130,25 +127,6 @@ class TrialConfig:
             raise ValueError(f"seed must lie in [{MIN_SEED}, {MAX_SEED}]")
         if self.pair < 0:
             raise ValueError("pair must be nonnegative")
-
-
-@dataclass(frozen=True)
-class EmpiricalResult:
-    """Detection count for one detector with a 3 sigma binomial interval."""
-
-    detector: DetectorKind
-    detections: int
-    trials: int
-    p_hat: Probability
-    ci_halfwidth: float
-
-    @classmethod
-    def from_counts(cls, det: DetectorKind, detections: int,
-                    trials: int) -> "EmpiricalResult":
-        p = detections / trials
-        half = 3.0 * np.sqrt(p * (1.0 - p) / trials)
-        return cls(detector=det, detections=detections, trials=trials,
-                   p_hat=Probability(p), ci_halfwidth=float(half))
 
 
 def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
@@ -339,8 +317,9 @@ def run_sweep(runs) -> list:
 
     ``runs`` is a list of ``(rx, gammas, cfg)`` tuples: the run's
     ``analysis.Receiver``, a map from each detector to run, in order, to
-    its threshold, and the run's TrialConfig.  Returns one DetectorKind
-    -> EmpiricalResult map per run, in run order.
+    its threshold, and the run's TrialConfig.  Returns, per run in run
+    order, a map from each of its detectors to the number of its
+    ``cfg.trials`` trials whose statistic exceeds the threshold.
     """
     jobs = []
     for rx, gammas, cfg in runs:
@@ -356,14 +335,5 @@ def run_sweep(runs) -> list:
     totals = [[0] * len(gammas) for *_, gammas, _ in runs]
     for i, counts in _map_blocks(jobs):
         totals[i] = [t + n for t, n in zip(totals[i], counts)]
-    return [{d: EmpiricalResult.from_counts(d, n, cfg.trials)
-             for d, n in zip(gammas, counts)}
-            for (*_, gammas, cfg), counts in zip(runs, totals)]
-
-
-def run_trials(rx: Receiver, gammas: dict, cfg: TrialConfig) -> dict:
-    """Run the configured trials and count threshold exceedances: the
-    one-run case of ``run_sweep``.  Returns a DetectorKind ->
-    EmpiricalResult map."""
-    return run_sweep([(rx, gammas, cfg)])[0]
-
+    return [dict(zip(gammas, counts))
+            for (_, gammas, _), counts in zip(runs, totals)]

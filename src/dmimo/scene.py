@@ -170,11 +170,6 @@ class SyncErrors:
         z = np.zeros((m_tx, n_rx))
         return cls(z, z.copy(), z.copy(), np.zeros(n_rx))
 
-    @property
-    def is_zero(self) -> bool:
-        return not (self.dt.any() or self.df.any() or self.dp.any()
-                    or self.dc_rx.any())
-
 
 def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
     """Doppler steering matrices: for Dopplers f of shape (..., M), an
@@ -184,7 +179,12 @@ def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
         raise ValueError("K must be >= 1")
     f = np.atleast_1d(np.asarray(f, dtype=float))
     k = np.arange(k_pulses)[:, None]
-    return np.exp(2j * math.pi * pri_s * k * f[..., None, :])
+    with np.errstate(all="ignore"):  # checked below
+        S = np.exp(2j * math.pi * pri_s * k * f[..., None, :])
+    if not np.isfinite(S).all():
+        raise ValueError("the Doppler steering phase 2 pi T_s k f "
+                         "overflows a double")
+    return S
 
 
 # 64 distinct tensors of 16 M^2 N bytes each (8 KiB at M = N = 8)
@@ -239,10 +239,14 @@ def _model_factors(sc: Scenario, err: SyncErrors):
              - err.df[:, :, None])
     X = _ambiguity(tuple(sc.pulses), sc.force_orthogonal, nu.tobytes(),
                    f_off.tobytes(), nu.shape)
-    phase = (sc.psi_rad.T[None]
-             - 2.0 * math.pi * (sc.carrier_hz + err.dc_rx)[None, :, None]
-             * sc.tau_s.T[None]
-             + 2.0 * math.pi * (sc.doppler_hz + err.df)[:, :, None] * nu)
+    with np.errstate(all="ignore"):  # checked below
+        phase = (sc.psi_rad.T[None]
+                 - 2.0 * math.pi * (sc.carrier_hz + err.dc_rx)[None, :, None]
+                 * sc.tau_s.T[None]
+                 + 2.0 * math.pi * (sc.doppler_hz + err.df)[:, :, None] * nu)
+    if not np.isfinite(phase).all():
+        raise ValueError("the carrier and Doppler phase 2 pi (f_c tau - f nu) "
+                         "of a path overflows a double")
     h = (sc.b[:, None] * sc.xi).T[None] * np.exp(1j * phase)
     return S, X, h
 
@@ -274,7 +278,17 @@ def colocated_scenario(template: Scenario) -> Scenario:
 
 def xi_from_snr(snr_db: float, b: float, sigma2: float, rho_bar: float) -> float:
     """Back-solve the channel gain so the per-path SNR
-    |b xi|^2 E{|alpha|^2} / sigma^2 hits the requested value."""
+    |b xi|^2 E{|alpha|^2} / sigma^2 hits the requested value; raises
+    ValueError where the gain is beyond a double.  The arithmetic is in
+    Python floats, which overflow without a numpy warning."""
     if b <= 0:
         raise ValueError("transmit amplitude must be positive")
-    return math.sqrt(10.0 ** (snr_db / 10.0) * sigma2 / rho_bar) / b
+    try:
+        xi = math.sqrt(10.0 ** (float(snr_db) / 10.0) * sigma2
+                       / rho_bar) / float(b)
+    except OverflowError:  # 10 ** (snr_db / 10) beyond a double
+        xi = math.inf
+    if xi == math.inf:
+        raise ValueError(f"the channel gain for an SNR of {snr_db} dB "
+                         "overflows a double")
+    return xi

@@ -1,6 +1,7 @@
 """Tests for closed-form false-alarm/detection performance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dmimo.analysis import (
     pfa,
     threshold,
 )
+from dmimo.detectors import CompensationSet
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -125,11 +127,11 @@ class TestNoncentrality:
                          dp=rng.uniform(-np.pi, np.pi, (M, N)),
                          dc_rx=rng.uniform(-5.0, 5.0, N))
         rx = Receiver.build(sc, err)
+        comp = CompensationSet.from_scenario(sc, err)
         rho = rng.uniform(0.1, 3.0)
         for det in ALL:
             try:
-                want, want_vs = noncentrality_formula(det, sc, err, rx.comp,
-                                                      rho)
+                want, want_vs = noncentrality_formula(det, sc, err, comp, rho)
             except ValueError:
                 # co-located HD: rank-deficient steering, both must raise
                 with pytest.raises(ValueError):
@@ -138,6 +140,25 @@ class TestNoncentrality:
             lam = noncentrality(det, rx, rho)
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0), det
             assert analyze_detector(det, rx, 1e-4).varsigma == want_vs
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lambda_quadratic_in_the_gains(self, seed, random_scenario):
+        # lambda per unit RCS scales as xi^2 for every detector, also
+        # where CD's T(x), which scales as xi^4, is subnormal or zero
+        rng = np.random.default_rng(900 + seed)
+        sc, err = random_scenario(rng)
+        sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)  # keeps tau + dt >= 0
+        rx = Receiver.build(sc, err)
+        for scale in (1e-80, 1e-100, 1e-150):
+            small = Receiver.build(replace(sc, xi=sc.xi * scale), err)
+            for det in ALL:
+                try:
+                    want = noncentrality(det, rx, 1.0) * scale ** 2
+                except ValueError:  # HD on rank-deficient steering
+                    continue
+                assert noncentrality(det, small, 1.0) == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (det, scale)
 
 
 class TestLaw:

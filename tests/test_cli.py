@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import dmimo
 from dmimo import cli, detectors, scene
 from dmimo.cli import main
+from dmimo.specfun import Probability
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 DEMOS = RECIPES.parent / "demos"
@@ -259,6 +261,21 @@ def test_unwritable_out_fails_before_any_row(tmp_path, monkeypatch, cmd,
     assert "\n" not in msg and str(out) in msg
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["caf"], ["analyze"],
+                                  ["simulate", "--trials", "100"]])
+def test_full_device_is_one_line_error(tmp_path, argv):
+    # /dev/full opens but fails every write: caf's 1604 rows fail while
+    # they are written, analyze's and simulate's 12 rows when the file
+    # is closed
+    exp = write_doc(tmp_path, base_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--experiment", exp, "--out", "/dev/full"])
+    assert exc.value.code == ("error: cannot write --out /dev/full: "
+                              "No space left on device")
+
+
 class TestAnalyzeCommand:
     def test_row_layout_and_order(self, tmp_path):
         exp = write_doc(tmp_path, base_doc(detectors=["NCD", "CD"]))
@@ -360,6 +377,51 @@ class TestAnalyzeCommand:
                 if want[column]:
                     assert float(got[column]) == pytest.approx(
                         float(want[column]), rel=1e-12, abs=0.0)
+
+    def test_cd_of_a_strong_fixed_target(self, tmp_path):
+        # without sync errors CD's lambda is NCD's.  CD's T(x) = |v^H x|^2
+        # grows as xi^4 and its c as xi^2, and the gains back-solved for
+        # these amplitudes make T(x) subnormal (1e80) or zero (from 1e100)
+        for alpha in (1e80, 1e100, 1e150):
+            doc = base_doc()
+            doc["scenario"] = {"target": {"model": "fixed",
+                                          "alpha_re": alpha}}
+            out = tmp_path / f"{alpha}.csv"
+            assert main(["analyze", "--experiment",
+                         write_doc(tmp_path, doc), "--out", str(out)]) == 0
+            rows = read_csv(out)
+            lam = {(r["sweep_value"], r["detector"]): float(r["lambda"])
+                   for r in rows}
+            assert lam[("0", "NCD")] == 49.0610423826
+            for value in ("-4", "0", "4"):
+                assert lam[(value, "CD")] == pytest.approx(
+                    lam[(value, "NCD")], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("field, sweep, reason", [
+        ("carrier_hz", 1e308, "the carrier and Doppler phase 2 pi (f_c tau "
+                              "- f nu) of a path overflows a double"),
+        ("sigma2", 1e300, "the channel gain for an SNR of 300.0 dB "
+                          "overflows a double")])
+    def test_overflow_gives_error_rows_and_no_warning(self, tmp_path, field,
+                                                      sweep, reason):
+        # a fresh interpreter with every warning an error: numpy's
+        # overflow warnings would end it in a traceback
+        doc = base_doc()
+        doc["scenario"] = {field: sweep}
+        if field == "sigma2":
+            doc["sweep"].update(start=300.0, stop=310.0)
+        out = tmp_path / "a.csv"
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(dmimo.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dmimo.cli", "analyze",
+             "--experiment", write_doc(tmp_path, doc), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = read_csv(out)
+        assert len(rows) == 3 * 4
+        assert rows[0]["error"] == reason
+        assert all(r["error"].endswith("overflows a double") for r in rows)
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_memory_error_is_one_error_line(self, tmp_path, command):
@@ -487,6 +549,51 @@ class TestSimulateCommand:
         main(["simulate", "--experiment", exp, "--out", str(out),
               "--seed", str(2**63 - 1)])
         assert [r["seed"] for r in read_csv(out)] == [str(2**63 - 1)] * 2
+
+
+class TestGate:
+    """The confidence gate passes a row where |p_hat - pd| is at most
+    max(3 sqrt(p_hat (1 - p_hat) / n), 3 / n); run_sweep's counts and
+    the analytic Pd are set, so each case sits where it is meant to."""
+
+    N = 1024
+
+    @pytest.mark.parametrize("detections, pd, passed", [
+        # p_hat = 1/2: the half-width is 3/64 exactly, and pd sits on it
+        (512, 0.546875, True),
+        # one count further from pd
+        (511, 0.546875, False),
+        # p_hat = 0 and 1: the half-width is 0, and the 3/n floor decides
+        (0, 3 / N, True), (0, 4 / N, False),
+        (N, 1 - 3 / N, True), (N, 1 - 4 / N, False)])
+    def test_verdict_and_cells(self, tmp_path, monkeypatch, detections, pd,
+                               passed):
+        real = cli.analyze_detector
+        monkeypatch.setattr(cli, "analyze_detector", lambda *a: replace(
+            real(*a), pd=Probability(pd)))
+        seen = []
+
+        def counts(runs):
+            seen.extend(cfg.trials for *_, cfg in runs)
+            return [dict.fromkeys(gammas, detections)
+                    for _, gammas, _ in runs]
+
+        monkeypatch.setattr(cli, "run_sweep", counts)
+        doc = base_doc(detectors=["NCD", "CD"])
+        out = tmp_path / "s.csv"
+        code = main(["simulate", "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out), "--trials", str(self.N)])
+        assert seen == [self.N] * 3
+        assert code == (0 if passed else 1)
+        p_hat = detections / self.N
+        half = 3 * math.sqrt(p_hat * (1 - p_hat) / self.N)
+        if detections == 512:
+            assert abs(p_hat - pd) == half
+        rows = read_csv(out)
+        assert len(rows) == 3 * 2
+        for r in rows:
+            assert float(r["pd_empirical"]) == p_hat
+            assert r["ci_halfwidth"] == cli._fmt(half)
 
 
 @pytest.fixture

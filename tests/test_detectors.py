@@ -337,13 +337,14 @@ class TestEnergyForm:
         rx = Receiver.build(sc, err)
         y = random_measurement(rng, sc.m_tx, sc.n_rx, sc.k_pulses)
         y = np.stack([y, 3.0 * y.conj(), 1e-3 * y])
-        want = abs_squared_forms(y, rx, rx.comp.theta_hat)
-        got = energy_forms(y, rx, rx.comp.theta_hat)
+        theta_hat = CompensationSet.from_scenario(sc, err).theta_hat
+        want = abs_squared_forms(y, rx, theta_hat)
+        got = energy_forms(y, rx, theta_hat)
         assert got.keys() == want.keys()
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-15,
                                        atol=0, err_msg=name)
-        for name, v in energy_forms(y[0], rx, rx.comp.theta_hat).items():
+        for name, v in energy_forms(y[0], rx, theta_hat).items():
             np.testing.assert_allclose(v, want[name][0], rtol=1e-15,
                                        atol=0, err_msg=name)
 

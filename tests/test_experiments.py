@@ -40,7 +40,10 @@ class TestParsing:
                            [0.1 * math.pi, 0.3 * math.pi])
         assert isinstance(sc.target, Swerling1)
         assert spec.detectors == tuple(DetectorKind)
-        assert spec.errors.is_zero
+        err = spec.errors
+        for field in (err.dt, err.df, err.dp):
+            assert np.array_equal(field, np.zeros((2, 1)))
+        assert np.array_equal(err.dc_rx, np.zeros(1))
 
     def test_snr_sets_xi(self):
         spec = parse_experiment(minimal_doc(

@@ -17,17 +17,15 @@ from dmimo.analysis import (
     law,
     threshold,
 )
-from dmimo.detectors import cd_statistic, ncd_statistic
+from dmimo.detectors import CompensationSet, cd_statistic, ncd_statistic
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     MAX_SEED,
     MIN_SEED,
-    EmpiricalResult,
     TrialConfig,
     _block_rng,
     draw_noise,
     run_sweep,
-    run_trials,
 )
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
@@ -130,18 +128,19 @@ class TestTrialConfig:
     @pytest.mark.parametrize("seed", [MIN_SEED, MAX_SEED, np.int64(7)])
     def test_integer_seeds_in_range_run(self, seed, ref_rx):
         cfg = TrialConfig(trials=10, seed=seed, pair=np.uint8(1))
-        run_trials(ref_rx, {DetectorKind.NCD: 30.0}, cfg)
+        run_sweep([(ref_rx, {DetectorKind.NCD: 30.0}, cfg)])
 
 
 class TestDeterminism:
     def test_identical_runs(self, ref_rx):
-        vs = np.sum(np.abs(ref_rx.comp.templates) ** 2)
+        vs = np.sum(np.abs(ref_rx.templates) ** 2)
         gammas = {d: threshold(law(d, 12, 2, 1, 1.0, vs), 1e-2) for d in ALL}
         cfg = TrialConfig(trials=3000, seed=42, target_draw=Swerling1(1.0))
-        r1 = run_trials(ref_rx, gammas, cfg)
-        r2 = run_trials(ref_rx, gammas, cfg)
-        for d in ALL:
-            assert r1[d] == r2[d]
+        r1 = run_sweep([(ref_rx, gammas, cfg)])[0]
+        r2 = run_sweep([(ref_rx, gammas, cfg)])[0]
+        assert r1 == r2
+        assert list(r1) == ALL
+        assert all(type(n) is int for n in r1.values())
 
     def test_prefix_consistency_across_trial_counts(self, ref_rx):
         # the first block of a long run equals the whole of a short run
@@ -156,39 +155,33 @@ class TestDeterminism:
 
     def test_block_order_independent_counts(self, ref_rx):
         # counting is associative: summing per-block exceedances in
-        # reversed order reproduces run_trials
+        # reversed order reproduces run_sweep
         gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-2)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21)
         blocks = [cg for _, cg in iter_coordinate_blocks(ref_rx, cfg)]
         total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
                     for c, g in reversed(blocks))
-        got = run_trials(ref_rx, {DetectorKind.NCD: gamma}, cfg)
-        assert got[DetectorKind.NCD].detections == total
+        got = run_sweep([(ref_rx, {DetectorKind.NCD: gamma}, cfg)])[0]
+        assert got[DetectorKind.NCD] == total
 
     def test_seed_changes_results(self, ref_rx):
         gammas = {DetectorKind.NCD: threshold(
             law(DetectorKind.NCD, 12, 2, 1, 1.0), 0.5)}
-        runs = [run_trials(ref_rx, gammas, TrialConfig(trials=2000, seed=s))
-                for s in (1, 2)]
-        assert (runs[0][DetectorKind.NCD].detections
-                != runs[1][DetectorKind.NCD].detections)
+        runs = run_sweep([(ref_rx, gammas, TrialConfig(trials=2000, seed=s))
+                          for s in (1, 2)])
+        assert runs[0][DetectorKind.NCD] != runs[1][DetectorKind.NCD]
 
 
 class TestH0Calibration:
     @pytest.mark.parametrize("det", ALL)
     def test_exceedance_matches_pfa(self, det, ref_rx):
-        vs = float(np.sum(np.abs(ref_rx.comp.templates) ** 2))
+        vs = float(np.sum(np.abs(ref_rx.templates) ** 2))
         pf = 1e-2
         gamma = threshold(law(det, 12, 2, 1, 1.0, vs), pf)
         cfg = TrialConfig(trials=100000, seed=77)
-        res = run_trials(ref_rx, {det: gamma}, cfg)[det]
+        p_hat = run_sweep([(ref_rx, {det: gamma}, cfg)])[0][det] / cfg.trials
         sigma = np.sqrt(pf * (1 - pf) / cfg.trials)
-        assert abs(res.p_hat - pf) <= 3 * sigma
-
-    def test_result_bookkeeping(self):
-        r = EmpiricalResult.from_counts(DetectorKind.CD, 250, 1000)
-        assert r.p_hat == 0.25
-        assert r.ci_halfwidth == pytest.approx(3 * np.sqrt(0.25 * 0.75 / 1000))
+        assert abs(p_hat - pf) <= 3 * sigma
 
 
 class TestH1Match:
@@ -196,9 +189,10 @@ class TestH1Match:
     def test_swerling_average_within_ci(self, det, ref_rx):
         pt = analyze_detector(det, ref_rx, 1e-4)
         cfg = TrialConfig(trials=50000, seed=101, target_draw=Swerling1(1.0))
-        res = run_trials(ref_rx, {det: pt.gamma}, cfg)[det]
+        detections = run_sweep([(ref_rx, {det: pt.gamma}, cfg)])[0][det]
+        p_hat = detections / cfg.trials
         sigma = np.sqrt(pt.pd * (1 - pt.pd) / cfg.trials)
-        assert abs(res.p_hat - pt.pd) <= 3 * sigma
+        assert abs(p_hat - pt.pd) <= 3 * sigma
 
     def test_fixed_alpha_noise_free_limit(self, ref_scenario, zero_err):
         from dataclasses import replace
@@ -207,17 +201,16 @@ class TestH1Match:
         gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, sc.sigma2), 1e-4)
         cfg = TrialConfig(trials=500, seed=3,
                           target_draw=NonFluctuating(1.0 + 0.0j))
-        res = run_trials(rx, {DetectorKind.NCD: gamma},
-                         cfg)[DetectorKind.NCD]
-        assert res.p_hat == 1.0
+        got = run_sweep([(rx, {DetectorKind.NCD: gamma}, cfg)])[0]
+        assert got[DetectorKind.NCD] == cfg.trials
 
     def test_ncd_phase_screen_invariance(self, ref_rx):
         # NCD counts are unchanged by any fixed phase screen applied to
         # the measurements' coordinates
         gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-3)
         cfg = TrialConfig(trials=20000, seed=55, target_draw=Swerling1(1.0))
-        base = run_trials(ref_rx, {DetectorKind.NCD: gamma},
-                          cfg)[DetectorKind.NCD]
+        base = run_sweep([(ref_rx, {DetectorKind.NCD: gamma},
+                           cfg)])[0][DetectorKind.NCD]
         blocks = list(iter_coordinate_blocks(ref_rx, cfg))
         c_shape = blocks[0][1][0].shape[1:]
         rng = np.random.default_rng(2)
@@ -225,7 +218,7 @@ class TestH1Match:
         screened = sum(
             int(np.count_nonzero(ncd_statistic(c * screen) + g > gamma))
             for _, (c, g) in blocks)
-        assert screened == base.detections
+        assert screened == base
 
 
 class TestDistributionChecks:
@@ -271,7 +264,7 @@ def mixed_runs(sc, target=None, seed=31):
              ALL[:3]),
             (sc, doppler, POOL_TRIALS, ALL)]):
         rx = Receiver.build(scenario, err)
-        vs = float(np.sum(np.abs(rx.comp.templates) ** 2))
+        vs = float(np.sum(np.abs(rx.templates) ** 2))
         gammas = {d: threshold(law(d, 12, 2, 1, 1.0, vs), 0.05) for d in dets}
         cfg = TrialConfig(trials=trials, seed=seed, pair=pair,
                           target_draw=target)
@@ -300,10 +293,9 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == len(runs)
-        for res, (rx, gammas, cfg) in zip(got, runs):
-            assert ({d: r.detections for d, r in res.items()}
-                    == serial_counts(rx, gammas, cfg))
-        assert run_trials(*runs[2]) == got[2]
+        for counts, (rx, gammas, cfg) in zip(got, runs):
+            assert counts == serial_counts(rx, gammas, cfg)
+        assert run_sweep(runs[2:]) == got[2:]
 
     @pytest.mark.parametrize("budget_largest, workers", [(2, 2), (1.5, 1)])
     def test_byte_budget_counts_largest_block(self, monkeypatch, pool_spy,
@@ -361,7 +353,7 @@ class TestWorkerPool:
         monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
                             int(budget_blocks * block_bytes))
         cfg = TrialConfig(trials=POOL_TRIALS, seed=4)
-        run_trials(ref_rx, {DetectorKind.NCD: 30.0}, cfg)
+        run_sweep([(ref_rx, {DetectorKind.NCD: 30.0}, cfg)])
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= max_threads
 
@@ -580,7 +572,8 @@ def definition(det, comp, y):
 
 
 def random_case(seed, random_scenario):
-    """A random receiver and five random measurement cubes for it."""
+    """A random receiver, its compensation set and five random
+    measurement cubes for it."""
     rng = np.random.default_rng(4000 + seed)
     # every fourth scenario has K <= M + 1, every third is co-located
     short = dict(m_tx=3, k_pulses=3) if seed % 4 == 1 else {}
@@ -590,7 +583,8 @@ def random_case(seed, random_scenario):
         sc = colocated_scenario(sc)
     shape = (5, sc.m_tx, sc.n_rx, sc.k_pulses)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return Receiver.build(sc, err), y
+    return (Receiver.build(sc, err), CompensationSet.from_scenario(sc, err),
+            y)
 
 
 class TestCoordinates:
@@ -598,7 +592,7 @@ class TestCoordinates:
     def test_statistics_equal_on_full_cube(self, seed, random_scenario):
         # T(B^H y, energy outside) equals T(y) for any measurement y:
         # every vector a detector reads lies in the spans of the basis
-        rx, y = random_case(seed, random_scenario)
+        rx, comp, y = random_case(seed, random_scenario)
         basis = rx.span
         crx, signal, outside = montecarlo._coordinates(rx)
         M, N, K, r = basis.shape
@@ -613,7 +607,7 @@ class TestCoordinates:
              - np.sum(np.abs(c) ** 2, axis=(1, 2, 3)))
         for d in ALL:
             try:
-                want = definition(d, rx.comp, y)
+                want = definition(d, comp, y)
             except ValueError:  # HD on rank-deficient steering
                 with pytest.raises(ValueError):
                     analysis.statistic(d, crx)
@@ -626,9 +620,9 @@ class TestCoordinates:
         # in the K-sample frame the receiver's statistics are the paper's
         # definitions, on a batch and on the single cube the noncentrality
         # reads
-        rx, y = random_case(seed, random_scenario)
+        rx, comp, y = random_case(seed, random_scenario)
         for d in ALL:
-            want = definition(d, rx.comp, y)
+            want = definition(d, comp, y)
             stat = analysis.statistic(d, rx)
             np.testing.assert_allclose(stat(y), want, rtol=1e-12)
             np.testing.assert_allclose(stat(y[0]), want[0], rtol=1e-12)
@@ -637,10 +631,10 @@ class TestCoordinates:
     def test_span_projector_equals_qr_oracle(self, seed, random_scenario):
         # where the QR oracle finds every S_hat_n of rank M, so does the
         # span's SVD, and U U^H projects onto the same subspace as Q Q^H
-        rx, _ = random_case(seed, random_scenario)
+        rx, comp, _ = random_case(seed, random_scenario)
         M = rx.sc.m_tx
         try:
-            q = doppler_projectors(rx.comp.S_hat)
+            q = doppler_projectors(comp.S_hat)
         except ValueError:
             assert np.any(rx.rank < M)
             return
@@ -751,15 +745,16 @@ class TestCoordinates:
         # coordinate's signal
         sc, err, *_ = self.case(case, ref_scenario, random_scenario)
         rx = Receiver.build(sc, err)
+        S_hat = CompensationSet.from_scenario(sc, err).S_hat
         M, N, K = rx.x.shape
-        r = max(np.linalg.matrix_rank(s) for s in rx.comp.S_hat)
+        r = max(np.linalg.matrix_rank(s) for s in S_hat)
         crx, signal, outside = montecarlo._coordinates(rx)
         assert crx.x.shape == (M, N, r)
         assert signal.size == M * N * r + shared
         assert outside == M * N * (K - r) - shared
         np.testing.assert_array_equal(signal[:M * N * r], crx.x.ravel())
         residual = [x - s @ np.linalg.lstsq(s, x, rcond=None)[0]
-                    for xs, s in zip(rx.x.transpose(1, 0, 2), rx.comp.S_hat)
+                    for xs, s in zip(rx.x.transpose(1, 0, 2), S_hat)
                     for x in xs]
         e = np.linalg.norm(residual)
         if shared:
@@ -782,6 +777,7 @@ class TestCoordinates:
         sc, err, target, dets, trials = self.case(case, ref_scenario,
                                                   random_scenario)
         rx = Receiver.build(sc, err)
+        comp = CompensationSet.from_scenario(sc, err)
         crx, signal, outside = montecarlo._coordinates(rx)
         if case == "short":
             assert (signal.size, outside) == (crx.x.size + 1, 1)
@@ -795,6 +791,6 @@ class TestCoordinates:
             stat = analysis.statistic(d, crx)
             got = np.concatenate([v for _, v in montecarlo._map_blocks(
                 [(crx, signal, outside, cfg, stat)])])
-            want = np.concatenate([definition(d, rx.comp, y) for y in cubes])
+            want = np.concatenate([definition(d, comp, y) for y in cubes])
             p_values[d] = stats.ks_2samp(got, want).pvalue
         assert min(p_values.values()) > self.KS_ALPHA, p_values

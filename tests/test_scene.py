@@ -60,6 +60,11 @@ class TestDopplerSteering:
         for n in range(2):
             assert np.array_equal(S[n], doppler_steering(f[n], 7, 1e-3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_phase_beyond_a_double_is_a_value_error(self):
+        with pytest.raises(ValueError, match="steering phase .* overflows"):
+            doppler_steering([1e308], 12, 1.0)
+
 
 class TestAfMatrix:
     """The ambiguity diagonals X[m, n, mb] of the model builder."""
@@ -272,6 +277,15 @@ class TestLinkBudget:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             link_budget_xi(0.0, 1e3, 1.0, 1.0, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("snr_db, sigma2, b", [
+        (np.float64(300.0), 1e300, 1.0),   # the product overflows
+        (np.float64(4000.0), 1.0, 1.0),    # 10 ** (snr / 10) does
+        (np.float64(0.0), 1.0, 1e-310)])   # the division does
+    def test_gain_beyond_a_double_is_a_value_error(self, snr_db, sigma2, b):
+        with pytest.raises(ValueError, match="channel gain .* overflows"):
+            xi_from_snr(snr_db, np.float64(b), sigma2, 1.0)
 
 
 class TestValidation:
