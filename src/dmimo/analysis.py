@@ -127,22 +127,23 @@ class Receiver:
     templates and the orthonormal basis of span S_hat_n (M, N, K, r_S)
     from ``detectors.steering_span``, which HD projects onto and the
     Monte Carlo draws its coordinates in.  ``build`` gives the K-sample
-    frame, ``onto`` the coordinates in that span."""
+    frame, ``onto`` the coordinates in that span, where ``span`` is
+    None."""
 
     sc: Scenario
     x: np.ndarray
     varsigma: float
     phasors: np.ndarray
     templates: np.ndarray
-    span: np.ndarray
+    span: np.ndarray | None
     rank: np.ndarray
 
     @classmethod
     def build(cls, sc: Scenario, err: SyncErrors) -> "Receiver":
         """The pair's receiver, from the scenario and its sync errors;
         raises ValueError where the compensation set or the model cannot
-        be built (an estimated delay outside [0, PRI), a phase beyond a
-        double)."""
+        be built (an estimated delay outside [0, PRI), a phase of 2^52 rad
+        or more)."""
         comp = CompensationSet.from_scenario(sc, err)
         templates = comp.templates
         u, rank = steering_span(comp.S_hat)
@@ -154,13 +155,14 @@ class Receiver:
 
     def onto(self) -> "Receiver":
         """The same receiver in the coordinates of its span: every vector
-        read becomes its r_S coordinates per path in ``self.span``."""
+        read becomes its r_S coordinates per path in ``self.span``.  The
+        span itself is None there: in its own coordinates each path's
+        projection onto it is the identity, so HD reads no basis."""
         def coords(v):
             return np.einsum("mnkr,mnk...->mnr...", np.conj(self.span), v)
 
         return replace(self, x=coords(self.x), phasors=coords(self.phasors),
-                       templates=coords(self.templates),
-                       span=coords(self.span))
+                       templates=coords(self.templates), span=None)
 
     def law(self, det: DetectorKind) -> tuple[int, float]:
         """The detector's chi-square law (p, c) at this pair."""
@@ -173,9 +175,17 @@ def statistic(det: DetectorKind, rx: Receiver):
     cube (M, N, K) or a batch of them, or a batch of coordinates
     (trials, M, N, r) with g the energy outside their spans, which only
     NCD reads.  ACD is the CD correlation with the phasors as templates.
-    HD projects onto the receiver's span, and raises ValueError where a
+    HD projects onto the receiver's span; in the span's coordinates
+    (``Receiver.onto``) the projection is the identity, so HD is their
+    energy, NCD's sum before it adds g.  HD raises ValueError where a
     receiver's Doppler steering has rank below M (as it has for K < M),
-    naming the receiver and its rank."""
+    naming the receiver and its rank.
+
+    The coordinate forms run on every Monte Carlo block, on the pool's
+    threads, so none of them may call BLAS: a BLAS call runs on threads
+    of its own, which contend with the pool's workers for the CPUs.
+    They are einsums and ufuncs; only HD's K-sample form, read once per
+    pair, takes a matrix product."""
     if det is DetectorKind.NCD:
         return lambda y, g=0.0: ncd_statistic(y) + g
     if det is DetectorKind.ACD:
@@ -187,6 +197,8 @@ def statistic(det: DetectorKind, rx: Receiver):
         if r < M:
             raise ValueError(f"Doppler steering matrix for RX {n} has rank "
                              f"{r} < M = {M} (K = {K}); HD needs rank M")
+    if rx.span is None:
+        return lambda y, g=0.0: ncd_statistic(y)
     return lambda y, g=0.0: hd_statistic(y, rx.span)
 
 

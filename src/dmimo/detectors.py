@@ -10,8 +10,9 @@ compensation phasors exp(j theta_hat) as templates.
 These are the paper's definitions; the package reads them through
 ``analysis.statistic`` on an ``analysis.Receiver``, which holds each
 such quantity once per (sweep point, system) pair.  The CD
-correlation and the HD projection also read a batch of sufficient
-coordinates (trials, M, N, r), given the quantity in the same frame.
+correlation also reads a batch of sufficient coordinates
+(trials, M, N, r), given the templates in the same frame; in the
+coordinates of the Doppler steering spans HD is the NCD energy.
 
   NCD  energy sum of all MF outputs (no phase knowledge)
   ACD  global sum after per-sample phase compensation, equal weights
@@ -29,7 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scene import Scenario, SyncErrors, _model_factors, _model_output
+from .scene import (
+    Scenario,
+    SyncErrors,
+    _checked_phase,
+    _model_factors,
+    _model_output,
+)
 
 __all__ = [
     "CompensationSet",
@@ -61,6 +68,8 @@ class CompensationSet:
     def from_scenario(cls, sc: Scenario, err: SyncErrors) -> "CompensationSet":
         """Form the hatted quantities from estimates tau + dt, f + df,
         psi + dp.  With zero errors this equals the true path model.
+        Raises ValueError where an estimated delay lies outside [0, PRI)
+        or a phase, theta_hat among them, reaches 2^52 rad.
 
         The hatted steering/ambiguity/channel expressions coincide with
         the error-free model evaluated at the estimated parameters, so the
@@ -76,10 +85,13 @@ class CompensationSet:
         S_hat, X_hat, h_hat = _model_factors(
             est, SyncErrors.zeros(sc.m_tx, sc.n_rx))
         k = np.arange(sc.k_pulses)
-        theta_hat = (est.psi_rad[:, :, None]
-                     - 2.0 * math.pi * sc.carrier_hz * est.tau_s[:, :, None]
-                     + 2.0 * math.pi * sc.pri_s * est.doppler_hz[:, :, None]
-                     * k[None, None, :])
+        with np.errstate(all="ignore"):  # checked below
+            theta_hat = (est.psi_rad[:, :, None]
+                         - 2.0 * math.pi * sc.carrier_hz
+                         * est.tau_s[:, :, None]
+                         + 2.0 * math.pi * sc.pri_s
+                         * est.doppler_hz[:, :, None] * k[None, None, :])
+        _checked_phase(theta_hat, "the compensation phase theta_hat")
         return cls(S_hat=S_hat, X_hat=X_hat, h_hat=h_hat, theta_hat=theta_hat)
 
     @property
@@ -159,9 +171,12 @@ def _span(s_bytes, shape, dtype):
 
 def hd_statistic(y, basis) -> np.ndarray | float:
     """Energy of each path's projection onto its Doppler steering subspace,
-    summed non-coherently over paths.  ``basis`` holds one orthonormal
-    basis per path (M, N, K, r), such as ``analysis.Receiver.span``; in
-    sufficient coordinates K is r."""
+    summed non-coherently over paths: a matched subspace detector.
+    ``basis`` holds one orthonormal basis per path (M, N, K, r), such as
+    ``analysis.Receiver.span``.  In that span's own coordinates the
+    projection is the identity and HD is their energy, the NCD sum, so
+    ``analysis.statistic`` calls this on K-sample cubes only; its matrix
+    products call BLAS, which no Monte Carlo block may."""
     y = _check_cube(y)
     basis = np.asarray(basis)
     if basis.shape[:-1] != y.shape[-3:]:

@@ -12,22 +12,25 @@ equal the first ``B`` trials of a short one.
 
 One pool per sweep.  ``run_sweep`` takes every run of a sweep (``simulate``
 passes all its pairs at once) and evaluates the blocks of all of them on
-one thread pool, one worker per CPU the process may run on (fewer when
-the largest block of the sweep is large, to bound the memory held at
-once).  Blocks are submitted in run order, then block order, and lazily:
-at most two per worker are pending at a time, so the futures held do not
-grow with trials or pairs.  Each detector's per-block exceedance counts
-are summed in block order: the counts are bit-identical for any worker
-count.
+one pool of plain threads, one worker per CPU the process may run on
+(fewer when the largest block of the sweep is large, to bound the memory
+held at once).  Workers take the blocks in run order, then block order,
+and a worker starts a block only while fewer than two per worker are
+started and unread, so the results held do not grow with trials or
+pairs.  Each detector's per-block exceedance counts are summed in block
+order: the counts are bit-identical for any worker count, and for any
+order in which the workers finish.  The pool needs ``threading`` alone,
+so a sweep loads neither ``concurrent.futures`` nor ``logging``.
 
 Scratch.  Each worker draws its blocks in place into one scratch of its
-own (a ``threading.local``), kept from block to block and reallocated
-only when the block shape changes: the Swerling I moduli (trials,), the
-standard normals of the coordinates (trials, d, 2), scaled in place and
-read as their complex view, the energies (trials,), and, for a Swerling
-I run, the product |alpha| s of up to 1 MiB of trials at a time, added
-to the coordinates in place.  A block's c and g are views of the
-scratch.
+own, kept from block to block and reallocated only when the block shape
+changes: the Swerling I moduli (trials,), the standard normals of the
+coordinates (trials, d, 2), scaled in place and read as their complex
+view, the energies (trials,), and, for a Swerling I run, the product
+|alpha| s of up to 1 MiB of trials at a time, one einsum pass, added to
+the coordinates in place.  A block's c and g are views of the scratch.
+No block statistic calls BLAS, whose own threads would contend with the
+workers for the CPUs (see ``analysis.statistic``).
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
@@ -39,7 +42,8 @@ basis ``Receiver.span`` of that span (r_S columns, the largest rank over
 the receivers; the one SVD of ``detectors.steering_span``, whose basis
 HD projects onto too), every statistic is an exact function of the
 coordinates c_mn = B_n^H y_mn and, for NCD, of the energy g outside
-the spans, summed over paths.  White Gaussian noise is invariant under
+the spans, summed over paths; HD's projection is the identity on them,
+so HD is their energy.  White Gaussian noise is invariant under
 unitary maps, so B_n^H w_mn is CN(0, sigma^2 I), and
 the noise outside the spans is independent of it and invariant under
 any unitary map of that outside space.  The signal's part outside the
@@ -70,7 +74,6 @@ from __future__ import annotations
 import numbers
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,11 +180,11 @@ def _coordinates(rx: Receiver):
 _PRODUCT_BYTES = 1 << 20
 
 
-class _Scratch(threading.local):
-    """One thread's block arrays, kept from block to block: each is
+class _Scratch:
+    """One worker's block arrays, kept from block to block: each is
     allocated on first use and again only when its shape changes.  A
     block's draws are written into them in place, so the c and g a block
-    returns are views, overwritten by the thread's next block."""
+    returns are views, overwritten by the worker's next block."""
 
     def __init__(self):
         self.arrays = {}
@@ -233,7 +236,7 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, outside: int,
         product = scratch.get("product", (step, d, 2))
         for first in range(0, nb, step):
             part = product[:nb - first]
-            np.multiply(modulus[first:first + step, None, None], s, out=part)
+            np.einsum("t,ks->tks", modulus[first:first + step], s, out=part)
             noise[first:first + step] += part
     elif isinstance(target, NonFluctuating):
         # one alpha for every trial: the (d,) product, broadcast
@@ -262,18 +265,112 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+class _BlockPool:
+    """The sweep's one pool: ``workers`` plain threads that evaluate
+    ``fn(job, scratch)`` for the jobs (none of them None) of the iterable
+    ``jobs``, taken in order, each worker on one ``_Scratch`` of its own.
+    Iterating the pool yields the results in job order, on the caller's
+    thread.
+
+    A worker starts a job only while fewer than 2 ``workers`` started
+    jobs are unread, so the results held do not grow with the jobs.  The
+    first exception a job raises is raised to the caller as it is, and
+    no job starts after it.  Every thread is joined before the iteration
+    ends, whether the jobs run out, a job raises or the caller stops.
+    """
+
+    def __init__(self, jobs, fn, workers: int):
+        self.workers = workers
+        self._jobs = iter(jobs)
+        self._fn = fn
+        self._cond = threading.Condition()
+        self._started = 0     # jobs taken by the workers
+        self._read = 0        # results yielded to the caller
+        self._done = {}       # finished, unread results by job number
+        self._error = None
+        self._stopped = False  # the jobs ran out, or the caller stopped
+
+    def _take(self):
+        """Under the lock, once the window has room: the number and the
+        job a worker starts next, or None when it should exit."""
+        if self._stopped or self._error is not None:
+            return None
+        job = next(self._jobs, None)
+        if job is None:
+            self._stopped = True
+            self._cond.notify_all()
+            return None
+        self._started += 1
+        return self._started - 1, job
+
+    def _pop(self):
+        """Under the lock: the next result in job order, now read."""
+        result = self._done.pop(self._read)
+        self._read += 1
+        self._cond.notify_all()
+        return result
+
+    def _work(self):
+        scratch = _Scratch()
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: (
+                    self._stopped or self._error is not None
+                    or self._started - self._read < 2 * self.workers))
+                task = self._take()
+            if task is None:
+                return
+            k, job = task
+            try:
+                result = self._fn(job, scratch)
+            except BaseException as exc:
+                # the caller raises it; a worker that ended without a
+                # word would leave the caller waiting for its result
+                with self._cond:
+                    if self._error is None:
+                        self._error = exc
+                    self._cond.notify_all()
+                return
+            with self._cond:
+                self._done[k] = result
+                self._cond.notify_all()
+
+    def __iter__(self):
+        threads = [threading.Thread(target=self._work, daemon=True)
+                   for _ in range(self.workers)]
+        for thread in threads:
+            thread.start()
+        try:
+            while True:
+                with self._cond:
+                    self._cond.wait_for(lambda: (
+                        self._read in self._done or self._error is not None
+                        or (self._stopped and self._read == self._started)))
+                    if self._error is not None:
+                        raise self._error
+                    if self._read not in self._done:
+                        return
+                    result = self._pop()
+                yield result
+        finally:
+            with self._cond:
+                self._stopped = True
+                self._cond.notify_all()
+            for thread in threads:
+                thread.join()
+
+
 def _map_blocks(runs):
     """Yield ``(i, fn(c, g))`` for every coordinate block of every run
     ``i`` of ``runs``, ``(rx, signal, outside, cfg, fn)`` tuples whose
     first three are the run's frame from ``_coordinates``, in run order,
-    then block order, from the sweep's one pool (see the module
+    then block order, from the sweep's one ``_BlockPool`` (see the module
     docstring).  Its workers are at most the usable CPUs, the blocks, and
     _BYTES_IN_FLIGHT over the largest block, and at least one; the
-    draws, the ufuncs and the matrix products release the GIL.  An
-    exception raised in a block propagates to the caller.  An empty
-    ``runs`` starts no pool.  A block of nb trials counts its nb d
-    complex coordinates, d = ``signal.size``, 16 nb d bytes, against the
-    cap.
+    draws, the ufuncs and the einsums release the GIL.  An exception raised in a
+    block propagates to the caller.  An empty ``runs`` starts no pool.
+    A block of nb trials counts its nb d complex coordinates,
+    d = ``signal.size``, 16 nb d bytes, against the cap.
 
     ``c`` and ``g`` are views of the worker's scratch, overwritten by its
     next block: ``fn`` may not keep or return views of them.
@@ -286,29 +383,13 @@ def _map_blocks(runs):
     workers = max(1, min(_worker_count(), sum(n_blocks),
                          _BYTES_IN_FLIGHT // block_bytes))
 
-    scratch = _Scratch()  # one per worker thread
+    def block(job, scratch):
+        i, j = job
+        rx, signal, outside, cfg, fn = runs[i]
+        return i, fn(*_coordinate_block(rx, signal, outside, cfg, j, scratch))
 
-    def block(rx, signal, outside, cfg, fn, j):
-        return fn(*_coordinate_block(rx, signal, outside, cfg, j, scratch))
-
-    # imported here to keep concurrent.futures off the CLI's start-up
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        try:
-            for i, run in enumerate(runs):
-                for j in range(n_blocks[i]):
-                    if len(pending) == 2 * workers:
-                        head, future = pending.popleft()
-                        yield head, future.result()
-                    pending.append((i, pool.submit(block, *run, j)))
-            while pending:
-                head, future = pending.popleft()
-                yield head, future.result()
-        finally:
-            # after an error, blocks not yet started are not run
-            for _, future in pending:
-                future.cancel()
+    yield from _BlockPool(((i, j) for i, n in enumerate(n_blocks)
+                           for j in range(n)), block, workers)
 
 
 def run_sweep(runs) -> list:

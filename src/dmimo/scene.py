@@ -171,6 +171,24 @@ class SyncErrors:
         return cls(z, z.copy(), z.copy(), np.zeros(n_rx))
 
 
+# From 2^52 rad up a double's spacing is 1 rad or more: a phase keeps no
+# fraction of a radian, and two roundings of one path's phase (the model's
+# and the compensation's) no longer agree on its angle.
+_PHASE_LIMIT = 2.0 ** 52
+
+
+def _checked_phase(phase, name):
+    """The phases ``phase``, computed under np.errstate(all="ignore");
+    raises ValueError naming them where one overflows a double or reaches
+    _PHASE_LIMIT in magnitude."""
+    if not np.isfinite(phase).all():
+        raise ValueError(f"{name} overflows a double")
+    if not (np.abs(phase) < _PHASE_LIMIT).all():
+        raise ValueError(f"{name} reaches 2^52 rad, where a double keeps "
+                         "no fraction of a radian")
+    return phase
+
+
 def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
     """Doppler steering matrices: for Dopplers f of shape (..., M), an
     array (..., K, M) whose column m is the unit-modulus geometric sequence
@@ -180,11 +198,9 @@ def doppler_steering(f, k_pulses: int, pri_s: float) -> np.ndarray:
     f = np.atleast_1d(np.asarray(f, dtype=float))
     k = np.arange(k_pulses)[:, None]
     with np.errstate(all="ignore"):  # checked below
-        S = np.exp(2j * math.pi * pri_s * k * f[..., None, :])
-    if not np.isfinite(S).all():
-        raise ValueError("the Doppler steering phase 2 pi T_s k f "
-                         "overflows a double")
-    return S
+        phase = 2.0 * math.pi * pri_s * k * f[..., None, :]
+    return np.exp(1j * _checked_phase(
+        phase, "the Doppler steering phase 2 pi T_s k f"))
 
 
 # 64 distinct tensors of 16 M^2 N bytes each (8 KiB at M = N = 8)
@@ -244,9 +260,8 @@ def _model_factors(sc: Scenario, err: SyncErrors):
                  - 2.0 * math.pi * (sc.carrier_hz + err.dc_rx)[None, :, None]
                  * sc.tau_s.T[None]
                  + 2.0 * math.pi * (sc.doppler_hz + err.df)[:, :, None] * nu)
-    if not np.isfinite(phase).all():
-        raise ValueError("the carrier and Doppler phase 2 pi (f_c tau - f nu) "
-                         "of a path overflows a double")
+    _checked_phase(phase, "the carrier and Doppler phase "
+                   "2 pi (f_c tau - f nu) of a path")
     h = (sc.b[:, None] * sc.xi).T[None] * np.exp(1j * phase)
     return S, X, h
 

@@ -1,9 +1,9 @@
-import concurrent.futures
 import sys
 
 import numpy as np
 import pytest
 
+from dmimo import montecarlo
 from dmimo.presets import reference_scenario
 from dmimo.scene import Scenario, SyncErrors, Swerling1
 from dmimo.waveforms import multi_band_chirp
@@ -77,33 +77,32 @@ def random_scenario():
 
 @pytest.fixture
 def pool_spy(monkeypatch):
-    """Replace ``concurrent.futures.ThreadPoolExecutor`` with a subclass
-    that records the ``max_workers`` of every pool constructed and the
-    most futures submitted but not yet read at any one time."""
+    """Replace ``montecarlo._BlockPool`` with a subclass that records the
+    workers of every pool constructed and the most blocks started but not
+    yet read at any one time."""
 
-    class PoolSpy(concurrent.futures.ThreadPoolExecutor):
+    class PoolSpy(montecarlo._BlockPool):
         pools = []
         peak_unread = 0
 
-        def __init__(self, max_workers=None, *args, **kwargs):
-            super().__init__(max_workers, *args, **kwargs)
-            PoolSpy.pools.append(max_workers)
-            self._unread = set()
+        def __init__(self, jobs, fn, workers):
+            super().__init__(jobs, fn, workers)
+            PoolSpy.pools.append(workers)
+            self._unread = 0
 
-        def submit(self, fn, /, *args, **kwargs):
-            # submit and result are both called on the caller's thread
-            future = super().submit(fn, *args, **kwargs)
-            self._unread.add(future)
-            PoolSpy.peak_unread = max(PoolSpy.peak_unread,
-                                      len(self._unread))
-            read = future.result
+        # both run under the pool's lock: a worker starts a block, the
+        # caller reads a result
+        def _take(self):
+            task = super()._take()
+            if task is not None:
+                self._unread += 1
+                PoolSpy.peak_unread = max(PoolSpy.peak_unread,
+                                          self._unread)
+            return task
 
-            def result(timeout=None):
-                self._unread.discard(future)
-                return read(timeout)
+        def _pop(self):
+            self._unread -= 1
+            return super()._pop()
 
-            future.result = result
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
+    monkeypatch.setattr(montecarlo, "_BlockPool", PoolSpy)
     return PoolSpy

@@ -423,6 +423,28 @@ class TestAnalyzeCommand:
         assert rows[0]["error"] == reason
         assert all(r["error"].endswith("overflows a double") for r in rows)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("field, value, phase", [
+        ("carrier_hz", 1e300, "the carrier and Doppler phase "
+                              "2 pi (f_c tau - f nu) of a path"),
+        ("doppler_hz", [[1e307], [1e307]],
+         "the Doppler steering phase 2 pi T_s k f")])
+    def test_phase_of_2_52_rad_gives_error_rows(self, tmp_path, command,
+                                                field, value, phase):
+        # finite phases this large keep no fraction of a radian: without
+        # sync errors, 1e300 Hz printed ACD lambda = 0.212692840113 at
+        # 0 dB, where 3 GHz gives 49.06
+        doc = base_doc(trials=100)
+        doc["scenario"] = {field: value}
+        out = tmp_path / "a.csv"
+        assert main([command, "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3 * 4
+        assert all(r["error"] == f"{phase} reaches 2^52 rad, where a double "
+                   "keeps no fraction of a radian" for r in rows)
+
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_memory_error_is_one_error_line(self, tmp_path, command):
         # 10**17 pulses take 711 PiB per array, beyond any address space,

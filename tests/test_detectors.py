@@ -1,5 +1,6 @@
 """Tests for the detector statistics and GLRT amplitude estimates."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,21 @@ class TestCompensationSet:
         assert np.array_equal(comp.X_hat, X)
         assert np.array_equal(comp.h_hat, h)
 
+    def test_phase_of_2_52_rad_is_a_value_error(self, ref_scenario,
+                                                 zero_err):
+        # each term of theta_hat is 0.6 2^52 rad, so the model and the
+        # steering build, but on path (0, 0) their sum reaches 2^52 rad
+        limit, tau = 2.0 ** 52, ref_scenario.tau_s[0, 0]
+        span_s = ref_scenario.pri_s * (ref_scenario.k_pulses - 1)
+        sc = replace(ref_scenario,
+                     carrier_hz=0.6 * limit / (2 * math.pi * tau),
+                     doppler_hz=np.full((2, 1), -0.6 * limit
+                                        / (2 * math.pi * span_s)))
+        _model_factors(sc, zero_err)
+        with pytest.raises(ValueError, match=r"^the compensation phase "
+                           r"theta_hat reaches 2\^52 rad"):
+            CompensationSet.from_scenario(sc, zero_err)
+
     def test_templates_match_manual_product(self, ref_scenario, zero_err):
         comp = CompensationSet.from_scenario(ref_scenario, zero_err)
         v = comp.templates
@@ -301,11 +317,15 @@ def abs_squared_forms(y, rx=None, theta=None):
     np.abs(...) ** 2, keyed by the statistic they check: NCD, the CD
     correlation against the receiver's templates and phasors (ACD in
     coordinates), ACD on the compensation phases, and HD on the
-    receiver's per-path span bases."""
+    receiver's per-path span bases.  A batch of span coordinates, whose
+    receiver holds no span, is HD's projection as it stands: a path's
+    coordinates are its coefficients in the orthonormal basis."""
     def cd(v):
         return np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
 
-    coeffs = np.einsum("mnkj,tmnk->tmnj", np.conj(rx.span), y)
+    coeffs = y
+    if rx.span is not None:
+        coeffs = np.einsum("mnkj,tmnk->tmnj", np.conj(rx.span), y)
     forms = {"ncd": np.sum(np.abs(y) ** 2, axis=(-3, -2, -1)),
              "cd": cd(rx.templates), "cd_phasors": cd(rx.phasors),
              "hd": np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))}
@@ -316,10 +336,11 @@ def abs_squared_forms(y, rx=None, theta=None):
 
 
 def energy_forms(y, rx=None, theta=None):
-    """The same statistics from ``detectors``."""
+    """The same statistics from ``detectors``, HD through
+    ``analysis.statistic`` in the receiver's frame."""
     forms = {"ncd": ncd_statistic(y), "cd": cd_statistic(y, rx.templates),
              "cd_phasors": cd_statistic(y, rx.phasors),
-             "hd": hd_statistic(y, rx.span)}
+             "hd": statistic(DetectorKind.HD, rx)(y)}
     if theta is not None:
         forms["acd"] = acd_statistic(y, theta)
     return forms
@@ -361,8 +382,10 @@ class TestEnergyForm:
         rng = np.random.default_rng(6000 + seed)
         sc, err = random_scenario(rng)
         sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)
-        frame = montecarlo._coordinates(Receiver.build(sc, err))
+        rx = Receiver.build(sc, err)
+        frame = montecarlo._coordinates(rx)
         crx = frame[0]
+        assert crx.span is None
         cfg = TrialConfig(trials=3000, seed=seed, target_draw=Swerling1(2.0))
         c, _ = montecarlo._coordinate_block(*frame, cfg, 0)
         want = abs_squared_forms(c, crx)
@@ -371,3 +394,9 @@ class TestEnergyForm:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-15,
                                        atol=0, err_msg=name)
+        # HD on the coordinates is HD on the cubes they span, to the
+        # rounding of the basis's orthonormality
+        cubes = np.einsum("mnkj,tmnj->tmnk", rx.span, c)
+        np.testing.assert_allclose(
+            got["hd"], statistic(DetectorKind.HD, rx)(cubes), rtol=1e-13,
+            atol=0)

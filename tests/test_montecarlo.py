@@ -1,5 +1,6 @@
 """Tests for the seeded trial engine."""
 
+import json
 import os
 import sys
 import threading
@@ -392,6 +393,71 @@ class TestWorkerPool:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert len(caught) == 1 and caught[0] is raised[0]
+
+    def test_caller_that_stops_leaves_no_worker(self, monkeypatch, ref_rx):
+        # closing the blocks after the first result joins every worker,
+        # and no block starts beyond the window of two per worker
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        started = []
+
+        def fn(c, g):
+            started.append(len(c))
+            return len(started)
+
+        before = threading.active_count()
+        cfg = TrialConfig(trials=100 * 64, seed=1)
+        blocks = montecarlo._map_blocks(
+            [montecarlo._coordinates(ref_rx) + (cfg, fn)])
+        assert next(blocks)[0] == 0
+        blocks.close()
+        assert threading.active_count() == before
+        assert 1 <= len(started) <= 1 + 2 * 3
+
+    def test_sweep_loads_no_futures_and_joins_its_workers(self, tmp_path):
+        # a fresh interpreter: a small simulate on three workers loads
+        # neither concurrent.futures nor logging, and run_sweep has joined
+        # every worker when it returns and when a block raises
+        import subprocess
+        code = """if True:
+            import sys, threading
+            from dmimo import analysis, cli, montecarlo
+            from dmimo.analysis import DetectorKind, Receiver
+            from dmimo.presets import reference_scenario
+            from dmimo.scene import SyncErrors
+            montecarlo._worker_count = lambda: 3
+            before = threading.active_count()
+            code = cli.main(["simulate", "--experiment", sys.argv[1],
+                             "--out", sys.argv[2]])
+            assert code in (0, 1), code
+            assert threading.active_count() == before
+            def failing(y):
+                raise ValueError("bad block")
+            analysis.ncd_statistic = failing
+            rx = Receiver.build(reference_scenario("multi_band"),
+                                SyncErrors.zeros(2, 1))
+            cfg = montecarlo.TrialConfig(trials=20000, seed=1)
+            try:
+                montecarlo.run_sweep([(rx, {DetectorKind.NCD: 30.0}, cfg)])
+            except ValueError as exc:
+                assert str(exc) == "bad block"
+            else:
+                raise AssertionError("the block's error was not raised")
+            assert threading.active_count() == before
+            for name in ("concurrent.futures", "logging"):
+                assert name not in sys.modules, name
+        """
+        doc = {"scenario": {"waveform_set": "multi_band"},
+               "sweep": {"variable": "snr_db", "start": 0.0, "stop": 5.0,
+                         "points": 2},
+               "trials": 20000, "pfa_target": 1e-4}
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps(doc))
+        src = str(Path(montecarlo.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code, str(exp),
+                        str(tmp_path / "s.csv")], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+        assert (tmp_path / "s.csv").read_text().count("\n") == 1 + 2 * 4
 
 
 def copied(c, g):

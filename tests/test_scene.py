@@ -65,6 +65,14 @@ class TestDopplerSteering:
         with pytest.raises(ValueError, match="steering phase .* overflows"):
             doppler_steering([1e308], 12, 1.0)
 
+    def test_phase_of_2_52_rad_is_a_value_error(self):
+        # 2 pi T_s k f for k = 11 is 0.99 2^52 rad, then -1.01 2^52 rad
+        f = 2.0 ** 52 / (2 * math.pi * 11)
+        doppler_steering([0.99 * f], 12, 1.0)
+        with pytest.raises(ValueError, match=r"steering phase .* reaches "
+                           r"2\^52 rad"):
+            doppler_steering([-1.01 * f], 12, 1.0)
+
 
 class TestAfMatrix:
     """The ambiguity diagonals X[m, n, mb] of the model builder."""
