@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,12 +59,23 @@ def _fmt(v) -> str:
 @contextlib.contextmanager
 def _open_out(path):
     """The --out file, open for writing.  An OSError while it is opened,
-    written or closed ends in one error line."""
+    written or closed ends in one error line.  A run that fails removes
+    the file if this call created it, and never a path that existed
+    before, such as /dev/full."""
     if not path:
         raise SystemExit("error: --out must name a file")
     try:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        try:
+            fh, created = open(path, "x", newline=""), True
+        except FileExistsError:
+            fh, created = open(path, "w", newline=""), False
+        try:
+            with fh:
+                yield fh
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
     except OSError as exc:
         raise SystemExit(f"error: cannot write --out {path}: {exc.strerror}")
 

@@ -14,13 +14,13 @@ One pool per sweep.  ``run_sweep`` takes every run of a sweep (``simulate``
 passes all its pairs at once) and evaluates the blocks of all of them on
 one pool of plain threads, one worker per CPU the process may run on
 (fewer when the largest block of the sweep is large, to bound the memory
-held at once).  Workers take the blocks in run order, then block order,
-and a worker starts a block only while fewer than two per worker are
-started and unread, so the results held do not grow with trials or
-pairs.  Each detector's per-block exceedance counts are summed in block
-order: the counts are bit-identical for any worker count, and for any
-order in which the workers finish.  The pool needs ``threading`` alone,
-so a sweep loads neither ``concurrent.futures`` nor ``logging``.
+held at once).  Each worker takes the next (run, block) job under one
+lock and writes the block's exceedance counts into the job's slot, so
+the pool keeps a few integers per block and no block's arrays.  A run's
+counts are exact integer sums over its blocks: they are the same for any
+worker count and any order in which the blocks finish.  The pool needs
+``threading`` alone, so a sweep loads neither ``concurrent.futures`` nor
+``logging``.
 
 Scratch.  Each worker draws its blocks in place into one scratch of its
 own, kept from block to block and reallocated only when the block shape
@@ -265,131 +265,42 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-class _BlockPool:
-    """The sweep's one pool: ``workers`` plain threads that evaluate
-    ``fn(job, scratch)`` for the jobs (none of them None) of the iterable
-    ``jobs``, taken in order, each worker on one ``_Scratch`` of its own.
-    Iterating the pool yields the results in job order, on the caller's
-    thread.
+def _pool_map(fn, jobs, workers: int) -> list:
+    """``[fn(job, scratch) for job in jobs]`` on ``workers`` plain
+    threads, each with one ``_Scratch`` of its own.  A worker takes the
+    next job under one lock and writes its result into the job's slot,
+    so the list is in job order whatever order the jobs end in.  The
+    first exception a job raises is raised as it is once every thread
+    has ended, and no job starts after it."""
+    results = [None] * len(jobs)
+    todo = enumerate(jobs)
+    lock = threading.Lock()
+    errors = []
 
-    A worker starts a job only while fewer than 2 ``workers`` started
-    jobs are unread, so the results held do not grow with the jobs.  The
-    first exception a job raises is raised to the caller as it is, and
-    no job starts after it.  Every thread is joined before the iteration
-    ends, whether the jobs run out, a job raises or the caller stops.
-    """
-
-    def __init__(self, jobs, fn, workers: int):
-        self.workers = workers
-        self._jobs = iter(jobs)
-        self._fn = fn
-        self._cond = threading.Condition()
-        self._started = 0     # jobs taken by the workers
-        self._read = 0        # results yielded to the caller
-        self._done = {}       # finished, unread results by job number
-        self._error = None
-        self._stopped = False  # the jobs ran out, or the caller stopped
-
-    def _take(self):
-        """Under the lock, once the window has room: the number and the
-        job a worker starts next, or None when it should exit."""
-        if self._stopped or self._error is not None:
-            return None
-        job = next(self._jobs, None)
-        if job is None:
-            self._stopped = True
-            self._cond.notify_all()
-            return None
-        self._started += 1
-        return self._started - 1, job
-
-    def _pop(self):
-        """Under the lock: the next result in job order, now read."""
-        result = self._done.pop(self._read)
-        self._read += 1
-        self._cond.notify_all()
-        return result
-
-    def _work(self):
+    def work():
         scratch = _Scratch()
         while True:
-            with self._cond:
-                self._cond.wait_for(lambda: (
-                    self._stopped or self._error is not None
-                    or self._started - self._read < 2 * self.workers))
-                task = self._take()
+            with lock:
+                task = None if errors else next(todo, None)
             if task is None:
                 return
             k, job = task
             try:
-                result = self._fn(job, scratch)
+                results[k] = fn(job, scratch)
             except BaseException as exc:
-                # the caller raises it; a worker that ended without a
-                # word would leave the caller waiting for its result
-                with self._cond:
-                    if self._error is None:
-                        self._error = exc
-                    self._cond.notify_all()
+                with lock:
+                    errors.append(exc)
                 return
-            with self._cond:
-                self._done[k] = result
-                self._cond.notify_all()
 
-    def __iter__(self):
-        threads = [threading.Thread(target=self._work, daemon=True)
-                   for _ in range(self.workers)]
-        for thread in threads:
-            thread.start()
-        try:
-            while True:
-                with self._cond:
-                    self._cond.wait_for(lambda: (
-                        self._read in self._done or self._error is not None
-                        or (self._stopped and self._read == self._started)))
-                    if self._error is not None:
-                        raise self._error
-                    if self._read not in self._done:
-                        return
-                    result = self._pop()
-                yield result
-        finally:
-            with self._cond:
-                self._stopped = True
-                self._cond.notify_all()
-            for thread in threads:
-                thread.join()
-
-
-def _map_blocks(runs):
-    """Yield ``(i, fn(c, g))`` for every coordinate block of every run
-    ``i`` of ``runs``, ``(rx, signal, outside, cfg, fn)`` tuples whose
-    first three are the run's frame from ``_coordinates``, in run order,
-    then block order, from the sweep's one ``_BlockPool`` (see the module
-    docstring).  Its workers are at most the usable CPUs, the blocks, and
-    _BYTES_IN_FLIGHT over the largest block, and at least one; the
-    draws, the ufuncs and the einsums release the GIL.  An exception raised in a
-    block propagates to the caller.  An empty ``runs`` starts no pool.
-    A block of nb trials counts its nb d complex coordinates,
-    d = ``signal.size``, 16 nb d bytes, against the cap.
-
-    ``c`` and ``g`` are views of the worker's scratch, overwritten by its
-    next block: ``fn`` may not keep or return views of them.
-    """
-    if not runs:
-        return
-    n_blocks = [-(-cfg.trials // BLOCK_TRIALS) for *_, cfg, _ in runs]
-    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * signal.nbytes
-                      for _, signal, _, cfg, _ in runs)
-    workers = max(1, min(_worker_count(), sum(n_blocks),
-                         _BYTES_IN_FLIGHT // block_bytes))
-
-    def block(job, scratch):
-        i, j = job
-        rx, signal, outside, cfg, fn = runs[i]
-        return i, fn(*_coordinate_block(rx, signal, outside, cfg, j, scratch))
-
-    yield from _BlockPool(((i, j) for i, n in enumerate(n_blocks)
-                           for j in range(n)), block, workers)
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def run_sweep(runs) -> list:
@@ -401,20 +312,37 @@ def run_sweep(runs) -> list:
     its threshold, and the run's TrialConfig.  Returns, per run in run
     order, a map from each of its detectors to the number of its
     ``cfg.trials`` trials whose statistic exceeds the threshold.
+
+    Every block of every run is one job of one ``_pool_map`` (see the
+    module docstring), whose workers are at most the usable CPUs, the
+    blocks, and _BYTES_IN_FLIGHT over the largest block, and at least
+    one; the draws, the ufuncs and the einsums release the GIL.  A block
+    of nb trials counts its nb d complex coordinates, d = ``signal.size``,
+    16 nb d bytes, against the cap.  An exception raised in a block
+    reaches the caller.  An empty ``runs`` starts no pool.
     """
-    jobs = []
-    for rx, gammas, cfg in runs:
+    if not runs:
+        return []
+    frames, jobs = [], []
+    for i, (rx, gammas, cfg) in enumerate(runs):
         crx, signal, outside = _coordinates(rx)
         checks = [(statistic(d, crx), gamma) for d, gamma in gammas.items()]
+        frames.append((crx, signal, outside, cfg, checks))
+        jobs += [(i, j) for j in range(-(-cfg.trials // BLOCK_TRIALS))]
+    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * signal.nbytes
+                      for _, signal, _, cfg, _ in frames)
+    workers = max(1, min(_worker_count(), len(jobs),
+                         _BYTES_IN_FLIGHT // block_bytes))
 
-        def block_counts(c, g, checks=checks):
-            return [int(np.count_nonzero(stat(c, g) > gamma))
-                    for stat, gamma in checks]
+    def block_counts(job, scratch):
+        i, j = job
+        *frame, checks = frames[i]
+        c, g = _coordinate_block(*frame, j, scratch)
+        return [int(np.count_nonzero(stat(c, g) > gamma))
+                for stat, gamma in checks]
 
-        jobs.append((crx, signal, outside, cfg, block_counts))
-    # integer sums in block order: the counts are the serial ones exactly
-    totals = [[0] * len(gammas) for *_, gammas, _ in runs]
-    for i, counts in _map_blocks(jobs):
+    totals = [[0] * len(gammas) for _, gammas, _ in runs]
+    for (i, _), counts in zip(jobs, _pool_map(block_counts, jobs, workers)):
         totals[i] = [t + n for t, n in zip(totals[i], counts)]
     return [dict(zip(gammas, counts))
             for (_, gammas, _), counts in zip(runs, totals)]

@@ -77,32 +77,14 @@ def random_scenario():
 
 @pytest.fixture
 def pool_spy(monkeypatch):
-    """Replace ``montecarlo._BlockPool`` with a subclass that records the
-    workers of every pool constructed and the most blocks started but not
-    yet read at any one time."""
+    """Wrap ``montecarlo._pool_map`` to record the workers of every pool
+    started, in ``pool_spy.pools``."""
+    pool_map = montecarlo._pool_map
 
-    class PoolSpy(montecarlo._BlockPool):
-        pools = []
-        peak_unread = 0
+    def spy(fn, jobs, workers):
+        spy.pools.append(workers)
+        return pool_map(fn, jobs, workers)
 
-        def __init__(self, jobs, fn, workers):
-            super().__init__(jobs, fn, workers)
-            PoolSpy.pools.append(workers)
-            self._unread = 0
-
-        # both run under the pool's lock: a worker starts a block, the
-        # caller reads a result
-        def _take(self):
-            task = super()._take()
-            if task is not None:
-                self._unread += 1
-                PoolSpy.peak_unread = max(PoolSpy.peak_unread,
-                                          self._unread)
-            return task
-
-        def _pop(self):
-            self._unread -= 1
-            return super()._pop()
-
-    monkeypatch.setattr(montecarlo, "_BlockPool", PoolSpy)
-    return PoolSpy
+    spy.pools = []
+    monkeypatch.setattr(montecarlo, "_pool_map", spy)
+    return spy

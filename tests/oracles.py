@@ -8,10 +8,10 @@ closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
 the full (trials, M, N, K) measurement blocks, with their complex
 Swerling I amplitudes, check the law of the Monte Carlo engine's
 sufficient coordinates, and the serial coordinate-block iterator, which
-takes an `analysis.Receiver`, checks its pooled block map; the
-Kolmogorov-Smirnov distance of an H0 statistic, drawn through that pooled
-block map, from the chi-square law of `Receiver.law` checks the law the
-closed forms take; the amplitude MLE alpha checks the CD GLRT identity,
+takes an `analysis.Receiver`, checks its pooled blocks; the
+Kolmogorov-Smirnov distance of an H0 statistic, drawn through that
+serial iterator, from the chi-square law of `Receiver.law` checks the
+law the closed forms take; the amplitude MLE alpha checks the CD GLRT identity,
 and the per-path beta MLE the HD projection energy; the paper's ACD, the
 phase-compensated global sum, checks the package's ACD, the CD
 correlation on the phasors; the QR bases of the Doppler steering
@@ -46,7 +46,6 @@ from dmimo.montecarlo import (
     _block_rng,
     _coordinate_block,
     _coordinates,
-    _map_blocks,
     draw_noise,
 )
 from dmimo.scene import (
@@ -249,7 +248,7 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
 def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     """Yield the run's coordinate blocks (c, g) one at a time, serially
     and in block order, plus the receiver in their coordinates: the
-    serial reference for the pooled block map."""
+    serial reference for the pooled blocks."""
     frame = _coordinates(rx)
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
         yield frame[0], _coordinate_block(*frame, cfg, j)
@@ -273,9 +272,8 @@ def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
     """KS distance between the empirical H0 statistic and its theoretical
     central chi-square law."""
     cfg = TrialConfig(trials=trials, seed=seed)
-    frame = _coordinates(rx)
-    blocks = _map_blocks([frame + (cfg, statistic(det, frame[0]))])
-    vals = np.concatenate([v for _, v in blocks])
+    vals = np.concatenate([statistic(det, crx)(c, g) for crx, (c, g)
+                           in iter_coordinate_blocks(rx, cfg)])
     p, c = rx.law(det)
     ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
     return DistributionCheck(detector=det, trials=trials,

@@ -213,7 +213,7 @@ class TestCafCommand:
                   "--out", str(out)])
         assert exc.value.code == ("error: the CAF phase overflows a double "
                                   "at these arguments")
-        assert out.read_text() == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "1", "-5"])
     def test_too_few_points_is_usage_error(self, tmp_path, capsys, points):
@@ -458,7 +458,25 @@ class TestAnalyzeCommand:
         msg = exc.value.code
         assert isinstance(msg, str) and msg.startswith("error: ")
         assert "\n" not in msg
-        assert out.read_text() == ""
+        assert not out.exists()
+
+    def test_failed_run_removes_only_the_file_it_created(self, tmp_path):
+        # a multi-band sweep whose arrays no address space holds: the
+        # --out file the run created is removed, one that existed before
+        # is kept
+        doc = {"scenario": {"waveform_set": "multi_band",
+                            "k_pulses": 10**17},
+               "sweep": {"variable": "snr_db", "start": 0, "stop": 1,
+                         "points": 2}}
+        exp = write_doc(tmp_path, doc)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for out in (new, old):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--experiment", exp, "--out", str(out)])
+            assert exc.value.code.startswith("error: ")
+        assert not new.exists()
+        assert old.is_file()
 
     def test_schema_error_exits_nonzero(self, tmp_path):
         exp = write_doc(tmp_path, base_doc(bogus=1))

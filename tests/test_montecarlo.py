@@ -315,19 +315,6 @@ class TestWorkerPool:
         run_sweep(runs)
         assert pool_spy.pools == [workers]
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_pending_futures_bounded_by_window(self, monkeypatch, pool_spy,
-                                               ref_scenario, workers):
-        # blocks are submitted as results are read, never all up front
-        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        runs = mixed_runs(ref_scenario)
-        n_blocks = sum(-(-cfg.trials // 64) for *_, cfg in runs)
-        assert n_blocks > 100 * workers
-        run_sweep(runs)
-        assert pool_spy.pools == [workers]
-        assert pool_spy.peak_unread == 2 * workers
-
     def test_no_runs_no_pool(self, pool_spy):
         assert run_sweep([]) == []
         assert pool_spy.pools == []
@@ -358,16 +345,6 @@ class TestWorkerPool:
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= max_threads
 
-    def test_ks_distance_independent_of_worker_count(self, monkeypatch,
-                                                     ref_rx):
-        ks = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_worker_count",
-                                lambda w=workers: w)
-            ks.append(h0_statistic_distribution_check(
-                DetectorKind.HD, ref_rx, POOL_TRIALS, seed=5).ks_distance)
-        assert ks[0] == ks[1] == ks[2]
-
     def test_block_exception_reaches_caller(self, monkeypatch,
                                            ref_scenario):
         # the partial block of the sweep's last run raises
@@ -394,25 +371,80 @@ class TestWorkerPool:
         assert not caller.is_alive()
         assert len(caught) == 1 and caught[0] is raised[0]
 
-    def test_caller_that_stops_leaves_no_worker(self, monkeypatch, ref_rx):
-        # closing the blocks after the first result joins every worker,
-        # and no block starts beyond the window of two per worker
-        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 64)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+    def test_pool_map_returns_results_in_job_order(self):
+        # jobs 0 and 1 wait until job 2 has ended, so the jobs end out of
+        # order, and the results still come back in job order
+        third_done = threading.Event()
+        ended = []
+
+        def fn(k, scratch):
+            if k < 2:
+                assert third_done.wait(timeout=60)
+            ended.append(k)
+            if k == 2:
+                third_done.set()
+            return k * k
+
+        got = montecarlo._pool_map(fn, list(range(9)), 3)
+        assert got == [k * k for k in range(9)]
+        assert ended[0] == 2 and sorted(ended) == list(range(9))
+
+    def test_pool_map_starts_no_job_after_one_raises(self):
+        # one worker takes the jobs in order: none starts after job 4
+        # raises, and its exception is raised as it is
         started = []
+        error = ValueError("job 4")
 
-        def fn(c, g):
-            started.append(len(c))
-            return len(started)
+        def fn(k, scratch):
+            started.append(k)
+            if k == 4:
+                raise error
+            return k
 
-        before = threading.active_count()
-        cfg = TrialConfig(trials=100 * 64, seed=1)
-        blocks = montecarlo._map_blocks(
-            [montecarlo._coordinates(ref_rx) + (cfg, fn)])
-        assert next(blocks)[0] == 0
-        blocks.close()
-        assert threading.active_count() == before
-        assert 1 <= len(started) <= 1 + 2 * 3
+        with pytest.raises(ValueError) as exc:
+            montecarlo._pool_map(fn, list(range(10)), 1)
+        assert exc.value is error
+        assert started == [0, 1, 2, 3, 4]
+
+    def test_simulate_bytes_independent_of_worker_count(self, monkeypatch,
+                                                        tmp_path):
+        # delay_offset_benchmark adds co-located rank-1 pairs, HD error
+        # rows, and runs of different block sizes to one pool; 40,000
+        # trials end each run in a partial block.  The exit status is the
+        # gate's verdict, 0 or 1; the bytes are what must not move
+        names = ("timing_errors", "delay_offset_benchmark")
+        recipes = Path(__file__).resolve().parent.parent / "recipes"
+        argv = {name: ["simulate", "--experiment",
+                       str(recipes / f"{name}.json"), "--trials", "40000"]
+                for name in names}
+        got = {name: set() for name in names}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_worker_count",
+                                lambda w=workers: w)
+            for name in names:
+                out = tmp_path / f"{name}_{workers}.csv"
+                assert cli.main(argv[name] + ["--out", str(out)]) in (0, 1)
+                got[name].add(out.read_bytes())
+        # a fresh interpreter on three workers, with every allocation
+        # filled with a byte pattern: a scratch element read before it
+        # is written changes the bytes
+        import subprocess
+        code = """if True:
+            import json, sys
+            from dmimo import cli, montecarlo
+            montecarlo._worker_count = lambda: 3
+            for argv in json.loads(sys.argv[1]):
+                assert cli.main(argv) in (0, 1)
+        """
+        runs = [argv[name] + ["--out", str(tmp_path / f"{name}_perturb.csv")]
+                for name in names]
+        src = str(Path(montecarlo.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                       check=True, env=dict(os.environ, PYTHONPATH=src,
+                                            MALLOC_PERTURB_="165"))
+        for name in names:
+            got[name].add((tmp_path / f"{name}_perturb.csv").read_bytes())
+            assert len(got[name]) == 1, name
 
     def test_sweep_loads_no_futures_and_joins_its_workers(self, tmp_path):
         # a fresh interpreter: a small simulate on three workers loads
@@ -460,10 +492,6 @@ class TestWorkerPool:
         assert (tmp_path / "s.csv").read_text().count("\n") == 1 + 2 * 4
 
 
-def copied(c, g):
-    """A block's coordinates and energies, copied out of the worker's
-    scratch."""
-    return c.copy(), g.copy()
 
 
 def assert_same_bits(got, want):
@@ -482,27 +510,36 @@ class TestScratch:
     @pytest.mark.parametrize("target", [
         None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
         ids=["H0", "swerling", "fixed"])
-    def test_pooled_blocks_equal_serial(self, monkeypatch, ref_scenario,
-                                        workers, target):
+    def test_pooled_blocks_equal_serial(self, ref_scenario, workers,
+                                        target):
         # a run of three full blocks and a partial one, and a sweep that
         # mixes distributed (r_S = 2) and co-located (r_S = 1) pairs
         doppler = _path_errors(2, 1, df=12.0)
         rx = Receiver.build(ref_scenario, doppler)
         single = [(rx, None, TrialConfig(trials=POOL_TRIALS, seed=12,
                                           target_draw=target))]
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         for runs in (single, mixed_runs(ref_scenario, target)):
-            jobs = [montecarlo._coordinates(rx) + (cfg, copied)
-                    for rx, _, cfg in runs]
+            frames = [montecarlo._coordinates(rx) + (cfg,)
+                      for rx, _, cfg in runs]
+            jobs = [(i, j) for i, (*_, cfg) in enumerate(frames)
+                    for j in range(-(-cfg.trials // BLOCK_TRIALS))]
+
+            def copied(job, scratch):
+                # the block's coordinates and energies, copied out of
+                # the worker's scratch
+                i, j = job
+                c, g = montecarlo._coordinate_block(*frames[i], j, scratch)
+                return c.copy(), g.copy()
+
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                got = list(montecarlo._map_blocks(jobs))
+                got = montecarlo._pool_map(copied, jobs, workers)
             finally:
                 sys.setswitchinterval(interval)
             for i, (rx, _, cfg) in enumerate(runs):
                 assert_same_bits(
-                    [cg for run, cg in got if run == i],
+                    [cg for (run, _), cg in zip(jobs, got) if run == i],
                     [cg for _, cg in iter_coordinate_blocks(rx, cfg)])
 
     @pytest.mark.parametrize("target", [
@@ -545,7 +582,7 @@ class TestScratch:
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
         first = montecarlo._coordinate_block(*frame, cfg, 0)
-        kept = copied(*first)
+        kept = tuple(a.copy() for a in first)
         montecarlo._coordinate_block(*frame, cfg, 1)
         assert_same_bits([first], [kept])
 
@@ -855,8 +892,8 @@ class TestCoordinates:
         p_values = {}
         for d in dets:
             stat = analysis.statistic(d, crx)
-            got = np.concatenate([v for _, v in montecarlo._map_blocks(
-                [(crx, signal, outside, cfg, stat)])])
+            got = np.concatenate([stat(c, g) for _, (c, g)
+                                  in iter_coordinate_blocks(rx, cfg)])
             want = np.concatenate([definition(d, comp, y) for y in cubes])
             p_values[d] = stats.ks_2samp(got, want).pvalue
         assert min(p_values.values()) > self.KS_ALPHA, p_values
