@@ -147,8 +147,10 @@ class Receiver:
         comp = CompensationSet.from_scenario(sc, err)
         templates = comp.templates
         u, rank = steering_span(comp.S_hat)
+        with np.errstate(over="ignore"):  # law checks the scale c
+            varsigma = float(np.sum(np.abs(templates) ** 2))
         return cls(sc=sc, x=noise_free_mf_output(sc, err, 1.0),
-                   varsigma=float(np.sum(np.abs(templates) ** 2)),
+                   varsigma=varsigma,
                    phasors=np.exp(1j * comp.theta_hat),
                    templates=templates,
                    span=np.broadcast_to(u, (sc.m_tx,) + u.shape), rank=rank)
@@ -202,23 +204,37 @@ def statistic(det: DetectorKind, rx: Receiver):
     return lambda y, g=0.0: hd_statistic(y, rx.span)
 
 
+def _unit_scale(x) -> float:
+    """The power of two s that brings max |x| into [1/2, 1) (1 where x is
+    0): s x is exact, so a quadratic form of s x is the form of x times
+    s^2 without its overflow or underflow."""
+    return math.ldexp(1.0, -math.frexp(float(np.max(np.abs(x))))[1])
+
+
 def noncentrality(det: DetectorKind, rx: Receiver, rho: float) -> float:
     """Noncentrality lambda = 2 rho T(x) / c at target RCS rho = |alpha|^2,
     T the detector's statistic and x the receiver's noise-free return at
     unit amplitude.  Where T(x) is below the least normal double (CD's
-    grows as xi^4, and a strong fixed target's gains are small), T reads
-    s x and c becomes c s^2, s the power of two that brings max |x| into
-    [1/2, 1): T is quadratic, so the ratio is the same."""
+    grows as xi^4, and a strong fixed target's gains are small) or
+    overflows one (CD's at an SNR of 2000 dB), T reads s x and c becomes
+    c s^2, s the power of two that brings max |x| into [1/2, 1): T is
+    quadratic, so the ratio is the same.  Raises ValueError where lambda
+    itself overflows a double."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     _, c = rx.law(det)
     stat = statistic(det, rx)
-    t = float(stat(rx.x))
-    if t < sys.float_info.min:
-        s = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(rx.x))))[1])
-        if sys.float_info.min <= c * s * s < math.inf:
-            t, c = float(stat(rx.x * s)), c * s * s
-    return 2.0 * rho * t / c
+    with np.errstate(over="ignore"):  # an infinite T(x) is rescaled
+        t = float(stat(rx.x))
+        if not sys.float_info.min <= t < math.inf:
+            s = _unit_scale(rx.x)
+            if sys.float_info.min <= c * s * s < math.inf:
+                t, c = float(stat(rx.x * s)), c * s * s
+    lam = 2.0 * rho * t / c
+    if not lam < math.inf:
+        raise ValueError(f"{det.value} noncentrality lambda = 2 rho T(x) / c "
+                         "overflows a double")
+    return lam
 
 
 def pfa(law: tuple[int, float], gamma: float) -> Probability:
@@ -230,14 +246,20 @@ def pfa(law: tuple[int, float], gamma: float) -> Probability:
 
 
 def threshold(law: tuple[int, float], pfa_target: float) -> float:
-    """Threshold gamma with pfa(law, gamma) = pfa_target.  For p > 1 the
-    gamma quantile is cached on (p, pfa_target), at most 64 of them."""
+    """Threshold gamma = c q with pfa(law, gamma) = pfa_target, q the
+    quantile of the unit-scale law.  For p > 1 q is cached on
+    (p, pfa_target), at most 64 of them.  Raises ValueError where gamma
+    overflows a double."""
     if not 0.0 < pfa_target < 1.0:
         raise ValueError("target false-alarm rate must lie strictly in (0, 1)")
     p, c = law
-    if p == 1:
-        return c * math.log(1.0 / pfa_target)
-    return c * _gamma_quantile(p, pfa_target)
+    q = (math.log(1.0 / pfa_target) if p == 1
+         else _gamma_quantile(p, pfa_target))
+    gamma = c * q
+    if gamma == math.inf:
+        raise ValueError(f"threshold gamma = c q = {c} * {q} overflows "
+                         "a double")
+    return gamma
 
 
 # The quantile depends on the order and the target alone, never on the

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Receiver, statistic
+from .analysis import Receiver, _unit_scale, statistic
 from .detectors import _RCOND_LIMIT, _energy
 from .scene import NonFluctuating, Swerling1
 
@@ -161,14 +161,20 @@ def _coordinates(rx: Receiver):
     The return's (M, N, r_S) span coordinates come first; where its part
     outside the spans has norm e > _RCOND_LIMIT ||x|| over all paths, e
     follows as the one shared coordinate, and the energy covers
-    M N (K - r_S) - 1 dimensions, else M N (K - r_S).
+    M N (K - r_S) - 1 dimensions, else M N (K - r_S).  Where ||x||^2
+    overflows a double, both norms are taken at x scaled to unit size.
     """
     M, N, K, r = rx.span.shape
     crx = rx.onto()
-    inside = np.einsum("mnkr,mnr->mnk", rx.span, crx.x)
-    e = float(np.linalg.norm(rx.x - inside))
+    x_perp = rx.x - np.einsum("mnkr,mnr->mnk", rx.span, crx.x)
+    with np.errstate(over="ignore"):  # an infinite norm is rescaled
+        e, norm = np.linalg.norm(x_perp), np.linalg.norm(rx.x)
+    if norm == np.inf:
+        s = _unit_scale(rx.x)
+        e, norm = np.linalg.norm(x_perp * s) / s, np.linalg.norm(rx.x * s) / s
+    e = float(e)
     signal = crx.x.ravel()
-    if e > _RCOND_LIMIT * np.linalg.norm(rx.x):
+    if e > _RCOND_LIMIT * norm:
         signal = np.append(signal, e)
     return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
 
@@ -318,8 +324,11 @@ def run_sweep(runs) -> list:
     blocks, and _BYTES_IN_FLIGHT over the largest block, and at least
     one; the draws, the ufuncs and the einsums release the GIL.  A block
     of nb trials counts its nb d complex coordinates, d = ``signal.size``,
-    16 nb d bytes, against the cap.  An exception raised in a block
-    reaches the caller.  An empty ``runs`` starts no pool.
+    16 nb d bytes, against the cap.  A block runs with overflow ignored:
+    a statistic or energy beyond the largest double reads inf, which
+    exceeds every finite threshold, as its exact value does, so the
+    count stays right.  An exception raised in a block reaches the
+    caller.  An empty ``runs`` starts no pool.
     """
     if not runs:
         return []
@@ -337,9 +346,10 @@ def run_sweep(runs) -> list:
     def block_counts(job, scratch):
         i, j = job
         *frame, checks = frames[i]
-        c, g = _coordinate_block(*frame, j, scratch)
-        return [int(np.count_nonzero(stat(c, g) > gamma))
-                for stat, gamma in checks]
+        with np.errstate(over="ignore"):  # inf exceeds every gamma
+            c, g = _coordinate_block(*frame, j, scratch)
+            return [int(np.count_nonzero(stat(c, g) > gamma))
+                    for stat, gamma in checks]
 
     totals = [[0] * len(gammas) for _, gammas, _ in runs]
     for (i, _), counts in zip(jobs, _pool_map(block_counts, jobs, workers)):

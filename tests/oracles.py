@@ -19,8 +19,9 @@ subspaces, with the paper's HD on one such basis per receiver, check the
 SVD span of `detectors.steering_span` and the package's per-path HD; the
 bistatic link budget checks the back-solved channel gain of
 `xi_from_snr`; and the per-detector noncentrality formulas, which
-rebuild the return x from the scenario, check `analysis.noncentrality`
-on the receiver.  The paper's statistics
+rebuild the return x from the scenario and form the receiver's
+estimates by their definitions, check `analysis.noncentrality` on the
+receiver.  The paper's statistics
 in `dmimo.detectors` are the remaining reference: the tests check
 `analysis.statistic` against them.
 scipy is imported here, not in the package: it is a test dependency.
@@ -28,18 +29,13 @@ scipy is imported here, not in the package: it is a test dependency.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from dmimo.analysis import DetectorKind, Receiver, statistic
-from dmimo.detectors import (
-    _RCOND_LIMIT,
-    CompensationSet,
-    _check_cube,
-    _energy,
-)
+from dmimo.detectors import _RCOND_LIMIT, _check_cube, _energy
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     TrialConfig,
@@ -358,27 +354,40 @@ def link_budget_xi(r_t_m: float, r_r_m: float, g_t: float, g_r: float,
 
 
 def noncentrality_formula(det: DetectorKind, sc: Scenario, err: SyncErrors,
-                          comp: CompensationSet, rho: float):
+                          rho: float):
     """Noncentrality lambda at target RCS rho, plus the CD varsigma (None
-    for the other detectors), written out by hand for each detector."""
+    for the other detectors), written out by hand for each detector.  The
+    receiver's quantities are formed here from the estimates tau + dt,
+    f + df and psi + dp: theta_hat and S_hat from their definitions, and
+    the CD templates as the model's return at the estimates."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
     s2 = sc.sigma2
     x = noise_free_mf_output(sc, err, 1.0)
+    tau_hat = sc.tau_s + err.dt
+    f_hat = sc.doppler_hz + err.df
+    psi_hat = sc.psi_rad + err.dp
+    k = np.arange(K)
 
     if det is DetectorKind.NCD:
         return 2.0 * rho * float(np.sum(np.abs(x) ** 2)) / s2, None
     if det is DetectorKind.ACD:
-        coh = np.sum(np.exp(-1j * comp.theta_hat) * x)
+        theta_hat = (psi_hat[:, :, None]
+                     - 2.0 * math.pi * sc.carrier_hz * tau_hat[:, :, None]
+                     + 2.0 * math.pi * sc.pri_s * f_hat[:, :, None] * k)
+        coh = np.sum(np.exp(-1j * theta_hat) * x)
         return 2.0 * rho * abs(coh) ** 2 / (K * M * N * s2), None
     if det is DetectorKind.CD:
-        v = comp.templates
+        est = replace(sc, tau_s=tau_hat, doppler_hz=f_hat, psi_rad=psi_hat)
+        v = noise_free_mf_output(est, SyncErrors.zeros(M, N), 1.0)
         varsigma = float(np.sum(np.abs(v) ** 2))
         num = abs(np.sum(np.conj(v) * x)) ** 2
         return 2.0 * rho * num / (s2 * varsigma), varsigma
     # HD: energy of the true signal after projection onto the estimated
-    # Doppler subspaces
-    q = doppler_projectors(comp.S_hat)
+    # Doppler subspaces, S_hat[n, k, m] = exp(j 2 pi T k f_hat_mn)
+    S_hat = np.exp(2j * math.pi * sc.pri_s * k[None, :, None]
+                   * f_hat.T[:, None, :])
+    q = doppler_projectors(S_hat)
     coeffs = np.einsum("nkj,mnk->mnj", np.conj(q), x)
     return 2.0 * rho * float(np.sum(np.abs(coeffs) ** 2)) / s2, None

@@ -22,17 +22,19 @@ from dmimo.analysis import (
     pd_swerling1,
     threshold,
 )
-from dmimo.detectors import CompensationSet, cd_statistic, hd_statistic
+from dmimo.detectors import cd_statistic, hd_statistic
 from dmimo.experiments import load_experiment, parse_experiment, scenario_at
 from dmimo.montecarlo import TrialConfig, run_sweep
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
+    Scenario,
     Swerling1,
     SyncErrors,
     colocated_scenario,
+    doppler_steering,
     noise_free_mf_output,
 )
-from dmimo.waveforms import caf, down_chirp, up_chirp
+from dmimo.waveforms import caf, down_chirp, multi_band_chirp, up_chirp
 from oracles import (
     alpha_mle,
     beta_mle,
@@ -224,6 +226,86 @@ def test_5e_distributed_crosses_colocated_benchmark():
     report("5e", "distributed system crosses the co-located benchmark", ok)
 
 
+def _phase_law_geometries():
+    """(scenario, errors): the reference scene and a directly built
+    M = 4, N = 2 one, each without and with sync errors."""
+    ref = reference_scenario("multi_band")
+    ref_err = SyncErrors(dt=[[1e-6], [2e-6]], df=[[30.0], [-20.0]],
+                         dp=[[0.3], [-0.5]], dc_rx=[0.0])
+    rng = np.random.default_rng(514)
+    M, N, tp = 4, 2, 1e-5
+    sc4 = Scenario(
+        pulses=tuple(multi_band_chirp(m + 1, 400e3, tp, 3.0)
+                     for m in range(M)),
+        n_rx=N, k_pulses=16, pri_s=2e-3, carrier_hz=3e9,
+        tau_s=rng.uniform(0.5 * tp, 1.5 * tp, (M, N)),
+        doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),
+        psi_rad=rng.uniform(-np.pi, np.pi, (M, N)),
+        b=rng.uniform(0.5, 2.0, M), xi=rng.uniform(0.1, 1.0, (M, N)),
+        sigma2=1.0, target=Swerling1(1.0))
+    err4 = SyncErrors(dt=rng.uniform(-0.3 * tp, 0.3 * tp, (M, N)),
+                      df=rng.uniform(-30.0, 30.0, (M, N)),
+                      dp=rng.uniform(-np.pi, np.pi, (M, N)),
+                      dc_rx=rng.uniform(-5.0, 5.0, N))
+    return [(ref, SyncErrors.zeros(2, 1)), (ref, ref_err),
+            (sc4, SyncErrors.zeros(M, N)), (sc4, err4)]
+
+
+# the degree in the phase offset of each quantity 5g pins
+PHASE_LAW_DEGREES = {"NCD lambda": 1, "HD lambda": 1, "ACD lambda": 2,
+                     "CD lambda varsigma": 2, "CD varsigma": 1}
+
+
+def _phase_law_quantities(sc, err, dpsi):
+    """The quantities of PHASE_LAW_DEGREES with TX 2's phase moved by
+    dpsi."""
+    psi = sc.psi_rad.copy()
+    psi[1] += dpsi
+    rx = Receiver.build(replace(sc, psi_rad=psi), err)
+    out = {f"{d.value} lambda": noncentrality(d, rx, 1.0) for d in ALL}
+    out["CD lambda varsigma"] = out.pop("CD lambda") * rx.varsigma
+    out["CD varsigma"] = rx.varsigma
+    return out
+
+
+def _trig_basis(phi, degree):
+    cols = [np.ones_like(phi)]
+    for k in range(1, degree + 1):
+        cols += [np.cos(k * phi), np.sin(k * phi)]
+    return np.stack(cols, axis=-1)
+
+
+def _phase_law_residuals(sc, err):
+    """Per quantity, the largest residual over 41 offsets in [-pi, pi] of
+    the trigonometric polynomial of its degree through 2 degree + 1
+    other offsets, relative to the largest value."""
+    grid = np.linspace(-np.pi, np.pi, 41)
+    values = [_phase_law_quantities(sc, err, phi) for phi in grid]
+    out = {}
+    for name, degree in PHASE_LAW_DEGREES.items():
+        fit_at = 0.1 - np.pi + 2.0 * np.pi * np.arange(2 * degree + 1) \
+            / (2 * degree + 1)
+        at = [_phase_law_quantities(sc, err, phi)[name] for phi in fit_at]
+        coef = np.linalg.solve(_trig_basis(fit_at, degree), at)
+        y = np.array([v[name] for v in values])
+        out[name] = (np.abs(_trig_basis(grid, degree) @ coef - y).max()
+                     / np.abs(y).max())
+    return out
+
+
+def test_5g_exact_phase_law():
+    # each statistic is quadratic in the return, and the return and the
+    # CD templates are linear in exp(j psi_m); so, in the phase offset of
+    # one TX, NCD's and HD's lambda are trigonometric polynomials of
+    # degree 1, ACD's of degree 2, and CD's lambda varsigma of degree 2
+    # over its varsigma of degree 1
+    ok = True
+    for sc, err in _phase_law_geometries():
+        ok &= max(_phase_law_residuals(sc, err).values()) <= 1e-10
+    report("5g", "lambda follows the exact phase law in the phase offset",
+           ok)
+
+
 def test_6_waveform_checks():
     sc = reference_scenario("multi_band")
     p1, p2 = sc.pulses
@@ -260,21 +342,22 @@ def test_7_model_equivalence(random_scenario):
 
 def test_8_glrt_identities():
     sc = reference_scenario("single_band")
-    comp = CompensationSet.from_scenario(sc, ZERO)
-    span = Receiver.build(sc, ZERO).span
-    v = comp.templates
+    rx = Receiver.build(sc, ZERO)
+    v = rx.templates
     varsigma = np.sum(np.abs(v) ** 2)
+    # without sync errors the estimated Dopplers f + df are the true ones
+    S_hat = doppler_steering(sc.doppler_hz.T, sc.k_pulses, sc.pri_s)[0]
     rng = np.random.default_rng(81)
     ok = True
     for _ in range(25):
         y = rng.normal(size=(2, 1, 12)) + 1j * rng.normal(size=(2, 1, 12))
         a_hat = alpha_mle(y, v)
-        lhs = cd_statistic(y, comp.templates)
+        lhs = cd_statistic(y, v)
         ok &= abs(lhs - abs(a_hat) ** 2 * varsigma ** 2) <= 1e-9 * lhs
-        hd = hd_statistic(y, span)
+        hd = hd_statistic(y, rx.span)
         total = 0.0
         for m in range(2):
-            beta = beta_mle(y[m, 0], comp.S_hat[0])
-            total += np.sum(np.abs(comp.S_hat[0] @ beta) ** 2)
+            beta = beta_mle(y[m, 0], S_hat)
+            total += np.sum(np.abs(S_hat @ beta) ** 2)
         ok &= abs(hd - total) <= 1e-9 * hd
     report(8, "GLRT amplitude identities", ok)

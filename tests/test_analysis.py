@@ -20,7 +20,6 @@ from dmimo.analysis import (
     pfa,
     threshold,
 )
-from dmimo.detectors import CompensationSet
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -127,11 +126,10 @@ class TestNoncentrality:
                          dp=rng.uniform(-np.pi, np.pi, (M, N)),
                          dc_rx=rng.uniform(-5.0, 5.0, N))
         rx = Receiver.build(sc, err)
-        comp = CompensationSet.from_scenario(sc, err)
         rho = rng.uniform(0.1, 3.0)
         for det in ALL:
             try:
-                want, want_vs = noncentrality_formula(det, sc, err, comp, rho)
+                want, want_vs = noncentrality_formula(det, sc, err, rho)
             except ValueError:
                 # co-located HD: rank-deficient steering, both must raise
                 with pytest.raises(ValueError):

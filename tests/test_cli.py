@@ -101,6 +101,17 @@ class TestThresholdCommand:
         assert str(exc.value.code).startswith("error: ")
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_threshold_is_an_error(self, capsys):
+        # c = sigma^2 = 1e308 is a double, but gamma = c q is not
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", "NCD", "--pfa", "1e-3",
+                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
+                  "--sigma2", "1e308"])
+        assert str(exc.value.code).startswith(
+            "error: threshold gamma = c q = 1e+308 * ")
+        assert str(exc.value.code).endswith(" overflows a double")
+        assert capsys.readouterr().out == ""
+
     def test_underflowing_scale_is_an_error(self, capsys):
         # c = varsigma sigma^2 = 1e-600 underflows to 0, a threshold of 0
         with pytest.raises(SystemExit) as exc:
@@ -444,6 +455,71 @@ class TestAnalyzeCommand:
         assert len(rows) == 3 * 4
         assert all(r["error"] == f"{phase} reaches 2^52 rad, where a double "
                    "keeps no fraction of a radian" for r in rows)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("scenario, start, stop", [
+        # from 2000 dB CD's T(x) = |v^H x|^2 overflows, in the closed form
+        # and in the Monte Carlo blocks
+        ({}, 1000.0, 3000.0),
+        # at sigma^2 = 1e300 every T(x) and ||x||^2 overflow, and so does
+        # varsigma, and with it CD's scale c
+        ({"sigma2": 1e300}, 75.0, 80.0)])
+    def test_extreme_snr_gives_numbers_and_no_warning(self, tmp_path,
+                                                      command, scenario,
+                                                      start, stop):
+        doc = {"scenario": scenario, "trials": 100,
+               "sweep": {"variable": "snr_db", "start": start,
+                         "stop": stop, "points": 5}}
+        out = tmp_path / "a.csv"
+        assert main([command, "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 5 * 4
+        lam = {}
+        for r in rows:
+            if r["error"]:
+                assert r["detector"] == "CD" and r["error"].startswith(
+                    "CD statistic scale c = inf is not finite")
+                continue
+            assert float(r["pd_analytic"]) > 1.0 - 1e-7
+            assert command == "analyze" or r["pd_empirical"] == "1"
+            lam[(r["sweep_value"], r["detector"])] = float(r["lambda"])
+        # without sync errors CD's lambda is NCD's
+        for (value, det), got in lam.items():
+            if det == "CD":
+                assert got == pytest.approx(lam[(value, "NCD")], rel=1e-12,
+                                            abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("scenario, start, reasons", [
+        # at sigma^2 = 1e308 NCD's and HD's gamma = c q overflow, and so
+        # do varsigma, and with it CD's scale c, and ACD's c = KMN sigma^2
+        ({"sigma2": 1e308}, 0.0,
+         {"NCD": "threshold gamma = c q = 1e+308 * 46.61",
+          "HD": "threshold gamma = c q = 1e+308 * 15.91",
+          "ACD": "ACD statistic scale c = inf is not finite",
+          "CD": "CD statistic scale c = inf is not finite"}),
+        # from 3070 dB lambda itself overflows, and so does varsigma
+        ({}, 3070.0,
+         {"NCD": "NCD noncentrality lambda = 2 rho T(x) / c overflows",
+          "HD": "HD noncentrality lambda = 2 rho T(x) / c overflows",
+          "ACD": "ACD noncentrality lambda = 2 rho T(x) / c overflows",
+          "CD": "CD statistic scale c = inf is not finite"})])
+    def test_overflowing_quantity_gives_error_rows(self, tmp_path, command,
+                                                   scenario, start,
+                                                   reasons):
+        doc = {"scenario": scenario, "trials": 100,
+               "sweep": {"variable": "snr_db", "start": start,
+                         "stop": start + 1.0, "points": 2}}
+        out = tmp_path / "a.csv"
+        assert main([command, "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2 * 4
+        for r in rows:
+            assert r["error"].startswith(reasons[r["detector"]])
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_memory_error_is_one_error_line(self, tmp_path, command):

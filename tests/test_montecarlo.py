@@ -770,6 +770,23 @@ class TestCoordinates:
         assert rx.span.shape == (2, 1, 12, 1)
         assert montecarlo._coordinates(rx)[2] == 2 * 11
 
+    @pytest.mark.filterwarnings("error")
+    def test_frame_of_a_return_beyond_a_double(self):
+        # gains 2^600 times larger put ||x||^2 beyond a double: the frame
+        # is the same, its signal 2^600 times larger, exactly
+        sc = reference_scenario("multi_band", k_pulses=3)
+        err = _path_errors(2, 1, df=12.0)
+        crx, signal, outside = montecarlo._coordinates(
+            Receiver.build(sc, err))
+        big = Receiver.build(replace(sc, xi=sc.xi * 2.0 ** 600), err)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(big.x) == np.inf
+        big_crx, big_signal, big_outside = montecarlo._coordinates(big)
+        assert signal.size == crx.x.size + 1  # the shared coordinate
+        np.testing.assert_array_equal(big_signal, signal * 2.0 ** 600)
+        np.testing.assert_array_equal(big_crx.x, crx.x * 2.0 ** 600)
+        assert big_outside == outside
+
     # Two-sample KS of each statistic: the engine's coordinate blocks
     # against full (trials, M, N, K) measurement cubes drawn on an
     # independent stream.

@@ -1,4 +1,5 @@
-"""Every shipped recipe's `dmimo analyze` output, pinned cell by cell.
+"""Every shipped recipe's `dmimo analyze` output, pinned cell by cell,
+and every recipe and demo run clean with warnings raised as errors.
 
 `tests/data/analyze/<recipe>.csv` holds the output of
 
@@ -20,6 +21,8 @@ and explain the changed cells where the change is recorded.
 
 import csv
 import math
+import runpy
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from dmimo.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = sorted((ROOT / "recipes").glob("*.json"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXPECTED = Path(__file__).resolve().parent / "data" / "analyze"
 
 
@@ -66,3 +70,21 @@ def test_analyze_matches_pinned_csv(recipe, tmp_path):
                 assert g == w, where
             else:
                 assert math.isclose(g_num, w_num, rel_tol=1e-10), where
+
+
+def test_every_recipe_and_demo_runs_clean(tmp_path):
+    # any warning, numpy's RuntimeWarning among them, raises: analyze and
+    # caf exit 0 on every recipe, simulate 0 or 1 (a row outside its
+    # confidence gate), and each demo runs to its end
+    assert len(RECIPES) == 8 and len(DEMOS) == 4
+    out = str(tmp_path / "out.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for recipe in RECIPES:
+            io = ["--experiment", str(recipe), "--out", out]
+            assert main(["analyze", *io]) == 0, recipe.stem
+            assert main(["caf", *io]) == 0, recipe.stem
+            assert main(["simulate", *io, "--trials", "8193"]) in (0, 1), \
+                recipe.stem
+        for demo in DEMOS:
+            runpy.run_path(str(demo), run_name="__main__")
