@@ -16,7 +16,6 @@ from .analysis import (
 from .detectors import (
     CompensationSet,
     cd_statistic,
-    hd_statistic,
     ncd_statistic,
 )
 from .experiments import ExperimentSpec, load_experiment, parse_experiment
@@ -45,7 +44,6 @@ __all__ = [
     "threshold",
     "CompensationSet",
     "cd_statistic",
-    "hd_statistic",
     "ncd_statistic",
     "ExperimentSpec",
     "load_experiment",

@@ -30,7 +30,6 @@ import numpy as np
 from .detectors import (
     CompensationSet,
     cd_statistic,
-    hd_statistic,
     ncd_statistic,
     steering_span,
 )
@@ -155,16 +154,20 @@ class Receiver:
                    templates=templates,
                    span=np.broadcast_to(u, (sc.m_tx,) + u.shape), rank=rank)
 
+    def coordinates(self, y) -> np.ndarray:
+        """The span coordinates (..., M, N, r_S) of a cube (M, N, K) or a
+        batch of them: per path, y's inner products with the columns of
+        ``self.span``."""
+        return np.einsum("mnkr,...mnk->...mnr", np.conj(self.span), y)
+
     def onto(self) -> "Receiver":
         """The same receiver in the coordinates of its span: every vector
         read becomes its r_S coordinates per path in ``self.span``.  The
         span itself is None there: in its own coordinates each path's
         projection onto it is the identity, so HD reads no basis."""
-        def coords(v):
-            return np.einsum("mnkr,mnk...->mnr...", np.conj(self.span), v)
-
-        return replace(self, x=coords(self.x), phasors=coords(self.phasors),
-                       templates=coords(self.templates), span=None)
+        return replace(self, x=self.coordinates(self.x),
+                       phasors=self.coordinates(self.phasors),
+                       templates=self.coordinates(self.templates), span=None)
 
     def law(self, det: DetectorKind) -> tuple[int, float]:
         """The detector's chi-square law (p, c) at this pair."""
@@ -177,17 +180,17 @@ def statistic(det: DetectorKind, rx: Receiver):
     cube (M, N, K) or a batch of them, or a batch of coordinates
     (trials, M, N, r) with g the energy outside their spans, which only
     NCD reads.  ACD is the CD correlation with the phasors as templates.
-    HD projects onto the receiver's span; in the span's coordinates
-    (``Receiver.onto``) the projection is the identity, so HD is their
-    energy, NCD's sum before it adds g.  HD raises ValueError where a
-    receiver's Doppler steering has rank below M (as it has for K < M),
+    HD is the energy of y's coordinates in the receiver's span, NCD's sum
+    before it adds g: a K-sample cube is mapped there by
+    ``Receiver.coordinates``, and in the span's coordinates
+    (``Receiver.onto``) y already holds them.  HD raises ValueError where
+    a receiver's Doppler steering has rank below M (as it has for K < M),
     naming the receiver and its rank.
 
     The coordinate forms run on every Monte Carlo block, on the pool's
     threads, so none of them may call BLAS: a BLAS call runs on threads
     of its own, which contend with the pool's workers for the CPUs.
-    They are einsums and ufuncs; only HD's K-sample form, read once per
-    pair, takes a matrix product."""
+    Every form is einsums and ufuncs."""
     if det is DetectorKind.NCD:
         return lambda y, g=0.0: ncd_statistic(y) + g
     if det is DetectorKind.ACD:
@@ -201,7 +204,7 @@ def statistic(det: DetectorKind, rx: Receiver):
                              f"{r} < M = {M} (K = {K}); HD needs rank M")
     if rx.span is None:
         return lambda y, g=0.0: ncd_statistic(y)
-    return lambda y, g=0.0: hd_statistic(y, rx.span)
+    return lambda y, g=0.0: ncd_statistic(rx.coordinates(y))
 
 
 def _unit_scale(x) -> float:

@@ -3,16 +3,16 @@
 Measurements are (M, N, K) complex arrays: one K-vector of slow-time
 samples per matched filter per receiver.  Statistics accept either a
 single measurement cube or a batch with a leading trial axis.  Each takes
-the measurement and the one receiver quantity it reads: nothing (NCD),
-the templates (CD) or per-path bases of the Doppler steering spans
-(HD), which ``steering_span`` finds; ACD is the CD correlation with the
-compensation phasors exp(j theta_hat) as templates.
+the measurement and the one receiver quantity it reads: nothing (NCD) or
+the templates (CD); ACD is the CD correlation with the compensation
+phasors exp(j theta_hat) as templates, and HD is the NCD energy of each
+path's coordinates in the span of its Doppler steering, whose bases
+``steering_span`` finds.
 These are the paper's definitions; the package reads them through
 ``analysis.statistic`` on an ``analysis.Receiver``, which holds each
 such quantity once per (sweep point, system) pair.  The CD
 correlation also reads a batch of sufficient coordinates
-(trials, M, N, r), given the templates in the same frame; in the
-coordinates of the Doppler steering spans HD is the NCD energy.
+(trials, M, N, r), given the templates in the same frame.
 
   NCD  energy sum of all MF outputs (no phase knowledge)
   ACD  global sum after per-sample phase compensation, equal weights
@@ -42,7 +42,6 @@ __all__ = [
     "CompensationSet",
     "ncd_statistic",
     "cd_statistic",
-    "hd_statistic",
     "steering_span",
 ]
 
@@ -167,23 +166,3 @@ def _span(s_bytes, shape, dtype):
     u = u[..., :rank.max()]
     u.flags.writeable = rank.flags.writeable = False
     return u, rank
-
-
-def hd_statistic(y, basis) -> np.ndarray | float:
-    """Energy of each path's projection onto its Doppler steering subspace,
-    summed non-coherently over paths: a matched subspace detector.
-    ``basis`` holds one orthonormal basis per path (M, N, K, r), such as
-    ``analysis.Receiver.span``.  In that span's own coordinates the
-    projection is the identity and HD is their energy, the NCD sum, so
-    ``analysis.statistic`` calls this on K-sample cubes only; its matrix
-    products call BLAS, which no Monte Carlo block may."""
-    y = _check_cube(y)
-    basis = np.asarray(basis)
-    if basis.shape[:-1] != y.shape[-3:]:
-        raise ValueError("basis dimensions must match the measurement")
-    # one (trials, K) x (K, r) matrix product per path, then the energy
-    # per trial over paths and basis columns
-    batch = y.reshape((-1,) + y.shape[-3:])
-    coeffs = np.matmul(batch.transpose(1, 2, 0, 3), np.conj(basis))
-    out = _energy(coeffs, (0, 1, 3))
-    return out if y.ndim == 4 else out[0]

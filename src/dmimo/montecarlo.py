@@ -3,34 +3,38 @@
 Streams.  A run's stream is keyed by (seed, pair): ``simulate`` numbers
 the (sweep point, system) pairs of an experiment 0, 1, 2, ..., so no two
 pairs, and no two experiments with different seeds, share a stream.
-Trials are generated in blocks of BLOCK_TRIALS; block ``j`` draws from an
-SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(pair, j))``,
-so every (seed, pair, block) key hashes to its own initial state.  Any
-block can be produced independently of the others: results are
-bit-identical across runs, and the first ``B`` trials of a long run
-equal the first ``B`` trials of a short one.
+Trials are generated in blocks of B trials, B fixed by the run's
+geometry alone (``_block_trials``): BLOCK_TRIALS, or fewer where a block
+of d complex coordinates per trial would pass _BLOCK_BYTES.  Block ``j``
+covers trials [jB, (j+1)B) and draws from an SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(pair, j))``, so every (seed, pair,
+block) key hashes to its own initial state.  Any block can be produced
+independently of the others: results are bit-identical across runs, and
+at one geometry the first ``n`` trials of a long run equal the first
+``n`` trials of a short one.
 
 One pool per sweep.  ``run_sweep`` takes every run of a sweep (``simulate``
 passes all its pairs at once) and evaluates the blocks of all of them on
-one pool of plain threads, one worker per CPU the process may run on
-(fewer when the largest block of the sweep is large, to bound the memory
-held at once).  Each worker takes the next (run, block) job under one
-lock and writes the block's exceedance counts into the job's slot, so
-the pool keeps a few integers per block and no block's arrays.  A run's
-counts are exact integer sums over its blocks: they are the same for any
-worker count and any order in which the blocks finish.  The pool needs
-``threading`` alone, so a sweep loads neither ``concurrent.futures`` nor
-``logging``.
+one pool of plain threads, one worker per CPU the process may run on,
+and no more workers than blocks.  No block holds more than _BLOCK_BYTES
+of coordinates, so the pool's memory is bounded per worker.  Each worker
+takes the next (run, block) job under one lock and writes the block's
+exceedance counts into the job's slot, so the pool keeps a few integers
+per block and no block's arrays.  A run's counts are exact integer sums
+over its blocks: they are the same for any worker count and any order
+in which the blocks finish.  The pool needs ``threading`` alone, so a
+sweep loads neither ``concurrent.futures`` nor ``logging``.
 
 Scratch.  Each worker draws its blocks in place into one scratch of its
 own, kept from block to block and reallocated only when the block shape
 changes: the Swerling I moduli (trials,), the standard normals of the
 coordinates (trials, d, 2), scaled in place and read as their complex
 view, the energies (trials,), and, for a Swerling I run, the product
-|alpha| s of up to 1 MiB of trials at a time, one einsum pass, added to
-the coordinates in place.  A block's c and g are views of the scratch.
-No block statistic calls BLAS, whose own threads would contend with the
-workers for the CPUs (see ``analysis.statistic``).
+|alpha| s (trials, d, 2), one einsum pass, added to the coordinates in
+place.  Each of the two batches is at most _BLOCK_BYTES.  A block's c
+and g are views of the scratch.  No block statistic calls BLAS, whose
+own threads would contend with the workers for the CPUs (see
+``analysis.statistic``).
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
@@ -92,6 +96,11 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 8192
+
+# Coordinate bytes of one block, 16 d per trial of d complex coordinates.
+# Every shipped recipe has d <= 5 and keeps BLOCK_TRIALS; at (M, N, K) =
+# (8, 8, 64), d = 513 and a block holds 512 trials.
+_BLOCK_BYTES = 8 << 20
 
 # The seed is the entropy of every block's SeedSequence, which takes any
 # nonnegative integer; the range keeps it to one signed 64-bit word, the
@@ -179,13 +188,6 @@ def _coordinates(rx: Receiver):
     return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
 
 
-# Bytes of the product |alpha| s a worker holds at once: a Swerling I
-# block adds it to its coordinates in runs of at most this many bytes of
-# trials, so at (M, N, K) = (8, 8, 64) the product does not add a second
-# 64 MiB batch.
-_PRODUCT_BYTES = 1 << 20
-
-
 class _Scratch:
     """One worker's block arrays, kept from block to block: each is
     allocated on first use and again only when its shape changes.  A
@@ -204,26 +206,36 @@ class _Scratch:
         return held
 
 
+def _block_trials(d: int) -> int:
+    """Trials per block of a run with d complex coordinates per trial:
+    the largest power of two whose 16 d bytes per trial fit in
+    _BLOCK_BYTES, at most BLOCK_TRIALS and at least 1."""
+    fit = _BLOCK_BYTES // (16 * d)
+    return min(BLOCK_TRIALS, 1 << (fit.bit_length() - 1)) if fit else 1
+
+
 def _coordinate_block(crx: Receiver, signal: np.ndarray, outside: int,
                       cfg: TrialConfig, j: int,
                       scratch: _Scratch | None = None):
     """Block ``j`` of a run in the frame ``_coordinates`` gives: the span
     coordinates c (trials, M, N, r_S) of its measurement batch, and the
-    energy g (trials,) outside their spans.
+    energy g (trials,) outside their spans.  The block covers trials
+    [jB, (j+1)B) of the run, B = ``_block_trials(signal.size)``.
 
     Draw order inside a block is fixed: the moduli |alpha| (a Swerling I
     run only; other runs draw none), then the d = ``signal.size``
     coordinates per trial, then the energy of the ``outside``
     dimensions.  Each is drawn into an array of ``scratch`` and scaled in
     place.  The return is added in place: |alpha| ``signal`` for
-    Swerling I, in runs of at most _PRODUCT_BYTES, alpha ``signal`` for a
+    Swerling I, formed in one block-sized array, alpha ``signal`` for a
     fixed target.  A shared coordinate then adds its |.|^2 to g.  With a
     scratch, c and g are its arrays; without one, fresh arrays.
     """
     if scratch is None:
         scratch = _Scratch()
-    nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
     d = signal.size
+    block = _block_trials(d)
+    nb = min(block, cfg.trials - j * block)
     rng = _block_rng(cfg.seed, cfg.pair, j)
     target = cfg.target_draw
     if isinstance(target, Swerling1):
@@ -238,29 +250,15 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, outside: int,
     if isinstance(target, Swerling1):
         # real times complex, on the float views
         s = signal.view(np.float64).reshape(d, 2)
-        step = max(1, _PRODUCT_BYTES // signal.nbytes)
-        product = scratch.get("product", (step, d, 2))
-        for first in range(0, nb, step):
-            part = product[:nb - first]
-            np.einsum("t,ks->tks", modulus[first:first + step], s, out=part)
-            noise[first:first + step] += part
+        product = scratch.get("product", (nb, d, 2))
+        np.einsum("t,ks->tks", modulus, s, out=product)
+        noise += product
     elif isinstance(target, NonFluctuating):
         # one alpha for every trial: the (d,) product, broadcast
         z += target.alpha * signal
     if d > crx.x.size:
         g += _energy(z[:, -1])
     return z[:, :crx.x.size].reshape((nb,) + crx.x.shape), g
-
-
-# Coordinate bytes the pool may hold at once.  A worker keeps its batch
-# in its scratch from block to block, and its peak is about twice the
-# batch (the statistics' temporaries) plus the product's _PRODUCT_BYTES:
-# at (M, N, K) = (8, 8, 64) a 64 MiB block makes a worker of about
-# 138 MiB (a one-worker simulate peaks at 170 MiB, analyze at 32 MiB).
-# So this bounds the pool's memory on hosts with many CPUs; the workers
-# are counted against the largest block of the sweep, and a block larger
-# than this runs alone.
-_BYTES_IN_FLIGHT = 128 << 20
 
 
 def _worker_count() -> int:
@@ -320,11 +318,11 @@ def run_sweep(runs) -> list:
     ``cfg.trials`` trials whose statistic exceeds the threshold.
 
     Every block of every run is one job of one ``_pool_map`` (see the
-    module docstring), whose workers are at most the usable CPUs, the
-    blocks, and _BYTES_IN_FLIGHT over the largest block, and at least
-    one; the draws, the ufuncs and the einsums release the GIL.  A block
-    of nb trials counts its nb d complex coordinates, d = ``signal.size``,
-    16 nb d bytes, against the cap.  A block runs with overflow ignored:
+    module docstring), whose workers are at most the usable CPUs and the
+    blocks, and at least one; the draws, the ufuncs and the einsums
+    release the GIL.  A run's blocks hold ``_block_trials(d)`` trials
+    each, d = ``signal.size``, so none holds more than _BLOCK_BYTES of
+    coordinates.  A block runs with overflow ignored:
     a statistic or energy beyond the largest double reads inf, which
     exceeds every finite threshold, as its exact value does, so the
     count stays right.  An exception raised in a block reaches the
@@ -337,11 +335,9 @@ def run_sweep(runs) -> list:
         crx, signal, outside = _coordinates(rx)
         checks = [(statistic(d, crx), gamma) for d, gamma in gammas.items()]
         frames.append((crx, signal, outside, cfg, checks))
-        jobs += [(i, j) for j in range(-(-cfg.trials // BLOCK_TRIALS))]
-    block_bytes = max(min(BLOCK_TRIALS, cfg.trials) * signal.nbytes
-                      for _, signal, _, cfg, _ in frames)
-    workers = max(1, min(_worker_count(), len(jobs),
-                         _BYTES_IN_FLIGHT // block_bytes))
+        block = _block_trials(signal.size)
+        jobs += [(i, j) for j in range(-(-cfg.trials // block))]
+    workers = max(1, min(_worker_count(), len(jobs)))
 
     def block_counts(job, scratch):
         i, j = job

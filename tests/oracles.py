@@ -40,6 +40,7 @@ from dmimo.montecarlo import (
     BLOCK_TRIALS,
     TrialConfig,
     _block_rng,
+    _block_trials,
     _coordinate_block,
     _coordinates,
     draw_noise,
@@ -244,9 +245,10 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
 def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     """Yield the run's coordinate blocks (c, g) one at a time, serially
     and in block order, plus the receiver in their coordinates: the
-    serial reference for the pooled blocks."""
+    serial reference for the pooled blocks, whose trials per block the
+    run's d coordinates per trial set."""
     frame = _coordinates(rx)
-    for j in range(-(-cfg.trials // BLOCK_TRIALS)):
+    for j in range(-(-cfg.trials // _block_trials(frame[1].size))):
         yield frame[0], _coordinate_block(*frame, cfg, j)
 
 

@@ -20,9 +20,10 @@ from dmimo.analysis import (
     noncentrality,
     pd_nonfluctuating,
     pd_swerling1,
+    statistic,
     threshold,
 )
-from dmimo.detectors import cd_statistic, hd_statistic
+from dmimo.detectors import cd_statistic
 from dmimo.experiments import load_experiment, parse_experiment, scenario_at
 from dmimo.montecarlo import TrialConfig, run_sweep
 from dmimo.presets import reference_scenario
@@ -354,7 +355,7 @@ def test_8_glrt_identities():
         a_hat = alpha_mle(y, v)
         lhs = cd_statistic(y, v)
         ok &= abs(lhs - abs(a_hat) ** 2 * varsigma ** 2) <= 1e-9 * lhs
-        hd = hd_statistic(y, rx.span)
+        hd = statistic(DetectorKind.HD, rx)(y)
         total = 0.0
         for m in range(2):
             beta = beta_mle(y[m, 0], S_hat)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from dmimo.detectors import (
     CompensationSet,
     _energy,
     cd_statistic,
-    hd_statistic,
     ncd_statistic,
     steering_span,
 )
@@ -46,9 +46,14 @@ def single_tx_scenario(b=1.3, xi=0.8):
 
 def span_hd(y, S):
     """The package's HD on paths (M, 1, K) of one RX with Doppler steering
-    S (K, M'): each path projected onto the basis of ``steering_span``."""
-    u, _ = steering_span(S[None])
-    return hd_statistic(y, np.broadcast_to(u, (y.shape[-3],) + u.shape))
+    S (K, M'): ``statistic`` on a receiver whose per-path span basis is
+    that of ``steering_span``, the energy of each path's coordinates."""
+    u, rank = steering_span(S[None])
+    M, _, K = y.shape[-3:]
+    rx = Receiver(sc=SimpleNamespace(m_tx=M, k_pulses=K), x=None,
+                  varsigma=0.0, phasors=None, templates=None,
+                  span=np.broadcast_to(u, (M,) + u.shape), rank=rank)
+    return statistic(DetectorKind.HD, rx)(y)
 
 
 class TestNcd:
@@ -180,13 +185,17 @@ class TestHd:
         twice = span_hd(y_proj, S)
         assert abs(twice - once) <= 1e-12 * once
 
-    def test_basis_must_be_per_path(self):
-        # one (K, M) basis per receiver is the oracle's form, not the
-        # package's
-        S = doppler_steering([200.0, 190.0], 12, 2e-3)
-        u, _ = steering_span(S[None])
-        with pytest.raises(ValueError, match="basis dimensions"):
-            hd_statistic(np.zeros((2, 1, 12), dtype=complex), u)
+    def test_basis_must_be_per_path(self, ref_scenario, zero_err):
+        # the receiver holds one basis per path (M, N, K, r_S), and maps
+        # a cube or a batch to (..., M, N, r_S); one (N, K, r_S) basis
+        # per receiver is the oracle's form, not the package's
+        rx = Receiver.build(ref_scenario, zero_err)
+        assert rx.span.shape == (2, 1, 12, 2)
+        y = np.zeros((5, 2, 1, 12), dtype=complex)
+        assert rx.coordinates(y).shape == (5, 2, 1, 2)
+        assert rx.coordinates(y[0]).shape == (2, 1, 2)
+        with pytest.raises(ValueError):
+            replace(rx, span=rx.span[0]).coordinates(y)
 
     def test_k_below_m_rejected(self):
         # K = 1 pulse leaves room for one of the M = 2 Doppler columns

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,50 +299,51 @@ class TestWorkerPool:
             assert counts == serial_counts(rx, gammas, cfg)
         assert run_sweep(runs[2:]) == got[2:]
 
-    @pytest.mark.parametrize("budget_largest, workers", [(2, 2), (1.5, 1)])
-    def test_byte_budget_counts_largest_block(self, monkeypatch, pool_spy,
-                                              ref_scenario, budget_largest,
-                                              workers):
-        # a co-located block holds d = 2 complex coordinates per trial,
-        # a distributed one 2 per path and the shared one, d = 5; the
-        # worker count is set by the largest, wherever it runs
-        runs = mixed_runs(ref_scenario)[1:]
-        sizes = [BLOCK_TRIALS * montecarlo._coordinates(rx)[1].nbytes
-                 for rx, *_ in runs]
-        assert sizes == [BLOCK_TRIALS * 2 * 16, BLOCK_TRIALS * 5 * 16]
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 8)
-        monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
-                            int(budget_largest * sizes[1]))
-        run_sweep(runs)
-        assert pool_spy.pools == [workers]
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_array_blocks_counts_equal_serial_sum(self, monkeypatch,
+                                                  random_scenario, workers):
+        # at (M, N, K) = (4, 4, 32) with Doppler errors a trial holds
+        # d = 4 * 4 * 4 + 1 = 65 coordinates, past the 64 that fit 8192
+        # trials in _BLOCK_BYTES: the run's blocks hold 4096 trials, three
+        # full blocks and a partial one, and the pool's counts are the
+        # serial sum over the oracle's blocks at any worker count
+        sc, _ = random_scenario(np.random.default_rng(65), with_errors=False,
+                                m_tx=4, n_rx=4, k_pulses=32)
+        rx = Receiver.build(sc, _path_errors(4, 4, df=12.0))
+        assert montecarlo._coordinates(rx)[1].size == 65
+        gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
+        cfg = TrialConfig(trials=3 * 4096 + 17, seed=23,
+                          target_draw=Swerling1(1.0))
+        assert len(list(iter_coordinate_blocks(rx, cfg))) == 4
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        assert run_sweep([(rx, gammas, cfg)]) == [
+            serial_counts(rx, gammas, cfg)]
 
     def test_no_runs_no_pool(self, pool_spy):
         assert run_sweep([]) == []
         assert pool_spy.pools == []
 
-    @pytest.mark.parametrize("workers, budget_blocks, max_threads", [
-        (2, 100, 2), (8, 2, 2), (8, 0.5, 1)])
-    def test_blocks_run_on_pool_within_byte_budget(self, monkeypatch,
-                                                   ref_rx, workers,
-                                                   budget_blocks,
-                                                   max_threads):
+    @pytest.mark.parametrize("workers, trials, max_threads", [
+        (2, POOL_TRIALS, 2), (8, POOL_TRIALS, 4), (8, 17, 1)],
+        ids=["2cpus-4blocks", "8cpus-4blocks", "8cpus-1block"])
+    def test_blocks_run_on_pool_within_cpus_and_blocks(self, monkeypatch,
+                                                       pool_spy, ref_rx,
+                                                       workers, trials,
+                                                       max_threads):
         # every block runs off the caller's thread, on no more workers
-        # than the CPUs or the byte budget allow; a block larger than the
-        # budget runs alone
+        # than the CPUs or the blocks: POOL_TRIALS is four blocks, and 17
+        # trials are one
         threads = set()
 
         def statistic(y):
             threads.add(threading.get_ident())
             return ncd_statistic(y)
 
-        block_bytes = BLOCK_TRIALS * montecarlo._coordinates(
-            ref_rx)[1].nbytes
         monkeypatch.setattr(analysis, "ncd_statistic", statistic)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        monkeypatch.setattr(montecarlo, "_BYTES_IN_FLIGHT",
-                            int(budget_blocks * block_bytes))
-        cfg = TrialConfig(trials=POOL_TRIALS, seed=4)
+        cfg = TrialConfig(trials=trials, seed=4)
         run_sweep([(ref_rx, {DetectorKind.NCD: 30.0}, cfg)])
+        assert pool_spy.pools == [max_threads]
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= max_threads
 
@@ -502,6 +504,46 @@ def assert_same_bits(got, want):
         assert g.tobytes() == g_want.tobytes()
 
 
+class TestBlockBytes:
+    """A run's blocks hold the trials whose coordinates fit in
+    _BLOCK_BYTES, so no worker holds more than two blocks' bytes."""
+
+    @pytest.mark.parametrize("d, trials", [
+        (1, 8192), (64, 8192), (65, 4096), (513, 512),
+        ((8 << 20) // 16 + 1, 1)])
+    def test_block_trials(self, d, trials):
+        # the largest power of two of trials whose 16 d bytes fit in
+        # 8 MiB, at most BLOCK_TRIALS, and one trial where none fits
+        assert montecarlo._block_trials(d) == trials
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_array_run_peak_within_block_bytes(self, monkeypatch,
+                                               random_scenario, workers):
+        # at (M, N, K) = (8, 8, 64) with Doppler errors a trial holds
+        # d = 8 * 8 * 8 + 1 = 513 coordinates, 64 MiB per BLOCK_TRIALS
+        # trials.  Over 2 * BLOCK_TRIALS trials of a Swerling I run (32
+        # blocks of 512) the memory numpy allocates peaks below two
+        # blocks' bytes (the batch and the product) per worker, and the
+        # counts are the serial sum
+        sc, _ = random_scenario(np.random.default_rng(513),
+                                with_errors=False, m_tx=8, n_rx=8,
+                                k_pulses=64)
+        rx = Receiver.build(sc, _path_errors(8, 8, df=12.0))
+        assert montecarlo._coordinates(rx)[1].size == 513
+        gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
+        cfg = TrialConfig(trials=2 * BLOCK_TRIALS, seed=5,
+                          target_draw=Swerling1(1.0))
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        tracemalloc.start()
+        try:
+            got = run_sweep([(rx, gammas, cfg)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 2 * montecarlo._BLOCK_BYTES + (2 << 20)
+        assert got == [serial_counts(rx, gammas, cfg)]
+
+
 class TestScratch:
     """Pool workers draw each block in place on a per-thread scratch;
     the blocks are the serial oracle's, bit for bit."""
@@ -545,17 +587,15 @@ class TestScratch:
     @pytest.mark.parametrize("target", [
         None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
         ids=["H0", "swerling", "fixed"])
-    def test_blocks_follow_the_draw_order(self, monkeypatch, ref_scenario,
-                                          target):
+    def test_blocks_follow_the_draw_order(self, ref_scenario, target):
         # fresh arrays drawn in the documented order give each block bit
-        # for bit, with the product added in runs of 5 trials and a
-        # ragged last run: the Swerling I moduli sqrt(rho_bar Exp(1)),
-        # then d = 5 coordinates per trial (2 per path, then the shared
-        # one), then the energy, to which the shared coordinate adds
+        # for bit, a full block and a partial one: the Swerling I moduli
+        # sqrt(rho_bar Exp(1)), then d = 5 coordinates per trial (2 per
+        # path, then the shared one), then the energy, to which the
+        # shared coordinate adds
         rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
         crx, signal, outside = montecarlo._coordinates(rx)
         assert signal.size == 5 and outside == 2 * (12 - 2) - 1
-        monkeypatch.setattr(montecarlo, "_PRODUCT_BYTES", 5 * signal.nbytes)
         cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
                           target_draw=target)
         scratch = montecarlo._Scratch()
