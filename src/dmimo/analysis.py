@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detectors import (
+    _RCOND_LIMIT,
     CompensationSet,
     cd_statistic,
     ncd_statistic,
@@ -126,8 +127,9 @@ class Receiver:
     templates and the orthonormal basis of span S_hat_n (M, N, K, r_S)
     from ``detectors.steering_span``, which HD projects onto and the
     Monte Carlo draws its coordinates in.  ``build`` gives the K-sample
-    frame, ``onto`` the coordinates in that span, where ``span`` is
-    None."""
+    frame, and ``frame`` the Monte Carlo frame: the receiver in the
+    coordinates of that span, where ``span`` is None, with the return's
+    coordinates and the dimensions left outside them."""
 
     sc: Scenario
     x: np.ndarray
@@ -160,14 +162,37 @@ class Receiver:
         ``self.span``."""
         return np.einsum("mnkr,...mnk->...mnr", np.conj(self.span), y)
 
-    def onto(self) -> "Receiver":
-        """The same receiver in the coordinates of its span: every vector
-        read becomes its r_S coordinates per path in ``self.span``.  The
-        span itself is None there: in its own coordinates each path's
-        projection onto it is the identity, so HD reads no basis."""
-        return replace(self, x=self.coordinates(self.x),
-                       phasors=self.coordinates(self.phasors),
-                       templates=self.coordinates(self.templates), span=None)
+    def frame(self) -> tuple["Receiver", np.ndarray, int]:
+        """The Monte Carlo frame (crx, signal, outside): the receiver in
+        the coordinates of its span, the return at unit amplitude as the
+        d coordinates a block draws per trial, and the complex dimensions
+        left to the energy outside them.
+
+        In ``crx`` every vector read is its r_S coordinates per path in
+        ``self.span``, and the span itself is None: in its own
+        coordinates each path's projection onto it is the identity, so
+        HD reads no basis.  ``signal`` holds the return's (M, N, r_S)
+        span coordinates; where its part outside the spans has norm
+        e > _RCOND_LIMIT ||x|| over all paths, e follows as the one
+        shared coordinate, and ``outside`` is M N (K - r_S) - 1, else
+        M N (K - r_S).  Where ||x||^2 overflows a double, both norms are
+        taken at x scaled to unit size."""
+        M, N, K, r = self.span.shape
+        crx = replace(self, x=self.coordinates(self.x),
+                      phasors=self.coordinates(self.phasors),
+                      templates=self.coordinates(self.templates), span=None)
+        x_perp = self.x - np.einsum("mnkr,mnr->mnk", self.span, crx.x)
+        with np.errstate(over="ignore"):  # an infinite norm is rescaled
+            e, norm = np.linalg.norm(x_perp), np.linalg.norm(self.x)
+        if norm == np.inf:
+            s = _unit_scale(self.x)
+            e = np.linalg.norm(x_perp * s) / s
+            norm = np.linalg.norm(self.x * s) / s
+        e = float(e)
+        signal = crx.x.ravel()
+        if e > _RCOND_LIMIT * norm:
+            signal = np.append(signal, e)
+        return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
 
     def law(self, det: DetectorKind) -> tuple[int, float]:
         """The detector's chi-square law (p, c) at this pair."""
@@ -182,10 +207,10 @@ def statistic(det: DetectorKind, rx: Receiver):
     NCD reads.  ACD is the CD correlation with the phasors as templates.
     HD is the energy of y's coordinates in the receiver's span, NCD's sum
     before it adds g: a K-sample cube is mapped there by
-    ``Receiver.coordinates``, and in the span's coordinates
-    (``Receiver.onto``) y already holds them.  HD raises ValueError where
-    a receiver's Doppler steering has rank below M (as it has for K < M),
-    naming the receiver and its rank.
+    ``Receiver.coordinates``, and in the span's coordinates (the
+    receiver of ``Receiver.frame``) y already holds them.  HD raises
+    ValueError where a receiver's Doppler steering has rank below M (as
+    it has for K < M), naming the receiver and its rank.
 
     The coordinate forms run on every Monte Carlo block, on the pool's
     threads, so none of them may call BLAS: a BLAS call runs on threads

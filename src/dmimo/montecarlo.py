@@ -26,15 +26,17 @@ in which the blocks finish.  The pool needs ``threading`` alone, so a
 sweep loads neither ``concurrent.futures`` nor ``logging``.
 
 Scratch.  Each worker draws its blocks in place into one scratch of its
-own, kept from block to block and reallocated only when the block shape
-changes: the Swerling I moduli (trials,), the standard normals of the
-coordinates (trials, d, 2), scaled in place and read as their complex
-view, the energies (trials,), and, for a Swerling I run, the product
-|alpha| s (trials, d, 2), one einsum pass, added to the coordinates in
-place.  Each of the two batches is at most _BLOCK_BYTES.  A block's c
-and g are views of the scratch.  No block statistic calls BLAS, whose
-own threads would contend with the workers for the CPUs (see
-``analysis.statistic``).
+own, kept from block to block, whose buffers only grow: the Swerling I
+moduli (trials,), the standard normals of the coordinates (trials, d,
+2), scaled in place and read as their complex view, the energies
+(trials,), and, for a Swerling I run, the product |alpha| s (trials, d,
+2), one einsum pass, added to the coordinates in place.  Each of the two
+batches is at most _BLOCK_BYTES.  A block's c and g are views of the
+scratch.  ``run_sweep`` queues the runs of largest d first, so where
+every full block holds BLOCK_TRIALS trials (d <= 64), a partial block or
+a smaller d reuses what a full block allocated.  No block statistic
+calls BLAS, whose own threads would contend with the workers for the
+CPUs (see ``analysis.statistic``).
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
@@ -63,7 +65,7 @@ therefore draws, in this order, the moduli (Swerling I runs only), then
 d complex coordinates per trial (M N r_S, plus the shared one where the
 run has it), then the energies: no (trials, M, N, K) cube.
 The argument rests on the invariances alone, not on any closed form
-under test.
+under test.  ``Receiver.frame`` forms this frame.
 
 Every detector of one run sees the same coordinate blocks (common random
 numbers) and reads them through ``analysis.statistic`` on the pair's
@@ -75,6 +77,7 @@ forms evaluate one statistic.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import threading
@@ -82,8 +85,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Receiver, _unit_scale, statistic
-from .detectors import _RCOND_LIMIT, _energy
+from .analysis import Receiver, statistic
+from .detectors import _energy
 from .scene import NonFluctuating, Swerling1
 
 __all__ = [
@@ -162,48 +165,28 @@ def draw_noise(stream: np.random.Generator, dims: int,
     return z.view(np.complex128)[..., 0]
 
 
-def _coordinates(rx: Receiver):
-    """The run's frame: the receiver in the coordinates of its span
-    ``rx.span``, the return at unit amplitude as the d coordinates a
-    block draws per trial, and the complex dimensions left to the energy.
-
-    The return's (M, N, r_S) span coordinates come first; where its part
-    outside the spans has norm e > _RCOND_LIMIT ||x|| over all paths, e
-    follows as the one shared coordinate, and the energy covers
-    M N (K - r_S) - 1 dimensions, else M N (K - r_S).  Where ||x||^2
-    overflows a double, both norms are taken at x scaled to unit size.
-    """
-    M, N, K, r = rx.span.shape
-    crx = rx.onto()
-    x_perp = rx.x - np.einsum("mnkr,mnr->mnk", rx.span, crx.x)
-    with np.errstate(over="ignore"):  # an infinite norm is rescaled
-        e, norm = np.linalg.norm(x_perp), np.linalg.norm(rx.x)
-    if norm == np.inf:
-        s = _unit_scale(rx.x)
-        e, norm = np.linalg.norm(x_perp * s) / s, np.linalg.norm(rx.x * s) / s
-    e = float(e)
-    signal = crx.x.ravel()
-    if e > _RCOND_LIMIT * norm:
-        signal = np.append(signal, e)
-    return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
-
-
 class _Scratch:
-    """One worker's block arrays, kept from block to block: each is
-    allocated on first use and again only when its shape changes.  A
-    block's draws are written into them in place, so the c and g a block
-    returns are views, overwritten by the worker's next block."""
+    """One worker's block arrays, kept from block to block: each name
+    holds one flat buffer that only grows, and ``arrays[name]`` is the
+    view the last block got of it.  A block's draws are written into
+    them in place, so the c and g a block returns are views, overwritten
+    by the worker's next block."""
 
     def __init__(self):
+        self.buffers = {}
         self.arrays = {}
 
-    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """The array ``name`` of ``shape``, its contents undefined."""
-        held = self.arrays.get(name)
-        if held is None or held.shape != shape:
-            self.arrays[name] = held = None  # freed before the new one
-            self.arrays[name] = held = np.empty(shape, dtype)
-        return held
+    def get(self, name: str, shape: tuple) -> np.ndarray:
+        """A float64 array ``name`` of ``shape``, its contents
+        undefined."""
+        size = math.prod(shape)
+        flat = self.buffers.get(name)
+        if flat is None or flat.size < size:
+            # the old buffer and its view are freed before the new one
+            self.buffers[name] = self.arrays[name] = flat = None
+            self.buffers[name] = flat = np.empty(size)
+        self.arrays[name] = view = flat[:size].reshape(shape)
+        return view
 
 
 def _block_trials(d: int) -> int:
@@ -217,7 +200,7 @@ def _block_trials(d: int) -> int:
 def _coordinate_block(crx: Receiver, signal: np.ndarray, outside: int,
                       cfg: TrialConfig, j: int,
                       scratch: _Scratch | None = None):
-    """Block ``j`` of a run in the frame ``_coordinates`` gives: the span
+    """Block ``j`` of a run in the frame ``Receiver.frame`` gives: the span
     coordinates c (trials, M, N, r_S) of its measurement batch, and the
     energy g (trials,) outside their spans.  The block covers trials
     [jB, (j+1)B) of the run, B = ``_block_trials(signal.size)``.
@@ -320,23 +303,27 @@ def run_sweep(runs) -> list:
     Every block of every run is one job of one ``_pool_map`` (see the
     module docstring), whose workers are at most the usable CPUs and the
     blocks, and at least one; the draws, the ufuncs and the einsums
-    release the GIL.  A run's blocks hold ``_block_trials(d)`` trials
-    each, d = ``signal.size``, so none holds more than _BLOCK_BYTES of
-    coordinates.  A block runs with overflow ignored:
-    a statistic or energy beyond the largest double reads inf, which
-    exceeds every finite threshold, as its exact value does, so the
-    count stays right.  An exception raised in a block reaches the
-    caller.  An empty ``runs`` starts no pool.
+    release the GIL.  A run reads its frame from ``rx.frame()``.  Its
+    blocks hold ``_block_trials(d)`` trials each, d = ``signal.size``, so
+    none holds more than _BLOCK_BYTES of coordinates.  The jobs are
+    queued largest d first (a stable sort), so at d <= 64 a worker's
+    scratch stops growing after its first full block; the counts are
+    exact integer sums, which the order cannot change.  A block runs
+    with overflow ignored: a statistic or energy beyond the largest
+    double reads inf, which exceeds every finite threshold, as its exact
+    value does, so the count stays right.  An exception raised in a
+    block reaches the caller.  An empty ``runs`` starts no pool.
     """
     if not runs:
         return []
     frames, jobs = [], []
     for i, (rx, gammas, cfg) in enumerate(runs):
-        crx, signal, outside = _coordinates(rx)
+        crx, signal, outside = rx.frame()
         checks = [(statistic(d, crx), gamma) for d, gamma in gammas.items()]
         frames.append((crx, signal, outside, cfg, checks))
         block = _block_trials(signal.size)
         jobs += [(i, j) for j in range(-(-cfg.trials // block))]
+    jobs.sort(key=lambda job: -frames[job[0]][1].size)
     workers = max(1, min(_worker_count(), len(jobs)))
 
     def block_counts(job, scratch):

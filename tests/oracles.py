@@ -8,7 +8,8 @@ closed-form CAF; the per-term Poisson sum checks the Marcum-Q recurrence;
 the full (trials, M, N, K) measurement blocks, with their complex
 Swerling I amplitudes, check the law of the Monte Carlo engine's
 sufficient coordinates, and the serial coordinate-block iterator, which
-takes an `analysis.Receiver`, checks its pooled blocks; the
+takes an `analysis.Receiver`, checks its pooled blocks; the frame formed
+from the receiver's fields checks `Receiver.frame` bit for bit; the
 Kolmogorov-Smirnov distance of an H0 statistic, drawn through that
 serial iterator, from the chi-square law of `Receiver.law` checks the
 law the closed forms take; the amplitude MLE alpha checks the CD GLRT identity,
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from dmimo.analysis import DetectorKind, Receiver, statistic
+from dmimo.analysis import DetectorKind, Receiver, _unit_scale, statistic
 from dmimo.detectors import _RCOND_LIMIT, _check_cube, _energy
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
@@ -42,7 +43,6 @@ from dmimo.montecarlo import (
     _block_rng,
     _block_trials,
     _coordinate_block,
-    _coordinates,
     draw_noise,
 )
 from dmimo.scene import (
@@ -242,12 +242,34 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
         yield w
 
 
+def coordinate_frame(rx: Receiver):
+    """The Monte Carlo frame (crx, signal, outside) formed from the
+    receiver's fields: the reference ``Receiver.frame`` must match bit
+    for bit, with the same einsums, the same overflow rescale and the
+    same floating-point order."""
+    M, N, K, r = rx.span.shape
+    crx = replace(rx, x=rx.coordinates(rx.x),
+                  phasors=rx.coordinates(rx.phasors),
+                  templates=rx.coordinates(rx.templates), span=None)
+    x_perp = rx.x - np.einsum("mnkr,mnr->mnk", rx.span, crx.x)
+    with np.errstate(over="ignore"):  # an infinite norm is rescaled
+        e, norm = np.linalg.norm(x_perp), np.linalg.norm(rx.x)
+    if norm == np.inf:
+        s = _unit_scale(rx.x)
+        e, norm = np.linalg.norm(x_perp * s) / s, np.linalg.norm(rx.x * s) / s
+    e = float(e)
+    signal = crx.x.ravel()
+    if e > _RCOND_LIMIT * norm:
+        signal = np.append(signal, e)
+    return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
+
+
 def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     """Yield the run's coordinate blocks (c, g) one at a time, serially
     and in block order, plus the receiver in their coordinates: the
     serial reference for the pooled blocks, whose trials per block the
     run's d coordinates per trial set."""
-    frame = _coordinates(rx)
+    frame = rx.frame()
     for j in range(-(-cfg.trials // _block_trials(frame[1].size))):
         yield frame[0], _coordinate_block(*frame, cfg, j)
 

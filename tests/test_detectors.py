@@ -392,7 +392,7 @@ class TestEnergyForm:
         sc, err = random_scenario(rng)
         sc = replace(sc, tau_s=sc.tau_s + 0.3e-5)
         rx = Receiver.build(sc, err)
-        frame = montecarlo._coordinates(rx)
+        frame = rx.frame()
         crx = frame[0]
         assert crx.span is None
         cfg = TrialConfig(trials=3000, seed=seed, target_draw=Swerling1(2.0))

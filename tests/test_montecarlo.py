@@ -39,6 +39,7 @@ from dmimo.scene import (
 from oracles import (
     DistributionCheck,
     acd_statistic,
+    coordinate_frame,
     doppler_projectors,
     draw_swerling1_alpha,
     h0_statistic_distribution_check,
@@ -284,8 +285,7 @@ class TestWorkerPool:
         # one pool over the blocks of runs of different ranks and block
         # sizes gives each run exactly its serial counts
         runs = mixed_runs(ref_scenario, target)
-        ranks = [montecarlo._coordinates(rx)[0].x.shape[-1]
-                 for rx, *_ in runs]
+        ranks = [rx.frame()[0].x.shape[-1] for rx, *_ in runs]
         assert ranks == [2, 1, 2]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         interval = sys.getswitchinterval()
@@ -310,7 +310,7 @@ class TestWorkerPool:
         sc, _ = random_scenario(np.random.default_rng(65), with_errors=False,
                                 m_tx=4, n_rx=4, k_pulses=32)
         rx = Receiver.build(sc, _path_errors(4, 4, df=12.0))
-        assert montecarlo._coordinates(rx)[1].size == 65
+        assert rx.frame()[1].size == 65
         gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
         cfg = TrialConfig(trials=3 * 4096 + 17, seed=23,
                           target_draw=Swerling1(1.0))
@@ -529,7 +529,7 @@ class TestBlockBytes:
                                 with_errors=False, m_tx=8, n_rx=8,
                                 k_pulses=64)
         rx = Receiver.build(sc, _path_errors(8, 8, df=12.0))
-        assert montecarlo._coordinates(rx)[1].size == 513
+        assert rx.frame()[1].size == 513
         gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
         cfg = TrialConfig(trials=2 * BLOCK_TRIALS, seed=5,
                           target_draw=Swerling1(1.0))
@@ -561,8 +561,7 @@ class TestScratch:
         single = [(rx, None, TrialConfig(trials=POOL_TRIALS, seed=12,
                                           target_draw=target))]
         for runs in (single, mixed_runs(ref_scenario, target)):
-            frames = [montecarlo._coordinates(rx) + (cfg,)
-                      for rx, _, cfg in runs]
+            frames = [rx.frame() + (cfg,) for rx, _, cfg in runs]
             jobs = [(i, j) for i, (*_, cfg) in enumerate(frames)
                     for j in range(-(-cfg.trials // BLOCK_TRIALS))]
 
@@ -594,7 +593,7 @@ class TestScratch:
         # path, then the shared one), then the energy, to which the
         # shared coordinate adds
         rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
-        crx, signal, outside = montecarlo._coordinates(rx)
+        crx, signal, outside = rx.frame()
         assert signal.size == 5 and outside == 2 * (12 - 2) - 1
         cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
                           target_draw=target)
@@ -618,7 +617,7 @@ class TestScratch:
                 [(c, g), (c, g)])
 
     def test_block_without_scratch_is_fresh(self, ref_rx):
-        frame = montecarlo._coordinates(ref_rx)
+        frame = ref_rx.frame()
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
         first = montecarlo._coordinate_block(*frame, cfg, 0)
@@ -626,8 +625,10 @@ class TestScratch:
         montecarlo._coordinate_block(*frame, cfg, 1)
         assert_same_bits([first], [kept])
 
-    def test_scratch_reused_until_shape_changes(self, ref_rx):
-        frame = montecarlo._coordinates(ref_rx)
+    def test_scratch_reused_by_smaller_blocks(self, ref_rx):
+        # a partial block, and a block of fewer coordinates, are views
+        # of the buffers a full block grew; the views have their shapes
+        frame = ref_rx.frame()
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
         scratch = montecarlo._Scratch()
@@ -636,7 +637,57 @@ class TestScratch:
         assert np.shares_memory(c0, c1) and np.shares_memory(g0, g1)
         c3, g3 = montecarlo._coordinate_block(*frame, cfg, 3, scratch)
         assert len(c3) == len(g3) == 17
-        assert not np.shares_memory(c3, c1)
+        assert np.shares_memory(c3, c1) and np.shares_memory(g3, g1)
+        assert scratch.arrays["noise"].shape == (17, frame[1].size, 2)
+        small = Receiver.build(colocated_scenario(ref_rx.sc),
+                               SyncErrors.zeros(2, 1)).frame()
+        assert small[1].size < frame[1].size
+        c, g = montecarlo._coordinate_block(*small, cfg, 0, scratch)
+        assert np.shares_memory(c, c1) and np.shares_memory(g, g1)
+        assert scratch.arrays["noise"].shape == (BLOCK_TRIALS,
+                                                 small[1].size, 2)
+
+    @pytest.mark.parametrize("target", [
+        None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
+        ids=["H0", "swerling", "fixed"])
+    def test_sweep_allocates_each_buffer_once(self, monkeypatch,
+                                              ref_scenario, target):
+        # a sweep that alternates co-located (d = 2) and distributed
+        # (d = 5) runs, each ending in a partial block, allocates each
+        # of the worker's buffers once: the d = 5 runs are queued first,
+        # and every later block is a view of what the first one grew
+        doppler = _path_errors(2, 1, df=12.0)
+        colocated = colocated_scenario(ref_scenario)
+        runs = []
+        for pair, extra in enumerate([17, 1696, 5, 1]):
+            sc, err = ((colocated, SyncErrors.zeros(2, 1)) if pair % 2 == 0
+                       else (ref_scenario, doppler))
+            rx = Receiver.build(sc, err)
+            gammas = {d: threshold(rx.law(d), 0.05) for d in ALL[:3]}
+            cfg = TrialConfig(trials=BLOCK_TRIALS + extra, seed=41,
+                              pair=pair, target_draw=target)
+            runs.append((rx, gammas, cfg))
+        assert [rx.frame()[1].size for rx, *_ in runs] == [2, 5, 2, 5]
+        want = [serial_counts(*run) for run in runs]
+        buffers = {}
+        get = montecarlo._Scratch.get
+
+        def spy(scratch, name, shape):
+            view = get(scratch, name, shape)
+            owner = view if view.base is None else view.base
+            held = buffers.setdefault((scratch, name), [])
+            if not any(owner is b for b in held):
+                held.append(owner)
+            return view
+
+        monkeypatch.setattr(montecarlo._Scratch, "get", spy)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+        assert run_sweep(runs) == want
+        swerling = {"modulus", "product"} if isinstance(
+            target, Swerling1) else set()
+        assert {name for _, name in buffers} == {"noise", "energy"} | swerling
+        assert all(len(held) == 1 for held in buffers.values()), {
+            key[1]: len(held) for key, held in buffers.items()}
 
 
 RECIPES = sorted((Path(__file__).resolve().parent.parent
@@ -737,7 +788,7 @@ class TestCoordinates:
         # every vector a detector reads lies in the spans of the basis
         rx, comp, y = random_case(seed, random_scenario)
         basis = rx.span
-        crx, signal, outside = montecarlo._coordinates(rx)
+        crx, signal, outside = rx.frame()
         M, N, K, r = basis.shape
         gram = np.einsum("mnkr,mnks->mnrs", np.conj(basis), basis)
         assert np.allclose(gram, np.eye(r), atol=1e-12)
@@ -798,7 +849,7 @@ class TestCoordinates:
         rx = Receiver.build(sc, zero_err)
         assert rx.rank.tolist() == [1]
         texts = []
-        for frame in (rx, montecarlo._coordinates(rx)[0]):
+        for frame in (rx, rx.frame()[0]):
             with pytest.raises(ValueError, match="RX 0 has rank 1 < M = 2"
                                ) as got:
                 analysis.statistic(DetectorKind.HD, frame)
@@ -808,7 +859,44 @@ class TestCoordinates:
     def test_colocated_rank_one(self, ref_scenario, zero_err):
         rx = Receiver.build(colocated_scenario(ref_scenario), zero_err)
         assert rx.span.shape == (2, 1, 12, 1)
-        assert montecarlo._coordinates(rx)[2] == 2 * 11
+        assert rx.frame()[2] == 2 * 11
+
+    @pytest.mark.parametrize("scene, d", [
+        ("reference", 5), ("colocated", 2), ("zero_errors", 4),
+        ("array", 513), ("beyond_a_double", 5)])
+    def test_frame_equals_reference_bits(self, scene, d, ref_scenario,
+                                         random_scenario):
+        # Receiver.frame forms the engine's frame bit for bit as the
+        # reference does: the receiver's fields in span coordinates, the
+        # return's d coordinates (the shared one last where the return
+        # leaves the spans) and the outside dimensions
+        sc, err = ref_scenario, _path_errors(2, 1, df=12.0)
+        if scene == "colocated":
+            sc, err = colocated_scenario(sc), SyncErrors.zeros(2, 1)
+        elif scene == "zero_errors":
+            err = SyncErrors.zeros(2, 1)
+        elif scene == "array":
+            sc, _ = random_scenario(np.random.default_rng(513),
+                                    with_errors=False, m_tx=8, n_rx=8,
+                                    k_pulses=64)
+            err = _path_errors(8, 8, df=12.0)
+        elif scene == "beyond_a_double":
+            sc = reference_scenario("multi_band", k_pulses=3)
+            sc = replace(sc, xi=sc.xi * 2.0 ** 600)
+        rx = Receiver.build(sc, err)
+        with np.errstate(over="ignore"):  # the rescale path, and only there
+            assert (np.linalg.norm(rx.x) == np.inf) == (
+                scene == "beyond_a_double")
+        crx, signal, outside = rx.frame()
+        want_crx, want_signal, want_outside = coordinate_frame(rx)
+        assert signal.size == d
+        assert_same_bits([(signal, crx.x)], [(want_signal, want_crx.x)])
+        for name in ("phasors", "templates", "rank"):
+            got, want = getattr(crx, name), getattr(want_crx, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert crx.span is want_crx.span is None
+        assert (crx.sc, crx.varsigma) == (want_crx.sc, want_crx.varsigma)
+        assert outside == want_outside
 
     @pytest.mark.filterwarnings("error")
     def test_frame_of_a_return_beyond_a_double(self):
@@ -816,12 +904,11 @@ class TestCoordinates:
         # is the same, its signal 2^600 times larger, exactly
         sc = reference_scenario("multi_band", k_pulses=3)
         err = _path_errors(2, 1, df=12.0)
-        crx, signal, outside = montecarlo._coordinates(
-            Receiver.build(sc, err))
+        crx, signal, outside = Receiver.build(sc, err).frame()
         big = Receiver.build(replace(sc, xi=sc.xi * 2.0 ** 600), err)
         with np.errstate(over="ignore"):
             assert np.linalg.norm(big.x) == np.inf
-        big_crx, big_signal, big_outside = montecarlo._coordinates(big)
+        big_crx, big_signal, big_outside = big.frame()
         assert signal.size == crx.x.size + 1  # the shared coordinate
         np.testing.assert_array_equal(big_signal, signal * 2.0 ** 600)
         np.testing.assert_array_equal(big_crx.x, crx.x * 2.0 ** 600)
@@ -908,7 +995,7 @@ class TestCoordinates:
         S_hat = CompensationSet.from_scenario(sc, err).S_hat
         M, N, K = rx.x.shape
         r = max(np.linalg.matrix_rank(s) for s in S_hat)
-        crx, signal, outside = montecarlo._coordinates(rx)
+        crx, signal, outside = rx.frame()
         assert crx.x.shape == (M, N, r)
         assert signal.size == M * N * r + shared
         assert outside == M * N * (K - r) - shared
@@ -938,7 +1025,7 @@ class TestCoordinates:
                                                   random_scenario)
         rx = Receiver.build(sc, err)
         comp = CompensationSet.from_scenario(sc, err)
-        crx, signal, outside = montecarlo._coordinates(rx)
+        crx, signal, outside = rx.frame()
         if case == "short":
             assert (signal.size, outside) == (crx.x.size + 1, 1)
         if case == "square":
