@@ -122,12 +122,15 @@ def _caf_rows(spec: ExperimentSpec, points: int):
 
 def _sweep_systems(spec: ExperimentSpec):
     """(sweep value, system name, scenario, errors, error text) per
-    (sweep point, system), in fixed output order."""
+    (sweep point, system), in fixed output order.  A point whose scenario
+    cannot be built gives every system its error text."""
+    systems = ("distributed", "colocated")[:1 + spec.colocated_benchmark]
     for value in spec.sweep_values:
         try:
             sc = scenario_at(spec, float(value))
         except ValueError as exc:
-            yield float(value), "distributed", None, None, str(exc)
+            for system in systems:
+                yield float(value), system, None, None, str(exc)
             continue
         yield float(value), "distributed", sc, spec.errors, None
         if spec.colocated_benchmark:

@@ -160,7 +160,7 @@ def _matrix(doc, path, field, shape, default):
 _SCENARIO_FIELDS = frozenset({
     "waveform_set", "m_tx", "n_rx", "k_pulses", "pri_s", "carrier_hz",
     "pulse_s", "bandwidth_hz", "eta", "kappa", "tau_s", "doppler_hz",
-    "psi_rad", "b", "snr_db", "sigma2", "target"})
+    "psi_rad", "snr_db", "sigma2", "target"})
 _ERROR_FIELDS = frozenset({"dt_s", "df_hz", "dp_rad", "dc_rx_hz"})
 _SWEEP_FIELDS = frozenset({"variable", "start", "stop", "points"})
 _TOP_FIELDS = frozenset({
@@ -169,14 +169,14 @@ _TOP_FIELDS = frozenset({
 
 
 def _parse_target(doc, path):
-    if "target" not in doc:
-        return Swerling1(1.0)
-    t = _require_mapping(doc["target"], f"{path}.target")
+    t = _require_mapping(doc.get("target", {"model": "swerling1"}),
+                         f"{path}.target")
     model = t.get("model")
     if model == "swerling1":
         _reject_unknown(t, f"{path}.target", {"model", "rho_bar"})
         return Swerling1(
-            _number(t, f"{path}.target", "rho_bar", 1.0, positive=True))
+            _number(t, f"{path}.target", "rho_bar", presets.RHO_BAR,
+                    positive=True))
     if model == "fixed":
         _reject_unknown(t, f"{path}.target", {"model", "alpha_re", "alpha_im"})
         re = _number(t, f"{path}.target", "alpha_re", 1.0)
@@ -203,13 +203,10 @@ def _reference_paths(per_tx, M, N, scale=1.0):
     return np.tile(np.array(per_tx)[:, None] * scale, (1, N))
 
 
-def _channel_gains(snr_db, b, sigma2, target, n_rx):
-    # (M, N) gains back-solved so that TX m has the SNR snr_db[m] (dB) on
-    # each of its paths
-    xi = np.empty((len(b), n_rx))
-    for m in range(len(b)):
-        xi[m] = xi_from_snr(snr_db[m], b[m], sigma2, target.mean_rcs)
-    return xi
+def _channel_gains(snr_db, sigma2, target, n_rx):
+    # (M, N) path amplitudes that give TX m the SNR snr_db[m] (dB) per path
+    return np.array([[xi_from_snr(snr, sigma2, target.mean_rcs)] * n_rx
+                     for snr in snr_db])
 
 
 def _parse_scenario(doc):
@@ -220,8 +217,8 @@ def _parse_scenario(doc):
     if waveform_set not in ("multi_band", "single_band"):
         raise ExperimentError(
             f"{path}.waveform_set: expected 'multi_band' or 'single_band'")
-    M = _integer(doc, path, "m_tx", 2, minimum=1)
-    N = _integer(doc, path, "n_rx", 1, minimum=1)
+    M = _integer(doc, path, "m_tx", presets.M_TX, minimum=1)
+    N = _integer(doc, path, "n_rx", presets.N_RX, minimum=1)
     K = _integer(doc, path, "k_pulses", presets.K_PULSES, minimum=1)
     pri_s = _number(doc, path, "pri_s", presets.PRI_S, positive=True)
     carrier = _number(doc, path, "carrier_hz", presets.CARRIER_HZ, positive=True)
@@ -237,20 +234,17 @@ def _parse_scenario(doc):
                 _reference_paths(presets.DOPPLER_HZ, M, N))
     psi = _matrix(doc, path, "psi_rad", (M, N),
                   _reference_paths(presets.PSI_OVER_PI, M, N, math.pi))
-    b = _matrix(doc, path, "b", (M,), np.ones(M))
-    if not np.all(b > 0):
-        raise ExperimentError(
-            f"{path}.b[{np.argmin(b > 0)}]: must be positive")
     snr = _matrix(doc, path, "snr_db", (M,), np.zeros(M))
     # a normal double, so the gains and the statistic scales keep every
     # significant bit
-    sigma2 = _number(doc, path, "sigma2", 1.0, minimum=sys.float_info.min)
+    sigma2 = _number(doc, path, "sigma2", presets.SIGMA2,
+                     minimum=sys.float_info.min)
     try:
         sc = Scenario(
             pulses=pulse_set(waveform_set, M, beta, tp, eta, kappa),
             n_rx=N, k_pulses=K, pri_s=pri_s, carrier_hz=carrier,
-            tau_s=tau, doppler_hz=f, psi_rad=psi, b=b,
-            xi=_channel_gains(snr, b, sigma2, target, N),
+            tau_s=tau, doppler_hz=f, psi_rad=psi,
+            xi=_channel_gains(snr, sigma2, target, N),
             sigma2=sigma2, target=target)
     except ValueError as exc:
         raise ExperimentError(f"{path}: {exc}")
@@ -292,10 +286,13 @@ def _parse_detectors(raw):
     out = []
     for i, name in enumerate(raw):
         try:
-            out.append(DetectorKind(name))
+            det = DetectorKind(name)
         except ValueError:
+            raise ExperimentError(f"detectors[{i}]: unknown detector {name!r}")
+        if det in out:
             raise ExperimentError(
-                f"detectors[{i}]: unknown detector {name!r}")
+                f"detectors[{i}]: duplicate detector {name!r}")
+        out.append(det)
     return tuple(out)
 
 
@@ -358,8 +355,7 @@ def scenario_at(spec: ExperimentSpec, value: float) -> Scenario:
         offset = np.array(getattr(sc, field))
         offset[1] = offset[0] + sweep_value_si(var, value, sc.pulses[0].t_p)
         return replace(sc, **{field: offset})
-    return replace(sc, xi=_channel_gains(snr, sc.b, sc.sigma2, sc.target,
-                                         sc.n_rx))
+    return replace(sc, xi=_channel_gains(snr, sc.sigma2, sc.target, sc.n_rx))
 
 
 def sweep_value_si(variable: str, value: float, pulse_s: float) -> float:

@@ -5,16 +5,19 @@ from them.
 from this table: M=2, N=1, K=12, PRF 500 Hz, 3 GHz carrier, 10 us pulses
 with 400 kHz chirps, delays (0.61, 0.10) T_p, Dopplers (200, 190) Hz,
 phases (0.1, 0.3) pi, unit noise power, a Swerling I target with unit
-mean RCS, and channel gains back-solved from the per-path SNR.
+mean RCS, and path amplitudes back-solved from the per-path SNR.
 `reference_scenario` is the scenario of a document that sets nothing
 else; the demos and tests build on it.
 """
 
 from __future__ import annotations
 
-__all__ = ["reference_scenario", "K_PULSES", "PULSE_S", "BANDWIDTH_HZ",
-           "PRI_S", "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ", "PSI_OVER_PI"]
+__all__ = ["reference_scenario", "M_TX", "N_RX", "K_PULSES", "PULSE_S",
+           "BANDWIDTH_HZ", "PRI_S", "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ",
+           "PSI_OVER_PI", "SIGMA2", "RHO_BAR"]
 
+M_TX = 2
+N_RX = 1
 K_PULSES = 12
 PULSE_S = 1e-5
 BANDWIDTH_HZ = 400e3
@@ -24,6 +27,8 @@ CARRIER_HZ = 3e9
 TAU_OVER_TP = (0.61, 0.10)
 DOPPLER_HZ = (200.0, 190.0)
 PSI_OVER_PI = (0.1, 0.3)
+SIGMA2 = 1.0
+RHO_BAR = 1.0  # mean RCS of the default Swerling I target
 
 
 def reference_scenario(waveform_set: str = "multi_band",

@@ -101,8 +101,8 @@ class Scenario:
     doppler_hz  (M, N) effective Doppler f_mn (target Doppler with any
                 TX/RX carrier offsets already folded in)
     psi_rad     (M, N) initial phase offsets
-    b           (M,) transmit amplitudes
-    xi          (M, N) channel gains
+    xi          (M, N) path amplitudes xi_mn, the paper's transmit
+                amplitude times channel gain b_m xi_mn
     """
 
     pulses: tuple[PulseSpec, ...]
@@ -113,7 +113,6 @@ class Scenario:
     tau_s: np.ndarray
     doppler_hz: np.ndarray
     psi_rad: np.ndarray
-    b: np.ndarray
     xi: np.ndarray
     sigma2: float
     target: NonFluctuating | Swerling1
@@ -134,14 +133,13 @@ class Scenario:
                            _frozen_array(self.doppler_hz, (M, N), "doppler_hz"))
         object.__setattr__(self, "psi_rad",
                            _frozen_array(self.psi_rad, (M, N), "psi_rad"))
-        object.__setattr__(self, "b", _frozen_array(self.b, (M,), "b"))
         object.__setattr__(self, "xi", _frozen_array(self.xi, (M, N), "xi"))
         if np.any(self.tau_s < 0):
             raise ValueError("propagation delays must be nonnegative")
         if np.any(self.tau_s >= self.pri_s):
             raise ValueError("delays must be below one PRI (unambiguous range)")
-        if np.any(self.b < 0) or np.any(self.xi < 0):
-            raise ValueError("amplitudes and channel gains must be nonnegative")
+        if np.any(self.xi < 0):
+            raise ValueError("path amplitudes must be nonnegative")
 
     @property
     def m_tx(self) -> int:
@@ -244,7 +242,7 @@ def _model_factors(sc: Scenario, err: SyncErrors):
        at RX n to the pulse of TX mb (force_orthogonal keeps only the auto
        entries, chi_mm(0, 0)); read-only, and shared by every build with
        the same pulses, delay and Doppler offsets
-    h  (M, N, M) channel vectors h_mn
+    h  (M, N, M) channel vectors h_mn, path amplitudes xi times phases
     """
     f = sc.doppler_hz.T
     S = _steering(f.tobytes(), f.shape, sc.k_pulses, sc.pri_s)
@@ -262,7 +260,7 @@ def _model_factors(sc: Scenario, err: SyncErrors):
                  + 2.0 * math.pi * (sc.doppler_hz + err.df)[:, :, None] * nu)
     _checked_phase(phase, "the carrier and Doppler phase "
                    "2 pi (f_c tau - f nu) of a path")
-    h = (sc.b[:, None] * sc.xi).T[None] * np.exp(1j * phase)
+    h = sc.xi.T[None] * np.exp(1j * phase)
     return S, X, h
 
 
@@ -291,16 +289,12 @@ def colocated_scenario(template: Scenario) -> Scenario:
     )
 
 
-def xi_from_snr(snr_db: float, b: float, sigma2: float, rho_bar: float) -> float:
-    """Back-solve the channel gain so the per-path SNR
-    |b xi|^2 E{|alpha|^2} / sigma^2 hits the requested value; raises
-    ValueError where the gain is beyond a double.  The arithmetic is in
-    Python floats, which overflow without a numpy warning."""
-    if b <= 0:
-        raise ValueError("transmit amplitude must be positive")
+def xi_from_snr(snr_db: float, sigma2: float, rho_bar: float) -> float:
+    """Path amplitude xi (the paper's b xi) of the per-path SNR snr_db =
+    xi^2 E{|alpha|^2} / sigma^2; ValueError where it is beyond a double.
+    The arithmetic is in Python floats, which overflow without a warning."""
     try:
-        xi = math.sqrt(10.0 ** (float(snr_db) / 10.0) * sigma2
-                       / rho_bar) / float(b)
+        xi = math.sqrt(10.0 ** (float(snr_db) / 10.0) * sigma2 / rho_bar)
     except OverflowError:  # 10 ** (snr_db / 10) beyond a double
         xi = math.inf
     if xi == math.inf:

@@ -73,12 +73,12 @@ def slow_time_sample(sc: Scenario, err: SyncErrors, alpha: complex,
 
     if sc.force_orthogonal:
         chi00 = caf(sc.pulses[m], sc.pulses[m], 0.0, 0.0)
-        return (alpha * sc.b[m] * sc.xi[m, n] * chi00
+        return (alpha * sc.xi[m, n] * chi00
                 * cmath.exp(1j * (2 * math.pi * k * sc.pri_s * f_mn
                                   - 2 * math.pi * sc.carrier_hz * tau_mn
                                   + sc.psi_rad[m, n])))
 
-    auto = (alpha * sc.b[m] * sc.xi[m, n]
+    auto = (alpha * sc.xi[m, n]
             * cmath.exp(2j * math.pi * k * sc.pri_s * f_mn)
             * caf(sc.pulses[m], sc.pulses[m], dt, -df)
             * cmath.exp(-2j * math.pi * fc_eff * tau_mn)
@@ -90,7 +90,7 @@ def slow_time_sample(sc: Scenario, err: SyncErrors, alpha: complex,
             continue
         tau_mb = sc.tau_s[mb, n]
         f_mb = sc.doppler_hz[mb, n]
-        cross += (alpha * sc.b[mb] * sc.xi[mb, n]
+        cross += (alpha * sc.xi[mb, n]
                   * cmath.exp(1j * sc.psi_rad[mb, n])
                   * cmath.exp(-2j * math.pi * fc_eff * tau_mb)
                   * cmath.exp(2j * math.pi * k * sc.pri_s * f_mb)

@@ -48,8 +48,8 @@ def single_tx_setup(dt=0.0):
         pulses=(multi_band_chirp(1, 400e3, tp, 3.0),),
         n_rx=1, k_pulses=12, pri_s=2e-3, carrier_hz=3e9,
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
-        psi_rad=np.array([[0.4]]), b=np.array([1.0]),
-        xi=np.array([[0.9]]), sigma2=1.0, target=Swerling1(1.0))
+        psi_rad=np.array([[0.4]]), xi=np.array([[0.9]]), sigma2=1.0,
+        target=Swerling1(1.0))
     err = SyncErrors(dt=np.array([[dt]]), df=np.zeros((1, 1)),
                      dp=np.zeros((1, 1)), dc_rx=np.zeros(1))
     return sc, err, Receiver.build(sc, err)
@@ -69,10 +69,10 @@ class TestNoncentrality:
 
     def test_single_tx_collapse(self):
         # with M=1, no errors, and ideal compensation the NCD/ACD/CD
-        # noncentralities coincide at 2 rho (b xi)^2 K / sigma^2
+        # noncentralities coincide at 2 rho xi^2 K / sigma^2
         sc, err, rx = single_tx_setup()
         rho = 1.8
-        expect = 2.0 * rho * (sc.b[0] * sc.xi[0, 0]) ** 2 * sc.k_pulses / sc.sigma2
+        expect = 2.0 * rho * sc.xi[0, 0] ** 2 * sc.k_pulses / sc.sigma2
         for det in (DetectorKind.NCD, DetectorKind.ACD, DetectorKind.CD):
             lam = noncentrality(det, rx, rho)
             assert lam == pytest.approx(expect, rel=1e-9)
@@ -117,7 +117,7 @@ class TestNoncentrality:
             carrier_hz=3e9, tau_s=rng.uniform(0.3 * tp, 1.5 * tp, (M, N)),
             doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),
             psi_rad=rng.uniform(-np.pi, np.pi, (M, N)),
-            b=rng.uniform(0.5, 2.0, M), xi=rng.uniform(0.1, 1.0, (M, N)),
+            xi=rng.uniform(0.5, 2.0, (M, 1)) * rng.uniform(0.1, 1.0, (M, N)),
             sigma2=rng.uniform(0.5, 2.0), target=Swerling1(1.0))
         if seed % 3 == 0:
             sc = colocated_scenario(sc)

@@ -347,6 +347,31 @@ class TestAnalyzeCommand:
         assert all("tau + dt" in r["error"] and r["gamma"] == ""
                    for r in rows)
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("variable, stop, reason", [
+        ("snr_db", 4000.0,
+         "the channel gain for an SNR of 4000.0 dB overflows a double"),
+        ("delay_offset", 300.0,
+         "delays must be below one PRI (unambiguous range)")],
+        ids=["snr_db", "delay_offset"])
+    def test_unbuildable_point_gives_a_row_per_system(self, tmp_path,
+                                                      command, variable,
+                                                      stop, reason):
+        # the last point's scenario cannot be built, so both of its
+        # systems carry the error
+        doc = base_doc(colocated_benchmark=True, detectors=["NCD"],
+                       trials=100, sweep={"variable": variable, "start": 0.0,
+                                          "stop": stop, "points": 3})
+        doc["scenario"]["waveform_set"] = "single_band"
+        out = tmp_path / "a.csv"
+        assert main([command, "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [(r["sweep_value"], r["system"]) for r in rows] == [
+            (f"{v:g}", system) for v in (0.0, stop / 2, stop)
+            for system in ("distributed", "colocated")]
+        assert [r["error"] for r in rows] == [""] * 4 + [reason] * 2
+
     def test_pfa_below_min_pfa_is_an_error(self, tmp_path):
         # 1 / 1e-320 overflows a double, and the HD row's Swerling I
         # average overflowed with it
@@ -559,6 +584,20 @@ class TestAnalyzeCommand:
         with pytest.raises(SystemExit):
             main(["analyze", "--experiment", exp, "--out",
                   str(tmp_path / "a.csv")])
+
+    @pytest.mark.parametrize("over, message", [
+        ({"scenario": {"waveform_set": "multi_band", "b": [3.7, 1.0]}},
+         "error: scenario.b: unknown field"),
+        ({"detectors": ["NCD", "CD", "NCD"]},
+         "error: detectors[2]: duplicate detector 'NCD'")],
+        ids=["transmit-amplitude", "duplicate-detector"])
+    def test_schema_error_is_one_error_line(self, tmp_path, over, message):
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--experiment",
+                  write_doc(tmp_path, base_doc(**over)), "--out", str(out)])
+        assert exc.value.code == message
+        assert not out.exists()
 
 
 class TestSimulateCommand:

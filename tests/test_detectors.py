@@ -34,13 +34,13 @@ def random_measurement(rng, M=2, N=1, K=12):
     return rng.normal(size=(M, N, K)) + 1j * rng.normal(size=(M, N, K))
 
 
-def single_tx_scenario(b=1.3, xi=0.8):
+def single_tx_scenario(xi=1.3 * 0.8):
     tp = 1e-5
     return Scenario(
         pulses=(multi_band_chirp(1, 400e3, tp, 3.0),),
         n_rx=1, k_pulses=12, pri_s=2e-3, carrier_hz=3e9,
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
-        psi_rad=np.array([[0.4]]), b=np.array([b]), xi=np.array([[xi]]),
+        psi_rad=np.array([[0.4]]), xi=np.array([[xi]]),
         sigma2=1.0, target=Swerling1(1.0))
 
 
@@ -96,7 +96,7 @@ class TestAcd:
         x = noise_free_mf_output(sc, err, alpha)
         comp = CompensationSet.from_scenario(sc, err)
         got = acd_statistic(x, comp.theta_hat)
-        expect = (abs(alpha) * sc.b[0] * sc.xi[0, 0] * sc.k_pulses) ** 2
+        expect = (abs(alpha) * sc.xi[0, 0] * sc.k_pulses) ** 2
         assert got == pytest.approx(expect, rel=1e-9)
 
     def test_brute_force_oracle(self):
@@ -276,11 +276,11 @@ class TestGlrtConsistency:
                 abs(a_hat) ** 2 * varsigma ** 2, rel=1e-9)
 
     def test_acd_cd_proportional_single_tx(self):
-        sc = single_tx_scenario(b=1.3, xi=0.8)
+        sc = single_tx_scenario(xi=1.3 * 0.8)
         err = SyncErrors.zeros(1, 1)
         comp = CompensationSet.from_scenario(sc, err)
         rng = np.random.default_rng(13)
-        ratio = (sc.b[0] * sc.xi[0, 0]) ** 2
+        ratio = sc.xi[0, 0] ** 2
         for _ in range(10):
             y = random_measurement(rng, 1, 1, 12)
             assert cd_statistic(y, comp.templates) == pytest.approx(

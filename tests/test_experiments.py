@@ -49,7 +49,7 @@ class TestParsing:
         spec = parse_experiment(minimal_doc(
             scenario={"waveform_set": "multi_band", "snr_db": [0.0, -6.0]}))
         sc = spec.scenario
-        snr = (sc.b[:, None] * sc.xi) ** 2 / sc.sigma2
+        snr = sc.xi ** 2 / sc.sigma2
         assert 10 * np.log10(snr[0, 0]) == pytest.approx(0.0, abs=1e-12)
         assert 10 * np.log10(snr[1, 0]) == pytest.approx(-6.0, abs=1e-12)
 
@@ -95,12 +95,11 @@ class TestRejections:
             parse_experiment(doc)
 
     @pytest.mark.parametrize("section, field, value, where", [
-        ("scenario", "b", [True, True], r"scenario\.b\[0\]"),
         ("scenario", "snr_db", ["0", "3"], r"scenario\.snr_db\[0\]"),
         ("scenario", "tau_s", [["1e-6"], ["2e-6"]],
          r"scenario\.tau_s\[0\]\[0\]"),
         ("errors", "dt_s", [[0], [True]], r"errors\.dt_s\[1\]\[0\]")],
-        ids=["b", "snr_db", "tau_s", "dt_s"])
+        ids=["snr_db", "tau_s", "dt_s"])
     def test_array_entries_must_be_numbers(self, section, field, value,
                                            where):
         # numpy would read booleans and numeric strings as numbers
@@ -112,11 +111,10 @@ class TestRejections:
 
     @pytest.mark.parametrize("section, field, value, where", [
         ("scenario", "pri_s", 10**400, r"scenario\.pri_s"),
-        ("scenario", "b", [1, 10**400], r"scenario\.b\[1\]"),
         ("scenario", "tau_s", [[0.0], [-10**400]],
          r"scenario\.tau_s\[1\]\[0\]"),
         ("errors", "dt_s", [[0], [2**1024]], r"errors\.dt_s\[1\]\[0\]")],
-        ids=["pri_s", "b", "tau_s", "dt_s"])
+        ids=["pri_s", "tau_s", "dt_s"])
     def test_integers_beyond_a_double_are_rejected(self, section, field,
                                                    value, where):
         # float() of such an int raises OverflowError; the JSON text
@@ -127,8 +125,6 @@ class TestRejections:
             parse_experiment(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("scenario, where", [
-        ({"b": [1.0, 0.0]}, r"scenario\.b\[1\]: must be positive"),
-        ({"b": [-2.0, 1.0]}, r"scenario\.b\[0\]: must be positive"),
         ({"target": {"model": "fixed", "alpha_re": 1e308,
                      "alpha_im": 1e308}},
          r"scenario\.target: \|alpha\|\^2 = inf"),
@@ -136,11 +132,10 @@ class TestRejections:
          r"scenario\.target: \|alpha\|\^2 = 0\.0"),
         ({"target": {"model": "fixed", "alpha_re": 0.0}},
          r"scenario\.target: \|alpha\|\^2 = 0\.0")],
-        ids=["b-zero", "b-negative", "alpha-overflow", "alpha-underflow",
-             "alpha-zero"])
+        ids=["alpha-overflow", "alpha-underflow", "alpha-zero"])
     def test_amplitudes_must_be_positive_and_finite(self, scenario, where):
-        # xi_from_snr divides by b and by |alpha|^2; a zero b, or an
-        # |alpha|^2 beyond a double, raised from below the parser
+        # xi_from_snr divides by |alpha|^2; an |alpha|^2 of zero or
+        # beyond a double raised from below the parser
         doc = minimal_doc()
         doc["scenario"].update(scenario)
         with pytest.raises(ExperimentError, match=where):
@@ -207,7 +202,7 @@ class TestSweepApplication:
     def test_snr_db_sets_common_level(self):
         spec = parse_experiment(minimal_doc())
         sc = scenario_at(spec, -3.0)
-        snr = (sc.b[:, None] * sc.xi) ** 2 / sc.sigma2
+        snr = sc.xi ** 2 / sc.sigma2
         assert np.allclose(10 * np.log10(snr), -3.0)
 
     def test_snr_offset_moves_second_path_only(self):
@@ -215,7 +210,7 @@ class TestSweepApplication:
                                  "stop": 5.0, "points": 3})
         spec = parse_experiment(doc)
         sc = scenario_at(spec, 4.0)
-        snr = 10 * np.log10((sc.b[:, None] * sc.xi) ** 2 / sc.sigma2)
+        snr = 10 * np.log10(sc.xi ** 2 / sc.sigma2)
         assert snr[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert snr[1, 0] == pytest.approx(4.0, abs=1e-12)
 

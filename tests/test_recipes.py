@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from dmimo.cli import main
+from dmimo.experiments import load_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = sorted((ROOT / "recipes").glob("*.json"))
@@ -75,16 +76,22 @@ def test_analyze_matches_pinned_csv(recipe, tmp_path):
 def test_every_recipe_and_demo_runs_clean(tmp_path):
     # any warning, numpy's RuntimeWarning among them, raises: analyze and
     # caf exit 0 on every recipe, simulate 0 or 1 (a row outside its
-    # confidence gate), and each demo runs to its end
+    # confidence gate), and each demo runs to its end.  analyze and
+    # simulate write a row per sweep point, system and detector.
     assert len(RECIPES) == 8 and len(DEMOS) == 4
     out = str(tmp_path / "out.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for recipe in RECIPES:
+            spec = load_experiment(recipe)
+            rows = 1 + len(spec.sweep_values) * len(spec.detectors) * (
+                1 + spec.colocated_benchmark)
             io = ["--experiment", str(recipe), "--out", out]
             assert main(["analyze", *io]) == 0, recipe.stem
+            assert len(_rows(out)) == rows, recipe.stem
             assert main(["caf", *io]) == 0, recipe.stem
             assert main(["simulate", *io, "--trials", "8193"]) in (0, 1), \
                 recipe.stem
+            assert len(_rows(out)) == rows, recipe.stem
         for demo in DEMOS:
             runpy.run_path(str(demo), run_name="__main__")

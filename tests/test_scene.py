@@ -147,17 +147,16 @@ class TestChannelVector:
                     multi_band_chirp(2, 400e3, tp, 3.0)),
             n_rx=1, k_pulses=4, pri_s=2e-3, carrier_hz=3e9,
             tau_s=np.zeros((2, 1)), doppler_hz=np.zeros((2, 1)),
-            psi_rad=np.zeros((2, 1)), b=np.ones(2), xi=np.ones((2, 1)),
+            psi_rad=np.zeros((2, 1)), xi=np.ones((2, 1)),
             sigma2=1.0, target=Swerling1(1.0))
         _, _, h = _model_factors(sc, SyncErrors.zeros(2, 1))
         assert np.allclose(h, 1.0)
 
     def test_reference_auto_entry(self, ref_scenario, zero_err):
-        # direct substitution: b xi e^{j 0.1 pi} e^{-j 2 pi f_c tau_11}
+        # direct substitution: xi e^{j 0.1 pi} e^{-j 2 pi f_c tau_11}
         # e^{j 2 pi f_11 (tau_11 - tau_11)}
         _, _, h = _model_factors(ref_scenario, zero_err)
-        b_xi = ref_scenario.b[0] * ref_scenario.xi[0, 0]
-        expect = b_xi * cmath.exp(1j * (0.1 * math.pi
+        expect = ref_scenario.xi[0, 0] * cmath.exp(1j * (0.1 * math.pi
                                         - 2 * math.pi * 3e9 * 0.61e-5))
         assert h[0, 0, 0] == pytest.approx(expect, rel=1e-9)
 
@@ -168,7 +167,7 @@ class TestChannelVector:
         assert h.shape == (sc.m_tx, sc.n_rx, sc.m_tx)
         for m in range(sc.m_tx):
             for n in range(sc.n_rx):
-                assert np.allclose(np.abs(h[m, n]), sc.b * sc.xi[:, n])
+                assert np.allclose(np.abs(h[m, n]), sc.xi[:, n])
 
 
 class TestModelEquivalence:
@@ -181,8 +180,8 @@ class TestModelEquivalence:
             pulses=(multi_band_chirp(1, 400e3, tp, 3.0),),
             n_rx=1, k_pulses=6, pri_s=2e-3, carrier_hz=3e9,
             tau_s=np.array([[0.4 * tp]]), doppler_hz=np.array([[120.0]]),
-            psi_rad=np.array([[0.7]]), b=np.array([1.3]),
-            xi=np.array([[0.8]]), sigma2=1.0, target=Swerling1(1.0))
+            psi_rad=np.array([[0.7]]), xi=np.array([[1.3 * 0.8]]),
+            sigma2=1.0, target=Swerling1(1.0))
         alpha = 0.9 - 0.4j
         x = noise_free_mf_output(sc, SyncErrors.zeros(1, 1), alpha)
         k = np.arange(6)
@@ -221,7 +220,7 @@ class TestModelEquivalence:
                           sc.tau_s[m, 0] - sc.tau_s[mb, 0],
                           sc.doppler_hz[mb, 0] - sc.doppler_hz[m, 0])
                 assert X[m, 0, mb] == chi
-                h_mb = (sc.b[mb] * sc.xi[mb, 0]
+                h_mb = (sc.xi[mb, 0]
                         * cmath.exp(1j * sc.psi_rad[mb, 0])
                         * cmath.exp(-2j * math.pi * sc.carrier_hz * sc.tau_s[mb, 0])
                         * cmath.exp(2j * math.pi * sc.doppler_hz[m, 0]
@@ -247,7 +246,7 @@ class TestColocated:
         x = noise_free_mf_output(co, zero_err, alpha)
         for m in range(2):
             mags = np.abs(x[m, 0])
-            assert np.allclose(mags, abs(alpha) * co.b[m] * co.xi[m, 0],
+            assert np.allclose(mags, abs(alpha) * co.xi[m, 0],
                                rtol=1e-9)
 
     def test_scalar_form_matches(self, ref_scenario, zero_err):
@@ -257,11 +256,11 @@ class TestColocated:
         assert np.allclose(x, scalar_cube(co, zero_err, alpha), rtol=1e-9)
 
     def test_energy_sum_collapses(self, ref_scenario, zero_err):
-        # ||S X h||^2 summed over paths = K sum |b xi|^2 for the benchmark
+        # ||S X h||^2 summed over paths = K sum |xi|^2 for the benchmark
         co = colocated_scenario(ref_scenario)
         x = noise_free_mf_output(co, zero_err, 1.0)
         total = np.sum(np.abs(x) ** 2)
-        expect = co.k_pulses * np.sum((co.b[:, None] * co.xi) ** 2)
+        expect = co.k_pulses * np.sum(co.xi ** 2)
         assert total == pytest.approx(expect, rel=1e-9)
 
 
@@ -278,22 +277,23 @@ class TestLinkBudget:
         # a scenario built from the link budget reproduces the same SNR as
         # one with the gain back-solved from that SNR
         xi = link_budget_xi(5e3, 7e3, 2.0, 2.0, 0.1)
-        b, sigma2, rho_bar = 3.0, 1.0, 1.0
-        snr_db = 10 * math.log10((b * xi) ** 2 * rho_bar / sigma2)
-        assert xi_from_snr(snr_db, b, sigma2, rho_bar) == pytest.approx(xi, rel=1e-12)
+        sigma2, rho_bar = 1.0, 1.0
+        snr_db = 10 * math.log10(xi ** 2 * rho_bar / sigma2)
+        assert xi_from_snr(snr_db, sigma2, rho_bar) == pytest.approx(xi, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             link_budget_xi(0.0, 1e3, 1.0, 1.0, 0.1)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("snr_db, sigma2, b", [
+    @pytest.mark.parametrize("snr_db, sigma2, rho_bar", [
         (np.float64(300.0), 1e300, 1.0),   # the product overflows
         (np.float64(4000.0), 1.0, 1.0),    # 10 ** (snr / 10) does
-        (np.float64(0.0), 1.0, 1e-310)])   # the division does
-    def test_gain_beyond_a_double_is_a_value_error(self, snr_db, sigma2, b):
+        (np.float64(0.0), 1.0, 1e-310)])   # the division by rho_bar does
+    def test_gain_beyond_a_double_is_a_value_error(self, snr_db, sigma2,
+                                                   rho_bar):
         with pytest.raises(ValueError, match="channel gain .* overflows"):
-            xi_from_snr(snr_db, np.float64(b), sigma2, 1.0)
+            xi_from_snr(snr_db, sigma2, rho_bar)
 
 
 class TestValidation:
