@@ -30,6 +30,7 @@ import numpy as np
 from .detectors import (
     _RCOND_LIMIT,
     CompensationSet,
+    _basis,
     cd_statistic,
     ncd_statistic,
     steering_span,
@@ -125,11 +126,10 @@ class Receiver:
     Doppler steering S_hat_n (N,), and per path, in one frame, the return
     x at unit amplitude, the ACD phasors exp(j theta_hat), the CD
     templates and the orthonormal basis of span S_hat_n (M, N, K, r_S)
-    from ``detectors.steering_span``, which HD projects onto and the
-    Monte Carlo draws its coordinates in.  ``build`` gives the K-sample
-    frame, and ``frame`` the Monte Carlo frame: the receiver in the
-    coordinates of that span, where ``span`` is None, with the return's
-    coordinates and the dimensions left outside them."""
+    from ``detectors.steering_span``, which HD projects onto.  ``build``
+    gives the K-sample frame, and ``frame`` the Monte Carlo frame: the
+    receiver in at most three coordinates, where ``span`` is None, with
+    the return's coordinates and the dimensions left to two energies."""
 
     sc: Scenario
     x: np.ndarray
@@ -162,37 +162,46 @@ class Receiver:
         ``self.span``."""
         return np.einsum("mnkr,...mnk->...mnr", np.conj(self.span), y)
 
-    def frame(self) -> tuple["Receiver", np.ndarray, int]:
-        """The Monte Carlo frame (crx, signal, outside): the receiver in
-        the coordinates of its span, the return at unit amplitude as the
-        d coordinates a block draws per trial, and the complex dimensions
-        left to the energy outside them.
+    def frame(self) -> tuple["Receiver", np.ndarray, int, int]:
+        """The Monte Carlo frame (crx, signal, inside, outside): the
+        receiver in the coordinates of W, the span of every vector a
+        detector reads, the return at unit amplitude as the d <= 4
+        coordinates a block draws per trial, and the complex dimensions
+        left to the energy inside the spans and to the energy outside.
 
-        In ``crx`` every vector read is its r_S coordinates per path in
-        ``self.span``, and the span itself is None: in its own
-        coordinates each path's projection onto it is the identity, so
-        HD reads no basis.  ``signal`` holds the return's (M, N, r_S)
-        span coordinates; where its part outside the spans has norm
-        e > _RCOND_LIMIT ||x|| over all paths, e follows as the one
-        shared coordinate, and ``outside`` is M N (K - r_S) - 1, else
-        M N (K - r_S).  Where ||x||^2 overflows a double, both norms are
-        taken at x scaled to unit size."""
+        W is spanned by x, the ACD phasors and the CD templates, each
+        flattened to its M N r_S coordinates in ``self.span``.  Their
+        nonzero columns, each scaled by ``_unit_scale`` so that a return
+        beyond a double keeps its exact frame, give W's w <= 3
+        orthonormal columns through ``detectors._basis``.  In ``crx``
+        the three are their coordinates in W, as (1, 1, w) arrays, and
+        the span is None; ``inside`` is the M N r_S - w span dimensions
+        outside W.  ``signal`` holds x's w coordinates; where its part
+        outside the spans has norm e > _RCOND_LIMIT ||x|| over all
+        paths, e follows as the one shared coordinate, and ``outside``
+        is M N (K - r_S) - 1, else M N (K - r_S).  Where ||x||^2
+        overflows a double, both norms are taken at x scaled to unit
+        size."""
         M, N, K, r = self.span.shape
-        crx = replace(self, x=self.coordinates(self.x),
-                      phasors=self.coordinates(self.phasors),
-                      templates=self.coordinates(self.templates), span=None)
-        x_perp = self.x - np.einsum("mnkr,mnr->mnk", self.span, crx.x)
+        read = [self.coordinates(v).ravel()
+                for v in (self.x, self.phasors, self.templates)]
+        x_perp = self.x - np.einsum("mnkr,mnr->mnk", self.span,
+                                    read[0].reshape(M, N, r))
         with np.errstate(over="ignore"):  # an infinite norm is rescaled
             e, norm = np.linalg.norm(x_perp), np.linalg.norm(self.x)
         if norm == np.inf:
             s = _unit_scale(self.x)
             e = np.linalg.norm(x_perp * s) / s
             norm = np.linalg.norm(self.x * s) / s
+        q, _ = _basis(np.stack([v * _unit_scale(v) for v in read
+                                if np.any(v)], -1))
+        x, phasors, templates = (np.conj(q.T) @ v for v in read)
+        crx = replace(self, x=x[None, None], phasors=phasors[None, None],
+                      templates=templates[None, None], span=None)
         e = float(e)
-        signal = crx.x.ravel()
-        if e > _RCOND_LIMIT * norm:
-            signal = np.append(signal, e)
-        return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
+        signal = np.append(x, e) if e > _RCOND_LIMIT * norm else x
+        return (crx, signal, M * N * r - x.size,
+                M * N * (K - r) - (signal.size - x.size))
 
     def law(self, det: DetectorKind) -> tuple[int, float]:
         """The detector's chi-square law (p, c) at this pair."""
@@ -201,35 +210,36 @@ class Receiver:
 
 
 def statistic(det: DetectorKind, rx: Receiver):
-    """The detector's statistic T(y, g) in the receiver's frame: y is a
-    cube (M, N, K) or a batch of them, or a batch of coordinates
-    (trials, M, N, r) with g the energy outside their spans, which only
-    NCD reads.  ACD is the CD correlation with the phasors as templates.
-    HD is the energy of y's coordinates in the receiver's span, NCD's sum
-    before it adds g: a K-sample cube is mapped there by
-    ``Receiver.coordinates``, and in the span's coordinates (the
-    receiver of ``Receiver.frame``) y already holds them.  HD raises
-    ValueError where a receiver's Doppler steering has rank below M (as
-    it has for K < M), naming the receiver and its rank.
+    """The detector's statistic T(y, g, g_span) in the receiver's frame:
+    y is a cube (M, N, K) or a batch of them, or, on the receiver of
+    ``Receiver.frame``, a batch of coordinates (trials, 1, 1, w) in W,
+    with g all the energy outside W and g_span the part of it inside
+    the spans.  NCD is the energy of y plus g.  ACD is the CD
+    correlation with the phasors as templates.  HD is the energy of y's
+    coordinates in the receiver's span: a K-sample cube is mapped there
+    by ``Receiver.coordinates``, and in W it is the energy of y plus
+    g_span.  HD raises ValueError where a receiver's Doppler steering
+    has rank below M (as it has for K < M), naming the receiver and its
+    rank.
 
     The coordinate forms run on every Monte Carlo block, on the pool's
     threads, so none of them may call BLAS: a BLAS call runs on threads
     of its own, which contend with the pool's workers for the CPUs.
     Every form is einsums and ufuncs."""
     if det is DetectorKind.NCD:
-        return lambda y, g=0.0: ncd_statistic(y) + g
+        return lambda y, g=0.0, g_span=0.0: ncd_statistic(y) + g
     if det is DetectorKind.ACD:
-        return lambda y, g=0.0: cd_statistic(y, rx.phasors)
+        return lambda y, g=0.0, g_span=0.0: cd_statistic(y, rx.phasors)
     if det is DetectorKind.CD:
-        return lambda y, g=0.0: cd_statistic(y, rx.templates)
+        return lambda y, g=0.0, g_span=0.0: cd_statistic(y, rx.templates)
     M, K = rx.sc.m_tx, rx.sc.k_pulses
     for n, r in enumerate(rx.rank):
         if r < M:
             raise ValueError(f"Doppler steering matrix for RX {n} has rank "
                              f"{r} < M = {M} (K = {K}); HD needs rank M")
     if rx.span is None:
-        return lambda y, g=0.0: ncd_statistic(y)
-    return lambda y, g=0.0: ncd_statistic(rx.coordinates(y))
+        return lambda y, g=0.0, g_span=0.0: ncd_statistic(y) + g_span
+    return lambda y, g=0.0, g_span=0.0: ncd_statistic(rx.coordinates(y))
 
 
 def _unit_scale(x) -> float:

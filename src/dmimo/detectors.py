@@ -12,7 +12,7 @@ These are the paper's definitions; the package reads them through
 ``analysis.statistic`` on an ``analysis.Receiver``, which holds each
 such quantity once per (sweep point, system) pair.  The CD
 correlation also reads a batch of sufficient coordinates
-(trials, M, N, r), given the templates in the same frame.
+(trials, 1, 1, w), given the templates in the same frame.
 
   NCD  energy sum of all MF outputs (no phase knowledge)
   ACD  global sum after per-sample phase compensation, equal weights
@@ -160,9 +160,19 @@ def steering_span(S_hat) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _span(s_bytes, shape, dtype):
     S_hat = np.frombuffer(s_bytes, dtype=dtype).reshape(shape)
-    cols = S_hat / np.linalg.norm(S_hat, axis=-2, keepdims=True)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)
-    u = u[..., :rank.max()]
+    u, rank = _basis(S_hat)
     u.flags.writeable = rank.flags.writeable = False
     return u, rank
+
+
+def _basis(a) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one rank-revealing routine: one SVD of the
+    unit-normed columns of each matrix of ``a`` (..., n, k), its numerical
+    rank (...) the count of singular values above _RCOND_LIMIT times its
+    largest, and the orthonormal basis (..., n, r) of its leading left
+    singular vectors, r the largest rank.  The columns must be nonzero
+    and their norms finite."""
+    cols = a / np.linalg.norm(a, axis=-2, keepdims=True)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = np.sum(s > _RCOND_LIMIT * s[..., :1], axis=-1)
+    return u[..., :rank.max()], rank

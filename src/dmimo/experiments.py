@@ -325,10 +325,13 @@ def parse_experiment(doc) -> ExperimentSpec:
 
 
 def load_experiment(path) -> ExperimentSpec:
-    with open(path) as fh:
+    """The experiment in the UTF-8 JSON file at ``path``; a file that
+    does not decode, parse or nest within the recursion limit raises."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
             raise ExperimentError(f"{path}: invalid JSON ({exc})")
     return parse_experiment(doc)
 

@@ -36,12 +36,11 @@ import numpy as np
 from scipy import stats
 
 from dmimo.analysis import DetectorKind, Receiver, _unit_scale, statistic
-from dmimo.detectors import _RCOND_LIMIT, _check_cube, _energy
+from dmimo.detectors import _RCOND_LIMIT, _basis, _check_cube, _energy
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     TrialConfig,
     _block_rng,
-    _block_trials,
     _coordinate_block,
     draw_noise,
 )
@@ -243,34 +242,42 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
 
 
 def coordinate_frame(rx: Receiver):
-    """The Monte Carlo frame (crx, signal, outside) formed from the
-    receiver's fields: the reference ``Receiver.frame`` must match bit
-    for bit, with the same einsums, the same overflow rescale and the
-    same floating-point order."""
+    """The Monte Carlo frame (crx, signal, inside, outside) formed from
+    the receiver's fields, followed by the orthonormal basis (M N r_S, w)
+    of W in the flattened span coordinates: the reference
+    ``Receiver.frame`` must match bit for bit, with the same einsums,
+    the same column scaling, the same rank routine, the same overflow
+    rescale and the same floating-point order."""
     M, N, K, r = rx.span.shape
-    crx = replace(rx, x=rx.coordinates(rx.x),
-                  phasors=rx.coordinates(rx.phasors),
-                  templates=rx.coordinates(rx.templates), span=None)
-    x_perp = rx.x - np.einsum("mnkr,mnr->mnk", rx.span, crx.x)
+    spans = [rx.coordinates(v).ravel()
+             for v in (rx.x, rx.phasors, rx.templates)]
+    x_perp = rx.x - np.einsum("mnkr,mnr->mnk", rx.span,
+                              spans[0].reshape(M, N, r))
     with np.errstate(over="ignore"):  # an infinite norm is rescaled
         e, norm = np.linalg.norm(x_perp), np.linalg.norm(rx.x)
     if norm == np.inf:
         s = _unit_scale(rx.x)
         e, norm = np.linalg.norm(x_perp * s) / s, np.linalg.norm(rx.x * s) / s
     e = float(e)
-    signal = crx.x.ravel()
+    basis, _ = _basis(np.stack([v * _unit_scale(v) for v in spans
+                                if np.any(v)], -1))
+    w = basis.shape[1]
+    x, phasors, templates = (np.conj(basis.T) @ v for v in spans)
+    crx = replace(rx, x=x[None, None], phasors=phasors[None, None],
+                  templates=templates[None, None], span=None)
+    signal = x
     if e > _RCOND_LIMIT * norm:
         signal = np.append(signal, e)
-    return crx, signal, M * N * (K - r) - (signal.size - crx.x.size)
+    return (crx, signal, M * N * r - w, M * N * (K - r) - (signal.size - w),
+            basis)
 
 
 def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
-    """Yield the run's coordinate blocks (c, g) one at a time, serially
-    and in block order, plus the receiver in their coordinates: the
-    serial reference for the pooled blocks, whose trials per block the
-    run's d coordinates per trial set."""
+    """Yield the run's coordinate blocks (c, g, g_span) one at a time,
+    serially and in block order, plus the receiver in their coordinates:
+    the serial reference for the pooled blocks."""
     frame = rx.frame()
-    for j in range(-(-cfg.trials // _block_trials(frame[1].size))):
+    for j in range(-(-cfg.trials // BLOCK_TRIALS)):
         yield frame[0], _coordinate_block(*frame, cfg, j)
 
 
@@ -292,7 +299,7 @@ def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
     """KS distance between the empirical H0 statistic and its theoretical
     central chi-square law."""
     cfg = TrialConfig(trials=trials, seed=seed)
-    vals = np.concatenate([statistic(det, crx)(c, g) for crx, (c, g)
+    vals = np.concatenate([statistic(det, crx)(*block) for crx, block
                            in iter_coordinate_blocks(rx, cfg)])
     p, c = rx.law(det)
     ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic

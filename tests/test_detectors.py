@@ -27,7 +27,13 @@ from dmimo.scene import (
 )
 from dmimo.montecarlo import TrialConfig
 from dmimo.waveforms import multi_band_chirp
-from oracles import acd_statistic, alpha_mle, beta_mle, doppler_projectors
+from oracles import (
+    acd_statistic,
+    alpha_mle,
+    beta_mle,
+    coordinate_frame,
+    doppler_projectors,
+)
 
 
 def random_measurement(rng, M=2, N=1, K=12):
@@ -326,9 +332,10 @@ def abs_squared_forms(y, rx=None, theta=None):
     np.abs(...) ** 2, keyed by the statistic they check: NCD, the CD
     correlation against the receiver's templates and phasors (ACD in
     coordinates), ACD on the compensation phases, and HD on the
-    receiver's per-path span bases.  A batch of span coordinates, whose
-    receiver holds no span, is HD's projection as it stands: a path's
-    coordinates are its coefficients in the orthonormal basis."""
+    receiver's per-path span bases.  A batch of coordinates in W, whose
+    receiver holds no span, is HD's projection as it stands (with no
+    energy g_span added): the coordinates are coefficients in an
+    orthonormal basis."""
     def cd(v):
         return np.abs(np.einsum("mnk,...mnk->...", np.conj(v), y)) ** 2
 
@@ -396,16 +403,20 @@ class TestEnergyForm:
         crx = frame[0]
         assert crx.span is None
         cfg = TrialConfig(trials=3000, seed=seed, target_draw=Swerling1(2.0))
-        c, _ = montecarlo._coordinate_block(*frame, cfg, 0)
+        c, *_ = montecarlo._coordinate_block(*frame, cfg, 0)
         want = abs_squared_forms(c, crx)
         got = energy_forms(c, crx)
         assert got.keys() == want.keys()
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-15,
                                        atol=0, err_msg=name)
-        # HD on the coordinates is HD on the cubes they span, to the
-        # rounding of the basis's orthonormality
-        cubes = np.einsum("mnkj,tmnj->tmnk", rx.span, c)
+        # HD on the coordinates in W is HD on the cubes they span, to
+        # the rounding of the bases' orthonormality: W's basis q in the
+        # span coordinates, and the span bases in the K samples
+        q = coordinate_frame(rx)[-1]
+        M, N, _, r = rx.span.shape
+        span = (c.reshape(len(c), -1) @ q.T).reshape(-1, M, N, r)
+        cubes = np.einsum("mnkj,tmnj->tmnk", rx.span, span)
         np.testing.assert_allclose(
             got["hd"], statistic(DetectorKind.HD, rx)(cubes), rtol=1e-13,
             atol=0)

@@ -20,6 +20,7 @@ from dmimo.analysis import (
     threshold,
 )
 from dmimo.detectors import CompensationSet, cd_statistic, ncd_statistic
+from dmimo.experiments import load_experiment
 from dmimo.montecarlo import (
     BLOCK_TRIALS,
     MAX_SEED,
@@ -145,25 +146,28 @@ class TestDeterminism:
         assert list(r1) == ALL
         assert all(type(n) is int for n in r1.values())
 
-    def test_prefix_consistency_across_trial_counts(self, ref_rx):
-        # the first block of a long run equals the whole of a short run
+    def test_prefix_consistency_across_trial_counts(self, ref_rx,
+                                                    random_scenario):
+        # the first block of a long run equals the whole of a short run,
+        # at the reference geometry and at (M, N, K) = (8, 8, 64) alike
         short = TrialConfig(trials=BLOCK_TRIALS, seed=9,
                             target_draw=Swerling1(1.0))
         long = TrialConfig(trials=2 * BLOCK_TRIALS + 100, seed=9,
                            target_draw=Swerling1(1.0))
-        _, (c_short, g_short) = next(iter_coordinate_blocks(ref_rx, short))
-        _, (c_long, g_long) = next(iter_coordinate_blocks(ref_rx, long))
-        assert np.array_equal(c_short, c_long)
-        assert np.array_equal(g_short, g_long)
+        for rx in (ref_rx, array_rx(random_scenario)):
+            [(_, want)] = iter_coordinate_blocks(rx, short)
+            _, got = next(iter_coordinate_blocks(rx, long))
+            assert len(want[0]) == BLOCK_TRIALS
+            assert_same_bits([got], [want])
 
     def test_block_order_independent_counts(self, ref_rx):
         # counting is associative: summing per-block exceedances in
         # reversed order reproduces run_sweep
         gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-2)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21)
-        blocks = [cg for _, cg in iter_coordinate_blocks(ref_rx, cfg)]
+        blocks = [block for _, block in iter_coordinate_blocks(ref_rx, cfg)]
         total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
-                    for c, g in reversed(blocks))
+                    for c, g, _ in reversed(blocks))
         got = run_sweep([(ref_rx, {DetectorKind.NCD: gamma}, cfg)])[0]
         assert got[DetectorKind.NCD] == total
 
@@ -220,7 +224,7 @@ class TestH1Match:
         screen = np.exp(1j * rng.uniform(-np.pi, np.pi, c_shape))
         screened = sum(
             int(np.count_nonzero(ncd_statistic(c * screen) + g > gamma))
-            for _, (c, g) in blocks)
+            for _, (c, g, _) in blocks)
         assert screened == base
 
 
@@ -246,10 +250,10 @@ def serial_counts(rx, gammas, cfg):
     """Exceedance counts summed serially over the oracle's coordinate
     blocks."""
     counts = dict.fromkeys(gammas, 0)
-    for crx, (c, g) in iter_coordinate_blocks(rx, cfg):
+    for crx, block in iter_coordinate_blocks(rx, cfg):
         for d, gamma in gammas.items():
             stat = analysis.statistic(d, crx)
-            counts[d] += int(np.count_nonzero(stat(c, g) > gamma))
+            counts[d] += int(np.count_nonzero(stat(*block) > gamma))
     return counts
 
 
@@ -282,11 +286,12 @@ class TestWorkerPool:
         ids=["H0-None", "H1-target1", "H1-target2"])
     def test_counts_equal_serial_sum(self, monkeypatch, ref_scenario,
                                      workers, target):
-        # one pool over the blocks of runs of different ranks and block
-        # sizes gives each run exactly its serial counts
+        # one pool over the blocks of runs of different frames (w = 3 and
+        # the shared coordinate distributed, w = 1 co-located) gives each
+        # run exactly its serial counts
         runs = mixed_runs(ref_scenario, target)
-        ranks = [rx.frame()[0].x.shape[-1] for rx, *_ in runs]
-        assert ranks == [2, 1, 2]
+        sizes = [rx.frame()[1].size for rx, *_ in runs]
+        assert sizes == [4, 1, 4]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -302,19 +307,21 @@ class TestWorkerPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_array_blocks_counts_equal_serial_sum(self, monkeypatch,
                                                   random_scenario, workers):
-        # at (M, N, K) = (4, 4, 32) with Doppler errors a trial holds
-        # d = 4 * 4 * 4 + 1 = 65 coordinates, past the 64 that fit 8192
-        # trials in _BLOCK_BYTES: the run's blocks hold 4096 trials, three
-        # full blocks and a partial one, and the pool's counts are the
-        # serial sum over the oracle's blocks at any worker count
+        # at (M, N, K) = (4, 4, 32) with Doppler errors the spans hold
+        # 4 * 4 * 4 = 64 coordinates per trial, of which a block draws
+        # d = 4, so its 12,305 trials are a full block of BLOCK_TRIALS
+        # and a partial one, and the pool's counts are the serial sum
+        # over the oracle's blocks at any worker count
         sc, _ = random_scenario(np.random.default_rng(65), with_errors=False,
                                 m_tx=4, n_rx=4, k_pulses=32)
         rx = Receiver.build(sc, _path_errors(4, 4, df=12.0))
-        assert rx.frame()[1].size == 65
+        crx, signal, inside, outside = rx.frame()
+        assert (signal.size, inside, outside) == (4, 61, 4 * 4 * 28 - 1)
         gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
         cfg = TrialConfig(trials=3 * 4096 + 17, seed=23,
                           target_draw=Swerling1(1.0))
-        assert len(list(iter_coordinate_blocks(rx, cfg))) == 4
+        blocks = [c for _, (c, *_) in iter_coordinate_blocks(rx, cfg)]
+        assert [len(c) for c in blocks] == [BLOCK_TRIALS, 4113]
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         assert run_sweep([(rx, gammas, cfg)]) == [
             serial_counts(rx, gammas, cfg)]
@@ -497,39 +504,44 @@ class TestWorkerPool:
 
 
 def assert_same_bits(got, want):
+    """Two lists of blocks (c, g, g_span), or of any array tuples, hold
+    the same shapes and bytes."""
     assert len(got) == len(want)
-    for (c, g), (c_want, g_want) in zip(got, want):
-        assert c.shape == c_want.shape and g.shape == g_want.shape
-        assert c.tobytes() == c_want.tobytes()
-        assert g.tobytes() == g_want.tobytes()
+    for block, block_want in zip(got, want):
+        assert len(block) == len(block_want)
+        for a, b in zip(block, block_want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def array_rx(random_scenario):
+    """A receiver at (M, N, K) = (8, 8, 64) with Doppler errors: its
+    spans hold 8 * 8 * 8 = 512 coordinates per trial, and the return
+    leaves them."""
+    sc, _ = random_scenario(np.random.default_rng(513), with_errors=False,
+                            m_tx=8, n_rx=8, k_pulses=64)
+    return Receiver.build(sc, _path_errors(8, 8, df=12.0))
+
+
+# one worker's scratch: five buffers (moduli, coordinates, product and
+# the two energies) of BLOCK_TRIALS * 4 * 2 floats
+SCRATCH_BYTES = 5 * BLOCK_TRIALS * 4 * 2 * 8
 
 
 class TestBlockBytes:
-    """A run's blocks hold the trials whose coordinates fit in
-    _BLOCK_BYTES, so no worker holds more than two blocks' bytes."""
-
-    @pytest.mark.parametrize("d, trials", [
-        (1, 8192), (64, 8192), (65, 4096), (513, 512),
-        ((8 << 20) // 16 + 1, 1)])
-    def test_block_trials(self, d, trials):
-        # the largest power of two of trials whose 16 d bytes fit in
-        # 8 MiB, at most BLOCK_TRIALS, and one trial where none fits
-        assert montecarlo._block_trials(d) == trials
+    """Every run draws at most four coordinates per trial, so every full
+    block holds BLOCK_TRIALS trials and a worker holds one scratch of
+    fixed size, whatever the geometry."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_array_run_peak_within_block_bytes(self, monkeypatch,
                                                random_scenario, workers):
-        # at (M, N, K) = (8, 8, 64) with Doppler errors a trial holds
-        # d = 8 * 8 * 8 + 1 = 513 coordinates, 64 MiB per BLOCK_TRIALS
-        # trials.  Over 2 * BLOCK_TRIALS trials of a Swerling I run (32
-        # blocks of 512) the memory numpy allocates peaks below two
-        # blocks' bytes (the batch and the product) per worker, and the
-        # counts are the serial sum
-        sc, _ = random_scenario(np.random.default_rng(513),
-                                with_errors=False, m_tx=8, n_rx=8,
-                                k_pulses=64)
-        rx = Receiver.build(sc, _path_errors(8, 8, df=12.0))
-        assert rx.frame()[1].size == 513
+        # at (M, N, K) = (8, 8, 64) a trial's spans hold 512 coordinates
+        # and a block draws d = 4 of them.  Over 2 * BLOCK_TRIALS trials
+        # of a Swerling I run (two full blocks) the memory numpy
+        # allocates peaks below one scratch per worker and 1 MiB for the
+        # frame and the statistics, and the counts are the serial sum
+        rx = array_rx(random_scenario)
+        assert rx.frame()[1].size == 4
         gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
         cfg = TrialConfig(trials=2 * BLOCK_TRIALS, seed=5,
                           target_draw=Swerling1(1.0))
@@ -540,8 +552,28 @@ class TestBlockBytes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= workers * 2 * montecarlo._BLOCK_BYTES + (2 << 20)
+        assert peak <= workers * SCRATCH_BYTES + (1 << 20)
         assert got == [serial_counts(rx, gammas, cfg)]
+
+    def test_every_frame_draws_at_most_four_coordinates(self,
+                                                        random_scenario):
+        # every (sweep point, system) pair of the 8 recipes, and the 12
+        # random receivers of TestCoordinates, draws d <= 4 coordinates
+        # per trial, and a run of BLOCK_TRIALS + 1 trials is one full
+        # block and one of a single trial
+        receivers = [random_case(seed, random_scenario)[0]
+                     for seed in range(12)]
+        for recipe in RECIPES:
+            spec = load_experiment(recipe)
+            receivers += [rx for rx, _ in cli._analytic_pairs(spec)
+                          if rx is not None]
+        assert len(receivers) > 12 + 8
+        cfg = TrialConfig(trials=BLOCK_TRIALS + 1, seed=3)
+        for rx in receivers:
+            frame = rx.frame()
+            assert frame[1].size <= 4
+            assert [len(montecarlo._coordinate_block(*frame, cfg, j)[0])
+                    for j in (0, 1)] == [BLOCK_TRIALS, 1]
 
 
 class TestScratch:
@@ -555,7 +587,7 @@ class TestScratch:
     def test_pooled_blocks_equal_serial(self, ref_scenario, workers,
                                         target):
         # a run of three full blocks and a partial one, and a sweep that
-        # mixes distributed (r_S = 2) and co-located (r_S = 1) pairs
+        # mixes distributed (d = 4) and co-located (d = 1) pairs
         doppler = _path_errors(2, 1, df=12.0)
         rx = Receiver.build(ref_scenario, doppler)
         single = [(rx, None, TrialConfig(trials=POOL_TRIALS, seed=12,
@@ -569,8 +601,8 @@ class TestScratch:
                 # the block's coordinates and energies, copied out of
                 # the worker's scratch
                 i, j = job
-                c, g = montecarlo._coordinate_block(*frames[i], j, scratch)
-                return c.copy(), g.copy()
+                block = montecarlo._coordinate_block(*frames[i], j, scratch)
+                return tuple(a.copy() for a in block)
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -580,8 +612,8 @@ class TestScratch:
                 sys.setswitchinterval(interval)
             for i, (rx, _, cfg) in enumerate(runs):
                 assert_same_bits(
-                    [cg for (run, _), cg in zip(jobs, got) if run == i],
-                    [cg for _, cg in iter_coordinate_blocks(rx, cfg)])
+                    [block for (run, _), block in zip(jobs, got) if run == i],
+                    [block for _, block in iter_coordinate_blocks(rx, cfg)])
 
     @pytest.mark.parametrize("target", [
         None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
@@ -589,12 +621,14 @@ class TestScratch:
     def test_blocks_follow_the_draw_order(self, ref_scenario, target):
         # fresh arrays drawn in the documented order give each block bit
         # for bit, a full block and a partial one: the Swerling I moduli
-        # sqrt(rho_bar Exp(1)), then d = 5 coordinates per trial (2 per
-        # path, then the shared one), then the energy, to which the
-        # shared coordinate adds
+        # sqrt(rho_bar Exp(1)), then d = 4 coordinates per trial (3 in
+        # W, then the shared one), then the energy inside the spans, then
+        # the energy outside, to which the inside energy and the shared
+        # coordinate add
         rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
-        crx, signal, outside = rx.frame()
-        assert signal.size == 5 and outside == 2 * (12 - 2) - 1
+        crx, signal, inside, outside = rx.frame()
+        assert (signal.size, inside, outside) == (4, 2 * 2 - 3,
+                                                  2 * (12 - 2) - 1)
         cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
                           target_draw=target)
         scratch = montecarlo._Scratch()
@@ -604,17 +638,19 @@ class TestScratch:
                 alpha = np.sqrt(1.0 * rng.standard_exponential(nb))
             elif isinstance(target, NonFluctuating):
                 alpha = np.full(nb, target.alpha)
-            z = draw_noise(rng, 5, 1.0, (nb,))
-            g = 1.0 * rng.standard_gamma(outside, nb)
+            z = draw_noise(rng, 4, 1.0, (nb,))
+            g_span = 1.0 * rng.standard_gamma(inside, nb)
+            g = 1.0 * rng.standard_gamma(outside, nb) + g_span
             if target is not None:
                 z = z + alpha[:, None] * signal
             g = g + (z[:, -1].real ** 2 + z[:, -1].imag ** 2)
-            c = z[:, :4].reshape(nb, 2, 1, 2)
+            c = z[:, :3].reshape(nb, 1, 1, 3)
             assert_same_bits(
-                [montecarlo._coordinate_block(crx, signal, outside, cfg, j),
-                 montecarlo._coordinate_block(crx, signal, outside, cfg, j,
-                                              scratch)],
-                [(c, g), (c, g)])
+                [montecarlo._coordinate_block(crx, signal, inside, outside,
+                                              cfg, j),
+                 montecarlo._coordinate_block(crx, signal, inside, outside,
+                                              cfg, j, scratch)],
+                [(c, g, g_span), (c, g, g_span)])
 
     def test_block_without_scratch_is_fresh(self, ref_rx):
         frame = ref_rx.frame()
@@ -627,23 +663,24 @@ class TestScratch:
 
     def test_scratch_reused_by_smaller_blocks(self, ref_rx):
         # a partial block, and a block of fewer coordinates, are views
-        # of the buffers a full block grew; the views have their shapes
+        # of the buffers the first block allocated; the views have their
+        # shapes
         frame = ref_rx.frame()
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
         scratch = montecarlo._Scratch()
-        c0, g0 = montecarlo._coordinate_block(*frame, cfg, 0, scratch)
-        c1, g1 = montecarlo._coordinate_block(*frame, cfg, 1, scratch)
-        assert np.shares_memory(c0, c1) and np.shares_memory(g0, g1)
-        c3, g3 = montecarlo._coordinate_block(*frame, cfg, 3, scratch)
-        assert len(c3) == len(g3) == 17
-        assert np.shares_memory(c3, c1) and np.shares_memory(g3, g1)
+        c0, g0, s0 = montecarlo._coordinate_block(*frame, cfg, 0, scratch)
+        c1, g1, s1 = montecarlo._coordinate_block(*frame, cfg, 1, scratch)
+        assert all(map(np.shares_memory, (c0, g0, s0), (c1, g1, s1)))
+        c3, g3, s3 = montecarlo._coordinate_block(*frame, cfg, 3, scratch)
+        assert len(c3) == len(g3) == len(s3) == 17
+        assert all(map(np.shares_memory, (c3, g3, s3), (c1, g1, s1)))
         assert scratch.arrays["noise"].shape == (17, frame[1].size, 2)
         small = Receiver.build(colocated_scenario(ref_rx.sc),
                                SyncErrors.zeros(2, 1)).frame()
         assert small[1].size < frame[1].size
-        c, g = montecarlo._coordinate_block(*small, cfg, 0, scratch)
-        assert np.shares_memory(c, c1) and np.shares_memory(g, g1)
+        c, g, s = montecarlo._coordinate_block(*small, cfg, 0, scratch)
+        assert all(map(np.shares_memory, (c, g, s), (c1, g1, s1)))
         assert scratch.arrays["noise"].shape == (BLOCK_TRIALS,
                                                  small[1].size, 2)
 
@@ -652,10 +689,10 @@ class TestScratch:
         ids=["H0", "swerling", "fixed"])
     def test_sweep_allocates_each_buffer_once(self, monkeypatch,
                                               ref_scenario, target):
-        # a sweep that alternates co-located (d = 2) and distributed
-        # (d = 5) runs, each ending in a partial block, allocates each
-        # of the worker's buffers once: the d = 5 runs are queued first,
-        # and every later block is a view of what the first one grew
+        # a sweep that alternates co-located (d = 1) and distributed
+        # (d = 4) runs, each ending in a partial block, allocates each
+        # of the worker's buffers once: every later block is a view of
+        # what the first one allocated
         doppler = _path_errors(2, 1, df=12.0)
         colocated = colocated_scenario(ref_scenario)
         runs = []
@@ -667,7 +704,7 @@ class TestScratch:
             cfg = TrialConfig(trials=BLOCK_TRIALS + extra, seed=41,
                               pair=pair, target_draw=target)
             runs.append((rx, gammas, cfg))
-        assert [rx.frame()[1].size for rx, *_ in runs] == [2, 5, 2, 5]
+        assert [rx.frame()[1].size for rx, *_ in runs] == [1, 4, 1, 4]
         want = [serial_counts(*run) for run in runs]
         buffers = {}
         get = montecarlo._Scratch.get
@@ -685,7 +722,8 @@ class TestScratch:
         assert run_sweep(runs) == want
         swerling = {"modulus", "product"} if isinstance(
             target, Swerling1) else set()
-        assert {name for _, name in buffers} == {"noise", "energy"} | swerling
+        assert {name for _, name in buffers} == {
+            "noise", "inside", "outside"} | swerling
         assert all(len(held) == 1 for held in buffers.values()), {
             key[1]: len(held) for key, held in buffers.items()}
 
@@ -784,21 +822,29 @@ def random_case(seed, random_scenario):
 class TestCoordinates:
     @pytest.mark.parametrize("seed", range(12))
     def test_statistics_equal_on_full_cube(self, seed, random_scenario):
-        # T(B^H y, energy outside) equals T(y) for any measurement y:
-        # every vector a detector reads lies in the spans of the basis
+        # T(Q^H B^H y, energy in the spans outside W, energy outside W)
+        # equals T(y) for any measurement y: every vector a detector
+        # reads lies in W, the span of Q's columns in the coordinates of
+        # the span bases B
         rx, comp, y = random_case(seed, random_scenario)
         basis = rx.span
-        crx, signal, outside = rx.frame()
+        crx, signal, inside, outside, q = coordinate_frame(rx)
         M, N, K, r = basis.shape
         gram = np.einsum("mnkr,mnks->mnrs", np.conj(basis), basis)
         assert np.allclose(gram, np.eye(r), atol=1e-12)
         assert r <= min(K, M)
-        shared = signal.size - M * N * r
+        w = q.shape[1]
+        assert w <= 3 and np.allclose(np.conj(q.T) @ q, np.eye(w),
+                                      atol=1e-12)
+        shared = signal.size - w
         assert shared in (0, 1)
-        assert outside == M * N * (K - r) - shared
-        c = np.einsum("mnkr,tmnk->tmnr", np.conj(basis), y)
-        g = (np.sum(np.abs(y) ** 2, axis=(1, 2, 3))
-             - np.sum(np.abs(c) ** 2, axis=(1, 2, 3)))
+        assert (inside, outside) == (M * N * r - w,
+                                     M * N * (K - r) - shared)
+        span = np.einsum("mnkr,tmnk->tmnr", np.conj(basis), y)
+        c = (span.reshape(len(y), -1) @ np.conj(q)).reshape(-1, 1, 1, w)
+        energy = np.sum(np.abs(y) ** 2, axis=(1, 2, 3))
+        g_span = np.sum(np.abs(span) ** 2, axis=(1, 2, 3))
+        g_w = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
         for d in ALL:
             try:
                 want = definition(d, comp, y)
@@ -806,7 +852,7 @@ class TestCoordinates:
                 with pytest.raises(ValueError):
                     analysis.statistic(d, crx)
                 continue
-            got = analysis.statistic(d, crx)(c, g)
+            got = analysis.statistic(d, crx)(c, energy - g_w, g_span - g_w)
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -857,19 +903,25 @@ class TestCoordinates:
         assert texts[0] == texts[1]
 
     def test_colocated_rank_one(self, ref_scenario, zero_err):
+        # one span coordinate per path, and x, the phasors and the
+        # templates all along one direction of the two
         rx = Receiver.build(colocated_scenario(ref_scenario), zero_err)
         assert rx.span.shape == (2, 1, 12, 1)
-        assert rx.frame()[2] == 2 * 11
+        _, signal, inside, outside = rx.frame()
+        assert (signal.size, inside, outside) == (1, 1, 2 * 11)
 
-    @pytest.mark.parametrize("scene, d", [
+    # span_d counts the span coordinates and the shared one, M N r_S +
+    # shared, which the frame splits into d <= 4 drawn coordinates and
+    # the inside energy's dimensions
+    @pytest.mark.parametrize("scene, span_d", [
         ("reference", 5), ("colocated", 2), ("zero_errors", 4),
         ("array", 513), ("beyond_a_double", 5)])
-    def test_frame_equals_reference_bits(self, scene, d, ref_scenario,
+    def test_frame_equals_reference_bits(self, scene, span_d, ref_scenario,
                                          random_scenario):
         # Receiver.frame forms the engine's frame bit for bit as the
-        # reference does: the receiver's fields in span coordinates, the
+        # reference does: the receiver's fields in W coordinates, the
         # return's d coordinates (the shared one last where the return
-        # leaves the spans) and the outside dimensions
+        # leaves the spans), and the inside and outside dimensions
         sc, err = ref_scenario, _path_errors(2, 1, df=12.0)
         if scene == "colocated":
             sc, err = colocated_scenario(sc), SyncErrors.zeros(2, 1)
@@ -887,16 +939,17 @@ class TestCoordinates:
         with np.errstate(over="ignore"):  # the rescale path, and only there
             assert (np.linalg.norm(rx.x) == np.inf) == (
                 scene == "beyond_a_double")
-        crx, signal, outside = rx.frame()
-        want_crx, want_signal, want_outside = coordinate_frame(rx)
-        assert signal.size == d
+        crx, signal, inside, outside = rx.frame()
+        want_crx, want_signal, want_inside, want_outside, _ = (
+            coordinate_frame(rx))
+        assert signal.size <= 4 and signal.size + inside == span_d
         assert_same_bits([(signal, crx.x)], [(want_signal, want_crx.x)])
         for name in ("phasors", "templates", "rank"):
             got, want = getattr(crx, name), getattr(want_crx, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert crx.span is want_crx.span is None
         assert (crx.sc, crx.varsigma) == (want_crx.sc, want_crx.varsigma)
-        assert outside == want_outside
+        assert (inside, outside) == (want_inside, want_outside)
 
     @pytest.mark.filterwarnings("error")
     def test_frame_of_a_return_beyond_a_double(self):
@@ -904,15 +957,16 @@ class TestCoordinates:
         # is the same, its signal 2^600 times larger, exactly
         sc = reference_scenario("multi_band", k_pulses=3)
         err = _path_errors(2, 1, df=12.0)
-        crx, signal, outside = Receiver.build(sc, err).frame()
+        crx, signal, *dims = Receiver.build(sc, err).frame()
         big = Receiver.build(replace(sc, xi=sc.xi * 2.0 ** 600), err)
         with np.errstate(over="ignore"):
             assert np.linalg.norm(big.x) == np.inf
-        big_crx, big_signal, big_outside = big.frame()
+        big_crx, big_signal, *big_dims = big.frame()
         assert signal.size == crx.x.size + 1  # the shared coordinate
         np.testing.assert_array_equal(big_signal, signal * 2.0 ** 600)
         np.testing.assert_array_equal(big_crx.x, crx.x * 2.0 ** 600)
-        assert big_outside == outside
+        np.testing.assert_array_equal(big_crx.phasors, crx.phasors)
+        assert big_dims == dims
 
     # Two-sample KS of each statistic: the engine's coordinate blocks
     # against full (trials, M, N, K) measurement cubes drawn on an
@@ -986,20 +1040,24 @@ class TestCoordinates:
         ("zero_gain", 0), ("square", 0)])
     def test_block_draws_span_coordinates_and_one_shared(
             self, case, shared, ref_scenario, random_scenario):
-        # a block draws exactly M N r_S complex coordinates per trial, r_S
-        # the largest rank of S_hat_n, and the shared one only where the
-        # return has energy e > 0 outside the spans; e is that shared
-        # coordinate's signal
+        # a block draws exactly w complex coordinates per trial, w the
+        # rank of x, the phasors and the templates in the coordinates of
+        # the spans (r_S the largest rank of S_hat_n), and the shared one
+        # only where the return has energy e > 0 outside the spans; e is
+        # that shared coordinate's signal
         sc, err, *_ = self.case(case, ref_scenario, random_scenario)
         rx = Receiver.build(sc, err)
         S_hat = CompensationSet.from_scenario(sc, err).S_hat
         M, N, K = rx.x.shape
         r = max(np.linalg.matrix_rank(s) for s in S_hat)
-        crx, signal, outside = rx.frame()
-        assert crx.x.shape == (M, N, r)
-        assert signal.size == M * N * r + shared
-        assert outside == M * N * (K - r) - shared
-        np.testing.assert_array_equal(signal[:M * N * r], crx.x.ravel())
+        read = np.stack([rx.coordinates(v).ravel()
+                         for v in (rx.x, rx.phasors, rx.templates)], -1)
+        w = np.linalg.matrix_rank(read)
+        crx, signal, inside, outside = rx.frame()
+        assert crx.x.shape == (1, 1, w)
+        assert signal.size == w + shared <= 4
+        assert (inside, outside) == (M * N * r - w, M * N * (K - r) - shared)
+        np.testing.assert_array_equal(signal[:w], crx.x.ravel())
         residual = [x - s @ np.linalg.lstsq(s, x, rcond=None)[0]
                     for xs, s in zip(rx.x.transpose(1, 0, 2), S_hat)
                     for x in xs]
@@ -1010,10 +1068,11 @@ class TestCoordinates:
             assert e <= 1e-9 * max(1.0, np.linalg.norm(rx.x))
         cfg = TrialConfig(trials=100, seed=1, target_draw=Swerling1(1.0))
         scratch = montecarlo._Scratch()
-        c, g = montecarlo._coordinate_block(crx, signal, outside, cfg, 0,
-                                            scratch)
-        assert scratch.arrays["noise"].shape == (100, M * N * r + shared, 2)
-        assert c.shape == (100, M, N, r) and g.shape == (100,)
+        c, g, g_span = montecarlo._coordinate_block(crx, signal, inside,
+                                                    outside, cfg, 0, scratch)
+        assert scratch.arrays["noise"].shape == (100, w + shared, 2)
+        assert c.shape == (100, 1, 1, w)
+        assert g.shape == g_span.shape == (100,)
 
     @pytest.mark.parametrize("case", CASES)
     def test_law_matches_full_cube(self, case, ref_scenario,
@@ -1025,7 +1084,7 @@ class TestCoordinates:
                                                   random_scenario)
         rx = Receiver.build(sc, err)
         comp = CompensationSet.from_scenario(sc, err)
-        crx, signal, outside = rx.frame()
+        crx, signal, inside, outside = rx.frame()
         if case == "short":
             assert (signal.size, outside) == (crx.x.size + 1, 1)
         if case == "square":
@@ -1036,7 +1095,7 @@ class TestCoordinates:
         p_values = {}
         for d in dets:
             stat = analysis.statistic(d, crx)
-            got = np.concatenate([stat(c, g) for _, (c, g)
+            got = np.concatenate([stat(*block) for _, block
                                   in iter_coordinate_blocks(rx, cfg)])
             want = np.concatenate([definition(d, comp, y) for y in cubes])
             p_values[d] = stats.ks_2samp(got, want).pvalue
