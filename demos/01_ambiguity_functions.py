@@ -10,13 +10,14 @@ non-negligible.
 
 import numpy as np
 
+from dmimo.presets import ETA, KAPPA
 from dmimo.waveforms import caf, pulse_set
 
 BETA = 400e3
 TP = 1e-5
 
-multi = pulse_set("multi_band", 2, BETA, TP)
-single = pulse_set("single_band", 2, BETA, TP)
+multi = pulse_set("multi_band", 2, BETA, TP, ETA, KAPPA)
+single = pulse_set("single_band", 2, BETA, TP, ETA, KAPPA)
 
 print("origin values chi(0, 0):")
 for name, (a, b) in (("multi-band", multi), ("single-band", single)):

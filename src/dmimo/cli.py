@@ -303,13 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="print one detection threshold")
     p.add_argument("--detector", required=True,
-                   choices=[d.value for d in DetectorKind])
-    p.add_argument("--pfa", type=_float_between(MIN_PFA, 1), required=True)
-    p.add_argument("--k-pulses", type=_bounded_int(1), required=True)
-    p.add_argument("--m-tx", type=_bounded_int(1), required=True)
-    p.add_argument("--n-rx", type=_bounded_int(1), required=True)
-    p.add_argument("--sigma2", type=_float_between(0), default=1.0)
-    p.add_argument("--varsigma", type=_float_between(0), default=None)
+                   choices=[d.value for d in DetectorKind],
+                   help="the detector; HD's order p = N M^2 assumes rank M "
+                        "at every receiver")
+    p.add_argument("--pfa", type=_float_between(MIN_PFA, 1), required=True,
+                   help="the false-alarm rate, in (0, 1)")
+    for flag, what in (("--k-pulses", "pulses per coherent interval, K"),
+                       ("--m-tx", "transmitters, M"),
+                       ("--n-rx", "receivers, N")):
+        p.add_argument(flag, type=_bounded_int(1), required=True, help=what)
+    p.add_argument("--sigma2", type=_float_between(0), default=1.0,
+                   help="noise power sigma^2 (default 1)")
+    p.add_argument("--varsigma", type=_float_between(0), default=None,
+                   help="CD template energy varsigma; CD requires it")
     p.set_defaults(func=cmd_threshold)
     return parser
 

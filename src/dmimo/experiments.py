@@ -20,7 +20,7 @@ from . import presets
 from .analysis import DetectorKind
 from .montecarlo import MAX_SEED, MIN_SEED
 from .scene import NonFluctuating, Scenario, Swerling1, SyncErrors, xi_from_snr
-from .waveforms import ETA, KAPPA, pulse_set
+from .waveforms import pulse_set
 
 __all__ = [
     "ExperimentError",
@@ -50,6 +50,7 @@ _TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
 # Monte Carlo streams' (montecarlo.MIN_SEED, MAX_SEED).
 MIN_TRIALS = 1
 MIN_PFA = sys.float_info.min
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16  # of an array of complex doubles
 
 
 class ExperimentError(ValueError):
@@ -213,19 +214,19 @@ def _parse_scenario(doc):
     path = "scenario"
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, path, _SCENARIO_FIELDS)
-    waveform_set = doc.get("waveform_set", "multi_band")
+    waveform_set = doc.get("waveform_set", presets.WAVEFORM_SET)
     if waveform_set not in ("multi_band", "single_band"):
         raise ExperimentError(
             f"{path}.waveform_set: expected 'multi_band' or 'single_band'")
-    M = _integer(doc, path, "m_tx", presets.M_TX, minimum=1)
-    N = _integer(doc, path, "n_rx", presets.N_RX, minimum=1)
+    M = _integer(doc, path, "m_tx", presets.M_TX, 1, _MAX_ENTRIES)
+    N = _integer(doc, path, "n_rx", presets.N_RX, 1, _MAX_ENTRIES // M)
     K = _integer(doc, path, "k_pulses", presets.K_PULSES, minimum=1)
     pri_s = _number(doc, path, "pri_s", presets.PRI_S, positive=True)
     carrier = _number(doc, path, "carrier_hz", presets.CARRIER_HZ, positive=True)
     tp = _number(doc, path, "pulse_s", presets.PULSE_S, positive=True)
     beta = _number(doc, path, "bandwidth_hz", presets.BANDWIDTH_HZ, positive=True)
-    eta = _number(doc, path, "eta", ETA, positive=True)
-    kappa = _number(doc, path, "kappa", KAPPA, positive=True)
+    eta = _number(doc, path, "eta", presets.ETA, positive=True)
+    kappa = _number(doc, path, "kappa", presets.KAPPA, positive=True)
     target = _parse_target(doc, path)
 
     tau = _matrix(doc, path, "tau_s", (M, N),
@@ -274,7 +275,9 @@ def _parse_sweep(doc):
             f"{path}.variable: expected one of {', '.join(SWEEP_VARIABLES)}")
     start = _number(doc, path, "start")
     stop = _number(doc, path, "stop")
-    points = _integer(doc, path, "points", minimum=2)
+    points = _integer(doc, path, "points", None, 2, _MAX_ENTRIES)
+    if not math.isfinite(stop - start):
+        raise ExperimentError(f"{path}: stop - start must be finite")
     return var, tuple(np.linspace(start, stop, points))
 
 

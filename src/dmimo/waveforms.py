@@ -1,23 +1,23 @@
 """Chirp pulse envelopes and their cross-ambiguity function.
 
-Two waveform families are provided: multi-band chirps, which occupy
-disjoint frequency bands and are orthogonal at zero delay/Doppler, and
-overlapping single-band up/down chirps with high cross ambiguity.  All
-pulses are unit energy and supported on [0, T_p].
+A pulse is the unit-energy chirp on [0, T_p] with the phase
+pi beta (s t^2 / T_p + c t), held as `PulseSpec` (beta, T_p, s, c).
+Multi-band chirps occupy disjoint bands and are orthogonal at zero
+delay/Doppler; the single-band up/down pair overlaps in one band.
 
 The cross-ambiguity function
 
     chi_ab(nu, f) = integral p_a(mu) conj(p_b(mu - nu)) exp(j 2 pi f mu) dmu
 
-is evaluated in closed form.  Every pulse has the quadratic phase
-pi beta (s t^2 / T_p + c t), so the integrand over the support overlap is
-exp(j (q mu^2 + l mu + c0)): pulses with equal sweep rates (q = 0) give a
-sinc, and all others give Fresnel integrals (Levanon & Mozeson, Radar
-Signals, Wiley 2004, on the LFM ambiguity function).  Either costs O(1)
-per sample, whatever the time-bandwidth product.  `caf` takes arrays of
-pulses, delays and Dopplers that broadcast together: the sinc form runs
-over every entry in one array pass, and the Fresnel form, which only
-pulses of unequal sweep rates take, runs per entry.
+is evaluated in closed form.  Both phases are quadratic, so the
+integrand over the support overlap is exp(j (q mu^2 + l mu + c0)):
+pulses with equal sweep rates (q = 0) give a sinc, and all others give
+Fresnel integrals (Levanon & Mozeson, Radar Signals, Wiley 2004, on the
+LFM ambiguity function).  Either costs O(1) per sample, whatever the
+time-bandwidth product.  `caf` takes arrays of pulses, delays and
+Dopplers that broadcast together: the sinc form runs over every entry in
+one array pass, and the Fresnel form, which only pulses of unequal sweep
+rates take, runs per entry.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ __all__ = [
     "caf",
 ]
 
-MULTI_BAND = "multi_band"
-SINGLE_BAND_UP = "single_band_up"
-SINGLE_BAND_DOWN = "single_band_down"
-
-_FAMILIES = (MULTI_BAND, SINGLE_BAND_UP, SINGLE_BAND_DOWN)
-ETA = 3.0    # default band gap parameter (multi-band)
-KAPPA = 3.0  # default center-frequency shift parameter (single-band)
-
 # Largest quadratic phase excursion |q| (L/2)^2 over the overlap that the
 # sinc form absorbs: sweep rates that differ by a hair, or a sliver of
 # overlap.  The sinc's relative error is bounded by this value; the
@@ -55,61 +47,46 @@ _SINC_MAX_EXCURSION = 1e-14
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Parametric description of one transmit pulse envelope.
+    """The unit-energy chirp of bandwidth beta_hz on [0, t_p] whose
+    phase is pi beta (s t^2 / T_p + c t): s = +1 sweeps up, s = -1
+    sweeps down, and c beta / 2 is its start frequency."""
 
-    family     one of multi_band / single_band_up / single_band_down
-    beta_hz    sweep bandwidth
-    t_p        pulse duration in seconds
-    eta        band gap parameter (multi-band only)
-    kappa      center-frequency shift parameter (single-band only)
-    m          1-based transmitter index (multi-band only)
-    """
-
-    family: str
     beta_hz: float
     t_p: float
-    eta: float = 0.0
-    kappa: float = 0.0
-    m: int = 1
+    s: float
+    c: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown pulse family {self.family!r}")
         if not (self.beta_hz > 0 and self.t_p > 0):
             raise ValueError("bandwidth and duration must be positive")
-        if self.eta < 0 or self.kappa < 0:
-            raise ValueError("eta and kappa must be nonnegative")
-        if self.family == MULTI_BAND and self.m < 1:
-            raise ValueError("multi-band TX index must be >= 1")
-
-    @property
-    def chirp(self) -> tuple[float, float]:
-        """(s, c) with the envelope phase pi beta (s t^2 / T_p + c t)."""
-        if self.family == MULTI_BAND:
-            return 1.0, self.eta * self.m
-        if self.family == SINGLE_BAND_UP:
-            return 1.0, self.kappa
-        return -1.0, 2.0 + self.kappa
+        if not (math.isfinite(self.s) and math.isfinite(self.c)):
+            raise ValueError("sweep direction and start must be finite")
 
 
 def multi_band_chirp(m: int, beta_hz: float, t_p: float, eta: float) -> PulseSpec:
-    return PulseSpec(MULTI_BAND, beta_hz, t_p, eta=eta, m=m)
+    if m < 1 or eta < 0:
+        raise ValueError("multi-band needs TX index m >= 1 and eta >= 0")
+    return PulseSpec(beta_hz, t_p, 1.0, eta * m)
 
 
 def up_chirp(beta_hz: float, t_p: float, kappa: float) -> PulseSpec:
-    return PulseSpec(SINGLE_BAND_UP, beta_hz, t_p, kappa=kappa)
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    return PulseSpec(beta_hz, t_p, 1.0, kappa)
 
 
 def down_chirp(beta_hz: float, t_p: float, kappa: float) -> PulseSpec:
-    return PulseSpec(SINGLE_BAND_DOWN, beta_hz, t_p, kappa=kappa)
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    return PulseSpec(beta_hz, t_p, -1.0, 2.0 + kappa)
 
 
 def _chirp(p):
     """(beta, s, c, t_p) of a pulse; arrays of them for an array of pulses."""
     if isinstance(p, PulseSpec):
-        return p.beta_hz, *p.chirp, p.t_p
+        return p.beta_hz, p.s, p.c, p.t_p
     p = np.asarray(p, dtype=object)
-    params = np.array([(x.beta_hz, *x.chirp, x.t_p) for x in p.flat],
+    params = np.array([(x.beta_hz, x.s, x.c, x.t_p) for x in p.flat],
                       dtype=float).reshape(p.shape + (4,))
     return tuple(np.moveaxis(params, -1, 0))
 
@@ -199,7 +176,7 @@ def _fresnel_form(q, half, slope, w, rot, tp):
 
 
 def pulse_set(waveform_set: str, m_tx: int, beta_hz: float, t_p: float,
-              eta: float = ETA, kappa: float = KAPPA) -> tuple[PulseSpec, ...]:
+              eta: float, kappa: float) -> tuple[PulseSpec, ...]:
     """Build the M transmit pulses for a named waveform set.
 
     'multi_band' supports any M; 'single_band' is the up/down pair (M=2).

@@ -52,7 +52,7 @@ from dmimo.scene import (
     noise_free_mf_output,
 )
 from dmimo.specfun import reg_upper_gamma
-from dmimo.waveforms import MULTI_BAND, PulseSpec, caf
+from dmimo.waveforms import PulseSpec, caf
 
 # Gauss-Legendre nodes reused across panels.
 _GL_ORDER = 32
@@ -104,8 +104,7 @@ def sample_pulse(spec: PulseSpec, t):
     numpy arrays."""
     t = np.asarray(t, dtype=float)
     tp = spec.t_p
-    s, c = spec.chirp
-    phase = math.pi * spec.beta_hz * (s * t * t / tp + c * t)
+    phase = math.pi * spec.beta_hz * (spec.s * t * t / tp + spec.c * t)
     inside = (t >= 0.0) & (t <= tp)
     out = np.where(inside, np.exp(1j * phase) / math.sqrt(tp), 0.0 + 0.0j)
     return out[()] if out.ndim == 0 else out
@@ -133,12 +132,9 @@ def caf_grid(a: PulseSpec, b: PulseSpec, nu_range, f_range,
 
 def max_inst_freq_hz(spec: PulseSpec) -> float:
     """Upper bound on the envelope's instantaneous frequency magnitude,
-    used to size the quadrature."""
-    b = spec.beta_hz
-    if spec.family == MULTI_BAND:
-        return b * (1.0 + 0.5 * spec.eta * spec.m)
-    # up: b*t/T_p + kappa*b/2; down: -b*t/T_p + b + kappa*b/2
-    return b * (1.0 + 0.5 * spec.kappa)
+    used to size the quadrature: beta (s t / T_p + c / 2) is linear in t,
+    so its largest magnitude on [0, T_p] is at an end of the support."""
+    return spec.beta_hz * max(abs(spec.c) / 2, abs(spec.s + spec.c / 2))
 
 
 def caf_quadrature(a: PulseSpec, b: PulseSpec, nu: float, f: float,

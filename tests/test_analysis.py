@@ -20,7 +20,7 @@ from dmimo.analysis import (
     pfa,
     threshold,
 )
-from dmimo.presets import reference_scenario
+from dmimo.presets import ETA, KAPPA, reference_scenario
 from dmimo.scene import (
     Scenario,
     SyncErrors,
@@ -112,7 +112,7 @@ class TestNoncentrality:
         M = int(rng.integers(1, 5)) if waveform_set == "multi_band" else 2
         N = int(rng.integers(1, 4))
         sc = Scenario(
-            pulses=pulse_set(waveform_set, M, 400e3, tp),
+            pulses=pulse_set(waveform_set, M, 400e3, tp, ETA, KAPPA),
             n_rx=N, k_pulses=int(rng.integers(M, 17)), pri_s=2e-3,
             carrier_hz=3e9, tau_s=rng.uniform(0.3 * tp, 1.5 * tp, (M, N)),
             doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import csv
 import json
 import math
@@ -81,6 +82,15 @@ class TestThresholdCommand:
         got = float(capsys.readouterr().out)
         assert got == pytest.approx(2.0 * inv_reg_upper_gamma(24, 1e-4),
                                     rel=1e-10)
+
+    def test_every_flag_has_help(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {a.option_strings[-1]: a.help
+                 for a in sub.choices["threshold"]._actions}
+        assert all(helps.values())
+        assert "p = N M^2 assumes rank M" in helps["--detector"]
+        assert "CD requires it" in helps["--varsigma"]
 
     def test_degenerate_pfa_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -640,6 +650,38 @@ class TestAnalyzeCommand:
         msg = exc.value.code
         assert isinstance(msg, str) and "\n" not in msg
         assert msg.startswith(f"error: {exp}: invalid JSON (") and reason in msg
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate"],
+                                         ["caf", "--points", "3"]],
+                             ids=["analyze", "simulate", "caf"])
+    @pytest.mark.parametrize("scenario, sweep, message", [
+        ({"m_tx": 3, "n_rx": 10**20}, {},
+         "scenario.n_rx: must be at most "),
+        ({"m_tx": 2, "n_rx": 10**20}, {},
+         "scenario.n_rx: must be at most "),
+        ({"m_tx": 10**20}, {}, "scenario.m_tx: must be at most "),
+        ({}, {"points": 10**20}, "sweep.points: must be at most "),
+        ({}, {"variable": "snr_offset_db", "start": -1e308, "stop": 1e308,
+              "points": 3}, "sweep: stop - start must be finite")],
+        ids=["n_rx-of-3-tx", "n_rx-of-2-tx", "m_tx", "points",
+             "overflowing-span"])
+    def test_size_or_span_beyond_numpy_is_one_error_line(
+            self, tmp_path, command, scenario, sweep, message):
+        # numpy has no array of that many paths or points: these ended
+        # in a traceback from numpy, and the span in nan sweep values
+        # with two RuntimeWarnings
+        doc = {"scenario": scenario,
+               "sweep": dict({"variable": "snr_db", "start": 0, "stop": 1,
+                              "points": 2}, **sweep)}
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--experiment", write_doc(tmp_path, doc),
+                            "--out", str(out)])
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert msg.startswith("error: " + message)
         assert not out.exists()
 
 

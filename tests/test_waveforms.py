@@ -7,9 +7,6 @@ import pytest
 from scipy import integrate
 
 from dmimo.waveforms import (
-    MULTI_BAND,
-    SINGLE_BAND_DOWN,
-    SINGLE_BAND_UP,
     PulseSpec,
     caf,
     down_chirp,
@@ -73,10 +70,34 @@ class TestSamplePulse:
         assert np.allclose(vec, [sample_pulse(spec, t) for t in ts])
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            PulseSpec("triangle", BETA, TP)
-        with pytest.raises(ValueError):
-            PulseSpec("multi_band", -1.0, TP)
+        with pytest.raises(ValueError, match="must be finite"):
+            PulseSpec(BETA, TP, 1.0, math.inf)
+        with pytest.raises(ValueError, match="must be positive"):
+            PulseSpec(-1.0, TP, 1.0, 0.0)
+        # each factory checks its own parameter
+        for build, args in ((multi_band_chirp, (0, BETA, TP, ETA)),
+                            (multi_band_chirp, (1, BETA, TP, -1.0)),
+                            (up_chirp, (BETA, TP, -1.0)),
+                            (down_chirp, (BETA, TP, -1.0))):
+            with pytest.raises(ValueError):
+                build(*args)
+
+    def test_factories_are_their_chirps(self):
+        # each factory's pulse is the chirp (beta, T_p, s, c) written out
+        # from its formula, and the CAF reads nothing else: the values
+        # over a (nu, f) grid agree bit for bit
+        pairs = [(multi_band_chirp(m, BETA, TP, ETA),
+                  PulseSpec(BETA, TP, 1.0, ETA * m)) for m in (1, 2, 3)]
+        pairs += [(up_chirp(BETA, TP, KAPPA), PulseSpec(BETA, TP, 1.0, KAPPA)),
+                  (down_chirp(BETA, TP, KAPPA),
+                   PulseSpec(BETA, TP, -1.0, 2.0 + KAPPA))]
+        nus = np.linspace(-1.1 * TP, 1.1 * TP, 9)[:, None]
+        fs = np.linspace(-2 * BETA, 2 * BETA, 7)[None, :]
+        for made, written in pairs:
+            assert made == written
+            for other in (pairs[1][0], pairs[-1][0]):
+                assert caf(made, other, nus, fs).tobytes() == caf(
+                    written, other, nus, fs).tobytes()
 
 
 class TestCaf:
@@ -137,18 +158,28 @@ class TestCaf:
                            rtol=0.0, atol=1e-11)
 
 
-FAMILIES = (MULTI_BAND, SINGLE_BAND_UP, SINGLE_BAND_DOWN)
+FAMILIES = ("multi_band", "single_band_up", "single_band_down")
+
+
+def family_pulse(family, beta_hz, t_p, eta=ETA, kappa=KAPPA, m=1):
+    """The pulse one factory builds: multi-band chirp m, or the up or
+    down chirp of the single-band pair."""
+    if family == "multi_band":
+        return multi_band_chirp(m, beta_hz, t_p, eta)
+    chirp = up_chirp if family == "single_band_up" else down_chirp
+    return chirp(beta_hz, t_p, kappa)
 
 
 def random_spec(rng, family, beta_hz, t_p):
-    return PulseSpec(family, beta_hz, t_p, eta=rng.uniform(0.0, 4.0),
-                     kappa=rng.uniform(0.0, 4.0), m=int(rng.integers(1, 5)))
+    return family_pulse(family, beta_hz, t_p, eta=rng.uniform(0.0, 4.0),
+                        kappa=rng.uniform(0.0, 4.0),
+                        m=int(rng.integers(1, 5)))
 
 
 def linear_coefficient_root(a, b, nu):
     """Doppler f that zeroes the integrand's linear phase coefficient at
     the overlap midpoint, the sinc's cancellation-prone point."""
-    (sa, ca), (sb, cb) = a.chirp, b.chirp
+    sa, ca, sb, cb = a.s, a.c, b.s, b.c
     tp = a.t_p
     mid = 0.5 * (max(0.0, nu) + min(tp, tp + nu))
     q = math.pi * (sa * a.beta_hz - sb * b.beta_hz) / tp
@@ -186,7 +217,7 @@ def caf_branch(a, b, nu, f):
     lo, hi = max(0.0, nu), min(tp, tp + nu)
     if hi <= lo:
         return "zero"
-    (sa, ca), (sb, cb) = a.chirp, b.chirp
+    sa, ca, sb, cb = a.s, a.c, b.s, b.c
     q = math.pi * (sa * a.beta_hz - sb * b.beta_hz) / tp
     half = 0.5 * (hi - lo)
     if abs(q) * half * half <= 1e-14:
@@ -236,8 +267,8 @@ class TestClosedFormVsQuadrature:
     def test_sliver_of_overlap_relative(self, fa, fb):
         # |chi| <= L / T_p is tiny on a sliver, so hold it to 1e-9 relative:
         # every family pair reaches the sinc form there
-        a = PulseSpec(fa, BETA, TP, eta=ETA, kappa=KAPPA, m=1)
-        b = PulseSpec(fb, BETA, TP, eta=ETA, kappa=KAPPA, m=2)
+        a = family_pulse(fa, BETA, TP, m=1)
+        b = family_pulse(fb, BETA, TP, m=2)
         for gap in np.geomspace(1e-13, 1e-5, 17):
             for nu in (TP * (1.0 - gap), -TP * (1.0 - gap)):
                 got, want = caf(a, b, nu, 70.0), caf_quadrature(a, b, nu, 70.0)
@@ -249,9 +280,8 @@ class TestClosedFormVsQuadrature:
         rng = np.random.default_rng(5)
         for rel in np.geomspace(1e-16, 1e-2, 29):
             for fam in FAMILIES:
-                a = PulseSpec(fam, BETA, TP, eta=ETA, kappa=KAPPA)
-                b = PulseSpec(fam, BETA * (1.0 + rel), TP, eta=ETA,
-                              kappa=KAPPA)
+                a = family_pulse(fam, BETA, TP)
+                b = family_pulse(fam, BETA * (1.0 + rel), TP)
                 nu = rng.uniform(-TP, TP)
                 for f in (rng.uniform(-2.0 * BETA, 2.0 * BETA),
                           rng.uniform(-1e3, 1e3),
@@ -259,15 +289,15 @@ class TestClosedFormVsQuadrature:
                     assert_matches_oracle(a, b, nu, f)
 
     @pytest.mark.parametrize("fa,fb", [
-        (SINGLE_BAND_UP, SINGLE_BAND_DOWN), (SINGLE_BAND_DOWN, SINGLE_BAND_UP),
-        (MULTI_BAND, MULTI_BAND)])
+        ("single_band_up", "single_band_down"),
+        ("single_band_down", "single_band_up"), ("multi_band", "multi_band")])
     def test_time_bandwidth_5000(self, fa, fb):
         # the analytic_wideband scale: 50 MHz over 100 us
         beta, tp = 50e6, 1e-4
         rng = np.random.default_rng(FAMILIES.index(fa) * 3
                                     + FAMILIES.index(fb))
-        a = PulseSpec(fa, beta, tp, eta=3.0, kappa=3.0, m=1)
-        b = PulseSpec(fb, beta, tp, eta=3.0, kappa=3.0, m=2)
+        a = family_pulse(fa, beta, tp, m=1)
+        b = family_pulse(fb, beta, tp, m=2)
         for nu in (0.0, rng.uniform(-tp, tp)):
             assert_matches_oracle(a, b, nu, rng.uniform(-1e4, 1e4))
 
@@ -360,13 +390,13 @@ class TestCafGrid:
 
 class TestPulseSet:
     def test_multi_band_any_m(self):
-        specs = pulse_set("multi_band", 3, BETA, TP)
-        assert [s.m for s in specs] == [1, 2, 3]
+        specs = pulse_set("multi_band", 3, BETA, TP, ETA, KAPPA)
+        assert [s.c for s in specs] == [ETA * m for m in (1, 2, 3)]
 
     def test_single_band_requires_two_tx(self):
         with pytest.raises(ValueError):
-            pulse_set("single_band", 3, BETA, TP)
+            pulse_set("single_band", 3, BETA, TP, ETA, KAPPA)
 
     def test_unknown_set(self):
         with pytest.raises(ValueError):
-            pulse_set("ofdm", 2, BETA, TP)
+            pulse_set("ofdm", 2, BETA, TP, ETA, KAPPA)
