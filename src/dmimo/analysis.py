@@ -11,7 +11,7 @@ is that statistic on the noise-free return x at unit amplitude,
 lambda = 2 rho T(x) / c, read in the K-sample frame.  One kernel serves
 false-alarm probability, threshold inversion, fixed-amplitude detection
 probability (Marcum-Q tail), and the Swerling I average in terms of the
-regularized gamma and 1F1(1, b, x).
+regularized gamma and its power series.
 
 The false-alarm expressions use the right tail Pf = Q(p, gamma / c)
 throughout, consistent with the underlying chi-square tail integral.
@@ -38,8 +38,9 @@ from .detectors import (
 from .scene import Scenario, Swerling1, SyncErrors, noise_free_mf_output
 from .specfun import (
     Probability,
+    _gamma_prefactor,
+    _gamma_series,
     inv_reg_upper_gamma,
-    kummer_1f1_first_unit,
     marcum_q,
     reg_upper_gamma,
 )
@@ -318,31 +319,35 @@ def pd_nonfluctuating(law: tuple[int, float], gamma: float,
 
 def _swerling1_average(p: int, g: float, lam_prime: float, rho_bar: float) -> float:
     # Exponential-RCS average of the Marcum tail:
-    #   Q(p, g) + lam' g^p 1F1(1, p+1, g lam'/(lam'+2/rb))
+    #   Q(p, g) + lam' g^p 1F1(1; p+1; g lam'/(lam'+2/rb))
     #            / (p! (lam'+2/rb) e^g)
-    # with g the threshold normalized by the statistic scale.
+    # with g the threshold normalized by the statistic scale.  By DLMF
+    # 8.5.1, g^p e^-g 1F1(1; p+1; z) / p! is the lower incomplete gamma's
+    # prefactor at (p, g) times its power series at (p, z).
     if g == 0.0:
         return 1.0
     if lam_prime == 0.0:
         return reg_upper_gamma(p, g)
     denom = lam_prime + 2.0 / rho_bar
-    arg = g * lam_prime / denom
-    log_factor = p * math.log(g) - math.lgamma(p + 1) - g
     return (reg_upper_gamma(p, g)
-            + (lam_prime / denom) * math.exp(log_factor)
-            * kummer_1f1_first_unit(p + 1.0, arg))
+            + (lam_prime / denom) * _gamma_prefactor(p, g)
+            * _gamma_series(p, g * lam_prime / denom))
 
 
 def pd_swerling1(law: tuple[int, float], gamma: float, lambda_prime: float,
                  rho_bar: float) -> Probability:
     """Average detection probability for a Swerling I target with mean RCS
-    rho_bar, given the per-unit-RCS noncentrality lambda_prime."""
+    rho_bar, given the per-unit-RCS noncentrality lambda_prime.  Raises
+    ValueError where the series overflows a double, which takes a
+    threshold whose false-alarm rate is below the smallest double."""
     if lambda_prime < 0:
         raise ValueError("lambda_prime must be nonnegative")
     if not rho_bar > 0:
         raise ValueError("mean RCS must be positive")
     p, c = law
     val = _swerling1_average(p, gamma / c, lambda_prime, rho_bar)
+    if not math.isfinite(val):
+        raise ValueError("the Swerling I series overflows a double")
     return Probability(min(1.0, max(0.0, val)))
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis import DetectorKind, Receiver, analyze_detector, law, threshold
 from .experiments import (
+    MAX_POINTS,
     MAX_SEED,
     MIN_PFA,
     MIN_SEED,
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caf", help="export zero-Doppler ambiguity slices")
     p.add_argument("--experiment", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--points", type=_bounded_int(2), default=401)
+    p.add_argument("--points", type=_bounded_int(2, MAX_POINTS), default=401)
     p.set_defaults(func=cmd_caf)
 
     p = sub.add_parser("analyze", help="run the analytic sweep")

@@ -28,6 +28,7 @@ __all__ = [
     "SWEEP_VARIABLES",
     "MIN_TRIALS",
     "MIN_PFA",
+    "MAX_POINTS",
     "MIN_SEED",
     "MAX_SEED",
     "load_experiment",
@@ -46,11 +47,13 @@ SWEEP_VARIABLES = (
 _TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
 
 # Bounds shared by the JSON fields and the CLI flags.  A false-alarm rate
-# lies in (MIN_PFA, 1), so 1 / pfa stays finite.  The seed bounds are the
-# Monte Carlo streams' (montecarlo.MIN_SEED, MAX_SEED).
+# lies in (MIN_PFA, 1), so 1 / pfa stays finite.  A sweep or a CAF slice
+# has at most MAX_POINTS points.  The seed bounds are the Monte Carlo
+# streams' (montecarlo.MIN_SEED, MAX_SEED).
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16  # of an array of complex doubles
 MIN_TRIALS = 1
 MIN_PFA = sys.float_info.min
-_MAX_ENTRIES = np.iinfo(np.intp).max // 16  # of an array of complex doubles
+MAX_POINTS = _MAX_ENTRIES
 
 
 class ExperimentError(ValueError):
@@ -220,7 +223,8 @@ def _parse_scenario(doc):
             f"{path}.waveform_set: expected 'multi_band' or 'single_band'")
     M = _integer(doc, path, "m_tx", presets.M_TX, 1, _MAX_ENTRIES)
     N = _integer(doc, path, "n_rx", presets.N_RX, 1, _MAX_ENTRIES // M)
-    K = _integer(doc, path, "k_pulses", presets.K_PULSES, minimum=1)
+    K = _integer(doc, path, "k_pulses", presets.K_PULSES, 1,
+                 _MAX_ENTRIES // (M * N))
     pri_s = _number(doc, path, "pri_s", presets.PRI_S, positive=True)
     carrier = _number(doc, path, "carrier_hz", presets.CARRIER_HZ, positive=True)
     tp = _number(doc, path, "pulse_s", presets.PULSE_S, positive=True)
@@ -275,7 +279,7 @@ def _parse_sweep(doc):
             f"{path}.variable: expected one of {', '.join(SWEEP_VARIABLES)}")
     start = _number(doc, path, "start")
     stop = _number(doc, path, "stop")
-    points = _integer(doc, path, "points", None, 2, _MAX_ENTRIES)
+    points = _integer(doc, path, "points", None, 2, MAX_POINTS)
     if not math.isfinite(stop - start):
         raise ExperimentError(f"{path}: stop - start must be finite")
     return var, tuple(np.linspace(start, stop, points))

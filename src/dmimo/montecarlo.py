@@ -23,8 +23,8 @@ blocks finish.  The pool needs ``threading`` alone, so a sweep loads
 neither ``concurrent.futures`` nor ``logging``.
 
 Scratch.  Each worker draws its blocks in place into one scratch of its
-own, kept from block to block: one buffer per name, allocated once at
-BLOCK_TRIALS * 4 * 2 floats, of which a block views the Swerling I
+own, kept from block to block: one buffer per name, allocated once for
+BLOCK_TRIALS trials at d = 4, of which a block views the Swerling I
 moduli (trials,), the standard normals of the coordinates (trials, d,
 2), scaled in place and read as their complex view, the two energies
 (trials,), and, for a Swerling I run, the product |alpha| s (trials, d,
@@ -158,8 +158,9 @@ def draw_noise(stream: np.random.Generator, dims: int,
 
 class _Scratch:
     """One worker's block arrays, kept from block to block: each name
-    holds one flat buffer of BLOCK_TRIALS * 4 * 2 floats, allocated
-    once, and ``arrays[name]`` is the view the last block got of it.  A
+    holds one flat buffer, allocated once at BLOCK_TRIALS floats for a
+    (trials,) array and BLOCK_TRIALS * 4 * 2 for a (trials, d, 2) one,
+    d <= 4, and ``arrays[name]`` is the view the last block got of it.  A
     block's draws are written into them in place, so the c, g and g_span
     a block returns are views, overwritten by the worker's next block."""
 
@@ -171,7 +172,8 @@ class _Scratch:
         """A float64 array ``name`` of ``shape``, its contents
         undefined."""
         if name not in self.buffers:
-            self.buffers[name] = np.empty(BLOCK_TRIALS * 4 * 2)
+            per_trial = 4 * 2 if len(shape) > 1 else 1
+            self.buffers[name] = np.empty(BLOCK_TRIALS * per_trial)
         flat = self.buffers[name]
         self.arrays[name] = view = flat[:math.prod(shape)].reshape(shape)
         return view

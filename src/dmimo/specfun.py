@@ -1,7 +1,6 @@
 """Special-function kernel: regularized incomplete gamma, its inverse,
-integer-order generalized Marcum-Q, the 1F1(1, b, x) confluent
-hypergeometric series, and the Fresnel integrals with their auxiliary
-functions.
+integer-order generalized Marcum-Q, and the Fresnel integrals with their
+auxiliary functions.
 
 Everything here is scalar, pure, and thread-safe.  All probabilities are
 computed in natural (not log) scale.  The tests pin the inverse incomplete
@@ -11,7 +10,9 @@ tail for orders up to 1024 and values down to 1e-15, and to a per-term
 Poisson sum for orders up to 4096; and the Fresnel integrals to 1e-13
 absolute against scipy for |x| <= 200.  Marcum-Q costs one incomplete
 gamma per call, so its accuracy is that gamma's: about 1e-11 relative at
-order 4096, where rounding s log x leaves a few 1e-12.
+order 4096, where rounding s log x leaves a few 1e-12.  The incomplete
+gamma's power series and prefactor also give ``analysis`` its Swerling I
+average (DLMF 8.5.1).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "reg_upper_gamma",
     "inv_reg_upper_gamma",
     "marcum_q",
-    "kummer_1f1_first_unit",
     "fresnel",
     "fresnel_aux",
 ]
@@ -62,8 +62,10 @@ def _check_order(s):
         raise ValueError(f"order s must lie in (0, 2**53), got {s!r}")
 
 
-def _lower_gamma_series(s, x):
-    # Regularized lower incomplete gamma by power series; good for x < s + 1.
+def _gamma_series(s, x):
+    # sum_k x^k / (s (s+1) ... (s+k)) = 1F1(1; s+1; x) / s, so that the
+    # regularized lower incomplete gamma is _gamma_prefactor(s, x) times
+    # this sum (DLMF 8.5.1); it converges fast for x < s + 1.
     term = 1.0 / s
     total = term
     k = s
@@ -73,7 +75,13 @@ def _lower_gamma_series(s, x):
         total += term
         if abs(term) < abs(total) * 1e-16:
             break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
+    return total
+
+
+def _gamma_prefactor(s, x):
+    # x^s e^-x / Gamma(s), in the log domain
+    return math.exp(-x + s * math.log(x) - math.lgamma(s))
+
 
 def _upper_gamma_cf(s, x):
     # Regularized upper incomplete gamma by Lentz's continued fraction;
@@ -97,7 +105,7 @@ def _upper_gamma_cf(s, x):
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
+    return h * _gamma_prefactor(s, x)
 
 
 def reg_upper_gamma(s: float, x: float) -> float:
@@ -113,7 +121,8 @@ def reg_upper_gamma(s: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x < s + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(s, x)))
+        lower = _gamma_series(s, x) * _gamma_prefactor(s, x)
+        return min(1.0, max(0.0, 1.0 - lower))
     return min(1.0, max(0.0, _upper_gamma_cf(s, x)))
 
 
@@ -235,31 +244,6 @@ def marcum_q(m: int, a: float, b: float) -> Probability:
             break
         prev = term
     return Probability(min(1.0, total))
-
-
-def kummer_1f1_first_unit(b: float, x: float) -> float:
-    """Kummer confluent hypergeometric 1F1(1, b, x), i.e. the series
-
-        sum_{k>=0} x^k / (b (b+1) ... (b+k-1)),
-
-    summed directly until the terms fall below 1e-15 relative.
-    """
-    _check_finite("x", x)
-    if not math.isfinite(b) or b <= 0.0:
-        raise ValueError(f"b must be a positive real, got {b!r}")
-    term = 1.0
-    total = 1.0
-    denom = b
-    for k in range(1, _MAX_ITER):
-        term *= x / denom
-        total += term
-        if not math.isfinite(total):
-            raise OverflowError(
-                f"1F1(1, {b}, {x}) overflowed after {k} terms")
-        if abs(term) < abs(total) * 1e-15:
-            break
-        denom = b + k
-    return total
 
 
 def _fresnel_series(x):

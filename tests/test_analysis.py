@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import integrate, stats
 
 from dmimo import analysis
@@ -305,6 +306,40 @@ class TestPdSwerling1:
             0.0, 60.0, limit=300)
         assert abs(closed - quad) <= 1e-6
 
+    @pytest.mark.parametrize("p, bound", [(1, 1e-13), (4, 1e-13),
+                                          (24, 1e-13), (4096, 1e-11)])
+    def test_pinned_to_mpmath(self, p, bound):
+        # Q(p, g) + (lam'/denom) g^p e^-g 1F1(1; p+1; z) / p! at 50
+        # digits, z = g lam'/denom; above z = p the 1F1 is read from the
+        # regularized lower gamma P(p, z) = z^p e^-z 1F1(1; p+1; z) / p!.
+        # Worst seen 8.5e-15 for p <= 24 and 3.5e-12 at p = 4096.
+        above = 0
+        for pfa_target in (1e-2, 1e-4, 1e-8):
+            g = inv_reg_upper_gamma(p, pfa_target)
+            for lam_prime in np.geomspace(0.01, 1e6, 9):
+                got = pd_swerling1((p, 1.0), g, float(lam_prime), 1.0)
+                with mp.workdps(50):
+                    x, lam = mp.mpf(g), mp.mpf(float(lam_prime))
+                    denom = lam + 2
+                    z = x * lam / denom
+                    above += z > p + 1
+                    kummer = (mp.hyp1f1(1, p + 1, z) if z < p else
+                              mp.gammainc(p, 0, z, regularized=True)
+                              * mp.factorial(p) * mp.exp(z) / z ** p)
+                    want = (mp.gammainc(p, x, mp.inf, regularized=True)
+                            + lam * x ** p * mp.exp(-x)
+                            * kummer / (mp.factorial(p) * denom))
+                    assert abs(got - want) <= bound * want, (pfa_target,
+                                                             lam_prime)
+        assert above > 0
+
+    @pytest.mark.parametrize("p, g", [(1, 750.0), (1, 800.0), (5, 760.0)])
+    def test_series_overflow_is_an_error(self, p, g):
+        # Q(p, g) is below the smallest double and the series at
+        # z = g lam'/(lam' + 2) is beyond the largest: the product read
+        # inf or nan, clamped to 1 or 0, where the average is about 0.86
+        with pytest.raises(ValueError, match="overflows a double"):
+            pd_swerling1((p, 1.0), g, 1e4, 1.0)
 
     @pytest.mark.parametrize("det", ALL)
     def test_pinned_to_scipy_down_to_pfa_1e_10(self, det, zero_err):

@@ -17,6 +17,7 @@ import pytest
 import dmimo
 from dmimo import cli, detectors, scene
 from dmimo.cli import main
+from dmimo.experiments import MAX_POINTS
 from dmimo.specfun import Probability
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -257,6 +258,20 @@ class TestCafCommand:
                   "--points", points])
         assert exc.value.code == 2
         assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_points_beyond_sweep_bound_is_usage_error(self, tmp_path,
+                                                      capsys):
+        # sweep.points's bound; beyond it numpy's "Maximum allowed size
+        # exceeded" named no flag
+        exp = write_doc(tmp_path, base_doc())
+        out = tmp_path / "caf.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["caf", "--experiment", exp, "--out", str(out),
+                  "--points", str(10**20)])
+        assert exc.value.code == 2
+        assert (f"argument --points: must be at most {MAX_POINTS}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -662,16 +677,17 @@ class TestAnalyzeCommand:
         ({"m_tx": 2, "n_rx": 10**20}, {},
          "scenario.n_rx: must be at most "),
         ({"m_tx": 10**20}, {}, "scenario.m_tx: must be at most "),
+        ({"k_pulses": 10**20}, {}, "scenario.k_pulses: must be at most "),
         ({}, {"points": 10**20}, "sweep.points: must be at most "),
         ({}, {"variable": "snr_offset_db", "start": -1e308, "stop": 1e308,
               "points": 3}, "sweep: stop - start must be finite")],
-        ids=["n_rx-of-3-tx", "n_rx-of-2-tx", "m_tx", "points",
+        ids=["n_rx-of-3-tx", "n_rx-of-2-tx", "m_tx", "k_pulses", "points",
              "overflowing-span"])
     def test_size_or_span_beyond_numpy_is_one_error_line(
             self, tmp_path, command, scenario, sweep, message):
-        # numpy has no array of that many paths or points: these ended
-        # in a traceback from numpy, and the span in nan sweep values
-        # with two RuntimeWarnings
+        # numpy has no array of that many paths, pulses or points: these
+        # ended in a traceback from numpy or in error rows quoting numpy,
+        # and the span in nan sweep values with two RuntimeWarnings
         doc = {"scenario": scenario,
                "sweep": dict({"variable": "snr_db", "start": 0, "stop": 1,
                               "points": 2}, **sweep)}

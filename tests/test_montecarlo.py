@@ -522,9 +522,10 @@ def array_rx(random_scenario):
     return Receiver.build(sc, _path_errors(8, 8, df=12.0))
 
 
-# one worker's scratch: five buffers (moduli, coordinates, product and
-# the two energies) of BLOCK_TRIALS * 4 * 2 floats
-SCRATCH_BYTES = 5 * BLOCK_TRIALS * 4 * 2 * 8
+# one worker's scratch: the coordinates and the product at
+# BLOCK_TRIALS * 4 * 2 floats, the moduli and the two energies at
+# BLOCK_TRIALS floats
+SCRATCH_BYTES = (2 * 4 * 2 + 3) * BLOCK_TRIALS * 8
 
 
 class TestBlockBytes:

@@ -14,10 +14,10 @@ from scipy import integrate, special, stats
 from dmimo.specfun import (
     _FRESNEL_SERIES_MAX,
     Probability,
+    _gamma_series,
     fresnel,
     fresnel_aux,
     inv_reg_upper_gamma,
-    kummer_1f1_first_unit,
     marcum_q,
     reg_upper_gamma,
 )
@@ -198,33 +198,28 @@ class TestMarcumQ:
             marcum_q(m, 1.0, 1.0)
 
 
-class TestKummer1F1:
+class TestGammaSeries:
+    # s * _gamma_series(s, x) is Kummer's 1F1(1; s+1; x) (DLMF 8.5.1)
     def test_empty_product(self):
-        assert kummer_1f1_first_unit(2.0, 0.0) == 1.0
+        assert _gamma_series(1.0, 0.0) == 1.0
 
     def test_exponential_special_case(self):
-        assert kummer_1f1_first_unit(1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
+        # 1F1(1; 2; x) = (e^x - 1) / x
+        assert _gamma_series(1.0, 1.0) == pytest.approx(math.e - 1.0,
+                                                        rel=1e-14)
 
     def test_frozen_point(self):
         # 40-digit mpmath hyp1f1(1, 25, 8.7)
-        assert kummer_1f1_first_unit(25.0, 8.7) == pytest.approx(
+        assert 24.0 * _gamma_series(24.0, 8.7) == pytest.approx(
             1.5185273772818669, rel=1e-13)
 
     def test_contiguous_relation(self):
-        # 1F1(1, b, x) = 1 + (x / b) 1F1(1, b+1, x)
-        for b in (0.5, 1.0, 2.0, 10.0, 25.0):
+        # 1F1(1; b; x) = 1 + (x / b) 1F1(1; b+1; x) at b = s + 1
+        for s in (1.0, 9.0, 24.0):
             for x in (-5.0, -1.0, 0.3, 2.0, 8.7, 40.0):
-                lhs = kummer_1f1_first_unit(b, x)
-                rhs = 1.0 + (x / b) * kummer_1f1_first_unit(b + 1.0, x)
+                lhs = s * _gamma_series(s, x)
+                rhs = 1.0 + x * _gamma_series(s + 1.0, x)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_rejects_nonpositive_b(self):
-        with pytest.raises(ValueError):
-            kummer_1f1_first_unit(0.0, 1.0)
-
-    def test_overflow_diagnostic(self):
-        with pytest.raises(OverflowError):
-            kummer_1f1_first_unit(2.0, 1e4)
 
 
 def scipy_fresnel(x):
