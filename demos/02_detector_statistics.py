@@ -1,10 +1,11 @@
 """The four detection statistics on one noisy measurement.
 
 A two-transmitter scenario is built with the library defaults, a noisy
-slow-time measurement is formed for a fixed target amplitude, and all
-four statistics come from ``analysis.statistic`` on the scenario's
-receiver and are evaluated against their false-alarm thresholds, each
-from the detector's chi-square law ``rx.law(det)``.
+slow-time measurement is formed for a fixed target amplitude in noise of
+unit power, the unit of every statistic and threshold, and all four
+statistics come from ``analysis.statistic`` on the scenario's receiver
+and are evaluated against their false-alarm thresholds, each from the
+detector's chi-square law ``rx.law(det)``.
 """
 
 import numpy as np
@@ -19,8 +20,7 @@ rx = Receiver.build(sc, SyncErrors.zeros(2, 1))
 
 alpha = 1.0 + 0.0j
 rng = _block_rng(seed=7, pair=0, block=0)
-y = alpha * rx.x + draw_noise(rng, sc.k_pulses, sc.sigma2,
-                              (sc.m_tx, sc.n_rx))
+y = alpha * rx.x + draw_noise(rng, sc.k_pulses, (sc.m_tx, sc.n_rx))
 
 print(f"{'detector':>8s} {'statistic':>12s} {'threshold':>12s} {'decide':>8s}")
 for det in DetectorKind:

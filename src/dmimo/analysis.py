@@ -85,35 +85,36 @@ class PerfPoint:
             raise ValueError("CD operating point requires varsigma > 0")
 
 
-def law(det: DetectorKind, K: int, M: int, N: int, sigma2: float,
+def law(det: DetectorKind, K: int, M: int, N: int,
         varsigma=None) -> tuple[int, float]:
     """The one map from a detector to its law (p, c): under H0, 2T/c is
     central chi-square with 2p degrees of freedom, where
 
-        NCD  p = KMN    c = sigma^2
-        ACD  p = 1      c = KMN sigma^2
-        CD   p = 1      c = varsigma sigma^2
-        HD   p = N M^2  c = sigma^2
+        NCD  p = KMN    c = 1
+        ACD  p = 1      c = KMN
+        CD   p = 1      c = varsigma
+        HD   p = N M^2  c = 1
 
-    with varsigma = ||v||^2 the energy of the CD templates v.  Raises
-    ValueError for CD without varsigma, and where c is not finite or is
-    below sys.float_info.min, since a subnormal c has too few significant
-    bits for 12 printed digits.  That covers a product that overflows or
-    underflows, and an ACD whose KMN is beyond a double."""
+    with varsigma = ||v||^2 the energy of the CD templates v, in units of
+    the noise power.  Raises ValueError for CD without varsigma, and
+    where c is not finite or is below sys.float_info.min, since a
+    subnormal c has too few significant bits for 12 printed digits.  That
+    covers a subnormal varsigma and an ACD whose KMN is beyond a
+    double."""
     if det is DetectorKind.NCD:
-        p, c = K * M * N, sigma2
+        p, c = K * M * N, 1.0
     elif det is DetectorKind.HD:
-        p, c = N * M * M, sigma2
+        p, c = N * M * M, 1.0
     elif det is DetectorKind.ACD:
         p = 1
         try:
-            c = K * M * N * sigma2
+            c = float(K * M * N)
         except OverflowError:  # int too large to convert to float
             c = math.inf
     elif varsigma is None:
         raise ValueError("CD requires the varsigma scaling factor")
     else:
-        p, c = 1, varsigma * sigma2
+        p, c = 1, varsigma
     if not sys.float_info.min <= c < math.inf:
         raise ValueError(f"{det.value} statistic scale c = {c} is not finite "
                          f"and at least {sys.float_info.min}")
@@ -207,7 +208,7 @@ class Receiver:
     def law(self, det: DetectorKind) -> tuple[int, float]:
         """The detector's chi-square law (p, c) at this pair."""
         return law(det, self.sc.k_pulses, self.sc.m_tx, self.sc.n_rx,
-                   self.sc.sigma2, self.varsigma)
+                   self.varsigma)
 
 
 def statistic(det: DetectorKind, rx: Receiver):

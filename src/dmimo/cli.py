@@ -242,7 +242,7 @@ def cmd_threshold(args) -> int:
     det = DetectorKind(args.detector)
     try:
         gamma = threshold(law(det, args.k_pulses, args.m_tx, args.n_rx,
-                              args.sigma2, args.varsigma), args.pfa)
+                              args.varsigma), args.pfa)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(_fmt(gamma))
@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                        ("--m-tx", "transmitters, M"),
                        ("--n-rx", "receivers, N")):
         p.add_argument(flag, type=_bounded_int(1), required=True, help=what)
-    p.add_argument("--sigma2", type=_float_between(0), default=1.0,
-                   help="noise power sigma^2 (default 1)")
     p.add_argument("--varsigma", type=_float_between(0), default=None,
                    help="CD template energy varsigma; CD requires it")
     p.set_defaults(func=cmd_threshold)

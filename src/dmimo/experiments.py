@@ -102,7 +102,7 @@ def _in_double_range(v):
     return -sys.float_info.max <= v <= sys.float_info.max
 
 
-def _number(doc, path, field, default=None, minimum=None, positive=False):
+def _number(doc, path, field, default=None, positive=False):
     if field not in doc:
         if default is None:
             raise ExperimentError(f"{path}.{field}: required field missing")
@@ -113,8 +113,6 @@ def _number(doc, path, field, default=None, minimum=None, positive=False):
         raise ExperimentError(f"{path}.{field}: must be finite")
     if positive and not v > 0:
         raise ExperimentError(f"{path}.{field}: must be positive")
-    if minimum is not None and v < minimum:
-        raise ExperimentError(f"{path}.{field}: must be at least {minimum}")
     return float(v)
 
 
@@ -164,7 +162,7 @@ def _matrix(doc, path, field, shape, default):
 _SCENARIO_FIELDS = frozenset({
     "waveform_set", "m_tx", "n_rx", "k_pulses", "pri_s", "carrier_hz",
     "pulse_s", "bandwidth_hz", "eta", "kappa", "tau_s", "doppler_hz",
-    "psi_rad", "snr_db", "sigma2", "target"})
+    "psi_rad", "snr_db", "target"})
 _ERROR_FIELDS = frozenset({"dt_s", "df_hz", "dp_rad", "dc_rx_hz"})
 _SWEEP_FIELDS = frozenset({"variable", "start", "stop", "points"})
 _TOP_FIELDS = frozenset({
@@ -207,9 +205,9 @@ def _reference_paths(per_tx, M, N, scale=1.0):
     return np.tile(np.array(per_tx)[:, None] * scale, (1, N))
 
 
-def _channel_gains(snr_db, sigma2, target, n_rx):
+def _channel_gains(snr_db, target, n_rx):
     # (M, N) path amplitudes that give TX m the SNR snr_db[m] (dB) per path
-    return np.array([[xi_from_snr(snr, sigma2, target.mean_rcs)] * n_rx
+    return np.array([[xi_from_snr(snr, target.mean_rcs)] * n_rx
                      for snr in snr_db])
 
 
@@ -240,17 +238,12 @@ def _parse_scenario(doc):
     psi = _matrix(doc, path, "psi_rad", (M, N),
                   _reference_paths(presets.PSI_OVER_PI, M, N, math.pi))
     snr = _matrix(doc, path, "snr_db", (M,), np.zeros(M))
-    # a normal double, so the gains and the statistic scales keep every
-    # significant bit
-    sigma2 = _number(doc, path, "sigma2", presets.SIGMA2,
-                     minimum=sys.float_info.min)
     try:
         sc = Scenario(
             pulses=pulse_set(waveform_set, M, beta, tp, eta, kappa),
             n_rx=N, k_pulses=K, pri_s=pri_s, carrier_hz=carrier,
             tau_s=tau, doppler_hz=f, psi_rad=psi,
-            xi=_channel_gains(snr, sigma2, target, N),
-            sigma2=sigma2, target=target)
+            xi=_channel_gains(snr, target, N), target=target)
     except ValueError as exc:
         raise ExperimentError(f"{path}: {exc}")
     return sc, tuple(snr)
@@ -365,7 +358,7 @@ def scenario_at(spec: ExperimentSpec, value: float) -> Scenario:
         offset = np.array(getattr(sc, field))
         offset[1] = offset[0] + sweep_value_si(var, value, sc.pulses[0].t_p)
         return replace(sc, **{field: offset})
-    return replace(sc, xi=_channel_gains(snr, sc.sigma2, sc.target, sc.n_rx))
+    return replace(sc, xi=_channel_gains(snr, sc.target, sc.n_rx))
 
 
 def sweep_value_si(variable: str, value: float, pulse_s: float) -> float:

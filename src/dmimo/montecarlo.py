@@ -35,31 +35,32 @@ whose own threads would contend with the workers for the CPUs (see
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
-y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of
-variance sigma^2.  The detectors read y in four ways only: NCD its
-energy, HD its energy in the spans S_hat_n, and ACD and CD one linear
-form each, on the phasors and on the templates, which lie in those
-spans.  With B_n the receiver's orthonormal basis ``Receiver.span`` of
+y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of unit
+power, the unit of every energy.  The detectors read y in four ways
+only: NCD its energy, HD its energy in the spans S_hat_n, and ACD and CD
+one linear form each, on the phasors and on the templates, which lie in
+those spans.  With B_n the receiver's orthonormal basis ``Receiver.span`` of
 span S_hat_n (r_S columns, the largest rank over the receivers) and W
 the span of the coordinates of x, the phasors and the templates in it
 (w <= 3 dimensions), every statistic is an exact function of y's w
 coordinates in W, of the energy g_span of its other M N r_S - w span
 coordinates, and of the energy outside the spans, summed over paths.
 White Gaussian noise is invariant under unitary maps, so its
-coordinates in W are CN(0, sigma^2 I), and the noise in the rest of the
-spans and outside them is independent of them and invariant under any
-unitary map of those spaces.  The signal lies in W but for its part
-outside the spans, x_perp with e = ||x_perp|| over all paths, one
-direction of the outside space: where e > _RCOND_LIMIT ||x||, one
-complex coordinate alpha e + CN(0, sigma^2) along it, and the energy of
-the other M N (K - r_S) - 1 outside dimensions is
-sigma^2 Gamma(M N (K - r_S) - 1, 1).  Every statistic is a function of
-|.|^2 of linear forms of y, so invariant under a common phase of y, and
-the circular noise is too: a Swerling I block draws the real modulus
-|alpha| = sqrt(rho_bar Exp(1)) in place of the complex alpha.  A block
-therefore draws, in this order, the moduli (Swerling I runs only), then
-d <= 4 complex coordinates per trial (w, plus the shared one where the
-run has it), then the two energies: no (trials, M, N, K) cube.  The
+coordinates in W are CN(0, I), and the noise in the rest of the spans
+and outside them is independent of them and invariant under any unitary
+map of those spaces.  The signal lies in W but for its part outside the
+spans, x_perp with e = ||x_perp|| over all paths, one direction of the
+outside space: where e > _RCOND_LIMIT ||x||, one complex coordinate
+alpha e + CN(0, 1) along it, and the energy of the other
+M N (K - r_S) - 1 outside dimensions is Gamma(M N (K - r_S) - 1, 1).
+Every statistic is a function of |.|^2 of linear forms of y, so
+invariant under a common phase of y, and the circular noise is too: a
+Swerling I block draws the real modulus |alpha| / sqrt(rho_bar) =
+sqrt(Exp(1)) in place of the complex alpha and reads the return at
+amplitude sqrt(rho_bar), so every product stays of order sqrt(SNR).  A
+block therefore draws, in this order, the moduli (Swerling I runs only),
+then d <= 4 complex coordinates per trial (w, plus the shared one where
+the run has it), then the two energies: no (trials, M, N, K) cube.  The
 argument rests on the invariances alone, not on any closed form under
 test.  ``Receiver.frame`` forms this frame.
 
@@ -141,9 +142,9 @@ def _block_rng(seed: int, pair: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def draw_noise(stream: np.random.Generator, dims: int,
-               sigma2: float = 1.0, shape=(), out=None) -> np.ndarray:
-    """Circular complex Gaussian noise, per-component variance sigma2/2.
+def draw_noise(stream: np.random.Generator, dims: int, shape=(),
+               out=None) -> np.ndarray:
+    """Unit-power circular complex Gaussian noise, component variance 1/2.
 
     Returns an array of shape ``shape + (dims,)``: the last axis counts
     the complex dimensions, K per path for a measurement cube and d per
@@ -152,7 +153,7 @@ def draw_noise(stream: np.random.Generator, dims: int,
     if None), scaled in place and returned as its complex view.
     """
     z = stream.standard_normal(size=tuple(shape) + (dims, 2), out=out)
-    z *= np.sqrt(sigma2 / 2.0)
+    z *= np.sqrt(0.5)
     return z.view(np.complex128)[..., 0]
 
 
@@ -160,13 +161,12 @@ class _Scratch:
     """One worker's block arrays, kept from block to block: each name
     holds one flat buffer, allocated once at BLOCK_TRIALS floats for a
     (trials,) array and BLOCK_TRIALS * 4 * 2 for a (trials, d, 2) one,
-    d <= 4, and ``arrays[name]`` is the view the last block got of it.  A
-    block's draws are written into them in place, so the c, g and g_span
-    a block returns are views, overwritten by the worker's next block."""
+    d <= 4.  A block's draws are written into views of them in place, so
+    the c, g and g_span a block returns are views, overwritten by the
+    worker's next block."""
 
     def __init__(self):
         self.buffers = {}
-        self.arrays = {}
 
     def get(self, name: str, shape: tuple) -> np.ndarray:
         """A float64 array ``name`` of ``shape``, its contents
@@ -174,9 +174,7 @@ class _Scratch:
         if name not in self.buffers:
             per_trial = 4 * 2 if len(shape) > 1 else 1
             self.buffers[name] = np.empty(BLOCK_TRIALS * per_trial)
-        flat = self.buffers[name]
-        self.arrays[name] = view = flat[:math.prod(shape)].reshape(shape)
-        return view
+        return self.buffers[name][:math.prod(shape)].reshape(shape)
 
 
 def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
@@ -188,15 +186,16 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     inside the spans.  The block covers trials [jB, (j+1)B) of the run,
     B = BLOCK_TRIALS.
 
-    Draw order inside a block is fixed: the moduli |alpha| (a Swerling I
-    run only; other runs draw none), then the d = ``signal.size``
-    coordinates per trial, then the energy of the ``inside``
-    dimensions, then that of the ``outside`` ones.  Each is drawn into
-    an array of ``scratch`` and scaled in place.  The return is added in
-    place: |alpha| ``signal`` for Swerling I, formed in one block-sized
-    array, alpha ``signal`` for a fixed target.  g is the sum of the two
-    energies, and a shared coordinate then adds its |.|^2 to it.  With a
-    scratch, c, g and g_span are its arrays; without one, fresh arrays.
+    Draw order inside a block is fixed: the unit moduli sqrt(Exp(1)) (a
+    Swerling I run only; other runs draw none), then the d =
+    ``signal.size`` coordinates per trial, then the energy of the
+    ``inside`` dimensions, then that of the ``outside`` ones, each into
+    an array of ``scratch``.  The return is added in place: the unit
+    modulus times sqrt(rho_bar) ``signal`` for Swerling I, formed in one
+    block-sized array, alpha ``signal`` for a fixed target.  g is the
+    sum of the two energies, and a shared coordinate then adds its
+    |.|^2 to it.  With a scratch, c, g and g_span are its arrays;
+    without one, fresh arrays.
     """
     if scratch is None:
         scratch = _Scratch()
@@ -206,19 +205,15 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     target = cfg.target_draw
     if isinstance(target, Swerling1):
         modulus = rng.standard_exponential(out=scratch.get("modulus", (nb,)))
-        modulus *= target.rho_bar
         np.sqrt(modulus, out=modulus)
-    sigma2 = crx.sc.sigma2
     noise = scratch.get("noise", (nb, d, 2))
-    z = draw_noise(rng, d, sigma2, (nb,), noise)
+    z = draw_noise(rng, d, (nb,), noise)
     g_span = rng.standard_gamma(inside, out=scratch.get("inside", (nb,)))
-    g_span *= sigma2
     g = rng.standard_gamma(outside, out=scratch.get("outside", (nb,)))
-    g *= sigma2
     g += g_span
     if isinstance(target, Swerling1):
         # real times complex, on the float views
-        s = signal.view(np.float64).reshape(d, 2)
+        s = (math.sqrt(target.rho_bar) * signal).view(np.float64).reshape(d, 2)
         product = scratch.get("product", (nb, d, 2))
         np.einsum("t,ks->tks", modulus, s, out=product)
         noise += product

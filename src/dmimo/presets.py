@@ -4,9 +4,9 @@ from them.
 `dmimo.experiments` fills every scenario field a document leaves out
 from this table: the multi-band set (eta = kappa = 3), M=2, N=1, K=12,
 500 Hz PRF, 3 GHz carrier, 10 us pulses of 400 kHz chirps, delays
-(0.61, 0.10) T_p, Dopplers (200, 190) Hz, phases (0.1, 0.3) pi, unit
-noise power, a Swerling I target of unit mean RCS, and path amplitudes
-back-solved from the per-path SNR.  `reference_scenario` is the scenario
+(0.61, 0.10) T_p, Dopplers (200, 190) Hz, phases (0.1, 0.3) pi, a
+Swerling I target of unit mean RCS, and path amplitudes back-solved from
+the per-path SNR at unit noise power.  `reference_scenario` is the scenario
 of a document that sets nothing else; the demos and tests build on it.
 """
 
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 __all__ = ["reference_scenario", "WAVEFORM_SET", "ETA", "KAPPA", "M_TX",
            "N_RX", "K_PULSES", "PULSE_S", "BANDWIDTH_HZ", "PRI_S",
-           "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ", "PSI_OVER_PI", "SIGMA2",
-           "RHO_BAR"]
+           "CARRIER_HZ", "TAU_OVER_TP", "DOPPLER_HZ", "PSI_OVER_PI", "RHO_BAR"]
 
 WAVEFORM_SET = "multi_band"
 ETA = 3.0    # band gap of the multi-band set
@@ -31,7 +30,6 @@ CARRIER_HZ = 3e9
 TAU_OVER_TP = (0.61, 0.10)
 DOPPLER_HZ = (200.0, 190.0)
 PSI_OVER_PI = (0.1, 0.3)
-SIGMA2 = 1.0
 RHO_BAR = 1.0  # mean RCS of the default Swerling I target
 
 

@@ -94,7 +94,7 @@ def _frozen_array(value, shape, name):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full radar geometry and parameter set.
+    """Full radar geometry and parameter set, at unit noise power.
 
     pulses      M transmit pulse envelopes (one per TX)
     tau_s       (M, N) propagation delays, each < PRI
@@ -114,7 +114,6 @@ class Scenario:
     doppler_hz: np.ndarray
     psi_rad: np.ndarray
     xi: np.ndarray
-    sigma2: float
     target: NonFluctuating | Swerling1
     # Co-located selector: force the ambiguity matrices to identity-like
     # form (cross entries exactly zero, auto entries chi_mm(0, 0)).
@@ -126,8 +125,6 @@ class Scenario:
             raise ValueError("M, N, K must all be >= 1")
         if not self.pri_s > 0:
             raise ValueError("PRI must be positive")
-        if not self.sigma2 > 0:
-            raise ValueError("noise power must be positive")
         object.__setattr__(self, "tau_s", _frozen_array(self.tau_s, (M, N), "tau_s"))
         object.__setattr__(self, "doppler_hz",
                            _frozen_array(self.doppler_hz, (M, N), "doppler_hz"))
@@ -289,12 +286,13 @@ def colocated_scenario(template: Scenario) -> Scenario:
     )
 
 
-def xi_from_snr(snr_db: float, sigma2: float, rho_bar: float) -> float:
+def xi_from_snr(snr_db: float, rho_bar: float) -> float:
     """Path amplitude xi (the paper's b xi) of the per-path SNR snr_db =
-    xi^2 E{|alpha|^2} / sigma^2; ValueError where it is beyond a double.
-    The arithmetic is in Python floats, which overflow without a warning."""
+    xi^2 E{|alpha|^2} at unit noise power; ValueError where it is beyond
+    a double.  The arithmetic is in Python floats, which overflow without
+    a warning."""
     try:
-        xi = math.sqrt(10.0 ** (float(snr_db) / 10.0) * sigma2 / rho_bar)
+        xi = math.sqrt(10.0 ** (float(snr_db) / 10.0) / rho_bar)
     except OverflowError:  # 10 ** (snr_db / 10) beyond a double
         xi = math.inf
     if xi == math.inf:

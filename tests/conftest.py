@@ -57,7 +57,6 @@ def random_scenario():
             doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),
             psi_rad=rng.uniform(-np.pi, np.pi, (M, N)),
             xi=rng.uniform(0.5, 2.0, (M, 1)) * rng.uniform(0.1, 1.0, (M, N)),
-            sigma2=1.0,
             target=Swerling1(1.0),
         )
         if with_errors:

@@ -204,7 +204,7 @@ def draw_swerling1_alpha(stream, rho_bar: float,
     package's coordinate blocks replace by its modulus."""
     if not rho_bar > 0:
         raise ValueError("mean RCS must be positive")
-    alpha = draw_noise(stream, 1, rho_bar, size)[..., 0]
+    alpha = math.sqrt(rho_bar) * draw_noise(stream, 1, size)[..., 0]
     return complex(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -231,7 +231,7 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
         nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
         rng = _block_rng(cfg.seed, cfg.pair, j)
         alpha = block_alpha(rng, cfg, nb)
-        w = draw_noise(rng, K, sc.sigma2, (nb, M, N))
+        w = draw_noise(rng, K, (nb, M, N))
         if cfg.target_draw is not None:
             w += alpha[:, None, None, None] * x_unit
         yield w
@@ -390,7 +390,6 @@ def noncentrality_formula(det: DetectorKind, sc: Scenario, err: SyncErrors,
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
-    s2 = sc.sigma2
     x = noise_free_mf_output(sc, err, 1.0)
     tau_hat = sc.tau_s + err.dt
     f_hat = sc.doppler_hz + err.df
@@ -398,23 +397,23 @@ def noncentrality_formula(det: DetectorKind, sc: Scenario, err: SyncErrors,
     k = np.arange(K)
 
     if det is DetectorKind.NCD:
-        return 2.0 * rho * float(np.sum(np.abs(x) ** 2)) / s2, None
+        return 2.0 * rho * float(np.sum(np.abs(x) ** 2)), None
     if det is DetectorKind.ACD:
         theta_hat = (psi_hat[:, :, None]
                      - 2.0 * math.pi * sc.carrier_hz * tau_hat[:, :, None]
                      + 2.0 * math.pi * sc.pri_s * f_hat[:, :, None] * k)
         coh = np.sum(np.exp(-1j * theta_hat) * x)
-        return 2.0 * rho * abs(coh) ** 2 / (K * M * N * s2), None
+        return 2.0 * rho * abs(coh) ** 2 / (K * M * N), None
     if det is DetectorKind.CD:
         est = replace(sc, tau_s=tau_hat, doppler_hz=f_hat, psi_rad=psi_hat)
         v = noise_free_mf_output(est, SyncErrors.zeros(M, N), 1.0)
         varsigma = float(np.sum(np.abs(v) ** 2))
         num = abs(np.sum(np.conj(v) * x)) ** 2
-        return 2.0 * rho * num / (s2 * varsigma), varsigma
+        return 2.0 * rho * num / varsigma, varsigma
     # HD: energy of the true signal after projection onto the estimated
     # Doppler subspaces, S_hat[n, k, m] = exp(j 2 pi T k f_hat_mn)
     S_hat = np.exp(2j * math.pi * sc.pri_s * k[None, :, None]
                    * f_hat.T[:, None, :])
     q = doppler_projectors(S_hat)
     coeffs = np.einsum("nkj,mnk->mnj", np.conj(q), x)
-    return 2.0 * rho * float(np.sum(np.abs(coeffs) ** 2)) / s2, None
+    return 2.0 * rho * float(np.sum(np.abs(coeffs) ** 2)), None

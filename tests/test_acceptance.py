@@ -243,7 +243,7 @@ def _phase_law_geometries():
         doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),
         psi_rad=rng.uniform(-np.pi, np.pi, (M, N)),
         xi=rng.uniform(0.5, 2.0, (M, 1)) * rng.uniform(0.1, 1.0, (M, N)),
-        sigma2=1.0, target=Swerling1(1.0))
+        target=Swerling1(1.0))
     err4 = SyncErrors(dt=rng.uniform(-0.3 * tp, 0.3 * tp, (M, N)),
                       df=rng.uniform(-30.0, 30.0, (M, N)),
                       dp=rng.uniform(-np.pi, np.pi, (M, N)),

@@ -35,7 +35,7 @@ from dmimo.waveforms import caf, multi_band_chirp, pulse_set
 from oracles import h0_statistic_distribution_check, noncentrality_formula
 
 ALL = list(DetectorKind)
-K, M, N, S2 = 12, 2, 1, 1.0
+K, M, N = 12, 2, 1
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def single_tx_setup(dt=0.0):
         pulses=(multi_band_chirp(1, 400e3, tp, 3.0),),
         n_rx=1, k_pulses=12, pri_s=2e-3, carrier_hz=3e9,
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
-        psi_rad=np.array([[0.4]]), xi=np.array([[0.9]]), sigma2=1.0,
+        psi_rad=np.array([[0.4]]), xi=np.array([[0.9]]),
         target=Swerling1(1.0))
     err = SyncErrors(dt=np.array([[dt]]), df=np.zeros((1, 1)),
                      dp=np.zeros((1, 1)), dc_rx=np.zeros(1))
@@ -70,10 +70,10 @@ class TestNoncentrality:
 
     def test_single_tx_collapse(self):
         # with M=1, no errors, and ideal compensation the NCD/ACD/CD
-        # noncentralities coincide at 2 rho xi^2 K / sigma^2
+        # noncentralities coincide at 2 rho xi^2 K
         sc, err, rx = single_tx_setup()
         rho = 1.8
-        expect = 2.0 * rho * sc.xi[0, 0] ** 2 * sc.k_pulses / sc.sigma2
+        expect = 2.0 * rho * sc.xi[0, 0] ** 2 * sc.k_pulses
         for det in (DetectorKind.NCD, DetectorKind.ACD, DetectorKind.CD):
             lam = noncentrality(det, rx, rho)
             assert lam == pytest.approx(expect, rel=1e-9)
@@ -85,7 +85,7 @@ class TestNoncentrality:
         total = 0.0
         for m in range(sc.m_tx):
             x_m = S[0] @ (np.diag(X[m, 0]) @ h[m, 0])
-            total += 2.0 * np.sum(np.abs(x_m) ** 2) / sc.sigma2
+            total += 2.0 * np.sum(np.abs(x_m) ** 2)
         assert lam == pytest.approx(total, rel=1e-10)
 
     def test_timing_error_snr_loss(self):
@@ -119,7 +119,7 @@ class TestNoncentrality:
             doppler_hz=rng.uniform(-300.0, 300.0, (M, N)),
             psi_rad=rng.uniform(-np.pi, np.pi, (M, N)),
             xi=rng.uniform(0.5, 2.0, (M, 1)) * rng.uniform(0.1, 1.0, (M, N)),
-            sigma2=rng.uniform(0.5, 2.0), target=Swerling1(1.0))
+            target=Swerling1(1.0))
         if seed % 3 == 0:
             sc = colocated_scenario(sc)
         err = SyncErrors(dt=rng.uniform(-0.3 * tp, 0.3 * tp, (M, N)),
@@ -184,51 +184,49 @@ class TestLaw:
     def test_acd_scale_beyond_a_double_is_a_value_error(self):
         # K M N = 2 * 10**309 cannot be converted to a float
         with pytest.raises(ValueError, match="not finite"):
-            law(DetectorKind.ACD, 10**309, 2, 1, 1.0)
+            law(DetectorKind.ACD, 10**309, 2, 1)
 
-    @pytest.mark.parametrize("det", ALL)
+    @pytest.mark.parametrize("det", [DetectorKind.CD])
     def test_subnormal_scale_is_a_value_error(self, det):
-        # c = sigma^2, K M N sigma^2 or varsigma sigma^2 below the least
-        # normal double has too few significant bits for its threshold
-        sigma2, varsigma = ((1e-160, 1e-160) if det is DetectorKind.CD
-                            else (1e-320, None))
-        with pytest.raises(ValueError, match=f"{det.value} statistic scale "
-                           "c = .* is not finite and at least "
+        # c = varsigma below the least normal double has too few
+        # significant bits for its threshold
+        with pytest.raises(ValueError, match="CD statistic scale c = 1e-320 "
+                           "is not finite and at least "
                            "2.2250738585072014e-308"):
-            law(det, 12, 2, 1, sigma2, varsigma)
+            law(det, 12, 2, 1, 1e-320)
 
 
 class TestPfa:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_threshold(self, det):
-        assert pfa(law(det, K, M, N, S2, varsigma=5.0), 0.0) == 1.0
+        assert pfa(law(det, K, M, N, varsigma=5.0), 0.0) == 1.0
 
     def test_cd_log_inversion(self):
         vs = 37.5
-        gamma = vs * S2 * math.log(1e4)
-        assert pfa(law(DetectorKind.CD, K, M, N, S2, vs),
+        gamma = vs * math.log(1e4)
+        assert pfa(law(DetectorKind.CD, K, M, N, vs),
                    gamma) == pytest.approx(1e-4, rel=1e-12)
 
     def test_ncd_matches_gamma_tail(self):
         for g in (5.0, 20.0, 46.6):
-            assert pfa(law(DetectorKind.NCD, K, M, N, S2),
+            assert pfa(law(DetectorKind.NCD, K, M, N),
                        g) == pytest.approx(reg_upper_gamma(24, g), rel=1e-13)
 
     @pytest.mark.parametrize("det", ALL)
     def test_monotone_in_gamma(self, det):
         gammas = np.linspace(0.0, 300.0, 40)
-        chi2 = law(det, K, M, N, S2, varsigma=10.0)
+        chi2 = law(det, K, M, N, varsigma=10.0)
         vals = [pfa(chi2, g) for g in gammas]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_cd_requires_varsigma(self):
         with pytest.raises(ValueError):
-            pfa(law(DetectorKind.CD, K, M, N, S2), 1.0)
+            pfa(law(DetectorKind.CD, K, M, N), 1.0)
 
 
 class TestThreshold:
     def test_acd_closed_form(self):
-        got = threshold(law(DetectorKind.ACD, K, M, N, S2), 1e-4)
+        got = threshold(law(DetectorKind.ACD, K, M, N), 1e-4)
         assert got == pytest.approx(24.0 * math.log(1e4), rel=1e-12)
         assert got == pytest.approx(221.0482, abs=1e-3)
 
@@ -236,35 +234,35 @@ class TestThreshold:
     @pytest.mark.parametrize("p", [1e-2, 1e-4, 1e-6])
     def test_round_trip(self, det, p):
         vs = 12.0
-        chi2 = law(det, K, M, N, S2, vs)
+        chi2 = law(det, K, M, N, vs)
         g = threshold(chi2, p)
         assert pfa(chi2, g) == pytest.approx(p, rel=1e-10)
 
     def test_ncd_order_24(self):
-        got = threshold(law(DetectorKind.NCD, K, M, N, S2), 1e-4)
-        assert got == pytest.approx(S2 * inv_reg_upper_gamma(24, 1e-4), rel=1e-12)
+        got = threshold(law(DetectorKind.NCD, K, M, N), 1e-4)
+        assert got == pytest.approx(inv_reg_upper_gamma(24, 1e-4), rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_degenerate_targets(self, p):
         with pytest.raises(ValueError):
-            threshold(law(DetectorKind.NCD, K, M, N, S2), p)
+            threshold(law(DetectorKind.NCD, K, M, N), p)
 
 
 class TestPdNonfluctuating:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_lambda_reduces_to_pfa(self, det):
-        chi2 = law(det, K, M, N, S2, 8.0)
+        chi2 = law(det, K, M, N, 8.0)
         g = threshold(chi2, 1e-3)
         assert pd_nonfluctuating(chi2, g, 0.0) == pytest.approx(
             pfa(chi2, g), rel=1e-10)
 
     @pytest.mark.parametrize("det", ALL)
     def test_zero_threshold(self, det):
-        assert pd_nonfluctuating(law(det, K, M, N, S2, 8.0), 0.0, 5.0) == 1.0
+        assert pd_nonfluctuating(law(det, K, M, N, 8.0), 0.0, 5.0) == 1.0
 
     @pytest.mark.parametrize("det", ALL)
     def test_monotone(self, det):
-        chi2 = law(det, K, M, N, S2, 8.0)
+        chi2 = law(det, K, M, N, 8.0)
         g0 = threshold(chi2, 1e-4)
         lams = np.linspace(0.0, 80.0, 17)
         vals = [pd_nonfluctuating(chi2, g0, l) for l in lams]
@@ -277,14 +275,14 @@ class TestPdNonfluctuating:
 class TestPdSwerling1:
     @pytest.mark.parametrize("det", ALL)
     def test_invisible_target(self, det):
-        chi2 = law(det, K, M, N, S2, 8.0)
+        chi2 = law(det, K, M, N, 8.0)
         g = threshold(chi2, 1e-4)
         assert pd_swerling1(chi2, g, 0.0, 1.0) == pytest.approx(
             pfa(chi2, g), rel=1e-10)
 
     @pytest.mark.parametrize("det", ALL)
     def test_vanishing_mean_rcs_limit(self, det):
-        chi2 = law(det, K, M, N, S2, 8.0)
+        chi2 = law(det, K, M, N, 8.0)
         g = threshold(chi2, 1e-4)
         got = pd_swerling1(chi2, g, 40.0, 1e-12)
         assert got == pytest.approx(pfa(chi2, g), rel=1e-6)
@@ -351,9 +349,8 @@ class TestPdSwerling1:
             sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
             rx = Receiver.build(sc, zero_err)
             lam_prime = noncentrality(det, rx, 1.0)
-            scale = {DetectorKind.NCD: S2, DetectorKind.ACD: K * M * N * S2,
-                     DetectorKind.CD: rx.varsigma * S2,
-                     DetectorKind.HD: S2}[det]
+            scale = {DetectorKind.NCD: 1.0, DetectorKind.ACD: K * M * N,
+                     DetectorKind.CD: rx.varsigma, DetectorKind.HD: 1.0}[det]
             for pfa_target in (1e-4, 1e-6, 1e-8, 1e-10):
                 g = threshold(rx.law(det), pfa_target)
                 closed = pd_swerling1(rx.law(det), g, lam_prime, 1.0)
@@ -385,7 +382,7 @@ class TestAnalyzeDetector:
         rx = Receiver.build(sc, zero_err)
         pt = analyze_detector(DetectorKind.NCD, rx, 1e-4)
         lam = noncentrality(DetectorKind.NCD, rx, 1.0)
-        expect = pd_nonfluctuating(law(DetectorKind.NCD, K, M, N, S2),
+        expect = pd_nonfluctuating(law(DetectorKind.NCD, K, M, N),
                                    pt.gamma, lam)
         assert pt.pd == pytest.approx(expect, rel=1e-12)
 

@@ -66,6 +66,13 @@ def negative_delay_estimate_doc():
     return doc
 
 
+OVERFLOWING_LAMBDA = {
+    "NCD": "NCD noncentrality lambda = 2 rho T(x) / c overflows",
+    "HD": "HD noncentrality lambda = 2 rho T(x) / c overflows",
+    "ACD": "ACD noncentrality lambda = 2 rho T(x) / c overflows",
+    "CD": "CD statistic scale c = inf is not finite"}
+
+
 class TestThresholdCommand:
     def test_acd_closed_form(self, capsys):
         rc = main(["threshold", "--detector", "ACD", "--pfa", "1e-4",
@@ -77,12 +84,10 @@ class TestThresholdCommand:
     def test_ncd_matches_inverse_gamma(self, capsys):
         from dmimo.specfun import inv_reg_upper_gamma
         rc = main(["threshold", "--detector", "NCD", "--pfa", "1e-4",
-                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
-                   "--sigma2", "2.0"])
+                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1"])
         assert rc == 0
         got = float(capsys.readouterr().out)
-        assert got == pytest.approx(2.0 * inv_reg_upper_gamma(24, 1e-4),
-                                    rel=1e-10)
+        assert got == pytest.approx(inv_reg_upper_gamma(24, 1e-4), rel=1e-10)
 
     def test_every_flag_has_help(self):
         sub = next(a for a in cli.build_parser()._actions
@@ -99,7 +104,7 @@ class TestThresholdCommand:
                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1"])
 
     @pytest.mark.parametrize("flags", [
-        ["--sigma2", "-1"], ["--sigma2", "0"], ["--sigma2", "nan"],
+        ["--sigma2", "2"], ["--varsigma", "0"], ["--varsigma", "nan"],
         ["--varsigma", "-3"], ["--pfa", "0"], ["--pfa", "1.5"],
         ["--k-pulses", "0"], ["--m-tx", "-2"], ["--n-rx", "0"],
         ["--pfa", "1e-320"]])
@@ -116,51 +121,40 @@ class TestThresholdCommand:
         assert "error: " in last and flags[0] in last
 
     def test_overflowing_scale_is_an_error(self, capsys):
-        # c = varsigma sigma^2 = 1e318 overflows a double
+        # c = K M N = 2e309 overflows a double
         with pytest.raises(SystemExit) as exc:
-            main(["threshold", "--detector", "CD", "--pfa", "1e-3",
-                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
-                  "--varsigma", "1e308", "--sigma2", "1e10"])
-        assert str(exc.value.code).startswith("error: ")
-        assert capsys.readouterr().out == ""
-
-    def test_overflowing_threshold_is_an_error(self, capsys):
-        # c = sigma^2 = 1e308 is a double, but gamma = c q is not
-        with pytest.raises(SystemExit) as exc:
-            main(["threshold", "--detector", "NCD", "--pfa", "1e-3",
-                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
-                  "--sigma2", "1e308"])
-        assert str(exc.value.code).startswith(
-            "error: threshold gamma = c q = 1e+308 * ")
-        assert str(exc.value.code).endswith(" overflows a double")
-        assert capsys.readouterr().out == ""
-
-    def test_underflowing_scale_is_an_error(self, capsys):
-        # c = varsigma sigma^2 = 1e-600 underflows to 0, a threshold of 0
-        with pytest.raises(SystemExit) as exc:
-            main(["threshold", "--detector", "CD", "--pfa", "0.01",
-                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
-                  "--sigma2", "1e-300", "--varsigma", "1e-300"])
-        assert exc.value.code == ("error: CD statistic scale c = 0.0 is not "
+            main(["threshold", "--detector", "ACD", "--pfa", "1e-3",
+                  "--k-pulses", str(10**309), "--m-tx", "2", "--n-rx", "1"])
+        assert exc.value.code == ("error: ACD statistic scale c = inf is not "
                                   "finite and at least "
                                   "2.2250738585072014e-308")
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_threshold_is_an_error(self, capsys):
+        # c = K M N = 1e308 is a double, but gamma = c q is not
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", "ACD", "--pfa", "1e-3",
+                  "--k-pulses", str(5 * 10**307), "--m-tx", "2",
+                  "--n-rx", "1"])
+        assert str(exc.value.code).startswith(
+            "error: threshold gamma = c q = 1e+308 * 6.9077")
+        assert str(exc.value.code).endswith(" overflows a double")
+        assert capsys.readouterr().out == ""
+
     def test_subnormal_scale_is_an_error(self, capsys):
-        # c = varsigma sigma^2 = 1e-320 is subnormal: its threshold would
-        # print 12 digits of which only the first three are right
+        # c = varsigma = 1e-320 is subnormal: its threshold would print
+        # 12 digits of which only the first three are right
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--detector", "CD", "--pfa", "1e-3",
                   "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
-                  "--sigma2", "1e-160", "--varsigma", "1e-160"])
-        assert str(exc.value.code).startswith(
-            "error: CD statistic scale c = ")
-        assert str(exc.value.code).endswith(
-            "is not finite and at least 2.2250738585072014e-308")
+                  "--varsigma", "1e-320"])
+        assert exc.value.code == ("error: CD statistic scale c = 1e-320 is "
+                                  "not finite and at least "
+                                  "2.2250738585072014e-308")
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("det, k, m", [
-        ("ACD", 10**309, 2),  # K M N sigma^2 is beyond a double
+        ("ACD", 10**309, 2),  # K M N is beyond a double
         ("NCD", 2**53, 1),    # order p = K M N = 2**53
         ("HD", 1, 10**10)],   # order p = N M^2 = 1e20
         ids=["ACD-K1e309", "NCD-K2**53", "HD-M1e10"])
@@ -424,28 +418,32 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_scale_underflow_gives_error_rows(self, tmp_path, command):
-        # at sigma^2 = 1e-160 the CD scale varsigma sigma^2 is subnormal,
-        # so every CD row is an error row; the other detectors' lambda
-        # and Pd do not depend on sigma^2 and match sigma^2 = 1
+        # at a mean RCS of 2^1022 and from -20 to -14 dB the CD scale
+        # varsigma, which scales as SNR / rho_bar, is subnormal, so every
+        # CD row is an error row; the other detectors' lambda and Pd do
+        # not depend on rho_bar and match rho_bar = 1
         doc = json.loads((RECIPES / "timing_errors.json").read_text())
-        doc["trials"] = 100
+        doc.update(trials=100, sweep={"variable": "snr_db", "start": -20.0,
+                                      "stop": -14.0, "points": 7})
         tables = {}
-        for sigma2 in (1.0, 1e-160):
-            doc["scenario"]["sigma2"] = sigma2
-            out = tmp_path / f"{sigma2}.csv"
+        for rho_bar in (1.0, 2.0**1022):
+            doc["scenario"]["target"] = {"model": "swerling1",
+                                         "rho_bar": rho_bar}
+            out = tmp_path / f"{rho_bar}.csv"
             code = main([command, "--experiment", write_doc(tmp_path, doc),
                          "--out", str(out)])
-            tables[sigma2] = read_csv(out)
-            assert code == gate_status(command, tables[sigma2])
-        rows = tables[1e-160]
+            tables[rho_bar] = read_csv(out)
+            assert code == gate_status(command, tables[rho_bar])
+        rows = tables[2.0**1022]
         cd = [r for r in rows if r["detector"] == "CD"]
-        assert len(cd) == 21
+        assert len(cd) == 7
         assert all(r["error"].startswith("CD statistic scale c = ") and
                    r["error"].endswith("is not finite and at least "
                                        "2.2250738585072014e-308")
                    for r in cd)
         for got, want in zip(rows, tables[1.0]):
             if got["detector"] == "CD":
+                assert want["error"] == ""
                 continue
             assert got["error"] == want["error"]
             for column in ("lambda", "pd_analytic"):
@@ -475,15 +473,15 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("field, sweep, reason", [
         ("carrier_hz", 1e308, "the carrier and Doppler phase 2 pi (f_c tau "
                               "- f nu) of a path overflows a double"),
-        ("sigma2", 1e300, "the channel gain for an SNR of 300.0 dB "
-                          "overflows a double")])
+        ("target", {"model": "swerling1", "rho_bar": 1e-300},
+         "the channel gain for an SNR of 300.0 dB overflows a double")])
     def test_overflow_gives_error_rows_and_no_warning(self, tmp_path, field,
                                                       sweep, reason):
         # a fresh interpreter with every warning an error: numpy's
         # overflow warnings would end it in a traceback
         doc = base_doc()
         doc["scenario"] = {field: sweep}
-        if field == "sigma2":
+        if field == "target":
             doc["sweep"].update(start=300.0, stop=310.0)
         out = tmp_path / "a.csv"
         env = dict(os.environ,
@@ -526,10 +524,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("scenario, start, stop", [
         # from 2000 dB CD's T(x) = |v^H x|^2 overflows, in the closed form
         # and in the Monte Carlo blocks
-        ({}, 1000.0, 3000.0),
-        # at sigma^2 = 1e300 every T(x) and ||x||^2 overflow, and so does
-        # varsigma, and with it CD's scale c
-        ({"sigma2": 1e300}, 75.0, 80.0)])
+        ({}, 1000.0, 3000.0)])
     def test_extreme_snr_gives_numbers_and_no_warning(self, tmp_path,
                                                       command, scenario,
                                                       start, stop):
@@ -560,19 +555,12 @@ class TestAnalyzeCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     @pytest.mark.parametrize("scenario, start, reasons", [
-        # at sigma^2 = 1e308 NCD's and HD's gamma = c q overflow, and so
-        # do varsigma, and with it CD's scale c, and ACD's c = KMN sigma^2
-        ({"sigma2": 1e308}, 0.0,
-         {"NCD": "threshold gamma = c q = 1e+308 * 46.61",
-          "HD": "threshold gamma = c q = 1e+308 * 15.91",
-          "ACD": "ACD statistic scale c = inf is not finite",
-          "CD": "CD statistic scale c = inf is not finite"}),
-        # from 3070 dB lambda itself overflows, and so does varsigma
-        ({}, 3070.0,
-         {"NCD": "NCD noncentrality lambda = 2 rho T(x) / c overflows",
-          "HD": "HD noncentrality lambda = 2 rho T(x) / c overflows",
-          "ACD": "ACD noncentrality lambda = 2 rho T(x) / c overflows",
-          "CD": "CD statistic scale c = inf is not finite"})])
+        # lambda itself overflows, and so does varsigma: at 0 dB through
+        # the gain back-solved for a mean RCS of 1e-308, xi^2 = 1e308,
+        # and from 3070 dB at unit mean RCS
+        ({"target": {"model": "swerling1", "rho_bar": 1e-308}}, 0.0,
+         OVERFLOWING_LAMBDA),
+        ({}, 3070.0, OVERFLOWING_LAMBDA)])
     def test_overflowing_quantity_gives_error_rows(self, tmp_path, command,
                                                    scenario, start,
                                                    reasons):
@@ -630,9 +618,11 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("over, message", [
         ({"scenario": {"waveform_set": "multi_band", "b": [3.7, 1.0]}},
          "error: scenario.b: unknown field"),
+        ({"scenario": {"waveform_set": "multi_band", "sigma2": 1.0}},
+         "error: scenario.sigma2: unknown field"),
         ({"detectors": ["NCD", "CD", "NCD"]},
          "error: detectors[2]: duplicate detector 'NCD'")],
-        ids=["transmit-amplitude", "duplicate-detector"])
+        ids=["transmit-amplitude", "noise-power", "duplicate-detector"])
     def test_schema_error_is_one_error_line(self, tmp_path, over, message):
         out = tmp_path / "a.csv"
         with pytest.raises(SystemExit) as exc:
@@ -713,6 +703,27 @@ class TestSimulateCommand:
             assert (abs(float(r["pd_empirical"]) - float(r["pd_analytic"]))
                     <= float(r["ci_halfwidth"]))
             assert r["trials"] == "20000"
+
+    def test_mean_rcs_of_2_1022_keeps_every_probability(self, tmp_path):
+        # lambda and Pd depend on the SNR alone, and a power-of-two mean
+        # RCS scales the gains exactly: the Swerling I blocks draw a unit
+        # modulus and read the return at amplitude sqrt(rho_bar), where
+        # a modulus sqrt(rho_bar Exp(1)) overflowed in many trials.  The
+        # exit codes are not compared: this recipe's Wald gate fails by
+        # chance at 20000 trials
+        doc = json.loads((RECIPES / "timing_errors.json").read_text())
+        doc["trials"] = 20000
+        tables = []
+        for rho_bar in (1.0, 2.0**1022):
+            doc["scenario"]["target"] = {"model": "swerling1",
+                                         "rho_bar": rho_bar}
+            out = tmp_path / f"{rho_bar}.csv"
+            main(["simulate", "--experiment", write_doc(tmp_path, doc),
+                  "--out", str(out)])
+            tables.append([(r["lambda"], r["pd_analytic"], r["pd_empirical"])
+                           for r in read_csv(out)])
+        assert len(tables[0]) == 21 * 4
+        assert tables[0] == tables[1]
 
     def test_trials_one_gives_full_interval(self, tmp_path):
         doc = base_doc(detectors=["NCD"])

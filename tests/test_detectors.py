@@ -47,7 +47,7 @@ def single_tx_scenario(xi=1.3 * 0.8):
         n_rx=1, k_pulses=12, pri_s=2e-3, carrier_hz=3e9,
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
         psi_rad=np.array([[0.4]]), xi=np.array([[xi]]),
-        sigma2=1.0, target=Swerling1(1.0))
+        target=Swerling1(1.0))
 
 
 def span_hd(y, S):
@@ -140,14 +140,14 @@ class TestCd:
 
     def test_noise_free_reference(self, ref_scenario, zero_err, ref_comp):
         # noise-free statistic equals |alpha|^2 varsigma^2, i.e. the
-        # noncentrality identity lambda_CD * varsigma sigma^2 / 2
+        # noncentrality identity lambda_CD * varsigma / 2
         alpha = 1.2 * np.exp(-0.8j)
         x = noise_free_mf_output(ref_scenario, zero_err, alpha)
         varsigma = np.sum(np.abs(ref_comp.templates) ** 2)
         got = cd_statistic(x, ref_comp.templates)
         assert got == pytest.approx(abs(alpha) ** 2 * varsigma ** 2, rel=1e-9)
-        lam = 2 * got / (varsigma * ref_scenario.sigma2)
-        assert lam * varsigma * ref_scenario.sigma2 / 2 == pytest.approx(got)
+        lam = 2 * got / varsigma
+        assert lam * varsigma / 2 == pytest.approx(got)
 
 
 class TestHd:

@@ -60,9 +60,9 @@ def ref_rx(ref_scenario, zero_err):
 class TestDraws:
     def test_noise_moments(self):
         rng = _block_rng(7, 0, 0)
-        w = draw_noise(rng, 16, sigma2=2.5, shape=(20000,))
-        assert abs(np.mean(w)) < 5 * np.sqrt(2.5 / (16 * 20000))
-        assert np.mean(np.abs(w) ** 2) == pytest.approx(2.5, rel=0.01)
+        w = draw_noise(rng, 16, shape=(20000,))
+        assert abs(np.mean(w)) < 5 * np.sqrt(1.0 / (16 * 20000))
+        assert np.mean(np.abs(w) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_noise_determinism(self):
         a = draw_noise(_block_rng(3, 0, 1), 8, shape=(4,))
@@ -71,11 +71,11 @@ class TestDraws:
 
     def test_noise_matches_componentwise_assembly(self):
         # oracle: the per-component normal draw, assembled as re + 1j*im
-        shape, k, sigma2 = (5, 2, 1), 12, 2.5
-        z = _block_rng(17, 0, 3).normal(scale=np.sqrt(sigma2 / 2.0),
+        shape, k = (5, 2, 1), 12
+        z = _block_rng(17, 0, 3).normal(scale=np.sqrt(0.5),
                                         size=shape + (k, 2))
         oracle = z[..., 0] + 1j * z[..., 1]
-        got = draw_noise(_block_rng(17, 0, 3), k, sigma2, shape)
+        got = draw_noise(_block_rng(17, 0, 3), k, shape)
         assert got.shape == oracle.shape
         assert got.tobytes() == oracle.tobytes()
 
@@ -138,7 +138,7 @@ class TestTrialConfig:
 class TestDeterminism:
     def test_identical_runs(self, ref_rx):
         vs = np.sum(np.abs(ref_rx.templates) ** 2)
-        gammas = {d: threshold(law(d, 12, 2, 1, 1.0, vs), 1e-2) for d in ALL}
+        gammas = {d: threshold(law(d, 12, 2, 1, vs), 1e-2) for d in ALL}
         cfg = TrialConfig(trials=3000, seed=42, target_draw=Swerling1(1.0))
         r1 = run_sweep([(ref_rx, gammas, cfg)])[0]
         r2 = run_sweep([(ref_rx, gammas, cfg)])[0]
@@ -163,7 +163,7 @@ class TestDeterminism:
     def test_block_order_independent_counts(self, ref_rx):
         # counting is associative: summing per-block exceedances in
         # reversed order reproduces run_sweep
-        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-2)
+        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1), 1e-2)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21)
         blocks = [block for _, block in iter_coordinate_blocks(ref_rx, cfg)]
         total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
@@ -173,7 +173,7 @@ class TestDeterminism:
 
     def test_seed_changes_results(self, ref_rx):
         gammas = {DetectorKind.NCD: threshold(
-            law(DetectorKind.NCD, 12, 2, 1, 1.0), 0.5)}
+            law(DetectorKind.NCD, 12, 2, 1), 0.5)}
         runs = run_sweep([(ref_rx, gammas, TrialConfig(trials=2000, seed=s))
                           for s in (1, 2)])
         assert runs[0][DetectorKind.NCD] != runs[1][DetectorKind.NCD]
@@ -184,7 +184,7 @@ class TestH0Calibration:
     def test_exceedance_matches_pfa(self, det, ref_rx):
         vs = float(np.sum(np.abs(ref_rx.templates) ** 2))
         pf = 1e-2
-        gamma = threshold(law(det, 12, 2, 1, 1.0, vs), pf)
+        gamma = threshold(law(det, 12, 2, 1, vs), pf)
         cfg = TrialConfig(trials=100000, seed=77)
         p_hat = run_sweep([(ref_rx, {det: gamma}, cfg)])[0][det] / cfg.trials
         sigma = np.sqrt(pf * (1 - pf) / cfg.trials)
@@ -201,11 +201,10 @@ class TestH1Match:
         sigma = np.sqrt(pt.pd * (1 - pt.pd) / cfg.trials)
         assert abs(p_hat - pt.pd) <= 3 * sigma
 
-    def test_fixed_alpha_noise_free_limit(self, ref_scenario, zero_err):
-        from dataclasses import replace
-        sc = replace(ref_scenario, sigma2=1e-12)
+    def test_fixed_alpha_noise_free_limit(self, zero_err):
+        sc = reference_scenario("multi_band", snr_db=(120.0, 120.0))
         rx = Receiver.build(sc, zero_err)
-        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, sc.sigma2), 1e-4)
+        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1), 1e-4)
         cfg = TrialConfig(trials=500, seed=3,
                           target_draw=NonFluctuating(1.0 + 0.0j))
         got = run_sweep([(rx, {DetectorKind.NCD: gamma}, cfg)])[0]
@@ -214,7 +213,7 @@ class TestH1Match:
     def test_ncd_phase_screen_invariance(self, ref_rx):
         # NCD counts are unchanged by any fixed phase screen applied to
         # the measurements' coordinates
-        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1, 1.0), 1e-3)
+        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1), 1e-3)
         cfg = TrialConfig(trials=20000, seed=55, target_draw=Swerling1(1.0))
         base = run_sweep([(ref_rx, {DetectorKind.NCD: gamma},
                            cfg)])[0][DetectorKind.NCD]
@@ -272,7 +271,7 @@ def mixed_runs(sc, target=None, seed=31):
             (sc, doppler, POOL_TRIALS, ALL)]):
         rx = Receiver.build(scenario, err)
         vs = float(np.sum(np.abs(rx.templates) ** 2))
-        gammas = {d: threshold(law(d, 12, 2, 1, 1.0, vs), 0.05) for d in dets}
+        gammas = {d: threshold(law(d, 12, 2, 1, vs), 0.05) for d in dets}
         cfg = TrialConfig(trials=trials, seed=seed, pair=pair,
                           target_draw=target)
         runs.append((rx, gammas, cfg))
@@ -617,14 +616,15 @@ class TestScratch:
                     [block for _, block in iter_coordinate_blocks(rx, cfg)])
 
     @pytest.mark.parametrize("target", [
-        None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
+        None, Swerling1(4.0), NonFluctuating(0.6 - 0.4j)],
         ids=["H0", "swerling", "fixed"])
     def test_blocks_follow_the_draw_order(self, ref_scenario, target):
         # fresh arrays drawn in the documented order give each block bit
-        # for bit, a full block and a partial one: the Swerling I moduli
-        # sqrt(rho_bar Exp(1)), then d = 4 coordinates per trial (3 in
-        # W, then the shared one), then the energy inside the spans, then
-        # the energy outside, to which the inside energy and the shared
+        # for bit, a full block and a partial one: the Swerling I unit
+        # moduli sqrt(Exp(1)), which scale the return at amplitude
+        # sqrt(rho_bar), then d = 4 coordinates per trial (3 in W, then
+        # the shared one), then the energy inside the spans, then the
+        # energy outside, to which the inside energy and the shared
         # coordinate add
         rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
         crx, signal, inside, outside = rx.frame()
@@ -636,12 +636,12 @@ class TestScratch:
         for j, nb in enumerate([BLOCK_TRIALS, 17]):
             rng = _block_rng(8, 2, j)
             if isinstance(target, Swerling1):
-                alpha = np.sqrt(1.0 * rng.standard_exponential(nb))
+                alpha = 2.0 * np.sqrt(rng.standard_exponential(nb))
             elif isinstance(target, NonFluctuating):
                 alpha = np.full(nb, target.alpha)
-            z = draw_noise(rng, 4, 1.0, (nb,))
-            g_span = 1.0 * rng.standard_gamma(inside, nb)
-            g = 1.0 * rng.standard_gamma(outside, nb) + g_span
+            z = draw_noise(rng, 4, (nb,))
+            g_span = rng.standard_gamma(inside, nb)
+            g = rng.standard_gamma(outside, nb) + g_span
             if target is not None:
                 z = z + alpha[:, None] * signal
             g = g + (z[:, -1].real ** 2 + z[:, -1].imag ** 2)
@@ -664,8 +664,7 @@ class TestScratch:
 
     def test_scratch_reused_by_smaller_blocks(self, ref_rx):
         # a partial block, and a block of fewer coordinates, are views
-        # of the buffers the first block allocated; the views have their
-        # shapes
+        # of the buffers the first block allocated, in their own shapes
         frame = ref_rx.frame()
         cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
                           target_draw=Swerling1(1.0))
@@ -674,16 +673,20 @@ class TestScratch:
         c1, g1, s1 = montecarlo._coordinate_block(*frame, cfg, 1, scratch)
         assert all(map(np.shares_memory, (c0, g0, s0), (c1, g1, s1)))
         c3, g3, s3 = montecarlo._coordinate_block(*frame, cfg, 3, scratch)
-        assert len(c3) == len(g3) == len(s3) == 17
+        w = frame[0].x.size
+        assert (c3.shape, g3.shape, s3.shape) == ((17, 1, 1, w), (17,), (17,))
         assert all(map(np.shares_memory, (c3, g3, s3), (c1, g1, s1)))
-        assert scratch.arrays["noise"].shape == (17, frame[1].size, 2)
         small = Receiver.build(colocated_scenario(ref_rx.sc),
                                SyncErrors.zeros(2, 1)).frame()
         assert small[1].size < frame[1].size
         c, g, s = montecarlo._coordinate_block(*small, cfg, 0, scratch)
+        w = small[0].x.size
+        assert (c.shape, g.shape, s.shape) == (
+            (BLOCK_TRIALS, 1, 1, w), (BLOCK_TRIALS,), (BLOCK_TRIALS,))
         assert all(map(np.shares_memory, (c, g, s), (c1, g1, s1)))
-        assert scratch.arrays["noise"].shape == (BLOCK_TRIALS,
-                                                 small[1].size, 2)
+        assert all(map(np.shares_memory, (c, g, s),
+                       [scratch.buffers[name]
+                        for name in ("noise", "outside", "inside")]))
 
     @pytest.mark.parametrize("target", [
         None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],
@@ -1071,9 +1074,11 @@ class TestCoordinates:
         scratch = montecarlo._Scratch()
         c, g, g_span = montecarlo._coordinate_block(crx, signal, inside,
                                                     outside, cfg, 0, scratch)
-        assert scratch.arrays["noise"].shape == (100, w + shared, 2)
         assert c.shape == (100, 1, 1, w)
         assert g.shape == g_span.shape == (100,)
+        assert all(map(np.shares_memory, (c, g, g_span),
+                       [scratch.buffers[name]
+                        for name in ("noise", "outside", "inside")]))
 
     @pytest.mark.parametrize("case", CASES)
     def test_law_matches_full_cube(self, case, ref_scenario,

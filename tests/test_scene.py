@@ -148,7 +148,7 @@ class TestChannelVector:
             n_rx=1, k_pulses=4, pri_s=2e-3, carrier_hz=3e9,
             tau_s=np.zeros((2, 1)), doppler_hz=np.zeros((2, 1)),
             psi_rad=np.zeros((2, 1)), xi=np.ones((2, 1)),
-            sigma2=1.0, target=Swerling1(1.0))
+            target=Swerling1(1.0))
         _, _, h = _model_factors(sc, SyncErrors.zeros(2, 1))
         assert np.allclose(h, 1.0)
 
@@ -181,7 +181,7 @@ class TestModelEquivalence:
             n_rx=1, k_pulses=6, pri_s=2e-3, carrier_hz=3e9,
             tau_s=np.array([[0.4 * tp]]), doppler_hz=np.array([[120.0]]),
             psi_rad=np.array([[0.7]]), xi=np.array([[1.3 * 0.8]]),
-            sigma2=1.0, target=Swerling1(1.0))
+            target=Swerling1(1.0))
         alpha = 0.9 - 0.4j
         x = noise_free_mf_output(sc, SyncErrors.zeros(1, 1), alpha)
         k = np.arange(6)
@@ -277,23 +277,22 @@ class TestLinkBudget:
         # a scenario built from the link budget reproduces the same SNR as
         # one with the gain back-solved from that SNR
         xi = link_budget_xi(5e3, 7e3, 2.0, 2.0, 0.1)
-        sigma2, rho_bar = 1.0, 1.0
-        snr_db = 10 * math.log10(xi ** 2 * rho_bar / sigma2)
-        assert xi_from_snr(snr_db, sigma2, rho_bar) == pytest.approx(xi, rel=1e-12)
+        rho_bar = 1.0
+        snr_db = 10 * math.log10(xi ** 2 * rho_bar)
+        assert xi_from_snr(snr_db, rho_bar) == pytest.approx(xi, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             link_budget_xi(0.0, 1e3, 1.0, 1.0, 0.1)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("snr_db, sigma2, rho_bar", [
-        (np.float64(300.0), 1e300, 1.0),   # the product overflows
-        (np.float64(4000.0), 1.0, 1.0),    # 10 ** (snr / 10) does
-        (np.float64(0.0), 1.0, 1e-310)])   # the division by rho_bar does
-    def test_gain_beyond_a_double_is_a_value_error(self, snr_db, sigma2,
-                                                   rho_bar):
+    @pytest.mark.parametrize("snr_db, rho_bar", [
+        (np.float64(300.0), 1e-300),   # the quotient overflows
+        (np.float64(4000.0), 1.0),     # 10 ** (snr / 10) does
+        (np.float64(0.0), 1e-310)])    # 1 / rho_bar does
+    def test_gain_beyond_a_double_is_a_value_error(self, snr_db, rho_bar):
         with pytest.raises(ValueError, match="channel gain .* overflows"):
-            xi_from_snr(snr_db, sigma2, rho_bar)
+            xi_from_snr(snr_db, rho_bar)
 
 
 class TestValidation:
