@@ -25,13 +25,14 @@ neither ``concurrent.futures`` nor ``logging``.
 Scratch.  Each worker draws its blocks in place into one scratch of its
 own, kept from block to block: one buffer per name, allocated once for
 BLOCK_TRIALS trials at d = 4, of which a block views the Swerling I
-moduli (trials,), the standard normals of the coordinates (trials, d,
-2), scaled in place and read as their complex view, the two energies
-(trials,), and, for a Swerling I run, the product |alpha| s (trials, d,
-2), one einsum pass, added to the coordinates in place.  A block's c, g
-and g_span are views of the scratch.  No block statistic calls BLAS,
-whose own threads would contend with the workers for the CPUs (see
-``analysis.statistic``).
+moduli (trials,), the coordinates (trials, d, 2), read as their complex
+view (standard normals scaled in place, or a one-coordinate Swerling I
+block's real moduli with a zero imaginary half), the two energies
+(trials,), and, for a Swerling I run with d > 1, the product |alpha| s
+(trials, d, 2), one einsum pass, added to the coordinates in place.  A
+block's c, g and g_span are views of the scratch.  No block statistic
+calls BLAS, whose own threads would contend with the workers for the
+CPUs (see ``analysis.statistic``).
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
@@ -57,12 +58,19 @@ Every statistic is a function of |.|^2 of linear forms of y, so
 invariant under a common phase of y, and the circular noise is too: a
 Swerling I block draws the real modulus |alpha| / sqrt(rho_bar) =
 sqrt(Exp(1)) in place of the complex alpha and reads the return at
-amplitude sqrt(rho_bar), so every product stays of order sqrt(SNR).  A
-block therefore draws, in this order, the moduli (Swerling I runs only),
-then d <= 4 complex coordinates per trial (w, plus the shared one where
-the run has it), then the two energies: no (trials, M, N, K) cube.  The
-argument rests on the invariances alone, not on any closed form under
-test.  ``Receiver.frame`` forms this frame.
+amplitude sqrt(rho_bar), so every product stays of order sqrt(SNR).
+Where the frame has one coordinate (d = 1, as on a co-located pair
+without sync errors), every statistic reads it through |y|^2 alone, and
+under Swerling I y = alpha s + CN(0, 1) is CN(0, 1 + rho_bar |s|^2): the
+block takes y real, the unit modulus times hypot(1, |sqrt(rho_bar) s|),
+which has that law of |y|^2 exactly and draws no Gaussian; hypot never
+forms rho_bar |s|^2, so y overflows only where |y| does.  A block
+therefore draws, in this order, the moduli (Swerling I runs only), then
+d <= 4 complex coordinates per trial (w, plus the shared one where the
+run has it; none for a one-coordinate Swerling I block), then the two
+energies: no (trials, M, N, K) cube.  The argument rests on the
+invariances and the Gaussian law of a Swerling I return alone, not on
+any closed form under test.  ``Receiver.frame`` forms this frame.
 
 Every detector of one run sees the same coordinate blocks (common random
 numbers) and reads them through ``analysis.statistic`` on the pair's
@@ -112,7 +120,8 @@ class TrialConfig:
     target return, its amplitude drawn per trial (NonFluctuating holds a
     fixed complex alpha, Swerling1 redraws |alpha|^2 ~ rho_bar Exp(1)
     every trial; see the module docstring for why its phase is not
-    drawn).  (seed, pair) keys the run's random stream; ``simulate``
+    drawn, and why a one-coordinate frame draws no complex noise under
+    it).  (seed, pair) keys the run's random stream; ``simulate``
     gives each (sweep point, system) pair of an experiment its own
     ``pair``.  trials, seed and pair are integers, not bools, and the
     seed lies in [MIN_SEED, MAX_SEED]; anything else raises ValueError.
@@ -192,7 +201,10 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     ``inside`` dimensions, then that of the ``outside`` ones, each into
     an array of ``scratch``.  The return is added in place: the unit
     modulus times sqrt(rho_bar) ``signal`` for Swerling I, formed in one
-    block-sized array, alpha ``signal`` for a fixed target.  g is the
+    block-sized array, alpha ``signal`` for a fixed target.  A Swerling
+    I block with d = 1 draws no normals: its one coordinate is the
+    real modulus times hypot(1, |sqrt(rho_bar) signal|), whose square
+    has the law of |alpha signal + CN(0, 1)|^2.  g is the
     sum of the two energies, and a shared coordinate then adds its
     |.|^2 to it.  With a scratch, c, g and g_span are its arrays;
     without one, fresh arrays.
@@ -207,11 +219,19 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
         modulus = rng.standard_exponential(out=scratch.get("modulus", (nb,)))
         np.sqrt(modulus, out=modulus)
     noise = scratch.get("noise", (nb, d, 2))
-    z = draw_noise(rng, d, (nb,), noise)
+    if isinstance(target, Swerling1) and d == 1:
+        # alpha s + CN(0, 1) is CN(0, 1 + rho_bar |s|^2): the real
+        # modulus times its scale, never forming rho_bar |s|^2
+        scale = math.hypot(1.0, abs(math.sqrt(target.rho_bar) * signal[0]))
+        np.multiply(modulus, scale, out=noise[:, 0, 0])
+        noise[:, 0, 1] = 0.0
+        z = noise.view(np.complex128)[..., 0]
+    else:
+        z = draw_noise(rng, d, (nb,), noise)
     g_span = rng.standard_gamma(inside, out=scratch.get("inside", (nb,)))
     g = rng.standard_gamma(outside, out=scratch.get("outside", (nb,)))
     g += g_span
-    if isinstance(target, Swerling1):
+    if isinstance(target, Swerling1) and d > 1:
         # real times complex, on the float views
         s = (math.sqrt(target.rho_bar) * signal).view(np.float64).reshape(d, 2)
         product = scratch.get("product", (nb, d, 2))

@@ -708,22 +708,28 @@ class TestSimulateCommand:
         # lambda and Pd depend on the SNR alone, and a power-of-two mean
         # RCS scales the gains exactly: the Swerling I blocks draw a unit
         # modulus and read the return at amplitude sqrt(rho_bar), where
-        # a modulus sqrt(rho_bar Exp(1)) overflowed in many trials.  The
-        # exit codes are not compared: this recipe's Wald gate fails by
+        # a modulus sqrt(rho_bar Exp(1)) overflowed in many trials, and a
+        # one-coordinate block (a co-located pair) scales it by
+        # hypot(1, |sqrt(rho_bar) s|), exact at a power of two.  The
+        # exit codes are not compared: these recipes' Wald gates fail by
         # chance at 20000 trials
-        doc = json.loads((RECIPES / "timing_errors.json").read_text())
-        doc["trials"] = 20000
-        tables = []
-        for rho_bar in (1.0, 2.0**1022):
-            doc["scenario"]["target"] = {"model": "swerling1",
-                                         "rho_bar": rho_bar}
-            out = tmp_path / f"{rho_bar}.csv"
-            main(["simulate", "--experiment", write_doc(tmp_path, doc),
-                  "--out", str(out)])
-            tables.append([(r["lambda"], r["pd_analytic"], r["pd_empirical"])
-                           for r in read_csv(out)])
-        assert len(tables[0]) == 21 * 4
-        assert tables[0] == tables[1]
+        for recipe, rows, colocated in (("timing_errors", 21 * 4, 0),
+                                        ("delay_offset_benchmark",
+                                         19 * 2 * 4, 19 * 4)):
+            doc = json.loads((RECIPES / f"{recipe}.json").read_text())
+            doc["trials"] = 20000
+            tables = []
+            for rho_bar in (1.0, 2.0**1022):
+                doc["scenario"]["target"] = {"model": "swerling1",
+                                             "rho_bar": rho_bar}
+                out = tmp_path / f"{recipe}-{rho_bar}.csv"
+                main(["simulate", "--experiment", write_doc(tmp_path, doc),
+                      "--out", str(out)])
+                tables.append([(r["system"], r["lambda"], r["pd_analytic"],
+                                r["pd_empirical"]) for r in read_csv(out)])
+            assert len(tables[0]) == rows
+            assert sum(r[0] == "colocated" for r in tables[0]) == colocated
+            assert tables[0] == tables[1]
 
     def test_trials_one_gives_full_interval(self, tmp_path):
         doc = base_doc(detectors=["NCD"])
@@ -746,19 +752,24 @@ class TestSimulateCommand:
 
     def test_detectors_share_one_stream(self, tmp_path):
         # common random numbers: a detector's empirical Pd does not depend
-        # on which other detectors run on the same sweep point
-        out = {}
-        for tag, dets in (("one", ["NCD"]), ("all", ["NCD", "ACD", "CD",
-                                                      "HD"])):
-            doc = base_doc(detectors=dets, trials=3000, seed=4)
-            doc["sweep"]["points"] = 2
-            exp = write_doc(tmp_path, doc, f"{tag}.json")
-            path = tmp_path / f"{tag}.csv"
-            main(["simulate", "--experiment", exp, "--out", str(path)])
-            out[tag] = [r["pd_empirical"] for r in read_csv(path)
-                        if r["detector"] == "NCD"]
-        assert len(out["one"]) == 2
-        assert out["one"] == out["all"]
+        # on which other detectors run on the same sweep point, on a
+        # distributed pair and on a co-located one, whose block draws
+        # no Gaussian and whose HD row is an error row
+        for colocated, rows in ((False, 2), (True, 4)):
+            out = {}
+            for tag, dets in (("one", ["NCD"]),
+                              ("all", ["NCD", "ACD", "CD", "HD"])):
+                doc = base_doc(detectors=dets, trials=3000, seed=4,
+                               colocated_benchmark=colocated)
+                doc["sweep"]["points"] = 2
+                exp = write_doc(tmp_path, doc, f"{tag}.json")
+                path = tmp_path / f"{tag}.csv"
+                main(["simulate", "--experiment", exp, "--out", str(path)])
+                out[tag] = [(r["system"], r["pd_empirical"])
+                            for r in read_csv(path) if r["detector"] == "NCD"]
+            assert len(out["one"]) == rows
+            assert sum(s == "colocated" for s, _ in out["one"]) == rows - 2
+            assert out["one"] == out["all"]
 
     def test_negative_delay_estimate_gives_error_rows(self, tmp_path,
                                                       pool_spy):

@@ -1,6 +1,7 @@
 """Tests for the seeded trial engine."""
 
 import json
+import math
 import os
 import sys
 import threading
@@ -652,6 +653,41 @@ class TestScratch:
                  montecarlo._coordinate_block(crx, signal, inside, outside,
                                               cfg, j, scratch)],
                 [(c, g, g_span), (c, g, g_span)])
+
+    def test_one_coordinate_swerling_block_draws_no_normal(
+            self, ref_scenario):
+        # a one-coordinate frame (a co-located pair) under Swerling I:
+        # alpha s + CN(0, 1) is CN(0, 1 + rho_bar |s|^2), so fresh
+        # arrays drawn in this order give each block bit for bit, a
+        # full block and a partial one: the unit moduli sqrt(Exp(1)),
+        # which scale to the real coordinate modulus
+        # hypot(1, |sqrt(rho_bar) s|), then the energy inside the spans,
+        # then the energy outside, to which the inside energy adds
+        rx = Receiver.build(colocated_scenario(ref_scenario),
+                            SyncErrors.zeros(2, 1))
+        crx, signal, inside, outside = rx.frame()
+        assert signal.size == crx.x.size == 1
+        cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
+                          target_draw=Swerling1(4.0))
+        scale = math.hypot(1.0, abs(2.0 * signal[0]))
+        scratch = montecarlo._Scratch()
+        # an earlier block's values, which this block must overwrite
+        scratch.get("noise", (BLOCK_TRIALS, 4, 2)).fill(np.nan)
+        for j, nb in enumerate([BLOCK_TRIALS, 17]):
+            rng = _block_rng(8, 2, j)
+            y = np.sqrt(rng.standard_exponential(nb)) * scale
+            g_span = rng.standard_gamma(inside, nb)
+            g = rng.standard_gamma(outside, nb) + g_span
+            c = (y + 0j).reshape(nb, 1, 1, 1)
+            blocks = [montecarlo._coordinate_block(crx, signal, inside,
+                                                   outside, cfg, j),
+                      montecarlo._coordinate_block(crx, signal, inside,
+                                                   outside, cfg, j, scratch)]
+            assert_same_bits(blocks, [(c, g, g_span), (c, g, g_span)])
+            assert all(np.all(block[0].imag == 0.0) for block in blocks)
+            assert all(map(np.shares_memory, blocks[1],
+                           [scratch.buffers[name]
+                            for name in ("noise", "outside", "inside")]))
 
     def test_block_without_scratch_is_fresh(self, ref_rx):
         frame = ref_rx.frame()
