@@ -125,10 +125,13 @@ def law(det: DetectorKind, K: int, M: int, N: int,
 class Receiver:
     """Everything the detectors read at one (sweep point, system) pair,
     built once: the scenario, varsigma, the rank of each receiver's
-    Doppler steering S_hat_n (N,), and per path, in one frame, the return
-    x at unit amplitude, the ACD phasors exp(j theta_hat), the CD
-    templates and the orthonormal basis of span S_hat_n (M, N, K, r_S)
-    from ``detectors.steering_span``, which HD projects onto.  ``build``
+    Doppler steering S_hat_n (N,), per path, in one frame, the return x
+    at unit amplitude, the ACD phasors exp(j theta_hat) and the CD
+    templates, and per receiver the orthonormal basis (N, K, r_S) of
+    span S_hat_n from ``detectors.steering_span``, which HD projects
+    every path of that receiver onto.  The basis and the phasors are
+    cached read-only arrays, shared by every build with the same
+    steering and the same theta_hat, as along an SNR sweep.  ``build``
     gives the K-sample frame, and ``frame`` the Monte Carlo frame: the
     receiver in at most three coordinates, where ``span`` is None, with
     the return's coordinates and the dimensions left to two energies."""
@@ -154,15 +157,15 @@ class Receiver:
             varsigma = float(np.sum(np.abs(templates) ** 2))
         return cls(sc=sc, x=noise_free_mf_output(sc, err, 1.0),
                    varsigma=varsigma,
-                   phasors=np.exp(1j * comp.theta_hat),
-                   templates=templates,
-                   span=np.broadcast_to(u, (sc.m_tx,) + u.shape), rank=rank)
+                   phasors=_phasors(comp.theta_hat.tobytes(),
+                                    comp.theta_hat.shape),
+                   templates=templates, span=u, rank=rank)
 
     def coordinates(self, y) -> np.ndarray:
         """The span coordinates (..., M, N, r_S) of a cube (M, N, K) or a
         batch of them: per path, y's inner products with the columns of
-        ``self.span``."""
-        return np.einsum("mnkr,...mnk->...mnr", np.conj(self.span), y)
+        its receiver's basis in ``self.span``."""
+        return np.einsum("nkr,...mnk->...mnr", np.conj(self.span), y)
 
     def frame(self) -> tuple["Receiver", np.ndarray, int, int]:
         """The Monte Carlo frame (crx, signal, inside, outside): the
@@ -172,9 +175,9 @@ class Receiver:
         left to the energy inside the spans and to the energy outside.
 
         W is spanned by x, the ACD phasors and the CD templates, each
-        flattened to its M N r_S coordinates in ``self.span``.  Their
-        nonzero columns, each scaled by ``_unit_scale`` so that a return
-        beyond a double keeps its exact frame, give W's w <= 3
+        flattened to its M N r_S coordinates in the bases ``self.span``.
+        Their nonzero columns, each scaled by ``_unit_scale`` so that a
+        return beyond a double keeps its exact frame, give W's w <= 3
         orthonormal columns through ``detectors._basis``.  In ``crx``
         the three are their coordinates in W, as (1, 1, w) arrays, and
         the span is None; ``inside`` is the M N r_S - w span dimensions
@@ -184,10 +187,11 @@ class Receiver:
         is M N (K - r_S) - 1, else M N (K - r_S).  Where ||x||^2
         overflows a double, both norms are taken at x scaled to unit
         size."""
-        M, N, K, r = self.span.shape
+        N, K, r = self.span.shape
+        M = self.x.shape[0]
         read = [self.coordinates(v).ravel()
                 for v in (self.x, self.phasors, self.templates)]
-        x_perp = self.x - np.einsum("mnkr,mnr->mnk", self.span,
+        x_perp = self.x - np.einsum("nkr,mnr->mnk", self.span,
                                     read[0].reshape(M, N, r))
         with np.errstate(over="ignore"):  # an infinite norm is rescaled
             e, norm = np.linalg.norm(x_perp), np.linalg.norm(self.x)
@@ -209,6 +213,15 @@ class Receiver:
         """The detector's chi-square law (p, c) at this pair."""
         return law(det, self.sc.k_pulses, self.sc.m_tx, self.sc.n_rx,
                    self.varsigma)
+
+
+# keyed and bounded like scene._steering: theta_hat does not depend on
+# the SNR, so a sweep over it evaluates each system's phasors once
+@functools.lru_cache(maxsize=8)
+def _phasors(theta_bytes, shape):
+    phasors = np.exp(1j * np.frombuffer(theta_bytes).reshape(shape))
+    phasors.flags.writeable = False
+    return phasors
 
 
 def statistic(det: DetectorKind, rx: Receiver):

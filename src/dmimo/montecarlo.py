@@ -40,12 +40,13 @@ y_mn = alpha x_mn + w_mn, with w white circular Gaussian noise of unit
 power, the unit of every energy.  The detectors read y in four ways
 only: NCD its energy, HD its energy in the spans S_hat_n, and ACD and CD
 one linear form each, on the phasors and on the templates, which lie in
-those spans.  With B_n the receiver's orthonormal basis ``Receiver.span`` of
-span S_hat_n (r_S columns, the largest rank over the receivers) and W
-the span of the coordinates of x, the phasors and the templates in it
-(w <= 3 dimensions), every statistic is an exact function of y's w
-coordinates in W, of the energy g_span of its other M N r_S - w span
-coordinates, and of the energy outside the spans, summed over paths.
+those spans.  With B_n the receiver's orthonormal basis of span S_hat_n
+(``Receiver.span[n]``, shared by the receiver's M paths; r_S columns,
+the largest rank over the receivers) and W the span of the coordinates
+of x, the phasors and the templates in it (w <= 3 dimensions), every
+statistic is an exact function of y's w coordinates in W, of the
+energy g_span of its other M N r_S - w span coordinates, and of the
+energy outside the spans, summed over paths.
 White Gaussian noise is invariant under unitary maps, so its
 coordinates in W are CN(0, I), and the noise in the rest of the spans
 and outside them is independent of them and invariant under any unitary
@@ -71,6 +72,19 @@ run has it; none for a one-coordinate Swerling I block), then the two
 energies: no (trials, M, N, K) cube.  The argument rests on the
 invariances and the Gaussian law of a Swerling I return alone, not on
 any closed form under test.  ``Receiver.frame`` forms this frame.
+The noise is white by assumption, here as in the closed forms.  The M
+matched filters at one receiver filter the same received noise, so two
+of them are correlated by their pulses' cross-ambiguity at the
+difference of their sampling delays, |rho| = |chi(tau_hat_mn -
+tau_hat_m'n, f_hat_m'n - f_hat_mn)|, which neither models.  The true
+false-alarm rate at the 1e-4 thresholds under that correlation, by
+quadrature:
+
+    waveform set, delays                 |rho|    NCD Pfa   HD Pfa
+    single_band, reference (0.61, 0.10)  0.442    4.1e-4    4.6e-4
+    single_band, worst on a grid         0.475    4.8e-4    5.3e-4
+    multi_band (eta = 3), reference      0.0075   1.0e-4    1.0e-4
+    multi_band, worst on a grid          0.118    1.15e-4   1.2e-4
 
 Every detector of one run sees the same coordinate blocks (common random
 numbers) and reads them through ``analysis.statistic`` on the pair's

@@ -6,11 +6,16 @@ Everything here is scalar, pure, and thread-safe.  All probabilities are
 computed in natural (not log) scale.  The tests pin the inverse incomplete
 gamma to 1e-12 relative against scipy for q from 1e-15 to 0.999 and orders
 up to 4096; Marcum-Q to 1e-10 relative against the noncentral chi-square
-tail for orders up to 1024 and values down to 1e-15, and to a per-term
-Poisson sum for orders up to 4096; and the Fresnel integrals to 1e-13
-absolute against scipy for |x| <= 200.  Marcum-Q costs one incomplete
-gamma per call, so its accuracy is that gamma's: about 1e-11 relative at
-order 4096, where rounding s log x leaves a few 1e-12.  The incomplete
+tail for orders up to 1024 and values down to 1e-15, to a per-term
+Poisson sum for orders up to 4096, and bit for bit on a grid of orders
+1 to 4096 and noncentralities a^2 from 0 to 1e4; and the Fresnel
+integrals to 1e-13 absolute against scipy for |x| <= 200.  Marcum-Q
+costs one incomplete gamma per call, so its accuracy is that gamma's:
+about 1e-11 relative at order 4096, where rounding s log x leaves a few
+1e-12.  Its upward walk takes at most _MAX_ITER terms and raises
+ValueError where they end short of its stopping rule (from a^2 of about
+2.7e6, or 1.3e5 where every term is zero) rather than return a
+truncated sum.  The incomplete
 gamma's power series and prefactor also give ``analysis`` its Swerling I
 average (DLMF 8.5.1).
 """
@@ -166,12 +171,6 @@ def inv_reg_upper_gamma(s: float, q: float) -> float:
     return x
 
 
-def _geometric_tail(term: float, ratio: float) -> float:
-    # Bound on the rest of a positive series whose term ratios never
-    # exceed `ratio`, given its last term.
-    return term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-
-
 def marcum_q(m: int, a: float, b: float) -> Probability:
     """Generalized Marcum-Q function Q_m(a, b) for integer order m >= 1.
 
@@ -189,6 +188,10 @@ def marcum_q(m: int, a: float, b: float) -> Probability:
     ACM TOMS 40, 2014), adding the step going up and subtracting it going
     down.  Each direction stops once a bound on its remaining terms falls
     below 1e-17 of the running sum, so deep tails keep their digits.
+    Raises ValueError where the upward walk has not stopped after
+    _MAX_ITER terms: from a^2 of about 2.7e6, or of about 1.3e5 where
+    every term so far is zero, since the Poisson mass left then still
+    exceeds 1e-17 of a sum of zero.
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"Marcum-Q order must be an integer >= 1, got {m!r}")
@@ -205,42 +208,51 @@ def marcum_q(m: int, a: float, b: float) -> Probability:
         return Probability(reg_upper_gamma(m, x))
 
     # The terms w_k Q(m + k, x) are log-concave in k (Poisson weights
-    # times a Poisson CDF), so their ratios only shrink along either walk,
-    # and once a ratio is below 1 the rest is a geometric tail.  Going up,
-    # the Poisson mass left (Q <= 1) bounds it too, which ends walks whose
-    # terms underflow to zero.
-    log_lam, log_x = math.log(lam), math.log(x)
+    # times a Poisson CDF), so their ratios r only shrink along either
+    # walk, and once r < 1 the rest is below the geometric tail
+    # term r / (1 - r).  Going up, the Poisson mass left (Q <= 1) bounds
+    # it too, which ends walks whose terms underflow to zero.
+    exp, log = math.exp, math.log
+    log_lam, log_x = log(lam), log(x)
     k0 = int(lam)
     # first, so an order from 2**53 on is rejected before lgamma sees it
     q0 = reg_upper_gamma(m + k0, x)
     log_w0 = -lam + k0 * log_lam - math.lgamma(k0 + 1)
     # log of the step x^s e^-x / Gamma(s + 1) at s = m + k0
     log_t0 = (m + k0) * log_x - x - math.lgamma(m + k0 + 1)
-    term0 = math.exp(log_w0) * q0
+    term0 = exp(log_w0) * q0
     total = term0
 
     q, log_w, log_t, prev = q0, log_w0, log_t0, term0
     for k in range(k0 + 1, k0 + _MAX_ITER):
-        q += math.exp(log_t)
-        log_t += log_x - math.log(m + k)
-        log_w += log_lam - math.log(k)
-        w = math.exp(log_w)
+        q += exp(log_t)
+        log_t += log_x - log(m + k)
+        log_w += log_lam - log(k)
+        w = exp(log_w)
         term = w * q
         total += term
-        rest = min(_geometric_tail(term, term / prev if prev else math.inf),
-                   _geometric_tail(w, lam / (k + 1)))
-        if rest <= 1e-17 * total:
+        r = term / prev if prev else math.inf
+        r_w = lam / (k + 1)
+        if (r < 1.0 and term * r / (1.0 - r) <= 1e-17 * total
+                or r_w < 1.0 and w * r_w / (1.0 - r_w) <= 1e-17 * total):
             break
         prev = term
+    else:
+        raise ValueError(f"Marcum-Q series at noncentrality a^2 = "
+                         f"{2.0 * lam!r} does not converge in {_MAX_ITER} "
+                         "terms")
 
     q, log_w, log_t, prev = q0, log_w0, log_t0, term0
     for k in range(k0 - 1, -1, -1):
-        log_t -= log_x - math.log(m + k + 1)
-        q = max(0.0, q - math.exp(log_t))
-        log_w -= log_lam - math.log(k + 1)
-        term = math.exp(log_w) * q
+        log_t -= log_x - log(m + k + 1)
+        q = max(0.0, q - exp(log_t))
+        log_w -= log_lam - log(k + 1)
+        term = exp(log_w) * q
         total += term
-        if term == 0.0 or _geometric_tail(term, term / prev) <= 1e-17 * total:
+        if term == 0.0:
+            break
+        r = term / prev
+        if r < 1.0 and term * r / (1.0 - r) <= 1e-17 * total:
             break
         prev = term
     return Probability(min(1.0, total))

@@ -244,10 +244,10 @@ def coordinate_frame(rx: Receiver):
     ``Receiver.frame`` must match bit for bit, with the same einsums,
     the same column scaling, the same rank routine, the same overflow
     rescale and the same floating-point order."""
-    M, N, K, r = rx.span.shape
+    (N, K, r), M = rx.span.shape, rx.x.shape[0]
     spans = [rx.coordinates(v).ravel()
              for v in (rx.x, rx.phasors, rx.templates)]
-    x_perp = rx.x - np.einsum("mnkr,mnr->mnk", rx.span,
+    x_perp = rx.x - np.einsum("nkr,mnr->mnk", rx.span,
                               spans[0].reshape(M, N, r))
     with np.errstate(over="ignore"):  # an infinite norm is rescaled
         e, norm = np.linalg.norm(x_perp), np.linalg.norm(rx.x)

@@ -21,6 +21,8 @@ from dmimo.analysis import (
     pfa,
     threshold,
 )
+from dmimo.detectors import CompensationSet
+from dmimo.experiments import parse_experiment, scenario_at
 from dmimo.presets import ETA, KAPPA, reference_scenario
 from dmimo.scene import (
     Scenario,
@@ -359,6 +361,26 @@ class TestPdSwerling1:
                         2.0 * g / scale, 2 * order, lam_prime * r),
                     0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
                 assert closed == pytest.approx(want, rel=1e-12)
+
+
+class TestReceiverBuild:
+    def test_phasors_shared_across_snrs(self):
+        # theta_hat does not depend on the SNR, so the builds at two
+        # points of an snr_db sweep share one read-only phasor array,
+        # bit for bit the exp(j theta_hat) of a fresh compensation set
+        spec = parse_experiment({
+            "scenario": {"waveform_set": "multi_band"},
+            "errors": {"df_hz": [[3.0], [-2.0]], "dp_rad": [[0.1], [0.2]]},
+            "sweep": {"variable": "snr_db", "start": -4.0, "stop": 4.0,
+                      "points": 2},
+            "pfa_target": 1e-4})
+        scs = [scenario_at(spec, v) for v in spec.sweep_values]
+        low, high = (Receiver.build(sc, spec.errors) for sc in scs)
+        assert not np.array_equal(low.x, high.x)
+        assert low.phasors is high.phasors
+        assert not low.phasors.flags.writeable
+        theta = CompensationSet.from_scenario(scs[0], spec.errors).theta_hat
+        assert low.phasors.tobytes() == np.exp(1j * theta).tobytes()
 
 
 class TestAnalyzeDetector:

@@ -451,6 +451,29 @@ class TestAnalyzeCommand:
                     assert float(got[column]) == pytest.approx(
                         float(want[column]), rel=1e-12, abs=0.0)
 
+    def test_marcum_walk_short_of_its_rule_gives_error_rows(self, tmp_path):
+        # from 50 to 70 dB the noncentralities run from 4.9e6 to 4.9e8,
+        # beyond what Marcum-Q's 10,000-term walk covers: each row is an
+        # error row, where it once printed the truncated sums
+        # 0.999999999815, 0.978246200985 and 0.738390809182 for NCD, whose
+        # Pd is 1 to double precision
+        doc = base_doc(detectors=["NCD", "ACD"],
+                       sweep={"variable": "snr_db", "start": 50.0,
+                              "stop": 70.0, "points": 3})
+        doc["scenario"]["target"] = {"model": "fixed", "alpha_re": 1.0,
+                                     "alpha_im": 0.0}
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [(r["sweep_value"], r["detector"]) for r in rows] == [
+            (v, d) for v in ("50", "60", "70") for d in ("NCD", "ACD")]
+        for r in rows:
+            assert r["error"].startswith("Marcum-Q series at noncentrality "
+                                         "a^2 = ")
+            assert r["error"].endswith(" does not converge in 10000 terms")
+            assert r["pd_analytic"] == r["lambda"] == r["gamma"] == ""
+
     def test_cd_of_a_strong_fixed_target(self, tmp_path):
         # without sync errors CD's lambda is NCD's.  CD's T(x) = |v^H x|^2
         # grows as xi^4 and its c as xi^2, and the gains back-solved for

@@ -52,13 +52,13 @@ def single_tx_scenario(xi=1.3 * 0.8):
 
 def span_hd(y, S):
     """The package's HD on paths (M, 1, K) of one RX with Doppler steering
-    S (K, M'): ``statistic`` on a receiver whose per-path span basis is
-    that of ``steering_span``, the energy of each path's coordinates."""
+    S (K, M'): ``statistic`` on a receiver whose span basis is that of
+    ``steering_span``, the energy of each path's coordinates."""
     u, rank = steering_span(S[None])
     M, _, K = y.shape[-3:]
     rx = Receiver(sc=SimpleNamespace(m_tx=M, k_pulses=K), x=None,
-                  varsigma=0.0, phasors=None, templates=None,
-                  span=np.broadcast_to(u, (M,) + u.shape), rank=rank)
+                  varsigma=0.0, phasors=None, templates=None, span=u,
+                  rank=rank)
     return statistic(DetectorKind.HD, rx)(y)
 
 
@@ -191,17 +191,21 @@ class TestHd:
         twice = span_hd(y_proj, S)
         assert abs(twice - once) <= 1e-12 * once
 
-    def test_basis_must_be_per_path(self, ref_scenario, zero_err):
-        # the receiver holds one basis per path (M, N, K, r_S), and maps
-        # a cube or a batch to (..., M, N, r_S); one (N, K, r_S) basis
-        # per receiver is the oracle's form, not the package's
+    def test_basis_is_per_receiver(self, ref_scenario, zero_err):
+        # the receiver holds the one read-only basis (N, K, r_S) that
+        # steering_span gives, shared by the M paths of each receiver,
+        # and maps a cube or a batch to (..., M, N, r_S); a basis per
+        # path (M, N, K, r_S) is not the receiver's form
         rx = Receiver.build(ref_scenario, zero_err)
-        assert rx.span.shape == (2, 1, 12, 2)
+        S_hat = CompensationSet.from_scenario(ref_scenario, zero_err).S_hat
+        assert rx.span is steering_span(S_hat)[0]
+        assert rx.span.shape == (1, 12, 2) and not rx.span.flags.writeable
         y = np.zeros((5, 2, 1, 12), dtype=complex)
         assert rx.coordinates(y).shape == (5, 2, 1, 2)
         assert rx.coordinates(y[0]).shape == (2, 1, 2)
+        per_path = np.broadcast_to(rx.span, (2,) + rx.span.shape)
         with pytest.raises(ValueError):
-            replace(rx, span=rx.span[0]).coordinates(y)
+            replace(rx, span=per_path).coordinates(y)
 
     def test_k_below_m_rejected(self):
         # K = 1 pulse leaves room for one of the M = 2 Doppler columns
@@ -332,7 +336,7 @@ def abs_squared_forms(y, rx=None, theta=None):
     np.abs(...) ** 2, keyed by the statistic they check: NCD, the CD
     correlation against the receiver's templates and phasors (ACD in
     coordinates), ACD on the compensation phases, and HD on the
-    receiver's per-path span bases.  A batch of coordinates in W, whose
+    receiver's span bases.  A batch of coordinates in W, whose
     receiver holds no span, is HD's projection as it stands (with no
     energy g_span added): the coordinates are coefficients in an
     orthonormal basis."""
@@ -341,7 +345,7 @@ def abs_squared_forms(y, rx=None, theta=None):
 
     coeffs = y
     if rx.span is not None:
-        coeffs = np.einsum("mnkj,tmnk->tmnj", np.conj(rx.span), y)
+        coeffs = np.einsum("nkj,tmnk->tmnj", np.conj(rx.span), y)
     forms = {"ncd": np.sum(np.abs(y) ** 2, axis=(-3, -2, -1)),
              "cd": cd(rx.templates), "cd_phasors": cd(rx.phasors),
              "hd": np.sum(np.abs(coeffs) ** 2, axis=(1, 2, 3))}
@@ -414,9 +418,9 @@ class TestEnergyForm:
         # the rounding of the bases' orthonormality: W's basis q in the
         # span coordinates, and the span bases in the K samples
         q = coordinate_frame(rx)[-1]
-        M, N, _, r = rx.span.shape
-        span = (c.reshape(len(c), -1) @ q.T).reshape(-1, M, N, r)
-        cubes = np.einsum("mnkj,tmnj->tmnk", rx.span, span)
+        N, _, r = rx.span.shape
+        span = (c.reshape(len(c), -1) @ q.T).reshape(-1, sc.m_tx, N, r)
+        cubes = np.einsum("nkj,tmnj->tmnk", rx.span, span)
         np.testing.assert_allclose(
             got["hd"], statistic(DetectorKind.HD, rx)(cubes), rtol=1e-13,
             atol=0)

@@ -869,8 +869,8 @@ class TestCoordinates:
         rx, comp, y = random_case(seed, random_scenario)
         basis = rx.span
         crx, signal, inside, outside, q = coordinate_frame(rx)
-        M, N, K, r = basis.shape
-        gram = np.einsum("mnkr,mnks->mnrs", np.conj(basis), basis)
+        M, (N, K, r) = rx.sc.m_tx, basis.shape
+        gram = np.einsum("nkr,nks->nrs", np.conj(basis), basis)
         assert np.allclose(gram, np.eye(r), atol=1e-12)
         assert r <= min(K, M)
         w = q.shape[1]
@@ -880,7 +880,7 @@ class TestCoordinates:
         assert shared in (0, 1)
         assert (inside, outside) == (M * N * r - w,
                                      M * N * (K - r) - shared)
-        span = np.einsum("mnkr,tmnk->tmnr", np.conj(basis), y)
+        span = np.einsum("nkr,tmnk->tmnr", np.conj(basis), y)
         c = (span.reshape(len(y), -1) @ np.conj(q)).reshape(-1, 1, 1, w)
         energy = np.sum(np.abs(y) ** 2, axis=(1, 2, 3))
         g_span = np.sum(np.abs(span) ** 2, axis=(1, 2, 3))
@@ -919,7 +919,7 @@ class TestCoordinates:
             assert np.any(rx.rank < M)
             return
         assert rx.rank.tolist() == [M] * rx.sc.n_rx
-        u = rx.span[0]  # (N, K, M): the paths of a receiver share it
+        u = rx.span  # (N, K, M): the paths of a receiver share it
         np.testing.assert_allclose(
             u @ np.conj(u).swapaxes(-1, -2), q @ np.conj(q).swapaxes(-1, -2),
             rtol=0, atol=1e-12)
@@ -946,7 +946,7 @@ class TestCoordinates:
         # one span coordinate per path, and x, the phasors and the
         # templates all along one direction of the two
         rx = Receiver.build(colocated_scenario(ref_scenario), zero_err)
-        assert rx.span.shape == (2, 1, 12, 1)
+        assert rx.span.shape == (1, 12, 1)
         _, signal, inside, outside = rx.frame()
         assert (signal.size, inside, outside) == (1, 1, 2 * 11)
 

@@ -17,6 +17,18 @@ the root of the checkout with
     done
 
 and explain the changed cells where the change is recorded.
+
+No recipe has M or N above 2, so `tests/data/analytic_array_seed1.csv`
+pins, by the same cell rule, `dmimo analyze` on an array document at
+M = N = 8, K = 64, `tests/data/analytic_array_seed1.json`, which is the
+benchmark's analytic_array document at seed 1, written once with
+
+    python -c "import sys; sys.path.insert(0, 'benchmark'); \\
+        import workloads as w; sys.stdout.buffer.write( \\
+        w.experiment_bytes(w.generate('analytic_array', 1)))" \\
+        > tests/data/analytic_array_seed1.json
+
+and its CSV regenerates as a recipe's does.
 """
 
 import csv
@@ -33,7 +45,9 @@ from dmimo.experiments import load_experiment
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = sorted((ROOT / "recipes").glob("*.json"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-EXPECTED = Path(__file__).resolve().parent / "data" / "analyze"
+DATA = Path(__file__).resolve().parent / "data"
+EXPECTED = DATA / "analyze"
+ARRAY = DATA / "analytic_array_seed1"
 
 
 def _rows(path):
@@ -54,12 +68,11 @@ def test_every_recipe_is_pinned():
         [p.stem for p in RECIPES]
 
 
-@pytest.mark.parametrize("recipe", RECIPES, ids=lambda p: p.stem)
-def test_analyze_matches_pinned_csv(recipe, tmp_path):
+def _analyze_matches(experiment, pinned, tmp_path):
     out = tmp_path / "out.csv"
-    assert main(["analyze", "--experiment", str(recipe),
+    assert main(["analyze", "--experiment", str(experiment),
                  "--out", str(out)]) == 0
-    got, want = _rows(out), _rows(EXPECTED / f"{recipe.stem}.csv")
+    got, want = _rows(out), _rows(pinned)
     assert got[0] == want[0]
     assert len(got) == len(want)
     for line, (g_row, w_row) in enumerate(zip(got, want), start=1):
@@ -71,6 +84,18 @@ def test_analyze_matches_pinned_csv(recipe, tmp_path):
                 assert g == w, where
             else:
                 assert math.isclose(g_num, w_num, rel_tol=1e-10), where
+
+
+@pytest.mark.parametrize("recipe", RECIPES, ids=lambda p: p.stem)
+def test_analyze_matches_pinned_csv(recipe, tmp_path):
+    _analyze_matches(recipe, EXPECTED / f"{recipe.stem}.csv", tmp_path)
+
+
+def test_analyze_matches_pinned_array_csv(tmp_path):
+    # per-receiver span bases, HD of order N M^2 = 512 and Marcum-Q at
+    # order 4096, at the paper's array scale
+    _analyze_matches(ARRAY.with_suffix(".json"), ARRAY.with_suffix(".csv"),
+                     tmp_path)
 
 
 def test_every_recipe_and_demo_runs_clean(tmp_path):

@@ -23,6 +23,70 @@ from dmimo.specfun import (
 )
 from oracles import marcum_q_per_term
 
+# Marcum-Q's bits on a grid of orders m and noncentralities lambda = a^2
+# (analytic_array's rows reach lambda = 1008), at two thresholds b: the
+# Pfa 1e-4 threshold sqrt(2 q), q = inv_reg_upper_gamma(m, 1e-4), held
+# here as its bits, and the H1 mean, b = sqrt(2 m + lambda).  Per order:
+# (b at Pfa 1e-4, [(Q at Pfa 1e-4, Q at the mean) per lambda]).
+MARCUM_LAMBDAS = (0.0, 0.01, 0.5, 3.7, 24.0, 100.0, 1008.0, 4096.0, 1e4)
+MARCUM_PINS = {
+    1: ('0x1.12af03c69eb28p+2', [
+        ('0x1.a36e2eb1c4333p-14', '0x1.78b56362cef36p-2'),
+        ('0x1.b6eba29ed467fp-14', '0x1.78b5fc7ddf1efp-2'),
+        ('0x1.d6752f9e86d87p-12', '0x1.7cc8da493d831p-2'),
+        ('0x1.cc93ebf75a9f9p-7', '0x1.a638251b17ebbp-2'),
+        ('0x1.86cd54679583ep-1', '0x1.d77d535d9ba02p-2'),
+        ('0x1.ffffffe062818p-1', '0x1.ebb7ab8add7d1p-2'),
+        ('0x1.ffffffffffaa3p-1', '0x1.f9922bc2a0883p-2'),
+        ('0x1.0000000000000p+0', '0x1.fccf1b830ef81p-2'),
+        ('0x1.0000000000000p+0', '0x1.fdf522aa3739cp-2'),
+    ]),
+    4: ('0x1.690ff10f8606bp+2', [
+        ('0x1.a36e2eb1c4336p-14', '0x1.bbdf975b12a2ep-2'),
+        ('0x1.aa57a6f2c35e6p-14', '0x1.bbdf9f86695d2p-2'),
+        ('0x1.b23ea8af29a68p-13', '0x1.bc24905ae6173p-2'),
+        ('0x1.bb584f809ce67p-9', '0x1.c2a556bdfdf0dp-2'),
+        ('0x1.e1acfe448e524p-2', '0x1.db14ecd75c760p-2'),
+        ('0x1.ffffe7eb86ccep-1', '0x1.ec3439e7cbc95p-2'),
+        ('0x1.ffffffffffaa3p-1', '0x1.f9963c5e6933bp-2'),
+        ('0x1.0000000000000p+0', '0x1.fccf9b0514c75p-2'),
+        ('0x1.0000000000000p+0', '0x1.fdf5441d41d85p-2'),
+    ]),
+    24: ('0x1.34f68edfbaf4bp+3', [
+        ('0x1.a36e2eb1c4310p-14', '0x1.e432b796b3886p-2'),
+        ('0x1.a592828973511p-14', '0x1.e432b7b3ba3d3p-2'),
+        ('0x1.0d46271cfc10bp-13', '0x1.e433ca36f35a8p-2'),
+        ('0x1.12de33e0a5e9bp-11', '0x1.e4631027f53a0p-2'),
+        ('0x1.2307226c5d350p-4', '0x1.e765b9fcdd900p-2'),
+        ('0x1.fe67c1724c874p-1', '0x1.eed33629029ebp-2'),
+        ('0x1.ffffffffffaa3p-1', '0x1.f9b0b3b626c01p-2'),
+        ('0x1.0000000000000p+0', '0x1.fcd2e8178cbfep-2'),
+        ('0x1.0000000000000p+0', '0x1.fdf622924d80ap-2'),
+    ]),
+    512: ('0x1.153be5c7a8063p+5', [
+        ('0x1.a36e2eb1c49f9p-14', '0x1.f9fb5ea27a9c8p-2'),
+        ('0x1.a3d15593ca1dep-14', '0x1.f9fb5ea27e8dap-2'),
+        ('0x1.b734a47a677eap-14', '0x1.f9fb5ec673803p-2'),
+        ('0x1.25c82c5a421d1p-13', '0x1.f9fb66401dac1p-2'),
+        ('0x1.9118e7c8a6013p-11', '0x1.f9fc8b212d96ap-2'),
+        ('0x1.feec339a97fc0p-5', '0x1.fa0bb2f873ab2p-2'),
+        ('0x1.ffffffffffaa3p-1', '0x1.fb594e34da883p-2'),
+        ('0x1.0000000000000p+0', '0x1.fd1a3434830ecp-2'),
+        ('0x1.0000000000000p+0', '0x1.fe0a441525584p-2'),
+    ]),
+    4096: ('0x1.7497e1a1efd67p+6', [
+        ('0x1.a36e2eb1c1722p-14', '0x1.fddf4f6096ddep-2'),
+        ('0x1.a39009e67d501p-14', '0x1.fddf4f60a818ap-2'),
+        ('0x1.aa1743b03fb60p-14', '0x1.fddf4f60d49fap-2'),
+        ('0x1.d71ce18d3b884p-14', '0x1.fddf4f6b73020p-2'),
+        ('0x1.b69dcbf271095p-13', '0x1.fddf5127ac746p-2'),
+        ('0x1.bd5f2c7e44b60p-10', '0x1.fddf6d4f01ffap-2'),
+        ('0x1.fff367315e62ap-1', '0x1.fde7ddfe2de85p-2'),
+        ('0x1.0000000000000p+0', '0x1.fe1e8de65d30ep-2'),
+        ('0x1.0000000000000p+0', '0x1.fe723b45774f1p-2'),
+    ]),
+}
+
 
 class TestProbability:
     def test_accepts_in_range(self):
@@ -191,6 +255,30 @@ class TestMarcumQ:
 
     def test_large_noncentrality_saturates(self):
         assert marcum_q(24, 40.0, 10.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", sorted(MARCUM_PINS))
+    def test_bits_pinned(self, m):
+        b_pfa, values = MARCUM_PINS[m]
+        b_pfa = float.fromhex(b_pfa)
+        assert len(values) == len(MARCUM_LAMBDAS)
+        for lam, (at_pfa, at_mean) in zip(MARCUM_LAMBDAS, values):
+            a, b_mean = math.sqrt(lam), math.sqrt(2 * m + lam)
+            assert float(marcum_q(m, a, b_pfa)).hex() == at_pfa, lam
+            assert float(marcum_q(m, a, b_mean)).hex() == at_mean, lam
+
+    def test_walk_short_of_its_stopping_rule_raises(self):
+        # at lambda = 2e8 the Poisson weights spread 1e4 terms either side
+        # of the mode, so the upward walk's 10,000 terms leave a sixth of
+        # the mass unsummed: the truncated sum read 0.8413, where the
+        # tail is 1
+        assert stats.ncx2.sf(18.42, 2, 2e8) == 1.0
+        with pytest.raises(ValueError, match=r"^Marcum-Q series at "
+                           r"noncentrality a\^2 = 200000000\.0 does not "
+                           r"converge in 10000 terms$"):
+            marcum_q(1, math.sqrt(2e8), math.sqrt(18.42))
+        # below about 2.7e6 the walk stops by its rule
+        assert marcum_q(1, math.sqrt(2.6e6), math.sqrt(18.42)) == \
+            pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_order_domain_error(self, m):
