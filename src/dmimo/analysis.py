@@ -178,9 +178,11 @@ class Receiver:
         flattened to its M N r_S coordinates in the bases ``self.span``.
         Their nonzero columns, each scaled by ``_unit_scale`` so that a
         return beyond a double keeps its exact frame, give W's w <= 3
-        orthonormal columns through ``detectors._basis``.  In ``crx``
-        the three are their coordinates in W, as (1, 1, w) arrays, and
-        the span is None; ``inside`` is the M N r_S - w span dimensions
+        orthonormal columns through ``detectors._basis``, turned (a
+        Householder reflection times a phase) so that x reads
+        (a, 0, ..., 0) exactly, a real and nonnegative.  In ``crx`` the
+        three are their coordinates in W, as (1, 1, w) arrays, and the
+        span is None; ``inside`` is the M N r_S - w span dimensions
         outside W.  ``signal`` holds x's w coordinates; where its part
         outside the spans has norm e > _RCOND_LIMIT ||x|| over all
         paths, e follows as the one shared coordinate, and ``outside``
@@ -202,6 +204,16 @@ class Receiver:
         q, _ = _basis(np.stack([v * _unit_scale(v) for v in read
                                 if np.any(v)], -1))
         x, phasors, templates = (np.conj(q.T) @ v for v in read)
+        s, e0 = _unit_scale(x), np.arange(x.size) == 0
+        a = np.linalg.norm(x * s)
+        if a > 0:  # reflect x's direction v onto -phase e_0, then turn
+            v = x * s / a
+            phase = v[0] / abs(v[0]) if v[0] else 1.0
+            u = v + phase * e0
+            turn = -np.conj(phase) * (np.eye(x.size) - 2 * np.outer(
+                u, np.conj(u)) / np.vdot(u, u))
+            phasors, templates = turn @ phasors, turn @ templates
+        x = np.where(e0, a / s, 0j)
         crx = replace(self, x=x[None, None], phasors=phasors[None, None],
                       templates=templates[None, None], span=None)
         e = float(e)

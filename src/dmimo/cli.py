@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -275,6 +276,7 @@ def _float_between(low, high=math.inf):
     return parse
 
 
+@functools.cache  # built by the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmimo",

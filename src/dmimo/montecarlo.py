@@ -25,14 +25,14 @@ neither ``concurrent.futures`` nor ``logging``.
 Scratch.  Each worker draws its blocks in place into one scratch of its
 own, kept from block to block: one buffer per name, allocated once for
 BLOCK_TRIALS trials at d = 4, of which a block views the Swerling I
-moduli (trials,), the coordinates (trials, d, 2), read as their complex
-view (standard normals scaled in place, or a one-coordinate Swerling I
-block's real moduli with a zero imaginary half), the two energies
-(trials,), and, for a Swerling I run with d > 1, the product |alpha| s
-(trials, d, 2), one einsum pass, added to the coordinates in place.  A
-block's c, g and g_span are views of the scratch.  No block statistic
-calls BLAS, whose own threads would contend with the workers for the
-CPUs (see ``analysis.statistic``).
+moduli ``modulus`` (trials,), the coordinates ``noise`` (trials, d, 2),
+read as their complex view, a Swerling I block's d - 1 unit normals
+``normals`` (trials, d - 1, 2), drawn apart because a draw fills a
+contiguous array and then copied or turned into ``noise``, and the two
+energies ``inside`` and ``outside`` (trials,).  A block's c, g and
+g_span are views of the scratch.  No block statistic calls BLAS, whose
+own threads would contend with the workers for the CPUs (see
+``analysis.statistic``).
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector
@@ -56,22 +56,23 @@ outside space: where e > _RCOND_LIMIT ||x||, one complex coordinate
 alpha e + CN(0, 1) along it, and the energy of the other
 M N (K - r_S) - 1 outside dimensions is Gamma(M N (K - r_S) - 1, 1).
 Every statistic is a function of |.|^2 of linear forms of y, so
-invariant under a common phase of y, and the circular noise is too: a
-Swerling I block draws the real modulus |alpha| / sqrt(rho_bar) =
-sqrt(Exp(1)) in place of the complex alpha and reads the return at
-amplitude sqrt(rho_bar), so every product stays of order sqrt(SNR).
-Where the frame has one coordinate (d = 1, as on a co-located pair
-without sync errors), every statistic reads it through |y|^2 alone, and
-under Swerling I y = alpha s + CN(0, 1) is CN(0, 1 + rho_bar |s|^2): the
-block takes y real, the unit modulus times hypot(1, |sqrt(rho_bar) s|),
-which has that law of |y|^2 exactly and draws no Gaussian; hypot never
-forms rho_bar |s|^2, so y overflows only where |y| does.  A block
-therefore draws, in this order, the moduli (Swerling I runs only), then
-d <= 4 complex coordinates per trial (w, plus the shared one where the
-run has it; none for a one-coordinate Swerling I block), then the two
-energies: no (trials, M, N, K) cube.  The argument rests on the
-invariances and the Gaussian law of a Swerling I return alone, not on
-any closed form under test.  ``Receiver.frame`` forms this frame.
+invariant under a common phase of y, and the circular noise is too.
+Under Swerling I alpha is CN(0, rho_bar), so the d drawn coordinates
+y = alpha s + CN(0, I) are CN(0, I + rho_bar s s^H): along s one of
+modulus sqrt(Exp(1)) hypot(1, sqrt(rho_bar) ||s||), its phase dropped,
+and d - 1 complex unit normals across s; hypot never forms
+rho_bar ||s||^2, so y overflows only where |y| does.  ``Receiver.frame``
+turns W so that s reads (a, 0, ..., 0[, e]), a and e real and
+nonnegative: the modulus is coordinate 0 and the normals the others,
+and where e > 0 the rotation by (a, e) / hypot(a, e) turns the modulus
+and the last normal onto coordinate 0 and the shared one; at d = 1 (a
+co-located pair without sync errors) no Gaussian is drawn.  A block
+therefore draws, in this order, the moduli and d - 1 normals (Swerling
+I) or d complex coordinates (H0, and a fixed target, which adds
+alpha s) per trial, d <= 4 being w plus the shared one where the run
+has it, then the two energies: no (trials, M, N, K) cube.  The argument
+rests on the invariances and the Gaussian law of a Swerling I return
+alone, not on any closed form under test.
 The noise is white by assumption, here as in the closed forms.  The M
 matched filters at one receiver filter the same received noise, so two
 of them are correlated by their pulses' cross-ambiguity at the
@@ -134,11 +135,11 @@ class TrialConfig:
     target return, its amplitude drawn per trial (NonFluctuating holds a
     fixed complex alpha, Swerling1 redraws |alpha|^2 ~ rho_bar Exp(1)
     every trial; see the module docstring for why its phase is not
-    drawn, and why a one-coordinate frame draws no complex noise under
-    it).  (seed, pair) keys the run's random stream; ``simulate``
-    gives each (sweep point, system) pair of an experiment its own
-    ``pair``.  trials, seed and pair are integers, not bools, and the
-    seed lies in [MIN_SEED, MAX_SEED]; anything else raises ValueError.
+    drawn, and why a block then draws one complex coordinate fewer).
+    (seed, pair) keys the run's random stream; ``simulate`` gives each
+    (sweep point, system) pair of an experiment its own ``pair``.
+    trials, seed and pair are integers, not bools, and the seed lies in
+    [MIN_SEED, MAX_SEED]; anything else raises ValueError.
     """
 
     trials: int
@@ -209,19 +210,20 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     inside the spans.  The block covers trials [jB, (j+1)B) of the run,
     B = BLOCK_TRIALS.
 
-    Draw order inside a block is fixed: the unit moduli sqrt(Exp(1)) (a
-    Swerling I run only; other runs draw none), then the d =
-    ``signal.size`` coordinates per trial, then the energy of the
-    ``inside`` dimensions, then that of the ``outside`` ones, each into
-    an array of ``scratch``.  The return is added in place: the unit
-    modulus times sqrt(rho_bar) ``signal`` for Swerling I, formed in one
-    block-sized array, alpha ``signal`` for a fixed target.  A Swerling
-    I block with d = 1 draws no normals: its one coordinate is the
-    real modulus times hypot(1, |sqrt(rho_bar) signal|), whose square
-    has the law of |alpha signal + CN(0, 1)|^2.  g is the
-    sum of the two energies, and a shared coordinate then adds its
-    |.|^2 to it.  With a scratch, c, g and g_span are its arrays;
-    without one, fresh arrays.
+    Draw order inside a block is fixed, each draw into an array of
+    ``scratch``.  A Swerling I block draws the unit moduli sqrt(Exp(1)),
+    scaled to hypot(1, sqrt(rho_bar) hypot(a, e)) along the return
+    ``signal`` = (a, 0, ..., 0[, e]), then d - 1 complex unit normals
+    per trial across it, d = ``signal.size``: the moduli are coordinate
+    0, and where the shared coordinate exists the plane rotation by
+    (a, e) / hypot(a, e) turns them and the last normal onto
+    coordinates 0 and d - 1.  H0 and fixed-target blocks draw d
+    coordinates per trial, to which a fixed target adds alpha
+    ``signal``.  Every block then draws the energy of the ``inside``
+    dimensions, then that of the ``outside`` ones.  g is the sum of
+    the two energies, and a shared coordinate then adds its |.|^2 to
+    it.  With a scratch, c, g and g_span are its arrays; without one,
+    fresh arrays.
     """
     if scratch is None:
         scratch = _Scratch()
@@ -229,29 +231,33 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
     rng = _block_rng(cfg.seed, cfg.pair, j)
     target = cfg.target_draw
+    noise = scratch.get("noise", (nb, d, 2))
+    z = noise.view(np.complex128)[..., 0]
     if isinstance(target, Swerling1):
+        a, e = signal[0].real, signal[-1].real if d > w else 0.0
         modulus = rng.standard_exponential(out=scratch.get("modulus", (nb,)))
         np.sqrt(modulus, out=modulus)
-    noise = scratch.get("noise", (nb, d, 2))
-    if isinstance(target, Swerling1) and d == 1:
-        # alpha s + CN(0, 1) is CN(0, 1 + rho_bar |s|^2): the real
-        # modulus times its scale, never forming rho_bar |s|^2
-        scale = math.hypot(1.0, abs(math.sqrt(target.rho_bar) * signal[0]))
-        np.multiply(modulus, scale, out=noise[:, 0, 0])
-        noise[:, 0, 1] = 0.0
-        z = noise.view(np.complex128)[..., 0]
+        modulus *= math.hypot(1.0, math.sqrt(target.rho_bar)
+                              * math.hypot(a, e))
+        if d > 1:  # a one-coordinate block draws no Gaussian
+            normals = draw_noise(rng, d - 1, (nb,),
+                                 scratch.get("normals", (nb, d - 1, 2)))
+            z[:, 1:w] = normals[:, :w - 1]
+        if d > w:  # turn (modulus, last normal) onto coordinates 0 and d - 1
+            turn = math.atan2(e, a)
+            cos, sin = math.cos(turn), math.sin(turn)
+            np.multiply(normals[:, -1], -sin, out=z[:, 0])
+            np.multiply(normals[:, -1], cos, out=z[:, -1])
+            noise[:, 0, 0] += cos * modulus
+            noise[:, -1, 0] += sin * modulus
+        else:
+            z[:, 0] = modulus
     else:
-        z = draw_noise(rng, d, (nb,), noise)
+        draw_noise(rng, d, (nb,), noise)
     g_span = rng.standard_gamma(inside, out=scratch.get("inside", (nb,)))
     g = rng.standard_gamma(outside, out=scratch.get("outside", (nb,)))
     g += g_span
-    if isinstance(target, Swerling1) and d > 1:
-        # real times complex, on the float views
-        s = (math.sqrt(target.rho_bar) * signal).view(np.float64).reshape(d, 2)
-        product = scratch.get("product", (nb, d, 2))
-        np.einsum("t,ks->tks", modulus, s, out=product)
-        noise += product
-    elif isinstance(target, NonFluctuating):
+    if isinstance(target, NonFluctuating):
         # one alpha for every trial: the (d,) product, broadcast
         z += target.alpha * signal
     if d > w:

@@ -240,7 +240,8 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
 def coordinate_frame(rx: Receiver):
     """The Monte Carlo frame (crx, signal, inside, outside) formed from
     the receiver's fields, followed by the orthonormal basis (M N r_S, w)
-    of W in the flattened span coordinates: the reference
+    of W in the flattened span coordinates, its first column x's
+    direction where x has a part in the spans: the reference
     ``Receiver.frame`` must match bit for bit, with the same einsums,
     the same column scaling, the same rank routine, the same overflow
     rescale and the same floating-point order."""
@@ -259,6 +260,19 @@ def coordinate_frame(rx: Receiver):
                                 if np.any(v)], -1))
     w = basis.shape[1]
     x, phasors, templates = (np.conj(basis.T) @ v for v in spans)
+    # the unitary turn of W that takes x to (a, 0, ..., 0): a Householder
+    # reflection of x's direction onto -phase e_0, times -conj(phase)
+    s, e0 = _unit_scale(x), np.arange(w) == 0
+    a = np.linalg.norm(x * s)
+    if a > 0:
+        v = x * s / a
+        phase = v[0] / abs(v[0]) if v[0] else 1.0
+        u = v + phase * e0
+        turn = -np.conj(phase) * (np.eye(w) - 2 * np.outer(u, np.conj(u))
+                                  / np.vdot(u, u))
+        phasors, templates = turn @ phasors, turn @ templates
+        basis = basis @ np.conj(turn.T)
+    x = np.where(e0, a / s, 0j)
     crx = replace(rx, x=x[None, None], phasors=phasors[None, None],
                   templates=templates[None, None], span=None)
     signal = x

@@ -89,6 +89,30 @@ class TestThresholdCommand:
         got = float(capsys.readouterr().out)
         assert got == pytest.approx(inv_reg_upper_gamma(24, 1e-4), rel=1e-10)
 
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        # the parser is built on the first main call and kept: a second
+        # call constructs no parser and no subparser
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        argv = ["threshold", "--detector", "NCD", "--pfa", "1e-4",
+                "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1"]
+        cli.build_parser.cache_clear()
+        try:
+            assert main(argv) == 0
+            once = len(built)
+            assert main(argv) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert once == 5 and len(built) == once, built
+        first, second = capsys.readouterr().out.split()
+        assert first == second
+
     def test_every_flag_has_help(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmimo import analysis, cli, montecarlo
+from dmimo import analysis, cli, detectors, montecarlo
 from dmimo.analysis import (
     DetectorKind,
     Receiver,
@@ -522,7 +522,7 @@ def array_rx(random_scenario):
     return Receiver.build(sc, _path_errors(8, 8, df=12.0))
 
 
-# one worker's scratch: the coordinates and the product at
+# one worker's scratch: the coordinates and the Swerling I normals at
 # BLOCK_TRIALS * 4 * 2 floats, the moduli and the two energies at
 # BLOCK_TRIALS floats
 SCRATCH_BYTES = (2 * 4 * 2 + 3) * BLOCK_TRIALS * 8
@@ -621,38 +621,65 @@ class TestScratch:
         ids=["H0", "swerling", "fixed"])
     def test_blocks_follow_the_draw_order(self, ref_scenario, target):
         # fresh arrays drawn in the documented order give each block bit
-        # for bit, a full block and a partial one: the Swerling I unit
-        # moduli sqrt(Exp(1)), which scale the return at amplitude
-        # sqrt(rho_bar), then d = 4 coordinates per trial (3 in W, then
-        # the shared one), then the energy inside the spans, then the
-        # energy outside, to which the inside energy and the shared
-        # coordinate add
-        rx = Receiver.build(ref_scenario, _path_errors(2, 1, df=12.0))
-        crx, signal, inside, outside = rx.frame()
-        assert (signal.size, inside, outside) == (4, 2 * 2 - 3,
-                                                  2 * (12 - 2) - 1)
+        # for bit, a full block and a partial one, fresh and on a scratch
+        # that an earlier block filled: H0 and a fixed target draw d
+        # coordinates per trial, to which the fixed return adds; a
+        # Swerling I block draws the unit moduli sqrt(Exp(1)), scaled to
+        # hypot(1, sqrt(rho_bar) hypot(a, e)) along the return's
+        # direction, then d - 1 coordinates of unit noise across it.
+        # Then the energy inside the spans, then the energy outside, to
+        # which the inside energy and the shared coordinate add.  At d =
+        # 4 the return (a, 0, 0, e) leaves the spans, and the moduli and
+        # the last noise coordinate turn onto coordinates 0 and 3; at d =
+        # w = 3 (timing errors) the moduli are coordinate 0
+        frames = [Receiver.build(ref_scenario, err).frame()
+                  for err in (_path_errors(2, 1, df=12.0),
+                              _path_errors(2, 1, dt=0.2e-5))]
+        assert [(f[1].size, f[0].x.size, f[2], f[3]) for f in frames] == [
+            (4, 3, 2 * 2 - 3, 2 * (12 - 2) - 1), (3, 3, 1, 2 * (12 - 2))]
         cfg = TrialConfig(trials=BLOCK_TRIALS + 17, seed=8, pair=2,
                           target_draw=target)
         scratch = montecarlo._Scratch()
-        for j, nb in enumerate([BLOCK_TRIALS, 17]):
-            rng = _block_rng(8, 2, j)
-            if isinstance(target, Swerling1):
-                alpha = 2.0 * np.sqrt(rng.standard_exponential(nb))
-            elif isinstance(target, NonFluctuating):
-                alpha = np.full(nb, target.alpha)
-            z = draw_noise(rng, 4, (nb,))
-            g_span = rng.standard_gamma(inside, nb)
-            g = rng.standard_gamma(outside, nb) + g_span
-            if target is not None:
-                z = z + alpha[:, None] * signal
-            g = g + (z[:, -1].real ** 2 + z[:, -1].imag ** 2)
-            c = z[:, :3].reshape(nb, 1, 1, 3)
-            assert_same_bits(
-                [montecarlo._coordinate_block(crx, signal, inside, outside,
-                                              cfg, j),
-                 montecarlo._coordinate_block(crx, signal, inside, outside,
-                                              cfg, j, scratch)],
-                [(c, g, g_span), (c, g, g_span)])
+        for name in ("normals", "noise"):
+            scratch.get(name, (BLOCK_TRIALS, 4, 2)).fill(np.nan)
+        for name in ("modulus", "inside", "outside"):
+            scratch.get(name, (BLOCK_TRIALS,)).fill(np.nan)
+        for crx, signal, inside, outside in frames:
+            d, w = signal.size, crx.x.size
+            assert np.all(signal[1:w] == 0) and np.all(signal.imag == 0)
+            a, e = signal[0].real, signal[-1].real if d > w else 0.0
+            for j, nb in enumerate([BLOCK_TRIALS, 17]):
+                rng = _block_rng(8, 2, j)
+                if isinstance(target, Swerling1):
+                    m = np.sqrt(rng.standard_exponential(nb)) * math.hypot(
+                        1.0, 2.0 * math.hypot(a, e))
+                    y = np.empty((nb, d, 2))
+                    y[:, 1:] = draw_noise(rng, d - 1, (nb,)).view(
+                        np.float64).reshape(nb, d - 1, 2)
+                    z = y.view(np.complex128)[..., 0]
+                    z[:, 0] = m
+                    if d > w:
+                        t = math.atan2(e, a)
+                        cos, sin = math.cos(t), math.sin(t)
+                        shared = z[:, -1].copy()
+                        z[:, 0], z[:, -1] = shared * -sin, shared * cos
+                        y[:, 0, 0] += cos * m
+                        y[:, -1, 0] += sin * m
+                else:
+                    z = draw_noise(rng, d, (nb,))
+                g_span = rng.standard_gamma(inside, nb)
+                g = rng.standard_gamma(outside, nb) + g_span
+                if isinstance(target, NonFluctuating):
+                    z = z + target.alpha * signal
+                if d > w:
+                    g = g + (z[:, -1].real ** 2 + z[:, -1].imag ** 2)
+                c = z[:, :w].reshape(nb, 1, 1, w)
+                assert_same_bits(
+                    [montecarlo._coordinate_block(crx, signal, inside,
+                                                  outside, cfg, j),
+                     montecarlo._coordinate_block(crx, signal, inside,
+                                                  outside, cfg, j, scratch)],
+                    [(c, g, g_span), (c, g, g_span)])
 
     def test_one_coordinate_swerling_block_draws_no_normal(
             self, ref_scenario):
@@ -760,7 +787,7 @@ class TestScratch:
         monkeypatch.setattr(montecarlo._Scratch, "get", spy)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
         assert run_sweep(runs) == want
-        swerling = {"modulus", "product"} if isinstance(
+        swerling = {"modulus", "normals"} if isinstance(
             target, Swerling1) else set()
         assert {name for _, name in buffers} == {
             "noise", "inside", "outside"} | swerling
@@ -990,6 +1017,49 @@ class TestCoordinates:
         assert crx.span is want_crx.span is None
         assert (crx.sc, crx.varsigma) == (want_crx.sc, want_crx.varsigma)
         assert (inside, outside) == (want_inside, want_outside)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_frame_turn_is_unitary(self, seed, random_scenario):
+        # W's basis is turned so that the return reads (a, 0, ..., 0),
+        # a real and nonnegative: the turn is unitary, and every
+        # statistic on random coordinates reads as it does in the
+        # unturned basis from the rank routine alone
+        rx = random_case(seed, random_scenario)[0]
+        crx, signal, *_ = rx.frame()
+        spans = [rx.coordinates(v).ravel()
+                 for v in (rx.x, rx.phasors, rx.templates)]
+        x = crx.x.ravel()
+        assert x[0].imag == 0.0 and x[0].real >= 0.0
+        assert np.all(x[1:] == 0.0) and signal[0] == x[0]
+        assert x[0].real == pytest.approx(np.linalg.norm(spans[0]),
+                                          rel=1e-12)
+        q0, _ = detectors._basis(np.stack(
+            [v * analysis._unit_scale(v) for v in spans if np.any(v)], -1))
+        q = coordinate_frame(rx)[-1]
+        turn = np.conj(q.T) @ q0
+        np.testing.assert_allclose(np.conj(turn.T) @ turn,
+                                   np.eye(len(turn)), rtol=0, atol=1e-12)
+        x0, phasors0, templates0 = (np.conj(q0.T) @ v for v in spans)
+        crx0 = replace(crx, x=x0[None, None], phasors=phasors0[None, None],
+                       templates=templates0[None, None])
+        rng = np.random.default_rng(900 + seed)
+        t, n = 64, len(spans[0])
+        y = rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
+        g_span = rng.standard_gamma(3.0, t)
+        g = g_span + rng.standard_gamma(5.0, t)
+        for d in ALL:
+            try:
+                want = analysis.statistic(d, crx0)
+            except ValueError:  # HD on rank-deficient steering
+                continue
+            got = analysis.statistic(d, crx)(
+                (y @ np.conj(q)).reshape(t, 1, 1, -1), g, g_span)
+            np.testing.assert_allclose(
+                got, want((y @ np.conj(q0)).reshape(t, 1, 1, -1), g, g_span),
+                rtol=1e-12, atol=0, err_msg=d.value)
+            np.testing.assert_allclose(
+                analysis.statistic(d, crx)(crx.x), want(crx0.x), rtol=1e-12,
+                atol=0, err_msg=d.value)
 
     @pytest.mark.filterwarnings("error")
     def test_frame_of_a_return_beyond_a_double(self):
