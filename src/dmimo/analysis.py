@@ -73,7 +73,6 @@ class PerfPoint:
 
     detector: DetectorKind
     gamma: float
-    pfa: Probability
     pd: Probability
     lam: float
     varsigma: float | None = None
@@ -392,6 +391,5 @@ def analyze_detector(det: DetectorKind, rx: Receiver,
         pd = pd_swerling1(chi2, gamma, lam_prime, rho)
     else:
         pd = pd_nonfluctuating(chi2, gamma, lam)
-    return PerfPoint(detector=det, gamma=gamma,
-                     pfa=Probability(pfa_target), pd=pd, lam=lam,
+    return PerfPoint(detector=det, gamma=gamma, pd=pd, lam=lam,
                      varsigma=rx.varsigma if det is DetectorKind.CD else None)

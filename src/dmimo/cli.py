@@ -34,7 +34,6 @@ from .experiments import (
     ExperimentSpec,
     load_experiment,
     scenario_at,
-    sweep_value_si,
 )
 from .montecarlo import TrialConfig, run_sweep
 from .scene import SyncErrors, colocated_scenario
@@ -122,59 +121,43 @@ def _caf_rows(spec: ExperimentSpec, points: int):
     return rows
 
 
-def _sweep_systems(spec: ExperimentSpec):
-    """(sweep value, system name, scenario, errors, error text) per
-    (sweep point, system), in fixed output order.  A point whose scenario
-    cannot be built gives every system its error text."""
-    systems = ("distributed", "colocated")[:1 + spec.colocated_benchmark]
-    for value in spec.sweep_values:
-        try:
-            sc = scenario_at(spec, float(value))
-        except ValueError as exc:
-            for system in systems:
-                yield float(value), system, None, None, str(exc)
-            continue
-        yield float(value), "distributed", sc, spec.errors, None
-        if spec.colocated_benchmark:
-            co = colocated_scenario(sc)
-            yield (float(value), "colocated", co,
-                   SyncErrors.zeros(co.m_tx, co.n_rx), None)
-
-
 def _analytic_pairs(spec: ExperimentSpec):
-    """Per (sweep point, system): (receiver, rows), where rows holds one
-    (CSV row, operating point) per detector.  The operating point is None
-    on error rows, and the receiver is None when the whole pair is in
-    error."""
-    for value, system, sc, err, bad in _sweep_systems(spec):
-        base = {
-            "sweep_variable": spec.sweep_variable, "sweep_value": value,
-            "sweep_value_si": sweep_value_si(
-                spec.sweep_variable, value, spec.scenario.pulses[0].t_p),
-            "system": system, "pfa_target": spec.pfa_target}
-        if bad is None:
+    """Per (sweep point, system), in output order: (receiver, rows), with
+    one (CSV row, operating point) per detector.  The operating point is
+    None on an error row, the receiver where the pair or its point fails."""
+    systems = {"distributed": lambda sc: Receiver.build(sc, spec.errors),
+               "colocated": lambda sc: Receiver.build(
+                   colocated_scenario(sc), SyncErrors.zeros(sc.m_tx, sc.n_rx))}
+    for value in map(float, spec.sweep_values):
+        try:
+            sc, bad = scenario_at(spec, value), None
+        except ValueError as exc:
+            sc, bad = None, str(exc)
+        for system in list(systems)[:1 + spec.colocated_benchmark]:
+            base = dict(sweep_variable=spec.sweep_variable, sweep_value=value,
+                        sweep_value_si=value * spec.sweep_unit, system=system,
+                        pfa_target=spec.pfa_target)
             try:
-                rx = Receiver.build(sc, err)
+                if bad is not None:  # every system of the point fails
+                    raise ValueError(bad)
+                rx = systems[system](sc)
             except ValueError as exc:
-                bad = str(exc)
-        if bad is not None:
-            yield None, [
-                (dict(base, detector=det.value, error=bad), None)
-                for det in spec.detectors]
-            continue
-        rows = []
-        for det in spec.detectors:
-            row = dict(base, detector=det.value)
-            try:
-                pt = analyze_detector(det, rx, spec.pfa_target)
-            except ValueError as exc:
-                rows.append((dict(row, error=str(exc)), None))
+                yield None, [
+                    (dict(base, detector=det.value, error=str(exc)), None)
+                    for det in spec.detectors]
                 continue
-            row.update(gamma=pt.gamma, pd_analytic=float(pt.pd),
-                       varsigma=pt.varsigma)
-            row["lambda"] = pt.lam
-            rows.append((row, pt))
-        yield rx, rows
+            rows = []
+            for det in spec.detectors:
+                row = dict(base, detector=det.value)
+                try:
+                    pt = analyze_detector(det, rx, spec.pfa_target)
+                except ValueError as exc:
+                    rows.append((dict(row, error=str(exc)), None))
+                    continue
+                row.update(gamma=pt.gamma, pd_analytic=float(pt.pd),
+                           varsigma=pt.varsigma, **{"lambda": pt.lam})
+                rows.append((row, pt))
+            yield rx, rows
 
 
 def cmd_analyze(args) -> int:

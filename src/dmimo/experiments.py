@@ -5,6 +5,12 @@ and a one-dimensional sweep.  Field names carry explicit units (tau_s,
 doppler_hz, psi_rad); normalized quantities appear only in the CSV
 output.  Validation is strict: unknown fields and out-of-range values
 are rejected with the JSON path of the offending entry.
+
+A sweep variable sets one array (the per-TX SNR, tau_s, psi_rad or
+doppler_hz) in one unit (T_p for delay_offset, pi for phase_offset, 1
+otherwise).  snr_db sets every TX's SNR to the value; the four offsets
+need exactly 2 TX and set TX 2's entries at every RX to TX 1's plus
+value * unit, the sweep value in SI units.
 """
 
 from __future__ import annotations
@@ -34,17 +40,16 @@ __all__ = [
     "load_experiment",
     "parse_experiment",
     "scenario_at",
-    "sweep_value_si",
 ]
 
-SWEEP_VARIABLES = (
-    "snr_offset_db",   # SNR of TX 2 relative to TX 1, dB
-    "delay_offset",    # tau_2 - tau_1, in pulse durations
-    "phase_offset",    # psi_2 - psi_1, in units of pi
-    "doppler_offset",  # f_2 - f_1, Hz
-    "snr_db",          # common SNR of every path, dB
-)
-_TWO_TX_SWEEPS = frozenset(SWEEP_VARIABLES) - {"snr_db"}
+# sweep variable: (the array it sets, its unit; None is the pulse length)
+SWEEP_VARIABLES = {
+    "snr_offset_db": ("snr_db", 1.0),      # SNR of TX 2 relative to TX 1, dB
+    "delay_offset": ("tau_s", None),       # tau_2 - tau_1, in pulse lengths
+    "phase_offset": ("psi_rad", math.pi),  # psi_2 - psi_1, in units of pi
+    "doppler_offset": ("doppler_hz", 1.0),  # f_2 - f_1, Hz
+    "snr_db": ("snr_db", 1.0),             # common SNR of every path, dB
+}
 
 # Bounds shared by the JSON fields and the CLI flags.  A false-alarm rate
 # lies in (MIN_PFA, 1), so 1 / pfa stays finite.  A sweep or a CAF slice
@@ -72,6 +77,12 @@ class ExperimentSpec:
     trials: int
     seed: int
     colocated_benchmark: bool
+
+    @property
+    def sweep_unit(self) -> float:
+        """One unit of the sweep value in SI units (s, rad, Hz or dB)."""
+        unit = SWEEP_VARIABLES[self.sweep_variable][1]
+        return self.scenario.pulses[0].t_p if unit is None else unit
 
 
 def _require_mapping(doc, path):
@@ -306,7 +317,7 @@ def parse_experiment(doc) -> ExperimentSpec:
     sc, snr = _parse_scenario(doc["scenario"])
     err = _parse_errors(doc.get("errors"), sc.m_tx, sc.n_rx)
     var, values = _parse_sweep(doc["sweep"])
-    if var in _TWO_TX_SWEEPS and sc.m_tx != 2:
+    if var != "snr_db" and sc.m_tx != 2:
         raise ExperimentError(
             f"sweep.variable: {var} needs exactly 2 transmitters")
     pfa = _number(doc, "$", "pfa_target", 1e-4)
@@ -336,36 +347,14 @@ def load_experiment(path) -> ExperimentSpec:
     return parse_experiment(doc)
 
 
-# the scenario field an offset sweep moves
-_OFFSET_FIELDS = {"delay_offset": "tau_s", "phase_offset": "psi_rad",
-                  "doppler_offset": "doppler_hz"}
-
-
 def scenario_at(spec: ExperimentSpec, value: float) -> Scenario:
-    """Scenario at one sweep point.
-
-    Offset sweeps move path 2 relative to path 1; snr_db sets the common
-    SNR of every path.
-    """
+    """Scenario at one sweep point, by the rule in the module docstring."""
     sc = spec.scenario
-    var = spec.sweep_variable
-    if var == "snr_db":
-        snr = np.full(sc.m_tx, value)
-    elif var == "snr_offset_db":
-        snr = np.array([spec.snr_db[0], spec.snr_db[0] + value])
+    field = SWEEP_VARIABLES[spec.sweep_variable][0]
+    arr = np.array(spec.snr_db if field == "snr_db" else getattr(sc, field))
+    if spec.sweep_variable == "snr_db":
+        arr[:] = value
     else:
-        field = _OFFSET_FIELDS[var]
-        offset = np.array(getattr(sc, field))
-        offset[1] = offset[0] + sweep_value_si(var, value, sc.pulses[0].t_p)
-        return replace(sc, **{field: offset})
-    return replace(sc, xi=_channel_gains(snr, sc.target, sc.n_rx))
-
-
-def sweep_value_si(variable: str, value: float, pulse_s: float) -> float:
-    """Sweep value in absolute SI units (seconds, radians, hertz; dB values
-    pass through)."""
-    if variable == "delay_offset":
-        return value * pulse_s
-    if variable == "phase_offset":
-        return value * math.pi
-    return value
+        arr[1] = arr[0] + value * spec.sweep_unit
+    return replace(sc, **({"xi": _channel_gains(arr, sc.target, sc.n_rx)}
+                          if field == "snr_db" else {field: arr}))

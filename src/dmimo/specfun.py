@@ -188,10 +188,9 @@ def marcum_q(m: int, a: float, b: float) -> Probability:
     ACM TOMS 40, 2014), adding the step going up and subtracting it going
     down.  Each direction stops once a bound on its remaining terms falls
     below 1e-17 of the running sum, so deep tails keep their digits.
-    Raises ValueError where the upward walk has not stopped after
-    _MAX_ITER terms: from a^2 of about 2.7e6, or of about 1.3e5 where
-    every term so far is zero, since the Poisson mass left then still
-    exceeds 1e-17 of a sum of zero.
+    Where the upward walk has not stopped after _MAX_ITER terms (from a^2
+    of about 2.7e6, or 1.3e5 where every term is zero), it returns 0 if
+    every term is zero and a tail bound proves it, else raises ValueError.
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"Marcum-Q order must be an integer >= 1, got {m!r}")
@@ -238,6 +237,12 @@ def marcum_q(m: int, a: float, b: float) -> Probability:
             break
         prev = term
     else:
+        # zero terms sum to 0 where the tail's Chernoff bound underflows:
+        # log Q <= (u - 1) x - m log u + lam (1 - u) / u, u = 1 - 2t optimal
+        u = (m + math.sqrt(m * m + 4.0 * lam * x)) / (2.0 * x)
+        if total == 0.0 and u < 1.0 and exp(
+                (u - 1.0) * x - m * log(u) + lam * (1.0 - u) / u) == 0.0:
+            return Probability(0.0)
         raise ValueError(f"Marcum-Q series at noncentrality a^2 = "
                          f"{2.0 * lam!r} does not converge in {_MAX_ITER} "
                          "terms")

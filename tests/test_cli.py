@@ -428,6 +428,31 @@ class TestAnalyzeCommand:
             for system in ("distributed", "colocated")]
         assert [r["error"] for r in rows] == [""] * 4 + [reason] * 2
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_distributed_error_keeps_colocated_numbers(self, tmp_path,
+                                                        command):
+        # tau + dt < 0 holds only under the distributed errors: the
+        # co-located system of the same point has none and gives numbers
+        doc = dict(negative_delay_estimate_doc(), colocated_benchmark=True)
+        out = tmp_path / "o.csv"
+        code = main([command, "--experiment", write_doc(tmp_path, doc),
+                     "--out", str(out)])
+        rows = read_csv(out)
+        assert code == gate_status(command, rows)
+        assert [(r["sweep_value"], r["system"], r["detector"])
+                for r in rows] == [
+            (v, system, det) for v in ("-4", "4")
+            for system in ("distributed", "colocated")
+            for det in ("NCD", "CD")]
+        for r in rows:
+            if r["system"] == "distributed":
+                assert "tau + dt" in r["error"] and r["gamma"] == ""
+                assert r.get("pd_empirical", "") == ""
+            else:
+                assert r["error"] == "" and 0 < float(r["pd_analytic"]) < 1
+                if command == "simulate":
+                    assert 0 <= float(r["pd_empirical"]) <= 1
+
     def test_pfa_below_min_pfa_is_an_error(self, tmp_path):
         # 1 / 1e-320 overflows a double, and the HD row's Swerling I
         # average overflowed with it

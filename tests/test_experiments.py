@@ -1,5 +1,7 @@
 """Tests for experiment file parsing and sweep construction."""
 
+import csv
+import dataclasses
 import json
 import math
 
@@ -7,14 +9,14 @@ import numpy as np
 import pytest
 
 from dmimo.analysis import DetectorKind
+from dmimo.cli import main
 from dmimo.experiments import (
     ExperimentError,
     load_experiment,
     parse_experiment,
     scenario_at,
-    sweep_value_si,
 )
-from dmimo.scene import NonFluctuating, Swerling1
+from dmimo.scene import NonFluctuating, Swerling1, xi_from_snr
 
 
 def minimal_doc(**over):
@@ -227,11 +229,48 @@ class TestSweepApplication:
         assert sc.doppler_hz[1, 0] == pytest.approx(
             sc.doppler_hz[0, 0] - 20.0)
 
-    def test_si_conversions(self):
-        assert sweep_value_si("delay_offset", 0.5, 1e-5) == pytest.approx(5e-6)
-        assert sweep_value_si("phase_offset", 0.5, 1e-5) == pytest.approx(
-            0.5 * math.pi)
-        assert sweep_value_si("snr_db", -3.0, 1e-5) == -3.0
+
+class TestSweepRule:
+    # variable: (the Scenario array it moves, its unit at pulse_s = 1e-5)
+    RULE = {"snr_offset_db": ("xi", 1.0), "delay_offset": ("tau_s", 1e-5),
+            "phase_offset": ("psi_rad", math.pi),
+            "doppler_offset": ("doppler_hz", 1.0), "snr_db": ("xi", 1.0)}
+
+    @pytest.mark.parametrize("variable", list(RULE))
+    def test_moves_one_array_at_every_rx(self, variable, tmp_path):
+        field, unit = self.RULE[variable]
+        doc = minimal_doc(detectors=["NCD"], sweep={
+            "variable": variable, "start": -0.5, "stop": 0.25, "points": 4})
+        doc["scenario"].update(
+            n_rx=3, pulse_s=1e-5, snr_db=[1.0, -2.0],
+            tau_s=[[1e-5, 2e-5, 3e-5], [4e-5, 5e-5, 6e-5]],
+            doppler_hz=[[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]],
+            psi_rad=[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        spec = parse_experiment(doc)
+        assert spec.sweep_unit == unit
+        before = spec.scenario
+        sc = scenario_at(spec, 0.25)
+        for f in dataclasses.fields(sc):
+            if f.name != field:
+                a, b = getattr(sc, f.name), getattr(before, f.name)
+                assert (a.tobytes() == b.tobytes()
+                        if isinstance(a, np.ndarray) else a == b), f.name
+        want = np.array(getattr(before, field))
+        if variable == "snr_db":
+            want[:] = xi_from_snr(0.25, before.target.mean_rcs)
+        elif variable == "snr_offset_db":
+            want[1] = xi_from_snr(1.0 + 0.25, before.target.mean_rcs)
+        else:
+            want[1] = want[0] + 0.25 * unit
+        assert getattr(sc, field).tobytes() == want.tobytes()
+        # the written SI value is value * unit
+        path, out = tmp_path / "exp.json", tmp_path / "a.csv"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--experiment", str(path),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["sweep_value_si"] for r in rows] == [
+            f"{v * unit:.12g}" for v in spec.sweep_values]
 
 
 class TestShippedRecipes:

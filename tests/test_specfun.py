@@ -280,6 +280,15 @@ class TestMarcumQ:
         assert marcum_q(1, math.sqrt(2.6e6), math.sqrt(18.42)) == \
             pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("a2", [1.3e5, 1.6e5, 1.9e5])
+    def test_walk_of_zero_terms_is_zero(self, a2):
+        # with the threshold at 10x the H1 mean every term underflows, so
+        # the walk meets no stopping rule in its 10,000 terms; it raised
+        # there, where the tail's Chernoff bound proves the sum is zero
+        m, b2 = 24, 10.0 * (48 + a2)
+        assert stats.ncx2.sf(b2, 2 * m, a2) == 0.0
+        assert marcum_q(m, math.sqrt(a2), math.sqrt(b2)) == 0.0
+
     @pytest.mark.parametrize("m", [0, -2])
     def test_order_domain_error(self, m):
         with pytest.raises(ValueError):
