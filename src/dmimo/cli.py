@@ -26,16 +26,14 @@ import numpy as np
 from .analysis import DetectorKind, Receiver, analyze_detector, law, threshold
 from .experiments import (
     MAX_POINTS,
-    MAX_SEED,
     MIN_PFA,
-    MIN_SEED,
     MIN_TRIALS,
     ExperimentError,
     ExperimentSpec,
     load_experiment,
     scenario_at,
 )
-from .montecarlo import TrialConfig, run_sweep
+from .montecarlo import MAX_SEED, MIN_SEED, TrialConfig, run_sweep
 from .scene import SyncErrors, colocated_scenario
 from .waveforms import caf
 

@@ -35,8 +35,6 @@ __all__ = [
     "MIN_TRIALS",
     "MIN_PFA",
     "MAX_POINTS",
-    "MIN_SEED",
-    "MAX_SEED",
     "load_experiment",
     "parse_experiment",
     "scenario_at",

@@ -146,7 +146,11 @@ class Scenario:
 @dataclass(frozen=True)
 class SyncErrors:
     """Per-path timing (s), frequency (Hz), and phase (rad) errors, plus the
-    per-RX carrier error (Hz)."""
+    per-RX carrier error (Hz).  dt and df move both the matched filter's
+    sampling point on the true return and the estimates tau + dt and
+    f + df; dp moves only the estimated phase psi + dp.  dc_rx only adds
+    -2 pi dc_n tau_mn to the carrier phase of the true return at RX n: no
+    Doppler term, and the receiver does not estimate it."""
 
     dt: np.ndarray
     df: np.ndarray

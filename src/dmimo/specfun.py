@@ -5,19 +5,22 @@ auxiliary functions.
 Everything here is scalar, pure, and thread-safe.  All probabilities are
 computed in natural (not log) scale.  The tests pin the inverse incomplete
 gamma to 1e-12 relative against scipy for q from 1e-15 to 0.999 and orders
-up to 4096; Marcum-Q to 1e-10 relative against the noncentral chi-square
-tail for orders up to 1024 and values down to 1e-15, to a per-term
-Poisson sum for orders up to 4096, and bit for bit on a grid of orders
-1 to 4096 and noncentralities a^2 from 0 to 1e4; and the Fresnel
-integrals to 1e-13 absolute against scipy for |x| <= 200.  Marcum-Q
-costs one incomplete gamma per call, so its accuracy is that gamma's:
-about 1e-11 relative at order 4096, where rounding s log x leaves a few
-1e-12.  Its upward walk takes at most _MAX_ITER terms and raises
-ValueError where they end short of its stopping rule (from a^2 of about
-2.7e6, or 1.3e5 where every term is zero) rather than return a
-truncated sum.  The incomplete
-gamma's power series and prefactor also give ``analysis`` its Swerling I
-average (DLMF 8.5.1).
+up to 4096.  They pin Marcum-Q at noncentralities a^2 up to 4m, at most
+4096, to 1e-10 relative: against the noncentral chi-square tail for
+orders up to 1024 and values down to 1e-15, and against a per-term
+Poisson sum for orders up to 4096.  They pin bit for bit Marcum-Q at
+orders 1 to 4096 and a^2 from 0 to 1e4, and both continued fractions.
+The Fresnel integrals match scipy to 1e-13 absolute for |x| <= 200.
+Marcum-Q costs one incomplete gamma per call, so its accuracy is that
+gamma's: about 1e-11 relative at order 4096, where rounding s log x
+leaves a few 1e-12.  Beyond a^2 = 4m its Poisson weights lose digits: at
+m = 24 and b^2 at the mean it is off scipy by 1.2e-12 relative at
+a^2 = 1e4, 2.6e-11 at 3e4, 1.7e-10 at 1e5 and 2.2e-10 at 1e6.  Its upward
+walk takes at most _MAX_ITER terms and raises ValueError where they end
+short of its stopping rule (from a^2 of about 2.7e6, or 1.3e5 where every
+term is zero) rather than return a truncated sum.  The incomplete gamma's
+power series and prefactor also give ``analysis`` its Swerling I average
+(DLMF 8.5.1).
 """
 
 from __future__ import annotations
@@ -88,17 +91,18 @@ def _gamma_prefactor(s, x):
     return math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 
-def _upper_gamma_cf(s, x):
-    # Regularized upper incomplete gamma by Lentz's continued fraction;
-    # good for x >= s + 1.
+def _lentz(b0, step, p, q, tol):
+    # 1 / (b0 + a_1 / (b_1 + a_2 / (b_2 + ...))) with a_i = q i (i - p) and
+    # b_i = b0 + i step, by Lentz's method (Thompson & Barnett, J. Comput.
+    # Phys. 64, 1986); it stops once a step moves the value by under tol.
     tiny = 1e-300
-    b = x + 1.0 - s
+    b = b0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
+        an = q * i * (i - p)  # q i is exact, so a_i rounds once
+        b += step
         d = an * d + b
         if abs(d) < tiny:
             d = tiny
@@ -108,9 +112,9 @@ def _upper_gamma_cf(s, x):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) < tol:
             break
-    return h * _gamma_prefactor(s, x)
+    return h
 
 
 def reg_upper_gamma(s: float, x: float) -> float:
@@ -128,7 +132,9 @@ def reg_upper_gamma(s: float, x: float) -> float:
     if x < s + 1.0:
         lower = _gamma_series(s, x) * _gamma_prefactor(s, x)
         return min(1.0, max(0.0, 1.0 - lower))
-    return min(1.0, max(0.0, _upper_gamma_cf(s, x)))
+    # Lentz's continued fraction, a_i = -i (i - s), b_i = x + 1 - s + 2i
+    upper = _lentz(x + 1.0 - s, 2.0, s, -1.0, 1e-16) * _gamma_prefactor(s, x)
+    return min(1.0, max(0.0, upper))
 
 
 def inv_reg_upper_gamma(s: float, q: float) -> float:
@@ -287,27 +293,9 @@ def _fresnel_aux_cf(x):
         # keeps pi x^2 from overflowing
         tail = 1.0 / (math.pi * x)
         return complex(tail / (math.pi * x * x), tail)
-    tiny = 1e-300
-    b = complex(1.0, -math.pi * x * x)
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -(2 * i - 1) * (2 * i)
-        b += 4.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        # complex rounding leaves |delta - 1| at a few ulp once converged
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return x * h
+    # a_i = -(2i - 1) 2i = -4 i (i - 1/2); complex rounding leaves a
+    # converged step a few ulp from 1, hence the looser tolerance
+    return x * _lentz(complex(1.0, -math.pi * x * x), 4.0, 0.5, -4.0, 1e-15)
 
 
 def fresnel(x: float) -> complex:

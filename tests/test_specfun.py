@@ -87,6 +87,94 @@ MARCUM_PINS = {
     ]),
 }
 
+# The bits of both Lentz continued fractions, so that no change to their
+# floating-point order passes unseen.  reg_upper_gamma(s, x) at
+# x = s + 1 + k sqrt(s), k in GAMMA_CF_OFFSETS, all on the fraction's side
+# x >= s + 1; integer orders are ints, as marcum_q passes them.
+GAMMA_CF_OFFSETS = (0.0, 1.0, 4.0, 12.0, 40.0)
+GAMMA_CF_PINS = {
+    1: (
+        '0x1.152aaa3bf81ccp-3',
+        '0x1.97db0ccceb0b0p-5',
+        '0x1.44e51f113d4d3p-9',
+        '0x1.be6c6fdb01613p-21',
+        '0x1.536452ee2f764p-61',
+    ),
+    2.5: (
+        '0x1.c3df10d623ed0p-3',
+        '0x1.21db1eb4a4f4ap-4',
+        '0x1.7d2ba19a400efp-10',
+        '0x1.fef5ed6052b2fp-27',
+        '0x1.5646403eb4181p-88',
+    ),
+    4: (
+        '0x1.0f62f41b2db48p-2',
+        '0x1.4ee940cb70418p-4',
+        '0x1.13546bfc062dap-10',
+        '0x1.3bb602523b67bp-30',
+        '0x1.0bdc84d24a702p-106',
+    ),
+    24: (
+        '0x1.93541a825b63fp-2',
+        '0x1.e3db5ba19a307p-4',
+        '0x1.27d8e8fec7f2dp-12',
+        '0x1.0b07e61ea5e58p-48',
+        '0x1.07ebbfe6d9effp-214',
+    ),
+    100: (
+        '0x1.c9d58dd67a1c5p-2',
+        '0x1.1807308576dccp-3',
+        '0x1.ef55debe8a993p-14',
+        '0x1.db8f29a8fbfe7p-66',
+        '0x1.3bea7b18bffd9p-353',
+    ),
+    512: (
+        '0x1.e7f449b143c8ep-2',
+        '0x1.2ff7a36a53fc7p-3',
+        '0x1.01dd9d222eaf7p-14',
+        '0x1.16a51917835b9p-83',
+        '0x1.8d387173a3d58p-562',
+    ),
+    1008: (
+        '0x1.eeda7b62b0a8dp-2',
+        '0x1.35ccb8373242dp-3',
+        '0x1.b0fad99a99a84p-15',
+        '0x1.33a1b528fee30p-89',
+        '0x1.0670ce36fd59cp-654',
+    ),
+    4096: (
+        '0x1.f77d8aa8820e3p-2',
+        '0x1.3d4d806a91c64p-3',
+        '0x1.56173fc6f5562p-15',
+        '0x1.4aa3f1b73764fp-98',
+        '0x1.694fde3a7b858p-832',
+    ),
+}
+# fresnel(x) and fresnel_aux(x) on (1.5, 1e8], past the series switch and
+# short of the asymptotic branch: (C, S, g, f) per x in FRESNEL_CF_ARGS.
+FRESNEL_CF_ARGS = (math.nextafter(1.5, 2.0), 1.6, 2.0, 3.7, 10.0, 123.456,
+                   1e4, 1e6, 1e8)
+FRESNEL_CF_PINS = (
+    ('0x1.c7f28bb514002p-2', '0x1.651f5ec0b3644p-1',
+     '0x1.99c2b0fcbb15dp-6', '0x1.a099d7ac27a36p-3'),
+    ('0x1.763b966945a16p-2', '0x1.471c4954fadfep-1',
+     '0x1.5c45afb248232p-6', '0x1.899cf40bb7540p-3'),
+    ('0x1.f3f8b36d044bfp-2', '0x1.5fa85c0e05e06p-2',
+     '0x1.80e9925f7680fp-7', '0x1.40af47e3f43f5p-3'),
+    ('0x1.1579e6de533eep-1', '0x1.2663d30d37fa8p-1',
+     '0x1.041fe70bc4d19p-9', '0x1.5fd10146dc01cp-4'),
+    ('0x1.ffe5717bb4039p-2', '0x1.df67f36bf6e03p-2',
+     '0x1.a8e844bfc7728p-14', '0x1.04c064a048fe6p-5'),
+    ('0x1.0116554a80d89p-1', '0x1.00bfac3748b3ap-1',
+     '0x1.ce8b632283fe2p-25', '0x1.51f248a50afd9p-9'),
+    ('0x1.00000000007edp-1', '0x1.fff7a7dbc78fep-2',
+     '0x1.c84f5f1a32336p-44', '0x1.0b04870e04882p-15'),
+    ('0x1.ffffffff43358p-2', '0x1.ffffeaa37a541p-2',
+     '0x1.de79cb83c0b49p-64', '0x1.55c85af339003p-22'),
+    ('0x1.ffffffd38a872p-2', '0x1.0000000febb6bp-1',
+     '0x1.f5b7dbf8775c1p-84', '0x1.b57b55b2347b3p-29'),
+)
+
 
 class TestProbability:
     def test_accepts_in_range(self):
@@ -137,6 +225,12 @@ class TestRegUpperGamma:
         # fraction; 10**309 is beyond a double
         with pytest.raises(ValueError, match=r"2\*\*53"):
             reg_upper_gamma(s, 2.0**53)
+
+    @pytest.mark.parametrize("s", sorted(GAMMA_CF_PINS))
+    def test_continued_fraction_bits_pinned(self, s):
+        for k, want in zip(GAMMA_CF_OFFSETS, GAMMA_CF_PINS[s], strict=True):
+            assert reg_upper_gamma(s, s + 1.0 + k * math.sqrt(s)).hex() == \
+                want, k
 
     def test_inverse_and_marcum_reject_orders_from_2_53(self):
         with pytest.raises(ValueError, match=r"2\*\*53"):
@@ -393,3 +487,10 @@ class TestFresnelAux:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             fresnel_aux(-1.0)
+
+    @pytest.mark.parametrize("x, want", zip(FRESNEL_CF_ARGS, FRESNEL_CF_PINS,
+                                            strict=True))
+    def test_continued_fraction_bits_pinned(self, x, want):
+        c_s, g_f = fresnel(x), fresnel_aux(x)
+        assert (c_s.real.hex(), c_s.imag.hex(),
+                g_f.real.hex(), g_f.imag.hex()) == want
