@@ -703,6 +703,48 @@ class TestAnalyzeCommand:
         assert exc.value.code == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "$: expected an object"),
+        (base_doc(scenario=[]), "scenario: expected an object"),
+        (base_doc(sweep={"variable": "snr_db", "stop": 4.0, "points": 3}),
+         "sweep.start: required field missing"),
+        (base_doc(sweep={"variable": "snr_db", "start": -4.0, "stop": 4.0}),
+         "sweep.points: required field missing"),
+        (base_doc(scenario={"pri_s": 0}), "scenario.pri_s: must be positive"),
+        (base_doc(scenario={"k_pulses": 1.5}),
+         "scenario.k_pulses: expected an integer"),
+        (base_doc(scenario={"tau_s": [[1e-6], [1e-6, 2e-6]]}),
+         "scenario.tau_s: expected nested number lists"),
+        ('{"scenario": {"tau_s": [[1e999], [0]]}, "sweep": {"variable": '
+         '"snr_db", "start": -4.0, "stop": 4.0, "points": 3}}',
+         "scenario.tau_s: entries must be finite"),
+        (base_doc(scenario={"target": {"model": "swerling2"}}),
+         "scenario.target.model: expected 'swerling1' or 'fixed'"),
+        (base_doc(scenario={"waveform_set": "triple_band"}),
+         "scenario.waveform_set: expected 'multi_band' or 'single_band'"),
+        (base_doc(scenario={"waveform_set": "single_band", "m_tx": 3}),
+         "scenario: single_band waveform set is defined for M=2 only"),
+        (base_doc(detectors=[]), "detectors: expected a non-empty list"),
+        ({"sweep": base_doc()["sweep"]}, "$.scenario: required field missing"),
+        ({"scenario": {}}, "$.sweep: required field missing"),
+        (base_doc(colocated_benchmark=1),
+         "$.colocated_benchmark: expected true or false")],
+        ids=["top-level-list", "scenario-list", "no-start", "no-points",
+             "zero-pri", "fractional-k", "ragged-tau", "infinite-tau",
+             "target-model", "waveform-set", "single-band-of-3",
+             "no-detectors", "no-scenario", "no-sweep", "colocated-int"])
+    def test_every_schema_rejection_is_one_error_line(self, tmp_path, doc,
+                                                      message):
+        # a document given as a string is the JSON text itself: 1e999
+        # reads as an infinite double, which json.dumps writes otherwise
+        exp = tmp_path / "exp.json"
+        exp.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--experiment", str(exp), "--out", str(out)])
+        assert exc.value.code == "error: " + message
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["analyze"], ["simulate"],
                                          ["caf", "--points", "3"]],
                              ids=["analyze", "simulate", "caf"])

@@ -400,3 +400,32 @@ class TestPulseSet:
     def test_unknown_set(self):
         with pytest.raises(ValueError):
             pulse_set("ofdm", 2, BETA, TP, ETA, KAPPA)
+
+    @pytest.mark.parametrize("eta, kappa, multi_band, single_band", [
+        (3.0, 3.0, (3.0, 6.0, 9.0, 12.0), ((1.0, 3.0), (-1.0, 5.0))),
+        (0.25, 30.0, (0.25, 0.5, 0.75, 1.0), ((1.0, 30.0), (-1.0, 32.0)))],
+        ids=["presets", "eta-0.25-kappa-30"])
+    def test_pinned_pulses(self, eta, kappa, multi_band, single_band):
+        # (beta, T_p, s, c) of every pulse: (1, eta m) for TX m of
+        # multi_band, (1, kappa) and (-1, 2 + kappa) for the single_band pair
+        def fields(pulses):
+            return [(p.beta_hz, p.t_p, p.s, p.c) for p in pulses]
+        for m_tx in (1, 2, 3, 4):
+            assert fields(pulse_set("multi_band", m_tx, BETA, TP, eta,
+                                    kappa)) == [
+                (BETA, TP, 1.0, c) for c in multi_band[:m_tx]]
+        assert fields(pulse_set("single_band", 2, BETA, TP, eta, kappa)) == [
+            (BETA, TP, s, c) for s, c in single_band]
+
+    @pytest.mark.parametrize("args, message", [
+        (("multi_band", 2, BETA, TP, -1.0, KAPPA),
+         "multi-band needs TX index m >= 1 and eta >= 0"),
+        (("single_band", 2, BETA, TP, ETA, -1.0), "kappa must be nonnegative"),
+        (("single_band", 3, BETA, TP, ETA, KAPPA),
+         "single_band waveform set is defined for M=2 only"),
+        (("ofdm", 2, BETA, TP, ETA, KAPPA), "unknown waveform set 'ofdm'")],
+        ids=["negative-eta", "negative-kappa", "single-band-of-3", "unknown"])
+    def test_rejections(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            pulse_set(*args)
+        assert str(exc.value) == message
