@@ -8,10 +8,11 @@ quantity a detector reads, and ``statistic(det, rx)`` is the one map from
 a detector to its statistic, in one form for the measurement cube and
 for the Monte Carlo engine's sufficient coordinates.  The noncentrality
 is that statistic on the noise-free return x at unit amplitude,
-lambda = 2 rho T(x) / c, read in the K-sample frame.  One kernel serves
-false-alarm probability, threshold inversion, fixed-amplitude detection
-probability (Marcum-Q tail), and the Swerling I average in terms of the
-regularized gamma and its power series.
+lambda' = 2 T(x) / c at unit RCS, read in the K-sample frame; a target
+of RCS rho has lambda = rho lambda'.  One kernel serves false-alarm
+probability, threshold inversion, fixed-amplitude detection probability
+(Marcum-Q tail), and the Swerling I average in terms of the regularized
+gamma and its power series.
 
 The false-alarm expressions use the right tail Pf = Q(p, gamma / c)
 throughout, consistent with the underlying chi-square tail integral.
@@ -154,7 +155,7 @@ class Receiver:
         u, rank = steering_span(comp.S_hat)
         with np.errstate(over="ignore"):  # law checks the scale c
             varsigma = float(np.sum(np.abs(templates) ** 2))
-        return cls(sc=sc, x=noise_free_mf_output(sc, err, 1.0),
+        return cls(sc=sc, x=noise_free_mf_output(sc, err),
                    varsigma=varsigma,
                    phasors=_phasors(comp.theta_hat.tobytes(),
                                     comp.theta_hat.shape),
@@ -275,17 +276,16 @@ def _unit_scale(x) -> float:
     return math.ldexp(1.0, -math.frexp(float(np.max(np.abs(x))))[1])
 
 
-def noncentrality(det: DetectorKind, rx: Receiver, rho: float) -> float:
-    """Noncentrality lambda = 2 rho T(x) / c at target RCS rho = |alpha|^2,
-    T the detector's statistic and x the receiver's noise-free return at
-    unit amplitude.  Where T(x) is below the least normal double (CD's
-    grows as xi^4, and a strong fixed target's gains are small) or
-    overflows one (CD's at an SNR of 2000 dB), T reads s x and c becomes
-    c s^2, s the power of two that brings max |x| into [1/2, 1): T is
-    quadratic, so the ratio is the same.  Raises ValueError where lambda
-    itself overflows a double."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+def noncentrality(det: DetectorKind, rx: Receiver) -> float:
+    """Noncentrality lambda' = 2 T(x) / c at unit target RCS, T the
+    detector's statistic and x the receiver's noise-free return at unit
+    amplitude; a target of RCS rho = |alpha|^2 has lambda = rho lambda'.
+    Where T(x) is below the least normal double (CD's grows as xi^4, and
+    a strong fixed target's gains are small) or overflows one (CD's at an
+    SNR of 2000 dB), T reads s x and c becomes c s^2, s the power of two
+    that brings max |x| into [1/2, 1): T is quadratic, so the ratio is
+    the same.  Raises ValueError where lambda' itself overflows a
+    double."""
     _, c = rx.law(det)
     stat = statistic(det, rx)
     with np.errstate(over="ignore"):  # an infinite T(x) is rescaled
@@ -294,7 +294,7 @@ def noncentrality(det: DetectorKind, rx: Receiver, rho: float) -> float:
             s = _unit_scale(rx.x)
             if sys.float_info.min <= c * s * s < math.inf:
                 t, c = float(stat(rx.x * s)), c * s * s
-    lam = 2.0 * rho * t / c
+    lam = 2.0 * t / c
     if not lam < math.inf:
         raise ValueError(f"{det.value} noncentrality lambda = 2 rho T(x) / c "
                          "overflows a double")
@@ -382,7 +382,7 @@ def analyze_detector(det: DetectorKind, rx: Receiver,
     noncentrality, and detection probability under the scenario's target
     model (Swerling I average or fixed amplitude)."""
     sc = rx.sc
-    lam_prime = noncentrality(det, rx, 1.0)
+    lam_prime = noncentrality(det, rx)
     chi2 = rx.law(det)
     gamma = threshold(chi2, pfa_target)
     rho = sc.target.mean_rcs

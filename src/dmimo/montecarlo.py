@@ -203,7 +203,7 @@ class _Scratch:
 
 def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
                       outside: int, cfg: TrialConfig, j: int,
-                      scratch: _Scratch | None = None):
+                      scratch: _Scratch):
     """Block ``j`` of a run in the frame ``Receiver.frame`` gives: the
     coordinates c (trials, 1, 1, w) of its measurement batch in W, the
     energy g (trials,) outside W and the part g_span (trials,) of it
@@ -222,11 +222,8 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     ``signal``.  Every block then draws the energy of the ``inside``
     dimensions, then that of the ``outside`` ones.  g is the sum of
     the two energies, and a shared coordinate then adds its |.|^2 to
-    it.  With a scratch, c, g and g_span are its arrays; without one,
-    fresh arrays.
+    it.  c, g and g_span are views of ``scratch``'s arrays.
     """
-    if scratch is None:
-        scratch = _Scratch()
     d, w = signal.size, crx.x.size
     nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
     rng = _block_rng(cfg.seed, cfg.pair, j)

@@ -1,13 +1,15 @@
 """Noise-free matched-filter output model for distributed and co-located
 MIMO radar.
 
-For each TX-RX path (m, n) the K slow-time samples factor as
+For each TX-RX path (m, n) the K slow-time samples at unit target
+amplitude factor as
 
-    x_mn = alpha * S_n @ X_mn @ h_mn
+    x_mn = S_n @ X_mn @ h_mn
 
 with S_n the K x M Doppler steering matrix, X_mn a diagonal matrix of
 cross-ambiguity samples, and h_mn the channel vector carrying amplitudes
-and carrier/propagation phases.  One builder evaluates S (N, K, M), the
+and carrier/propagation phases; the target's amplitude alpha scales
+every sample alike.  One builder evaluates S (N, K, M), the
 diagonals X (M, N, M) and h (M, N, M) for every path at once; the same
 builder, run at the estimated parameters, gives the receiver's
 compensation templates.  X is one array pass of the closed-form CAF over
@@ -270,10 +272,10 @@ def _model_output(S, X, h) -> np.ndarray:
     return np.einsum("nkj,mnj->mnk", S, X * h)
 
 
-def noise_free_mf_output(sc: Scenario, err: SyncErrors,
-                         alpha: complex) -> np.ndarray:
-    """(M, N, K) array of noise-free slow-time samples, factorized form."""
-    return alpha * _model_output(*_model_factors(sc, err))
+def noise_free_mf_output(sc: Scenario, err: SyncErrors) -> np.ndarray:
+    """(M, N, K) array of noise-free slow-time samples at unit target
+    amplitude, factorized form."""
+    return _model_output(*_model_factors(sc, err))
 
 
 def colocated_scenario(template: Scenario) -> Scenario:

@@ -32,9 +32,6 @@ from .specfun import fresnel, fresnel_aux
 
 __all__ = [
     "PulseSpec",
-    "multi_band_chirp",
-    "up_chirp",
-    "down_chirp",
     "caf",
 ]
 
@@ -61,24 +58,6 @@ class PulseSpec:
             raise ValueError("bandwidth and duration must be positive")
         if not (math.isfinite(self.s) and math.isfinite(self.c)):
             raise ValueError("sweep direction and start must be finite")
-
-
-def multi_band_chirp(m: int, beta_hz: float, t_p: float, eta: float) -> PulseSpec:
-    if m < 1 or eta < 0:
-        raise ValueError("multi-band needs TX index m >= 1 and eta >= 0")
-    return PulseSpec(beta_hz, t_p, 1.0, eta * m)
-
-
-def up_chirp(beta_hz: float, t_p: float, kappa: float) -> PulseSpec:
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return PulseSpec(beta_hz, t_p, 1.0, kappa)
-
-
-def down_chirp(beta_hz: float, t_p: float, kappa: float) -> PulseSpec:
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return PulseSpec(beta_hz, t_p, -1.0, 2.0 + kappa)
 
 
 def _chirp(p):
@@ -179,13 +158,19 @@ def pulse_set(waveform_set: str, m_tx: int, beta_hz: float, t_p: float,
               eta: float, kappa: float) -> tuple[PulseSpec, ...]:
     """Build the M transmit pulses for a named waveform set.
 
-    'multi_band' supports any M; 'single_band' is the up/down pair (M=2).
+    'multi_band' gives TX m = 1..M the up-chirp (s, c) = (1, eta m), any
+    M; 'single_band' is the up/down pair (1, kappa), (-1, 2 + kappa), M = 2.
     """
     if waveform_set == "multi_band":
-        return tuple(multi_band_chirp(m, beta_hz, t_p, eta)
-                     for m in range(1, m_tx + 1))
-    if waveform_set == "single_band":
+        if eta < 0:
+            raise ValueError("multi-band needs TX index m >= 1 and eta >= 0")
+        chirps = [(1.0, eta * m) for m in range(1, m_tx + 1)]
+    elif waveform_set == "single_band":
         if m_tx != 2:
             raise ValueError("single_band waveform set is defined for M=2 only")
-        return (up_chirp(beta_hz, t_p, kappa), down_chirp(beta_hz, t_p, kappa))
-    raise ValueError(f"unknown waveform set {waveform_set!r}")
+        if kappa < 0:
+            raise ValueError("kappa must be nonnegative")
+        chirps = [(1.0, kappa), (-1.0, 2.0 + kappa)]
+    else:
+        raise ValueError(f"unknown waveform set {waveform_set!r}")
+    return tuple(PulseSpec(beta_hz, t_p, s, c) for s, c in chirps)

@@ -6,7 +6,7 @@ import pytest
 from dmimo import montecarlo
 from dmimo.presets import reference_scenario
 from dmimo.scene import Scenario, SyncErrors, Swerling1
-from dmimo.waveforms import multi_band_chirp
+from dmimo.waveforms import pulse_set
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -48,7 +48,7 @@ def random_scenario():
         N = n_rx if n_rx is not None else int(rng.integers(1, 3))
         K = k_pulses if k_pulses is not None else int(rng.integers(4, 17))
         sc = Scenario(
-            pulses=tuple(multi_band_chirp(m + 1, 400e3, tp, 3.0) for m in range(M)),
+            pulses=pulse_set("multi_band", M, 400e3, tp, 3.0, 3.0),
             n_rx=N,
             k_pulses=K,
             pri_s=2e-3,

@@ -42,6 +42,7 @@ from dmimo.montecarlo import (
     TrialConfig,
     _block_rng,
     _coordinate_block,
+    _Scratch,
     draw_noise,
 )
 from dmimo.scene import (
@@ -226,7 +227,7 @@ def iter_measurement_blocks(sc: Scenario, err: SyncErrors, cfg: TrialConfig):
     statistic on these is the law the package's coordinate blocks must
     reproduce."""
     M, N, K = sc.m_tx, sc.n_rx, sc.k_pulses
-    x_unit = noise_free_mf_output(sc, err, 1.0)
+    x_unit = noise_free_mf_output(sc, err)
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
         nb = min(BLOCK_TRIALS, cfg.trials - j * BLOCK_TRIALS)
         rng = _block_rng(cfg.seed, cfg.pair, j)
@@ -284,11 +285,12 @@ def coordinate_frame(rx: Receiver):
 
 def iter_coordinate_blocks(rx: Receiver, cfg: TrialConfig):
     """Yield the run's coordinate blocks (c, g, g_span) one at a time,
-    serially and in block order, plus the receiver in their coordinates:
-    the serial reference for the pooled blocks."""
+    serially and in block order, each on a fresh scratch, plus the
+    receiver in their coordinates: the serial reference for the pooled
+    blocks."""
     frame = rx.frame()
     for j in range(-(-cfg.trials // BLOCK_TRIALS)):
-        yield frame[0], _coordinate_block(*frame, cfg, j)
+        yield frame[0], _coordinate_block(*frame, cfg, j, _Scratch())
 
 
 @dataclass(frozen=True)
@@ -404,7 +406,7 @@ def noncentrality_formula(det: DetectorKind, sc: Scenario, err: SyncErrors,
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     K, M, N = sc.k_pulses, sc.m_tx, sc.n_rx
-    x = noise_free_mf_output(sc, err, 1.0)
+    x = noise_free_mf_output(sc, err)
     tau_hat = sc.tau_s + err.dt
     f_hat = sc.doppler_hz + err.df
     psi_hat = sc.psi_rad + err.dp
@@ -420,7 +422,7 @@ def noncentrality_formula(det: DetectorKind, sc: Scenario, err: SyncErrors,
         return 2.0 * rho * abs(coh) ** 2 / (K * M * N), None
     if det is DetectorKind.CD:
         est = replace(sc, tau_s=tau_hat, doppler_hz=f_hat, psi_rad=psi_hat)
-        v = noise_free_mf_output(est, SyncErrors.zeros(M, N), 1.0)
+        v = noise_free_mf_output(est, SyncErrors.zeros(M, N))
         varsigma = float(np.sum(np.abs(v) ** 2))
         num = abs(np.sum(np.conj(v) * x)) ** 2
         return 2.0 * rho * num / varsigma, varsigma

@@ -33,7 +33,7 @@ from dmimo.scene import (
     noise_free_mf_output,
 )
 from dmimo.specfun import inv_reg_upper_gamma, reg_upper_gamma
-from dmimo.waveforms import caf, multi_band_chirp, pulse_set
+from dmimo.waveforms import PulseSpec, caf, pulse_set
 from oracles import h0_statistic_distribution_check, noncentrality_formula
 
 ALL = list(DetectorKind)
@@ -48,7 +48,7 @@ def ref_rx(ref_scenario, zero_err):
 def single_tx_setup(dt=0.0):
     tp = 1e-5
     sc = Scenario(
-        pulses=(multi_band_chirp(1, 400e3, tp, 3.0),),
+        pulses=(PulseSpec(400e3, tp, 1.0, 3.0),),
         n_rx=1, k_pulses=12, pri_s=2e-3, carrier_hz=3e9,
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
         psi_rad=np.array([[0.4]]), xi=np.array([[0.9]]),
@@ -59,17 +59,6 @@ def single_tx_setup(dt=0.0):
 
 
 class TestNoncentrality:
-    @pytest.mark.parametrize("det", ALL)
-    def test_zero_rho(self, det, ref_rx):
-        lam = noncentrality(det, ref_rx, 0.0)
-        assert lam == 0.0
-
-    @pytest.mark.parametrize("det", ALL)
-    def test_linear_in_rho(self, det, ref_rx):
-        lam1 = noncentrality(det, ref_rx, 1.0)
-        lam3 = noncentrality(det, ref_rx, 3.7)
-        assert lam3 == pytest.approx(3.7 * lam1, rel=1e-12)
-
     def test_single_tx_collapse(self):
         # with M=1, no errors, and ideal compensation the NCD/ACD/CD
         # noncentralities coincide at 2 rho xi^2 K
@@ -77,12 +66,12 @@ class TestNoncentrality:
         rho = 1.8
         expect = 2.0 * rho * sc.xi[0, 0] ** 2 * sc.k_pulses
         for det in (DetectorKind.NCD, DetectorKind.ACD, DetectorKind.CD):
-            lam = noncentrality(det, rx, rho)
+            lam = rho * noncentrality(det, rx)
             assert lam == pytest.approx(expect, rel=1e-9)
 
     def test_ncd_two_evaluations_agree(self, ref_rx, zero_err):
         sc = ref_rx.sc
-        lam = noncentrality(DetectorKind.NCD, ref_rx, 1.0)
+        lam = noncentrality(DetectorKind.NCD, ref_rx)
         S, X, h = _model_factors(sc, zero_err)
         total = 0.0
         for m in range(sc.m_tx):
@@ -98,8 +87,8 @@ class TestNoncentrality:
         loss = abs(caf(sc0.pulses[0], sc0.pulses[0], dt, 0.0)) ** 2
         assert loss < 1.0
         for det in ALL:
-            lam0 = noncentrality(det, rx0, 1.0)
-            lam1 = noncentrality(det, rx1, 1.0)
+            lam0 = noncentrality(det, rx0)
+            lam1 = noncentrality(det, rx1)
             assert lam1 <= lam0 + 1e-12
             if det in (DetectorKind.NCD, DetectorKind.HD):
                 assert lam1 / lam0 == pytest.approx(loss, rel=1e-6)
@@ -136,9 +125,9 @@ class TestNoncentrality:
             except ValueError:
                 # co-located HD: rank-deficient steering, both must raise
                 with pytest.raises(ValueError):
-                    noncentrality(det, rx, rho)
+                    rho * noncentrality(det, rx)
                 continue
-            lam = noncentrality(det, rx, rho)
+            lam = rho * noncentrality(det, rx)
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0), det
             assert analyze_detector(det, rx, 1e-4).varsigma == want_vs
 
@@ -155,10 +144,10 @@ class TestNoncentrality:
             small = Receiver.build(replace(sc, xi=sc.xi * scale), err)
             for det in ALL:
                 try:
-                    want = noncentrality(det, rx, 1.0) * scale ** 2
+                    want = noncentrality(det, rx) * scale ** 2
                 except ValueError:  # HD on rank-deficient steering
                     continue
-                assert noncentrality(det, small, 1.0) == pytest.approx(
+                assert noncentrality(det, small) == pytest.approx(
                     want, rel=1e-12, abs=0.0), (det, scale)
 
 
@@ -168,7 +157,7 @@ class TestLaw:
         # analysis.law is the single source of (p, c): doubling c there
         # halves the noncentrality, doubles a receiver's threshold and
         # doubles the scale the H0 check tests against
-        lam = noncentrality(det, ref_rx, 1.0)
+        lam = noncentrality(det, ref_rx)
         gamma = threshold(ref_rx.law(det), 1e-3)
         check = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
         original = analysis.law
@@ -178,7 +167,7 @@ class TestLaw:
             return p, 2.0 * c
 
         monkeypatch.setattr(analysis, "law", doubled)
-        assert noncentrality(det, ref_rx, 1.0) == lam / 2.0
+        assert noncentrality(det, ref_rx) == lam / 2.0
         assert threshold(ref_rx.law(det), 1e-3) == 2.0 * gamma
         got = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
         assert (got.order, got.scale) == (check.order, 2.0 * check.scale)
@@ -296,7 +285,7 @@ class TestPdSwerling1:
         # the exponential-RCS average, 1e-6 absolute
         sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
         rx = Receiver.build(sc, zero_err)
-        lam_prime = noncentrality(det, rx, 1.0)
+        lam_prime = noncentrality(det, rx)
         chi2 = rx.law(det)
         g = threshold(chi2, 1e-4)
         closed = pd_swerling1(chi2, g, lam_prime, 1.0)
@@ -350,7 +339,7 @@ class TestPdSwerling1:
         for snr_db in (-10.0, 5.0, 20.0):
             sc = reference_scenario("multi_band", snr_db=(snr_db, snr_db))
             rx = Receiver.build(sc, zero_err)
-            lam_prime = noncentrality(det, rx, 1.0)
+            lam_prime = noncentrality(det, rx)
             scale = {DetectorKind.NCD: 1.0, DetectorKind.ACD: K * M * N,
                      DetectorKind.CD: rx.varsigma, DetectorKind.HD: 1.0}[det]
             for pfa_target in (1e-4, 1e-6, 1e-8, 1e-10):
@@ -403,7 +392,7 @@ class TestAnalyzeDetector:
         sc = replace(ref_scenario, target=NonFluctuating(1.0 + 0.0j))
         rx = Receiver.build(sc, zero_err)
         pt = analyze_detector(DetectorKind.NCD, rx, 1e-4)
-        lam = noncentrality(DetectorKind.NCD, rx, 1.0)
+        lam = noncentrality(DetectorKind.NCD, rx)
         expect = pd_nonfluctuating(law(DetectorKind.NCD, K, M, N),
                                    pt.gamma, lam)
         assert pt.pd == pytest.approx(expect, rel=1e-12)

@@ -26,7 +26,7 @@ from dmimo.scene import (
     noise_free_mf_output,
 )
 from dmimo.montecarlo import TrialConfig
-from dmimo.waveforms import multi_band_chirp
+from dmimo.waveforms import PulseSpec
 from oracles import (
     acd_statistic,
     alpha_mle,
@@ -43,7 +43,7 @@ def random_measurement(rng, M=2, N=1, K=12):
 def single_tx_scenario(xi=1.3 * 0.8):
     tp = 1e-5
     return Scenario(
-        pulses=(multi_band_chirp(1, 400e3, tp, 3.0),),
+        pulses=(PulseSpec(400e3, tp, 1.0, 3.0),),
         n_rx=1, k_pulses=12, pri_s=2e-3, carrier_hz=3e9,
         tau_s=np.array([[0.3 * tp]]), doppler_hz=np.array([[210.0]]),
         psi_rad=np.array([[0.4]]), xi=np.array([[xi]]),
@@ -99,7 +99,7 @@ class TestAcd:
         sc = single_tx_scenario()
         err = SyncErrors.zeros(1, 1)
         alpha = 0.7 * np.exp(0.3j)
-        x = noise_free_mf_output(sc, err, alpha)
+        x = alpha * noise_free_mf_output(sc, err)
         comp = CompensationSet.from_scenario(sc, err)
         got = acd_statistic(x, comp.theta_hat)
         expect = (abs(alpha) * sc.xi[0, 0] * sc.k_pulses) ** 2
@@ -142,7 +142,7 @@ class TestCd:
         # noise-free statistic equals |alpha|^2 varsigma^2, i.e. the
         # noncentrality identity lambda_CD * varsigma / 2
         alpha = 1.2 * np.exp(-0.8j)
-        x = noise_free_mf_output(ref_scenario, zero_err, alpha)
+        x = alpha * noise_free_mf_output(ref_scenario, zero_err)
         varsigma = np.sum(np.abs(ref_comp.templates) ** 2)
         got = cd_statistic(x, ref_comp.templates)
         assert got == pytest.approx(abs(alpha) ** 2 * varsigma ** 2, rel=1e-9)
@@ -230,16 +230,16 @@ class TestHd:
 
 class TestMles:
     def test_alpha_exact_recovery(self, ref_scenario, zero_err):
-        x = noise_free_mf_output(ref_scenario, zero_err, 1.0)
+        x = noise_free_mf_output(ref_scenario, zero_err)
         alpha0 = 0.3 - 1.1j
         assert alpha_mle(alpha0 * x, x) == pytest.approx(alpha0, rel=1e-12)
 
     def test_alpha_zero_measurement(self, ref_scenario, zero_err):
-        x = noise_free_mf_output(ref_scenario, zero_err, 1.0)
+        x = noise_free_mf_output(ref_scenario, zero_err)
         assert alpha_mle(np.zeros_like(x), x) == 0.0
 
     def test_alpha_matches_normal_equations(self, ref_scenario, zero_err):
-        x = noise_free_mf_output(ref_scenario, zero_err, 1.0)
+        x = noise_free_mf_output(ref_scenario, zero_err)
         rng = np.random.default_rng(9)
         y = random_measurement(rng)
         # stacked least squares oracle
@@ -407,7 +407,8 @@ class TestEnergyForm:
         crx = frame[0]
         assert crx.span is None
         cfg = TrialConfig(trials=3000, seed=seed, target_draw=Swerling1(2.0))
-        c, *_ = montecarlo._coordinate_block(*frame, cfg, 0)
+        c, *_ = montecarlo._coordinate_block(*frame, cfg, 0,
+                                             montecarlo._Scratch())
         want = abs_squared_forms(c, crx)
         got = energy_forms(c, crx)
         assert got.keys() == want.keys()

@@ -573,7 +573,8 @@ class TestBlockBytes:
         for rx in receivers:
             frame = rx.frame()
             assert frame[1].size <= 4
-            assert [len(montecarlo._coordinate_block(*frame, cfg, j)[0])
+            assert [len(montecarlo._coordinate_block(
+                *frame, cfg, j, montecarlo._Scratch())[0])
                     for j in (0, 1)] == [BLOCK_TRIALS, 1]
 
 
@@ -621,8 +622,8 @@ class TestScratch:
         ids=["H0", "swerling", "fixed"])
     def test_blocks_follow_the_draw_order(self, ref_scenario, target):
         # fresh arrays drawn in the documented order give each block bit
-        # for bit, a full block and a partial one, fresh and on a scratch
-        # that an earlier block filled: H0 and a fixed target draw d
+        # for bit, a full block and a partial one, on a fresh scratch and
+        # on one that an earlier block filled: H0 and a fixed target draw d
         # coordinates per trial, to which the fixed return adds; a
         # Swerling I block draws the unit moduli sqrt(Exp(1)), scaled to
         # hypot(1, sqrt(rho_bar) hypot(a, e)) along the return's
@@ -676,7 +677,8 @@ class TestScratch:
                 c = z[:, :w].reshape(nb, 1, 1, w)
                 assert_same_bits(
                     [montecarlo._coordinate_block(crx, signal, inside,
-                                                  outside, cfg, j),
+                                                  outside, cfg, j,
+                                                  montecarlo._Scratch()),
                      montecarlo._coordinate_block(crx, signal, inside,
                                                   outside, cfg, j, scratch)],
                     [(c, g, g_span), (c, g, g_span)])
@@ -707,7 +709,8 @@ class TestScratch:
             g = rng.standard_gamma(outside, nb) + g_span
             c = (y + 0j).reshape(nb, 1, 1, 1)
             blocks = [montecarlo._coordinate_block(crx, signal, inside,
-                                                   outside, cfg, j),
+                                                   outside, cfg, j,
+                                                   montecarlo._Scratch()),
                       montecarlo._coordinate_block(crx, signal, inside,
                                                    outside, cfg, j, scratch)]
             assert_same_bits(blocks, [(c, g, g_span), (c, g, g_span)])
@@ -715,15 +718,6 @@ class TestScratch:
             assert all(map(np.shares_memory, blocks[1],
                            [scratch.buffers[name]
                             for name in ("noise", "outside", "inside")]))
-
-    def test_block_without_scratch_is_fresh(self, ref_rx):
-        frame = ref_rx.frame()
-        cfg = TrialConfig(trials=POOL_TRIALS, seed=3,
-                          target_draw=Swerling1(1.0))
-        first = montecarlo._coordinate_block(*frame, cfg, 0)
-        kept = tuple(a.copy() for a in first)
-        montecarlo._coordinate_block(*frame, cfg, 1)
-        assert_same_bits([first], [kept])
 
     def test_scratch_reused_by_smaller_blocks(self, ref_rx):
         # a partial block, and a block of fewer coordinates, are views

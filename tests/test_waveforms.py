@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dmimo.waveforms import (
-    PulseSpec,
-    caf,
-    down_chirp,
-    multi_band_chirp,
-    pulse_set,
-    up_chirp,
-)
+from dmimo.waveforms import PulseSpec, caf, pulse_set
 from oracles import caf_grid, caf_quadrature, caf_symmetry_partner, sample_pulse
 
 BETA = 400e3
@@ -22,27 +15,26 @@ ETA = 3.0
 KAPPA = 3.0
 
 
+MB_PAIR = pulse_set("multi_band", 2, BETA, TP, ETA, KAPPA)
+SB_PAIR = pulse_set("single_band", 2, BETA, TP, ETA, KAPPA)
+
+
 @pytest.fixture
 def mb_pair():
-    return (multi_band_chirp(1, BETA, TP, ETA), multi_band_chirp(2, BETA, TP, ETA))
+    return MB_PAIR
 
 
 @pytest.fixture
 def sb_pair():
-    return (up_chirp(BETA, TP, KAPPA), down_chirp(BETA, TP, KAPPA))
+    return SB_PAIR
 
 
-ALL_SPECS = [
-    multi_band_chirp(1, BETA, TP, ETA),
-    multi_band_chirp(2, BETA, TP, ETA),
-    up_chirp(BETA, TP, KAPPA),
-    down_chirp(BETA, TP, KAPPA),
-]
+ALL_SPECS = [*MB_PAIR, *SB_PAIR]
 
 
 class TestSamplePulse:
     def test_multi_band_at_origin(self):
-        p = sample_pulse(multi_band_chirp(1, BETA, TP, ETA), 0.0)
+        p = sample_pulse(MB_PAIR[0], 0.0)
         assert p == pytest.approx(1.0 / math.sqrt(TP), rel=1e-12)
         assert p.imag == 0.0
 
@@ -54,7 +46,7 @@ class TestSamplePulse:
     def test_up_chirp_midpoint(self):
         # direct substitution at t = T_p / 2
         expect = np.exp(1j * math.pi * BETA * (TP / 4 + KAPPA * TP / 2)) / math.sqrt(TP)
-        got = sample_pulse(up_chirp(BETA, TP, KAPPA), TP / 2)
+        got = sample_pulse(SB_PAIR[0], TP / 2)
         assert got == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -64,7 +56,7 @@ class TestSamplePulse:
         assert energy == pytest.approx(1.0, abs=1e-10)
 
     def test_vectorized_matches_scalar(self):
-        spec = down_chirp(BETA, TP, KAPPA)
+        spec = SB_PAIR[1]
         ts = np.linspace(-TP, 2 * TP, 37)
         vec = sample_pulse(spec, ts)
         assert np.allclose(vec, [sample_pulse(spec, t) for t in ts])
@@ -74,23 +66,15 @@ class TestSamplePulse:
             PulseSpec(BETA, TP, 1.0, math.inf)
         with pytest.raises(ValueError, match="must be positive"):
             PulseSpec(-1.0, TP, 1.0, 0.0)
-        # each factory checks its own parameter
-        for build, args in ((multi_band_chirp, (0, BETA, TP, ETA)),
-                            (multi_band_chirp, (1, BETA, TP, -1.0)),
-                            (up_chirp, (BETA, TP, -1.0)),
-                            (down_chirp, (BETA, TP, -1.0))):
-            with pytest.raises(ValueError):
-                build(*args)
 
     def test_factories_are_their_chirps(self):
-        # each factory's pulse is the chirp (beta, T_p, s, c) written out
-        # from its formula, and the CAF reads nothing else: the values
+        # each pulse of pulse_set is the chirp (beta, T_p, s, c) written
+        # out from its formula, and the CAF reads nothing else: the values
         # over a (nu, f) grid agree bit for bit
-        pairs = [(multi_band_chirp(m, BETA, TP, ETA),
-                  PulseSpec(BETA, TP, 1.0, ETA * m)) for m in (1, 2, 3)]
-        pairs += [(up_chirp(BETA, TP, KAPPA), PulseSpec(BETA, TP, 1.0, KAPPA)),
-                  (down_chirp(BETA, TP, KAPPA),
-                   PulseSpec(BETA, TP, -1.0, 2.0 + KAPPA))]
+        pairs = list(zip(pulse_set("multi_band", 3, BETA, TP, ETA, KAPPA),
+                         [PulseSpec(BETA, TP, 1.0, ETA * m) for m in (1, 2, 3)]))
+        pairs += zip(SB_PAIR, [PulseSpec(BETA, TP, 1.0, KAPPA),
+                               PulseSpec(BETA, TP, -1.0, 2.0 + KAPPA)])
         nus = np.linspace(-1.1 * TP, 1.1 * TP, 9)[:, None]
         fs = np.linspace(-2 * BETA, 2 * BETA, 7)[None, :]
         for made, written in pairs:
@@ -162,12 +146,12 @@ FAMILIES = ("multi_band", "single_band_up", "single_band_down")
 
 
 def family_pulse(family, beta_hz, t_p, eta=ETA, kappa=KAPPA, m=1):
-    """The pulse one factory builds: multi-band chirp m, or the up or
+    """The pulse ``pulse_set`` builds: multi-band chirp m, or the up or
     down chirp of the single-band pair."""
     if family == "multi_band":
-        return multi_band_chirp(m, beta_hz, t_p, eta)
-    chirp = up_chirp if family == "single_band_up" else down_chirp
-    return chirp(beta_hz, t_p, kappa)
+        return pulse_set("multi_band", m, beta_hz, t_p, eta, kappa)[m - 1]
+    up, down = pulse_set("single_band", 2, beta_hz, t_p, eta, kappa)
+    return up if family == "single_band_up" else down
 
 
 def random_spec(rng, family, beta_hz, t_p):
@@ -378,7 +362,7 @@ class TestCafGrid:
         with pytest.raises(ValueError, match="finite"):
             caf(a, b, np.array([0.0, np.nan]), 0.0)
         with pytest.raises(ValueError, match="common duration"):
-            caf(np.array([a, multi_band_chirp(2, BETA, 2 * TP, ETA)]), b,
+            caf(np.array([a, PulseSpec(BETA, 2 * TP, 1.0, 2 * ETA)]), b,
                 0.0, 0.0)
         with pytest.raises(ValueError, match="overflows a double"):
             caf(a, b, np.zeros(2), np.array([0.0, 1e308]))
