@@ -125,7 +125,7 @@ class TestNoncentrality:
             except ValueError:
                 # co-located HD: rank-deficient steering, both must raise
                 with pytest.raises(ValueError):
-                    rho * noncentrality(det, rx)
+                    noncentrality(det, rx)
                 continue
             lam = rho * noncentrality(det, rx)
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0), det

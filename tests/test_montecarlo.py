@@ -574,7 +574,7 @@ class TestBlockBytes:
             frame = rx.frame()
             assert frame[1].size <= 4
             assert [len(montecarlo._coordinate_block(
-                *frame, cfg, j, montecarlo._Scratch())[0])
+                        *frame, cfg, j, montecarlo._Scratch())[0])
                     for j in (0, 1)] == [BLOCK_TRIALS, 1]
 
 
