@@ -14,7 +14,7 @@ does not check.
 
 import math
 
-from dmimo.analysis import DetectorKind, Receiver, analyze_detector, threshold
+from dmimo.analysis import DetectorKind, Receiver, analyze_detector
 from dmimo.montecarlo import TrialConfig, run_sweep
 from dmimo.presets import reference_scenario
 from dmimo.scene import Swerling1, SyncErrors
@@ -41,7 +41,7 @@ for d in ALL:
           f"{sigma3:9.4f}")
 
 # a run without a target draw is noise only (H0)
-h0 = run_sweep([(rx, {d: threshold(rx.law(d), H0_PFA) for d in ALL},
+h0 = run_sweep([(rx, {d: rx.law(d).isf(H0_PFA) for d in ALL},
                  TrialConfig(trials=TRIALS, seed=200))])[0]
 sigma3 = 3 * math.sqrt(H0_PFA * (1 - H0_PFA) / TRIALS)
 print(f"\nfalse-alarm rate at the Pf = {H0_PFA:g} thresholds "

@@ -2,17 +2,18 @@
 
 Every statistic T is (a scaled) chi-square: under H0, 2T/c is central
 chi-square with 2p degrees of freedom, and under H1 noncentral with
-parameter lambda; ``law`` gives (p, c), and the closed forms take it.  A
-``Receiver``, built once per (sweep point, system) pair, holds every
-quantity a detector reads, and ``statistic(det, rx)`` is the one map from
-a detector to its statistic, in one form for the measurement cube and
-for the Monte Carlo engine's sufficient coordinates.  The noncentrality
-is that statistic on the noise-free return x at unit amplitude,
-lambda' = 2 T(x) / c at unit RCS, read in the K-sample frame; a target
-of RCS rho has lambda = rho lambda'.  One kernel serves false-alarm
-probability, threshold inversion, fixed-amplitude detection probability
-(Marcum-Q tail), and the Swerling I average in terms of the regularized
-gamma and its power series.
+parameter lambda; ``law`` gives the ``ChiSquareLaw`` (p, c), whose
+methods are the closed forms.  A ``Receiver``, built once per (sweep
+point, system) pair, holds every quantity a detector reads, and
+``statistic(det, rx)`` is the one map from a detector to its statistic,
+in one form for the measurement cube and for the Monte Carlo engine's
+sufficient coordinates.  The noncentrality is that statistic on the
+noise-free return x at unit amplitude, lambda' = 2 T(x) / c at unit RCS,
+read in the K-sample frame; a target of RCS rho has lambda = rho lambda'.
+One kernel serves false-alarm probability, threshold inversion,
+fixed-amplitude detection probability (Marcum-Q tail), and the
+Swerling I average in terms of the regularized gamma and its power
+series.
 
 The false-alarm expressions use the right tail Pf = Q(p, gamma / c)
 throughout, consistent with the underlying chi-square tail integral.
@@ -49,14 +50,11 @@ from .specfun import (
 __all__ = [
     "DetectorKind",
     "PerfPoint",
+    "ChiSquareLaw",
     "Receiver",
     "law",
     "statistic",
     "noncentrality",
-    "pfa",
-    "threshold",
-    "pd_nonfluctuating",
-    "pd_swerling1",
     "analyze_detector",
 ]
 
@@ -85,10 +83,84 @@ class PerfPoint:
             raise ValueError("CD operating point requires varsigma > 0")
 
 
+@dataclass(frozen=True)
+class ChiSquareLaw:
+    """A statistic's law: under H0, 2T/c is central chi-square with 2p
+    degrees of freedom, and under H1 noncentral with parameter lambda.
+    Raises ValueError where c is not finite or is below
+    sys.float_info.min, since a subnormal c has too few significant bits
+    for 12 printed digits."""
+
+    p: int
+    c: float
+
+    def __post_init__(self):
+        if not sys.float_info.min <= self.c < math.inf:
+            raise ValueError(f"statistic scale c = {self.c} is not finite "
+                             f"and at least {sys.float_info.min}")
+
+    def sf(self, gamma: float) -> Probability:
+        """Probability of false alarm Q(p, gamma / c) at threshold gamma."""
+        if gamma < 0:
+            raise ValueError("threshold must be nonnegative")
+        return Probability(reg_upper_gamma(self.p, gamma / self.c))
+
+    def isf(self, pfa: float) -> float:
+        """Threshold gamma = c q with sf(gamma) = pfa, q the quantile of
+        the unit-scale law.  For p > 1 q is cached on (p, pfa), at most
+        64 of them.  Raises ValueError where gamma overflows a double."""
+        if not 0.0 < pfa < 1.0:
+            raise ValueError("target false-alarm rate must lie strictly in "
+                             "(0, 1)")
+        q = (math.log(1.0 / pfa) if self.p == 1
+             else _gamma_quantile(self.p, pfa))
+        gamma = self.c * q
+        if gamma == math.inf:
+            raise ValueError(f"threshold gamma = c q = {self.c} * {q} "
+                             "overflows a double")
+        return gamma
+
+    def pd(self, gamma: float, lam: float, target) -> Probability:
+        """Detection probability at threshold gamma for a target of
+        noncentrality lam: the Marcum-Q tail for a fixed amplitude, and
+        for a Swerling I target, lam at its mean RCS, the exponential-RCS
+        average
+
+            Q(p, g) + w g^p 1F1(1; p+1; g w) / (p! e^g),  w = lam/(lam+2)
+
+        with g = gamma / c.  By DLMF 8.5.1, g^p e^-g 1F1(1; p+1; z) / p!
+        is the lower incomplete gamma's prefactor at (p, g) times its
+        power series at (p, z).  Raises ValueError where that series
+        overflows a double, which takes a threshold whose false-alarm
+        rate is below the smallest double."""
+        if lam < 0 or gamma < 0:
+            raise ValueError("lambda and gamma must be nonnegative")
+        p, g = self.p, gamma / self.c
+        if not isinstance(target, Swerling1):
+            return marcum_q(p, math.sqrt(lam), math.sqrt(2.0 * gamma / self.c))
+        if g == 0.0:
+            val = 1.0
+        elif lam == 0.0:
+            val = reg_upper_gamma(p, g)
+        else:
+            denom = lam + 2.0
+            val = (reg_upper_gamma(p, g) + (lam / denom) * _gamma_prefactor(
+                p, g) * _gamma_series(p, g * lam / denom))
+        if not math.isfinite(val):
+            raise ValueError("the Swerling I series overflows a double")
+        return Probability(min(1.0, max(0.0, val)))
+
+
+# The quantile depends on the order and the target alone, never on the
+# SNR, so a sweep inverts each (p, Pfa) once; entries are two floats.
+@functools.lru_cache(maxsize=64)
+def _gamma_quantile(p, pfa_target):
+    return inv_reg_upper_gamma(p, pfa_target)
+
+
 def law(det: DetectorKind, K: int, M: int, N: int,
-        varsigma=None) -> tuple[int, float]:
-    """The one map from a detector to its law (p, c): under H0, 2T/c is
-    central chi-square with 2p degrees of freedom, where
+        varsigma=None) -> ChiSquareLaw:
+    """The one map from a detector to its law (p, c), where
 
         NCD  p = KMN    c = 1
         ACD  p = 1      c = KMN
@@ -96,11 +168,9 @@ def law(det: DetectorKind, K: int, M: int, N: int,
         HD   p = N M^2  c = 1
 
     with varsigma = ||v||^2 the energy of the CD templates v, in units of
-    the noise power.  Raises ValueError for CD without varsigma, and
-    where c is not finite or is below sys.float_info.min, since a
-    subnormal c has too few significant bits for 12 printed digits.  That
-    covers a subnormal varsigma and an ACD whose KMN is beyond a
-    double."""
+    the noise power.  Raises ValueError for CD without varsigma, and,
+    naming the detector, where ``ChiSquareLaw`` rejects c: that covers a
+    subnormal varsigma and an ACD whose KMN is beyond a double."""
     if det is DetectorKind.NCD:
         p, c = K * M * N, 1.0
     elif det is DetectorKind.HD:
@@ -115,10 +185,10 @@ def law(det: DetectorKind, K: int, M: int, N: int,
         raise ValueError("CD requires the varsigma scaling factor")
     else:
         p, c = 1, varsigma
-    if not sys.float_info.min <= c < math.inf:
-        raise ValueError(f"{det.value} statistic scale c = {c} is not finite "
-                         f"and at least {sys.float_info.min}")
-    return p, c
+    try:
+        return ChiSquareLaw(p, c)
+    except ValueError as exc:
+        raise ValueError(f"{det.value} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -221,8 +291,8 @@ class Receiver:
         return (crx, signal, M * N * r - x.size,
                 M * N * (K - r) - (signal.size - x.size))
 
-    def law(self, det: DetectorKind) -> tuple[int, float]:
-        """The detector's chi-square law (p, c) at this pair."""
+    def law(self, det: DetectorKind) -> ChiSquareLaw:
+        """The detector's ``ChiSquareLaw`` at this pair."""
         return law(det, self.sc.k_pulses, self.sc.m_tx, self.sc.n_rx,
                    self.varsigma)
 
@@ -279,14 +349,13 @@ def _unit_scale(x) -> float:
 def noncentrality(det: DetectorKind, rx: Receiver) -> float:
     """Noncentrality lambda' = 2 T(x) / c at unit target RCS, T the
     detector's statistic and x the receiver's noise-free return at unit
-    amplitude; a target of RCS rho = |alpha|^2 has lambda = rho lambda'.
-    Where T(x) is below the least normal double (CD's grows as xi^4, and
-    a strong fixed target's gains are small) or overflows one (CD's at an
-    SNR of 2000 dB), T reads s x and c becomes c s^2, s the power of two
-    that brings max |x| into [1/2, 1): T is quadratic, so the ratio is
-    the same.  Raises ValueError where lambda' itself overflows a
-    double."""
-    _, c = rx.law(det)
+    amplitude; a target of RCS rho has lambda = rho lambda', which
+    ``analyze_detector`` forms and checks.  Where T(x) is below the least
+    normal double (CD's grows as xi^4, and a strong fixed target's gains
+    are small) or overflows one (CD's at an SNR of 2000 dB), T reads s x
+    and c becomes c s^2, s the power of two that brings max |x| into
+    [1/2, 1): T is quadratic, so the ratio is the same."""
+    c = rx.law(det).c
     stat = statistic(det, rx)
     with np.errstate(over="ignore"):  # an infinite T(x) is rescaled
         t = float(stat(rx.x))
@@ -294,102 +363,23 @@ def noncentrality(det: DetectorKind, rx: Receiver) -> float:
             s = _unit_scale(rx.x)
             if sys.float_info.min <= c * s * s < math.inf:
                 t, c = float(stat(rx.x * s)), c * s * s
-    lam = 2.0 * t / c
-    if not lam < math.inf:
-        raise ValueError(f"{det.value} noncentrality lambda = 2 rho T(x) / c "
-                         "overflows a double")
-    return lam
-
-
-def pfa(law: tuple[int, float], gamma: float) -> Probability:
-    """Probability of false alarm at threshold gamma under the law (p, c)."""
-    if gamma < 0:
-        raise ValueError("threshold must be nonnegative")
-    p, c = law
-    return Probability(reg_upper_gamma(p, gamma / c))
-
-
-def threshold(law: tuple[int, float], pfa_target: float) -> float:
-    """Threshold gamma = c q with pfa(law, gamma) = pfa_target, q the
-    quantile of the unit-scale law.  For p > 1 q is cached on
-    (p, pfa_target), at most 64 of them.  Raises ValueError where gamma
-    overflows a double."""
-    if not 0.0 < pfa_target < 1.0:
-        raise ValueError("target false-alarm rate must lie strictly in (0, 1)")
-    p, c = law
-    q = (math.log(1.0 / pfa_target) if p == 1
-         else _gamma_quantile(p, pfa_target))
-    gamma = c * q
-    if gamma == math.inf:
-        raise ValueError(f"threshold gamma = c q = {c} * {q} overflows "
-                         "a double")
-    return gamma
-
-
-# The quantile depends on the order and the target alone, never on the
-# SNR, so a sweep inverts each (p, Pfa) once; entries are two floats.
-@functools.lru_cache(maxsize=64)
-def _gamma_quantile(p, pfa_target):
-    return inv_reg_upper_gamma(p, pfa_target)
-
-
-def pd_nonfluctuating(law: tuple[int, float], gamma: float,
-                      lam: float) -> Probability:
-    """Detection probability for a fixed-amplitude target."""
-    if lam < 0 or gamma < 0:
-        raise ValueError("lambda and gamma must be nonnegative")
-    p, c = law
-    return marcum_q(p, math.sqrt(lam), math.sqrt(2.0 * gamma / c))
-
-
-def _swerling1_average(p: int, g: float, lam_prime: float, rho_bar: float) -> float:
-    # Exponential-RCS average of the Marcum tail:
-    #   Q(p, g) + lam' g^p 1F1(1; p+1; g lam'/(lam'+2/rb))
-    #            / (p! (lam'+2/rb) e^g)
-    # with g the threshold normalized by the statistic scale.  By DLMF
-    # 8.5.1, g^p e^-g 1F1(1; p+1; z) / p! is the lower incomplete gamma's
-    # prefactor at (p, g) times its power series at (p, z).
-    if g == 0.0:
-        return 1.0
-    if lam_prime == 0.0:
-        return reg_upper_gamma(p, g)
-    denom = lam_prime + 2.0 / rho_bar
-    return (reg_upper_gamma(p, g)
-            + (lam_prime / denom) * _gamma_prefactor(p, g)
-            * _gamma_series(p, g * lam_prime / denom))
-
-
-def pd_swerling1(law: tuple[int, float], gamma: float, lambda_prime: float,
-                 rho_bar: float) -> Probability:
-    """Average detection probability for a Swerling I target with mean RCS
-    rho_bar, given the per-unit-RCS noncentrality lambda_prime.  Raises
-    ValueError where the series overflows a double, which takes a
-    threshold whose false-alarm rate is below the smallest double."""
-    if lambda_prime < 0:
-        raise ValueError("lambda_prime must be nonnegative")
-    if not rho_bar > 0:
-        raise ValueError("mean RCS must be positive")
-    p, c = law
-    val = _swerling1_average(p, gamma / c, lambda_prime, rho_bar)
-    if not math.isfinite(val):
-        raise ValueError("the Swerling I series overflows a double")
-    return Probability(min(1.0, max(0.0, val)))
+    return 2.0 * t / c
 
 
 def analyze_detector(det: DetectorKind, rx: Receiver,
                      pfa_target: float) -> PerfPoint:
-    """Operating point at a target false-alarm rate: threshold, per-target
-    noncentrality, and detection probability under the scenario's target
-    model (Swerling I average or fixed amplitude)."""
-    sc = rx.sc
-    lam_prime = noncentrality(det, rx)
+    """Operating point at a target false-alarm rate: threshold, the
+    target's noncentrality lambda = rho lambda' at its mean RCS rho, and
+    detection probability under the scenario's target model (Swerling I
+    average or fixed amplitude).  Raises ValueError where lambda
+    overflows a double."""
+    target = rx.sc.target
+    lam = noncentrality(det, rx) * target.mean_rcs
+    if not lam < math.inf:
+        raise ValueError(f"{det.value} noncentrality lambda = 2 rho T(x) / c "
+                         "overflows a double")
     chi2 = rx.law(det)
-    gamma = threshold(chi2, pfa_target)
-    rho = sc.target.mean_rcs
-    lam = lam_prime * rho
-    if isinstance(sc.target, Swerling1):
-        pd = pd_swerling1(chi2, gamma, lam_prime, rho)
-    else:
-        pd = pd_nonfluctuating(chi2, gamma, lam)
-    return PerfPoint(detector=det, gamma=gamma, pd=pd, lam=lam,
+    gamma = chi2.isf(pfa_target)
+    return PerfPoint(detector=det, gamma=gamma, pd=chi2.pd(gamma, lam, target),
+                     lam=lam,
                      varsigma=rx.varsigma if det is DetectorKind.CD else None)

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .analysis import DetectorKind, Receiver, analyze_detector, law, threshold
+from .analysis import DetectorKind, Receiver, analyze_detector, law
 from .experiments import (
     MAX_POINTS,
     MIN_PFA,
@@ -220,11 +220,14 @@ def _gate(detections: int, trials: int, pd: float):
     return p_hat, half, abs(p_hat - pd) <= max(half, 3.0 / trials)
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(usage_error, args) -> int:
     det = DetectorKind(args.detector)
+    if args.varsigma is not None and det is not DetectorKind.CD:
+        usage_error("argument --varsigma: only CD reads it, not --detector "
+                    f"{det.value}")
     try:
-        gamma = threshold(law(det, args.k_pulses, args.m_tx, args.n_rx,
-                              args.varsigma), args.pfa)
+        gamma = law(det, args.k_pulses, args.m_tx, args.n_rx,
+                    args.varsigma).isf(args.pfa)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     print(_fmt(gamma))
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=_bounded_int(1), required=True, help=what)
     p.add_argument("--varsigma", type=_float_between(0), default=None,
                    help="CD template energy varsigma; CD requires it")
-    p.set_defaults(func=cmd_threshold)
+    p.set_defaults(func=functools.partial(cmd_threshold, p.error))
     return parser
 
 

@@ -27,8 +27,8 @@ evaluation would:
 
 `detectors.steering_span` caches the span bases and ranks of the
 estimated S (one SVD, which HD and the Monte Carlo read) the same way on
-its bytes, and `analysis.threshold` its gamma quantiles on (p, Pfa);
-every sweep reuses those thresholds.  An independent scalar
+its bytes, and `analysis.ChiSquareLaw.isf` its gamma quantiles on
+(p, Pfa); every sweep reuses those thresholds.  An independent scalar
 evaluation of the samples (auto term plus M-1 cross terms) lives with
 the tests as the oracle for the factorized form.
 

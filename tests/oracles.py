@@ -313,10 +313,12 @@ def h0_statistic_distribution_check(det: DetectorKind, rx: Receiver,
     cfg = TrialConfig(trials=trials, seed=seed)
     vals = np.concatenate([statistic(det, crx)(*block) for crx, block
                            in iter_coordinate_blocks(rx, cfg)])
-    p, c = rx.law(det)
-    ks = stats.kstest(2.0 * vals / c, stats.chi2(df=2 * p).cdf).statistic
+    chi2 = rx.law(det)
+    ks = stats.kstest(2.0 * vals / chi2.c,
+                      stats.chi2(df=2 * chi2.p).cdf).statistic
     return DistributionCheck(detector=det, trials=trials,
-                             ks_distance=float(ks), order=p, scale=c)
+                             ks_distance=float(ks), order=chi2.p,
+                             scale=chi2.c)
 
 
 def acd_statistic(y, theta_hat) -> np.ndarray | float:

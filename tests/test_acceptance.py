@@ -18,16 +18,14 @@ from dmimo.analysis import (
     Receiver,
     analyze_detector,
     noncentrality,
-    pd_nonfluctuating,
-    pd_swerling1,
     statistic,
-    threshold,
 )
 from dmimo.detectors import cd_statistic
 from dmimo.experiments import load_experiment, parse_experiment, scenario_at
 from dmimo.montecarlo import TrialConfig, run_sweep
 from dmimo.presets import reference_scenario
 from dmimo.scene import (
+    NonFluctuating,
     Scenario,
     Swerling1,
     SyncErrors,
@@ -46,6 +44,7 @@ from oracles import (
 
 ALL = list(DetectorKind)
 ZERO = SyncErrors.zeros(2, 1)
+FIXED = NonFluctuating(1.0)  # selects the Marcum-Q form of ChiSquareLaw.pd
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
@@ -109,11 +108,10 @@ def test_4_swerling_closed_form_vs_quadrature():
             sc = reference_scenario("multi_band", snr_db=(snr, snr))
             rx = Receiver.build(sc, ZERO)
             lam_prime, chi2 = noncentrality(d, rx), rx.law(d)
-            g = threshold(chi2, 1e-4)
-            closed = pd_swerling1(chi2, g, lam_prime, 1.0)
+            g = chi2.isf(1e-4)
+            closed = chi2.pd(g, lam_prime, Swerling1(1.0))
             quad, _ = integrate.quad(
-                lambda r: math.exp(-r) * pd_nonfluctuating(
-                    chi2, g, lam_prime * r),
+                lambda r: math.exp(-r) * chi2.pd(g, lam_prime * r, FIXED),
                 0.0, 60.0, limit=300)
             ok &= abs(closed - quad) <= 1e-6
     report(4, "Swerling average vs direct quadrature", ok)

@@ -1,6 +1,7 @@
 """Tests for closed-form false-alarm/detection performance."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,21 +11,19 @@ from scipy import integrate, stats
 
 from dmimo import analysis
 from dmimo.analysis import (
+    ChiSquareLaw,
     DetectorKind,
     PerfPoint,
     Receiver,
     analyze_detector,
     law,
     noncentrality,
-    pd_nonfluctuating,
-    pd_swerling1,
-    pfa,
-    threshold,
 )
 from dmimo.detectors import CompensationSet
 from dmimo.experiments import parse_experiment, scenario_at
 from dmimo.presets import ETA, KAPPA, reference_scenario
 from dmimo.scene import (
+    NonFluctuating,
     Scenario,
     SyncErrors,
     Swerling1,
@@ -38,6 +37,7 @@ from oracles import h0_statistic_distribution_check, noncentrality_formula
 
 ALL = list(DetectorKind)
 K, M, N = 12, 2, 1
+FIXED = NonFluctuating(1.0)  # selects the Marcum-Q form of ChiSquareLaw.pd
 
 
 @pytest.fixture
@@ -158,66 +158,73 @@ class TestLaw:
         # halves the noncentrality, doubles a receiver's threshold and
         # doubles the scale the H0 check tests against
         lam = noncentrality(det, ref_rx)
-        gamma = threshold(ref_rx.law(det), 1e-3)
+        gamma = ref_rx.law(det).isf(1e-3)
         check = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
         original = analysis.law
 
         def doubled(*args):
-            p, c = original(*args)
-            return p, 2.0 * c
+            chi2 = original(*args)
+            return ChiSquareLaw(chi2.p, 2.0 * chi2.c)
 
         monkeypatch.setattr(analysis, "law", doubled)
         assert noncentrality(det, ref_rx) == lam / 2.0
-        assert threshold(ref_rx.law(det), 1e-3) == 2.0 * gamma
+        assert ref_rx.law(det).isf(1e-3) == 2.0 * gamma
         got = h0_statistic_distribution_check(det, ref_rx, 100, seed=1)
         assert (got.order, got.scale) == (check.order, 2.0 * check.scale)
 
     def test_acd_scale_beyond_a_double_is_a_value_error(self):
-        # K M N = 2 * 10**309 cannot be converted to a float
-        with pytest.raises(ValueError, match="not finite"):
+        # K M N = 2 * 10**309 cannot be converted to a float; the law
+        # itself rejects an infinite c, and law() names the detector
+        with pytest.raises(ValueError, match="^ACD statistic scale c = inf "
+                           "is not finite"):
             law(DetectorKind.ACD, 10**309, 2, 1)
+        with pytest.raises(ValueError, match="^statistic scale c = inf is "
+                           "not finite"):
+            ChiSquareLaw(1, math.inf)
 
-    @pytest.mark.parametrize("det", [DetectorKind.CD])
+    @pytest.mark.parametrize("det", [DetectorKind.CD, None])
     def test_subnormal_scale_is_a_value_error(self, det):
         # c = varsigma below the least normal double has too few
-        # significant bits for its threshold
-        with pytest.raises(ValueError, match="CD statistic scale c = 1e-320 "
-                           "is not finite and at least "
-                           "2.2250738585072014e-308"):
-            law(det, 12, 2, 1, 1e-320)
+        # significant bits for its threshold; the law itself rejects it
+        # (det None), and law() names the detector
+        name = f"{det.value} " if det else ""
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}statistic scale c = 1e-320 is not finite and at "
+                "least 2.2250738585072014e-308")):
+            law(det, 12, 2, 1, 1e-320) if det else ChiSquareLaw(1, 1e-320)
 
 
 class TestPfa:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_threshold(self, det):
-        assert pfa(law(det, K, M, N, varsigma=5.0), 0.0) == 1.0
+        assert law(det, K, M, N, varsigma=5.0).sf(0.0) == 1.0
 
     def test_cd_log_inversion(self):
         vs = 37.5
         gamma = vs * math.log(1e4)
-        assert pfa(law(DetectorKind.CD, K, M, N, vs),
-                   gamma) == pytest.approx(1e-4, rel=1e-12)
+        assert law(DetectorKind.CD, K, M, N, vs).sf(
+            gamma) == pytest.approx(1e-4, rel=1e-12)
 
     def test_ncd_matches_gamma_tail(self):
         for g in (5.0, 20.0, 46.6):
-            assert pfa(law(DetectorKind.NCD, K, M, N),
-                       g) == pytest.approx(reg_upper_gamma(24, g), rel=1e-13)
+            assert law(DetectorKind.NCD, K, M, N).sf(g) == pytest.approx(
+                reg_upper_gamma(24, g), rel=1e-13)
 
     @pytest.mark.parametrize("det", ALL)
     def test_monotone_in_gamma(self, det):
         gammas = np.linspace(0.0, 300.0, 40)
         chi2 = law(det, K, M, N, varsigma=10.0)
-        vals = [pfa(chi2, g) for g in gammas]
+        vals = [chi2.sf(g) for g in gammas]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_cd_requires_varsigma(self):
         with pytest.raises(ValueError):
-            pfa(law(DetectorKind.CD, K, M, N), 1.0)
+            law(DetectorKind.CD, K, M, N).sf(1.0)
 
 
 class TestThreshold:
     def test_acd_closed_form(self):
-        got = threshold(law(DetectorKind.ACD, K, M, N), 1e-4)
+        got = law(DetectorKind.ACD, K, M, N).isf(1e-4)
         assert got == pytest.approx(24.0 * math.log(1e4), rel=1e-12)
         assert got == pytest.approx(221.0482, abs=1e-3)
 
@@ -226,40 +233,40 @@ class TestThreshold:
     def test_round_trip(self, det, p):
         vs = 12.0
         chi2 = law(det, K, M, N, vs)
-        g = threshold(chi2, p)
-        assert pfa(chi2, g) == pytest.approx(p, rel=1e-10)
+        g = chi2.isf(p)
+        assert chi2.sf(g) == pytest.approx(p, rel=1e-10)
 
     def test_ncd_order_24(self):
-        got = threshold(law(DetectorKind.NCD, K, M, N), 1e-4)
+        got = law(DetectorKind.NCD, K, M, N).isf(1e-4)
         assert got == pytest.approx(inv_reg_upper_gamma(24, 1e-4), rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_degenerate_targets(self, p):
         with pytest.raises(ValueError):
-            threshold(law(DetectorKind.NCD, K, M, N), p)
+            law(DetectorKind.NCD, K, M, N).isf(p)
 
 
 class TestPdNonfluctuating:
     @pytest.mark.parametrize("det", ALL)
     def test_zero_lambda_reduces_to_pfa(self, det):
         chi2 = law(det, K, M, N, 8.0)
-        g = threshold(chi2, 1e-3)
-        assert pd_nonfluctuating(chi2, g, 0.0) == pytest.approx(
-            pfa(chi2, g), rel=1e-10)
+        g = chi2.isf(1e-3)
+        assert chi2.pd(g, 0.0, FIXED) == pytest.approx(
+            chi2.sf(g), rel=1e-10)
 
     @pytest.mark.parametrize("det", ALL)
     def test_zero_threshold(self, det):
-        assert pd_nonfluctuating(law(det, K, M, N, 8.0), 0.0, 5.0) == 1.0
+        assert law(det, K, M, N, 8.0).pd(0.0, 5.0, FIXED) == 1.0
 
     @pytest.mark.parametrize("det", ALL)
     def test_monotone(self, det):
         chi2 = law(det, K, M, N, 8.0)
-        g0 = threshold(chi2, 1e-4)
+        g0 = chi2.isf(1e-4)
         lams = np.linspace(0.0, 80.0, 17)
-        vals = [pd_nonfluctuating(chi2, g0, l) for l in lams]
+        vals = [chi2.pd(g0, l, FIXED) for l in lams]
         assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))
         gammas = np.linspace(0.5 * g0, 2.0 * g0, 9)
-        vals = [pd_nonfluctuating(chi2, g, 30.0) for g in gammas]
+        vals = [chi2.pd(g, 30.0, FIXED) for g in gammas]
         assert all(a >= b - 1e-13 for a, b in zip(vals, vals[1:]))
 
 
@@ -267,16 +274,16 @@ class TestPdSwerling1:
     @pytest.mark.parametrize("det", ALL)
     def test_invisible_target(self, det):
         chi2 = law(det, K, M, N, 8.0)
-        g = threshold(chi2, 1e-4)
-        assert pd_swerling1(chi2, g, 0.0, 1.0) == pytest.approx(
-            pfa(chi2, g), rel=1e-10)
+        g = chi2.isf(1e-4)
+        assert chi2.pd(g, 0.0, Swerling1(1.0)) == pytest.approx(
+            chi2.sf(g), rel=1e-10)
 
     @pytest.mark.parametrize("det", ALL)
     def test_vanishing_mean_rcs_limit(self, det):
         chi2 = law(det, K, M, N, 8.0)
-        g = threshold(chi2, 1e-4)
-        got = pd_swerling1(chi2, g, 40.0, 1e-12)
-        assert got == pytest.approx(pfa(chi2, g), rel=1e-6)
+        g = chi2.isf(1e-4)
+        got = chi2.pd(g, 40.0 * 1e-12, Swerling1(1e-12))
+        assert got == pytest.approx(chi2.sf(g), rel=1e-6)
 
     @pytest.mark.parametrize("det", ALL)
     @pytest.mark.parametrize("snr_db", [-10.0, -5.0, 0.0, 5.0, 10.0])
@@ -287,11 +294,10 @@ class TestPdSwerling1:
         rx = Receiver.build(sc, zero_err)
         lam_prime = noncentrality(det, rx)
         chi2 = rx.law(det)
-        g = threshold(chi2, 1e-4)
-        closed = pd_swerling1(chi2, g, lam_prime, 1.0)
+        g = chi2.isf(1e-4)
+        closed = chi2.pd(g, lam_prime, Swerling1(1.0))
         quad, err_est = integrate.quad(
-            lambda r: math.exp(-r) * pd_nonfluctuating(
-                chi2, g, lam_prime * r),
+            lambda r: math.exp(-r) * chi2.pd(g, lam_prime * r, FIXED),
             0.0, 60.0, limit=300)
         assert abs(closed - quad) <= 1e-6
 
@@ -306,7 +312,8 @@ class TestPdSwerling1:
         for pfa_target in (1e-2, 1e-4, 1e-8):
             g = inv_reg_upper_gamma(p, pfa_target)
             for lam_prime in np.geomspace(0.01, 1e6, 9):
-                got = pd_swerling1((p, 1.0), g, float(lam_prime), 1.0)
+                got = ChiSquareLaw(p, 1.0).pd(g, float(lam_prime),
+                                             Swerling1(1.0))
                 with mp.workdps(50):
                     x, lam = mp.mpf(g), mp.mpf(float(lam_prime))
                     denom = lam + 2
@@ -328,7 +335,7 @@ class TestPdSwerling1:
         # z = g lam'/(lam' + 2) is beyond the largest: the product read
         # inf or nan, clamped to 1 or 0, where the average is about 0.86
         with pytest.raises(ValueError, match="overflows a double"):
-            pd_swerling1((p, 1.0), g, 1e4, 1.0)
+            ChiSquareLaw(p, 1.0).pd(g, 1e4, Swerling1(1.0))
 
     @pytest.mark.parametrize("det", ALL)
     def test_pinned_to_scipy_down_to_pfa_1e_10(self, det, zero_err):
@@ -343,8 +350,8 @@ class TestPdSwerling1:
             scale = {DetectorKind.NCD: 1.0, DetectorKind.ACD: K * M * N,
                      DetectorKind.CD: rx.varsigma, DetectorKind.HD: 1.0}[det]
             for pfa_target in (1e-4, 1e-6, 1e-8, 1e-10):
-                g = threshold(rx.law(det), pfa_target)
-                closed = pd_swerling1(rx.law(det), g, lam_prime, 1.0)
+                g = rx.law(det).isf(pfa_target)
+                closed = rx.law(det).pd(g, lam_prime, Swerling1(1.0))
                 want, _ = integrate.quad(
                     lambda r: math.exp(-r) * stats.ncx2.sf(
                         2.0 * g / scale, 2 * order, lam_prime * r),
@@ -393,8 +400,7 @@ class TestAnalyzeDetector:
         rx = Receiver.build(sc, zero_err)
         pt = analyze_detector(DetectorKind.NCD, rx, 1e-4)
         lam = noncentrality(DetectorKind.NCD, rx)
-        expect = pd_nonfluctuating(law(DetectorKind.NCD, K, M, N),
-                                   pt.gamma, lam)
+        expect = law(DetectorKind.NCD, K, M, N).pd(pt.gamma, lam, FIXED)
         assert pt.pd == pytest.approx(expect, rel=1e-12)
 
     def test_perfpoint_validation(self):

@@ -71,6 +71,10 @@ OVERFLOWING_LAMBDA = {
     "HD": "HD noncentrality lambda = 2 rho T(x) / c overflows",
     "ACD": "ACD noncentrality lambda = 2 rho T(x) / c overflows",
     "CD": "CD statistic scale c = inf is not finite"}
+# lambda' is finite and lambda = rho lambda' is not
+OVERFLOWING_RHO_LAMBDA = {
+    det: f"{det} noncentrality lambda = 2 rho T(x) / c overflows a double"
+    for det in ("NCD", "ACD", "CD", "HD")}
 
 
 class TestThresholdCommand:
@@ -143,6 +147,22 @@ class TestThresholdCommand:
         assert captured.out == ""
         last = captured.err.strip().splitlines()[-1]
         assert "error: " in last and flags[0] in last
+
+    @pytest.mark.parametrize("det", ["NCD", "ACD", "HD"])
+    def test_varsigma_without_cd_is_usage_error(self, capsys, det):
+        # only CD reads --varsigma; any other detector ignored it and
+        # printed its threshold
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--detector", det, "--pfa", "1e-4",
+                  "--k-pulses", "12", "--m-tx", "2", "--n-rx", "1",
+                  "--varsigma", "2.1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error: " in line]
+        assert errors == [f"dmimo threshold: error: argument --varsigma: "
+                          f"only CD reads it, not --detector {det}"]
 
     def test_overflowing_scale_is_an_error(self, capsys):
         # c = K M N = 2e309 overflows a double
@@ -632,7 +652,16 @@ class TestAnalyzeCommand:
         # and from 3070 dB at unit mean RCS
         ({"target": {"model": "swerling1", "rho_bar": 1e-308}}, 0.0,
          OVERFLOWING_LAMBDA),
-        ({}, 3070.0, OVERFLOWING_LAMBDA)])
+        ({}, 3070.0, OVERFLOWING_LAMBDA),
+        # at 3080 dB and a mean RCS of 1e300 every lambda' is a double,
+        # and lambda = rho lambda' is not, for a Swerling I target and
+        # for a fixed one
+        ({"snr_db": [3080, 3080],
+          "target": {"model": "swerling1", "rho_bar": 1e300}}, 3080.0,
+         OVERFLOWING_RHO_LAMBDA),
+        ({"snr_db": [3080, 3080],
+          "target": {"model": "fixed", "alpha_re": 1e150}}, 3080.0,
+         OVERFLOWING_RHO_LAMBDA)])
     def test_overflowing_quantity_gives_error_rows(self, tmp_path, command,
                                                    scenario, start,
                                                    reasons):

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from dmimo import analysis, cli, detectors, montecarlo
-from dmimo.analysis import (
-    DetectorKind,
-    Receiver,
-    analyze_detector,
-    law,
-    threshold,
-)
+from dmimo.analysis import DetectorKind, Receiver, analyze_detector, law
 from dmimo.detectors import CompensationSet, cd_statistic, ncd_statistic
 from dmimo.experiments import load_experiment
 from dmimo.montecarlo import (
@@ -139,7 +133,7 @@ class TestTrialConfig:
 class TestDeterminism:
     def test_identical_runs(self, ref_rx):
         vs = np.sum(np.abs(ref_rx.templates) ** 2)
-        gammas = {d: threshold(law(d, 12, 2, 1, vs), 1e-2) for d in ALL}
+        gammas = {d: law(d, 12, 2, 1, vs).isf(1e-2) for d in ALL}
         cfg = TrialConfig(trials=3000, seed=42, target_draw=Swerling1(1.0))
         r1 = run_sweep([(ref_rx, gammas, cfg)])[0]
         r2 = run_sweep([(ref_rx, gammas, cfg)])[0]
@@ -164,7 +158,7 @@ class TestDeterminism:
     def test_block_order_independent_counts(self, ref_rx):
         # counting is associative: summing per-block exceedances in
         # reversed order reproduces run_sweep
-        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1), 1e-2)
+        gamma = law(DetectorKind.NCD, 12, 2, 1).isf(1e-2)
         cfg = TrialConfig(trials=3 * BLOCK_TRIALS, seed=21)
         blocks = [block for _, block in iter_coordinate_blocks(ref_rx, cfg)]
         total = sum(int(np.count_nonzero(ncd_statistic(c) + g > gamma))
@@ -173,8 +167,7 @@ class TestDeterminism:
         assert got[DetectorKind.NCD] == total
 
     def test_seed_changes_results(self, ref_rx):
-        gammas = {DetectorKind.NCD: threshold(
-            law(DetectorKind.NCD, 12, 2, 1), 0.5)}
+        gammas = {DetectorKind.NCD: law(DetectorKind.NCD, 12, 2, 1).isf(0.5)}
         runs = run_sweep([(ref_rx, gammas, TrialConfig(trials=2000, seed=s))
                           for s in (1, 2)])
         assert runs[0][DetectorKind.NCD] != runs[1][DetectorKind.NCD]
@@ -185,7 +178,7 @@ class TestH0Calibration:
     def test_exceedance_matches_pfa(self, det, ref_rx):
         vs = float(np.sum(np.abs(ref_rx.templates) ** 2))
         pf = 1e-2
-        gamma = threshold(law(det, 12, 2, 1, vs), pf)
+        gamma = law(det, 12, 2, 1, vs).isf(pf)
         cfg = TrialConfig(trials=100000, seed=77)
         p_hat = run_sweep([(ref_rx, {det: gamma}, cfg)])[0][det] / cfg.trials
         sigma = np.sqrt(pf * (1 - pf) / cfg.trials)
@@ -205,7 +198,7 @@ class TestH1Match:
     def test_fixed_alpha_noise_free_limit(self, zero_err):
         sc = reference_scenario("multi_band", snr_db=(120.0, 120.0))
         rx = Receiver.build(sc, zero_err)
-        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1), 1e-4)
+        gamma = law(DetectorKind.NCD, 12, 2, 1).isf(1e-4)
         cfg = TrialConfig(trials=500, seed=3,
                           target_draw=NonFluctuating(1.0 + 0.0j))
         got = run_sweep([(rx, {DetectorKind.NCD: gamma}, cfg)])[0]
@@ -214,7 +207,7 @@ class TestH1Match:
     def test_ncd_phase_screen_invariance(self, ref_rx):
         # NCD counts are unchanged by any fixed phase screen applied to
         # the measurements' coordinates
-        gamma = threshold(law(DetectorKind.NCD, 12, 2, 1), 1e-3)
+        gamma = law(DetectorKind.NCD, 12, 2, 1).isf(1e-3)
         cfg = TrialConfig(trials=20000, seed=55, target_draw=Swerling1(1.0))
         base = run_sweep([(ref_rx, {DetectorKind.NCD: gamma},
                            cfg)])[0][DetectorKind.NCD]
@@ -272,7 +265,7 @@ def mixed_runs(sc, target=None, seed=31):
             (sc, doppler, POOL_TRIALS, ALL)]):
         rx = Receiver.build(scenario, err)
         vs = float(np.sum(np.abs(rx.templates) ** 2))
-        gammas = {d: threshold(law(d, 12, 2, 1, vs), 0.05) for d in dets}
+        gammas = {d: law(d, 12, 2, 1, vs).isf(0.05) for d in dets}
         cfg = TrialConfig(trials=trials, seed=seed, pair=pair,
                           target_draw=target)
         runs.append((rx, gammas, cfg))
@@ -317,7 +310,7 @@ class TestWorkerPool:
         rx = Receiver.build(sc, _path_errors(4, 4, df=12.0))
         crx, signal, inside, outside = rx.frame()
         assert (signal.size, inside, outside) == (4, 61, 4 * 4 * 28 - 1)
-        gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
+        gammas = {d: rx.law(d).isf(0.05) for d in ALL}
         cfg = TrialConfig(trials=3 * 4096 + 17, seed=23,
                           target_draw=Swerling1(1.0))
         blocks = [c for _, (c, *_) in iter_coordinate_blocks(rx, cfg)]
@@ -543,7 +536,7 @@ class TestBlockBytes:
         # frame and the statistics, and the counts are the serial sum
         rx = array_rx(random_scenario)
         assert rx.frame()[1].size == 4
-        gammas = {d: threshold(rx.law(d), 0.05) for d in ALL}
+        gammas = {d: rx.law(d).isf(0.05) for d in ALL}
         cfg = TrialConfig(trials=2 * BLOCK_TRIALS, seed=5,
                           target_draw=Swerling1(1.0))
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
@@ -761,7 +754,7 @@ class TestScratch:
             sc, err = ((colocated, SyncErrors.zeros(2, 1)) if pair % 2 == 0
                        else (ref_scenario, doppler))
             rx = Receiver.build(sc, err)
-            gammas = {d: threshold(rx.law(d), 0.05) for d in ALL[:3]}
+            gammas = {d: rx.law(d).isf(0.05) for d in ALL[:3]}
             cfg = TrialConfig(trials=BLOCK_TRIALS + extra, seed=41,
                               pair=pair, target_draw=target)
             runs.append((rx, gammas, cfg))

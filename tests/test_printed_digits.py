@@ -67,11 +67,12 @@ def test_printed_gamma_and_pd_match_mpmath(recipe):
             if pt is None:
                 continue
             assert isinstance(rx.sc.target, Swerling1)
-            p, c = rx.law(pt.detector)
+            chi2 = rx.law(pt.detector)
+            p = chi2.p
             rho_bar = rx.sc.target.mean_rcs
             with mp.workdps(50):
                 x = _quantile(p, pfa)
-                gamma = mp.mpf(c) * x
+                gamma = mp.mpf(chi2.c) * x
                 pd = _swerling1_pd(p, x, mp.mpf(pt.lam) / rho_bar,
                                    mp.mpf(rho_bar))
             where = (f"{row['sweep_value']} {row['system']} "
