@@ -22,7 +22,6 @@ throughout, consistent with the underlying chi-square tail integral.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -37,7 +36,13 @@ from .detectors import (
     ncd_statistic,
     steering_span,
 )
-from .scene import Scenario, Swerling1, SyncErrors, noise_free_mf_output
+from .scene import (
+    Scenario,
+    Swerling1,
+    SyncErrors,
+    _run_cache,
+    noise_free_mf_output,
+)
 from .specfun import (
     Probability,
     _gamma_prefactor,
@@ -107,8 +112,8 @@ class ChiSquareLaw:
 
     def isf(self, pfa: float) -> float:
         """Threshold gamma = c q with sf(gamma) = pfa, q the quantile of
-        the unit-scale law.  For p > 1 q is cached on (p, pfa), at most
-        64 of them.  Raises ValueError where gamma overflows a double."""
+        the unit-scale law.  For p > 1 q is cached run-wide on (p, pfa).
+        Raises ValueError where gamma overflows a double."""
         if not 0.0 < pfa < 1.0:
             raise ValueError("target false-alarm rate must lie strictly in "
                              "(0, 1)")
@@ -151,9 +156,8 @@ class ChiSquareLaw:
         return Probability(min(1.0, max(0.0, val)))
 
 
-# The quantile depends on the order and the target alone, never on the
-# SNR, so a sweep inverts each (p, Pfa) once; entries are two floats.
-@functools.lru_cache(maxsize=64)
+# (p, Pfa) alone, never the SNR, sets the quantile: a sweep inverts each once
+@_run_cache
 def _gamma_quantile(p, pfa_target):
     return inv_reg_upper_gamma(p, pfa_target)
 
@@ -227,8 +231,7 @@ class Receiver:
             varsigma = float(np.sum(np.abs(templates) ** 2))
         return cls(sc=sc, x=noise_free_mf_output(sc, err),
                    varsigma=varsigma,
-                   phasors=_phasors(comp.theta_hat.tobytes(),
-                                    comp.theta_hat.shape),
+                   phasors=_phasors(comp.theta_hat),
                    templates=templates, span=u, rank=rank)
 
     def coordinates(self, y) -> np.ndarray:
@@ -297,13 +300,10 @@ class Receiver:
                    self.varsigma)
 
 
-# keyed and bounded like scene._steering: theta_hat does not depend on
-# the SNR, so a sweep over it evaluates each system's phasors once
-@functools.lru_cache(maxsize=8)
-def _phasors(theta_bytes, shape):
-    phasors = np.exp(1j * np.frombuffer(theta_bytes).reshape(shape))
-    phasors.flags.writeable = False
-    return phasors
+# theta_hat is SNR-free: an SNR sweep evaluates each system's phasors once
+@_run_cache
+def _phasors(theta_hat):
+    return np.exp(1j * theta_hat)
 
 
 def statistic(det: DetectorKind, rx: Receiver):

@@ -24,7 +24,6 @@ correlation also reads a batch of sufficient coordinates
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,6 +35,7 @@ from .scene import (
     _checked_phase,
     _model_factors,
     _model_output,
+    _run_cache,
 )
 
 __all__ = [
@@ -140,6 +140,7 @@ def cd_statistic(y, templates) -> np.ndarray | float:
     return out[()] if out.ndim == 0 else out
 
 
+@_run_cache
 def steering_span(S_hat) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (N, K, r_S) of the spans of the Doppler steering
     matrices S_hat (N, K, M), and each receiver's numerical rank (N,).
@@ -149,20 +150,8 @@ def steering_span(S_hat) -> tuple[np.ndarray, np.ndarray]:
     it is min(K, M) at most and 1 for co-located steering without sync
     errors.  The bases are the leading r_S left singular vectors, r_S the
     largest rank, so a receiver of lower rank carries extra orthonormal
-    columns.  Cached on the exact bytes of ``S_hat``, at most 8 of them,
-    and shared read-only.
-    """
-    S_hat = np.asarray(S_hat)
-    return _span(S_hat.tobytes(), S_hat.shape, S_hat.dtype.str)
-
-
-# keyed and bounded like scene._steering, whose matrices it reads
-@functools.lru_cache(maxsize=8)
-def _span(s_bytes, shape, dtype):
-    S_hat = np.frombuffer(s_bytes, dtype=dtype).reshape(shape)
-    u, rank = _basis(S_hat)
-    u.flags.writeable = rank.flags.writeable = False
-    return u, rank
+    columns.  Cached run-wide (``scene._run_cache``), read-only."""
+    return _basis(S_hat)
 
 
 def _basis(a) -> tuple[np.ndarray, np.ndarray]:

@@ -228,6 +228,10 @@ def _parse_scenario(doc):
     if waveform_set not in ("multi_band", "single_band"):
         raise ExperimentError(
             f"{path}.waveform_set: expected 'multi_band' or 'single_band'")
+    unread = "kappa" if waveform_set == "multi_band" else "eta"
+    if unread in doc:
+        raise ExperimentError(
+            f"{path}.{unread}: not read by the {waveform_set} waveform set")
     M = _integer(doc, path, "m_tx", presets.M_TX, 1, _MAX_ENTRIES)
     N = _integer(doc, path, "n_rx", presets.N_RX, 1, _MAX_ENTRIES // M)
     K = _integer(doc, path, "k_pulses", presets.K_PULSES, 1,

@@ -163,7 +163,7 @@ def pulse_set(waveform_set: str, m_tx: int, beta_hz: float, t_p: float,
     """
     if waveform_set == "multi_band":
         if eta < 0:
-            raise ValueError("multi-band needs TX index m >= 1 and eta >= 0")
+            raise ValueError("multi-band needs eta >= 0")
         chirps = [(1.0, eta * m) for m in range(1, m_tx + 1)]
     elif waveform_set == "single_band":
         if m_tx != 2:

@@ -270,7 +270,23 @@ class TestPdNonfluctuating:
         assert all(a >= b - 1e-13 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda chi2: chi2.sf(-1.0), "threshold must be nonnegative"),
+    (lambda chi2: chi2.pd(1.0, -1.0, FIXED),
+     "lambda and gamma must be nonnegative"),
+    (lambda chi2: chi2.pd(-1.0, 1.0, Swerling1(1.0)),
+     "lambda and gamma must be nonnegative")],
+    ids=["sf-negative-gamma", "pd-negative-lambda", "pd-negative-gamma"])
+def test_law_rejections(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(ChiSquareLaw(4, 1.0))
+    assert str(exc.value) == message
+
+
 class TestPdSwerling1:
+    def test_zero_threshold_detects_surely(self):
+        assert ChiSquareLaw(4, 1.0).pd(0.0, 3.0, Swerling1(1.0)) == 1.0
+
     @pytest.mark.parametrize("det", ALL)
     def test_invisible_target(self, det):
         chi2 = law(det, K, M, N, 8.0)

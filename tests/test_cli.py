@@ -757,11 +757,16 @@ class TestAnalyzeCommand:
         ({"sweep": base_doc()["sweep"]}, "$.scenario: required field missing"),
         ({"scenario": {}}, "$.sweep: required field missing"),
         (base_doc(colocated_benchmark=1),
-         "$.colocated_benchmark: expected true or false")],
+         "$.colocated_benchmark: expected true or false"),
+        (base_doc(scenario={"waveform_set": "multi_band", "kappa": 7}),
+         "scenario.kappa: not read by the multi_band waveform set"),
+        (base_doc(scenario={"waveform_set": "single_band", "eta": 7}),
+         "scenario.eta: not read by the single_band waveform set")],
         ids=["top-level-list", "scenario-list", "no-start", "no-points",
              "zero-pri", "fractional-k", "ragged-tau", "infinite-tau",
              "target-model", "waveform-set", "single-band-of-3",
-             "no-detectors", "no-scenario", "no-sweep", "colocated-int"])
+             "no-detectors", "no-scenario", "no-sweep", "colocated-int",
+             "multi-band-kappa", "single-band-eta"])
     def test_every_schema_rejection_is_one_error_line(self, tmp_path, doc,
                                                       message):
         # a document given as a string is the JSON text itself: 1e999
@@ -1046,7 +1051,7 @@ def build_counts(monkeypatch):
     monkeypatch.setattr(detectors.CompensationSet, "from_scenario",
                         classmethod(spy("from_scenario", build)))
     monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
-    detectors._span.cache_clear()
+    real_span.cache_clear()
     return counts
 
 

@@ -62,6 +62,18 @@ def span_hd(y, S):
     return statistic(DetectorKind.HD, rx)(y)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ncd_statistic(np.zeros((2, 12))),
+     "measurement must be (M, N, K) or (trials, M, N, K)"),
+    (lambda: cd_statistic(np.zeros((2, 1, 12)), np.zeros((2, 1, 11))),
+     "template dimensions must match the measurement")],
+    ids=["ncd-2d", "cd-template-shape"])
+def test_statistic_rejections(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestNcd:
     def test_zero_input(self):
         assert ncd_statistic(np.zeros((2, 1, 3), dtype=complex)) == 0.0

@@ -273,6 +273,16 @@ def mixed_runs(sc, target=None, seed=31):
 
 
 class TestWorkerPool:
+    @pytest.mark.parametrize("cpus, workers", [(6, 6), (None, 1)],
+                             ids=["cpu-count", "cpu-count-unknown"])
+    def test_worker_count_without_affinity_call(self, monkeypatch, cpus,
+                                                workers):
+        # a platform without os.sched_getaffinity falls back on the CPU
+        # count, and on one worker where that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert montecarlo._worker_count() == workers
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("target", [
         None, Swerling1(1.0), NonFluctuating(0.6 - 0.4j)],

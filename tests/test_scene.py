@@ -5,7 +5,9 @@ import importlib
 import json
 import math
 import pkgutil
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +304,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ref_scenario.tau_s[0, 0] = 0.0
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda sc: Swerling1(0.0), "mean RCS must be positive"),
+        (lambda sc: replace(sc, k_pulses=0), "M, N, K must all be >= 1"),
+        (lambda sc: replace(sc, pri_s=0.0), "PRI must be positive"),
+        (lambda sc: replace(sc, pri_s=-1e-3), "PRI must be positive"),
+        (lambda sc: replace(sc, tau_s=np.full((2, 1), -1e-6)),
+         "propagation delays must be nonnegative"),
+        (lambda sc: replace(sc, xi=np.full((2, 1), -1.0)),
+         "path amplitudes must be nonnegative"),
+        (lambda sc: replace(sc, doppler_hz=np.full((2, 1), np.nan)),
+         "doppler_hz contains non-finite entries"),
+        (lambda sc: doppler_steering([200.0], 0, sc.pri_s),
+         "K must be >= 1")],
+        ids=["swerling1-zero-rcs", "zero-k", "zero-pri", "negative-pri",
+             "negative-delay", "negative-xi", "nan-doppler",
+             "steering-zero-k"])
+    def test_rejections(self, ref_scenario, make, message):
+        with pytest.raises(ValueError) as exc:
+            make(ref_scenario)
+        assert str(exc.value) == message
+
 
 def _analyze_csv(tmp_path, doc, name):
     exp, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
@@ -331,6 +354,20 @@ CACHES = _package_caches()
 def _clear_caches():
     for owner, name in CACHES:
         getattr(owner, name).cache_clear()
+
+
+def _rebind_caches(monkeypatch, wrap):
+    """Rebind every name that holds a package cache, in every loaded
+    dmimo module, to ``wrap(name, cache)``; returns the caches by name."""
+    reals = {name: getattr(owner, name) for owner, name in CACHES}
+    modules = [m for n, m in sys.modules.items()
+               if m is not None and n.split(".")[0] == "dmimo"]
+    for name, real in reals.items():
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, wrap(name, real))
+    return reals
 
 
 def _three_tx_doc(sweep):
@@ -427,14 +464,13 @@ class TestAmbiguityCache:
         cached = _analyze_csv(tmp_path, doc, "cached")
         cached_again = _analyze_csv(tmp_path, doc, "cached_again")
 
-        for owner, name in CACHES:
-            real = getattr(owner, name)
-
-            def fresh(*key, real=real):
+        def fresh(name, real):
+            def cleared(*key):
                 real.cache_clear()
                 return real(*key)
+            return cleared
 
-            monkeypatch.setattr(owner, name, fresh)
+        _rebind_caches(monkeypatch, fresh)
         assert cached == cached_again == _analyze_csv(tmp_path, doc, "fresh")
 
     def test_shared_tensor_is_read_only(self, ref_scenario, zero_err):
@@ -457,3 +493,39 @@ class TestAmbiguityCache:
                            (rank, 0)):
             with pytest.raises(ValueError):
                 arr[index] = 0
+
+
+RECIPES = sorted((Path(__file__).resolve().parents[1] / "recipes")
+                 .glob("*.json"))
+# sync errors and co-located rows: each SNR point asks the X and S caches
+# for three distinct keys, the truth, the estimate and the co-located one
+THREE_KEY_DOC = dict(_three_tx_doc({"variable": "snr_db", "start": -5.0,
+                                    "stop": 10.0, "points": 4}),
+                     colocated_benchmark=True)
+
+
+@pytest.mark.parametrize("doc", RECIPES + [THREE_KEY_DOC],
+                         ids=[r.stem for r in RECIPES] + ["three-keys"])
+def test_run_cache_bound_loses_no_hit(tmp_path, monkeypatch, doc):
+    # every cache misses once per distinct key it is asked for, and no
+    # more: the one bound, RUN_CACHE_SIZE, evicts no key a run asks for
+    # again
+    keys = {name: set() for _, name in CACHES}
+
+    def spy(name, real):
+        def counted(*args):
+            keys[name].add(tuple(
+                (a.tobytes(), a.shape, a.dtype.str)
+                if isinstance(a, np.ndarray) else a for a in args))
+            return real(*args)
+        return counted
+
+    _clear_caches()
+    reals = _rebind_caches(monkeypatch, spy)
+    if isinstance(doc, Path):
+        doc = json.loads(doc.read_text())
+    _analyze_csv(tmp_path, doc, "run")
+    misses = {name: real.cache_info().misses for name, real in reals.items()}
+    assert misses == {name: len(k) for name, k in keys.items()}
+    if doc is THREE_KEY_DOC:
+        assert misses["_ambiguity"] == misses["_steering"] == 3

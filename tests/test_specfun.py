@@ -388,6 +388,13 @@ class TestMarcumQ:
         with pytest.raises(ValueError):
             marcum_q(m, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(1, -1.0, 1.0), (1, 1.0, -1.0)],
+                             ids=["negative-a", "negative-b"])
+    def test_argument_domain_error(self, args):
+        with pytest.raises(ValueError) as exc:
+            marcum_q(*args)
+        assert str(exc.value) == "Marcum-Q arguments must be nonnegative"
+
 
 class TestGammaSeries:
     # s * _gamma_series(s, x) is Kummer's 1F1(1; s+1; x) (DLMF 8.5.1)

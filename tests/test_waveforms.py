@@ -403,7 +403,7 @@ class TestPulseSet:
 
     @pytest.mark.parametrize("args, message", [
         (("multi_band", 2, BETA, TP, -1.0, KAPPA),
-         "multi-band needs TX index m >= 1 and eta >= 0"),
+         "multi-band needs eta >= 0"),
         (("single_band", 2, BETA, TP, ETA, -1.0), "kappa must be nonnegative"),
         (("single_band", 3, BETA, TP, ETA, KAPPA),
          "single_band waveform set is defined for M=2 only"),
