@@ -145,8 +145,6 @@ class ChiSquareLaw:
             return marcum_q(p, math.sqrt(lam), math.sqrt(2.0 * gamma / self.c))
         if g == 0.0:
             val = 1.0
-        elif lam == 0.0:
-            val = reg_upper_gamma(p, g)
         else:
             denom = lam + 2.0
             val = (reg_upper_gamma(p, g) + (lam / denom) * _gamma_prefactor(
@@ -259,21 +257,16 @@ class Receiver:
         outside W.  ``signal`` holds x's w coordinates; where its part
         outside the spans has norm e > _RCOND_LIMIT ||x|| over all
         paths, e follows as the one shared coordinate, and ``outside``
-        is M N (K - r_S) - 1, else M N (K - r_S).  Where ||x||^2
-        overflows a double, both norms are taken at x scaled to unit
-        size."""
+        is M N (K - r_S) - 1, else M N (K - r_S).  Both norms are taken
+        at x scaled to unit size, so ||x||^2 never overflows a double."""
         N, K, r = self.span.shape
         M = self.x.shape[0]
         read = [self.coordinates(v).ravel()
                 for v in (self.x, self.phasors, self.templates)]
         x_perp = self.x - np.einsum("nkr,mnr->mnk", self.span,
                                     read[0].reshape(M, N, r))
-        with np.errstate(over="ignore"):  # an infinite norm is rescaled
-            e, norm = np.linalg.norm(x_perp), np.linalg.norm(self.x)
-        if norm == np.inf:
-            s = _unit_scale(self.x)
-            e = np.linalg.norm(x_perp * s) / s
-            norm = np.linalg.norm(self.x * s) / s
+        s = _unit_scale(self.x)
+        e, norm = (np.linalg.norm(v * s) / s for v in (x_perp, self.x))
         q, _ = _basis(np.stack([v * _unit_scale(v) for v in read
                                 if np.any(v)], -1))
         x, phasors, templates = (np.conj(q.T) @ v for v in read)

@@ -122,23 +122,18 @@ def _caf_rows(spec: ExperimentSpec, points: int):
 def _analytic_pairs(spec: ExperimentSpec):
     """Per (sweep point, system), in output order: (receiver, rows), with
     one (CSV row, operating point) per detector.  The operating point is
-    None on an error row, the receiver where the pair or its point fails."""
+    None on an error row, the receiver where the pair fails, as every
+    system of a point whose scenario cannot be built does."""
     systems = {"distributed": lambda sc: Receiver.build(sc, spec.errors),
                "colocated": lambda sc: Receiver.build(
                    colocated_scenario(sc), SyncErrors.zeros(sc.m_tx, sc.n_rx))}
     for value in map(float, spec.sweep_values):
-        try:
-            sc, bad = scenario_at(spec, value), None
-        except ValueError as exc:
-            sc, bad = None, str(exc)
         for system in list(systems)[:1 + spec.colocated_benchmark]:
             base = dict(sweep_variable=spec.sweep_variable, sweep_value=value,
                         sweep_value_si=value * spec.sweep_unit, system=system,
                         pfa_target=spec.pfa_target)
             try:
-                if bad is not None:  # every system of the point fails
-                    raise ValueError(bad)
-                rx = systems[system](sc)
+                rx = systems[system](scenario_at(spec, value))
             except ValueError as exc:
                 yield None, [
                     (dict(base, detector=det.value, error=str(exc)), None)

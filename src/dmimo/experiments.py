@@ -97,18 +97,14 @@ def _reject_unknown(doc, path, allowed):
 
 def _check_number(v, where):
     # bool is a subclass of int, but not a JSON number; an int beyond the
-    # largest double has no float value
+    # largest double has no float value, found by an exact comparison, as
+    # Python compares an int with a float without converting the int
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ExperimentError(f"{where}: expected a number")
-    if isinstance(v, int) and not _in_double_range(v):
+    if isinstance(v, int) and not (
+            -sys.float_info.max <= v <= sys.float_info.max):
         raise ExperimentError(f"{where}: must be finite, got an integer "
                               "beyond the largest double")
-
-
-def _in_double_range(v):
-    # an exact comparison: Python compares an int with a float without
-    # converting the int
-    return -sys.float_info.max <= v <= sys.float_info.max
 
 
 def _number(doc, path, field, default=None, positive=False):
@@ -144,9 +140,6 @@ def _check_entries(raw, where):
     # every entry of nested lists is a JSON number, not a string or a bool
     if not isinstance(raw, list):
         return _check_number(raw, where)
-    if set(map(type, raw)) <= {int, float} and all(
-            map(_in_double_range, raw)):  # a row of numbers
-        return
     for i, v in enumerate(raw):
         _check_entries(v, f"{where}[{i}]")
 

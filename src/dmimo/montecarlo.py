@@ -214,7 +214,8 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
     ``scratch``.  A Swerling I block draws the unit moduli sqrt(Exp(1)),
     scaled to hypot(1, sqrt(rho_bar) hypot(a, e)) along the return
     ``signal`` = (a, 0, ..., 0[, e]), then d - 1 complex unit normals
-    per trial across it, d = ``signal.size``: the moduli are coordinate
+    per trial across it, d = ``signal.size``, a draw that is empty at
+    d = 1 and leaves the stream where it was: the moduli are coordinate
     0, and where the shared coordinate exists the plane rotation by
     (a, e) / hypot(a, e) turns them and the last normal onto
     coordinates 0 and d - 1.  H0 and fixed-target blocks draw d
@@ -236,10 +237,10 @@ def _coordinate_block(crx: Receiver, signal: np.ndarray, inside: int,
         np.sqrt(modulus, out=modulus)
         modulus *= math.hypot(1.0, math.sqrt(target.rho_bar)
                               * math.hypot(a, e))
-        if d > 1:  # a one-coordinate block draws no Gaussian
-            normals = draw_noise(rng, d - 1, (nb,),
-                                 scratch.get("normals", (nb, d - 1, 2)))
-            z[:, 1:w] = normals[:, :w - 1]
+        # empty where d = 1, a draw that leaves rng where it was
+        normals = draw_noise(rng, d - 1, (nb,),
+                             scratch.get("normals", (nb, d - 1, 2)))
+        z[:, 1:w] = normals[:, :w - 1]
         if d > w:  # turn (modulus, last normal) onto coordinates 0 and d - 1
             turn = math.atan2(e, a)
             cos, sin = math.cos(turn), math.sin(turn)

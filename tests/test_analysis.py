@@ -294,6 +294,17 @@ class TestPdSwerling1:
         assert chi2.pd(g, 0.0, Swerling1(1.0)) == pytest.approx(
             chi2.sf(g), rel=1e-10)
 
+    @pytest.mark.parametrize("p", [1, 24, 4096])
+    @pytest.mark.parametrize("pfa_target", [1e-2, 1e-4, 1e-8])
+    def test_invisible_target_is_the_false_alarm_rate_exactly(
+            self, p, pfa_target):
+        # at lam = 0 the series term is 0 * prefactor * (1/p) = +0.0, so
+        # the Swerling I form adds nothing to Q(p, g), bit for bit
+        chi2 = ChiSquareLaw(p, 1.0)
+        g = chi2.isf(pfa_target)
+        assert 0.0 < chi2.sf(g) < 1.0
+        assert chi2.pd(g, 0.0, Swerling1(1.0)) == chi2.sf(g)
+
     @pytest.mark.parametrize("det", ALL)
     def test_vanishing_mean_rcs_limit(self, det):
         chi2 = law(det, K, M, N, 8.0)

@@ -1075,6 +1075,29 @@ class TestCoordinates:
         np.testing.assert_array_equal(big_crx.phasors, crx.phasors)
         assert big_dims == dims
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doc", [
+        "recipes/doppler_errors.json", "recipes/delay_offset_benchmark.json",
+        "tests/data/analytic_array_seed1.json"])
+    def test_frame_scales_by_a_power_of_two_across_the_overflow(self, doc):
+        # x scaled by 2^k to max |x| near 2^600, where ||x||^2 overflows:
+        # the norms are taken at unit scale either way, so the signal is
+        # 2^k times the unscaled one and the rest of the frame is equal,
+        # bit for bit, at the first, middle and last pair of the document
+        spec = load_experiment(Path(__file__).resolve().parent.parent / doc)
+        pairs = [rx for rx, _ in cli._analytic_pairs(spec) if rx is not None]
+        for rx in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+            k = 600 - math.frexp(np.abs(rx.x).max())[1]
+            big = replace(rx, x=rx.x * 2.0 ** k)
+            with np.errstate(over="ignore"):
+                assert np.linalg.norm(big.x) == np.inf
+            crx, signal, *dims = rx.frame()
+            big_crx, big_signal, *big_dims = big.frame()
+            np.testing.assert_array_equal(big_signal, signal * 2.0 ** k)
+            np.testing.assert_array_equal(big_crx.phasors, crx.phasors)
+            np.testing.assert_array_equal(big_crx.templates, crx.templates)
+            assert big_dims == dims
+
     # Two-sample KS of each statistic: the engine's coordinate blocks
     # against full (trials, M, N, K) measurement cubes drawn on an
     # independent stream.

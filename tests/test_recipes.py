@@ -29,6 +29,22 @@ benchmark's analytic_array document at seed 1, written once with
         > tests/data/analytic_array_seed1.json
 
 and its CSV regenerates as a recipe's does.
+
+Two Monte Carlo outputs and one CAF output are pinned byte for byte:
+`tests/data/simulate/<recipe>.csv` holds
+
+    dmimo simulate --experiment recipes/<recipe>.json --trials 8192 \
+        --out <recipe>.csv
+
+at the recipe's own seed, for `delay_offset_benchmark` (its co-located
+pairs draw one-coordinate Swerling I blocks) and `doppler_errors` (its
+pairs draw the shared coordinate outside the spans), and
+`tests/data/caf/snr_offset_single_band.csv` holds
+
+    dmimo caf --experiment recipes/snr_offset_single_band.json \
+        --points 41 --out snr_offset_single_band.csv
+
+whose up/down chirp pair takes the Fresnel form of the CAF.
 """
 
 import csv
@@ -96,6 +112,26 @@ def test_analyze_matches_pinned_array_csv(tmp_path):
     # order 4096, at the paper's array scale
     _analyze_matches(ARRAY.with_suffix(".json"), ARRAY.with_suffix(".csv"),
                      tmp_path)
+
+
+@pytest.mark.parametrize("recipe", ["delay_offset_benchmark",
+                                    "doppler_errors"])
+def test_simulate_matches_pinned_bytes(recipe, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--experiment",
+                 str(ROOT / "recipes" / f"{recipe}.json"),
+                 "--trials", "8192", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        DATA / "simulate" / f"{recipe}.csv").read_bytes()
+
+
+def test_caf_matches_pinned_bytes(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["caf", "--experiment",
+                 str(ROOT / "recipes" / "snr_offset_single_band.json"),
+                 "--points", "41", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        DATA / "caf" / "snr_offset_single_band.csv").read_bytes()
 
 
 def test_every_recipe_and_demo_runs_clean(tmp_path):
