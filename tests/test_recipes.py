@@ -114,24 +114,16 @@ def test_analyze_matches_pinned_array_csv(tmp_path):
                      tmp_path)
 
 
-@pytest.mark.parametrize("recipe", ["delay_offset_benchmark",
-                                    "doppler_errors"])
-def test_simulate_matches_pinned_bytes(recipe, tmp_path):
+@pytest.mark.parametrize("command, recipe, flag, value", [
+    ("simulate", "delay_offset_benchmark", "--trials", "8192"),
+    ("simulate", "doppler_errors", "--trials", "8192"),
+    ("caf", "snr_offset_single_band", "--points", "41")])
+def test_output_matches_pinned_bytes(command, recipe, flag, value, tmp_path):
     out = tmp_path / "out.csv"
-    assert main(["simulate", "--experiment",
-                 str(ROOT / "recipes" / f"{recipe}.json"),
-                 "--trials", "8192", "--out", str(out)]) == 0
-    assert out.read_bytes() == (
-        DATA / "simulate" / f"{recipe}.csv").read_bytes()
-
-
-def test_caf_matches_pinned_bytes(tmp_path):
-    out = tmp_path / "out.csv"
-    assert main(["caf", "--experiment",
-                 str(ROOT / "recipes" / "snr_offset_single_band.json"),
-                 "--points", "41", "--out", str(out)]) == 0
-    assert out.read_bytes() == (
-        DATA / "caf" / "snr_offset_single_band.csv").read_bytes()
+    assert main([command, "--experiment",
+                 str(ROOT / "recipes" / f"{recipe}.json"), flag, value,
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / command / f"{recipe}.csv").read_bytes()
 
 
 def test_every_recipe_and_demo_runs_clean(tmp_path):
