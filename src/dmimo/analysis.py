@@ -313,9 +313,10 @@ def statistic(det: DetectorKind, rx: Receiver):
     rank.
 
     The coordinate forms run on every Monte Carlo block, on the pool's
-    threads, so none of them may call BLAS: a BLAS call runs on threads
-    of its own, which contend with the pool's workers for the CPUs.
-    Every form is einsums and ufuncs."""
+    threads, so none of them may call BLAS: in a program that imports
+    dmimo, a BLAS call may run on threads of its own, which contend with
+    the pool's workers for the CPUs.  The ``dmimo`` command runs BLAS on
+    one thread.  Every form is einsums and ufuncs."""
     if det is DetectorKind.NCD:
         return lambda y, g=0.0, g_span=0.0: ncd_statistic(y) + g
     if det is DetectorKind.ACD:

@@ -8,7 +8,11 @@ Subcommands:
 
 All outputs are CSV with a header row, '.' decimals, and line-feed
 terminators; rows are ordered by sweep index, then system, then
-detector, so output bytes depend only on the experiment file and seed.
+detector, so output bytes depend only on the experiment file and seed,
+unless the caller sets a BLAS thread variable (OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS).  Without one the command runs
+numpy's BLAS on one thread; with another count the last printed digit
+of a Pd near 1 can move, as an HD Pd does at (M, N, K) = (16, 16, 1024).
 """
 
 from __future__ import annotations
@@ -20,6 +24,19 @@ import functools
 import math
 import os
 import sys
+
+# One BLAS thread unless the caller chose a count.  OpenBLAS starts a
+# worker per extra CPU while numpy is imported, about 65 ms of a 155 ms
+# `import numpy` on a 2-CPU host, and the thread count can move a last
+# printed digit (module docstring).  The Monte Carlo parallelism is
+# run_sweep's pool, and dmimo's BLAS calls are small SVDs and 3x3
+# products.  OpenBLAS reads these variables in this order, so setting
+# the first would override a caller's OMP_NUM_THREADS.  The library
+# modules leave the host program's environment alone.
+if "numpy" not in sys.modules and not any(
+        name in os.environ for name in (
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

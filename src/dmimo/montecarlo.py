@@ -30,9 +30,10 @@ read as their complex view, a Swerling I block's d - 1 unit normals
 ``normals`` (trials, d - 1, 2), drawn apart because a draw fills a
 contiguous array and then copied or turned into ``noise``, and the two
 energies ``inside`` and ``outside`` (trials,).  A block's c, g and
-g_span are views of the scratch.  No block statistic calls BLAS, whose
-own threads would contend with the workers for the CPUs (see
-``analysis.statistic``).
+g_span are views of the scratch.  No block statistic calls BLAS: in a
+program that imports dmimo, BLAS may run threads of its own, which would
+contend with the workers for the CPUs (see ``analysis.statistic``).  The
+``dmimo`` command runs BLAS on one thread.
 
 Coordinates.  Per trial the target amplitude alpha is drawn once and held
 for the whole CPI, and the measurement of path (m, n) is the K-vector

@@ -1,5 +1,8 @@
 import sys
 
+# first, so numpy starts with the dmimo command's BLAS threads and the
+# in-process main calls compute as the command does
+import dmimo.cli
 import numpy as np
 import pytest
 

@@ -1099,3 +1099,79 @@ def test_import_loads_no_scipy(tmp_path):
         proc = subprocess.run([sys.executable, "-c", *run], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, (run[1:], proc.stderr)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def fresh_env(**blas):
+    """The environment of a fresh interpreter that imports this checkout's
+    dmimo, with no BLAS thread variable but those in ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return dict(env, PYTHONPATH=str(Path(dmimo.__file__).parents[1]), **blas)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc/self/task, needs 2 CPUs")
+@pytest.mark.parametrize("blas, want", [
+    ({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 2"),
+    ({"OMP_NUM_THREADS": "2"}, "2 None")])
+def test_cli_import_starts_one_blas_thread_unless_asked(blas, want):
+    # OpenBLAS starts its workers while numpy is imported; a count the
+    # caller set in any variable OpenBLAS reads is kept.  Printed: the
+    # process's threads and its OPENBLAS_NUM_THREADS
+    code = ("import os, dmimo.cli; "
+            "print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(**blas),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == want
+
+
+@pytest.mark.parametrize("first", ["numpy", "dmimo.montecarlo"])
+def test_cli_import_after_numpy_leaves_the_environment(first):
+    # numpy's BLAS has started by then; the library modules never set it
+    code = (f"import os, {first}; before = dict(os.environ); "
+            "import dmimo.cli; print(dict(os.environ) == before, "
+            "'OPENBLAS_NUM_THREADS' in os.environ)")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]
+
+
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a fixed target seen by a 16 x 16 array at K = 1024, each receiver's
+    # Dopplers one permutation of a comb so that HD's steering has full
+    # rank: there the BLAS thread count moves the last printed digit of
+    # an HD Pd near 1, so the command's default must be one thread
+    rng = np.random.default_rng(1)
+    M = N = 16
+    shape, tp = (M, N), 1e-5
+    comb = (np.arange(M) - (M - 1) / 2) * 50.0
+    doppler = np.stack([rng.permutation(comb) for _ in range(N)], axis=1)
+    doc = base_doc(
+        scenario={
+            "waveform_set": "multi_band", "m_tx": M, "n_rx": N,
+            "k_pulses": 1024,
+            "tau_s": (5e-4 + rng.uniform(0.0, 0.9 * tp, shape)).tolist(),
+            "doppler_hz": (100.0 + doppler
+                           + rng.uniform(-10.0, 10.0, shape)).tolist(),
+            "psi_rad": rng.uniform(0.0, 2 * np.pi, shape).tolist(),
+            "target": {"model": "fixed"}},
+        errors={"dt_s": rng.uniform(-2e-7, 2e-7, shape).tolist(),
+                "df_hz": rng.uniform(-2.0, 2.0, shape).tolist(),
+                "dp_rad": rng.uniform(-0.15, 0.15, shape).tolist()},
+        sweep={"variable": "snr_db", "start": -12.0, "stop": -9.0,
+               "points": 2})
+    exp = write_doc(tmp_path, doc)
+    got = []
+    for name, blas in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / f"{name}.csv"
+        subprocess.run([sys.executable, "-m", "dmimo.cli", "analyze",
+                        "--experiment", exp, "--out", str(out)],
+                       env=fresh_env(**blas), check=True)
+        got.append(out.read_bytes())
+    assert got[0] == got[1]
+    assert got[0].count(b"\n") == 1 + 2 * 4
